@@ -56,6 +56,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -477,6 +478,17 @@ def _trace_path_for(base: Optional[str], label: str, single: bool) -> Optional[s
     return f"{root}__{label}{ext or '.csv'}"
 
 
+def _finite_or_null(obj):
+    """`obj` with every nonfinite float replaced by None, for strict JSON."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
+
+
 def _run_cell(problem, policy, config: ExperimentConfig, trace_path: Optional[str]):
     solver_config = SolverConfig(
         max_iterations=config.iterations,
@@ -499,7 +511,9 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None,
                    jobs: int = 1) -> dict:
     """Execute all cells of `config` and return the summary dict.
 
-    The summary is also written to ``config.summary_path``. Relative output
+    The summary is also written to ``config.summary_path`` as strict JSON:
+    nonfinite floats (such as the best value of a run that stopped before
+    its first step) are written, and returned, as null. Relative output
     paths are resolved under `out_dir` (default: current directory). A
     numeric failure marks its cell as failed without affecting the others.
     """
@@ -550,12 +564,12 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None,
     else:
         cells = [execute(i) for i in range(len(policies))]
 
-    summary = {"config": config_to_dict(config), "cells": cells}
+    summary = _finite_or_null({"config": config_to_dict(config), "cells": cells})
     summary_path = resolve(config.summary_path)
     parent = os.path.dirname(os.path.abspath(summary_path))
     os.makedirs(parent, exist_ok=True)
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return summary
 

@@ -60,10 +60,16 @@ class SubgradientResult:
 
     `subgradient is None` marks an empty subdifferential: the objective value
     is still valid but no descent direction exists at the point.
+
+    `image` is optional: for an objective of the form h(A x - b) + r(x), the
+    vector A x - b that the oracle computed on the way to the value. It is
+    read only when the problem also sets
+    :attr:`ProblemInstance.value_at_image`.
     """
 
     value: float
     subgradient: Optional[np.ndarray]
+    image: Optional[np.ndarray] = None
 
     @property
     def is_empty(self) -> bool:
@@ -103,6 +109,17 @@ class ProblemInstance:
         True when `known_optimum_value` is an upper estimate from a long
         reference run rather than the exact optimum. Gap certificates checked
         against such a value are implied by (weaker than) the exact ones.
+    value_at_image : callable, optional
+        For an objective of the form f(x) = h(A x - b) + r(x) whose oracle
+        returns the image A x - b in :attr:`SubgradientResult.image`: maps a
+        point x and an image z to h(z) + r(x). For weights w_s >= 0 summing
+        to 1 it must satisfy
+        ``value_at_image(sum w_s x_s, sum w_s z_s) == f(sum w_s x_s)``, which
+        holds because A x - b is affine. The solver then streams each
+        weighted average of the images beside the average of the iterates and
+        evaluates the objective at an average in O(m + n), without an oracle
+        call. Provide it when the oracle's cost is dominated by forming
+        A x; leave it None otherwise.
     """
 
     name: str
@@ -114,6 +131,7 @@ class ProblemInstance:
     known_optimum_value: Optional[float] = None
     known_optimum_point: Optional[np.ndarray] = None
     optimum_is_reference: bool = False
+    value_at_image: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
 
     def __post_init__(self):
         if self.dimension < 1:

@@ -110,15 +110,20 @@ class LassoInstance:
         The objective value is ||y - Phi x||^2 + lam * ||x||_1 and the
         subgradient 2 Phi^T (Phi x - y) + lam * sign(x); no Lipschitz bound
         is attached (subgradient norms over the ball depend on the random
-        matrix and are not estimated).
+        matrix and are not estimated). The oracle also returns the residual
+        r = Phi x - y as its image, and the value at an averaged point is
+        computed from the averaged residual without a matvec.
         """
         phi, y, lam = self.phi, self.y, self.lam
 
+        def value_at_image(x: np.ndarray, r: np.ndarray) -> float:
+            return float(r @ r) + lam * float(np.abs(x).sum())
+
         def oracle(x: np.ndarray) -> SubgradientResult:
             r = phi @ x - y
-            value = float(r @ r) + lam * float(np.abs(x).sum())
+            value = value_at_image(x, r)
             grad = 2.0 * (phi.T @ r) + lam * np.sign(x)
-            return SubgradientResult(value=value, subgradient=grad)
+            return SubgradientResult(value=value, subgradient=grad, image=r)
 
         return ProblemInstance(
             name=f"lasso_n{self.n}_m{self.m}_seed{self.seed}",
@@ -126,6 +131,7 @@ class LassoInstance:
             oracle=oracle,
             projector=Ball(center=np.zeros(self.n), radius=self.radius),
             radius_R=self.radius,
+            value_at_image=value_at_image,
         )
 
 

@@ -124,6 +124,11 @@ def run(problem: ProblemInstance, config: SolverConfig):
     * gap of each k-weighted mean vs. its bound (family rule),
     * monotonicity of w_s / eta_s (rules for which it is guaranteed).
 
+    Gap certificates and traces need the objective at every average in every
+    iteration. When the problem sets ``value_at_image``, those values come
+    from the averaged oracle images without an oracle call; the report's
+    averaged values always come from the oracle.
+
     Returns
     -------
     (RunReport, list of IterationRecord or None)
@@ -160,6 +165,13 @@ def run(problem: ProblemInstance, config: SolverConfig):
 
     check_gap = config.certify and f_star is not None
     check_step = config.certify and x_star is not None and f_star is not None
+    need_values = config.record_trace or check_gap
+    # With the problem's image hook, each average runs over the stacked
+    # vectors [x_s; image_s], and values at averages come from the averaged
+    # image instead of an oracle call.
+    value_at_image = problem.value_at_image if need_values else None
+    n = problem.dimension
+    image_size: Optional[int] = None
 
     # Certificates start as vacuously true and are and-ed with every check.
     certs: dict[str, bool] = {}
@@ -210,6 +222,18 @@ def run(problem: ProblemInstance, config: SolverConfig):
         if not np.all(np.isfinite(g)):
             raise NumericError(f"oracle returned nonfinite subgradient at iteration {s}")
         g_norm = float(np.linalg.norm(g))
+        if value_at_image is None:
+            point = x
+        else:
+            image = res.image
+            if image is None or np.ndim(image) != 1:
+                raise NumericError(f"oracle returned no image vector at iteration {s}")
+            if image_size is None:
+                image_size = len(image)
+            elif len(image) != image_size:
+                raise NumericError(f"oracle image has length {len(image)} at iteration {s},"
+                                   f" {image_size} before")
+            point = np.concatenate((x, image))
 
         s_local += 1
         stopping = g_norm == 0.0
@@ -235,8 +259,11 @@ def run(problem: ProblemInstance, config: SolverConfig):
             epoch_max_g = g_norm
 
         weights = [rule(s_local, eta) for rule in rules]
-        for acc, w in zip(averages, weights):
-            acc.update(w, x)
+        try:
+            for acc, w in zip(averages, weights):
+                acc.update(w, point)
+        except NumericError as exc:
+            raise NumericError(f"{exc} at iteration {s}") from None
         for tracker in trackers:
             tracker.push()
 
@@ -260,10 +287,13 @@ def run(problem: ProblemInstance, config: SolverConfig):
                         certs[label] = False
                     prev_ratio[i] = ratio
 
-        need_values = trace is not None or check_gap
         if need_values:
-            avg_vals = {labels[i]: _oracle_value(problem, averages[i].mean)
-                        for i in range(len(ks))}
+            if value_at_image is None:
+                avg_vals = {labels[i]: _oracle_value(problem, acc.mean)
+                            for i, acc in enumerate(averages)}
+            else:
+                avg_vals = {labels[i]: float(value_at_image(acc.mean[:n], acc.mean[n:]))
+                            for i, acc in enumerate(averages)}
             family_val = bnd.family_bound(R, s_local, epoch_max_g)
             bound_vals = {bnd.FAMILY: family_val}
             for i, k in enumerate(ks):
@@ -317,7 +347,7 @@ def run(problem: ProblemInstance, config: SolverConfig):
     # applies after the full tuned budget
     if (bnd.CONSTANT in certs and iterations_run == policy.horizon_t
             and averages[idx_k0].count > 0):
-        gap0 = _oracle_value(problem, averages[idx_k0].mean) - f_star
+        gap0 = _oracle_value(problem, averages[idx_k0].mean[:n]) - f_star
         if not bnd.check_certificate(gap0, bnd.constant_bound(R, L, policy.horizon_t)):
             certs[bnd.CONSTANT] = False
 
@@ -325,8 +355,8 @@ def run(problem: ProblemInstance, config: SolverConfig):
     averaged_values = {}
     for i, acc in enumerate(averages):
         if acc.count > 0:
-            averaged_points[labels[i]] = np.array(acc.mean)
-            averaged_values[labels[i]] = _oracle_value(problem, acc.mean)
+            averaged_points[labels[i]] = np.array(acc.mean[:n])
+            averaged_values[labels[i]] = _oracle_value(problem, acc.mean[:n])
 
     final_bounds: dict[str, float] = {}
     if s_local > 0:

@@ -350,3 +350,34 @@ def test_shipped_desk_config_runs_clean(tmp_path):
     fam = next(c for c in summary["cells"] if c["policy"] == "family_a1")
     assert fam["certificates"]["family"] is True
     assert fam["optimum_is_reference"] is True
+
+
+def _reject_constant(name):
+    raise ValueError(f"nonstandard JSON constant {name}")
+
+
+SHIPPED_CONFIGS = ["abs_quick.json", "lasso_desk.json", "lasso_full.json", "sweep_a.json"]
+
+
+@pytest.mark.parametrize("name", ["edge"] + SHIPPED_CONFIGS)
+def test_summary_is_strict_json(tmp_path, name):
+    import pathlib
+
+    if name == "edge":
+        # stops at s=1 on an empty subdifferential: no finite best value
+        cfg = write_config(tmp_path / "c.json", {
+            "problem": {"kind": "sqrt-example"},
+            "policy": {"kind": "family"},
+            "iterations": 10,
+            "initial_point": [0.0],
+        })
+        summary_name = "summary.json"
+    else:
+        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / name
+        summary_name = json.loads(cfg.read_text())["summary_path"]
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / summary_name).read_text(),
+                         parse_constant=_reject_constant)
+    if name == "edge":
+        assert summary["cells"][0]["best_value"] is None
+        assert summary["cells"][0]["stop_reason"] == "empty-subdifferential"

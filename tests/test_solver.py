@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,9 +19,12 @@ from psg import (
     StopReason,
     SubgradientResult,
     make_abs_problem,
+    make_lasso,
     make_sqrt_example,
     psg_step,
+    reference_optimum_value,
     run,
+    with_reference_optimum,
 )
 
 from conftest import assert_trace_invariants, make_two_slope_problem
@@ -381,3 +386,92 @@ class TestValidation:
                               policy=FamilyPolicy(R=1.0), weight_ks=(-2.0,))
         with pytest.raises(InvalidParameterError):
             run(problem, config)
+
+
+class TestImageHook:
+    """Values at averages streamed from the oracle's image, not re-evaluated."""
+
+    KS = (-1.0, 0.0, 2.0)
+
+    @staticmethod
+    def lasso(n, m):
+        problem = make_lasso(seed=3, n=n, m=m)
+        return with_reference_optimum(problem, reference_optimum_value(problem, 1000))
+
+    def config(self, n, restart_factor=None):
+        return SolverConfig(max_iterations=300, initial_point=np.zeros(n),
+                            policy=FamilyPolicy(R=50.0, a=1.0), weight_ks=self.KS,
+                            record_trace=True, restart_factor=restart_factor)
+
+    @pytest.mark.parametrize("restart_factor", [None, 2.0])
+    @pytest.mark.parametrize("n,m", [(64, 40), (512, 300)])
+    def test_matches_oracle_evaluation(self, n, m, restart_factor):
+        problem = self.lasso(n, m)
+        config = self.config(n, restart_factor)
+        report, trace = run(problem, config)
+        plain_report, plain_trace = run(
+            dataclasses.replace(problem, value_at_image=None), config)
+
+        big_g = [r.big_G for r in trace]
+        restarted = any(b < a for a, b in zip(big_g, big_g[1:]))
+        assert restarted == (restart_factor is not None)
+        assert len(trace) == len(plain_trace) == 300
+        for rec, plain in zip(trace, plain_trace):
+            for name in ("s", "eta", "g_norm", "big_G", "f_x", "f_best", "bounds"):
+                assert getattr(rec, name) == getattr(plain, name), name
+            assert rec.averaged_values.keys() == plain.averaged_values.keys()
+            for label, value in plain.averaged_values.items():
+                assert abs(rec.averaged_values[label] - value) <= 1e-9 * abs(value)
+        assert report.certificates == plain_report.certificates
+        assert all(report.certificates.values())
+        assert report.averaged_values == plain_report.averaged_values
+        assert report.best_value == plain_report.best_value
+        for label, point in plain_report.averaged_points.items():
+            assert np.array_equal(report.averaged_points[label], point)
+
+    def test_one_oracle_call_per_iteration(self):
+        problem = self.lasso(64, 40)
+        calls = 0
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return problem.oracle(x)
+
+        report, _ = run(dataclasses.replace(problem, oracle=counted), self.config(64))
+        assert report.iterations_run == 300
+        assert calls == report.iterations_run + len(self.KS)
+
+        calls = 0
+        report, _ = run(dataclasses.replace(problem, oracle=counted, value_at_image=None),
+                        self.config(64))
+        assert calls == report.iterations_run * (1 + len(self.KS)) + len(self.KS)
+
+    @pytest.mark.parametrize("breach,message", [
+        (lambda image: None, "no image vector at iteration 3"),
+        (lambda image: image[:, None], "no image vector at iteration 3"),
+        (lambda image: image[:-1], "image has length 39 at iteration 3"),
+        (lambda image: np.where(np.arange(image.size) == 5, np.inf, image),
+         "nonfinite entries at iteration 3"),
+    ])
+    def test_broken_contract_raises(self, breach, message):
+        problem = self.lasso(64, 40)
+        calls = 0
+
+        def broken(x):
+            nonlocal calls
+            calls += 1
+            res = problem.oracle(x)
+            if calls == 3:
+                res = dataclasses.replace(res, image=breach(res.image))
+            return res
+
+        broken_problem = dataclasses.replace(problem, oracle=broken)
+        with pytest.raises(NumericError, match=message):
+            run(broken_problem, self.config(64))
+
+        # without a trace or a gap certificate the image is never read
+        calls = 0
+        lean = dataclasses.replace(self.config(64), record_trace=False, certify=False)
+        report, _ = run(broken_problem, lean)
+        assert report.iterations_run == 300
