@@ -14,6 +14,7 @@ never overflows the totals that a direct sum of s^(k/2) terms would reach.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,14 +31,12 @@ def weight(k: float, s: int, eta_s: float) -> float:
         raise InvalidParameterError(f"s must be >= 1, got {s!r}")
     if not eta_s > 0:
         raise InvalidParameterError(f"eta_s must be positive, got {eta_s!r}")
-    if k <= 0:
-        return eta_s ** (-k)
-    return s ** (0.5 * k)
+    return eta_s ** -k if k <= 0 else s ** (0.5 * k)
 
 
 @dataclass(frozen=True)
 class WeightRule:
-    """Validated weight exponent; callable as rule(s, eta_s)."""
+    """Weight exponent validated once; rule(s, eta_s) is :func:`weight` unchecked."""
 
     k: float
 
@@ -46,7 +45,7 @@ class WeightRule:
             raise InvalidParameterError(f"k must be >= -1, got {self.k!r}")
 
     def __call__(self, s: int, eta_s: float) -> float:
-        return weight(self.k, s, eta_s)
+        return eta_s ** -self.k if self.k <= 0 else s ** (0.5 * self.k)
 
 
 class StreamingAverage:
@@ -55,6 +54,10 @@ class StreamingAverage:
     The mean is maintained as mean <- mean + (w / W')(x - mean) with
     W' = W + w, which equals the direct quotient sum(w_s x_s) / sum(w_s)
     and keeps the mean a convex combination of the points fed so far.
+
+    Fed a 1-D array of K weights per point, it keeps K means at once (``mean``
+    is K x d, ``total_weight`` has K entries), each row bit for bit equal to
+    a scalar stream fed that weight, and checks the point once, not K times.
     """
 
     __slots__ = ("mean", "total_weight", "count")
@@ -64,18 +67,22 @@ class StreamingAverage:
         self.total_weight = 0.0
         self.count = 0
 
-    def update(self, w: float, x: np.ndarray) -> "StreamingAverage":
-        if not (np.isfinite(w) and w > 0):
-            raise NumericError(f"weight must be positive and finite, got {w!r}")
-        if not np.all(np.isfinite(x)):
+    def update(self, w, x: np.ndarray) -> "StreamingAverage":
+        scalar = np.ndim(w) == 0
+        w = w if scalar else np.array(w, dtype=np.float64)
+        for w_i in [w] if scalar else w.tolist():
+            if not (math.isfinite(w_i) and w_i > 0):
+                raise NumericError(f"weight must be positive and finite, got {w_i!r}")
+        if not np.isfinite(x).all():
             raise NumericError("point contains nonfinite entries")
         self.count += 1
         if self.mean is None:
-            self.mean = np.array(x, dtype=np.float64)
-            self.total_weight = float(w)
+            self.mean = np.array(x if scalar else [x] * w.size, dtype=np.float64)
+            self.total_weight = float(w) if scalar else w
         else:
             self.total_weight += w
-            self.mean += (w / self.total_weight) * (x - self.mean)
+            share = w / self.total_weight
+            self.mean += (share if scalar else share[:, None]) * (x - self.mean)
         return self
 
 

@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-``psg run --config cfg.json [--out-dir DIR] [--jobs N] [--strict]``
+``psg run --config cfg.json [--out-dir DIR] [--strict]``
     Run every (problem x policy) cell of a JSON experiment config, write one
     CSV trace per cell (when requested) and a JSON summary.
 ``psg gen-lasso --seed S --n N --m M --out FILE [--lambda L] [--radius R]``
@@ -54,7 +54,6 @@ track it. With several cells the per-cell file name is derived from
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -136,26 +135,24 @@ def _parse_problem(obj) -> ProblemSpec:
     known = {"abs", "sqrt-example", "lasso", "lasso-file"}
     if kind not in known:
         raise ConfigError(f"problem.kind: unknown kind {kind!r}, expected one of {sorted(known)}")
-    f_star = obj.get("f_star")
+    f_star = None if obj.get("f_star") is None else float(obj["f_star"])
     if kind == "abs":
         if "dim" not in obj:
             raise ConfigError("problem.dim: required for kind 'abs'")
-        return ProblemSpec(kind=kind, dim=int(obj["dim"]),
-                           f_star=None if f_star is None else float(f_star))
+        return ProblemSpec(kind=kind, dim=int(obj["dim"]), f_star=f_star)
     if kind == "sqrt-example":
-        return ProblemSpec(kind=kind, f_star=None if f_star is None else float(f_star))
+        return ProblemSpec(kind=kind, f_star=f_star)
     if kind == "lasso-file":
         if "path" not in obj:
             raise ConfigError("problem.path: required for kind 'lasso-file'")
-        return ProblemSpec(kind=kind, path=str(obj["path"]),
-                           f_star=None if f_star is None else float(f_star))
+        return ProblemSpec(kind=kind, path=str(obj["path"]), f_star=f_star)
     for field_name in ("seed", "n", "m"):
         if field_name not in obj:
             raise ConfigError(f"problem.{field_name}: required for kind 'lasso'")
     return ProblemSpec(
         kind=kind, seed=int(obj["seed"]), n=int(obj["n"]), m=int(obj["m"]),
         radius=float(obj.get("radius", 50.0)), lam=float(obj.get("lambda", 10.0)),
-        f_star=None if f_star is None else float(f_star))
+        f_star=f_star)
 
 
 def _parse_policy(obj) -> PolicySpec:
@@ -507,8 +504,7 @@ def _run_cell(problem, policy, config: ExperimentConfig, trace_path: Optional[st
     return report, trace_path
 
 
-def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None,
-                   jobs: int = 1) -> dict:
+def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
     """Execute all cells of `config` and return the summary dict.
 
     The summary is also written to ``config.summary_path`` as strict JSON:
@@ -539,10 +535,10 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None,
     labels = [_cell_label(p, i, len(policies)) for i, p in enumerate(policies)]
     paths = [resolve(_trace_path_for(config.trace_path, lbl, single)) for lbl in labels]
 
-    def execute(i):
+    def execute(policy, path):
         try:
-            report, written = _run_cell(problem, policies[i], config, paths[i])
-            return {"problem": problem.name, "policy": policies[i].label,
+            report, written = _run_cell(problem, policy, config, path)
+            return {"problem": problem.name, "policy": policy.label,
                     "status": "ok", "error": None,
                     "iterations_run": report.iterations_run,
                     "stop_reason": report.stop_reason.value,
@@ -555,14 +551,10 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None,
                     "optimum_is_reference": report.optimum_is_reference,
                     "trace_path": written}
         except NumericError as exc:
-            return {"problem": problem.name, "policy": policies[i].label,
+            return {"problem": problem.name, "policy": policy.label,
                     "status": "failed", "error": str(exc)}
 
-    if jobs > 1 and len(policies) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(execute, range(len(policies))))
-    else:
-        cells = [execute(i) for i in range(len(policies))]
+    cells = [execute(policy, path) for policy, path in zip(policies, paths)]
 
     summary = _finite_or_null({"config": config_to_dict(config), "cells": cells})
     summary_path = resolve(config.summary_path)
@@ -577,7 +569,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None,
 def _cmd_run(args) -> int:
     try:
         config = load_config(args.config)
-        summary = run_experiment(config, out_dir=args.out_dir, jobs=args.jobs)
+        summary = run_experiment(config, out_dir=args.out_dir)
     except (ConfigError, InvalidParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -615,8 +607,7 @@ def _cmd_check(args) -> int:
         problem = build_problem(spec)
         table = read_trace_csv(args.trace)
         results = check_trace(table, problem)
-    except (ConfigError, InvalidParameterError, OSError, KeyError,
-            json.JSONDecodeError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:  # config and JSON errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     bad = 0
@@ -638,7 +629,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out-dir", default=None)
-    p_run.add_argument("--jobs", type=int, default=1)
     p_run.add_argument("--strict", action="store_true",
                        help="exit 3 when any certificate fails")
     p_run.set_defaults(func=_cmd_run)

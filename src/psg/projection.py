@@ -1,7 +1,8 @@
-"""Euclidean projection operators onto ball and box feasible sets."""
+"""Euclidean projection onto ball and box sets; only :func:`project` checks its input."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ class Ball:
 
     def project(self, y: np.ndarray) -> np.ndarray:
         d = y - self.center
-        norm = float(np.linalg.norm(d))
+        norm = math.sqrt(float(d.dot(d)))  # np.linalg.norm's expression for 1-D input
         if norm <= self.radius:
             return np.array(y, dtype=np.float64)
         # norm > 0 here (radius >= 0), so the nearest point is unique
@@ -57,7 +58,7 @@ class Box:
         return self.lower.shape[0]
 
     def project(self, y: np.ndarray) -> np.ndarray:
-        return np.clip(y, self.lower, self.upper)
+        return np.minimum(np.maximum(y, self.lower), self.upper)
 
     def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))

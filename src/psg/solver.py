@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +47,9 @@ def psg_step(x: np.ndarray, g: np.ndarray, eta: float, projector) -> np.ndarray:
 class SolverConfig:
     """Configuration of one solver run.
 
+    Validated on construction, like the problem and the policy; :func:`run`
+    checks the initial point and the exponents once, before its loop.
+
     Parameters
     ----------
     max_iterations : int
@@ -72,10 +76,6 @@ class SolverConfig:
         Evaluate the applicable convergence certificates while running.
         Turning this off (together with ``record_trace=False``) skips all
         per-iteration objective evaluations at averaged points.
-    subgradient_selection : str
-        Recorded intent for oracles whose subdifferential is not a singleton.
-        The bundled problem oracles always return the minimal-norm element,
-        so both settings currently behave identically.
     """
 
     max_iterations: int
@@ -85,22 +85,12 @@ class SolverConfig:
     record_trace: bool = False
     restart_factor: Optional[float] = None
     certify: bool = True
-    subgradient_selection: Literal["oracle-default", "minimal-norm-when-available"] = (
-        "oracle-default"
-    )
 
     def __post_init__(self):
         if not self.max_iterations >= 1:
             raise InvalidParameterError("max_iterations must be >= 1")
         if self.restart_factor is not None and not self.restart_factor > 1:
             raise InvalidParameterError("restart_factor must exceed 1 when set")
-        if self.subgradient_selection not in ("oracle-default", "minimal-norm-when-available"):
-            raise InvalidParameterError(
-                f"unknown subgradient_selection {self.subgradient_selection!r}")
-
-
-def _oracle_value(problem: ProblemInstance, x: np.ndarray) -> float:
-    return float(problem.oracle(x).value)
 
 
 def run(problem: ProblemInstance, config: SolverConfig):
@@ -129,6 +119,13 @@ def run(problem: ProblemInstance, config: SolverConfig):
     from the averaged oracle images without an oracle call; the report's
     averaged values always come from the oracle.
 
+    Each iteration checks only what it produces: a finite oracle value, a
+    subgradient of the right shape with a finite norm, the image contract
+    (when read), a positive step, positive finite weights, one finite
+    averaged point [x_s; image_s] for all K averages (updated in one step)
+    and a finite x_s - eta_s g_s. Failures raise :class:`NumericError`
+    naming the iteration (:class:`InvalidParameterError` for a bad step).
+
     Returns
     -------
     (RunReport, list of IterationRecord or None)
@@ -144,10 +141,11 @@ def run(problem: ProblemInstance, config: SolverConfig):
     ks = [float(k) for k in config.weight_ks]
     rules = [WeightRule(k) for k in ks]
     labels = [scheme_label(k) for k in ks]
+    weak_labels = [bnd.weak_label(k) for k in ks]
     idx_k0 = ks.index(0.0) if 0.0 in ks else None
     idx_km1 = ks.index(-1.0) if -1.0 in ks else None
 
-    averages = [StreamingAverage() for _ in ks]
+    averages = StreamingAverage()
     trackers = [bnd.WeakBoundSums(k) for k in ks]
     best = BestIterate()
 
@@ -181,21 +179,18 @@ def run(problem: ProblemInstance, config: SolverConfig):
         if is_family and idx_k0 is not None:
             certs[bnd.FAMILY] = True
         if is_family:
-            for k in ks:
-                certs[bnd.weak_label(k)] = True
+            certs.update(dict.fromkeys(weak_labels, True))
         if is_classic and idx_k0 is not None and L is not None:
             certs[bnd.CLASSIC] = True
         if is_constant and idx_k0 is not None and L is not None:
             certs[bnd.CONSTANT] = True
         if is_nesterov and idx_km1 is not None and L is not None:
             certs[bnd.NESTEROV] = True
-    if config.certify:
-        # weight/step monotonicity is guaranteed for the family, classic and
-        # constant rules at every k, and for the norm-normalized rule only at
-        # k = -1 (where the ratio is identically 1)
-        for k in ks:
-            if is_family or is_classic or is_constant or (is_nesterov and k == -1.0):
-                certs[bnd.monotone_label(k)] = True
+    # weight/step monotonicity holds for the family, classic and constant rules
+    # at every k, and for the norm-normalized rule only at k = -1 (ratio 1)
+    monotone = [(i, bnd.monotone_label(k)) for i, k in enumerate(ks) if config.certify and (
+        is_family or is_classic or is_constant or (is_nesterov and k == -1.0))]
+    certs.update((label, True) for _, label in monotone)
 
     trace: Optional[list[IterationRecord]] = [] if config.record_trace else None
 
@@ -211,7 +206,7 @@ def run(problem: ProblemInstance, config: SolverConfig):
     for s in range(1, config.max_iterations + 1):
         res = problem.oracle(x)
         f_x = float(res.value)
-        if not np.isfinite(f_x):
+        if not math.isfinite(f_x):
             raise NumericError(f"oracle returned nonfinite value at iteration {s}")
         if res.is_empty:
             stop = StopReason.EMPTY_SUBDIFFERENTIAL
@@ -219,9 +214,10 @@ def run(problem: ProblemInstance, config: SolverConfig):
         g = np.asarray(res.subgradient, dtype=np.float64)
         if g.shape != x.shape:
             raise NumericError(f"oracle subgradient shape {g.shape} at iteration {s}")
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"oracle returned nonfinite subgradient at iteration {s}")
-        g_norm = float(np.linalg.norm(g))
+        # np.linalg.norm's 1-D expression; finite only if every entry is finite
+        g_norm = math.sqrt(float(g.dot(g)))
+        if not math.isfinite(g_norm):
+            raise NumericError(f"oracle subgradient has norm {g_norm} at iteration {s}")
         if value_at_image is None:
             point = x
         else:
@@ -251,6 +247,8 @@ def run(problem: ProblemInstance, config: SolverConfig):
                 break
         else:
             eta = policy.step_size(s_local, g_norm)
+        if not eta > 0:
+            raise InvalidParameterError(f"step size {eta!r} is not positive at iteration {s}")
 
         best.update(s, f_x, x)
         if g_norm > max_g_global:
@@ -260,14 +258,16 @@ def run(problem: ProblemInstance, config: SolverConfig):
 
         weights = [rule(s_local, eta) for rule in rules]
         try:
-            for acc, w in zip(averages, weights):
-                acc.update(w, point)
+            averages.update(np.array(weights), point)
         except NumericError as exc:
             raise NumericError(f"{exc} at iteration {s}") from None
         for tracker in trackers:
             tracker.push()
 
-        x_next = psg_step(x, g, eta, projector)
+        y = x - eta * g
+        if not np.isfinite(y).all():
+            raise NumericError(f"step x - eta * g has nonfinite entries at iteration {s}")
+        x_next = projector.project(y)
 
         if check_step:
             d_now = x - x_star
@@ -277,37 +277,33 @@ def run(problem: ProblemInstance, config: SolverConfig):
             if not leq_with_tol(f_x - f_star, rhs):
                 certs[bnd.PER_STEP] = False
 
-        if config.certify:
-            for i, k in enumerate(ks):
-                label = bnd.monotone_label(k)
-                if label in certs:
-                    ratio = weights[i] / eta
-                    prev = prev_ratio[i]
-                    if prev is not None and not leq_with_tol(prev, ratio):
-                        certs[label] = False
-                    prev_ratio[i] = ratio
+        for i, label in monotone:
+            ratio = weights[i] / eta
+            prev = prev_ratio[i]
+            if prev is not None and not leq_with_tol(prev, ratio):
+                certs[label] = False
+            prev_ratio[i] = ratio
 
         if need_values:
             if value_at_image is None:
-                avg_vals = {labels[i]: _oracle_value(problem, acc.mean)
-                            for i, acc in enumerate(averages)}
+                avg_vals = {label: problem.value(mean)
+                            for label, mean in zip(labels, averages.mean)}
             else:
-                avg_vals = {labels[i]: float(value_at_image(acc.mean[:n], acc.mean[n:]))
-                            for i, acc in enumerate(averages)}
+                avg_vals = {label: float(value_at_image(mean[:n], mean[n:]))
+                            for label, mean in zip(labels, averages.mean)}
             family_val = bnd.family_bound(R, s_local, epoch_max_g)
             bound_vals = {bnd.FAMILY: family_val}
-            for i, k in enumerate(ks):
-                bound_vals[bnd.weak_label(k)] = trackers[i].bound(R, epoch_max_g)
+            for label, tracker in zip(weak_labels, trackers):
+                bound_vals[label] = tracker.bound(R, epoch_max_g)
             if check_gap:
                 if is_family:
                     if idx_k0 is not None:
                         gap0 = avg_vals[labels[idx_k0]] - f_star
                         if not bnd.check_certificate(gap0, family_val):
                             certs[bnd.FAMILY] = False
-                    for i, k in enumerate(ks):
-                        gap_k = avg_vals[labels[i]] - f_star
-                        if not bnd.check_certificate(gap_k, bound_vals[bnd.weak_label(k)]):
-                            certs[bnd.weak_label(k)] = False
+                    for label, weak in zip(labels, weak_labels):
+                        if not bnd.check_certificate(avg_vals[label] - f_star, bound_vals[weak]):
+                            certs[weak] = False
                 elif is_classic and bnd.CLASSIC in certs:
                     gap0 = avg_vals[labels[idx_k0]] - f_star
                     if not bnd.check_certificate(gap0, bnd.classic_bound(R, L, s_local)):
@@ -334,7 +330,7 @@ def run(problem: ProblemInstance, config: SolverConfig):
             elif restart_factor is not None and G_now > restart_factor * G_ref:
                 G_ref = G_now
                 policy.reset()
-                averages = [StreamingAverage() for _ in ks]
+                averages = StreamingAverage()
                 for tracker in trackers:
                     tracker.reset()
                 s_local = 0
@@ -345,18 +341,17 @@ def run(problem: ProblemInstance, config: SolverConfig):
 
     # final certificate for the horizon-tuned constant step: its bound only
     # applies after the full tuned budget
-    if (bnd.CONSTANT in certs and iterations_run == policy.horizon_t
-            and averages[idx_k0].count > 0):
-        gap0 = _oracle_value(problem, averages[idx_k0].mean[:n]) - f_star
+    if bnd.CONSTANT in certs and iterations_run == policy.horizon_t:
+        gap0 = problem.value(averages.mean[idx_k0, :n]) - f_star
         if not bnd.check_certificate(gap0, bnd.constant_bound(R, L, policy.horizon_t)):
             certs[bnd.CONSTANT] = False
 
     averaged_points = {}
     averaged_values = {}
-    for i, acc in enumerate(averages):
-        if acc.count > 0:
-            averaged_points[labels[i]] = np.array(acc.mean[:n])
-            averaged_values[labels[i]] = _oracle_value(problem, acc.mean[:n])
+    if averages.count > 0:
+        for label, mean in zip(labels, averages.mean):
+            averaged_points[label] = np.array(mean[:n])
+            averaged_values[label] = problem.value(averaged_points[label])
 
     final_bounds: dict[str, float] = {}
     if s_local > 0:

@@ -101,9 +101,9 @@ class StepSizePolicy:
     """Stateful per-iteration step-size rule.
 
     Subclasses implement :meth:`step_size`, called once per iteration with
-    the 1-based iteration index and the current subgradient norm. Instances
-    are owned by a single solver run; :meth:`reset` returns them to their
-    initial state.
+    the 1-based iteration index and the current subgradient norm; it trusts
+    both and the parameters validated at construction. Instances are owned
+    by a single solver run; :meth:`reset` returns them to their initial state.
     """
 
     label: str = "policy"
@@ -149,7 +149,7 @@ class ClassicPolicy(StepSizePolicy):
         self.label = "classic"
 
     def step_size(self, s: int, g_norm: float) -> float:
-        return classic_step(self.R, self.L, s)
+        return self.R / (self.L * s ** 0.5)
 
 
 @dataclass
@@ -163,7 +163,9 @@ class NesterovPolicy(StepSizePolicy):
         self.label = "nesterov"
 
     def step_size(self, s: int, g_norm: float) -> float:
-        return nesterov_step(self.R, g_norm, s)
+        if g_norm == 0:
+            raise ZeroSubgradientError("step size undefined for a zero subgradient")
+        return self.R / (g_norm * s ** 0.5)
 
 
 @dataclass
@@ -185,8 +187,11 @@ class FamilyPolicy(StepSizePolicy):
         self.label = f"family_a{self.a:g}"
 
     def step_size(self, s: int, g_norm: float) -> float:
-        self._G = family_update_G(self._G, g_norm, s, self.a)
-        return family_step(self.R, self._G, s, self.a)
+        scaled = g_norm * s ** (0.5 * (1.0 - self.a))
+        self._G = G = scaled if self._G is None else max(self._G, scaled)
+        if G <= 0:
+            raise ZeroSubgradientError("step size undefined: running subgradient maximum is zero")
+        return self.R / (G * s ** (0.5 * self.a))
 
     def reset(self) -> None:
         self._G = None

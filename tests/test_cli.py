@@ -181,23 +181,6 @@ class TestRunCommand:
         names = sorted(p.name for p in (tmp_path / "traces").iterdir())
         assert names == ["run__0_family_a1.csv", "run__1_classic.csv", "run__2_nesterov.csv"]
 
-    def test_jobs_flag_gives_same_summary(self, tmp_path):
-        data = {
-            "problem": {"kind": "abs", "dim": 2},
-            "policy": [{"kind": "family", "a": 1.0}, {"kind": "family", "a": 0.0}],
-            "iterations": 30,
-            "initial_point": [0.7, -0.4],
-            "summary_path": "s1.json",
-        }
-        cfg = write_config(tmp_path / "c.json", data)
-        main(["run", "--config", cfg, "--out-dir", str(tmp_path)])
-        data["summary_path"] = "s2.json"
-        cfg = write_config(tmp_path / "c.json", data)
-        main(["run", "--config", cfg, "--out-dir", str(tmp_path), "--jobs", "2"])
-        s1 = json.loads((tmp_path / "s1.json").read_text())
-        s2 = json.loads((tmp_path / "s2.json").read_text())
-        assert s1["cells"] == s2["cells"]
-
     def test_lasso_gets_reference_optimum(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {
             "problem": {"kind": "lasso", "seed": 1, "n": 8, "m": 6,

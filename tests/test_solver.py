@@ -17,6 +17,7 @@ from psg import (
     ShapeError,
     SolverConfig,
     StopReason,
+    StreamingAverage,
     SubgradientResult,
     make_abs_problem,
     make_lasso,
@@ -369,9 +370,6 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             SolverConfig(max_iterations=1, initial_point=np.zeros(1),
                          policy=FamilyPolicy(R=1.0), restart_factor=1.0)
-        with pytest.raises(InvalidParameterError):
-            SolverConfig(max_iterations=1, initial_point=np.zeros(1),
-                         policy=FamilyPolicy(R=1.0), subgradient_selection="bogus")
 
     def test_infeasible_start_is_projected(self):
         problem = make_abs_problem(2)
@@ -475,3 +473,104 @@ class TestImageHook:
         lean = dataclasses.replace(self.config(64), record_trace=False, certify=False)
         report, _ = run(broken_problem, lean)
         assert report.iterations_run == 300
+
+
+class TestHotLoopChecks:
+    """Checks made once per iteration where the quantity is produced."""
+
+    @staticmethod
+    def problem(subgradient, projector=None):
+        def oracle(x):
+            return SubgradientResult(float(np.abs(x).sum()), subgradient(x))
+
+        projector = projector or Box(lower=-np.ones(1), upper=np.ones(1))
+        return ProblemInstance(name="broken", dimension=projector.dimension, oracle=oracle,
+                               projector=projector, radius_R=1.0, lipschitz_L=1.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_subgradient_norm_is_numeric(self):
+        # ||g||^2 overflows although every entry is finite; without the check
+        # the step would be R / inf = 0
+        problem = self.problem(
+            lambda x: np.full(2, 1e200) if np.any(x) else np.zeros(2),
+            Ball(center=np.zeros(2), radius=1.0))
+        config = SolverConfig(max_iterations=5, initial_point=np.array([0.5, 0.0]),
+                              policy=FamilyPolicy(R=1.0))
+        with pytest.raises(NumericError, match="norm inf at iteration 1"):
+            run(problem, config)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_subgradient(self, bad):
+        problem = self.problem(lambda x: np.array([bad if x[0] < 0.5 else 1.0]))
+        config = SolverConfig(max_iterations=5, initial_point=np.array([0.9]),
+                              policy=ClassicPolicy(R=1.0, L=1.0))
+        with pytest.raises(NumericError, match="norm (nan|inf) at iteration 2"):
+            run(problem, config)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_nonfinite_step_is_caught_before_projection(self):
+        # the oracle breaks the declared L, so x - eta * g overflows; the box
+        # would clamp -inf to a finite corner if the step went unchecked
+        problem = self.problem(lambda x: np.array([1e150]))
+        config = SolverConfig(max_iterations=5, initial_point=np.array([0.5]),
+                              policy=ConstantPolicy(R=1.0, L=1e-160, horizon_t=5))
+        with pytest.raises(NumericError, match="nonfinite entries at iteration 1"):
+            run(problem, config)
+
+    def test_nonpositive_step_names_the_iteration(self):
+        class Broken(ClassicPolicy):
+            def step_size(self, s, g_norm):
+                return 0.0 if s == 3 else super().step_size(s, g_norm)
+
+        problem = make_abs_problem(1)
+        config = SolverConfig(max_iterations=5, initial_point=np.array([0.9]),
+                              policy=Broken(R=1.0, L=1.0))
+        with pytest.raises(InvalidParameterError, match="at iteration 3"):
+            run(problem, config)
+
+    def test_weight_vector_matches_scalar_streams(self, rng):
+        weights = rng.uniform(0.01, 100.0, size=(500, 3))
+        points = rng.standard_normal((500, 4))
+        together = StreamingAverage()
+        apart = [StreamingAverage() for _ in range(3)]
+        for w, x in zip(weights, points):
+            together.update(w, x)
+            for acc, w_i in zip(apart, w):
+                acc.update(float(w_i), x)
+        assert together.count == 500
+        assert np.array_equal(together.mean, np.array([acc.mean for acc in apart]))
+        assert np.array_equal(together.total_weight, [acc.total_weight for acc in apart])
+
+    def test_weight_vector_rejects_bad_entry(self):
+        acc = StreamingAverage()
+        with pytest.raises(NumericError, match="got 0.0"):
+            acc.update(np.array([1.0, 0.0]), np.ones(2))
+        assert acc.count == 0
+
+    @pytest.mark.parametrize("name", ["two-slope", "lasso64", "lasso512"])
+    def test_joint_averages_match_single_k_runs(self, name):
+        if name == "two-slope":
+            problem, x1, restart = make_two_slope_problem(), np.array([0.3]), 1.5
+        else:
+            n, m = (64, 40) if name == "lasso64" else (512, 300)
+            problem = make_lasso(seed=3, n=n, m=m)
+            problem = with_reference_optimum(problem, reference_optimum_value(problem, 500))
+            x1, restart = np.zeros(n), 2.0
+        ks = (-1.0, 0.0, 0.5, 2.0)
+
+        def solve(weight_ks):
+            return run(problem, SolverConfig(
+                max_iterations=200, initial_point=x1, policy=FamilyPolicy(R=problem.radius_R),
+                weight_ks=weight_ks, record_trace=True, restart_factor=restart))
+
+        report, trace = solve(ks)
+        big_g = [r.big_G for r in trace]
+        assert any(b < a for a, b in zip(big_g, big_g[1:])), "no restart happened"
+        for k in ks:
+            single, single_trace = solve((k,))
+            label = f"k{k:g}"
+            assert np.array_equal(report.averaged_points[label],
+                                  single.averaged_points[label])
+            assert report.averaged_values[label] == single.averaged_values[label]
+            assert [r.averaged_values[label] for r in trace] == \
+                   [r.averaged_values[label] for r in single_trace]
