@@ -103,12 +103,3 @@ class BestIterate:
             self.best_index = int(s)
         return self
 
-
-def update_average(acc: StreamingAverage, w: float, x: np.ndarray) -> StreamingAverage:
-    """Feed one weighted point into `acc` (mutates and returns it)."""
-    return acc.update(w, x)
-
-
-def update_best(acc: BestIterate, s: int, f_x: float, x: np.ndarray) -> BestIterate:
-    """Offer iterate `s` to the best-iterate tracker (mutates and returns it)."""
-    return acc.update(s, f_x, x)

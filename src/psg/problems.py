@@ -117,12 +117,20 @@ class LassoInstance:
         phi, y, lam = self.phi, self.y, self.lam
 
         def value_at_image(x: np.ndarray, r: np.ndarray) -> float:
-            return float(r @ r) + lam * float(np.abs(x).sum())
+            # np.abs(x).sum() without the wrapper: the same pairwise reduction
+            return float(r @ r) + lam * float(np.add.reduce(np.abs(x)))
 
+        # In-place updates of the fresh matvec results give the same bits as
+        # phi @ x - y and 2 (phi^T r) + lam sign(x) without spare temporaries.
+        # No doubled copy of phi is kept: at m=300, n=512 the two copies
+        # overflow a 2 MB L2 cache and each call gets slower.
         def oracle(x: np.ndarray) -> SubgradientResult:
-            r = phi @ x - y
+            r = phi @ x
+            r -= y
             value = value_at_image(x, r)
-            grad = 2.0 * (phi.T @ r) + lam * np.sign(x)
+            grad = phi.T @ r
+            grad *= 2.0
+            grad += lam * np.sign(x)
             return SubgradientResult(value=value, subgradient=grad, image=r)
 
         return ProblemInstance(
@@ -206,9 +214,11 @@ def reference_optimum_value(problem: ProblemInstance, iterations: int,
     """Upper estimate of the optimum from a long norm-adaptive run.
 
     Runs the family rule (exponent `a`) from the origin for `iterations`
-    steps with all certificate bookkeeping disabled and returns the best
-    objective value seen. The result is >= the true optimum, so a gap
-    certificate checked against it is implied by the exact certificate.
+    steps with all certificate bookkeeping disabled and no averages tracked
+    (``weight_ks=()``), so it costs exactly one oracle call per iteration
+    run, and returns the best objective value seen. The result is >= the
+    true optimum, so a gap certificate checked against it is implied by the
+    exact certificate.
     """
     from .solver import SolverConfig, run
     from .stepsize import FamilyPolicy
@@ -217,7 +227,7 @@ def reference_optimum_value(problem: ProblemInstance, iterations: int,
         max_iterations=iterations,
         initial_point=np.zeros(problem.dimension),
         policy=FamilyPolicy(R=problem.radius_R, a=a),
-        weight_ks=(0.0,),
+        weight_ks=(),
         record_trace=False,
         certify=False,
     )

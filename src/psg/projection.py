@@ -31,6 +31,10 @@ class Ball:
         norm = math.sqrt(float(d.dot(d)))  # np.linalg.norm's expression for 1-D input
         if norm <= self.radius:
             return np.array(y, dtype=np.float64)
+        if norm == math.inf:
+            # d.dot(d) overflowed: take the norm of d rescaled to max |d| = 1
+            d = d / float(np.abs(d).max())
+            norm = math.sqrt(float(d.dot(d)))
         # norm > 0 here (radius >= 0), so the nearest point is unique
         return self.center + d * (self.radius / norm)
 

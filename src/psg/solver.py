@@ -63,7 +63,10 @@ class SolverConfig:
     weight_ks : sequence of float
         Weight exponents k >= -1; one streaming average is maintained per
         entry. k = 0 (the plain running mean) is required for the
-        uniform-average certificates.
+        uniform-average certificates. An empty sequence tracks no average:
+        the run then costs its oracle calls, steps and projections only,
+        makes no oracle call after its last iteration, and reports empty
+        averaged points and values.
     record_trace : bool
         Keep one :class:`IterationRecord` per iteration. Implies evaluating
         the objective at every tracked average each iteration.
@@ -167,7 +170,7 @@ def run(problem: ProblemInstance, config: SolverConfig):
     # With the problem's image hook, each average runs over the stacked
     # vectors [x_s; image_s], and values at averages come from the averaged
     # image instead of an oracle call.
-    value_at_image = problem.value_at_image if need_values else None
+    value_at_image = problem.value_at_image if need_values and rules else None
     n = problem.dimension
     image_size: Optional[int] = None
 
@@ -256,13 +259,14 @@ def run(problem: ProblemInstance, config: SolverConfig):
         if g_norm > epoch_max_g:
             epoch_max_g = g_norm
 
-        weights = [rule(s_local, eta) for rule in rules]
-        try:
-            averages.update(np.array(weights), point)
-        except NumericError as exc:
-            raise NumericError(f"{exc} at iteration {s}") from None
-        for tracker in trackers:
-            tracker.push()
+        if rules:
+            weights = [rule(s_local, eta) for rule in rules]
+            try:
+                averages.update(np.array(weights), point)
+            except NumericError as exc:
+                raise NumericError(f"{exc} at iteration {s}") from None
+            for tracker in trackers:
+                tracker.push()
 
         y = x - eta * g
         if not np.isfinite(y).all():
@@ -285,12 +289,12 @@ def run(problem: ProblemInstance, config: SolverConfig):
             prev_ratio[i] = ratio
 
         if need_values:
+            means = averages.mean if rules else ()
             if value_at_image is None:
-                avg_vals = {label: problem.value(mean)
-                            for label, mean in zip(labels, averages.mean)}
+                avg_vals = {label: problem.value(mean) for label, mean in zip(labels, means)}
             else:
                 avg_vals = {label: float(value_at_image(mean[:n], mean[n:]))
-                            for label, mean in zip(labels, averages.mean)}
+                            for label, mean in zip(labels, means)}
             family_val = bnd.family_bound(R, s_local, epoch_max_g)
             bound_vals = {bnd.FAMILY: family_val}
             for label, tracker in zip(weak_labels, trackers):

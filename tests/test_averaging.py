@@ -12,7 +12,6 @@ from psg import (
     WeightRule,
     weight,
 )
-from psg.averaging import update_average, update_best
 from psg.projection import feasibility_residual
 
 from conftest import sample_feasible
@@ -44,7 +43,7 @@ class TestWeight:
 class TestStreamingAverage:
     def test_single_point(self):
         acc = StreamingAverage()
-        update_average(acc, 1.0, np.array([2.0, 0.0]))
+        acc.update(1.0, np.array([2.0, 0.0]))
         assert_allclose(acc.mean, [2.0, 0.0])
         assert acc.total_weight == 1.0
 
@@ -110,7 +109,7 @@ def test_classic_step_weights_proportional_to_index_power(k):
 class TestBestIterate:
     def test_tracks_minimum(self):
         acc = BestIterate()
-        update_best(acc, 1, 5.0, np.array([1.0]))
+        acc.update(1, 5.0, np.array([1.0]))
         assert acc.best_value == 5.0 and acc.best_index == 1
         acc.update(2, 3.0, np.array([2.0]))
         assert acc.best_value == 3.0 and acc.best_index == 2

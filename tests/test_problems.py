@@ -133,6 +133,47 @@ class TestLasso:
         assert instance.y.shape == (10,)
 
 
+class TestLassoOracle:
+    """The oracle's in-place arithmetic against the textbook expressions."""
+
+    @staticmethod
+    def points(n, rng):
+        x = rng.standard_normal((4, n))
+        x[0] = 0.0
+        x[1, ::3] = 0.0
+        x[2, :n // 2] = 0.0
+        return x
+
+    @pytest.mark.parametrize("n,m", [(10, 6), (64, 40), (512, 300)])
+    def test_bit_identical_to_textbook(self, n, m, rng):
+        instance = generate_lasso(seed=4, n=n, m=m)
+        phi, y, lam = instance.phi, instance.y, instance.lam
+        problem = instance.to_problem()
+        for x in self.points(n, rng):
+            res = problem.oracle(x)
+            r = phi @ x - y
+            assert np.array_equal(res.image, r)
+            assert res.value == float(r @ r) + lam * float(np.abs(x).sum())
+            assert np.array_equal(res.subgradient, 2.0 * (phi.T @ r) + lam * np.sign(x))
+            assert problem.value_at_image(x, r) == res.value
+
+    def test_data_unchanged_and_results_independent(self, rng):
+        instance = generate_lasso(seed=4, n=64, m=40)
+        phi, y = instance.phi.copy(), instance.y.copy()
+        problem = instance.to_problem()
+        x = self.points(64, rng)[1]
+        first = problem.oracle(x)
+        expected = (first.value, first.subgradient.copy(), first.image.copy())
+        first.subgradient[:] = np.nan
+        first.image[:] = np.nan
+        second = problem.oracle(x)
+        assert second.value == expected[0]
+        assert np.array_equal(second.subgradient, expected[1])
+        assert np.array_equal(second.image, expected[2])
+        assert second.subgradient is not first.subgradient
+        assert np.array_equal(instance.phi, phi) and np.array_equal(instance.y, y)
+
+
 class TestLassoCsvRoundTrip:
     def test_round_trip_is_exact(self, tmp_path):
         instance = generate_lasso(seed=42, n=9, m=7, radius=12.5, lam=3.25)

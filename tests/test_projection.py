@@ -23,6 +23,18 @@ class TestBall:
         assert_allclose(project(ball, np.array([2.0, -1.0])), [2.0, -1.0])
         assert_allclose(project(ball, np.array([5.0, -1.0])), [2.0, -1.0])
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_norm_still_scales_to_boundary(self):
+        # ||d||^2 overflows for these finite points; the projection must not
+        # collapse to the center
+        ball = Ball(center=np.zeros(2), radius=1.0)
+        assert np.array_equal(ball.project(np.array([1e200, 0.0])), [1.0, 0.0])
+        assert_allclose(project(ball, np.array([3e200, -4e200])), [0.6, -0.8],
+                        rtol=1e-15)
+        shifted = Ball(center=np.array([1.0, 2.0]), radius=2.0)
+        assert_allclose(shifted.project(np.array([1.0, -1e300])), [1.0, 0.0],
+                        rtol=0, atol=1e-15)
+
 
 class TestBox:
     def test_clamp(self):

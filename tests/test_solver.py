@@ -475,6 +475,59 @@ class TestImageHook:
         assert report.iterations_run == 300
 
 
+class TestNoAverages:
+    """weight_ks=() tracks no average and costs one oracle call per iteration."""
+
+    @staticmethod
+    def counted(problem):
+        calls = [0]
+
+        def oracle(x):
+            calls[0] += 1
+            return problem.oracle(x)
+
+        return dataclasses.replace(problem, oracle=oracle), calls
+
+    @pytest.mark.parametrize("record_trace", [False, True])
+    @pytest.mark.parametrize("name", ["lasso64", "abs3"])
+    def test_same_run_without_averages(self, name, record_trace):
+        if name == "lasso64":
+            problem, x1 = make_lasso(seed=3, n=64, m=40), np.zeros(64)
+        else:
+            problem, x1 = make_abs_problem(3), np.array([0.7, -0.4, 0.2])
+
+        def solve(problem, weight_ks):
+            return run(problem, SolverConfig(
+                max_iterations=300, initial_point=x1, policy=FamilyPolicy(R=problem.radius_R),
+                weight_ks=weight_ks, record_trace=record_trace))
+
+        counted, calls = self.counted(problem)
+        report, trace = solve(counted, ())
+        assert calls[0] == report.iterations_run
+        plain, plain_trace = solve(problem, (0.0,))
+        assert report.averaged_points == {} and report.averaged_values == {}
+        for field in ("best_value", "best_index", "iterations_run", "stop_reason",
+                      "max_g_norm"):
+            assert getattr(report, field) == getattr(plain, field), field
+        assert np.array_equal(report.best_point, plain.best_point)
+        assert report.iterations_run > 1
+        if record_trace:
+            for rec, plain_rec in zip(trace, plain_trace, strict=True):
+                assert rec.averaged_values == {}
+                assert (rec.s, rec.eta, rec.f_x, rec.f_best) == \
+                       (plain_rec.s, plain_rec.eta, plain_rec.f_x, plain_rec.f_best)
+                assert rec.bounds["family"] == plain_rec.bounds["family"]
+
+    def test_reference_run_makes_one_call_per_iteration(self):
+        problem, calls = self.counted(make_lasso(seed=3, n=64, m=40))
+        value = reference_optimum_value(problem, 500)
+        assert calls[0] == 500
+        report, _ = run(problem, SolverConfig(
+            max_iterations=500, initial_point=np.zeros(64), policy=FamilyPolicy(R=50.0),
+            certify=False))
+        assert value == report.best_value
+
+
 class TestHotLoopChecks:
     """Checks made once per iteration where the quantity is produced."""
 
@@ -498,6 +551,23 @@ class TestHotLoopChecks:
                               policy=FamilyPolicy(R=1.0))
         with pytest.raises(NumericError, match="norm inf at iteration 1"):
             run(problem, config)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_huge_step_projects_onto_the_ball(self):
+        # min x[0] over the unit ball: the first step is about -1.2e160 along
+        # x[0], whose squared norm overflows; it must land on [-1, 0]
+        def oracle(x):
+            return SubgradientResult(float(x[0]), np.array([1.0, 0.0]))
+
+        problem = ProblemInstance(name="linear", dimension=2, oracle=oracle,
+                                  projector=Ball(center=np.zeros(2), radius=1.0),
+                                  radius_R=2.0, known_optimum_value=-1.0,
+                                  known_optimum_point=np.array([-1.0, 0.0]))
+        config = SolverConfig(max_iterations=3, initial_point=np.zeros(2),
+                              policy=ConstantPolicy(R=2.0, L=1e-160, horizon_t=3))
+        report, _ = run(problem, config)
+        assert report.best_value == -1.0
+        assert np.array_equal(report.best_point, [-1.0, 0.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_subgradient(self, bad):
