@@ -58,11 +58,6 @@ from .stepsize import (
     FamilyPolicy,
     NesterovPolicy,
     StepSizePolicy,
-    classic_step,
-    constant_step,
-    family_step,
-    family_update_G,
-    nesterov_step,
 )
 
 __version__ = "0.1.0"
@@ -94,12 +89,8 @@ __all__ = [
     "ZeroSubgradientError",
     "check_certificate",
     "classic_bound",
-    "classic_step",
     "constant_bound",
-    "constant_step",
     "family_bound",
-    "family_step",
-    "family_update_G",
     "feasibility_residual",
     "generate_lasso",
     "load_lasso_csv",
@@ -107,7 +98,6 @@ __all__ = [
     "make_lasso",
     "make_sqrt_example",
     "nesterov_bound",
-    "nesterov_step",
     "project",
     "psg_step",
     "reference_optimum_value",

@@ -50,8 +50,11 @@ def ensure_vector(x, dim: Optional[int] = None, name: str = "x") -> np.ndarray:
 
 
 def leq_with_tol(lhs: float, rhs: float, rel: float = REL_TOL, abs_: float = ABS_TOL) -> bool:
-    """One-sided comparison lhs <= rhs up to the package tolerance."""
-    return lhs <= rhs + rel * max(abs(lhs), abs(rhs)) + abs_
+    """lhs <= rhs + rel * max(|lhs|, |rhs|) + abs_, the package's one tolerance formula."""
+    # max and abs as conditionals (same result, nan included): the solver calls this per iteration
+    a = lhs if lhs >= 0.0 else -lhs
+    b = rhs if rhs >= 0.0 else -rhs
+    return lhs <= rhs + rel * (b if b > a else a) + abs_
 
 
 @dataclass(frozen=True)

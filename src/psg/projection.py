@@ -32,14 +32,13 @@ class Ball:
         if norm <= self.radius:
             return np.array(y, dtype=np.float64)
         if norm == math.inf:
-            # d.dot(d) overflowed: take the norm of d rescaled to max |d| = 1
+            # d.dot(d) or d itself overflowed: halve before subtracting, then
+            # take the norm of d rescaled to max |d| = 1
+            d = 0.5 * y - 0.5 * self.center
             d = d / float(np.abs(d).max())
             norm = math.sqrt(float(d.dot(d)))
         # norm > 0 here (radius >= 0), so the nearest point is unique
         return self.center + d * (self.radius / norm)
-
-    def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        return float(np.linalg.norm(x - self.center)) <= self.radius * (1 + tol) + tol
 
 
 @dataclass(frozen=True)
@@ -63,9 +62,6 @@ class Box:
 
     def project(self, y: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(y, self.lower), self.upper)
-
-    def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
 
 def project(op, y) -> np.ndarray:

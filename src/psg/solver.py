@@ -25,13 +25,7 @@ from .core import (
     scheme_label,
 )
 from .projection import project
-from .stepsize import (
-    ClassicPolicy,
-    ConstantPolicy,
-    FamilyPolicy,
-    NesterovPolicy,
-    StepSizePolicy,
-)
+from .stepsize import StepSizePolicy
 
 
 def psg_step(x: np.ndarray, g: np.ndarray, eta: float, projector) -> np.ndarray:
@@ -107,20 +101,22 @@ def run(problem: ProblemInstance, config: SolverConfig):
 
     While running it maintains one weighted average per configured exponent
     k, the best iterate, and (when the problem carries a known or reference
-    optimum) the convergence certificates that provably apply to the chosen
-    step-size rule, each checked at every iteration:
+    optimum) the convergence certificates that provably apply:
 
     * per-step descent inequality
       f(x_s) - f* <= (||x_s-x*||^2 - ||x_{s+1}-x*||^2) / (2 eta_s)
       + eta_s ||g_s||^2 / 2 (any rule; needs the optimum point),
-    * gap of the uniform mean vs. the rule's ergodic bound,
-    * gap of each k-weighted mean vs. its bound (family rule),
-    * monotonicity of w_s / eta_s (rules for which it is guaranteed).
+    * the gap certificates the policy declares (``policy.certificates``),
+      each at every iteration, or, for one with a horizon, once after
+      exactly that many iterations at the report's averaged value,
+    * monotonicity of w_s / eta_s at the exponents the policy declares
+      (``policy.monotone_ks``).
 
-    Gap certificates and traces need the objective at every average in every
-    iteration. When the problem sets ``value_at_image``, those values come
-    from the averaged oracle images without an oracle call; the report's
-    averaged values always come from the oracle.
+    Per-iteration gap certificates and traces need the objective at every
+    average in every iteration; a run with neither never evaluates it there.
+    When the problem sets ``value_at_image``, those values come from the
+    averaged oracle images without an oracle call; the report's averaged
+    values always come from the oracle.
 
     Each iteration checks only what it produces: a finite oracle value, a
     subgradient of the right shape with a finite norm, the image contract
@@ -144,9 +140,6 @@ def run(problem: ProblemInstance, config: SolverConfig):
     ks = [float(k) for k in config.weight_ks]
     rules = [WeightRule(k) for k in ks]
     labels = [scheme_label(k) for k in ks]
-    weak_labels = [bnd.weak_label(k) for k in ks]
-    idx_k0 = ks.index(0.0) if 0.0 in ks else None
-    idx_km1 = ks.index(-1.0) if -1.0 in ks else None
 
     averages = StreamingAverage()
     trackers = [bnd.WeakBoundSums(k) for k in ks]
@@ -159,41 +152,28 @@ def run(problem: ProblemInstance, config: SolverConfig):
     if problem.known_optimum_point is not None:
         x_star = ensure_vector(problem.known_optimum_point, problem.dimension, "optimum")
 
-    is_family = isinstance(policy, FamilyPolicy)
-    is_classic = isinstance(policy, ClassicPolicy)
-    is_constant = isinstance(policy, ConstantPolicy)
-    is_nesterov = isinstance(policy, NesterovPolicy)
-
     check_gap = config.certify and f_star is not None
     check_step = config.certify and x_star is not None and f_star is not None
-    need_values = config.record_trace or check_gap
+
+    # Certificates start as vacuously true and are and-ed with every check.
+    certs: dict[str, bool] = {}
+    if check_step:
+        certs[bnd.PER_STEP] = True
+    gap_certs = policy.certificates(ks, L) if check_gap else []
+    certs.update((cert.label, True) for cert in gap_certs)
+    # (certificate, label of the average it reads, bound label), per iteration
+    running = [(c.label, scheme_label(c.k), c.bound) for c in gap_certs if c.horizon is None]
+    monotone_ks = policy.monotone_ks(ks) if config.certify else ()
+    monotone = [(i, bnd.monotone_label(k)) for i, k in enumerate(ks) if k in monotone_ks]
+    certs.update((label, True) for _, label in monotone)
+
+    need_values = config.record_trace or bool(running)
     # With the problem's image hook, each average runs over the stacked
     # vectors [x_s; image_s], and values at averages come from the averaged
     # image instead of an oracle call.
     value_at_image = problem.value_at_image if need_values and rules else None
     n = problem.dimension
     image_size: Optional[int] = None
-
-    # Certificates start as vacuously true and are and-ed with every check.
-    certs: dict[str, bool] = {}
-    if check_step:
-        certs[bnd.PER_STEP] = True
-    if check_gap:
-        if is_family and idx_k0 is not None:
-            certs[bnd.FAMILY] = True
-        if is_family:
-            certs.update(dict.fromkeys(weak_labels, True))
-        if is_classic and idx_k0 is not None and L is not None:
-            certs[bnd.CLASSIC] = True
-        if is_constant and idx_k0 is not None and L is not None:
-            certs[bnd.CONSTANT] = True
-        if is_nesterov and idx_km1 is not None and L is not None:
-            certs[bnd.NESTEROV] = True
-    # weight/step monotonicity holds for the family, classic and constant rules
-    # at every k, and for the norm-normalized rule only at k = -1 (ratio 1)
-    monotone = [(i, bnd.monotone_label(k)) for i, k in enumerate(ks) if config.certify and (
-        is_family or is_classic or is_constant or (is_nesterov and k == -1.0))]
-    certs.update((label, True) for _, label in monotone)
 
     trace: Optional[list[IterationRecord]] = [] if config.record_trace else None
 
@@ -295,27 +275,10 @@ def run(problem: ProblemInstance, config: SolverConfig):
             else:
                 avg_vals = {label: float(value_at_image(mean[:n], mean[n:]))
                             for label, mean in zip(labels, means)}
-            family_val = bnd.family_bound(R, s_local, epoch_max_g)
-            bound_vals = {bnd.FAMILY: family_val}
-            for label, tracker in zip(weak_labels, trackers):
-                bound_vals[label] = tracker.bound(R, epoch_max_g)
-            if check_gap:
-                if is_family:
-                    if idx_k0 is not None:
-                        gap0 = avg_vals[labels[idx_k0]] - f_star
-                        if not bnd.check_certificate(gap0, family_val):
-                            certs[bnd.FAMILY] = False
-                    for label, weak in zip(labels, weak_labels):
-                        if not bnd.check_certificate(avg_vals[label] - f_star, bound_vals[weak]):
-                            certs[weak] = False
-                elif is_classic and bnd.CLASSIC in certs:
-                    gap0 = avg_vals[labels[idx_k0]] - f_star
-                    if not bnd.check_certificate(gap0, bnd.classic_bound(R, L, s_local)):
-                        certs[bnd.CLASSIC] = False
-                elif is_nesterov and bnd.NESTEROV in certs:
-                    gap1 = avg_vals[labels[idx_km1]] - f_star
-                    if not bnd.check_certificate(gap1, bnd.nesterov_bound(R, L, s_local)):
-                        certs[bnd.NESTEROV] = False
+            bound_vals = bnd.bound_values(R, L, s_local, epoch_max_g, trackers)
+            for label, avg_label, bound in running:
+                if not bnd.check_certificate(avg_vals[avg_label] - f_star, bound_vals[bound]):
+                    certs[label] = False
 
         if trace is not None:
             trace.append(IterationRecord(
@@ -327,8 +290,8 @@ def run(problem: ProblemInstance, config: SolverConfig):
             stop = StopReason.ZERO_SUBGRADIENT
             break
 
-        if is_family:
-            G_now = policy.G
+        G_now = policy.G
+        if G_now is not None:
             if G_ref is None:
                 G_ref = G_now
             elif restart_factor is not None and G_now > restart_factor * G_ref:
@@ -343,13 +306,6 @@ def run(problem: ProblemInstance, config: SolverConfig):
 
         x = x_next
 
-    # final certificate for the horizon-tuned constant step: its bound only
-    # applies after the full tuned budget
-    if bnd.CONSTANT in certs and iterations_run == policy.horizon_t:
-        gap0 = problem.value(averages.mean[idx_k0, :n]) - f_star
-        if not bnd.check_certificate(gap0, bnd.constant_bound(R, L, policy.horizon_t)):
-            certs[bnd.CONSTANT] = False
-
     averaged_points = {}
     averaged_values = {}
     if averages.count > 0:
@@ -357,15 +313,12 @@ def run(problem: ProblemInstance, config: SolverConfig):
             averaged_points[label] = np.array(mean[:n])
             averaged_values[label] = problem.value(averaged_points[label])
 
-    final_bounds: dict[str, float] = {}
-    if s_local > 0:
-        final_bounds[bnd.FAMILY] = bnd.family_bound(R, s_local, epoch_max_g)
-        for i, k in enumerate(ks):
-            final_bounds[bnd.weak_label(k)] = trackers[i].bound(R, epoch_max_g)
-        if L is not None:
-            final_bounds[bnd.CLASSIC] = bnd.classic_bound(R, L, s_local)
-            final_bounds[bnd.CONSTANT] = bnd.constant_bound(R, L, s_local)
-            final_bounds[bnd.NESTEROV] = bnd.nesterov_bound(R, L, s_local)
+    final_bounds = bnd.bound_values(R, L, s_local, epoch_max_g, trackers) if s_local else {}
+    # a horizon-tuned bound applies only after exactly its horizon
+    for cert in gap_certs:
+        if cert.horizon is not None and s_local == cert.horizon and not bnd.check_certificate(
+                averaged_values[scheme_label(cert.k)] - f_star, final_bounds[cert.bound]):
+            certs[cert.label] = False
 
     report = RunReport(
         problem=problem.name,

@@ -12,6 +12,9 @@ Four rules are provided, all producing a positive step eta_s at iteration s:
   when subgradient norms are unbounded, and its uniform-average guarantee
   matches the optimal 1/sqrt(t) rate.
 
+Each rule is one policy class, the only place its step is computed, which
+also declares the certificates its theorems guarantee.
+
 All fractional powers are evaluated with the general float power operator
 (no integer fast paths): the exponents are continuous in `a`, and with a = 1
 the family rule reproduces the classic rule bit for bit when G_s equals L.
@@ -20,8 +23,10 @@ the family rule reproduces the classic rule bit for bit when G_s equals L.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
+from . import bounds as bnd
+from .bounds import Certificate
 from .core import InvalidParameterError, ZeroSubgradientError
 
 
@@ -35,68 +40,6 @@ def _require_a(a: float) -> None:
         raise InvalidParameterError(f"a must lie in [0, 1], got {a!r}")
 
 
-def constant_step(R: float, L: float, horizon_t: int) -> float:
-    """Constant step R / (L * sqrt(horizon_t)), tuned to a fixed budget."""
-    _require_positive(R, "R")
-    _require_positive(L, "L")
-    _require_positive(horizon_t, "horizon_t")
-    return R / (L * horizon_t ** 0.5)
-
-
-def classic_step(R: float, L: float, s: int) -> float:
-    """Decreasing step R / (L * sqrt(s)); optimal ergodic rate under a Lipschitz bound."""
-    _require_positive(R, "R")
-    _require_positive(L, "L")
-    _require_positive(s, "s")
-    return R / (L * s ** 0.5)
-
-
-def nesterov_step(R: float, g_norm: float, s: int) -> float:
-    """Subgradient-normalized step R / (||g_s|| * sqrt(s)).
-
-    The zero-subgradient case is a solver stopping condition, never a step;
-    requesting it here is an error.
-    """
-    _require_positive(R, "R")
-    _require_positive(s, "s")
-    if g_norm == 0:
-        raise ZeroSubgradientError("step size undefined for a zero subgradient")
-    _require_positive(g_norm, "g_norm")
-    return R / (g_norm * s ** 0.5)
-
-
-def family_update_G(state_G: Optional[float], g_norm: float, s: int, a: float) -> float:
-    """Advance the running maximum G_s = max(G_{s-1}, ||g_s|| * s^((1-a)/2)).
-
-    `state_G is None` is the uninitialized sentinel (conceptually -infinity,
-    kept symbolic so it can never leak into arithmetic); it is only valid at
-    s = 1, where the update returns ||g_1||. The result equals the closed
-    form max over j <= s of ||g_j|| * j^((1-a)/2).
-    """
-    _require_a(a)
-    if g_norm < 0:
-        raise InvalidParameterError(f"g_norm must be nonnegative, got {g_norm!r}")
-    _require_positive(s, "s")
-    scaled = g_norm * s ** (0.5 * (1.0 - a))
-    if state_G is None:
-        return scaled
-    return max(state_G, scaled)
-
-
-def family_step(R: float, G_s: float, s: int, a: float) -> float:
-    """Norm-adaptive step R / (G_s * s^(a/2)).
-
-    G_s = 0 means every subgradient seen so far was zero, which the solver
-    intercepts as a stopping condition before asking for a step.
-    """
-    _require_positive(R, "R")
-    _require_a(a)
-    _require_positive(s, "s")
-    if G_s <= 0:
-        raise ZeroSubgradientError("step size undefined: running subgradient maximum is zero")
-    return R / (G_s * s ** (0.5 * a))
-
-
 class StepSizePolicy:
     """Stateful per-iteration step-size rule.
 
@@ -104,6 +47,8 @@ class StepSizePolicy:
     the 1-based iteration index and the current subgradient norm; it trusts
     both and the parameters validated at construction. Instances are owned
     by a single solver run; :meth:`reset` returns them to their initial state.
+    Subclasses declare what their theory guarantees (:meth:`certificates`,
+    :meth:`monotone_ks`); the base class guarantees nothing.
     """
 
     label: str = "policy"
@@ -119,21 +64,39 @@ class StepSizePolicy:
         """Running scaled-norm maximum, for policies that track one."""
         return None
 
+    def certificates(self, ks: Sequence[float], L: Optional[float]) -> list:
+        """Gap certificates guaranteed for the weight exponents `ks` and Lipschitz bound `L`."""
+        return []
+
+    def monotone_ks(self, ks: Sequence[float]) -> list:
+        """The exponents in `ks` at which w_s / eta_s is nondecreasing."""
+        return []
+
 
 @dataclass
 class ConstantPolicy(StepSizePolicy):
-    """Constant step tuned to a fixed iteration budget."""
+    """Constant step tuned to a fixed iteration budget; its bound holds only there."""
 
     R: float
     L: float
     horizon_t: int
 
     def __post_init__(self):
-        self._eta = constant_step(self.R, self.L, self.horizon_t)
+        _require_positive(self.R, "R")
+        _require_positive(self.L, "L")
+        _require_positive(self.horizon_t, "horizon_t")
+        self._eta = self.R / (self.L * self.horizon_t ** 0.5)
         self.label = "constant"
 
     def step_size(self, s: int, g_norm: float) -> float:
         return self._eta
+
+    def certificates(self, ks, L):
+        applies = 0.0 in ks and L is not None
+        return [Certificate(bnd.CONSTANT, 0.0, bnd.CONSTANT, self.horizon_t)] if applies else []
+
+    def monotone_ks(self, ks):
+        return list(ks)
 
 
 @dataclass
@@ -151,10 +114,21 @@ class ClassicPolicy(StepSizePolicy):
     def step_size(self, s: int, g_norm: float) -> float:
         return self.R / (self.L * s ** 0.5)
 
+    def certificates(self, ks, L):
+        applies = 0.0 in ks and L is not None
+        return [Certificate(bnd.CLASSIC, 0.0, bnd.CLASSIC)] if applies else []
+
+    def monotone_ks(self, ks):
+        return list(ks)
+
 
 @dataclass
 class NesterovPolicy(StepSizePolicy):
-    """Step R / (||g_s|| * sqrt(s)) normalized by the current subgradient."""
+    """Step R / (||g_s|| * sqrt(s)) normalized by the current subgradient.
+
+    A zero subgradient is a solver stopping condition, never a step. Only the
+    step-weighted mean (k = -1, where w_s / eta_s = 1) is certified.
+    """
 
     R: float
 
@@ -167,14 +141,23 @@ class NesterovPolicy(StepSizePolicy):
             raise ZeroSubgradientError("step size undefined for a zero subgradient")
         return self.R / (g_norm * s ** 0.5)
 
+    def certificates(self, ks, L):
+        if -1.0 in ks and L is not None:
+            return [Certificate(bnd.NESTEROV, -1.0, bnd.NESTEROV)]
+        return []
+
+    def monotone_ks(self, ks):
+        return [k for k in ks if k == -1.0]
+
 
 @dataclass
 class FamilyPolicy(StepSizePolicy):
     """Norm-adaptive rule eta_s = R / (G_s * s^(a/2)) with running state G_s.
 
-    `a` interpolates between a step that ignores the iteration index (a = 0)
-    and one that decays like 1/sqrt(s) (a = 1, the default used by the
-    benchmark experiments).
+    G_s = max(G_{s-1}, ||g_s|| * s^((1-a)/2)) starts from ||g_1||; G_s = 0
+    (only zero subgradients so far) has no step. `a` interpolates between a
+    step that ignores the iteration index (a = 0) and one that decays like
+    1/sqrt(s) (a = 1, the default used by the benchmark experiments).
     """
 
     R: float
@@ -199,3 +182,10 @@ class FamilyPolicy(StepSizePolicy):
     @property
     def G(self) -> Optional[float]:
         return self._G
+
+    def certificates(self, ks, L):
+        uniform = [Certificate(bnd.FAMILY, 0.0, bnd.FAMILY)] if 0.0 in ks else []
+        return uniform + [Certificate(bnd.weak_label(k), k, bnd.weak_label(k)) for k in ks]
+
+    def monotone_ks(self, ks):
+        return list(ks)

@@ -232,10 +232,10 @@ def test_criterion_closed_form_G_equivalence():
         a = float(rng.choice([0.0, 0.3, 1.0]))
         idx = np.arange(1, length + 1, dtype=float)
         closed = np.maximum.accumulate(norms * idx ** (0.5 * (1.0 - a)))
-        state = None
+        policy = psg.FamilyPolicy(R=1.0, a=a)
         for s in range(1, length + 1):
-            state = psg.family_update_G(state, norms[s - 1], s, a)
-            if abs(state - closed[s - 1]) > 1e-12 * max(1.0, abs(closed[s - 1])):
+            policy.step_size(s, norms[s - 1])
+            if abs(policy.G - closed[s - 1]) > 1e-12 * max(1.0, abs(closed[s - 1])):
                 ok = False
                 break
         if not ok:

@@ -110,6 +110,19 @@ def test_kahan_regime_matches_fsum():
             weak_oracle(1.0, t, k, 1.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [-1.0, 4.0])
+def test_streamed_sums_match_fsum_at_1e6(k):
+    # the plain streamed sums are the only accumulator; at t = 1e6 they stay
+    # within 1e-11 relative of exactly rounded sums (k = 4 is the worst case)
+    t = 1_000_000
+    sums = WeakBoundSums(k)
+    for _ in range(t):
+        sums.push()
+    for got, exponent in ((sums._sum_low, 0.5 * (k - 1.0)), (sums._sum_mid, 0.5 * k)):
+        exact = math.fsum(s ** exponent for s in range(1, t + 1))
+        assert abs(got - exact) <= 1e-11 * exact
+
+
 def test_weak_k0_below_family_bound_up_to_1e5():
     sums = WeakBoundSums(0.0)
     for t in range(1, 100_001):

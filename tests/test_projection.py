@@ -35,6 +35,15 @@ class TestBall:
         assert_allclose(shifted.project(np.array([1.0, -1e300])), [1.0, 0.0],
                         rtol=0, atol=1e-15)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_difference_stays_finite(self):
+        # y - center itself overflows to inf; the nearest point is center + e_1
+        ball = Ball(center=np.array([-1e308, 0.0]), radius=1.0)
+        assert np.array_equal(ball.project(np.array([1e308, 0.0])), [-1e308, 0.0])
+        far = Ball(center=np.array([-1e308, -1e308]), radius=1e300)
+        assert_allclose(far.project(np.array([1e308, 1e308])),
+                        -1e308 + 1e300 / np.sqrt(2.0), rtol=1e-15)
+
 
 class TestBox:
     def test_clamp(self):

@@ -316,6 +316,52 @@ class TestCertificateGating:
         assert report.certificates["monotone_k0"]
         assert "family" in report.bounds  # bound values still reported
 
+    @pytest.mark.parametrize("with_point", [True, False])
+    @pytest.mark.parametrize("with_L", [True, False])
+    @pytest.mark.parametrize("ks", [(0.0,), (-1.0, 0.0, 2.0), (2.0,)])
+    @pytest.mark.parametrize("rule", ["family", "classic", "constant", "nesterov"])
+    def test_exact_certificate_keys(self, rule, ks, with_L, with_point):
+        base = make_abs_problem(2)
+        problem = dataclasses.replace(
+            base, lipschitz_L=base.lipschitz_L if with_L else None,
+            known_optimum_point=base.known_optimum_point if with_point else None)
+        R, L = base.radius_R, base.lipschitz_L
+        policy = {"family": FamilyPolicy(R=R), "classic": ClassicPolicy(R=R, L=L),
+                  "constant": ConstantPolicy(R=R, L=L, horizon_t=30),
+                  "nesterov": NesterovPolicy(R=R)}[rule]
+        config = SolverConfig(max_iterations=30, initial_point=np.array([0.7, -0.4]),
+                              policy=policy, weight_ks=ks)
+        report, _ = run(problem, config)
+        expected = ["per_step"] if with_point else []
+        if rule == "family":
+            expected += ["family"] * (0.0 in ks) + [f"weak_k{k:g}" for k in ks]
+        elif with_L and (-1.0 if rule == "nesterov" else 0.0) in ks:
+            expected.append(rule)
+        expected += [f"monotone_k{k:g}" for k in ks if rule != "nesterov" or k == -1.0]
+        assert list(report.certificates) == expected
+        assert all(report.certificates.values())
+
+    def test_constant_certificate_reads_the_reported_average(self):
+        # no per-iteration certificate reads an average, and the end-of-horizon
+        # check reuses the report's averaged value: one oracle call per
+        # iteration plus one per average
+        problem = make_abs_problem(2)
+        calls = [0]
+
+        def oracle(x):
+            calls[0] += 1
+            return problem.oracle(x)
+
+        ks = (-1.0, 0.0, 2.0)
+        config = SolverConfig(max_iterations=80, initial_point=np.array([0.7, -0.4]),
+                              policy=ConstantPolicy(R=problem.radius_R,
+                                                    L=problem.lipschitz_L, horizon_t=80),
+                              weight_ks=ks)
+        report, _ = run(dataclasses.replace(problem, oracle=oracle), config)
+        assert report.certificates["constant"]
+        assert report.iterations_run == 80
+        assert calls[0] == 80 + len(ks)
+
     def test_certify_off_skips_certificates(self):
         problem = make_abs_problem(2)
         config = SolverConfig(max_iterations=30, initial_point=np.array([0.7, -0.4]),

@@ -8,95 +8,101 @@ from psg import (
     InvalidParameterError,
     NesterovPolicy,
     ZeroSubgradientError,
-    classic_step,
-    constant_step,
-    family_step,
-    family_update_G,
-    nesterov_step,
 )
 from psg.averaging import weight
+from psg.bounds import Certificate
 
 
 class TestConstantStep:
     def test_values(self):
-        assert constant_step(1, 1, 1) == 1.0
-        assert constant_step(2, 4, 4) == 0.25
-        assert constant_step(50, 10, 100) == 0.5
+        assert ConstantPolicy(R=1, L=1, horizon_t=1).step_size(1, 0.5) == 1.0
+        assert ConstantPolicy(R=2, L=4, horizon_t=4).step_size(1, 0.5) == 0.25
+        assert ConstantPolicy(R=50, L=10, horizon_t=100).step_size(1, 0.5) == 0.5
 
     @pytest.mark.parametrize("args", [(0, 1, 1), (1, -1, 1), (1, 1, 0)])
     def test_rejects_nonpositive(self, args):
         with pytest.raises(InvalidParameterError):
-            constant_step(*args)
+            ConstantPolicy(*args)
 
 
 class TestClassicStep:
     def test_values(self):
-        assert classic_step(1, 1, 1) == 1.0
-        assert classic_step(1, 1, 4) == 0.5
-        assert classic_step(3, 2, 9) == 0.5
+        assert ClassicPolicy(R=1, L=1).step_size(1, 0.5) == 1.0
+        assert ClassicPolicy(R=1, L=1).step_size(4, 0.5) == 0.5
+        assert ClassicPolicy(R=3, L=2).step_size(9, 0.5) == 0.5
 
     def test_strictly_decreasing(self):
-        etas = [classic_step(2.0, 3.0, s) for s in range(1, 200)]
+        policy = ClassicPolicy(R=2.0, L=3.0)
+        etas = [policy.step_size(s, 1.0) for s in range(1, 200)]
         assert all(a > b for a, b in zip(etas, etas[1:]))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidParameterError):
-            classic_step(1, 0, 1)
+            ClassicPolicy(R=1, L=0)
 
 
 class TestNesterovStep:
     def test_values(self):
-        assert nesterov_step(1, 1.0, 1) == 1.0
-        assert nesterov_step(1, 2.0, 4) == 0.25
-        assert nesterov_step(50, 5.0, 25) == 2.0
+        assert NesterovPolicy(R=1).step_size(1, 1.0) == 1.0
+        assert NesterovPolicy(R=1).step_size(4, 2.0) == 0.25
+        assert NesterovPolicy(R=50).step_size(25, 5.0) == 2.0
 
     def test_zero_subgradient_is_an_error(self):
         with pytest.raises(ZeroSubgradientError):
-            nesterov_step(1, 0.0, 3)
+            NesterovPolicy(R=1).step_size(3, 0.0)
+
+
+def family_after(steps, a):
+    """A family policy that has taken the (s, ||g_s||) steps in `steps`."""
+    policy = FamilyPolicy(R=1.0, a=a)
+    for s, g_norm in steps:
+        policy.step_size(s, g_norm)
+    return policy
 
 
 class TestFamilyUpdateG:
     def test_first_call_from_sentinel(self):
-        assert family_update_G(None, 3.0, 1, a=1.0) == 3.0
+        assert family_after([(1, 3.0)], a=1.0).G == 3.0
 
     def test_a_one_is_running_norm_max(self):
-        assert family_update_G(2.0, 3.0, 5, a=1.0) == 3.0
-        assert family_update_G(3.0, 1.0, 6, a=1.0) == 3.0
+        assert family_after([(1, 2.0), (5, 3.0)], a=1.0).G == 3.0
+        assert family_after([(1, 3.0), (6, 1.0)], a=1.0).G == 3.0
 
     def test_a_zero_scales_by_sqrt_s(self):
         # 1 * 9^0.5 = 3 beats the held 2
-        assert family_update_G(2.0, 1.0, 9, a=0.0) == 3.0
+        assert family_after([(1, 2.0), (9, 1.0)], a=0.0).G == 3.0
 
     def test_rejects_bad_a(self):
         for a in (-0.1, 1.1):
             with pytest.raises(InvalidParameterError):
-                family_update_G(None, 1.0, 1, a=a)
+                FamilyPolicy(R=1.0, a=a)
 
     def test_zero_norm_keeps_state(self):
-        assert family_update_G(2.0, 0.0, 7, a=0.5) == 2.0
+        assert family_after([(1, 2.0), (7, 0.0)], a=0.5).G == 2.0
 
 
 class TestFamilyStep:
     def test_values(self):
-        assert family_step(1, 1.0, 1, a=0.5) == 1.0
-        assert family_step(1, 2.0, 4, a=1.0) == 0.25
-        assert family_step(1, 2.0, 4, a=0.0) == 0.5
+        # G_s = ||g_s|| * s^((1-a)/2) on a first step
+        assert FamilyPolicy(R=1, a=0.5).step_size(1, 1.0) == 1.0
+        assert FamilyPolicy(R=1, a=1.0).step_size(4, 2.0) == 0.25
+        assert FamilyPolicy(R=1, a=0.0).step_size(4, 1.0) == 0.5
 
     def test_zero_G_is_an_error(self):
         with pytest.raises(ZeroSubgradientError):
-            family_step(1, 0.0, 1, a=1.0)
+            FamilyPolicy(R=1, a=1.0).step_size(1, 0.0)
 
     def test_rejects_bad_a(self):
         with pytest.raises(InvalidParameterError):
-            family_step(1, 1.0, 1, a=2.0)
+            FamilyPolicy(R=1, a=2.0)
 
 
 def iterate_G(g_norms, a):
-    state = None
+    policy = FamilyPolicy(R=1.0, a=a)
     out = []
     for s, g in enumerate(g_norms, start=1):
-        state = family_update_G(state, g, s, a)
-        out.append(state)
+        policy.step_size(s, g)
+        out.append(policy.G)
     return np.array(out)
 
 
@@ -116,10 +122,10 @@ def test_family_reduces_to_classic_when_norms_constant():
     # ||g_s|| = L and a = 1 make G_s = L, so the two step rules coincide
     # bit for bit.
     L = 1.0
-    state = None
+    family = FamilyPolicy(R=1.0, a=1.0)
+    classic = ClassicPolicy(R=1.0, L=L)
     for s in range(1, 1001):
-        state = family_update_G(state, L, s, a=1.0)
-        assert family_step(1.0, state, s, a=1.0) == classic_step(1.0, L, s)
+        assert family.step_size(s, L) == classic.step_size(s, L)
 
 
 @pytest.mark.parametrize("a", [0.0, 0.5, 1.0])
@@ -127,15 +133,44 @@ def test_family_reduces_to_classic_when_norms_constant():
 def test_weight_step_ratio_nondecreasing(a, k, rng):
     for _ in range(20):
         g_norms = rng.uniform(0.01, 10, size=400)
-        state = None
+        policy = FamilyPolicy(R=1.0, a=a)
         ratios = []
         for s, g in enumerate(g_norms, start=1):
-            state = family_update_G(state, g, s, a)
-            eta = family_step(1.0, state, s, a)
+            eta = policy.step_size(s, g)
             assert eta > 0
             ratios.append(weight(k, s, eta) / eta)
         ratios = np.array(ratios)
         assert np.all(ratios[1:] >= ratios[:-1] * (1 - 1e-9) - 1e-12)
+
+
+class TestDeclarations:
+    KS = (-1.0, 0.0, 2.0)
+
+    def test_constant_certificate_applies_at_the_horizon(self):
+        policy = ConstantPolicy(R=1.0, L=2.0, horizon_t=80)
+        assert policy.certificates(self.KS, 2.0) == [Certificate("constant", 0.0, "constant", 80)]
+        assert policy.certificates(self.KS, None) == []
+        assert policy.certificates((2.0,), 2.0) == []
+
+    def test_classic_and_nesterov_need_L(self):
+        assert ClassicPolicy(R=1.0, L=2.0).certificates(self.KS, 2.0) == [
+            Certificate("classic", 0.0, "classic")]
+        assert NesterovPolicy(R=1.0).certificates(self.KS, 2.0) == [
+            Certificate("nesterov", -1.0, "nesterov")]
+        assert ClassicPolicy(R=1.0, L=2.0).certificates(self.KS, None) == []
+        assert NesterovPolicy(R=1.0).certificates(self.KS, None) == []
+
+    def test_family_needs_no_L(self):
+        assert FamilyPolicy(R=1.0).certificates(self.KS, None) == [
+            Certificate("family", 0.0, "family"), Certificate("weak_k-1", -1.0, "weak_k-1"),
+            Certificate("weak_k0", 0.0, "weak_k0"), Certificate("weak_k2", 2.0, "weak_k2")]
+
+    def test_monotone_exponents(self):
+        for policy in (FamilyPolicy(R=1.0), ClassicPolicy(R=1.0, L=1.0),
+                       ConstantPolicy(R=1.0, L=1.0, horizon_t=5)):
+            assert policy.monotone_ks(self.KS) == list(self.KS)
+        assert NesterovPolicy(R=1.0).monotone_ks(self.KS) == [-1.0]
+        assert NesterovPolicy(R=1.0).monotone_ks((0.0, 2.0)) == []
 
 
 class TestPolicies:
