@@ -25,18 +25,21 @@ from .core import InvalidParameterError, NumericError
 
 def weight(k: float, s: int, eta_s: float) -> float:
     """Averaging weight for iterate `s` with step `eta_s` under exponent `k`."""
-    if k < -1:
-        raise InvalidParameterError(f"k must be >= -1, got {k!r}")
+    rule = WeightRule(k)
     if not s >= 1:
         raise InvalidParameterError(f"s must be >= 1, got {s!r}")
     if not eta_s > 0:
         raise InvalidParameterError(f"eta_s must be positive, got {eta_s!r}")
-    return eta_s ** -k if k <= 0 else s ** (0.5 * k)
+    return rule(s, eta_s)
 
 
 @dataclass(frozen=True)
 class WeightRule:
-    """Weight exponent validated once; rule(s, eta_s) is :func:`weight` unchecked."""
+    """Weight exponent validated once; rule(s, eta_s) is the weight formula, unchecked.
+
+    The one place the formula is written. It applies elementwise when `s`
+    and `eta_s` are numpy arrays of iteration indices and steps.
+    """
 
     k: float
 
@@ -44,7 +47,7 @@ class WeightRule:
         if self.k < -1:
             raise InvalidParameterError(f"k must be >= -1, got {self.k!r}")
 
-    def __call__(self, s: int, eta_s: float) -> float:
+    def __call__(self, s, eta_s):
         return eta_s ** -self.k if self.k <= 0 else s ** (0.5 * self.k)
 
 

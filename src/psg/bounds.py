@@ -14,7 +14,9 @@ optimality gap of an averaged (or best) iterate after t iterations:
   * R * max_{s<=t} ||g_s||, valid for the family step and any k >= -1.
 
 A certificate passes when the observed gap does not exceed the bound up to
-the package tolerance.
+the package tolerance. A run that knows f* only as a bracket
+``low <= f* <= high`` checks every gap certificate through
+:class:`GapWatch`: proven, refuted or undecided.
 """
 
 from __future__ import annotations
@@ -122,6 +124,43 @@ class Certificate:
 def check_certificate(gap: float, bound: float) -> bool:
     """Pass iff both are finite and gap <= bound up to the package tolerance."""
     return math.isfinite(gap) and math.isfinite(bound) and leq_with_tol(gap, bound)
+
+
+PROVEN = "proven"
+REFUTED = "refuted"
+UNDECIDED = "undecided"
+
+
+class GapWatch:
+    """Worst excess max_s (f(x_avg_s) - bound_s) of one gap certificate over a run.
+
+    The certificate claims f(x_avg_s) - f* <= bound_s at every checked s,
+    that is worst <= f*. Knowing only low <= f* <= high, it is proven when
+    worst <= low and refuted when worst > high (both up to the package
+    tolerance); a known optimum is the bracket [f*, f*]. A nonfinite excess
+    makes the certificate unprovable.
+    """
+
+    __slots__ = ("worst", "provable")
+
+    def __init__(self):
+        self.worst = -math.inf
+        self.provable = True
+
+    def push(self, excess: float) -> None:
+        if not math.isfinite(excess):
+            self.provable = False
+        elif excess > self.worst:
+            self.worst = excess
+
+    def verdict(self, low: float, high: float) -> str:
+        """PROVEN, REFUTED or UNDECIDED; refuted wins, so a crossed bracket never proves."""
+        if not leq_with_tol(self.worst, high):
+            return REFUTED
+        # worst = -inf: nothing was checked
+        if self.provable and (self.worst == -math.inf or leq_with_tol(self.worst, low)):
+            return PROVEN
+        return UNDECIDED
 
 
 def weak_label(k: float) -> str:

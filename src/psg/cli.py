@@ -11,7 +11,7 @@ Subcommands
     Re-validate the invariants and certificates of a stored trace.
 
 Exit codes: 0 success, 1 config or I/O error, 2 numeric failure inside a
-run, 3 certificate violation (only with ``--strict``).
+run, 3 a certificate not proven (only with ``--strict``).
 
 Config schema (JSON object)::
 
@@ -31,17 +31,19 @@ Config schema (JSON object)::
       "initial_point":  "zero" | {"random": 7} | [0.5, ...],   # optional
       "trace_path":     "traces/run.csv",    # optional; omitted = no traces
       "summary_path":   "summary.json",      # optional, this is the default
-      "restart_factor": 10.0,                # optional, default off
-      "reference_iterations": 20000          # optional, see below
+      "restart_factor": 10.0                 # optional, default off
     }
 
 For the classic and constant policies ``L`` may be omitted when the problem
 declares a Lipschitz bound. The default initial point is the origin, except
 for the sqrt example where it is 0.5 (the origin has an empty
-subdifferential there). Problems without a known optimum (Lasso) get a
-reference optimum from a long run of the family rule before certificates
-are evaluated: ``reference_iterations`` sets its budget (default 10x
-``iterations``; 0 disables the reference run and the gap certificates).
+subdifferential there). Problems without a known optimum (Lasso) check
+their gap certificates against the bracket ``[f_low, f_best]`` that each
+cell forms from its own oracle calls (see :func:`psg.solver.run`); a
+problem's ``f_star`` is the bracket ``[f_star, f_star]``. Each summary cell
+reports the bracket as ``optimum_bracket`` ({"low", "high"}, or null) and
+the certificates neither proven nor refuted as ``undecided``;
+``certificates`` maps each certificate to True iff it was proven.
 
 Trace CSV format: header
 ``s,eta,g_norm,G,f_x,f_best,f_avg_k<k1>,...,bound_family,bound_weak_k<k1>,...``
@@ -64,7 +66,7 @@ from typing import Optional
 import numpy as np
 
 from . import bounds as bnd
-from .averaging import weight as weight_fn
+from .averaging import WeightRule
 from .core import (
     InvalidParameterError,
     NumericError,
@@ -78,7 +80,6 @@ from .problems import (
     make_abs_problem,
     make_lasso,
     make_sqrt_example,
-    reference_optimum_value,
     save_lasso_csv,
     generate_lasso,
 )
@@ -125,7 +126,6 @@ class ExperimentConfig:
     trace_path: Optional[str] = None
     summary_path: str = "summary.json"
     restart_factor: Optional[float] = None
-    reference_iterations: Optional[int] = None
 
 
 def _parse_problem(obj) -> ProblemSpec:
@@ -192,7 +192,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("top level: expected a JSON object")
     known = {"problem", "policy", "weight_ks", "iterations", "initial_point",
-             "trace_path", "summary_path", "restart_factor", "reference_iterations"}
+             "trace_path", "summary_path", "restart_factor"}
     for key in data:
         if key not in known:
             raise ConfigError(f"{key}: unknown field")
@@ -225,12 +225,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         if not restart > 1:
             raise ConfigError("restart_factor: must exceed 1")
 
-    reference = data.get("reference_iterations")
-    if reference is not None:
-        reference = int(reference)
-        if reference < 0:
-            raise ConfigError("reference_iterations: must be >= 0")
-
     return ExperimentConfig(
         problem=problem,
         policies=policies,
@@ -240,7 +234,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         trace_path=data.get("trace_path"),
         summary_path=data.get("summary_path", "summary.json"),
         restart_factor=restart,
-        reference_iterations=reference,
     )
 
 
@@ -287,8 +280,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         out["trace_path"] = config.trace_path
     if config.restart_factor is not None:
         out["restart_factor"] = config.restart_factor
-    if config.reference_iterations is not None:
-        out["reference_iterations"] = config.reference_iterations
     return out
 
 
@@ -421,8 +412,7 @@ def check_trace(table: TraceTable, problem: ProblemInstance) -> list:
     results.append(("f_best_running_min", bool(np.array_equal(rebest, cols["f_best"])), ""))
 
     for k in table.ks:
-        ratios = np.array([weight_fn(k, int(si), float(ei)) / float(ei)
-                           for si, ei in zip(s, cols["eta"])])
+        ratios = (WeightRule(k)(s, cols["eta"]) / cols["eta"]).tolist()
         ok = all(leq_with_tol(a, b) for a, b in zip(ratios[:-1], ratios[1:]))
         results.append((f"weight_step_ratio_nondecreasing_k{k:g}", ok, ""))
 
@@ -486,6 +476,10 @@ def _finite_or_null(obj):
     return obj
 
 
+def _bracket_dict(bracket):
+    return None if bracket is None else {"low": bracket[0], "high": bracket[1]}
+
+
 def _run_cell(problem, policy, config: ExperimentConfig, trace_path: Optional[str]):
     solver_config = SolverConfig(
         max_iterations=config.iterations,
@@ -516,14 +510,6 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None) -> d
     problem = build_problem(config.problem)
     policies = [build_policy(spec, problem, config.iterations) for spec in config.policies]
 
-    if problem.known_optimum_value is None:
-        reference = config.reference_iterations
-        if reference is None:
-            reference = 10 * config.iterations
-        if reference > 0:
-            f_hat = reference_optimum_value(problem, reference)
-            problem = with_reference_optimum(problem, f_hat)
-
     def resolve(path):
         if path is None:
             return None
@@ -549,6 +535,8 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None) -> d
                     "bounds": report.bounds,
                     "certificates": report.certificates,
                     "optimum_is_reference": report.optimum_is_reference,
+                    "optimum_bracket": _bracket_dict(report.optimum_bracket),
+                    "undecided": report.undecided,
                     "trace_path": written}
         except NumericError as exc:
             return {"problem": problem.name, "policy": policy.label,
@@ -579,12 +567,12 @@ def _cmd_run(args) -> int:
     if failed:
         return EXIT_NUMERIC
     if args.strict:
-        violations = [(c["policy"], name)
-                      for c in summary["cells"]
-                      for name, ok in c.get("certificates", {}).items() if not ok]
-        for policy, name in violations:
-            print(f"certificate violation: {policy}: {name}", file=sys.stderr)
-        if violations:
+        unproven = [(c["policy"], name, "undecided" if name in c["undecided"] else "refuted")
+                    for c in summary["cells"]
+                    for name, ok in c["certificates"].items() if not ok]
+        for policy, name, verdict in unproven:
+            print(f"certificate {verdict}: {policy}: {name}", file=sys.stderr)
+        if unproven:
             return EXIT_CERTIFICATE
     return EXIT_OK
 
@@ -630,7 +618,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out-dir", default=None)
     p_run.add_argument("--strict", action="store_true",
-                       help="exit 3 when any certificate fails")
+                       help="exit 3 when any certificate is refuted or undecided")
     p_run.set_defaults(func=_cmd_run)
 
     p_gen = sub.add_parser("gen-lasso", help="write a synthetic lasso instance CSV")

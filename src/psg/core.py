@@ -109,9 +109,14 @@ class ProblemInstance:
         Exact optimum, when analytically available. Certificates that need a
         gap use the value; the per-step descent certificate needs the point.
     optimum_is_reference : bool
-        True when `known_optimum_value` is an upper estimate from a long
-        reference run rather than the exact optimum. Gap certificates checked
-        against such a value are implied by (weaker than) the exact ones.
+        True when `known_optimum_value` is an estimate, such as the best value
+        of a long run (:func:`psg.problems.reference_optimum_value`), rather
+        than the exact optimum; set by :func:`with_reference_optimum`. The
+        solver still checks gap certificates against the bracket
+        [value, value], so an estimate above f* can prove a false one. A
+        problem without any optimum value lets the run bracket f* itself
+        from its minorants instead (see :func:`psg.solver.run`), which the
+        CLI does for the Lasso.
     value_at_image : callable, optional
         For an objective of the form f(x) = h(A x - b) + r(x) whose oracle
         returns the image A x - b in :attr:`SubgradientResult.image`: maps a
@@ -185,7 +190,14 @@ class IterationRecord:
 
 @dataclass
 class RunReport:
-    """Final summary of a solver run."""
+    """Final summary of a solver run.
+
+    `certificates` maps each checked certificate to True iff it was proven;
+    `undecided` lists the gap certificates that were neither proven nor
+    refuted, every other False one was refuted. `optimum_bracket` is the
+    (low, high) pair known to contain f* that the gap certificates were
+    checked against, or None when the run formed none.
+    """
 
     problem: str
     policy: str
@@ -200,6 +212,8 @@ class RunReport:
     bounds: dict
     certificates: dict
     optimum_is_reference: bool = False
+    optimum_bracket: Optional[tuple] = None
+    undecided: list = field(default_factory=list)
 
 
 def subgradient_inequality_check(oracle: Oracle, x: np.ndarray, z: np.ndarray,

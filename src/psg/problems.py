@@ -217,8 +217,10 @@ def reference_optimum_value(problem: ProblemInstance, iterations: int,
     steps with all certificate bookkeeping disabled and no averages tracked
     (``weight_ks=()``), so it costs exactly one oracle call per iteration
     run, and returns the best objective value seen. The result is >= the
-    true optimum, so a gap certificate checked against it is implied by the
-    exact certificate.
+    true optimum. A library helper; the CLI does not use it, because a gap
+    measured against it understates the true gap. A run that knows no
+    optimum brackets f* from its own oracle calls instead (see
+    :func:`psg.solver.run`).
     """
     from .solver import SolverConfig, run
     from .stepsize import FamilyPolicy

@@ -1,4 +1,9 @@
-"""Euclidean projection onto ball and box sets; only :func:`project` checks its input."""
+"""Euclidean projection onto ball and box sets; only :func:`project` checks its input.
+
+Each set also minimizes a linear function over itself in closed form
+(``min_linear``), which turns averaged subgradient minorants into a lower
+bound on the optimum.
+"""
 
 from __future__ import annotations
 
@@ -21,24 +26,37 @@ class Ball:
         object.__setattr__(self, "center", ensure_vector(self.center, name="center"))
         if self.radius < 0:
             raise InvalidParameterError("radius must be nonnegative")
+        object.__setattr__(self, "_at_origin", not self.center.any())
 
     @property
     def dimension(self) -> int:
         return self.center.shape[0]
 
     def project(self, y: np.ndarray) -> np.ndarray:
-        d = y - self.center
-        norm = math.sqrt(float(d.dot(d)))  # np.linalg.norm's expression for 1-D input
+        # np.vdot is the BLAS dot of d.dot(d), bit for bit, but raises no
+        # overflow warning; y - 0 is y, and y - center cannot overflow when
+        # y.dot(y) is finite (then every |y_i| < 1.4e154)
+        if self._at_origin:
+            d = y
+        elif math.isfinite(np.vdot(y, y)):
+            d = y - self.center
+        else:
+            d = None
+        norm = math.inf if d is None else math.sqrt(float(np.vdot(d, d)))
         if norm <= self.radius:
             return np.array(y, dtype=np.float64)
         if norm == math.inf:
-            # d.dot(d) or d itself overflowed: halve before subtracting, then
-            # take the norm of d rescaled to max |d| = 1
+            # d.dot(d) or d itself would overflow: halve before subtracting,
+            # then take the norm of d rescaled to max |d| = 1
             d = 0.5 * y - 0.5 * self.center
             d = d / float(np.abs(d).max())
-            norm = math.sqrt(float(d.dot(d)))
+            norm = math.sqrt(float(np.vdot(d, d)))
         # norm > 0 here (radius >= 0), so the nearest point is unique
         return self.center + d * (self.radius / norm)
+
+    def min_linear(self, v: np.ndarray) -> float:
+        """min over the ball of <v, z>: <v, center> - radius * ||v||."""
+        return float(np.vdot(v, self.center)) - self.radius * math.sqrt(float(np.vdot(v, v)))
 
 
 @dataclass(frozen=True)
@@ -62,6 +80,10 @@ class Box:
 
     def project(self, y: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(y, self.lower), self.upper)
+
+    def min_linear(self, v: np.ndarray) -> float:
+        """min over the box of <v, z>: sum_i min(v_i * lower_i, v_i * upper_i)."""
+        return float(np.minimum(v * self.lower, v * self.upper).sum())
 
 
 def project(op, y) -> np.ndarray:

@@ -100,8 +100,8 @@ def run(problem: ProblemInstance, config: SolverConfig):
     objectives, so no threshold is applied).
 
     While running it maintains one weighted average per configured exponent
-    k, the best iterate, and (when the problem carries a known or reference
-    optimum) the convergence certificates that provably apply:
+    k, the best iterate, and the convergence certificates that provably
+    apply:
 
     * per-step descent inequality
       f(x_s) - f* <= (||x_s-x*||^2 - ||x_{s+1}-x*||^2) / (2 eta_s)
@@ -111,6 +111,17 @@ def run(problem: ProblemInstance, config: SolverConfig):
       exactly that many iterations at the report's averaged value,
     * monotonicity of w_s / eta_s at the exponents the policy declares
       (``policy.monotone_ks``).
+
+    Gap certificates need f*, or a bracket around it. A known optimum value
+    is the bracket [f*, f*]. Without one, when the projector has
+    ``min_linear``, the run brackets f* itself at no oracle cost: every
+    oracle call gives the minorant f(z) >= f(x_s) + <g_s, z - x_s>, and the
+    minimum of their uniform mean over the feasible set is f_low <= f*
+    (summed across restarts), while f* <= f_best. Each gap certificate keeps
+    its worst excess max_s (f(x_avg_s) - bound_s) and is proven, refuted or
+    undecided against the bracket after the loop (:class:`bounds.GapWatch`);
+    ``certificates`` holds True only for proven ones, ``undecided`` names
+    the undecided ones, and ``optimum_bracket`` is the bracket used.
 
     Per-iteration gap certificates and traces need the objective at every
     average in every iteration; a run with neither never evaluates it there.
@@ -152,17 +163,26 @@ def run(problem: ProblemInstance, config: SolverConfig):
     if problem.known_optimum_point is not None:
         x_star = ensure_vector(problem.known_optimum_point, problem.dimension, "optimum")
 
-    check_gap = config.certify and f_star is not None
+    min_linear = getattr(projector, "min_linear", None)
+    check_gap = config.certify and (f_star is not None or min_linear is not None)
     check_step = config.certify and x_star is not None and f_star is not None
 
-    # Certificates start as vacuously true and are and-ed with every check.
+    # Certificates start as vacuously true and are and-ed with every check;
+    # gap certificates get their verdicts after the loop.
     certs: dict[str, bool] = {}
     if check_step:
         certs[bnd.PER_STEP] = True
     gap_certs = policy.certificates(ks, L) if check_gap else []
     certs.update((cert.label, True) for cert in gap_certs)
-    # (certificate, label of the average it reads, bound label), per iteration
-    running = [(c.label, scheme_label(c.k), c.bound) for c in gap_certs if c.horizon is None]
+    watches = {cert.label: bnd.GapWatch() for cert in gap_certs}
+    # (watch, label of the average it reads, bound label), per iteration
+    running = [(watches[c.label], scheme_label(c.k), c.bound)
+               for c in gap_certs if c.horizon is None]
+    # sums of the minorants' slopes g_s and offsets f(x_s) - <g_s, x_s>
+    sum_minorants = f_star is None and bool(gap_certs)
+    g_sum = np.zeros(problem.dimension) if sum_minorants else None
+    c_sum = 0.0
+    minorants = 0
     monotone_ks = policy.monotone_ks(ks) if config.certify else ()
     monotone = [(i, bnd.monotone_label(k)) for i, k in enumerate(ks) if k in monotone_ks]
     certs.update((label, True) for _, label in monotone)
@@ -201,6 +221,10 @@ def run(problem: ProblemInstance, config: SolverConfig):
         g_norm = math.sqrt(float(g.dot(g)))
         if not math.isfinite(g_norm):
             raise NumericError(f"oracle subgradient has norm {g_norm} at iteration {s}")
+        if sum_minorants:
+            g_sum += g
+            c_sum += f_x - float(g.dot(x))
+            minorants += 1
         if value_at_image is None:
             point = x
         else:
@@ -276,9 +300,8 @@ def run(problem: ProblemInstance, config: SolverConfig):
                 avg_vals = {label: float(value_at_image(mean[:n], mean[n:]))
                             for label, mean in zip(labels, means)}
             bound_vals = bnd.bound_values(R, L, s_local, epoch_max_g, trackers)
-            for label, avg_label, bound in running:
-                if not bnd.check_certificate(avg_vals[avg_label] - f_star, bound_vals[bound]):
-                    certs[label] = False
+            for watch, avg_label, bound in running:
+                watch.push(avg_vals[avg_label] - bound_vals[bound])
 
         if trace is not None:
             trace.append(IterationRecord(
@@ -316,9 +339,23 @@ def run(problem: ProblemInstance, config: SolverConfig):
     final_bounds = bnd.bound_values(R, L, s_local, epoch_max_g, trackers) if s_local else {}
     # a horizon-tuned bound applies only after exactly its horizon
     for cert in gap_certs:
-        if cert.horizon is not None and s_local == cert.horizon and not bnd.check_certificate(
-                averaged_values[scheme_label(cert.k)] - f_star, final_bounds[cert.bound]):
-            certs[cert.label] = False
+        if cert.horizon is not None and s_local == cert.horizon:
+            watches[cert.label].push(
+                averaged_values[scheme_label(cert.k)] - final_bounds[cert.bound])
+
+    if f_star is not None:
+        bracket = (f_star, f_star)
+    elif minorants:
+        bracket = ((c_sum + min_linear(g_sum)) / minorants, best.best_value)
+    else:
+        bracket = None
+    undecided = []
+    low, high = bracket or (-math.inf, math.inf)
+    for label, watch in watches.items():
+        verdict = watch.verdict(low, high)
+        certs[label] = verdict == bnd.PROVEN
+        if verdict == bnd.UNDECIDED:
+            undecided.append(label)
 
     report = RunReport(
         problem=problem.name,
@@ -334,5 +371,7 @@ def run(problem: ProblemInstance, config: SolverConfig):
         bounds=final_bounds,
         certificates=certs,
         optimum_is_reference=problem.optimum_is_reference,
+        optimum_bracket=bracket,
+        undecided=undecided,
     )
     return report, trace

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -48,7 +49,6 @@ class TestConfigParsing:
             "iterations": 100,
             "initial_point": {"random": 7},
             "restart_factor": 10.0,
-            "reference_iterations": 0,
         }
         config = parse_config(data)
         assert parse_config(config_to_dict(config)) == config
@@ -102,8 +102,14 @@ class TestConfigParsing:
             "problem": {"kind": "lasso", "seed": 1, "n": 8, "m": 6},
             "policy": {"kind": "classic"},
             "iterations": 5,
-            "reference_iterations": 0,
         })
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
+
+    def test_reference_iterations_is_an_unknown_field(self, tmp_path):
+        data = dict(ABS_CONFIG, reference_iterations=20000)
+        with pytest.raises(ConfigError, match="reference_iterations: unknown field"):
+            parse_config(data)
+        cfg = write_config(tmp_path / "c.json", data)
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
 
     def test_json_decode_error_reports_line(self, tmp_path):
@@ -181,17 +187,45 @@ class TestRunCommand:
         names = sorted(p.name for p in (tmp_path / "traces").iterdir())
         assert names == ["run__0_family_a1.csv", "run__1_classic.csv", "run__2_nesterov.csv"]
 
-    def test_lasso_gets_reference_optimum(self, tmp_path):
+    def test_lasso_certifies_against_its_own_bracket(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {
             "problem": {"kind": "lasso", "seed": 1, "n": 8, "m": 6,
                         "radius": 5.0, "lambda": 1.0},
             "policy": {"kind": "family"},
             "iterations": 50,
         })
-        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path), "--strict"]) == 0
         cell = json.loads((tmp_path / "summary.json").read_text())["cells"][0]
-        assert cell["optimum_is_reference"] is True
-        assert cell["certificates"]["family"] is True
+        assert cell["optimum_is_reference"] is False
+        assert cell["optimum_bracket"]["low"] <= cell["best_value"]
+        assert cell["optimum_bracket"]["high"] == cell["best_value"]
+        assert cell["certificates"] == {"family": True, "weak_k0": True, "monotone_k0": True}
+        assert cell["undecided"] == []
+
+    @pytest.mark.parametrize("name,calls", [("lasso_desk.json", 4006), ("sweep_a.json", 10005)])
+    def test_shipped_lasso_oracle_calls(self, tmp_path, monkeypatch, name, calls):
+        # cells x iterations, plus one final call per cell and average
+        import pathlib
+
+        import psg.cli
+
+        count = [0]
+        build = psg.cli.build_problem
+
+        def counted_build(spec):
+            problem = build(spec)
+            oracle = problem.oracle
+
+            def counted(x):
+                count[0] += 1
+                return oracle(x)
+
+            return dataclasses.replace(problem, oracle=counted)
+
+        monkeypatch.setattr(psg.cli, "build_problem", counted_build)
+        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / name
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path), "--strict"]) == 0
+        assert count[0] == calls
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
@@ -209,14 +243,13 @@ class TestRunCommand:
             "problem": {"kind": "lasso-file", "path": str(tmp_path / "huge.csv")},
             "policy": {"kind": "family"},
             "iterations": 5,
-            "reference_iterations": 0,
         })
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         cell = json.loads((tmp_path / "summary.json").read_text())["cells"][0]
         assert cell["status"] == "failed"
         assert "iteration" in cell["error"]
 
-    def test_strict_flags_forced_violation(self, tmp_path):
+    def test_strict_flags_forced_violation(self, tmp_path, capsys):
         # planting an impossibly low optimum makes every gap certificate fail
         cfg = write_config(tmp_path / "c.json", {
             "problem": {"kind": "abs", "dim": 1, "f_star": -1000.0},
@@ -227,6 +260,22 @@ class TestRunCommand:
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path),
                      "--strict"]) == 3
+        assert "certificate refuted: family_a1: family" in capsys.readouterr().err
+        cell = json.loads((tmp_path / "summary.json").read_text())["cells"][0]
+        assert cell["optimum_bracket"] == {"low": -1000.0, "high": -1000.0}
+        assert cell["undecided"] == []
+
+    def test_strict_names_undecided_certificates(self, tmp_path, monkeypatch, capsys):
+        import psg.cli
+
+        cell = {"policy": "family_a1", "status": "ok", "undecided": ["weak_k0"],
+                "certificates": {"family": True, "weak_k0": False, "monotone_k0": True}}
+        monkeypatch.setattr(psg.cli, "run_experiment",
+                            lambda config, out_dir=None: {"cells": [cell]})
+        cfg = write_config(tmp_path / "c.json", ABS_CONFIG)
+        assert main(["run", "--config", cfg]) == 0
+        assert main(["run", "--config", cfg, "--strict"]) == 3
+        assert capsys.readouterr().err == "certificate undecided: family_a1: weak_k0\n"
 
 
 class TestGenLasso:
@@ -247,7 +296,6 @@ class TestGenLasso:
             "problem": {"kind": "lasso-file", "path": str(out)},
             "policy": {"kind": "family"},
             "iterations": 20,
-            "reference_iterations": 200,
         })
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
 
@@ -331,8 +379,12 @@ def test_shipped_desk_config_runs_clean(tmp_path):
     trace_files = [c["trace_path"] for c in summary["cells"]]
     assert all(f and pathlib.Path(f).exists() for f in trace_files)
     fam = next(c for c in summary["cells"] if c["policy"] == "family_a1")
-    assert fam["certificates"]["family"] is True
-    assert fam["optimum_is_reference"] is True
+    assert fam["optimum_bracket"]["low"] <= fam["best_value"]
+    for cell in summary["cells"]:
+        assert cell["certificates"] and all(cell["certificates"].values())
+        assert cell["undecided"] == []
+    assert set(fam["certificates"]) == {"family", "weak_k-1", "weak_k0", "weak_k2",
+                                        "monotone_k-1", "monotone_k0", "monotone_k2"}
 
 
 def _reject_constant(name):

@@ -305,9 +305,16 @@ class TestCertificateGating:
         assert report.certificates["constant"]
 
     def test_no_optimum_means_no_gap_certificates(self):
+        # a projector without min_linear cannot bracket f*
+        class ProjectOnly:
+            def __init__(self, box):
+                self.dimension = box.dimension
+                self.project = box.project
+
         base = make_abs_problem(2)
         problem = ProblemInstance(name="anon", dimension=2, oracle=base.oracle,
-                                  projector=base.projector, radius_R=base.radius_R)
+                                  projector=ProjectOnly(base.projector),
+                                  radius_R=base.radius_R)
         config = SolverConfig(max_iterations=30, initial_point=np.array([0.7, -0.4]),
                               policy=FamilyPolicy(R=problem.radius_R), weight_ks=(0.0,))
         report, _ = run(problem, config)
@@ -315,6 +322,19 @@ class TestCertificateGating:
         assert "per_step" not in report.certificates
         assert report.certificates["monotone_k0"]
         assert "family" in report.bounds  # bound values still reported
+        assert report.optimum_bracket is None and report.undecided == []
+
+    def test_no_optimum_brackets_through_the_projector(self):
+        base = make_abs_problem(2)
+        problem = ProblemInstance(name="anon", dimension=2, oracle=base.oracle,
+                                  projector=base.projector, radius_R=base.radius_R)
+        config = SolverConfig(max_iterations=30, initial_point=np.array([0.7, -0.4]),
+                              policy=FamilyPolicy(R=problem.radius_R), weight_ks=(0.0,))
+        report, _ = run(problem, config)
+        low, high = report.optimum_bracket
+        assert low <= 0.0 <= high == report.best_value
+        assert report.certificates == {"family": True, "weak_k0": True, "monotone_k0": True}
+        assert "per_step" not in report.certificates  # needs the optimum point
 
     @pytest.mark.parametrize("with_point", [True, False])
     @pytest.mark.parametrize("with_L", [True, False])
@@ -598,10 +618,11 @@ class TestHotLoopChecks:
         with pytest.raises(NumericError, match="norm inf at iteration 1"):
             run(problem, config)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_huge_step_projects_onto_the_ball(self):
         # min x[0] over the unit ball: the first step is about -1.2e160 along
-        # x[0], whose squared norm overflows; it must land on [-1, 0]
+        # x[0], whose squared norm overflows; it must land on [-1, 0], and
+        # without a numpy overflow warning
         def oracle(x):
             return SubgradientResult(float(x[0]), np.array([1.0, 0.0]))
 
