@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import InvalidParameterError, leq_with_tol
+from .core import REL_TOL, InvalidParameterError, leq_with_tol
 
 
 def constant_bound(R: float, L: float, t: int) -> float:
@@ -132,33 +132,51 @@ UNDECIDED = "undecided"
 
 
 class GapWatch:
-    """Worst excess max_s (f(x_avg_s) - bound_s) of one gap certificate over a run.
+    """The one (f(x_avg_s), bound_s) pair that decides a gap certificate over a run.
 
-    The certificate claims f(x_avg_s) - f* <= bound_s at every checked s,
-    that is worst <= f*. Knowing only low <= f* <= high, it is proven when
-    worst <= low and refuted when worst > high (both up to the package
-    tolerance); a known optimum is the bracket [f*, f*]. A nonfinite excess
-    makes the certificate unprovable.
+    The certificate claims f(x_avg_s) - f* <= bound_s at every checked s, each
+    up to the package tolerance, which scales with the gap and the bound, not
+    with f. For bound_s >= 0 that check, ``leq_with_tol(gap, bound)``, holds
+    iff (1 - REL_TOL) gap - bound <= ABS_TOL, so the pair with the largest
+    (1 - REL_TOL) f(x_avg_s) - bound_s fails first whatever f* is; the watch
+    keeps only that pair (its key taken relative to the first value pushed,
+    so that a large offset in f does not round the keys). Knowing only
+    low <= f* <= high, the pair is checked against both ends after the run:
+    refuted when it fails at high, proven when it holds at low and the
+    bracket is finite and ordered, undecided otherwise. A known optimum is
+    the bracket [f*, f*]. A nonfinite pair makes the certificate unprovable.
     """
 
-    __slots__ = ("worst", "provable")
+    __slots__ = ("avg", "bound", "provable", "_origin", "_key")
 
     def __init__(self):
-        self.worst = -math.inf
+        self.avg = None
+        self.bound = None
         self.provable = True
+        self._origin = None
+        self._key = -math.inf
 
-    def push(self, excess: float) -> None:
-        if not math.isfinite(excess):
+    def push(self, avg: float, bound: float) -> None:
+        if not (math.isfinite(avg) and math.isfinite(bound)):
             self.provable = False
-        elif excess > self.worst:
-            self.worst = excess
+            return
+        if self._origin is None:
+            self._origin = avg
+        key = (1.0 - REL_TOL) * (avg - self._origin) - bound
+        if key > self._key:
+            self._key = key
+            self.avg = avg
+            self.bound = bound
 
     def verdict(self, low: float, high: float) -> str:
-        """PROVEN, REFUTED or UNDECIDED; refuted wins, so a crossed bracket never proves."""
-        if not leq_with_tol(self.worst, high):
+        """PROVEN, REFUTED or UNDECIDED; a crossed or unbounded bracket never proves."""
+        if self.avg is None:  # nothing finite was checked
+            return PROVEN if self.provable else UNDECIDED
+        if not leq_with_tol(self.avg - high, self.bound):
             return REFUTED
-        # worst = -inf: nothing was checked
-        if self.provable and (self.worst == -math.inf or leq_with_tol(self.worst, low)):
+        # a crossed bracket means some subgradient gave no minorant
+        if (self.provable and math.isfinite(low) and leq_with_tol(low, high)
+                and leq_with_tol(self.avg - low, self.bound)):
             return PROVEN
         return UNDECIDED
 

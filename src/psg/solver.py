@@ -118,8 +118,10 @@ def run(problem: ProblemInstance, config: SolverConfig):
     oracle call gives the minorant f(z) >= f(x_s) + <g_s, z - x_s>, and the
     minimum of their uniform mean over the feasible set is f_low <= f*
     (summed across restarts), while f* <= f_best. Each gap certificate keeps
-    its worst excess max_s (f(x_avg_s) - bound_s) and is proven, refuted or
-    undecided against the bracket after the loop (:class:`bounds.GapWatch`);
+    the one (f(x_avg_s), bound_s) pair that fails its tolerance check first
+    whatever f* is, and is proven, refuted or undecided by checking
+    f(x_avg_s) - f_low and f(x_avg_s) - f_best against bound_s after the
+    loop (:class:`bounds.GapWatch`);
     ``certificates`` holds True only for proven ones, ``undecided`` names
     the undecided ones, and ``optimum_bracket`` is the bracket used.
 
@@ -301,7 +303,7 @@ def run(problem: ProblemInstance, config: SolverConfig):
                             for label, mean in zip(labels, means)}
             bound_vals = bnd.bound_values(R, L, s_local, epoch_max_g, trackers)
             for watch, avg_label, bound in running:
-                watch.push(avg_vals[avg_label] - bound_vals[bound])
+                watch.push(avg_vals[avg_label], bound_vals[bound])
 
         if trace is not None:
             trace.append(IterationRecord(
@@ -341,7 +343,7 @@ def run(problem: ProblemInstance, config: SolverConfig):
     for cert in gap_certs:
         if cert.horizon is not None and s_local == cert.horizon:
             watches[cert.label].push(
-                averaged_values[scheme_label(cert.k)] - final_bounds[cert.bound])
+                averaged_values[scheme_label(cert.k)], final_bounds[cert.bound])
 
     if f_star is not None:
         bracket = (f_star, f_star)

@@ -35,34 +35,63 @@ from psg.core import leq_with_tol
 
 class TestGapWatch:
     @staticmethod
-    def watch(*excesses):
+    def watch(*pairs):
         w = GapWatch()
-        for excess in excesses:
-            w.push(excess)
+        for avg, bound in pairs:
+            w.push(avg, bound)
         return w
 
     def test_nothing_checked_is_proven(self):
         assert GapWatch().verdict(-1.0, 1.0) == PROVEN
 
     def test_three_verdicts(self):
-        w = self.watch(-5.0, 0.5, -2.0)
-        assert w.worst == 0.5
+        w = self.watch((-4.0, 1.0), (1.5, 1.0), (-1.0, 1.0))
         assert w.verdict(1.0, 2.0) == PROVEN
         assert w.verdict(0.0, 2.0) == UNDECIDED
         assert w.verdict(-1.0, 0.25) == REFUTED
 
     def test_degenerate_bracket_decides(self):
-        w = self.watch(0.5)
+        w = self.watch((1.5, 1.0))
         assert w.verdict(0.5, 0.5) == PROVEN
         assert w.verdict(0.4, 0.4) == REFUTED
 
     def test_crossed_bracket_never_proves(self):
-        assert self.watch(0.5).verdict(1.0, 0.0) == REFUTED
+        assert self.watch((1.5, 1.0)).verdict(1.0, 0.0) == REFUTED
+        assert self.watch((0.0, 1.0)).verdict(1.0, 0.0) == UNDECIDED
+
+    def test_unbounded_bracket_never_proves(self):
+        assert self.watch((0.0, 1.0)).verdict(-math.inf, math.inf) == UNDECIDED
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_nonfinite_excess_is_never_proven(self, bad):
-        assert self.watch(-3.0, bad).verdict(0.0, 1.0) == UNDECIDED
-        assert self.watch(bad, 2.0).verdict(0.0, 1.0) == REFUTED
+    def test_nonfinite_pair_is_never_proven(self, bad):
+        assert self.watch((-2.0, 1.0), (bad, 1.0)).verdict(0.0, 1.0) == UNDECIDED
+        assert self.watch((-2.0, 1.0), (0.0, bad)).verdict(0.0, 1.0) == UNDECIDED
+        assert self.watch((bad, 1.0), (3.0, 1.0)).verdict(0.0, 1.0) == REFUTED
+
+    @pytest.mark.parametrize("f_star", [0.0, 1e9, -1e9])
+    def test_tolerance_scales_with_gap_not_offset(self, f_star):
+        # gap 1.0 against bound 0.5 is false whatever the objective's offset
+        w = self.watch((f_star + 1.0, 0.5))
+        assert w.verdict(f_star, f_star) == REFUTED
+        assert w.verdict(f_star - 1.0, f_star + 0.5) == UNDECIDED
+
+    def test_decides_as_every_pair_checked_alone(self):
+        # the largest gap - bound need not be the first pair to fail the
+        # tolerance: (1 + 1e-9, 1) passes it, (1e-3 + 5e-10, 1e-3) does not
+        pairs = [(1.0 + 1e-9, 1.0), (1e-3 + 5e-10, 1e-3)]
+        assert leq_with_tol(*pairs[0]) and not leq_with_tol(*pairs[1])
+        for order in (pairs, pairs[::-1]):
+            assert self.watch(*order).verdict(0.0, 0.0) == REFUTED
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(0.0, 1e3)),
+                    min_size=1, max_size=8),
+           st.sampled_from([0.0, 1e9, -1e9]), st.floats(-1e3, 1e3))
+    def test_known_optimum_matches_per_pair_check(self, pairs, offset, f_star):
+        f_star += offset
+        w = self.watch(*((f_star + gap, bound) for gap, bound in pairs))
+        every = all(leq_with_tol((f_star + gap) - f_star, bound) for gap, bound in pairs)
+        assert w.verdict(f_star, f_star) == (PROVEN if every else REFUTED)
 
 
 def _known_optimum_problem(draw):
@@ -147,25 +176,46 @@ def test_bracket_holds_and_no_certificate_is_refuted(drawn):
                if label.startswith("monotone_"))
 
 
-@pytest.mark.parametrize("name", ["lasso", "abs"])
+def _offset_abs_problem(offset, known):
+    """f(x) = offset + ||x||_1 on [-1, 1]^2, with its optimum value given or hidden."""
+    base = make_abs_problem(2)
+
+    def oracle(x):
+        res = base.oracle(x)
+        return SubgradientResult(offset + res.value, res.subgradient)
+
+    return dataclasses.replace(base, name="abs_offset", oracle=oracle,
+                               known_optimum_value=offset if known else None,
+                               known_optimum_point=np.zeros(2) if known else None)
+
+
+@pytest.mark.parametrize("name", ["lasso", "abs", "abs_offset", "abs_offset_hidden"])
 def test_understated_bound_is_never_proven(name):
     # every declared bound is linear in R, so declaring R / 1000 to the
     # problem understates each by 1000x while the policy's steps stay the same
     if name == "lasso":
         problem, x1 = make_lasso(seed=1, n=16, m=10, radius=50.0), np.zeros(16)
-    else:
+    elif name == "abs":
         problem, x1 = make_abs_problem(2), np.array([0.7, -0.4])
+    else:
+        # gaps below 0.5 and bounds understated below them while f* = 1e9: a
+        # tolerance relative to the objective's values would accept them all
+        problem = _offset_abs_problem(1e9, known=name == "abs_offset")
+        x1 = np.array([0.3, -0.2])
     R = problem.radius_R
     policy = FamilyPolicy(R=R)
     config = SolverConfig(max_iterations=200, initial_point=x1, policy=policy,
                           weight_ks=(-1.0, 0.0, 2.0))
-    honest, _ = run(problem, config)
-    assert all(honest.certificates.values())
-
-    report, _ = run(dataclasses.replace(problem, radius_R=R / 1000.0), config)
     gap_labels = [c.label for c in policy.certificates(config.weight_ks, None)]
     assert gap_labels
+    honest, _ = run(problem, config)
+    # (the per-step check reads f(x_s) - f* below the rounding of f at 1e9)
+    assert all(honest.certificates[label] for label in gap_labels)
+    if not name.startswith("abs_offset"):
+        assert all(honest.certificates.values())
+
+    report, _ = run(dataclasses.replace(problem, radius_R=R / 1000.0), config)
     for label in gap_labels:
         assert report.certificates[label] is False
-    if name == "abs":  # a known optimum decides every certificate
+    if name in ("abs", "abs_offset"):  # a known optimum decides every certificate
         assert report.undecided == []
