@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 
-from psg.cli import load_config, run_experiment
+from psg.cli import load_config, read_trace_csv, run_experiment
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 OUT = os.path.join(HERE, "demo_output")
@@ -28,12 +28,7 @@ for cell in summary["cells"]:
 
 print("\nlast-500-iteration stability of the raw objective values:")
 for cell in summary["cells"]:
-    trace_file = cell["trace_path"]
-    with open(trace_file, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        f_idx = header.index("f_x")
-        f_vals = np.array([float(line.split(",")[f_idx]) for line in fh])
-    tail = f_vals[-500:]
+    tail = read_trace_csv(cell["trace_path"]).columns["f_x"][-500:]
     print(f"  {cell['policy']:<12} std = {np.std(tail, ddof=1):10.4f}   "
           f"(mean {np.mean(tail):10.4f})")
 

@@ -13,10 +13,10 @@ optimality gap of an averaged (or best) iterate after t iterations:
   (t^((k+1)/2) + sum_{s<=t} s^((k-1)/2)) / (2 sum_{s<=t} s^(k/2))
   * R * max_{s<=t} ||g_s||, valid for the family step and any k >= -1.
 
-A certificate passes when the observed gap does not exceed the bound up to
-the package tolerance. A run that knows f* only as a bracket
-``low <= f* <= high`` checks every gap certificate through
-:class:`GapWatch`: proven, refuted or undecided.
+The first four also apply elementwise to an array of iteration counts t.
+:func:`evaluate` is the one place a run's bounds and certificates are
+computed, from its per-iteration columns: by the solver after its loop, and
+by ``psg check`` on a stored trace.
 """
 
 from __future__ import annotations
@@ -25,28 +25,58 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import REL_TOL, InvalidParameterError, leq_with_tol
+import numpy as np
+
+from .averaging import WeightRule
+from .core import REL_TOL, InvalidParameterError, leq_with_tol, scheme_label
 
 
-def constant_bound(R: float, L: float, t: int) -> float:
+def _per_t(fn, t, cumulative: bool = False):
+    """fn(t), or with `cumulative` fn(1) + ... + fn(t) in order, elementwise over ints t >= 1.
+
+    The terms are Python floats: numpy's power, sqrt and log differ from
+    Python's in the last bit on some terms, and columns must equal scalars.
+    """
+    if np.ndim(t) == 0:
+        return fn(t)
+    table = np.array([fn(u) for u in range(1, int(np.max(t, initial=0)) + 1)],
+                     dtype=np.float64)
+    return (np.cumsum(table) if cumulative else table)[t - 1]
+
+
+def _root(t):  # Python's t ** 0.5, not sqrt: they differ in the last bit on some t
+    return t ** 0.5
+
+
+def constant_bound(R: float, L: float, t) -> float:
     """Gap bound R*L/sqrt(t) for the uniform mean under the constant step."""
-    return R * L / t ** 0.5
+    return R * L / _per_t(_root, t)
 
-def classic_bound(R: float, L: float, t: int) -> float:
+def classic_bound(R: float, L: float, t) -> float:
     """Gap bound 1.5*R*L/sqrt(t) for the uniform mean under the classic step."""
-    return 1.5 * R * L / t ** 0.5
+    return 1.5 * R * L / _per_t(_root, t)
 
-def nesterov_bound(R: float, L: float, t: int) -> float:
+def nesterov_bound(R: float, L: float, t) -> float:
     """Gap bound (2RL + RL*ln t) / (4(sqrt(t+1)-1)) for the step-weighted mean."""
-    return (2.0 * R * L + R * L * math.log(t)) / (4.0 * ((t + 1.0) ** 0.5 - 1.0))
+    return ((2.0 * R * L + R * L * _per_t(math.log, t))
+            / (4.0 * (_per_t(lambda u: (u + 1.0) ** 0.5, t) - 1.0)))
 
-def family_bound(R: float, t: int, max_g_norm: float) -> float:
+def family_bound(R: float, t, max_g_norm) -> float:
     """Gap bound 1.5*R*max||g||/sqrt(t) for the uniform mean under the family step.
 
     Coincides with :func:`classic_bound` when ``max_g_norm`` equals the
     Lipschitz constant.
     """
-    return 1.5 * R * max_g_norm / t ** 0.5
+    return 1.5 * R * max_g_norm / _per_t(_root, t)
+
+
+def _weak_exponents(k: float) -> tuple:
+    """Powers of s in the weak bound: its top term and the terms of its two sums."""
+    return 0.5 * (k + 1.0), 0.5 * (k - 1.0), 0.5 * k
+
+
+def _weak_bound(top, sum_low, sum_mid, R: float, max_g_norm):
+    return (top + sum_low) / (2.0 * sum_mid) * R * max_g_norm
 
 
 def weak_ergodic_bound(R: float, t: int, k: float, max_g_norm: float) -> float:
@@ -62,50 +92,34 @@ def weak_ergodic_bound(R: float, t: int, k: float, max_g_norm: float) -> float:
 class WeakBoundSums:
     """The two power sums of :func:`weak_ergodic_bound`, one term per push.
 
-    Plain ascending accumulation: at t = 1e6 the sums stay within 1e-11
-    relative of exactly rounded ones, far inside the certificate tolerance.
+    Plain ascending accumulation, as :func:`evaluate` sums each epoch: at
+    t = 1e6 the sums stay within 1e-11 relative of exactly rounded ones.
     """
 
-    __slots__ = ("k", "label", "t", "_sum_low", "_sum_mid")
+    __slots__ = ("k", "label", "t", "_sum_low", "_sum_mid", "_exponents")
 
     def __init__(self, k: float):
         self.label = weak_label(k)
         self.k = float(k)
-        self.t = 0
-        self._sum_low = 0.0   # sum of s^((k-1)/2)
-        self._sum_mid = 0.0   # sum of s^(k/2)
+        self._exponents = _weak_exponents(self.k)
+        self.reset()
 
     def push(self) -> None:
         self.t += 1
-        self._sum_low += self.t ** (0.5 * (self.k - 1.0))
-        self._sum_mid += self.t ** (0.5 * self.k)
+        _, low, mid = self._exponents
+        self._sum_low += self.t ** low
+        self._sum_mid += self.t ** mid
 
     def bound(self, R: float, max_g_norm: float) -> float:
         if self.t == 0:
             raise InvalidParameterError("no iterations pushed yet")
-        numerator = self.t ** (0.5 * (self.k + 1.0)) + self._sum_low
-        return numerator / (2.0 * self._sum_mid) * R * max_g_norm
+        top = self.t ** self._exponents[0]
+        return _weak_bound(top, self._sum_low, self._sum_mid, R, max_g_norm)
 
     def reset(self) -> None:
         self.t = 0
-        self._sum_low = 0.0
-        self._sum_mid = 0.0
-
-
-def bound_values(R: float, L: Optional[float], t: int, max_g_norm: float,
-                 sums=()) -> dict:
-    """Every bound that applies after `t` iterations (`sums` pushed `t` times), by label.
-
-    The classic, constant and nesterov bounds need the Lipschitz bound `L`.
-    """
-    values = {FAMILY: family_bound(R, t, max_g_norm)}
-    for tracker in sums:
-        values[tracker.label] = tracker.bound(R, max_g_norm)
-    if L is not None:
-        values[CLASSIC] = classic_bound(R, L, t)
-        values[CONSTANT] = constant_bound(R, L, t)
-        values[NESTEROV] = nesterov_bound(R, L, t)
-    return values
+        self._sum_low = 0.0   # sum of s^((k-1)/2)
+        self._sum_mid = 0.0   # sum of s^(k/2)
 
 
 @dataclass(frozen=True)
@@ -131,54 +145,90 @@ REFUTED = "refuted"
 UNDECIDED = "undecided"
 
 
-class GapWatch:
-    """The one (f(x_avg_s), bound_s) pair that decides a gap certificate over a run.
+def gap_verdict(avg, bound, low: float, high: float) -> str:
+    """PROVEN, REFUTED or UNDECIDED: avg_s - f* <= bound_s at every s, for low <= f* <= high.
 
-    The certificate claims f(x_avg_s) - f* <= bound_s at every checked s, each
-    up to the package tolerance, which scales with the gap and the bound, not
-    with f. For bound_s >= 0 that check, ``leq_with_tol(gap, bound)``, holds
-    iff (1 - REL_TOL) gap - bound <= ABS_TOL, so the pair with the largest
-    (1 - REL_TOL) f(x_avg_s) - bound_s fails first whatever f* is; the watch
-    keeps only that pair (its key taken relative to the first value pushed,
-    so that a large offset in f does not round the keys). Knowing only
-    low <= f* <= high, the pair is checked against both ends after the run:
-    refuted when it fails at high, proven when it holds at low and the
-    bracket is finite and ordered, undecided otherwise. A known optimum is
-    the bracket [f*, f*]. A nonfinite pair makes the certificate unprovable.
+    For bound_s >= 0 the check ``leq_with_tol(gap, bound)`` holds iff
+    (1 - REL_TOL) gap - bound <= ABS_TOL, so the first pair with the largest
+    (1 - REL_TOL) avg_s - bound_s (taken relative to the first avg, lest a
+    large offset in f round it) fails first whatever f* is. It is refuted
+    when it fails at high, proven when it holds at low on a finite, ordered
+    bracket, undecided otherwise. A nonfinite pair makes the claim
+    unprovable; no pair at all proves it. A known optimum is [f*, f*].
     """
+    avg, bound = np.asarray(avg, dtype=np.float64), np.asarray(bound, dtype=np.float64)
+    finite = np.isfinite(avg) & np.isfinite(bound)
+    provable = bool(finite.all())
+    if not finite.any():
+        return PROVEN if provable else UNDECIDED
+    avg, bound = avg[finite], bound[finite]
+    worst = int(np.argmax((1.0 - REL_TOL) * (avg - avg[0]) - bound))
+    avg, bound = float(avg[worst]), float(bound[worst])
+    if not leq_with_tol(avg - high, bound):
+        return REFUTED
+    # a crossed bracket means some subgradient gave no minorant
+    if (provable and math.isfinite(low) and leq_with_tol(low, high)
+            and leq_with_tol(avg - low, bound)):
+        return PROVEN
+    return UNDECIDED
 
-    __slots__ = ("avg", "bound", "provable", "_origin", "_key")
 
-    def __init__(self):
-        self.avg = None
-        self.bound = None
-        self.provable = True
-        self._origin = None
-        self._key = -math.inf
+def _nondecreasing(x: np.ndarray, new_epoch: np.ndarray) -> bool:
+    """x_{s-1} <= x_s up to the package tolerance within every epoch."""
+    prev, cur = x[:-1], x[1:]
+    # a pair with prev <= cur passes the tolerance check without it
+    suspects = np.flatnonzero(~new_epoch[1:] & ~(prev <= cur))
+    return all(leq_with_tol(float(prev[i]), float(cur[i])) for i in suspects)
 
-    def push(self, avg: float, bound: float) -> None:
-        if not (math.isfinite(avg) and math.isfinite(bound)):
-            self.provable = False
-            return
-        if self._origin is None:
-            self._origin = avg
-        key = (1.0 - REL_TOL) * (avg - self._origin) - bound
-        if key > self._key:
-            self._key = key
-            self.avg = avg
-            self.bound = bound
 
-    def verdict(self, low: float, high: float) -> str:
-        """PROVEN, REFUTED or UNDECIDED; a crossed or unbounded bracket never proves."""
-        if self.avg is None:  # nothing finite was checked
-            return PROVEN if self.provable else UNDECIDED
-        if not leq_with_tol(self.avg - high, self.bound):
-            return REFUTED
-        # a crossed bracket means some subgradient gave no minorant
-        if (self.provable and math.isfinite(low) and leq_with_tol(low, high)
-                and leq_with_tol(self.avg - low, self.bound)):
-            return PROVEN
-        return UNDECIDED
+def evaluate(policy, ks, R: float, L: Optional[float], columns: dict,
+             bracket: Optional[tuple] = None) -> tuple:
+    """(bounds, certificates, undecided) of a run, from its per-iteration columns.
+
+    `columns` maps ``epoch`` (the restart count), ``eta`` and ``g_norm`` to
+    one entry per iteration, and ``f_avg_k<k>`` to the objective at the
+    k-weighted mean after each (only the last entry is read when no
+    certificate without a horizon reads it). Each epoch restarts the bounds:
+    t counts its rows and max||g|| runs over them. `L` adds the classic,
+    constant and nesterov bound columns. Given ``bracket = (low, high)``,
+    each ``policy.certificates`` gap certificate is True iff proven by
+    :func:`gap_verdict` over every row, or over the last row if its epoch
+    has exactly the horizon; `undecided` names those neither proven nor
+    refuted. ``monotone_k<k>``, for k in ``policy.monotone_ks``, is True iff
+    w_s / eta_s never decreases within an epoch.
+    """
+    eta = np.asarray(columns["eta"], dtype=np.float64)
+    new_epoch = np.diff(columns["epoch"], prepend=-1) != 0
+    starts = np.flatnonzero(new_epoch)
+    t = np.arange(len(eta)) - np.repeat(starts, np.diff(starts, append=len(eta))) + 1
+    max_g = np.concatenate([np.maximum.accumulate(part) for part in
+                            np.split(np.asarray(columns["g_norm"], dtype=np.float64), starts[1:])])
+
+    bounds = {FAMILY: family_bound(R, t, max_g)}
+    for k in ks:
+        top, low, mid = _weak_exponents(float(k))
+        bounds[weak_label(k)] = _weak_bound(
+            _per_t(lambda u: u ** top, t), _per_t(lambda u: u ** low, t, cumulative=True),
+            _per_t(lambda u: u ** mid, t, cumulative=True), R, max_g)
+    if L is not None:
+        bounds[CLASSIC] = classic_bound(R, L, t)
+        bounds[CONSTANT] = constant_bound(R, L, t)
+        bounds[NESTEROV] = nesterov_bound(R, L, t)
+
+    certificates, undecided = {}, []
+    for cert in policy.certificates(ks, L) if bracket is not None else ():
+        avg, bound = columns[f"f_avg_{scheme_label(cert.k)}"], bounds[cert.bound]
+        if cert.horizon is not None:
+            decided = len(t) and t[-1] == cert.horizon
+            avg, bound = (avg[-1:], bound[-1:]) if decided else ((), ())
+        verdict = gap_verdict(avg, bound, *bracket)
+        certificates[cert.label] = verdict == PROVEN
+        if verdict == UNDECIDED:
+            undecided.append(cert.label)
+    for k in policy.monotone_ks(ks):
+        ratio = WeightRule(k)(t, eta) / eta
+        certificates[monotone_label(k)] = _nondecreasing(ratio, new_epoch)
+    return bounds, certificates, undecided
 
 
 def weak_label(k: float) -> str:

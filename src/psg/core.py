@@ -13,6 +13,9 @@ import numpy as np
 # absolute part handles comparisons near zero.
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
+# A difference of two computed objective values near |f| carries their rounding:
+# it is allowed VALUE_ROUNDING * |f| (64 units in the last place) more.
+VALUE_ROUNDING = 2.0 ** -46
 
 
 class InvalidParameterError(ValueError):
@@ -170,15 +173,18 @@ class StopReason(str, Enum):
 class IterationRecord:
     """One row of a solver trace.
 
-    `big_G` is the running maximum of step-scaled subgradient norms maintained
-    by the norm-adaptive step-size family; it is None for policies that do not
-    track it. `averaged_values` maps averaging-scheme labels (``"k0"``,
-    ``"k-0.5"``, ...) to the objective value at the current weighted mean;
-    `bounds` maps bound labels (``"family"``, ``"weak_k0"``, ...) to the bound
-    value at this iteration.
+    `epoch` counts the restarts before iteration `s`; the bounds start over
+    with each epoch. `big_G` is the running maximum of step-scaled
+    subgradient norms maintained by the norm-adaptive step-size family; it is
+    None for policies that do not track it. `averaged_values` maps
+    averaging-scheme labels (``"k0"``, ``"k-0.5"``, ...) to the objective
+    value at the current weighted mean; `bounds` maps bound labels
+    (``"family"``, ``"weak_k0"``, ...) to the bound value at this iteration,
+    as :func:`psg.bounds.evaluate` computes it after the run.
     """
 
     s: int
+    epoch: int
     eta: float
     g_norm: float
     big_G: Optional[float]

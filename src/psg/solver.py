@@ -12,6 +12,8 @@ import numpy as np
 from . import bounds as bnd
 from .averaging import BestIterate, StreamingAverage, WeightRule
 from .core import (
+    ABS_TOL,
+    VALUE_ROUNDING,
     InvalidParameterError,
     IterationRecord,
     NumericError,
@@ -66,13 +68,13 @@ class SolverConfig:
         the objective at every tracked average each iteration.
     restart_factor : float, optional
         When set (> 1) and the policy tracks a running scaled-norm maximum G,
-        the run restarts (policy state, averages, and bound accumulators are
-        reset; the iterate is kept) whenever G exceeds this factor times its
-        value at the previous restart. Off by default.
+        the run restarts (policy state and averages are reset, a new epoch
+        of the bounds begins, the iterate is kept) whenever G exceeds this
+        factor times its value at the previous restart. Off by default.
     certify : bool
-        Evaluate the applicable convergence certificates while running.
-        Turning this off (together with ``record_trace=False``) skips all
-        per-iteration objective evaluations at averaged points.
+        Evaluate the applicable convergence certificates. Turning this off
+        (together with ``record_trace=False``) skips all per-iteration
+        objective evaluations at averaged points.
     """
 
     max_iterations: int
@@ -100,43 +102,36 @@ def run(problem: ProblemInstance, config: SolverConfig):
     objectives, so no threshold is applied).
 
     While running it maintains one weighted average per configured exponent
-    k, the best iterate, and the convergence certificates that provably
-    apply:
-
-    * per-step descent inequality
-      f(x_s) - f* <= (||x_s-x*||^2 - ||x_{s+1}-x*||^2) / (2 eta_s)
-      + eta_s ||g_s||^2 / 2 (any rule; needs the optimum point),
-    * the gap certificates the policy declares (``policy.certificates``),
-      each at every iteration, or, for one with a horizon, once after
-      exactly that many iterations at the report's averaged value,
-    * monotonicity of w_s / eta_s at the exponents the policy declares
-      (``policy.monotone_ks``).
+    k and the best iterate, checks the per-step descent inequality
+    f(x_s) - f* <= (||x_s-x*||^2 - ||x_{s+1}-x*||^2) / (2 eta_s)
+    + eta_s ||g_s||^2 / 2 (any rule; needs the optimum point; f_x - f* may
+    carry the rounding of f), and records per iteration the epoch (restarts
+    so far), eta_s, ||g_s|| and, when a trace or a per-iteration certificate
+    needs them, the values at the averages. After the loop
+    :func:`bounds.evaluate` turns those columns into every bound and into
+    the verdicts of the gap certificates the policy declares
+    (``policy.certificates``) and of the monotonicity of w_s / eta_s
+    (``policy.monotone_ks``); ``psg check`` runs it on a stored trace.
 
     Gap certificates need f*, or a bracket around it. A known optimum value
     is the bracket [f*, f*]. Without one, when the projector has
     ``min_linear``, the run brackets f* itself at no oracle cost: every
     oracle call gives the minorant f(z) >= f(x_s) + <g_s, z - x_s>, and the
     minimum of their uniform mean over the feasible set is f_low <= f*
-    (summed across restarts), while f* <= f_best. Each gap certificate keeps
-    the one (f(x_avg_s), bound_s) pair that fails its tolerance check first
-    whatever f* is, and is proven, refuted or undecided by checking
-    f(x_avg_s) - f_low and f(x_avg_s) - f_best against bound_s after the
-    loop (:class:`bounds.GapWatch`);
+    (summed across restarts), while f* <= f_best. Each gap certificate is
+    proven, refuted or undecided (:func:`bounds.gap_verdict`);
     ``certificates`` holds True only for proven ones, ``undecided`` names
     the undecided ones, and ``optimum_bracket`` is the bracket used.
 
-    Per-iteration gap certificates and traces need the objective at every
-    average in every iteration; a run with neither never evaluates it there.
-    When the problem sets ``value_at_image``, those values come from the
-    averaged oracle images without an oracle call; the report's averaged
-    values always come from the oracle.
-
-    Each iteration checks only what it produces: a finite oracle value, a
-    subgradient of the right shape with a finite norm, the image contract
-    (when read), a positive step, positive finite weights, one finite
-    averaged point [x_s; image_s] for all K averages (updated in one step)
-    and a finite x_s - eta_s g_s. Failures raise :class:`NumericError`
-    naming the iteration (:class:`InvalidParameterError` for a bad step).
+    When the problem sets ``value_at_image``, the values at the averages
+    come from the averaged oracle images without an oracle call; the
+    report's averaged values always come from the oracle. Each iteration
+    checks only what it produces: a finite oracle value, a subgradient of
+    the right shape with a finite norm, the image contract (when read), a
+    positive step, positive finite weights, one finite averaged point
+    [x_s; image_s] for all K averages and a finite x_s - eta_s g_s. Failures
+    raise :class:`NumericError` naming the iteration
+    (:class:`InvalidParameterError` for a bad step).
 
     Returns
     -------
@@ -155,10 +150,8 @@ def run(problem: ProblemInstance, config: SolverConfig):
     labels = [scheme_label(k) for k in ks]
 
     averages = StreamingAverage()
-    trackers = [bnd.WeakBoundSums(k) for k in ks]
     best = BestIterate()
 
-    R = problem.radius_R
     L = problem.lipschitz_L
     f_star = problem.known_optimum_value
     x_star = None
@@ -168,28 +161,16 @@ def run(problem: ProblemInstance, config: SolverConfig):
     min_linear = getattr(projector, "min_linear", None)
     check_gap = config.certify and (f_star is not None or min_linear is not None)
     check_step = config.certify and x_star is not None and f_star is not None
+    per_step = True
 
-    # Certificates start as vacuously true and are and-ed with every check;
-    # gap certificates get their verdicts after the loop.
-    certs: dict[str, bool] = {}
-    if check_step:
-        certs[bnd.PER_STEP] = True
     gap_certs = policy.certificates(ks, L) if check_gap else []
-    certs.update((cert.label, True) for cert in gap_certs)
-    watches = {cert.label: bnd.GapWatch() for cert in gap_certs}
-    # (watch, label of the average it reads, bound label), per iteration
-    running = [(watches[c.label], scheme_label(c.k), c.bound)
-               for c in gap_certs if c.horizon is None]
     # sums of the minorants' slopes g_s and offsets f(x_s) - <g_s, x_s>
     sum_minorants = f_star is None and bool(gap_certs)
     g_sum = np.zeros(problem.dimension) if sum_minorants else None
     c_sum = 0.0
     minorants = 0
-    monotone_ks = policy.monotone_ks(ks) if config.certify else ()
-    monotone = [(i, bnd.monotone_label(k)) for i, k in enumerate(ks) if k in monotone_ks]
-    certs.update((label, True) for _, label in monotone)
 
-    need_values = config.record_trace or bool(running)
+    need_values = config.record_trace or any(c.horizon is None for c in gap_certs)
     # With the problem's image hook, each average runs over the stacked
     # vectors [x_s; image_s], and values at averages come from the averaged
     # image instead of an oracle call.
@@ -197,15 +178,18 @@ def run(problem: ProblemInstance, config: SolverConfig):
     n = problem.dimension
     image_size: Optional[int] = None
 
+    # one entry per iteration; the bounds and certificates are computed from
+    # these after the loop
+    epochs: list[int] = []
+    etas: list[float] = []
+    g_norms: list[float] = []
+    avg_rows: list[list] = []
     trace: Optional[list[IterationRecord]] = [] if config.record_trace else None
 
-    max_g_global = 0.0
-    epoch_max_g = 0.0
+    epoch = 0
     s_local = 0
     G_ref: Optional[float] = None
-    prev_ratio: list[Optional[float]] = [None] * len(ks)
     stop = StopReason.BUDGET_EXHAUSTED
-    iterations_run = 0
     restart_factor = config.restart_factor
 
     for s in range(1, config.max_iterations + 1):
@@ -260,56 +244,38 @@ def run(problem: ProblemInstance, config: SolverConfig):
             raise InvalidParameterError(f"step size {eta!r} is not positive at iteration {s}")
 
         best.update(s, f_x, x)
-        if g_norm > max_g_global:
-            max_g_global = g_norm
-        if g_norm > epoch_max_g:
-            epoch_max_g = g_norm
-
         if rules:
-            weights = [rule(s_local, eta) for rule in rules]
             try:
-                averages.update(np.array(weights), point)
+                averages.update(np.array([rule(s_local, eta) for rule in rules]), point)
             except NumericError as exc:
                 raise NumericError(f"{exc} at iteration {s}") from None
-            for tracker in trackers:
-                tracker.push()
 
         y = x - eta * g
         if not np.isfinite(y).all():
             raise NumericError(f"step x - eta * g has nonfinite entries at iteration {s}")
         x_next = projector.project(y)
 
-        if check_step:
+        if check_step and per_step:
             d_now = x - x_star
             d_next = x_next - x_star
             rhs = (float(d_now @ d_now) - float(d_next @ d_next)) / (2.0 * eta) \
                 + 0.5 * eta * g_norm * g_norm
-            if not leq_with_tol(f_x - f_star, rhs):
-                certs[bnd.PER_STEP] = False
+            # f_x - f* also carries the rounding of f at its own magnitude
+            rounding = VALUE_ROUNDING * max(abs(f_x), abs(f_star))
+            per_step = bool(leq_with_tol(f_x - f_star, rhs, abs_=ABS_TOL + rounding))
 
-        for i, label in monotone:
-            ratio = weights[i] / eta
-            prev = prev_ratio[i]
-            if prev is not None and not leq_with_tol(prev, ratio):
-                certs[label] = False
-            prev_ratio[i] = ratio
-
+        epochs.append(epoch)
+        etas.append(eta)
+        g_norms.append(g_norm)
         if need_values:
             means = averages.mean if rules else ()
             if value_at_image is None:
-                avg_vals = {label: problem.value(mean) for label, mean in zip(labels, means)}
+                avg_rows.append([problem.value(mean) for mean in means])
             else:
-                avg_vals = {label: float(value_at_image(mean[:n], mean[n:]))
-                            for label, mean in zip(labels, means)}
-            bound_vals = bnd.bound_values(R, L, s_local, epoch_max_g, trackers)
-            for watch, avg_label, bound in running:
-                watch.push(avg_vals[avg_label], bound_vals[bound])
-
+                avg_rows.append([float(value_at_image(mean[:n], mean[n:])) for mean in means])
         if trace is not None:
-            trace.append(IterationRecord(
-                s=s, eta=eta, g_norm=g_norm, big_G=policy.G, f_x=f_x,
-                f_best=best.best_value, averaged_values=avg_vals, bounds=bound_vals))
-        iterations_run = s
+            trace.append(IterationRecord(s, epoch, eta, g_norm, policy.G, f_x, best.best_value,
+                                         dict(zip(labels, avg_rows[-1]))))
 
         if stopping:
             stop = StopReason.ZERO_SUBGRADIENT
@@ -323,11 +289,8 @@ def run(problem: ProblemInstance, config: SolverConfig):
                 G_ref = G_now
                 policy.reset()
                 averages = StreamingAverage()
-                for tracker in trackers:
-                    tracker.reset()
                 s_local = 0
-                epoch_max_g = 0.0
-                prev_ratio = [None] * len(ks)
+                epoch += 1
 
         x = x_next
 
@@ -338,38 +301,40 @@ def run(problem: ProblemInstance, config: SolverConfig):
             averaged_points[label] = np.array(mean[:n])
             averaged_values[label] = problem.value(averaged_points[label])
 
-    final_bounds = bnd.bound_values(R, L, s_local, epoch_max_g, trackers) if s_local else {}
-    # a horizon-tuned bound applies only after exactly its horizon
-    for cert in gap_certs:
-        if cert.horizon is not None and s_local == cert.horizon:
-            watches[cert.label].push(
-                averaged_values[scheme_label(cert.k)], final_bounds[cert.bound])
-
     if f_star is not None:
         bracket = (f_star, f_star)
     elif minorants:
         bracket = ((c_sum + min_linear(g_sum)) / minorants, best.best_value)
     else:
         bracket = None
-    undecided = []
-    low, high = bracket or (-math.inf, math.inf)
-    for label, watch in watches.items():
-        verdict = watch.verdict(low, high)
-        certs[label] = verdict == bnd.PROVEN
-        if verdict == bnd.UNDECIDED:
-            undecided.append(label)
+
+    if not need_values:  # only a horizon certificate reads an average: the final one
+        avg_rows = [list(averaged_values.values())] if averaged_values else []
+    columns = {"epoch": epochs, "eta": etas, "g_norm": g_norms}
+    columns.update((f"f_avg_{label}", [row[j] for row in avg_rows])
+                   for j, label in enumerate(labels))
+    gap_bracket = (bracket or (-math.inf, math.inf)) if check_gap else None
+    bounds, verdicts, undecided = bnd.evaluate(policy, ks, problem.radius_R, L, columns,
+                                               gap_bracket)
+    certs = {bnd.PER_STEP: per_step} if check_step else {}
+    if config.certify:
+        certs.update(verdicts)
+    final_bounds = {label: float(col[-1]) for label, col in bounds.items()} if s_local else {}
+    bound_rows = {label: col.tolist() for label, col in bounds.items()} if trace else {}
+    for i, rec in enumerate(trace or ()):
+        rec.bounds = {label: col[i] for label, col in bound_rows.items()}
 
     report = RunReport(
         problem=problem.name,
         policy=policy.label,
-        iterations_run=iterations_run,
+        iterations_run=len(etas),
         stop_reason=stop,
         best_value=best.best_value,
         best_index=best.best_index,
         best_point=best.best_point,
         averaged_points=averaged_points,
         averaged_values=averaged_values,
-        max_g_norm=max_g_global,
+        max_g_norm=max(g_norms, default=0.0),
         bounds=final_bounds,
         certificates=certs,
         optimum_is_reference=problem.optimum_is_reference,

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from psg import (
+    ConstantPolicy,
+    FamilyPolicy,
     InvalidParameterError,
     check_certificate,
     classic_bound,
@@ -12,7 +14,7 @@ from psg import (
     nesterov_bound,
     weak_ergodic_bound,
 )
-from psg.bounds import WeakBoundSums, monotone_label, weak_label
+from psg.bounds import WeakBoundSums, evaluate, monotone_label, weak_label
 
 
 def weak_oracle(R, t, k, max_g):
@@ -161,3 +163,55 @@ def test_labels():
     assert monotone_label(2.0) == "monotone_k2"
     with pytest.raises(InvalidParameterError):
         weak_label(-3.0)
+
+
+class TestEvaluate:
+    """The column evaluator that `psg run` and `psg check` share."""
+
+    EPOCH = [0, 0, 0, 1, 1, 2]
+    G_NORM = [2.0, 1.0, 3.0, 0.5, 0.7, 4.0]
+
+    def columns(self, eta=(1.0, 0.9, 0.8, 0.7, 0.6, 0.5)):
+        return {"epoch": self.EPOCH, "eta": list(eta), "g_norm": self.G_NORM,
+                "f_avg_k0": [1.0] * 6, "f_avg_k2": [1.0] * 6}
+
+    def test_bounds_start_over_with_each_epoch_bit_for_bit(self):
+        R, L, ks = 1.7, 3.0, (0.0, 2.0)
+        bounds, _, _ = evaluate(FamilyPolicy(R=R), ks, R, L, self.columns())
+        t = [1, 2, 3, 1, 2, 1]
+        max_g = [2.0, 2.0, 3.0, 0.5, 0.7, 4.0]
+        assert bounds["family"].tolist() == [family_bound(R, u, g) for u, g in zip(t, max_g)]
+        for k in ks:
+            assert bounds[weak_label(k)].tolist() == [
+                weak_ergodic_bound(R, u, k, g) for u, g in zip(t, max_g)]
+        for name, fn in (("classic", classic_bound), ("constant", constant_bound),
+                         ("nesterov", nesterov_bound)):
+            assert bounds[name].tolist() == [fn(R, L, u) for u in t]
+
+    @pytest.mark.parametrize("epoch,held", [([0, 0, 0, 0, 0, 0], False),
+                                            ([0, 0, 1, 1, 1, 1], True)])
+    def test_monotone_verdict_is_per_epoch(self, epoch, held):
+        # w_s / eta_s = 1 / eta_s at k = 0 falls once, from row 2 to row 3
+        columns = dict(self.columns(eta=(1.0, 0.5, 2.0, 1.0, 0.5, 0.25)), epoch=epoch)
+        _, verdicts, _ = evaluate(FamilyPolicy(R=1.0), (0.0,), 1.0, None, columns)
+        assert verdicts["monotone_k0"] is held
+
+    def test_gap_verdicts_need_a_bracket(self):
+        policy = FamilyPolicy(R=1.0)
+        _, verdicts, undecided = evaluate(policy, (0.0,), 1.0, None, self.columns())
+        assert list(verdicts) == ["monotone_k0"] and undecided == []
+        _, verdicts, undecided = evaluate(policy, (0.0,), 1.0, None, self.columns(),
+                                          (-math.inf, math.inf))
+        assert verdicts == {"family": False, "weak_k0": False, "monotone_k0": True}
+        assert undecided == ["family", "weak_k0"]
+
+    @pytest.mark.parametrize("horizon,f_star,proven", [(1, 7.5, False), (1, 8.5, True),
+                                                      (2, 7.5, True)])
+    def test_horizon_certificate_reads_the_last_row_of_a_full_epoch(self, horizon, f_star,
+                                                                    proven):
+        # the last epoch has one row: 9 - f* against R L / sqrt(1) = 1 at horizon 1;
+        # at horizon 2 the certificate never applies and holds vacuously
+        policy = ConstantPolicy(R=1.0, L=1.0, horizon_t=horizon)
+        columns = dict(self.columns(), f_avg_k0=[9.0])  # only the final value
+        _, verdicts, _ = evaluate(policy, (0.0,), 1.0, 1.0, columns, (f_star, f_star))
+        assert verdicts["constant"] is proven

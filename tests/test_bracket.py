@@ -29,20 +29,24 @@ from psg import (
     make_lasso,
     run,
 )
-from psg.bounds import PROVEN, REFUTED, UNDECIDED, GapWatch
+from psg.bounds import PROVEN, REFUTED, UNDECIDED, gap_verdict
+from psg.cli import check_trace, emit_trace_csv, read_trace_csv
 from psg.core import leq_with_tol
 
 
 class TestGapWatch:
-    @staticmethod
-    def watch(*pairs):
-        w = GapWatch()
-        for avg, bound in pairs:
-            w.push(avg, bound)
-        return w
+    """The gap verdict of one certificate over the (f(x_avg_s), bound_s) columns of a run."""
+
+    class watch:
+        def __init__(self, *pairs):
+            self.avg = [avg for avg, _ in pairs]
+            self.bound = [bound for _, bound in pairs]
+
+        def verdict(self, low, high):
+            return gap_verdict(self.avg, self.bound, low, high)
 
     def test_nothing_checked_is_proven(self):
-        assert GapWatch().verdict(-1.0, 1.0) == PROVEN
+        assert self.watch().verdict(-1.0, 1.0) == PROVEN
 
     def test_three_verdicts(self):
         w = self.watch((-4.0, 1.0), (1.5, 1.0), (-1.0, 1.0))
@@ -153,15 +157,33 @@ def drawn_runs(draw):
     ks = tuple(sorted({-1.0 if rule == "nesterov" else 0.0, *extra}))
     restart = draw(st.sampled_from([None, 2.0]))
     config = SolverConfig(max_iterations=iterations, initial_point=start, policy=policy,
-                          weight_ks=ks, restart_factor=restart)
-    return problem, f_star, config
+                          weight_ks=ks, record_trace=True, restart_factor=restart)
+    spec = {"kind": rule, **({"a": policy.a} if rule == "family" else {})}
+    return problem, f_star, config, spec
+
+
+def check_agrees(problem, config, spec, report, trace, path):
+    """`psg check` on the run's trace decides every certificate as the run did."""
+    emit_trace_csv(trace, path, {
+        "policy": spec, "iterations": config.max_iterations,
+        "weight_ks": list(config.weight_ks), "restart_factor": config.restart_factor,
+        "optimum_bracket": None if report.optimum_bracket is None
+        else dict(zip(("low", "high"), report.optimum_bracket))})
+    checked = {name: ok for name, ok, _ in check_trace(read_trace_csv(path), problem)}
+    run_labels = set(report.certificates) - {"per_step"}  # needs the iterates
+    assert run_labels <= set(checked)
+    for name, ok in checked.items():
+        assert ok == report.certificates.get(name, True), (name, report)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(drawn_runs())
-def test_bracket_holds_and_no_certificate_is_refuted(drawn):
-    problem, f_star, config = drawn
-    report, _ = run(problem, config)
+def test_bracket_holds_and_no_certificate_is_refuted(tmp_path_factory, drawn):
+    problem, f_star, config, spec = drawn
+    report, trace = run(problem, config)
+    if trace:
+        check_agrees(problem, config, spec, report, trace,
+                     tmp_path_factory.getbasetemp() / "drawn_trace.csv")
     declared = config.policy.certificates(config.weight_ks, problem.lipschitz_L)
     if not declared:
         assert report.optimum_bracket is None
@@ -209,13 +231,53 @@ def test_understated_bound_is_never_proven(name):
     gap_labels = [c.label for c in policy.certificates(config.weight_ks, None)]
     assert gap_labels
     honest, _ = run(problem, config)
-    # (the per-step check reads f(x_s) - f* below the rounding of f at 1e9)
     assert all(honest.certificates[label] for label in gap_labels)
-    if not name.startswith("abs_offset"):
-        assert all(honest.certificates.values())
+    assert all(honest.certificates.values())
 
     report, _ = run(dataclasses.replace(problem, radius_R=R / 1000.0), config)
     for label in gap_labels:
         assert report.certificates[label] is False
     if name in ("abs", "abs_offset"):  # a known optimum decides every certificate
         assert report.undecided == []
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e9, -1e9])
+def test_per_step_allows_for_the_rounding_of_f(offset):
+    problem = _offset_abs_problem(offset, known=True)
+    config = SolverConfig(max_iterations=200, initial_point=np.array([0.3, -0.2]),
+                          policy=FamilyPolicy(R=problem.radius_R))
+    report, _ = run(problem, config)
+    assert report.certificates["per_step"] is True
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e9])
+@pytest.mark.parametrize("excess", [1e-3, -1e-3])
+def test_per_step_refutes_an_excess_at_a_large_offset(offset, excess):
+    # one step from x1 with x* = 0: f(x1) - f* against the descent inequality's rhs
+    problem = _offset_abs_problem(offset, known=True)
+    x1 = np.array([0.3, -0.2])
+    config = SolverConfig(max_iterations=1, initial_point=x1,
+                          policy=FamilyPolicy(R=problem.radius_R), record_trace=True)
+    _, trace = run(problem, config)
+    eta, g = trace[0].eta, np.sign(x1)
+    x2 = problem.projector.project(x1 - eta * g)
+    rhs = (x1 @ x1 - x2 @ x2) / (2.0 * eta) + 0.5 * eta * (g @ g)
+    rhs, gap = float(rhs), float(np.abs(x1).sum())
+    # declaring f* lower by (rhs - gap + excess) makes f(x1) - f* = rhs + excess
+    lowered = dataclasses.replace(problem,
+                                  known_optimum_value=offset - (rhs - gap + excess))
+    report, _ = run(lowered, config)
+    assert report.certificates["per_step"] is (excess < 0)
+
+
+def test_check_agrees_after_a_final_zero_subgradient(tmp_path):
+    # the nesterov step lands on x* = 0, where it has no step: that iteration
+    # has no trace row, yet its value is the run's f_best and bracket high
+    problem = dataclasses.replace(make_abs_problem(1), known_optimum_value=None,
+                                  known_optimum_point=None)
+    config = SolverConfig(max_iterations=5, initial_point=np.array([0.5]),
+                          policy=NesterovPolicy(R=0.5), weight_ks=(-1.0,), record_trace=True)
+    report, trace = run(problem, config)
+    assert len(trace) == 1 and trace[-1].f_best == 0.5
+    assert report.optimum_bracket[1] == report.best_value == 0.0
+    check_agrees(problem, config, {"kind": "nesterov"}, report, trace, tmp_path / "t.csv")

@@ -146,17 +146,21 @@ class TestRunCommand:
         data = dict(ABS_CONFIG, iterations=1)
         cfg = write_config(tmp_path / "c.json", data)
         main(["run", "--config", cfg, "--out-dir", str(tmp_path)])
-        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        header, *lines = (tmp_path / "trace.csv").read_text().splitlines()
+        assert header == ('# {"iterations": 1, "optimum_bracket": {"high": 0.0, "low": 0.0}, '
+                          '"policy": {"a": 1.0, "kind": "family"}, "restart_factor": null, '
+                          '"weight_ks": [0.0]}')
         assert len(lines) == 2
-        assert lines[0] == "s,eta,g_norm,G,f_x,f_best,f_avg_k0,bound_family,bound_weak_k0"
-        assert lines[1].startswith("1,1,")
+        assert lines[0] == ("s,epoch,eta,g_norm,G,f_x,f_best,f_avg_k0,"
+                            "bound_family,bound_weak_k0")
+        assert lines[1].startswith("1,0,1,")
 
     def test_header_tracks_configured_ks(self, tmp_path):
         data = dict(ABS_CONFIG, weight_ks=[-1.0, 0.5, 2.0])
         cfg = write_config(tmp_path / "c.json", data)
         main(["run", "--config", cfg, "--out-dir", str(tmp_path)])
-        header = (tmp_path / "trace.csv").read_text().splitlines()[0]
-        assert header == ("s,eta,g_norm,G,f_x,f_best,"
+        header = (tmp_path / "trace.csv").read_text().splitlines()[1]
+        assert header == ("s,epoch,eta,g_norm,G,f_x,f_best,"
                           "f_avg_k-1,f_avg_k0.5,f_avg_k2,"
                           "bound_family,bound_weak_k-1,bound_weak_k0.5,bound_weak_k2")
 
@@ -300,7 +304,36 @@ class TestGenLasso:
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
 
 
+def corrupt(trace, tmp_path, column, row, change):
+    """Copy of `trace` with `change` applied to one entry (`row` counts from 0)."""
+    header, names, *rows = trace.read_text().splitlines()
+    j = names.split(",").index(column)
+    cells = rows[row].split(",")
+    cells[j] = change(cells[j])
+    rows[row] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([header, names, *rows]) + "\n")
+    return bad
+
+
 class TestCheckCommand:
+    @pytest.fixture()
+    def restarted_outputs(self, tmp_path):
+        # f(x) = -sqrt(x): the norm maximum keeps growing and trips restarts
+        cfg = write_config(tmp_path / "c.json", {
+            "problem": {"kind": "sqrt-example"},
+            "policy": {"kind": "family", "a": 0.0},
+            "weight_ks": [-1.0, 0.0, 2.0],
+            "iterations": 300,
+            "initial_point": [0.9],
+            "restart_factor": 2.0,
+            "trace_path": "trace.csv",
+        })
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path), "--strict"]) == 0
+        trace = tmp_path / "trace.csv"
+        assert read_trace_csv(trace).columns["epoch"][-1] >= 2
+        return trace, cfg
+
     @pytest.fixture()
     def run_outputs(self, tmp_path):
         data = dict(ABS_CONFIG, iterations=60, weight_ks=[-1.0, 0.0, 2.0],
@@ -317,20 +350,103 @@ class TestCheckCommand:
                      "--strict"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert "certificate_family" in out
+        assert "PASS family\n" in out
 
     def test_corrupted_trace_fails_strict(self, run_outputs, tmp_path):
         trace, problem = run_outputs
-        lines = trace.read_text().splitlines()
-        header = lines[0].split(",")
-        row = lines[2].split(",")
-        row[header.index("f_best")] = "-5.0"
-        lines[2] = ",".join(row)
-        bad = tmp_path / "bad.csv"
-        bad.write_text("\n".join(lines) + "\n")
+        bad = corrupt(trace, tmp_path, "f_best", 1, lambda v: "-5.0")
         assert main(["check", "--trace", str(bad), "--problem", str(problem)]) == 0
         assert main(["check", "--trace", str(bad), "--problem", str(problem),
                      "--strict"]) == 3
+
+    @pytest.mark.parametrize("column", ["bound_family", "bound_weak_k-1", "bound_weak_k2"])
+    def test_scaled_bound_entry_fails_strict(self, run_outputs, tmp_path, capsys, column):
+        trace, problem = run_outputs
+        bad = corrupt(trace, tmp_path, column, 30, lambda v: repr(float(v) * (1 + 1e-6)))
+        assert main(["check", "--trace", str(bad), "--problem", str(problem),
+                     "--strict"]) == 3
+        assert f"FAIL {column}_recomputed" in capsys.readouterr().out
+
+    def test_restarted_trace_passes(self, restarted_outputs, capsys):
+        trace, config = restarted_outputs
+        assert main(["check", "--trace", str(trace), "--problem", str(config),
+                     "--strict"]) == 0
+        out = capsys.readouterr().out
+        for label in ("family", "weak_k-1", "weak_k0", "weak_k2", "monotone_k-1"):
+            assert f"PASS {label}\n" in out
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_moved_epoch_boundary_fails_strict(self, restarted_outputs, tmp_path, shift):
+        trace, config = restarted_outputs
+        epochs = read_trace_csv(trace).columns["epoch"]
+        first = int(np.flatnonzero(np.diff(epochs))[1]) + 1  # first row of epoch 2
+        row = first - 1 if shift < 0 else first  # the row that changes epoch
+        bad = corrupt(trace, tmp_path, "epoch", row, lambda v: str(int(v) - shift))
+        assert main(["check", "--trace", str(bad), "--problem", str(config),
+                     "--strict"]) == 3
+
+    def test_crossed_bracket_in_header_fails_strict(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {
+            "problem": {"kind": "lasso", "seed": 1, "n": 8, "m": 6,
+                        "radius": 5.0, "lambda": 1.0},
+            "policy": {"kind": "family"},
+            "iterations": 50,
+            "trace_path": "trace.csv",
+        })
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path), "--strict"]) == 0
+        trace = tmp_path / "trace.csv"
+        assert main(["check", "--trace", str(trace), "--problem", cfg, "--strict"]) == 0
+        header, rest = trace.read_text().split("\n", 1)
+        meta = json.loads(header[2:])
+        meta["optimum_bracket"]["low"] = meta["optimum_bracket"]["high"] + 1.0
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# " + json.dumps(meta) + "\n" + rest)
+        capsys.readouterr()
+        assert main(["check", "--trace", str(bad), "--problem", cfg, "--strict"]) == 3
+        out = capsys.readouterr().out
+        for label in ("family", "weak_k0"):
+            assert f"FAIL {label} (" in out
+        assert "PASS optimum_bracket_high" in out
+
+    def test_falling_G_fails_strict(self, run_outputs, tmp_path, capsys):
+        trace, problem = run_outputs
+        bad = corrupt(trace, tmp_path, "G", 10, lambda v: repr(float(v) / 2))
+        assert main(["check", "--trace", str(bad), "--problem", str(problem),
+                     "--strict"]) == 3
+        assert "FAIL G_nondecreasing" in capsys.readouterr().out
+
+    def test_bracket_high_above_final_f_best_fails_strict(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {
+            "problem": {"kind": "lasso", "seed": 1, "n": 8, "m": 6,
+                        "radius": 5.0, "lambda": 1.0},
+            "policy": {"kind": "family"},
+            "iterations": 50,
+            "trace_path": "trace.csv",
+        })
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path), "--strict"]) == 0
+        trace = tmp_path / "trace.csv"
+        header, rest = trace.read_text().split("\n", 1)
+        meta = json.loads(header[2:])
+        meta["optimum_bracket"]["high"] += 1e-6
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# " + json.dumps(meta) + "\n" + rest)
+        capsys.readouterr()
+        assert main(["check", "--trace", str(bad), "--problem", cfg, "--strict"]) == 3
+        assert "FAIL optimum_bracket_high" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("damage", ["ragged", "headerless"])
+    def test_malformed_trace_is_an_input_error(self, run_outputs, tmp_path, capsys, damage):
+        trace, problem = run_outputs
+        lines = trace.read_text().splitlines()
+        if damage == "ragged":
+            lines[5] = lines[5].rsplit(",", 1)[0]
+        else:
+            lines = lines[1:]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["check", "--trace", str(bad), "--problem", str(problem),
+                     "--strict"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
     def test_accepts_full_config_as_problem_file(self, run_outputs, tmp_path):
         trace, _ = run_outputs
@@ -349,7 +465,7 @@ def test_emit_trace_csv_rejects_empty(tmp_path):
     from psg import InvalidParameterError
 
     with pytest.raises(InvalidParameterError):
-        emit_trace_csv([], tmp_path / "x.csv")
+        emit_trace_csv([], tmp_path / "x.csv", {})
 
 
 def test_run_experiment_returns_summary_dict(tmp_path):
