@@ -27,8 +27,8 @@ for x1 in (0.01, 1e-6):
                               policy=psg.FamilyPolicy(R=1.0, a=1.0),
                               weight_ks=(0.0,), record_trace=True)
     report, trace = psg.run(problem, config)
-    print(f"starting at x = {x1:g} (initial ||g|| = {trace[0].g_norm:.1f}):")
-    print(f"  first step size {trace[0].eta:.4f}, G after one step {trace[0].big_G:.1f}")
+    print(f"starting at x = {x1:g} (initial ||g|| = {trace['g_norm'][0]:.1f}):")
+    print(f"  first step size {trace['eta'][0]:.4f}, G after one step {trace['G'][0]:.1f}")
     print(f"  best gap after {report.iterations_run} iterations: "
           f"{report.best_value - (-1.0):.2e}")
     print(f"  certificates: {report.certificates}\n")

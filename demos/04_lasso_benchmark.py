@@ -28,7 +28,8 @@ for cell in summary["cells"]:
 
 print("\nlast-500-iteration stability of the raw objective values:")
 for cell in summary["cells"]:
-    tail = read_trace_csv(cell["trace_path"]).columns["f_x"][-500:]
+    meta, columns = read_trace_csv(cell["trace_path"])
+    tail = columns["f_x"][-500:]
     print(f"  {cell['policy']:<12} std = {np.std(tail, ddof=1):10.4f}   "
           f"(mean {np.mean(tail):10.4f})")
 

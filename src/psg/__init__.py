@@ -29,7 +29,6 @@ from .core import (
     REL_TOL,
     EmptySubdifferentialError,
     InvalidParameterError,
-    IterationRecord,
     NumericError,
     ProblemInstance,
     RunReport,
@@ -38,7 +37,6 @@ from .core import (
     SubgradientResult,
     ZeroSubgradientError,
     subgradient_inequality_check,
-    with_reference_optimum,
 )
 from .problems import (
     LassoInstance,
@@ -73,7 +71,6 @@ __all__ = [
     "EmptySubdifferentialError",
     "FamilyPolicy",
     "InvalidParameterError",
-    "IterationRecord",
     "LassoInstance",
     "NesterovPolicy",
     "NumericError",
@@ -106,5 +103,4 @@ __all__ = [
     "subgradient_inequality_check",
     "weak_ergodic_bound",
     "weight",
-    "with_reference_optimum",
 ]

@@ -34,24 +34,28 @@ Config schema (JSON object)::
       "restart_factor": 10.0                 # optional, default off
     }
 
+A field that the object's kind does not take is an error, at every level.
 For the classic and constant policies ``L`` may be omitted when the problem
 declares a Lipschitz bound. The default initial point is the origin, except
 for the sqrt example where it is 0.5 (the origin has an empty
-subdifferential there). A problem's ``f_star`` is the optimality bracket
-``[f_star, f_star]``; without one (Lasso) each cell brackets f* by
-``[f_low, f_best]`` from its own oracle calls (see :func:`psg.solver.run`).
-Each summary cell reports ``optimum_bracket`` ({"low", "high"}, or null),
-``certificates`` (True iff proven) and ``undecided``.
+subdifferential there). A problem that knows its exact optimum f* (abs,
+sqrt-example) is the optimality bracket ``[f*, f*]``; without one (Lasso)
+each cell brackets f* by ``[f_low, f_best]`` from its own oracle calls (see
+:func:`psg.solver.run`). Each summary cell reports ``optimum_bracket``
+({"low", "high"}, or null), ``certificates`` (True iff proven) and
+``undecided``.
 
 Trace CSV format: a line ``# {json}`` (the cell's ``policy`` spec,
 ``iterations``, ``weight_ks``, ``restart_factor`` and ``optimum_bracket``),
-the header
+then the trace that :func:`psg.solver.run` returns, column for column: the
+header
 ``s,epoch,eta,g_norm,G,f_x,f_best,f_avg_k<k1>,...,bound_family,bound_weak_k<k1>,...``
-and one row per iteration; ``epoch`` counts the restarts so far, floats have
-17 significant digits (lossless round-trip), and ``G`` is ``nan`` for
-policies that do not track it. With several cells the per-cell file name
-is derived from ``trace_path`` by inserting the cell label before the
-extension. ``psg check`` rebuilds the policy from the first line and runs
+and one row per iteration; ``epoch`` counts the restarts so far, every number
+is written as ``%.17g`` (lossless round-trip), and ``G`` is ``nan`` for
+policies that do not track it. :func:`read_trace_csv` returns the same
+columns. A cell that stops before its first iteration writes no trace. With
+several cells the per-cell file name is derived from ``trace_path`` by
+inserting the cell label before the extension. ``psg check`` rebuilds the policy from the first line and runs
 the solver's own evaluator (:func:`psg.bounds.evaluate`) on the columns:
 every bound column must match bit for bit, and every certificate except
 ``per_step`` (it needs the iterates) is decided again. When the problem
@@ -72,12 +76,7 @@ from typing import Optional
 import numpy as np
 
 from . import bounds as bnd
-from .core import (
-    InvalidParameterError,
-    NumericError,
-    ProblemInstance,
-    with_reference_optimum,
-)
+from .core import InvalidParameterError, NumericError, ProblemInstance
 from .problems import (
     load_lasso_csv,
     make_abs_problem,
@@ -109,7 +108,6 @@ class ProblemSpec:
     radius: Optional[float] = None
     lam: Optional[float] = None
     path: Optional[str] = None
-    f_star: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -131,45 +129,57 @@ class ExperimentConfig:
     restart_factor: Optional[float] = None
 
 
+# The fields each kind of problem and policy object accepts besides "kind".
+PROBLEM_FIELDS = {"abs": {"dim"}, "sqrt-example": set(), "lasso-file": {"path"},
+                  "lasso": {"seed", "n", "m", "radius", "lambda"}}
+POLICY_FIELDS = {"family": {"a"}, "nesterov": set(), "classic": {"L"}, "constant": {"L"}}
+
+
+def _reject_unknown_fields(obj: dict, where: str, fields: set) -> None:
+    for key in obj:
+        if key != "kind" and key not in fields:
+            raise ConfigError(f"{where}.{key}: unknown field")
+
+
 def _parse_problem(obj) -> ProblemSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("problem: expected an object with a 'kind' field")
     kind = obj["kind"]
-    known = {"abs", "sqrt-example", "lasso", "lasso-file"}
-    if kind not in known:
-        raise ConfigError(f"problem.kind: unknown kind {kind!r}, expected one of {sorted(known)}")
-    f_star = None if obj.get("f_star") is None else float(obj["f_star"])
+    if kind not in PROBLEM_FIELDS:
+        raise ConfigError(
+            f"problem.kind: unknown kind {kind!r}, expected one of {sorted(PROBLEM_FIELDS)}")
+    _reject_unknown_fields(obj, "problem", PROBLEM_FIELDS[kind])
     if kind == "abs":
         if "dim" not in obj:
             raise ConfigError("problem.dim: required for kind 'abs'")
-        return ProblemSpec(kind=kind, dim=int(obj["dim"]), f_star=f_star)
+        return ProblemSpec(kind=kind, dim=int(obj["dim"]))
     if kind == "sqrt-example":
-        return ProblemSpec(kind=kind, f_star=f_star)
+        return ProblemSpec(kind=kind)
     if kind == "lasso-file":
         if "path" not in obj:
             raise ConfigError("problem.path: required for kind 'lasso-file'")
-        return ProblemSpec(kind=kind, path=str(obj["path"]), f_star=f_star)
+        return ProblemSpec(kind=kind, path=str(obj["path"]))
     for field_name in ("seed", "n", "m"):
         if field_name not in obj:
             raise ConfigError(f"problem.{field_name}: required for kind 'lasso'")
     return ProblemSpec(
         kind=kind, seed=int(obj["seed"]), n=int(obj["n"]), m=int(obj["m"]),
-        radius=float(obj.get("radius", 50.0)), lam=float(obj.get("lambda", 10.0)),
-        f_star=f_star)
+        radius=float(obj.get("radius", 50.0)), lam=float(obj.get("lambda", 10.0)))
 
 
 def _parse_policy(obj) -> PolicySpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("policy: expected an object with a 'kind' field")
     kind = obj["kind"]
+    if kind not in POLICY_FIELDS:
+        raise ConfigError(f"policy.kind: unknown kind {kind!r}")
+    _reject_unknown_fields(obj, "policy", POLICY_FIELDS[kind])
     if kind == "family":
         return PolicySpec(kind=kind, a=float(obj.get("a", 1.0)))
     if kind == "nesterov":
         return PolicySpec(kind=kind)
-    if kind in ("classic", "constant"):
-        L = obj.get("L")
-        return PolicySpec(kind=kind, L=None if L is None else float(L))
-    raise ConfigError(f"policy.kind: unknown kind {kind!r}")
+    L = obj.get("L")
+    return PolicySpec(kind=kind, L=None if L is None else float(L))
 
 
 def _parse_initial_point(obj, problem: ProblemSpec) -> tuple:
@@ -282,16 +292,12 @@ def load_config(path) -> ExperimentConfig:
 
 def build_problem(spec: ProblemSpec) -> ProblemInstance:
     if spec.kind == "abs":
-        problem = make_abs_problem(spec.dim)
-    elif spec.kind == "sqrt-example":
-        problem = make_sqrt_example()
-    elif spec.kind == "lasso":
-        problem = make_lasso(spec.seed, spec.n, spec.m, spec.radius, spec.lam)
-    else:
-        problem = load_lasso_csv(spec.path).to_problem()
-    if spec.f_star is not None:
-        problem = with_reference_optimum(problem, spec.f_star)
-    return problem
+        return make_abs_problem(spec.dim)
+    if spec.kind == "sqrt-example":
+        return make_sqrt_example()
+    if spec.kind == "lasso":
+        return make_lasso(spec.seed, spec.n, spec.m, spec.radius, spec.lam)
+    return load_lasso_csv(spec.path).to_problem()
 
 
 def build_policy(spec: PolicySpec, problem: ProblemInstance, iterations: int):
@@ -322,56 +328,29 @@ def resolve_initial_point(initial: tuple, problem: ProblemInstance) -> np.ndarra
     return point
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+def emit_trace_csv(trace: dict, path, header: dict) -> None:
+    """Write a trace, as :func:`psg.solver.run` returns it, to `path` as CSV.
 
-
-def emit_trace_csv(trace, path, header: dict) -> None:
-    """Write a solver trace to `path` in the documented CSV format.
-
-    `header` is the JSON object of the first line; nonfinite numbers in it
-    are written as null.
+    The first line is ``# `` and the JSON object `header` (nonfinite numbers
+    written as null), the second the column names, then one row per entry
+    with every number as ``%.17g``, which round-trips floats and prints
+    integers as integers.
     """
-    if not trace:
+    rows = np.column_stack(list(trace.values())) if trace else np.empty((0, 0))
+    if not len(rows):
         raise InvalidParameterError("cannot write an empty trace")
-    avg_labels = list(trace[0].averaged_values)
-    weak_labels = [lbl for lbl in trace[0].bounds if lbl.startswith("weak_")]
-    names = (["s", "epoch", "eta", "g_norm", "G", "f_x", "f_best"]
-             + [f"f_avg_{lbl}" for lbl in avg_labels]
-             + ["bound_family"]
-             + [f"bound_{lbl}" for lbl in weak_labels])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# " + json.dumps(_finite_or_null(header), sort_keys=True, allow_nan=False)
                  + "\n")
-        fh.write(",".join(names) + "\n")
-        for rec in trace:
-            row = [str(rec.s), str(rec.epoch), _fmt(rec.eta), _fmt(rec.g_norm),
-                   "nan" if rec.big_G is None else _fmt(rec.big_G),
-                   _fmt(rec.f_x), _fmt(rec.f_best)]
-            row.extend(_fmt(rec.averaged_values[lbl]) for lbl in avg_labels)
-            row.append(_fmt(rec.bounds["family"]))
-            row.extend(_fmt(rec.bounds[lbl]) for lbl in weak_labels)
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(trace) + "\n")
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
 
 
-@dataclass
-class TraceTable:
-    """Parsed trace CSV: the header line's object and one array per column."""
+def read_trace_csv(path) -> tuple:
+    """Parse a trace written by :func:`emit_trace_csv`: (header object, columns).
 
-    meta: dict
-    columns: dict
-
-    @property
-    def ks(self) -> list:
-        return [float(k) for k in self.meta["weight_ks"]]
-
-    @property
-    def length(self) -> int:
-        return len(self.columns["s"])
-
-
-def read_trace_csv(path) -> TraceTable:
-    """Parse a trace written by :func:`emit_trace_csv`."""
+    The columns map each name, in the file's order, to a float array.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
         if not first.startswith("# {"):
@@ -384,17 +363,17 @@ def read_trace_csv(path) -> TraceTable:
             raise InvalidParameterError(f"{path}: ragged rows: {exc}") from None
     if rows.shape[1:] != (len(names),) or not len(rows):
         raise InvalidParameterError(f"{path}: expected rows of {len(names)} columns")
-    return TraceTable(meta=meta, columns=dict(zip(names, rows.T)))
+    return meta, dict(zip(names, rows.T))
 
 
-def check_trace(table: TraceTable, problem: ProblemInstance) -> list:
-    """Re-validate a stored trace; returns (name, passed, detail) triples.
+def check_trace(meta: dict, cols: dict, problem: ProblemInstance) -> list:
+    """Re-validate a trace; returns (name, passed, detail) triples.
 
-    The structural invariants come from the columns; the bounds and the
+    `meta` and `cols` are as :func:`read_trace_csv` returns them. The
+    structural invariants come from the columns; the bounds and the
     certificates from :func:`psg.bounds.evaluate`, as ``psg run`` computes
     them (see the module docstring for what is taken on trust).
     """
-    cols, meta = table.columns, table.meta
     epoch, G, f_best = cols["epoch"], cols["G"], cols["f_best"]
     steps = np.diff(epoch)
     results = [
@@ -426,8 +405,9 @@ def check_trace(table: TraceTable, problem: ProblemInstance) -> list:
                         "at most the final f_best"))
 
     policy = build_policy(_parse_policy(meta["policy"]), problem, int(meta["iterations"]))
+    ks = [float(k) for k in meta["weight_ks"]]
     bounds, verdicts, undecided = bnd.evaluate(
-        policy, table.ks, problem.radius_R, problem.lipschitz_L, cols, bracket)
+        policy, ks, problem.radius_R, problem.lipschitz_L, cols, bracket)
     for label, column in bounds.items():
         name = f"bound_{label}"
         if name in cols:
@@ -501,7 +481,8 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None) -> d
             return {"problem": problem.name, "policy": policy.label,
                     "status": "failed", "error": str(exc)}
         bracket = _bracket_dict(report.optimum_bracket)
-        if trace:
+        written = trace is not None and report.iterations_run > 0
+        if written:
             os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
             emit_trace_csv(trace, path, {
                 "policy": _spec_dict(spec), "iterations": config.iterations,
@@ -517,10 +498,9 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None) -> d
                 "max_g_norm": report.max_g_norm,
                 "bounds": report.bounds,
                 "certificates": report.certificates,
-                "optimum_is_reference": report.optimum_is_reference,
                 "optimum_bracket": bracket,
                 "undecided": report.undecided,
-                "trace_path": path if trace else None}
+                "trace_path": path if written else None}
 
     cells = [execute(*cell) for cell in zip(config.policies, policies, paths)]
 
@@ -573,8 +553,7 @@ def _cmd_check(args) -> int:
             data = json.load(fh)
         spec = _parse_problem(data["problem"] if "problem" in data else data)
         problem = build_problem(spec)
-        table = read_trace_csv(args.trace)
-        results = check_trace(table, problem)
+        results = check_trace(*read_trace_csv(args.trace), problem)
     except (OSError, KeyError, ValueError) as exc:  # config and JSON errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,8 +1,8 @@
-"""Shared domain types: oracles, problem instances, traces, and tolerances."""
+"""Shared domain types: oracles, problem instances, run reports, and tolerances."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
@@ -111,15 +111,8 @@ class ProblemInstance:
     known_optimum_value, known_optimum_point : optional
         Exact optimum, when analytically available. Certificates that need a
         gap use the value; the per-step descent certificate needs the point.
-    optimum_is_reference : bool
-        True when `known_optimum_value` is an estimate, such as the best value
-        of a long run (:func:`psg.problems.reference_optimum_value`), rather
-        than the exact optimum; set by :func:`with_reference_optimum`. The
-        solver still checks gap certificates against the bracket
-        [value, value], so an estimate above f* can prove a false one. A
-        problem without any optimum value lets the run bracket f* itself
-        from its minorants instead (see :func:`psg.solver.run`), which the
-        CLI does for the Lasso.
+        A problem without an optimum value lets the run bracket f* from its
+        own minorants instead (see :func:`psg.solver.run`).
     value_at_image : callable, optional
         For an objective of the form f(x) = h(A x - b) + r(x) whose oracle
         returns the image A x - b in :attr:`SubgradientResult.image`: maps a
@@ -141,7 +134,6 @@ class ProblemInstance:
     lipschitz_L: Optional[float] = None
     known_optimum_value: Optional[float] = None
     known_optimum_point: Optional[np.ndarray] = None
-    optimum_is_reference: bool = False
     value_at_image: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
 
     def __post_init__(self):
@@ -157,41 +149,10 @@ class ProblemInstance:
         return float(self.oracle(x).value)
 
 
-def with_reference_optimum(problem: ProblemInstance, value: float) -> ProblemInstance:
-    """Copy of `problem` carrying a reference optimum estimate for certificates."""
-    return replace(problem, known_optimum_value=float(value),
-                   known_optimum_point=None, optimum_is_reference=True)
-
-
 class StopReason(str, Enum):
     BUDGET_EXHAUSTED = "budget-exhausted"
     ZERO_SUBGRADIENT = "zero-subgradient"
     EMPTY_SUBDIFFERENTIAL = "empty-subdifferential"
-
-
-@dataclass(slots=True)
-class IterationRecord:
-    """One row of a solver trace.
-
-    `epoch` counts the restarts before iteration `s`; the bounds start over
-    with each epoch. `big_G` is the running maximum of step-scaled
-    subgradient norms maintained by the norm-adaptive step-size family; it is
-    None for policies that do not track it. `averaged_values` maps
-    averaging-scheme labels (``"k0"``, ``"k-0.5"``, ...) to the objective
-    value at the current weighted mean; `bounds` maps bound labels
-    (``"family"``, ``"weak_k0"``, ...) to the bound value at this iteration,
-    as :func:`psg.bounds.evaluate` computes it after the run.
-    """
-
-    s: int
-    epoch: int
-    eta: float
-    g_norm: float
-    big_G: Optional[float]
-    f_x: float
-    f_best: float
-    averaged_values: dict = field(default_factory=dict)
-    bounds: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -217,7 +178,6 @@ class RunReport:
     max_g_norm: float
     bounds: dict
     certificates: dict
-    optimum_is_reference: bool = False
     optimum_bracket: Optional[tuple] = None
     undecided: list = field(default_factory=list)
 

@@ -15,7 +15,6 @@ from .core import (
     ABS_TOL,
     VALUE_ROUNDING,
     InvalidParameterError,
-    IterationRecord,
     NumericError,
     ProblemInstance,
     RunReport,
@@ -64,8 +63,9 @@ class SolverConfig:
         makes no oracle call after its last iteration, and reports empty
         averaged points and values.
     record_trace : bool
-        Keep one :class:`IterationRecord` per iteration. Implies evaluating
-        the objective at every tracked average each iteration.
+        Return the run's trace: one column per quantity, one entry per
+        iteration (see :func:`run`). Implies evaluating the objective at
+        every tracked average each iteration.
     restart_factor : float, optional
         When set (> 1) and the policy tracks a running scaled-norm maximum G,
         the run restarts (policy state and averages are reset, a new epoch
@@ -135,8 +135,13 @@ def run(problem: ProblemInstance, config: SolverConfig):
 
     Returns
     -------
-    (RunReport, list of IterationRecord or None)
-        The trace is None unless ``config.record_trace`` is set.
+    (RunReport, dict or None)
+        The trace is None unless ``config.record_trace`` is set. It maps the
+        columns of the trace CSV, in its order, to float arrays with one entry
+        per iteration: ``s, epoch, eta, g_norm, G, f_x, f_best``,
+        ``f_avg_k<k>`` per weight exponent (the value at the k-weighted mean),
+        ``bound_family`` and ``bound_weak_k<k>`` per exponent. ``G`` is nan
+        for rules that do not track it.
     """
     projector = problem.projector
     x = ensure_vector(config.initial_point, problem.dimension, "initial_point")
@@ -178,13 +183,14 @@ def run(problem: ProblemInstance, config: SolverConfig):
     n = problem.dimension
     image_size: Optional[int] = None
 
-    # one entry per iteration; the bounds and certificates are computed from
-    # these after the loop
+    # one entry per iteration; the trace, the bounds and the certificates are
+    # computed from these after the loop
     epochs: list[int] = []
     etas: list[float] = []
     g_norms: list[float] = []
-    avg_rows: list[list] = []
-    trace: Optional[list[IterationRecord]] = [] if config.record_trace else None
+    big_Gs: list[Optional[float]] = []
+    f_xs: list[float] = []
+    avg_cols: list[list[float]] = [[] for _ in labels]
 
     epoch = 0
     s_local = 0
@@ -267,15 +273,12 @@ def run(problem: ProblemInstance, config: SolverConfig):
         epochs.append(epoch)
         etas.append(eta)
         g_norms.append(g_norm)
-        if need_values:
-            means = averages.mean if rules else ()
-            if value_at_image is None:
-                avg_rows.append([problem.value(mean) for mean in means])
-            else:
-                avg_rows.append([float(value_at_image(mean[:n], mean[n:])) for mean in means])
-        if trace is not None:
-            trace.append(IterationRecord(s, epoch, eta, g_norm, policy.G, f_x, best.best_value,
-                                         dict(zip(labels, avg_rows[-1]))))
+        big_Gs.append(policy.G)
+        f_xs.append(f_x)
+        if need_values and rules:
+            for col, mean in zip(avg_cols, averages.mean):
+                col.append(problem.value(mean) if value_at_image is None
+                           else float(value_at_image(mean[:n], mean[n:])))
 
         if stopping:
             stop = StopReason.ZERO_SUBGRADIENT
@@ -309,10 +312,13 @@ def run(problem: ProblemInstance, config: SolverConfig):
         bracket = None
 
     if not need_values:  # only a horizon certificate reads an average: the final one
-        avg_rows = [list(averaged_values.values())] if averaged_values else []
-    columns = {"epoch": epochs, "eta": etas, "g_norm": g_norms}
-    columns.update((f"f_avg_{label}", [row[j] for row in avg_rows])
-                   for j, label in enumerate(labels))
+        for col, value in zip(avg_cols, averaged_values.values()):
+            col.append(value)
+    columns = {"s": range(1, len(etas) + 1), "epoch": epochs, "eta": etas, "g_norm": g_norms,
+               "G": big_Gs, "f_x": f_xs, "f_best": np.minimum.accumulate(f_xs)}
+    columns.update((f"f_avg_{label}", col) for label, col in zip(labels, avg_cols))
+    # None (a rule without G) becomes nan
+    columns = {name: np.array(col, dtype=np.float64) for name, col in columns.items()}
     gap_bracket = (bracket or (-math.inf, math.inf)) if check_gap else None
     bounds, verdicts, undecided = bnd.evaluate(policy, ks, problem.radius_R, L, columns,
                                                gap_bracket)
@@ -320,9 +326,10 @@ def run(problem: ProblemInstance, config: SolverConfig):
     if config.certify:
         certs.update(verdicts)
     final_bounds = {label: float(col[-1]) for label, col in bounds.items()} if s_local else {}
-    bound_rows = {label: col.tolist() for label, col in bounds.items()} if trace else {}
-    for i, rec in enumerate(trace or ()):
-        rec.bounds = {label: col[i] for label, col in bound_rows.items()}
+    trace = None
+    if config.record_trace:
+        trace = columns | {f"bound_{label}": bounds[label]
+                           for label in (bnd.FAMILY, *map(bnd.weak_label, ks))}
 
     report = RunReport(
         problem=problem.name,
@@ -337,7 +344,6 @@ def run(problem: ProblemInstance, config: SolverConfig):
         max_g_norm=max(g_norms, default=0.0),
         bounds=final_bounds,
         certificates=certs,
-        optimum_is_reference=problem.optimum_is_reference,
         optimum_bracket=bracket,
         undecided=undecided,
     )

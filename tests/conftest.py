@@ -17,14 +17,11 @@ def sample_feasible(projector, rng, count=1):
 
 def assert_trace_invariants(trace):
     """Invariants every non-restarted trace must satisfy."""
-    s = np.array([r.s for r in trace])
-    assert np.all(np.diff(s) > 0), "iteration index must be strictly increasing"
-    f_best = np.array([r.f_best for r in trace])
-    f_x = np.array([r.f_x for r in trace])
-    assert np.array_equal(f_best, np.minimum.accumulate(f_x))
-    assert all(r.eta > 0 for r in trace)
-    big_g = [r.big_G for r in trace if r.big_G is not None]
-    assert all(a <= b for a, b in zip(big_g, big_g[1:])), "G must be nondecreasing"
+    assert np.all(np.diff(trace["s"]) > 0), "iteration index must be strictly increasing"
+    assert np.array_equal(trace["f_best"], np.minimum.accumulate(trace["f_x"]))
+    assert np.all(trace["eta"] > 0)
+    big_g = trace["G"][~np.isnan(trace["G"])]
+    assert np.all(np.diff(big_g) >= 0), "G must be nondecreasing"
 
 
 def make_two_slope_problem():

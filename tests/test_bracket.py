@@ -169,7 +169,10 @@ def check_agrees(problem, config, spec, report, trace, path):
         "weight_ks": list(config.weight_ks), "restart_factor": config.restart_factor,
         "optimum_bracket": None if report.optimum_bracket is None
         else dict(zip(("low", "high"), report.optimum_bracket))})
-    checked = {name: ok for name, ok, _ in check_trace(read_trace_csv(path), problem)}
+    meta, columns = read_trace_csv(path)
+    assert columns.keys() == trace.keys()
+    assert all(np.array_equal(columns[name], col, equal_nan=True) for name, col in trace.items())
+    checked = {name: ok for name, ok, _ in check_trace(meta, columns, problem)}
     run_labels = set(report.certificates) - {"per_step"}  # needs the iterates
     assert run_labels <= set(checked)
     for name, ok in checked.items():
@@ -181,7 +184,7 @@ def check_agrees(problem, config, spec, report, trace, path):
 def test_bracket_holds_and_no_certificate_is_refuted(tmp_path_factory, drawn):
     problem, f_star, config, spec = drawn
     report, trace = run(problem, config)
-    if trace:
+    if report.iterations_run:
         check_agrees(problem, config, spec, report, trace,
                      tmp_path_factory.getbasetemp() / "drawn_trace.csv")
     declared = config.policy.certificates(config.weight_ks, problem.lipschitz_L)
@@ -259,7 +262,7 @@ def test_per_step_refutes_an_excess_at_a_large_offset(offset, excess):
     config = SolverConfig(max_iterations=1, initial_point=x1,
                           policy=FamilyPolicy(R=problem.radius_R), record_trace=True)
     _, trace = run(problem, config)
-    eta, g = trace[0].eta, np.sign(x1)
+    eta, g = trace["eta"][0], np.sign(x1)
     x2 = problem.projector.project(x1 - eta * g)
     rhs = (x1 @ x1 - x2 @ x2) / (2.0 * eta) + 0.5 * eta * (g @ g)
     rhs, gap = float(rhs), float(np.abs(x1).sum())
@@ -278,6 +281,6 @@ def test_check_agrees_after_a_final_zero_subgradient(tmp_path):
     config = SolverConfig(max_iterations=5, initial_point=np.array([0.5]),
                           policy=NesterovPolicy(R=0.5), weight_ks=(-1.0,), record_trace=True)
     report, trace = run(problem, config)
-    assert len(trace) == 1 and trace[-1].f_best == 0.5
+    assert list(trace["f_best"]) == [0.5]
     assert report.optimum_bracket[1] == report.best_value == 0.0
     check_agrees(problem, config, {"kind": "nesterov"}, report, trace, tmp_path / "t.csv")

@@ -1,10 +1,21 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
-from psg import generate_lasso, load_lasso_csv
+from psg import (
+    FamilyPolicy,
+    InvalidParameterError,
+    NesterovPolicy,
+    SolverConfig,
+    generate_lasso,
+    load_lasso_csv,
+    make_abs_problem,
+    make_sqrt_example,
+    run,
+)
 from psg.cli import (
     ConfigError,
     build_problem,
@@ -105,6 +116,20 @@ class TestConfigParsing:
         })
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("section,obj,field", [
+        ("problem", {"kind": "lasso", "seed": 1, "n": 8, "m": 6, "lamda": 1.0}, "problem.lamda"),
+        ("problem", {"kind": "abs", "dim": 1, "f_star": -1000.0}, "problem.f_star"),
+        ("problem", {"kind": "sqrt-example", "dim": 1}, "problem.dim"),
+        ("problem", {"kind": "lasso-file", "path": "x.csv", "seed": 1}, "problem.seed"),
+        ("policy", {"kind": "family", "A": 0.25}, "policy.A"),
+        ("policy", [{"kind": "nesterov"}, {"kind": "nesterov", "a": 0.5}], "policy.a"),
+        ("policy", {"kind": "classic", "L": 1.0, "a": 1.0}, "policy.a"),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_unknown_problem_and_policy_fields(self, section, obj, field):
+        data = dict(ABS_CONFIG, **{section: obj})
+        with pytest.raises(ConfigError, match=re.escape(f"{field}: unknown field")):
+            parse_config(data)
+
     def test_reference_iterations_is_an_unknown_field(self, tmp_path):
         data = dict(ABS_CONFIG, reference_iterations=20000)
         with pytest.raises(ConfigError, match="reference_iterations: unknown field"):
@@ -165,16 +190,19 @@ class TestRunCommand:
                           "bound_family,bound_weak_k-1,bound_weak_k0.5,bound_weak_k2")
 
     def test_sqrt_from_zero_stops_empty(self, tmp_path):
+        # the cell stops before its first iteration: no trace file
         cfg = write_config(tmp_path / "c.json", {
             "problem": {"kind": "sqrt-example"},
             "policy": {"kind": "family"},
             "iterations": 5,
             "initial_point": "zero",
+            "trace_path": "trace.csv",
         })
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["cells"][0]["stop_reason"] == "empty-subdifferential"
         assert summary["cells"][0]["trace_path"] is None
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_sweep_writes_one_trace_per_cell(self, tmp_path):
         data = {
@@ -200,7 +228,7 @@ class TestRunCommand:
         })
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path), "--strict"]) == 0
         cell = json.loads((tmp_path / "summary.json").read_text())["cells"][0]
-        assert cell["optimum_is_reference"] is False
+        assert "optimum_is_reference" not in cell
         assert cell["optimum_bracket"]["low"] <= cell["best_value"]
         assert cell["optimum_bracket"]["high"] == cell["best_value"]
         assert cell["certificates"] == {"family": True, "weak_k0": True, "monotone_k0": True}
@@ -253,10 +281,15 @@ class TestRunCommand:
         assert cell["status"] == "failed"
         assert "iteration" in cell["error"]
 
-    def test_strict_flags_forced_violation(self, tmp_path, capsys):
+    def test_strict_flags_forced_violation(self, tmp_path, monkeypatch, capsys):
         # planting an impossibly low optimum makes every gap certificate fail
+        import psg.cli
+
+        build = psg.cli.build_problem
+        monkeypatch.setattr(psg.cli, "build_problem", lambda spec: dataclasses.replace(
+            build(spec), known_optimum_value=-1000.0))
         cfg = write_config(tmp_path / "c.json", {
-            "problem": {"kind": "abs", "dim": 1, "f_star": -1000.0},
+            "problem": {"kind": "abs", "dim": 1},
             "policy": {"kind": "family"},
             "iterations": 10,
             "initial_point": [1.0],
@@ -331,7 +364,7 @@ class TestCheckCommand:
         })
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path), "--strict"]) == 0
         trace = tmp_path / "trace.csv"
-        assert read_trace_csv(trace).columns["epoch"][-1] >= 2
+        assert read_trace_csv(trace)[1]["epoch"][-1] >= 2
         return trace, cfg
 
     @pytest.fixture()
@@ -378,7 +411,7 @@ class TestCheckCommand:
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_moved_epoch_boundary_fails_strict(self, restarted_outputs, tmp_path, shift):
         trace, config = restarted_outputs
-        epochs = read_trace_csv(trace).columns["epoch"]
+        epochs = read_trace_csv(trace)[1]["epoch"]
         first = int(np.flatnonzero(np.diff(epochs))[1]) + 1  # first row of epoch 2
         row = first - 1 if shift < 0 else first  # the row that changes epoch
         bad = corrupt(trace, tmp_path, "epoch", row, lambda v: str(int(v) - shift))
@@ -456,16 +489,41 @@ class TestCheckCommand:
 
     def test_round_trip_through_csv_parser(self, run_outputs):
         trace, _ = run_outputs
-        table = read_trace_csv(trace)
-        assert table.ks == [-1.0, 0.0, 2.0]
-        assert table.length == 60 or table.length > 0
+        meta, columns = read_trace_csv(trace)
+        assert meta["weight_ks"] == [-1.0, 0.0, 2.0]
+        assert len(columns["s"]) > 0
+
+
+@pytest.mark.parametrize("case", ["restarted", "nesterov", "family"])
+def test_read_trace_csv_returns_the_emitted_columns(tmp_path, case):
+    # every case tracks k = -0.5; nesterov tracks no G, which is written as nan
+    if case == "restarted":
+        problem, x1, policy = make_sqrt_example(), [0.9], FamilyPolicy(R=1.0, a=0.0)
+    else:
+        problem, x1 = make_abs_problem(2), [0.7, -0.4]
+        policy = NesterovPolicy(R=2.0) if case == "nesterov" else FamilyPolicy(R=2.0, a=0.5)
+    ks = (-1.0, -0.5, 2.0)
+    _, trace = run(problem, SolverConfig(
+        max_iterations=300, initial_point=np.array(x1), policy=policy, weight_ks=ks,
+        record_trace=True, restart_factor=2.0 if case == "restarted" else None))
+    assert (trace["epoch"][-1] >= 2) == (case == "restarted")
+    assert np.all(np.isnan(trace["G"])) == (case == "nesterov")
+    assert "f_avg_k-0.5" in trace and "bound_weak_k-0.5" in trace
+    path, again = tmp_path / "t.csv", tmp_path / "again.csv"
+    emit_trace_csv(trace, path, {"weight_ks": list(ks)})
+    meta, columns = read_trace_csv(path)
+    assert meta == {"weight_ks": list(ks)}
+    assert list(columns) == list(trace)
+    for name, col in trace.items():
+        assert np.array_equal(columns[name], col, equal_nan=True), name
+    emit_trace_csv(columns, again, meta)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_emit_trace_csv_rejects_empty(tmp_path):
-    from psg import InvalidParameterError
-
-    with pytest.raises(InvalidParameterError):
-        emit_trace_csv([], tmp_path / "x.csv", {})
+    for trace in ({}, {"s": np.array([]), "eta": np.array([])}):  # no columns, no rows
+        with pytest.raises(InvalidParameterError):
+            emit_trace_csv(trace, tmp_path / "x.csv", {})
 
 
 def test_run_experiment_returns_summary_dict(tmp_path):

@@ -12,7 +12,6 @@ from psg import (
     make_lasso,
     make_sqrt_example,
     subgradient_inequality_check,
-    with_reference_optimum,
 )
 from psg.core import ensure_vector, leq_with_tol, scheme_label
 
@@ -115,15 +114,6 @@ def test_problem_instance_validation():
     with pytest.raises(InvalidParameterError):
         ProblemInstance(name="bad", dimension=1, oracle=oracle, projector=box,
                         radius_R=1.0, lipschitz_L=0.0)
-
-
-def test_with_reference_optimum_marks_substitution():
-    problem = make_lasso(seed=1, n=8, m=6)
-    assert problem.known_optimum_value is None
-    tagged = with_reference_optimum(problem, 12.5)
-    assert tagged.known_optimum_value == 12.5
-    assert tagged.optimum_is_reference
-    assert not problem.optimum_is_reference
 
 
 def test_scheme_labels():
