@@ -10,6 +10,8 @@ growing k shifts weight toward recent iterates (approaching last-iterate
 behaviour as k grows). Averages are maintained as streaming convex
 combinations, so no iterate history is stored and the accumulated weight
 never overflows the totals that a direct sum of s^(k/2) terms would reach.
+:class:`StreamingAverage` keeps all K averages of a run as one K x d array
+and updates it in place, with the same numpy calls whatever K is.
 """
 
 from __future__ import annotations
@@ -61,9 +63,12 @@ class StreamingAverage:
     Fed a 1-D array of K weights per point, it keeps K means at once (``mean``
     is K x d, ``total_weight`` has K entries), each row bit for bit equal to
     a scalar stream fed that weight, and checks the point once, not K times.
+    An update costs a fixed number of numpy calls whatever K is: the
+    difference x - mean is formed, scaled and added in one buffer of the
+    mean's shape, allocated with it.
     """
 
-    __slots__ = ("mean", "total_weight", "count")
+    __slots__ = ("mean", "total_weight", "count", "_buf")
 
     def __init__(self):
         self.mean: Optional[np.ndarray] = None
@@ -72,20 +77,26 @@ class StreamingAverage:
 
     def update(self, w, x: np.ndarray) -> "StreamingAverage":
         scalar = np.ndim(w) == 0
-        w = w if scalar else np.array(w, dtype=np.float64)
+        if not scalar:
+            w = np.asarray(w, dtype=np.float64)
         for w_i in [w] if scalar else w.tolist():
             if not (math.isfinite(w_i) and w_i > 0):
                 raise NumericError(f"weight must be positive and finite, got {w_i!r}")
-        if not np.isfinite(x).all():
+        # a finite squared norm proves every entry finite; vdot never warns
+        if not (math.isfinite(np.vdot(x, x)) or np.isfinite(x).all()):
             raise NumericError("point contains nonfinite entries")
         self.count += 1
         if self.mean is None:
             self.mean = np.array(x if scalar else [x] * w.size, dtype=np.float64)
-            self.total_weight = float(w) if scalar else w
+            self._buf = np.empty_like(self.mean)
+            self.total_weight = float(w) if scalar else w.copy()
         else:
             self.total_weight += w
             share = w / self.total_weight
-            self.mean += (share if scalar else share[:, None]) * (x - self.mean)
+            buf = self._buf
+            np.subtract(x, self.mean, out=buf)
+            buf *= share if scalar else share[:, None]
+            self.mean += buf
         return self
 
 

@@ -21,6 +21,7 @@ by ``psg check`` on a stored trace.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -31,21 +32,32 @@ from .averaging import WeightRule
 from .core import REL_TOL, InvalidParameterError, leq_with_tol, scheme_label
 
 
-def _per_t(fn, t, cumulative: bool = False):
+def _per_t(fn, t, cumulative: bool = False, tables: Optional[dict] = None):
     """fn(t), or with `cumulative` fn(1) + ... + fn(t) in order, elementwise over ints t >= 1.
 
     The terms are Python floats: numpy's power, sqrt and log differ from
     Python's in the last bit on some terms, and columns must equal scalars.
+    `tables`, when given, keeps the table fn(1), fn(2), ... under `fn`, so
+    that a later call for the same `fn` and `t` reuses it.
     """
     if np.ndim(t) == 0:
         return fn(t)
-    table = np.array([fn(u) for u in range(1, int(np.max(t, initial=0)) + 1)],
-                     dtype=np.float64)
+    table = None if tables is None else tables.get(fn)
+    if table is None:
+        table = np.array([fn(u) for u in range(1, int(np.max(t, initial=0)) + 1)],
+                         dtype=np.float64)
+        if tables is not None:
+            tables[fn] = table
     return (np.cumsum(table) if cumulative else table)[t - 1]
 
 
-def _root(t):  # Python's t ** 0.5, not sqrt: they differ in the last bit on some t
-    return t ** 0.5
+@functools.cache
+def _power(e: float):
+    """u -> u ** e, one function per exponent, so that tables can be keyed by it."""
+    return lambda u: u ** e
+
+
+_root = _power(0.5)  # Python's t ** 0.5, not sqrt: they differ in the last bit on some t
 
 
 def constant_bound(R: float, L: float, t) -> float:
@@ -61,13 +73,14 @@ def nesterov_bound(R: float, L: float, t) -> float:
     return ((2.0 * R * L + R * L * _per_t(math.log, t))
             / (4.0 * (_per_t(lambda u: (u + 1.0) ** 0.5, t) - 1.0)))
 
-def family_bound(R: float, t, max_g_norm) -> float:
+def family_bound(R: float, t, max_g_norm, tables: Optional[dict] = None) -> float:
     """Gap bound 1.5*R*max||g||/sqrt(t) for the uniform mean under the family step.
 
     Coincides with :func:`classic_bound` when ``max_g_norm`` equals the
-    Lipschitz constant.
+    Lipschitz constant. `tables` shares tabulated powers of t with other
+    bounds over the same t (see :func:`_per_t`).
     """
-    return 1.5 * R * max_g_norm / _per_t(_root, t)
+    return 1.5 * R * max_g_norm / _per_t(_root, t, tables=tables)
 
 
 def _weak_exponents(k: float) -> tuple:
@@ -204,12 +217,13 @@ def evaluate(policy, ks, R: float, L: Optional[float], columns: dict,
     max_g = np.concatenate([np.maximum.accumulate(part) for part in
                             np.split(np.asarray(columns["g_norm"], dtype=np.float64), starts[1:])])
 
-    bounds = {FAMILY: family_bound(R, t, max_g)}
+    tables: dict = {}  # one table of u ** e per distinct exponent e
+    bounds = {FAMILY: family_bound(R, t, max_g, tables)}
     for k in ks:
-        top, low, mid = _weak_exponents(float(k))
+        top, low, mid = map(_power, _weak_exponents(float(k)))
         bounds[weak_label(k)] = _weak_bound(
-            _per_t(lambda u: u ** top, t), _per_t(lambda u: u ** low, t, cumulative=True),
-            _per_t(lambda u: u ** mid, t, cumulative=True), R, max_g)
+            _per_t(top, t, tables=tables), _per_t(low, t, cumulative=True, tables=tables),
+            _per_t(mid, t, cumulative=True, tables=tables), R, max_g)
     if L is not None:
         bounds[CLASSIC] = classic_bound(R, L, t)
         bounds[CONSTANT] = constant_bound(R, L, t)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -122,8 +122,13 @@ class ProblemInstance:
         holds because A x - b is affine. The solver then streams each
         weighted average of the images beside the average of the iterates and
         evaluates the objective at an average in O(m + n), without an oracle
-        call. Provide it when the oracle's cost is dominated by forming
-        A x; leave it None otherwise.
+        call. It works row-wise: given stacked arrays of shapes (..., n) and
+        (..., m), possibly column slices of one array, it returns an array
+        of shape (...) with one value per row, each equal bit for bit to the
+        call on that row's 1-D pair. The solver calls it once per block of
+        iterations, on the averages of every iteration in the block. Provide
+        it when the oracle's cost is dominated by forming A x; leave it None
+        otherwise.
     """
 
     name: str
@@ -134,7 +139,7 @@ class ProblemInstance:
     lipschitz_L: Optional[float] = None
     known_optimum_value: Optional[float] = None
     known_optimum_point: Optional[np.ndarray] = None
-    value_at_image: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
+    value_at_image: Optional[Callable[[np.ndarray, np.ndarray], Union[float, np.ndarray]]] = None
 
     def __post_init__(self):
         if self.dimension < 1:

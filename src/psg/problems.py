@@ -116,9 +116,16 @@ class LassoInstance:
         """
         phi, y, lam = self.phi, self.y, self.lam
 
-        def value_at_image(x: np.ndarray, r: np.ndarray) -> float:
-            # np.abs(x).sum() without the wrapper: the same pairwise reduction
-            return float(r @ r) + lam * float(np.add.reduce(np.abs(x)))
+        def value_at_image(x: np.ndarray, r: np.ndarray):
+            # np.abs(x).sum() without the wrapper: the same pairwise reduction.
+            # The oracle calls this on one point per step, where the 1-D
+            # expression is cheapest.
+            if r.ndim == 1:
+                return float(r @ r) + lam * float(np.add.reduce(np.abs(x)))
+            # Rows of a stack, each bit for bit the 1-D value: a batched
+            # 1 x m @ m x 1 matmul takes the same dot as r @ r (einsum does not)
+            return ((r[..., None, :] @ r[..., :, None])[..., 0, 0]
+                    + lam * np.add.reduce(np.abs(x), axis=-1))
 
         # In-place updates of the fresh matvec results give the same bits as
         # phi @ x - y and 2 (phi^T r) + lam sign(x) without spare temporaries.

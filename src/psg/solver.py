@@ -28,6 +28,11 @@ from .core import (
 from .projection import project
 from .stepsize import StepSizePolicy
 
+# Iterations whose averages are copied into one block before their values are
+# evaluated together: one value_at_image call per block instead of K per
+# iteration. Holds 64 K (n + m) floats; changes no output value.
+VALUE_BLOCK = 64
+
 
 def psg_step(x: np.ndarray, g: np.ndarray, eta: float, projector) -> np.ndarray:
     """One projected subgradient step: project(x - eta * g)."""
@@ -124,7 +129,8 @@ def run(problem: ProblemInstance, config: SolverConfig):
     the undecided ones, and ``optimum_bracket`` is the bracket used.
 
     When the problem sets ``value_at_image``, the values at the averages
-    come from the averaged oracle images without an oracle call; the
+    come from the averaged oracle images without an oracle call, one call
+    on the stacked averages of every ``VALUE_BLOCK`` iterations; the
     report's averaged values always come from the oracle. Each iteration
     checks only what it produces: a finite oracle value, a subgradient of
     the right shape with a finite norm, the image contract (when read), a
@@ -182,6 +188,10 @@ def run(problem: ProblemInstance, config: SolverConfig):
     value_at_image = problem.value_at_image if need_values and rules else None
     n = problem.dimension
     image_size: Optional[int] = None
+    # the K averages after each of the last `rows` iterations, oldest first;
+    # copies, so a restart leaves them intact
+    block: Optional[np.ndarray] = None
+    rows = 0
 
     # one entry per iteration; the trace, the bounds and the certificates are
     # computed from these after the loop
@@ -192,11 +202,28 @@ def run(problem: ProblemInstance, config: SolverConfig):
     f_xs: list[float] = []
     avg_cols: list[list[float]] = [[] for _ in labels]
 
+    def append_values(means):
+        """Append the values at the averages `means` (iterations x K x d) to avg_cols."""
+        if value_at_image is None:
+            values = [[problem.value(mean) for mean in row] for row in means]
+        else:
+            values = np.asarray(value_at_image(means[..., :n], means[..., n:]),
+                                dtype=np.float64)
+            if values.shape != means.shape[:2]:
+                raise NumericError(f"value_at_image gave shape {values.shape}, not one value"
+                                   f" per average {means.shape[:2]}")
+            values = values.tolist()
+        for col, col_values in zip(avg_cols, zip(*values)):
+            col.extend(col_values)
+
     epoch = 0
     s_local = 0
     G_ref: Optional[float] = None
     stop = StopReason.BUDGET_EXHAUSTED
     restart_factor = config.restart_factor
+    if check_step:
+        d_now = x - x_star
+        dist_now = float(d_now @ d_now)  # ||x_s - x*||^2, carried to the next iteration
 
     for s in range(1, config.max_iterations + 1):
         res = problem.oracle(x)
@@ -257,18 +284,19 @@ def run(problem: ProblemInstance, config: SolverConfig):
                 raise NumericError(f"{exc} at iteration {s}") from None
 
         y = x - eta * g
-        if not np.isfinite(y).all():
+        # a finite squared norm proves every entry finite; vdot never warns
+        if not (math.isfinite(np.vdot(y, y)) or np.isfinite(y).all()):
             raise NumericError(f"step x - eta * g has nonfinite entries at iteration {s}")
         x_next = projector.project(y)
 
         if check_step and per_step:
-            d_now = x - x_star
             d_next = x_next - x_star
-            rhs = (float(d_now @ d_now) - float(d_next @ d_next)) / (2.0 * eta) \
-                + 0.5 * eta * g_norm * g_norm
+            dist_next = float(d_next @ d_next)
+            rhs = (dist_now - dist_next) / (2.0 * eta) + 0.5 * eta * g_norm * g_norm
             # f_x - f* also carries the rounding of f at its own magnitude
             rounding = VALUE_ROUNDING * max(abs(f_x), abs(f_star))
             per_step = bool(leq_with_tol(f_x - f_star, rhs, abs_=ABS_TOL + rounding))
+            dist_now = dist_next
 
         epochs.append(epoch)
         etas.append(eta)
@@ -276,9 +304,13 @@ def run(problem: ProblemInstance, config: SolverConfig):
         big_Gs.append(policy.G)
         f_xs.append(f_x)
         if need_values and rules:
-            for col, mean in zip(avg_cols, averages.mean):
-                col.append(problem.value(mean) if value_at_image is None
-                           else float(value_at_image(mean[:n], mean[n:])))
+            if block is None:
+                block = np.empty((VALUE_BLOCK,) + averages.mean.shape)
+            block[rows] = averages.mean
+            rows += 1
+            if rows == VALUE_BLOCK:
+                append_values(block)
+                rows = 0
 
         if stopping:
             stop = StopReason.ZERO_SUBGRADIENT
@@ -296,6 +328,9 @@ def run(problem: ProblemInstance, config: SolverConfig):
                 epoch += 1
 
         x = x_next
+
+    if rows:
+        append_values(block[:rows])
 
     averaged_points = {}
     averaged_values = {}

@@ -66,6 +66,16 @@ class TestStreamingAverage:
             acc.update(np.inf, np.array([1.0]))
         with pytest.raises(NumericError):
             acc.update(1.0, np.array([np.nan]))
+        with pytest.raises(NumericError):
+            acc.update(1.0, np.array([1e200, np.inf]))
+
+    @pytest.mark.parametrize("w", [1.0, np.array([1.0, 2.0])], ids=["scalar", "vector"])
+    def test_accepts_a_finite_point_whose_squared_norm_overflows(self, w):
+        acc = StreamingAverage()
+        x = np.array([1e200, -1e200])
+        acc.update(w, x).update(w, x)
+        assert acc.count == 2
+        assert np.all(acc.mean == x)
 
     def test_matches_direct_quotient_on_long_streams(self, rng):
         for _ in range(5):

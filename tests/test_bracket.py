@@ -2,9 +2,11 @@
 
 A run without a known optimum brackets f* by [f_low, f_best], where f_low
 minimizes the uniform mean of the oracle's minorants over the feasible set.
-The property test draws problems with an exactly known optimum, hides it
-from the solver, and checks that the bracket contains f* and that no
-certificate a policy declares is refuted.
+The property tests draw problems with an exactly known optimum, hide it
+from the solver, and check that the bracket contains f*, that no
+certificate a policy declares is refuted and that ``psg check`` agrees. One
+draws problems whose oracle returns an image, so the values at the averages
+come from the averaged images; they must match the run that asks the oracle.
 """
 
 import dataclasses
@@ -123,6 +125,15 @@ def _known_optimum_problem(draw):
             return SubgradientResult(f_star + abs(float(v[i])), np.sign(v[i]) * a[i])
 
         L = float(np.linalg.norm(a, axis=1).max())
+    projector, R = _feasible_set(draw, rng, x_star)
+    problem = ProblemInstance(name="drawn", dimension=n, oracle=oracle, projector=projector,
+                              radius_R=R, lipschitz_L=L)
+    return problem, f_star, _start(rng, x_star)
+
+
+def _feasible_set(draw, rng, x_star):
+    """A random ball or box that holds x* off its centre, and its R."""
+    n = len(x_star)
     if draw(st.booleans()):
         radius = float(rng.uniform(0.1, 3.0))
         center = x_star + rng.uniform(-1.0, 1.0, n) * radius / math.sqrt(n)  # x* inside
@@ -133,16 +144,46 @@ def _known_optimum_problem(draw):
         upper = x_star + rng.uniform(0.0, 3.0, n)
         projector = Box(lower=lower, upper=upper)
         R = float(np.linalg.norm(np.maximum(x_star - lower, upper - x_star)))
-    R = max(R, 1e-3)
-    problem = ProblemInstance(name="drawn", dimension=n, oracle=oracle, projector=projector,
-                              radius_R=R, lipschitz_L=L)
-    start = x_star + rng.uniform(-4.0, 4.0, n)  # projected onto the set, off x*
-    return problem, f_star, start
+    return projector, max(R, 1e-3)
+
+
+def _start(rng, x_star):
+    return x_star + rng.uniform(-4.0, 4.0, len(x_star))  # projected onto the set, off x*
+
+
+def _image_problem(draw):
+    """f(x) = f* + ||A (x - x*)||_inf, whose oracle returns the image z = A x - A x*.
+
+    Its hook f* + max_i |z_i| is row-wise, so averages are valued from the
+    averaged images; A has at least as many rows as columns, so x* is the
+    only minimizer.
+    """
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x_star = rng.uniform(-2.0, 2.0, n)
+    f_star = float(rng.uniform(-5.0, 5.0))
+    a = rng.standard_normal((n + draw(st.integers(0, 3)), n))
+    a_x_star = a @ x_star
+
+    def oracle(x):
+        z = a @ x - a_x_star
+        i = int(np.argmax(np.abs(z)))
+        return SubgradientResult(f_star + abs(float(z[i])), np.sign(z[i]) * a[i], image=z)
+
+    def value_at_image(x, z):
+        return f_star + np.max(np.abs(z), axis=-1)
+
+    projector, R = _feasible_set(draw, rng, x_star)
+    problem = ProblemInstance(name="drawn_image", dimension=n, oracle=oracle,
+                              projector=projector, radius_R=R,
+                              lipschitz_L=float(np.linalg.norm(a, axis=1).max()),
+                              value_at_image=value_at_image)
+    return problem, f_star, _start(rng, x_star)
 
 
 @st.composite
-def drawn_runs(draw):
-    problem, f_star, start = _known_optimum_problem(draw)
+def drawn_runs(draw, problems=_known_optimum_problem):
+    problem, f_star, start = problems(draw)
     iterations = draw(st.integers(1, 150))
     rule = draw(st.sampled_from(["family", "classic", "constant", "nesterov"]))
     R, L = problem.radius_R, problem.lipschitz_L
@@ -179,18 +220,18 @@ def check_agrees(problem, config, spec, report, trace, path):
         assert ok == report.certificates.get(name, True), (name, report)
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(drawn_runs())
-def test_bracket_holds_and_no_certificate_is_refuted(tmp_path_factory, drawn):
-    problem, f_star, config, spec = drawn
+def assert_sound(problem, f_star, config, spec, path):
+    """Run a drawn problem and return (report, trace).
+
+    The bracket must hold, no declared certificate be refuted and ``psg check`` agree.
+    """
     report, trace = run(problem, config)
     if report.iterations_run:
-        check_agrees(problem, config, spec, report, trace,
-                     tmp_path_factory.getbasetemp() / "drawn_trace.csv")
+        check_agrees(problem, config, spec, report, trace, path)
     declared = config.policy.certificates(config.weight_ks, problem.lipschitz_L)
     if not declared:
         assert report.optimum_bracket is None
-        return
+        return report, trace
     low, high = report.optimum_bracket
     assert leq_with_tol(low, f_star) and f_star <= high == report.best_value
     for cert in declared:
@@ -199,6 +240,30 @@ def test_bracket_holds_and_no_certificate_is_refuted(tmp_path_factory, drawn):
         assert not refuted, (cert.label, report)
     assert all(report.certificates[label] for label in report.certificates
                if label.startswith("monotone_"))
+    return report, trace
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(drawn_runs())
+def test_bracket_holds_and_no_certificate_is_refuted(tmp_path_factory, drawn):
+    assert_sound(*drawn, tmp_path_factory.getbasetemp() / "drawn_trace.csv")
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(drawn_runs(_image_problem))
+def test_image_hook_problems_are_sound_and_match_oracle_values(tmp_path_factory, drawn):
+    problem, f_star, config, spec = drawn
+    report, trace = assert_sound(problem, f_star, config, spec,
+                                 tmp_path_factory.getbasetemp() / "drawn_image_trace.csv")
+    plain, plain_trace = run(dataclasses.replace(problem, value_at_image=None), config)
+    assert plain.averaged_values == report.averaged_values
+    for label, point in plain.averaged_points.items():
+        assert np.array_equal(report.averaged_points[label], point)
+    for name, col in plain_trace.items():
+        if name.startswith("f_avg_"):
+            assert np.allclose(trace[name], col, rtol=1e-9, atol=1e-9), name
+        else:
+            assert np.array_equal(trace[name], col, equal_nan=True), name
 
 
 def _offset_abs_problem(offset, known):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from psg import (
@@ -172,6 +174,26 @@ class TestLassoOracle:
         assert np.array_equal(second.image, expected[2])
         assert second.subgradient is not first.subgradient
         assert np.array_equal(instance.phi, phi) and np.array_equal(instance.y, y)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 599), st.integers(1, 399), st.lists(st.integers(1, 4), min_size=1,
+       max_size=2), st.booleans(), st.floats(0.01, 100.0), st.integers(0, 2 ** 32 - 1))
+def test_lasso_hook_on_stacks_equals_each_row(n, m, shape, sliced, lam, seed):
+    # (..., n) and (..., m) stacks, as column slices of one [x; r] block like
+    # the solver's or as separate arrays, give each row's 1-D value bit for bit
+    value_at_image = LassoInstance(phi=np.ones((m, n)), y=np.zeros(m), lam=lam, radius=1.0,
+                                   seed=0).to_problem().value_at_image
+    rng = np.random.default_rng(seed)
+    shape = tuple(shape)
+    block = rng.standard_normal((*shape, n + m)) * rng.uniform(0.1, 100.0, (*shape, 1))
+    x, r = block[..., :n], block[..., n:]
+    if not sliced:
+        x, r = np.array(x), np.array(r)
+    values = value_at_image(x, r)
+    assert values.shape == shape
+    for index in np.ndindex(*shape):
+        assert values[index] == value_at_image(np.array(x[index]), np.array(r[index]))
 
 
 class TestLassoCsvRoundTrip:

@@ -26,6 +26,7 @@ from psg import (
     reference_optimum_value,
     run,
 )
+from psg import solver as solver_module
 
 from conftest import assert_trace_invariants, make_two_slope_problem
 
@@ -537,6 +538,101 @@ class TestImageHook:
         lean = dataclasses.replace(self.config(64), record_trace=False, certify=False)
         report, _ = run(broken_problem, lean)
         assert report.iterations_run == 300
+
+
+def flat_bottom_problem(c=1.0, n=5, seed=1):
+    """f(x) = max(||A x - b||_inf - c, 0) in a ball, with the image A x - b.
+
+    The subgradient is exactly zero on the flat bottom, so a run stops there.
+    """
+    rng = np.random.default_rng(seed)
+    A, b = rng.standard_normal((n + 2, n)), rng.standard_normal(n + 2)
+
+    def oracle(x):
+        z = A @ x - b
+        i = int(np.argmax(np.abs(z)))
+        v = abs(float(z[i])) - c
+        if v <= 0:
+            return SubgradientResult(0.0, np.zeros(n), image=z)
+        return SubgradientResult(v, np.sign(z[i]) * A[i], image=z)
+
+    def value_at_image(x, z):
+        return np.maximum(np.max(np.abs(z), axis=-1) - c, 0.0)
+
+    return ProblemInstance(name="flat_bottom", dimension=n, oracle=oracle,
+                           projector=Ball(center=np.zeros(n), radius=3.0), radius_R=6.0,
+                           value_at_image=value_at_image)
+
+
+class TestValueBlocks:
+    """Values at the averages, evaluated a block of iterations at a time."""
+
+    KS = (-1.0, 0.0, 2.0)
+
+    @pytest.fixture
+    def means(self, monkeypatch):
+        """The K averages after every update of every run, restarts included."""
+        recorded = []
+
+        class Recording(StreamingAverage):
+            def update(self, w, x):
+                super().update(w, x)
+                recorded.append(self.mean.copy())
+                return self
+
+        monkeypatch.setattr(solver_module, "StreamingAverage", Recording)
+        return recorded
+
+    def assert_rows_match(self, problem, trace, means, hook):
+        n = problem.dimension
+        assert len(means) == len(trace["s"])
+        for j, label in enumerate(f"f_avg_k{k:g}" for k in self.KS):
+            if hook:
+                expected = [float(problem.value_at_image(m[j, :n], m[j, n:])) for m in means]
+            else:
+                expected = [problem.value(m[j]) for m in means]
+            assert trace[label].tolist() == expected, label
+
+    @pytest.mark.parametrize("hook", [True, False], ids=["hook", "no-hook"])
+    @pytest.mark.parametrize("iterations", [1, 63, 64, 65, 130])
+    def test_each_row_equals_its_own_call(self, means, iterations, hook):
+        problem = make_lasso(seed=3, n=64, m=40)
+        if not hook:
+            problem = dataclasses.replace(problem, value_at_image=None)
+        _, trace = run(problem, SolverConfig(
+            max_iterations=iterations, initial_point=np.zeros(64),
+            policy=FamilyPolicy(R=50.0), weight_ks=self.KS, record_trace=True))
+        assert len(trace["s"]) == iterations
+        self.assert_rows_match(problem, trace, means, hook)
+
+    def test_restart_inside_a_block(self, means):
+        problem = make_lasso(seed=3, n=64, m=40)
+        _, trace = run(problem, SolverConfig(
+            max_iterations=130, initial_point=np.zeros(64), policy=FamilyPolicy(R=50.0),
+            weight_ks=self.KS, record_trace=True, restart_factor=2.0))
+        restarts = np.flatnonzero(np.diff(trace["epoch"])) + 1
+        assert len(restarts) and np.any(restarts % solver_module.VALUE_BLOCK)
+        self.assert_rows_match(problem, trace, means, hook=True)
+
+    def test_zero_subgradient_inside_a_block(self, means):
+        problem = flat_bottom_problem()
+        report, trace = run(problem, SolverConfig(
+            max_iterations=300, initial_point=np.full(5, 2.0), policy=FamilyPolicy(R=6.0),
+            weight_ks=self.KS, record_trace=True))
+        assert report.stop_reason == StopReason.ZERO_SUBGRADIENT
+        assert report.iterations_run > solver_module.VALUE_BLOCK
+        assert report.iterations_run % solver_module.VALUE_BLOCK
+        self.assert_rows_match(problem, trace, means, hook=True)
+
+    def test_hook_must_give_one_value_per_row(self):
+        problem = make_lasso(seed=3, n=64, m=40)
+        one_value = dataclasses.replace(
+            problem, value_at_image=lambda x, r: float(np.vdot(r, r)))
+        config = SolverConfig(max_iterations=5, initial_point=np.zeros(64),
+                              policy=FamilyPolicy(R=50.0), weight_ks=self.KS,
+                              record_trace=True)
+        with pytest.raises(NumericError, match=r"shape \(\), not one value per average \(5, 3\)"):
+            run(one_value, config)
 
 
 class TestNoAverages:
