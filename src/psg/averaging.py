@@ -11,7 +11,8 @@ behaviour as k grows). Averages are maintained as streaming convex
 combinations, so no iterate history is stored and the accumulated weight
 never overflows the totals that a direct sum of s^(k/2) terms would reach.
 :class:`StreamingAverage` keeps all K averages of a run as one K x d array
-and updates it in place, with the same numpy calls whatever K is.
+and updates it with the same numpy calls whatever K is, one point or one
+block of points per call.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import InvalidParameterError, NumericError
+from .core import InvalidParameterError, NumericError, ShapeError
 
 
 def weight(k: float, s: int, eta_s: float) -> float:
@@ -39,8 +40,9 @@ def weight(k: float, s: int, eta_s: float) -> float:
 class WeightRule:
     """Weight exponent validated once; rule(s, eta_s) is the weight formula, unchecked.
 
-    The one place the formula is written. It applies elementwise when `s`
-    and `eta_s` are numpy arrays of iteration indices and steps.
+    The one place the formula is written: ``__call__`` for one iteration,
+    which also applies elementwise when `s` and `eta_s` are numpy arrays of
+    iteration indices and steps, and :meth:`over` for a run of iterations.
     """
 
     k: float
@@ -51,6 +53,19 @@ class WeightRule:
 
     def __call__(self, s, eta_s):
         return eta_s ** -self.k if self.k <= 0 else s ** (0.5 * self.k)
+
+    def over(self, s_first: int, etas) -> list:
+        """Weights of iterations s_first, s_first + 1, ... with steps `etas`.
+
+        Python floats, each equal to ``rule(s, eta_s)`` bit for bit (numpy's
+        ``power`` can differ in the last bit). For k > 0 a weight that
+        overflows raises :class:`OverflowError`.
+        """
+        if self.k <= 0:
+            p = -self.k
+            return [eta ** p for eta in etas]
+        e = 0.5 * self.k
+        return [s ** e for s in range(s_first, s_first + len(etas))]
 
 
 class StreamingAverage:
@@ -63,40 +78,71 @@ class StreamingAverage:
     Fed a 1-D array of K weights per point, it keeps K means at once (``mean``
     is K x d, ``total_weight`` has K entries), each row bit for bit equal to
     a scalar stream fed that weight, and checks the point once, not K times.
-    An update costs a fixed number of numpy calls whatever K is: the
-    difference x - mean is formed, scaled and added in one buffer of the
-    mean's shape, allocated with it.
+
+    :meth:`update` also takes a block of points, one per row, and runs the
+    same recurrence over its rows in order: a block gives the bits that
+    feeding its rows one at a time gives, for a fixed number of numpy calls
+    per row whatever K is, and validates the block once.
     """
 
-    __slots__ = ("mean", "total_weight", "count", "_buf")
+    __slots__ = ("mean", "total_weight", "count")
 
     def __init__(self):
         self.mean: Optional[np.ndarray] = None
         self.total_weight = 0.0
         self.count = 0
 
-    def update(self, w, x: np.ndarray) -> "StreamingAverage":
-        scalar = np.ndim(w) == 0
-        if not scalar:
-            w = np.asarray(w, dtype=np.float64)
-        for w_i in [w] if scalar else w.tolist():
-            if not (math.isfinite(w_i) and w_i > 0):
-                raise NumericError(f"weight must be positive and finite, got {w_i!r}")
+    def update(self, w, x: np.ndarray, out: Optional[np.ndarray] = None) -> "StreamingAverage":
+        """Feed one point `x` with weight `w`, or a block of points.
+
+        A 1-D `x` is one point; `w` is its weight, or a 1-D array of K
+        weights. A 2-D `x` is a block with one point per row, and `w` then
+        holds one weight, or one row of K weights, per point. When given,
+        `out` (one row per point, each of the mean's shape) receives the
+        means after every point; ``mean`` itself never shares memory with it.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        w = np.asarray(w, dtype=np.float64)
+        if x.ndim == 1:
+            x, w = x[None], w[None]
+        if x.ndim != 2 or w.shape[:1] != x.shape[:1] or w.ndim > 2:
+            raise ShapeError(f"weights of shape {w.shape} do not fit points of shape {x.shape}")
+        valid = (w > 0) & (w < math.inf)
+        if not valid.all():
+            bad = float(w[~valid][0])
+            raise NumericError(f"weight must be positive and finite, got {bad!r}")
         # a finite squared norm proves every entry finite; vdot never warns
         if not (math.isfinite(np.vdot(x, x)) or np.isfinite(x).all()):
             raise NumericError("point contains nonfinite entries")
-        self.count += 1
-        if self.mean is None:
-            self.mean = np.array(x if scalar else [x] * w.size, dtype=np.float64)
-            self._buf = np.empty_like(self.mean)
-            self.total_weight = float(w) if scalar else w.copy()
+        shape = w.shape[1:] + x.shape[1:]  # (d,) for one weight per point, else (K, d)
+        rows = len(x)
+        if rows == 0:
+            return self
+        if out is None:
+            out = np.empty((rows,) + shape)
+        # W' = W + w row after row: a sequential running sum from the last total
+        totals = w.copy()
+        fresh = self.mean is None
+        if fresh:  # the first point is the mean; the recurrence starts at row 1
+            out[0] = x[0]
+            mean = out[0]
         else:
-            self.total_weight += w
-            share = w / self.total_weight
-            buf = self._buf
-            np.subtract(x, self.mean, out=buf)
-            buf *= share if scalar else share[:, None]
-            self.mean += buf
+            totals[0] += self.total_weight
+            mean = self.mean
+        np.cumsum(totals, axis=0, out=totals)
+        shares = (w / totals)[..., None]
+        start = int(fresh)
+        for o, x_i, share in zip(out[start:], x[start:], shares[start:]):
+            np.subtract(x_i, mean, out=o)
+            o *= share
+            o += mean
+            mean = o
+        if fresh:
+            self.mean = mean.copy()
+        else:
+            self.mean[...] = mean
+        self.total_weight = float(totals[-1]) if w.ndim == 1 else totals[-1].copy()
+        self.count += rows
         return self
 
 

@@ -128,7 +128,10 @@ class ProblemInstance:
         call on that row's 1-D pair. The solver calls it once per block of
         iterations, on the averages of every iteration in the block. Provide
         it when the oracle's cost is dominated by forming A x; leave it None
-        otherwise.
+        otherwise. The image may be empty (m = 0), for a hook that reads the
+        value from x alone. The hook belongs to the oracle: a copy of the
+        problem with another oracle must set ``value_at_image=None`` (or a
+        hook of its own), or its averages are valued by the old objective.
     """
 
     name: str

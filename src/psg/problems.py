@@ -24,15 +24,28 @@ def make_sqrt_example() -> ProblemInstance:
     Lipschitz bound exists, so the constant and classic step rules do not
     apply. The subdifferential at x = 0 is empty; starting there stops the
     solver immediately. Optimum x* = 1 with f* = -1.
+
+    The oracle returns an empty image and the problem a row-wise
+    ``value_at_image`` that reads the value from x alone, so a run values its
+    averages without oracle calls. A copy with another oracle
+    (``dataclasses.replace(problem, oracle=...)``) must also set
+    ``value_at_image=None``, or its averages keep the values of this one.
     """
+    no_image = np.empty(0)
 
     def oracle(x: np.ndarray) -> SubgradientResult:
         v = float(x[0])
         if v <= 0.0:
             return SubgradientResult(value=0.0, subgradient=None)
         root = math.sqrt(v)
-        return SubgradientResult(value=-root,
-                                 subgradient=np.array([-0.5 / root]))
+        return SubgradientResult(value=-root, subgradient=np.array([-0.5 / root]),
+                                 image=no_image)
+
+    def value_at_image(x: np.ndarray, z: np.ndarray):
+        # the oracle's value row by row: np.sqrt and math.sqrt both round
+        # correctly, and the other branch gives +0.0 as the oracle does
+        v = x[..., 0]
+        return np.where(v > 0.0, -np.sqrt(np.maximum(v, 0.0)), 0.0)
 
     return ProblemInstance(
         name="sqrt-example",
@@ -43,6 +56,7 @@ def make_sqrt_example() -> ProblemInstance:
         lipschitz_L=None,
         known_optimum_value=-1.0,
         known_optimum_point=np.ones(1),
+        value_at_image=value_at_image,
     )
 
 

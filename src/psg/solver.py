@@ -28,9 +28,10 @@ from .core import (
 from .projection import project
 from .stepsize import StepSizePolicy
 
-# Iterations whose averages are copied into one block before their values are
-# evaluated together: one value_at_image call per block instead of K per
-# iteration. Holds 64 K (n + m) floats; changes no output value.
+# Iterations whose points are fed to the K averages in one update, and whose
+# averages are then valued together: one weight computation, one update and
+# one value_at_image call per block instead of per iteration. Holds
+# 64 (K + 1) (n + m) floats; changes no output value.
 VALUE_BLOCK = 64
 
 
@@ -128,16 +129,21 @@ def run(problem: ProblemInstance, config: SolverConfig):
     ``certificates`` holds True only for proven ones, ``undecided`` names
     the undecided ones, and ``optimum_bracket`` is the bracket used.
 
+    The averages are fed a block at a time: each iteration only writes its
+    point [x_s; image_s] into a ``VALUE_BLOCK``-row buffer, and every
+    ``VALUE_BLOCK`` iterations, before a restart and after the loop, the
+    block's weights are formed and one :meth:`StreamingAverage.update` runs
+    the recurrence over its rows, with the bits of one update per iteration.
     When the problem sets ``value_at_image``, the values at the averages
-    come from the averaged oracle images without an oracle call, one call
-    on the stacked averages of every ``VALUE_BLOCK`` iterations; the
-    report's averaged values always come from the oracle. Each iteration
-    checks only what it produces: a finite oracle value, a subgradient of
-    the right shape with a finite norm, the image contract (when read), a
-    positive step, positive finite weights, one finite averaged point
-    [x_s; image_s] for all K averages and a finite x_s - eta_s g_s. Failures
-    raise :class:`NumericError` naming the iteration
-    (:class:`InvalidParameterError` for a bad step).
+    then come from the averaged oracle images without an oracle call, one
+    call on the block's stacked averages; the report's averaged values
+    always come from the oracle. Each iteration checks only what it
+    produces: a finite oracle value, a subgradient of the right shape with a
+    finite norm, the image contract and a finite image (when read), a
+    positive finite step and a finite x_s - eta_s g_s; x_s is then finite by
+    construction, and so is every weight with k <= 0. Failures raise
+    :class:`NumericError` naming the iteration (:class:`InvalidParameterError`
+    for a nonpositive step), as does a weight s^(k/2) that overflows.
 
     Returns
     -------
@@ -188,8 +194,9 @@ def run(problem: ProblemInstance, config: SolverConfig):
     value_at_image = problem.value_at_image if need_values and rules else None
     n = problem.dimension
     image_size: Optional[int] = None
-    # the K averages after each of the last `rows` iterations, oldest first;
-    # copies, so a restart leaves them intact
+    # the points [x_s; image_s] of the last `rows` iterations, oldest first,
+    # not yet fed to the averages, and the K averages after each of them
+    points: Optional[np.ndarray] = None
     block: Optional[np.ndarray] = None
     rows = 0
 
@@ -216,8 +223,32 @@ def run(problem: ProblemInstance, config: SolverConfig):
         for col, col_values in zip(avg_cols, zip(*values)):
             col.extend(col_values)
 
+    def flush():
+        """Feed the pending rows to the averages, then value them when needed."""
+        nonlocal rows
+        if not rows:
+            return
+        s_first = s_local - rows + 1  # the rows hold iterations s_first..s_local of the epoch
+        block_etas = etas[-rows:]
+        weights = np.empty((rows, len(rules)))
+        for j, rule in enumerate(rules):
+            try:
+                weights[:, j] = rule.over(s_first, block_etas)
+            except OverflowError:
+                for i in range(rows):  # name the first iteration that overflows
+                    try:
+                        rule(s_first + i, block_etas[i])
+                    except OverflowError:
+                        raise NumericError(f"weight of k={rule.k:g} overflows at iteration"
+                                           f" {len(etas) - rows + 1 + i}") from None
+        averages.update(weights, points[:rows], out=block[:rows])
+        if need_values:
+            append_values(block[:rows])
+        rows = 0
+
     epoch = 0
     s_local = 0
+    inf = math.inf
     G_ref: Optional[float] = None
     stop = StopReason.BUDGET_EXHAUSTED
     restart_factor = config.restart_factor
@@ -244,9 +275,7 @@ def run(problem: ProblemInstance, config: SolverConfig):
             g_sum += g
             c_sum += f_x - float(g.dot(x))
             minorants += 1
-        if value_at_image is None:
-            point = x
-        else:
+        if value_at_image is not None:
             image = res.image
             if image is None or np.ndim(image) != 1:
                 raise NumericError(f"oracle returned no image vector at iteration {s}")
@@ -255,7 +284,10 @@ def run(problem: ProblemInstance, config: SolverConfig):
             elif len(image) != image_size:
                 raise NumericError(f"oracle image has length {len(image)} at iteration {s},"
                                    f" {image_size} before")
-            point = np.concatenate((x, image))
+            # a finite squared norm proves every entry finite; vdot never warns
+            if image_size and not (math.isfinite(np.vdot(image, image))
+                                   or np.isfinite(image).all()):
+                raise NumericError(f"oracle image has nonfinite entries at iteration {s}")
 
         s_local += 1
         stopping = g_norm == 0.0
@@ -273,15 +305,25 @@ def run(problem: ProblemInstance, config: SolverConfig):
                 break
         else:
             eta = policy.step_size(s_local, g_norm)
-        if not eta > 0:
-            raise InvalidParameterError(f"step size {eta!r} is not positive at iteration {s}")
+        if not 0.0 < eta < inf:
+            if not eta > 0:
+                raise InvalidParameterError(f"step size {eta!r} is not positive at iteration {s}")
+            raise NumericError(f"step size {eta!r} is not finite at iteration {s}")
 
         best.update(s, f_x, x)
         if rules:
-            try:
-                averages.update(np.array([rule(s_local, eta) for rule in rules]), point)
-            except NumericError as exc:
-                raise NumericError(f"{exc} at iteration {s}") from None
+            # x is finite: the start is checked, every later x is a projection
+            # of a finite step
+            if points is None:
+                width = n + (image_size or 0)
+                points = np.empty((VALUE_BLOCK, width))
+                block = np.empty((VALUE_BLOCK, len(rules), width))
+            if image_size:
+                points[rows, :n] = x
+                points[rows, n:] = image
+            else:  # no image, or an empty one
+                points[rows] = x
+            rows += 1
 
         y = x - eta * g
         # a finite squared norm proves every entry finite; vdot never warns
@@ -303,14 +345,8 @@ def run(problem: ProblemInstance, config: SolverConfig):
         g_norms.append(g_norm)
         big_Gs.append(policy.G)
         f_xs.append(f_x)
-        if need_values and rules:
-            if block is None:
-                block = np.empty((VALUE_BLOCK,) + averages.mean.shape)
-            block[rows] = averages.mean
-            rows += 1
-            if rows == VALUE_BLOCK:
-                append_values(block)
-                rows = 0
+        if rows == VALUE_BLOCK:
+            flush()
 
         if stopping:
             stop = StopReason.ZERO_SUBGRADIENT
@@ -322,6 +358,7 @@ def run(problem: ProblemInstance, config: SolverConfig):
                 G_ref = G_now
             elif restart_factor is not None and G_now > restart_factor * G_ref:
                 G_ref = G_now
+                flush()
                 policy.reset()
                 averages = StreamingAverage()
                 s_local = 0
@@ -329,8 +366,7 @@ def run(problem: ProblemInstance, config: SolverConfig):
 
         x = x_next
 
-    if rows:
-        append_values(block[:rows])
+    flush()
 
     averaged_points = {}
     averaged_values = {}

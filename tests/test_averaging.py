@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from psg import (
@@ -8,6 +10,7 @@ from psg import (
     Box,
     InvalidParameterError,
     NumericError,
+    ShapeError,
     StreamingAverage,
     WeightRule,
     weight,
@@ -38,6 +41,18 @@ class TestWeight:
 
     def test_rule_is_callable(self):
         assert WeightRule(2.0)(9, 0.3) == 9.0
+
+    @pytest.mark.parametrize("k", [-1.0, -0.5, -0.25, 0.0, 0.5, 2.0, 7.0])
+    def test_over_a_run_equals_each_call(self, k, rng):
+        rule = WeightRule(k)
+        etas = rng.uniform(1e-3, 10.0, size=50).tolist()
+        weights = rule.over(17, etas)
+        assert weights == [rule(s, eta) for s, eta in enumerate(etas, start=17)]
+        assert all(type(w) is float for w in weights)
+
+    def test_over_raises_on_overflow(self):
+        with pytest.raises(OverflowError):
+            WeightRule(300.0).over(100, [1.0] * 20)
 
 
 class TestStreamingAverage:
@@ -97,6 +112,35 @@ class TestStreamingAverage:
             acc.update(weight(0.0, s, eta_s=1.0 / s), x)
         assert_allclose(acc.mean, points.mean(axis=0), rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("K", [None, 3], ids=["scalar", "vector"])
+    def test_block_mean_is_not_a_view_of_out(self, K, rng):
+        points = rng.standard_normal((5, 4))
+        weights = rng.uniform(0.5, 2.0, size=(5,) if K is None else (5, K))
+        for fresh in (True, False):
+            acc = StreamingAverage()
+            if not fresh:
+                acc.update(weights[0], points[0])
+            out = np.empty((5,) + ((4,) if K is None else (K, 4)))
+            acc.update(weights, points, out=out)
+            assert np.array_equal(acc.mean, out[-1])
+            kept = acc.mean.copy()
+            out[...] = np.nan
+            assert np.array_equal(acc.mean, kept)
+            assert acc.count == 5 + (not fresh)
+
+    def test_block_rejects_mismatched_weights(self):
+        for w in (np.ones(3), np.ones((3, 2)), 1.0):
+            with pytest.raises(ShapeError):
+                StreamingAverage().update(w, np.ones((2, 4)))
+
+    def test_block_names_the_bad_weight(self):
+        acc = StreamingAverage()
+        with pytest.raises(NumericError, match="got nan"):
+            acc.update(np.array([[1.0, 2.0], [np.nan, 1.0]]), np.ones((2, 3)))
+        with pytest.raises(NumericError, match="nonfinite"):
+            acc.update(np.ones((2, 2)), np.array([[1.0], [np.inf]]))
+        assert acc.count == 0 and acc.mean is None
+
     @pytest.mark.parametrize("op", [
         Box(lower=-np.ones(3), upper=np.ones(3)),
         Ball(center=np.zeros(3), radius=2.0),
@@ -106,6 +150,47 @@ class TestStreamingAverage:
         for s, x in enumerate(sample_feasible(op, rng, 300), start=1):
             acc.update(s ** 0.5, x)
             assert feasibility_residual(op, acc.mean) <= 1e-9
+
+
+def recurrence(weights, points):
+    """The means after each point: W += w; mean += (w / W) (x - mean), written out."""
+    shape = weights.shape[1:] + points.shape[1:]
+    mean, total = np.broadcast_to(points[0], shape).copy(), weights[0].copy()
+    means = [mean.copy()]
+    for w, x in zip(weights[1:], points[1:]):
+        total = total + w
+        share = w / total
+        mean = mean + (x - mean) * (share[..., None] if share.ndim else share)
+        means.append(mean.copy())
+    return np.array(means)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from([None, 1, 2, 3, 4]), st.integers(1, 40), st.integers(1, 130),
+       st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_block_update_equals_point_updates(K, d, rows, before, seed):
+    # K None is one weight per point; `before` points fed one at a time first,
+    # so the block either starts the average or continues it
+    rng = np.random.default_rng(seed)
+    shape = () if K is None else (K,)
+    weights = 10.0 ** rng.uniform(-6.0, 6.0, size=(before + rows,) + shape)
+    points = rng.standard_normal((before + rows, d)) * 10.0 ** rng.uniform(-3, 3)
+    apart, together = StreamingAverage(), StreamingAverage()
+    for w, x in zip(weights[:before], points[:before]):
+        apart.update(w, x)
+        together.update(w, x)
+    expected = []
+    for w, x in zip(weights[before:], points[before:]):
+        apart.update(w, x)
+        expected.append(apart.mean.copy())
+    out = np.empty((rows,) + shape + (d,))
+    together.update(weights[before:], points[before:], out=out)
+    assert np.array_equal(out, np.array(expected))
+    assert np.array_equal(out, recurrence(weights, points)[before:])
+    assert np.array_equal(together.mean, apart.mean)
+    assert np.array_equal(together.total_weight, apart.total_weight)
+    assert type(together.total_weight) is type(apart.total_weight)
+    assert together.count == apart.count == before + rows
 
 
 @pytest.mark.parametrize("k", [-0.75, -0.5, -0.25, 0.0])

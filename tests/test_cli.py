@@ -234,11 +234,9 @@ class TestRunCommand:
         assert cell["certificates"] == {"family": True, "weak_k0": True, "monotone_k0": True}
         assert cell["undecided"] == []
 
-    @pytest.mark.parametrize("name,calls", [("lasso_desk.json", 4006), ("sweep_a.json", 10005)])
-    def test_shipped_lasso_oracle_calls(self, tmp_path, monkeypatch, name, calls):
-        # cells x iterations, plus one final call per cell and average
-        import pathlib
-
+    @staticmethod
+    def count_oracle_calls(monkeypatch):
+        """Count every oracle call of the problems that `psg run` builds."""
         import psg.cli
 
         count = [0]
@@ -255,9 +253,44 @@ class TestRunCommand:
             return dataclasses.replace(problem, oracle=counted)
 
         monkeypatch.setattr(psg.cli, "build_problem", counted_build)
+        return count
+
+    @pytest.mark.parametrize("name,calls", [("lasso_desk.json", 4006), ("sweep_a.json", 10005)])
+    def test_shipped_lasso_oracle_calls(self, tmp_path, monkeypatch, name, calls):
+        # cells x iterations, plus one final call per cell and average
+        import pathlib
+
+        count = self.count_oracle_calls(monkeypatch)
         cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / name
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path), "--strict"]) == 0
         assert count[0] == calls
+
+    def test_restarted_sqrt_oracle_calls(self, tmp_path, monkeypatch):
+        # the sqrt example values its averages from the iterates alone: one
+        # call per iteration plus one final call per average
+        count = self.count_oracle_calls(monkeypatch)
+        cfg = write_config(tmp_path / "c.json", {
+            "problem": {"kind": "sqrt-example"}, "policy": {"kind": "family", "a": 0.0},
+            "weight_ks": [-1.0, 0.0, 2.0], "iterations": 2000, "initial_point": [0.9],
+            "restart_factor": 2.0, "trace_path": "trace.csv",
+        })
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path), "--strict"]) == 0
+        cell = json.loads((tmp_path / "summary.json").read_text())["cells"][0]
+        assert cell["iterations_run"] == 2000
+        _, columns = read_trace_csv(tmp_path / "trace.csv")
+        assert columns["epoch"][-1] >= 2
+        assert count[0] == 2000 + 3
+
+    def test_overflowing_weight_fails_the_cell(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {
+            "problem": {"kind": "abs", "dim": 2}, "policy": {"kind": "family"},
+            "weight_ks": [0.0, 300.0], "iterations": 3000, "initial_point": [0.7, -0.4],
+        })
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        cell = json.loads((tmp_path / "summary.json").read_text())["cells"][0]
+        assert cell["status"] == "failed"
+        assert cell["error"] == "weight of k=300 overflows at iteration 114"
+        assert "overflows at iteration 114" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,22 @@ class TestSqrtExample:
         res = make_sqrt_example().oracle(np.array([0.0]))
         assert res.is_empty
         assert res.value == 0.0
+
+    def test_image_hook_equals_the_oracle_value_per_row(self, rng):
+        problem = make_sqrt_example()
+        xs = np.concatenate(([0.0, -0.0, 5e-324, 1e-300, 1.0, 0.25],
+                             rng.uniform(0.0, 1.0, 200), 10.0 ** rng.uniform(-300, 0, 200)))
+        stack = xs.reshape(-1, 2, 1)  # iterations x averages x n
+        values = problem.value_at_image(stack, stack[..., 1:])
+        assert values.shape == (len(xs) // 2, 2)
+        for x, value in zip(stack.reshape(-1, 1), values.ravel()):
+            res = problem.oracle(x)
+            assert res.is_empty or res.image.shape == (0,)
+            for got in (value, problem.value_at_image(x, np.empty(0))):
+                # equal bit for bit: the same number with the same sign, +0.0 at x = 0
+                assert got == res.value
+                assert math.copysign(1.0, got) == math.copysign(1.0, res.value)
+        assert math.copysign(1.0, problem.value_at_image(np.zeros(1), np.empty(0))) == 1.0
 
     def test_declares_no_lipschitz_bound(self):
         problem = make_sqrt_example()

@@ -571,13 +571,17 @@ class TestValueBlocks:
 
     @pytest.fixture
     def means(self, monkeypatch):
-        """The K averages after every update of every run, restarts included."""
+        """The K averages after every iteration of every run, restarts included.
+
+        The solver feeds the averages a block of points at a time; these are
+        the rows that each block update writes, one per iteration.
+        """
         recorded = []
 
         class Recording(StreamingAverage):
-            def update(self, w, x):
-                super().update(w, x)
-                recorded.append(self.mean.copy())
+            def update(self, w, x, out=None):
+                super().update(w, x, out=out)
+                recorded.extend(out.copy())
                 return self
 
         monkeypatch.setattr(solver_module, "StreamingAverage", Recording)
@@ -744,6 +748,35 @@ class TestHotLoopChecks:
         config = SolverConfig(max_iterations=5, initial_point=np.array([0.5]),
                               policy=ConstantPolicy(R=1.0, L=1e-160, horizon_t=5))
         with pytest.raises(NumericError, match="nonfinite entries at iteration 1"):
+            run(problem, config)
+
+    @pytest.mark.parametrize("ks", [(-1.0,), (0.0,), (2.0,), (-1.0, 0.0, 2.0), ()])
+    def test_infinite_step_is_numeric_for_every_weighting(self, ks):
+        # R / (L sqrt(t)) overflows to inf; the step is rejected before any
+        # weight or point is formed from it
+        problem = self.problem(lambda x: np.array([1.0]))
+        config = SolverConfig(max_iterations=5, initial_point=np.array([0.5]),
+                              policy=ConstantPolicy(R=1.0, L=1e-320, horizon_t=5), weight_ks=ks)
+        with pytest.raises(NumericError, match="step size inf is not finite at iteration 1"):
+            run(problem, config)
+
+    @pytest.mark.parametrize("restart", [False, True])
+    def test_overflowing_weight_names_its_iteration(self, restart):
+        # s ** 150 overflows first at s = 114 (113 ** 150 is about 1e308)
+        if restart:
+            problem, x1 = make_two_slope_problem(), np.array([0.3])
+        else:
+            problem, x1 = make_abs_problem(2), np.array([0.7, -0.4])
+        config = SolverConfig(max_iterations=3000, initial_point=x1,
+                              policy=FamilyPolicy(R=problem.radius_R), weight_ks=(0.0, 300.0),
+                              restart_factor=1.5 if restart else None, record_trace=True)
+        # the error counts iterations over the run, the weight over the epoch
+        _, trace = run(problem, dataclasses.replace(config, weight_ks=(0.0,)))
+        epoch = trace["epoch"].astype(int)
+        s_local = np.arange(len(epoch)) - np.searchsorted(epoch, epoch) + 1
+        expected = int(trace["s"][np.argmax(s_local == 114)])
+        assert (expected > 114) == restart
+        with pytest.raises(NumericError, match=f"weight of k=300 overflows at iteration {expected}$"):
             run(problem, config)
 
     def test_nonpositive_step_names_the_iteration(self):
