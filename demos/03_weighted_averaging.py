@@ -38,5 +38,5 @@ print(f"{'best':>10} {report.best_value:>12.4f} "
 
 print("\nLarger k tracks the best iterate more closely while keeping the")
 print("one-shot guarantee; the best iterate itself needs one objective")
-print("evaluation per iteration, and a run without certificates")
-print("(certify=False) evaluates none at the averages.")
+print("evaluation per iteration, and the lean run (weight_ks=())")
+print("tracks no average, so it evaluates none and proves no gap.")

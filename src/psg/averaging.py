@@ -8,8 +8,8 @@ The weight put on iterate s is controlled by a single exponent k >= -1:
 k = 0 gives the plain running mean, k = -1 the step-size-weighted mean, and
 growing k shifts weight toward recent iterates (approaching last-iterate
 behaviour as k grows). Averages are maintained as streaming convex
-combinations, so no iterate history is stored and the accumulated weight
-never overflows the totals that a direct sum of s^(k/2) terms would reach.
+combinations, so no iterate history is stored; only the running total of the
+weights is kept, and a total that overflows raises :class:`OverflowError`.
 :class:`StreamingAverage` keeps all K averages of a run as one K x d array
 and updates it with the same numpy calls whatever K is, one point or one
 block of points per call.
@@ -100,6 +100,8 @@ class StreamingAverage:
         holds one weight, or one row of K weights, per point. When given,
         `out` (one row per point, each of the mean's shape) receives the
         means after every point; ``mean`` itself never shares memory with it.
+        A running total weight that overflows raises :class:`OverflowError`,
+        without a numpy warning, before the means change.
         """
         x = np.asarray(x, dtype=np.float64)
         w = np.asarray(w, dtype=np.float64)
@@ -129,7 +131,10 @@ class StreamingAverage:
         else:
             totals[0] += self.total_weight
             mean = self.mean
-        np.cumsum(totals, axis=0, out=totals)
+        with np.errstate(over="ignore"):  # reported below, not warned
+            np.cumsum(totals, axis=0, out=totals)
+        if not np.isfinite(totals[-1]).all():  # the totals only grow
+            raise OverflowError("total weight overflows")
         shares = (w / totals)[..., None]
         start = int(fresh)
         for o, x_i, share in zip(out[start:], x[start:], shares[start:]):

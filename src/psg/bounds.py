@@ -137,14 +137,13 @@ class WeakBoundSums:
 
 @dataclass(frozen=True)
 class Certificate:
-    """A step-size rule's guarantee: f(mean of exponent `k`) - f* <= bound `bound`.
+    """A step-size rule's guarantee: f(mean of exponent `k`) - f* <= the bound `label`.
 
     Checked at every iteration, or only after exactly `horizon` iterations.
     """
 
     label: str
     k: float
-    bound: str
     horizon: Optional[int] = None
 
 
@@ -231,7 +230,7 @@ def evaluate(policy, ks, R: float, L: Optional[float], columns: dict,
 
     certificates, undecided = {}, []
     for cert in policy.certificates(ks, L) if bracket is not None else ():
-        avg, bound = columns[f"f_avg_{scheme_label(cert.k)}"], bounds[cert.bound]
+        avg, bound = columns[f"f_avg_{scheme_label(cert.k)}"], bounds[cert.label]
         if cert.horizon is not None:
             decided = len(t) and t[-1] == cert.horizon
             avg, bound = (avg[-1:], bound[-1:]) if decided else ((), ())

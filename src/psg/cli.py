@@ -13,28 +13,13 @@ Subcommands
 Exit codes: 0 success, 1 config or I/O error, 2 numeric failure inside a
 run, 3 a certificate not proven (only with ``--strict``).
 
-Config schema (JSON object)::
-
-    {
-      "problem":        {"kind": "abs", "dim": 1}
-                      | {"kind": "sqrt-example"}
-                      | {"kind": "lasso", "seed": 1, "n": 64, "m": 40,
-                         "radius": 50.0, "lambda": 10.0}
-                      | {"kind": "lasso-file", "path": "instance.csv"},
-      "policy":         one of, or a list of,
-                        {"kind": "family", "a": 1.0}
-                      | {"kind": "nesterov"}
-                      | {"kind": "classic", "L": 1.0}
-                      | {"kind": "constant", "L": 1.0},
-      "weight_ks":      [0.0, 2.0],          # optional, default [0.0]
-      "iterations":     2000,
-      "initial_point":  "zero" | {"random": 7} | [0.5, ...],   # optional
-      "trace_path":     "traces/run.csv",    # optional; omitted = no traces
-      "summary_path":   "summary.json",      # optional, this is the default
-      "restart_factor": 10.0                 # optional, default off
-    }
-
-A field that the object's kind does not take is an error, at every level.
+A config is a JSON object. :data:`CONFIG_FIELDS` lists its fields, and
+:data:`PROBLEM_FIELDS` and :data:`POLICY_FIELDS` the fields of each kind of
+``problem`` and ``policy`` object (``policy`` may also be a list of them,
+one cell each), each field with its type and default; the README shows an
+example. A field that the object's kind does not take is an error, at every
+level, and so is a value of the wrong type: counts are integers (``2000.0``
+counts), other numbers finite; ``null`` is the same as omitting the field.
 For the classic and constant policies ``L`` may be omitted when the problem
 declares a Lipschitz bound. The default initial point is the origin, except
 for the sqrt example where it is 0.5 (the origin has an empty
@@ -66,17 +51,18 @@ not exceed the final ``f_best``, and its ``low`` on trust.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
 from . import bounds as bnd
-from .core import InvalidParameterError, NumericError, ProblemInstance
+from .core import InvalidParameterError, NumericError, ProblemInstance, scheme_label
 from .problems import (
     load_lasso_csv,
     make_abs_problem,
@@ -102,212 +88,182 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    kind: str
-    dim: Optional[int] = None
-    seed: Optional[int] = None
-    n: Optional[int] = None
-    m: Optional[int] = None
-    radius: Optional[float] = None
-    lam: Optional[float] = None
-    path: Optional[str] = None
+# What a bad config, problem file, trace or output path raises, a file that
+# is not text included; every command reports it as "error: ..." and exits 1
+INPUT_ERRORS = (ConfigError, InvalidParameterError, OSError, UnicodeDecodeError)
 
 
-@dataclass(frozen=True)
-class PolicySpec:
-    kind: str
-    a: Optional[float] = None
-    L: Optional[float] = None
+def _int(value, where: str) -> int:
+    # an integral float such as 2000.0 is a count too
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return value
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    problem: ProblemSpec
-    policies: tuple
-    iterations: int
-    weight_ks: tuple = (0.0,)
-    initial_point: tuple = ("zero",)
-    trace_path: Optional[str] = None
-    summary_path: str = "summary.json"
-    restart_factor: Optional[float] = None
+def _float(value, where: str) -> float:
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):
+        pass
+    raise ConfigError(f"{where}: expected a finite number, got {value!r}")
 
 
-# The fields each kind of problem and policy object accepts besides "kind".
-PROBLEM_FIELDS = {"abs": {"dim"}, "sqrt-example": set(), "lasso-file": {"path"},
-                  "lasso": {"seed", "n", "m", "radius", "lambda"}}
-POLICY_FIELDS = {"family": {"a"}, "nesterov": set(), "classic": {"L"}, "constant": {"L"}}
+def _str(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: expected a string, got {value!r}")
+    return value
 
 
-def _reject_unknown_fields(obj: dict, where: str, fields: set) -> None:
+def _numbers(value, where: str) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where}: expected a nonempty list of numbers")
+    return tuple(_float(v, f"{where}[{i}]") for i, v in enumerate(value))
+
+
+def _initial_point(value, where: str):
+    if value == "zero":
+        return value
+    if isinstance(value, dict) and set(value) == {"random"}:
+        return {"random": _int(value["random"], f"{where}.random")}
+    if isinstance(value, list):
+        return list(_numbers(value, where))
+    raise ConfigError(f"{where}: expected \"zero\", {{\"random\": seed}}, or a list of numbers")
+
+
+# The fields each kind of problem and policy object takes besides "kind",
+# name -> (reader, default): the one place they are listed. REQUIRED marks a
+# field without a default; a default of None means "not set".
+REQUIRED = object()
+PROBLEM_FIELDS = {
+    "abs": {"dim": (_int, REQUIRED)},
+    "sqrt-example": {},
+    "lasso": {"seed": (_int, REQUIRED), "n": (_int, REQUIRED), "m": (_int, REQUIRED),
+              "radius": (_float, 50.0), "lambda": (_float, 10.0)},
+    "lasso-file": {"path": (_str, REQUIRED)},
+}
+POLICY_FIELDS = {"family": {"a": (_float, 1.0)}, "nesterov": {},
+                 "classic": {"L": (_float, None)}, "constant": {"L": (_float, None)}}
+
+
+def _read_fields(obj: dict, prefix: str, schema: dict) -> dict:
+    """Each field of `schema` read from `obj` by its reader; null counts as absent."""
     for key in obj:
-        if key != "kind" and key not in fields:
-            raise ConfigError(f"{where}.{key}: unknown field")
+        if key not in schema:
+            raise ConfigError(f"{prefix}{key}: unknown field")
+    values = {}
+    for name, (read, default) in schema.items():
+        if obj.get(name) is not None:
+            values[name] = read(obj[name], prefix + name)
+        elif default is REQUIRED:
+            raise ConfigError(f"{prefix}{name}: required field missing")
+        else:
+            values[name] = default
+    return values
 
 
-def _parse_problem(obj) -> ProblemSpec:
+def _spec(kinds: dict, obj, where: str) -> SimpleNamespace:
+    """A problem or policy object, read by the row of `kinds` that its kind names."""
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError("problem: expected an object with a 'kind' field")
+        raise ConfigError(f"{where}: expected an object with a 'kind' field")
     kind = obj["kind"]
-    if kind not in PROBLEM_FIELDS:
-        raise ConfigError(
-            f"problem.kind: unknown kind {kind!r}, expected one of {sorted(PROBLEM_FIELDS)}")
-    _reject_unknown_fields(obj, "problem", PROBLEM_FIELDS[kind])
-    if kind == "abs":
-        if "dim" not in obj:
-            raise ConfigError("problem.dim: required for kind 'abs'")
-        return ProblemSpec(kind=kind, dim=int(obj["dim"]))
-    if kind == "sqrt-example":
-        return ProblemSpec(kind=kind)
-    if kind == "lasso-file":
-        if "path" not in obj:
-            raise ConfigError("problem.path: required for kind 'lasso-file'")
-        return ProblemSpec(kind=kind, path=str(obj["path"]))
-    for field_name in ("seed", "n", "m"):
-        if field_name not in obj:
-            raise ConfigError(f"problem.{field_name}: required for kind 'lasso'")
-    return ProblemSpec(
-        kind=kind, seed=int(obj["seed"]), n=int(obj["n"]), m=int(obj["m"]),
-        radius=float(obj.get("radius", 50.0)), lam=float(obj.get("lambda", 10.0)))
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{where}.kind: unknown kind {kind!r}, expected one of {sorted(kinds)}")
+    fields = {key: value for key, value in obj.items() if key != "kind"}
+    return SimpleNamespace(kind=kind, **_read_fields(fields, f"{where}.", kinds[kind]))
 
 
-def _parse_policy(obj) -> PolicySpec:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError("policy: expected an object with a 'kind' field")
-    kind = obj["kind"]
-    if kind not in POLICY_FIELDS:
-        raise ConfigError(f"policy.kind: unknown kind {kind!r}")
-    _reject_unknown_fields(obj, "policy", POLICY_FIELDS[kind])
-    if kind == "family":
-        return PolicySpec(kind=kind, a=float(obj.get("a", 1.0)))
-    if kind == "nesterov":
-        return PolicySpec(kind=kind)
-    L = obj.get("L")
-    return PolicySpec(kind=kind, L=None if L is None else float(L))
+def _policies(value, where: str) -> tuple:
+    items = [value] if isinstance(value, dict) else value
+    if not isinstance(items, list) or not items:
+        raise ConfigError(f"{where}: expected a policy object or a nonempty list of them")
+    return tuple(_spec(POLICY_FIELDS, item, where) for item in items)
 
 
-def _parse_initial_point(obj, problem: ProblemSpec) -> tuple:
-    if obj is None:
-        if problem.kind == "sqrt-example":
-            return ("explicit", (0.5,))
-        return ("zero",)
-    if obj == "zero":
-        return ("zero",)
-    if isinstance(obj, dict) and set(obj) == {"random"}:
-        return ("random", int(obj["random"]))
-    if isinstance(obj, list):
-        try:
-            return ("explicit", tuple(float(v) for v in obj))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"initial_point: non-numeric entry ({exc})") from None
-    raise ConfigError(
-        "initial_point: expected \"zero\", {\"random\": seed}, or a list of numbers")
+# The top-level fields of a config, as the kinds' fields above.
+CONFIG_FIELDS = {
+    "problem": (functools.partial(_spec, PROBLEM_FIELDS), REQUIRED),
+    "policy": (_policies, REQUIRED),
+    "iterations": (_int, REQUIRED),
+    "weight_ks": (_numbers, (0.0,)),
+    "initial_point": (_initial_point, None),  # the origin, or 0.5 for the sqrt example
+    "trace_path": (_str, None),
+    "summary_path": (_str, "summary.json"),
+    "restart_factor": (_float, None),
+}
 
 
-def parse_config(data: dict) -> ExperimentConfig:
-    """Validate a decoded JSON object into an :class:`ExperimentConfig`."""
+def parse_config(data: dict) -> SimpleNamespace:
+    """Validate a decoded JSON object into a config, read by :data:`CONFIG_FIELDS`.
+
+    The result has every field, defaults filled in, with ``policy`` as the
+    tuple ``policies``. ``problem`` and each policy are namespaces of their
+    object's fields (``spec.kind``, ``spec.n``, ...); ``initial_point`` keeps
+    the config's own form.
+    """
     if not isinstance(data, dict):
         raise ConfigError("top level: expected a JSON object")
-    known = {"problem", "policy", "weight_ks", "iterations", "initial_point",
-             "trace_path", "summary_path", "restart_factor"}
-    for key in data:
-        if key not in known:
-            raise ConfigError(f"{key}: unknown field")
-    for required in ("problem", "policy", "iterations"):
-        if required not in data:
-            raise ConfigError(f"{required}: required field missing")
-
-    problem = _parse_problem(data["problem"])
-    raw_policy = data["policy"]
-    if isinstance(raw_policy, dict):
-        raw_policy = [raw_policy]
-    if not isinstance(raw_policy, list) or not raw_policy:
-        raise ConfigError("policy: expected a policy object or a nonempty list of them")
-    policies = tuple(_parse_policy(p) for p in raw_policy)
-
-    iterations = int(data["iterations"])
-    if iterations < 1:
+    fields = _read_fields(data, "", CONFIG_FIELDS)
+    if fields["iterations"] < 1:
         raise ConfigError("iterations: must be >= 1")
-
-    ks = data.get("weight_ks", [0.0])
-    if not isinstance(ks, list) or not ks:
-        raise ConfigError("weight_ks: expected a nonempty list of numbers")
-    weight_ks = tuple(float(k) for k in ks)
-    if any(k < -1 for k in weight_ks):
+    if any(k < -1 for k in fields["weight_ks"]):
         raise ConfigError("weight_ks: every k must be >= -1")
-
-    restart = data.get("restart_factor")
-    if restart is not None:
-        restart = float(restart)
-        if not restart > 1:
-            raise ConfigError("restart_factor: must exceed 1")
-
-    return ExperimentConfig(
-        problem=problem,
-        policies=policies,
-        iterations=iterations,
-        weight_ks=weight_ks,
-        initial_point=_parse_initial_point(data.get("initial_point"), problem),
-        trace_path=data.get("trace_path"),
-        summary_path=data.get("summary_path", "summary.json"),
-        restart_factor=restart,
-    )
+    if fields["restart_factor"] is not None and not fields["restart_factor"] > 1:
+        raise ConfigError("restart_factor: must exceed 1")
+    if fields["initial_point"] is None:
+        fields["initial_point"] = [0.5] if fields["problem"].kind == "sqrt-example" else "zero"
+    fields["policies"] = fields.pop("policy")
+    return SimpleNamespace(**fields)
 
 
-def _spec_dict(spec) -> dict:
-    """The fields of a problem or policy spec that are set, under their config names."""
-    return {("lambda" if name == "lam" else name): value
-            for name, value in asdict(spec).items() if value is not None}
+def _spec_dict(spec: SimpleNamespace) -> dict:
+    """The fields of a problem or policy spec that are set, as the config writes them."""
+    return {name: value for name, value in vars(spec).items() if value is not None}
 
 
-def config_to_dict(config: ExperimentConfig) -> dict:
+def config_to_dict(config: SimpleNamespace) -> dict:
     """JSON-ready form of a config; parsing it back yields an equal config."""
-    mode = config.initial_point[0]
-    if mode == "zero":
-        initial = "zero"
-    elif mode == "random":
-        initial = {"random": config.initial_point[1]}
-    else:
-        initial = list(config.initial_point[1])
-
     out = {
         "problem": _spec_dict(config.problem),
         "policy": [_spec_dict(p) for p in config.policies],
         "weight_ks": list(config.weight_ks),
         "iterations": config.iterations,
-        "initial_point": initial,
+        "initial_point": config.initial_point,
+        "trace_path": config.trace_path,
         "summary_path": config.summary_path,
+        "restart_factor": config.restart_factor,
     }
-    if config.trace_path is not None:
-        out["trace_path"] = config.trace_path
-    if config.restart_factor is not None:
-        out["restart_factor"] = config.restart_factor
-    return out
+    return {name: value for name, value in out.items() if value is not None}
 
 
-def load_config(path) -> ExperimentConfig:
+def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    return parse_config(data)
 
 
-def build_problem(spec: ProblemSpec) -> ProblemInstance:
+def load_config(path) -> SimpleNamespace:
+    return parse_config(_load_json(path))
+
+
+def build_problem(spec: SimpleNamespace) -> ProblemInstance:
     if spec.kind == "abs":
         return make_abs_problem(spec.dim)
     if spec.kind == "sqrt-example":
         return make_sqrt_example()
     if spec.kind == "lasso":
-        return make_lasso(spec.seed, spec.n, spec.m, spec.radius, spec.lam)
+        return make_lasso(spec.seed, spec.n, spec.m, spec.radius, vars(spec)["lambda"])
     return load_lasso_csv(spec.path).to_problem()
 
 
-def build_policy(spec: PolicySpec, problem: ProblemInstance, iterations: int):
+def build_policy(spec: SimpleNamespace, problem: ProblemInstance, iterations: int):
     R = problem.radius_R
     if spec.kind == "family":
-        return FamilyPolicy(R=R, a=spec.a if spec.a is not None else 1.0)
+        return FamilyPolicy(R=R, a=spec.a)
     if spec.kind == "nesterov":
         return NesterovPolicy(R=R)
     L = spec.L if spec.L is not None else problem.lipschitz_L
@@ -319,13 +275,13 @@ def build_policy(spec: PolicySpec, problem: ProblemInstance, iterations: int):
     return ConstantPolicy(R=R, L=L, horizon_t=iterations)
 
 
-def resolve_initial_point(initial: tuple, problem: ProblemInstance) -> np.ndarray:
-    mode = initial[0]
-    if mode == "zero":
+def resolve_initial_point(initial, problem: ProblemInstance) -> np.ndarray:
+    """The start that a config's ``initial_point``, in its own form, names."""
+    if initial == "zero":
         return np.zeros(problem.dimension)
-    if mode == "random":
-        return np.random.default_rng(initial[1]).standard_normal(problem.dimension)
-    point = np.asarray(initial[1], dtype=np.float64)
+    if isinstance(initial, dict):
+        return np.random.default_rng(initial["random"]).standard_normal(problem.dimension)
+    point = np.array(initial, dtype=np.float64)
     if point.shape != (problem.dimension,):
         raise ConfigError(
             f"initial_point: has dimension {point.shape[0]}, problem needs {problem.dimension}")
@@ -364,7 +320,10 @@ def read_trace_csv(path) -> tuple:
         first = fh.readline()
         if not first.startswith("# {"):
             raise InvalidParameterError(f"{path}: first line is not a '# {{...}}' header")
-        meta = json.loads(first[2:])
+        try:
+            meta = json.loads(first[2:])
+        except json.JSONDecodeError as exc:
+            raise InvalidParameterError(f"{path}: header: {exc}") from None
         names = fh.readline().strip().split(",")
         try:
             rows = np.loadtxt(fh, delimiter=",", ndmin=2)
@@ -381,8 +340,16 @@ def check_trace(meta: dict, cols: dict, problem: ProblemInstance) -> list:
     `meta` and `cols` are as :func:`read_trace_csv` returns them. The
     structural invariants come from the columns; the bounds and the
     certificates from :func:`psg.bounds.evaluate`, as ``psg run`` computes
-    them (see the module docstring for what is taken on trust).
+    them (see the module docstring for what is taken on trust). A header
+    or a column set that no run writes raises :class:`ConfigError` or
+    :class:`InvalidParameterError`.
     """
+    policy_spec = _spec(POLICY_FIELDS, meta.get("policy"), "header.policy")
+    ks = _numbers(meta.get("weight_ks"), "header.weight_ks")
+    missing = [name for name in ("s", "epoch", "eta", "g_norm", "G", "f_x", "f_best",
+                                 *(f"f_avg_{scheme_label(k)}" for k in ks)) if name not in cols]
+    if missing:
+        raise InvalidParameterError(f"trace has no column {', '.join(missing)}")
     epoch, G, f_best = cols["epoch"], cols["G"], cols["f_best"]
     steps = np.diff(epoch)
     results = [
@@ -400,7 +367,7 @@ def check_trace(meta: dict, cols: dict, problem: ProblemInstance) -> list:
     results.append(("f_best_running_min", bool(np.array_equal(rebest, f_best)), ""))
 
     f_star = problem.known_optimum_value
-    recorded = meta["optimum_bracket"]
+    recorded = meta.get("optimum_bracket")
     if f_star is not None:
         bracket = (f_star, f_star)
     elif recorded is None:
@@ -413,8 +380,7 @@ def check_trace(meta: dict, cols: dict, problem: ProblemInstance) -> list:
         results.append(("optimum_bracket_high", bool(bracket[1] <= f_best[-1]),
                         "at most the final f_best"))
 
-    policy = build_policy(_parse_policy(meta["policy"]), problem, int(meta["iterations"]))
-    ks = [float(k) for k in meta["weight_ks"]]
+    policy = build_policy(policy_spec, problem, _int(meta.get("iterations"), "header.iterations"))
     bounds, verdicts, undecided = bnd.evaluate(
         policy, ks, problem.radius_R, problem.lipschitz_L, cols, bracket)
     for label, column in bounds.items():
@@ -455,7 +421,7 @@ def _bracket_dict(bracket):
     return None if bracket is None else {"low": bracket[0], "high": bracket[1]}
 
 
-def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
+def run_experiment(config: SimpleNamespace, out_dir: Optional[str] = None) -> dict:
     """Execute all cells of `config` and return the summary dict.
 
     The summary is also written to ``config.summary_path`` as strict JSON:
@@ -527,7 +493,7 @@ def _cmd_run(args) -> int:
     try:
         config = load_config(args.config)
         summary = run_experiment(config, out_dir=args.out_dir)
-    except (ConfigError, InvalidParameterError, OSError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     failed = [c for c in summary["cells"] if c["status"] != "ok"]
@@ -550,7 +516,7 @@ def _cmd_gen_lasso(args) -> int:
     try:
         instance = generate_lasso(args.seed, args.n, args.m, args.radius, args.lam)
         save_lasso_csv(instance, args.out)
-    except (InvalidParameterError, OSError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK
@@ -558,12 +524,12 @@ def _cmd_gen_lasso(args) -> int:
 
 def _cmd_check(args) -> int:
     try:
-        with open(args.problem, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        spec = _parse_problem(data["problem"] if "problem" in data else data)
-        problem = build_problem(spec)
+        data = _load_json(args.problem)
+        if isinstance(data, dict) and "problem" in data:  # a whole config
+            data = data["problem"]
+        problem = build_problem(_spec(PROBLEM_FIELDS, data, "problem"))
         results = check_trace(*read_trace_csv(args.trace), problem)
-    except (OSError, KeyError, ValueError) as exc:  # config and JSON errors are ValueErrors
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     for name, ok, detail in results:
@@ -590,8 +556,9 @@ def main(argv=None) -> int:
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--m", type=int, required=True)
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--lambda", dest="lam", type=float, default=10.0)
-    p_gen.add_argument("--radius", type=float, default=50.0)
+    p_gen.add_argument("--lambda", dest="lam", type=float,
+                       default=PROBLEM_FIELDS["lasso"]["lambda"][1])
+    p_gen.add_argument("--radius", type=float, default=PROBLEM_FIELDS["lasso"]["radius"][1])
     p_gen.set_defaults(func=_cmd_gen_lasso)
 
     p_check = sub.add_parser("check", help="re-validate a stored trace")

@@ -9,6 +9,7 @@ random quantity is drawn from one seeded ``numpy.random.default_rng``
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,32 +203,38 @@ def save_lasso_csv(instance: LassoInstance, path) -> None:
     header, then one row per observation: ``y_i, phi_i1, ..., phi_in``, all
     floats printed with 17 significant digits (lossless for float64).
     """
+    header = (f"# lasso n={instance.n} m={instance.m} lambda={instance.lam:.17g}"
+              f" radius={instance.radius:.17g} seed={instance.seed}\n"
+              + "y," + ",".join(f"phi_{j}" for j in range(instance.n)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# lasso n={instance.n} m={instance.m}"
-                 f" lambda={instance.lam:.17g} radius={instance.radius:.17g}"
-                 f" seed={instance.seed}\n")
-        fh.write("y," + ",".join(f"phi_{j}" for j in range(instance.n)) + "\n")
-        for i in range(instance.m):
-            row = [f"{instance.y[i]:.17g}"]
-            row.extend(f"{v:.17g}" for v in instance.phi[i])
-            fh.write(",".join(row) + "\n")
+        np.savetxt(fh, np.column_stack([instance.y, instance.phi]), fmt="%.17g",
+                   delimiter=",", header=header, comments="")
 
 
 def load_lasso_csv(path) -> LassoInstance:
-    """Read an instance written by :func:`save_lasso_csv`."""
+    """Read an instance written by :func:`save_lasso_csv`.
+
+    A malformed file raises :class:`InvalidParameterError` naming `path`.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        meta = fh.readline().strip()
+        meta = fh.readline()
         if not meta.startswith("# lasso "):
             raise InvalidParameterError(f"{path}: not a lasso instance file")
-        fields = dict(part.split("=", 1) for part in meta[len("# lasso "):].split())
         fh.readline()  # header
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    n, m = int(fields["n"]), int(fields["m"])
-    if len(rows) != m or any(len(r) != n + 1 for r in rows):
+        try:
+            fields = dict(part.split("=", 1) for part in meta[len("# lasso "):].split())
+            n, m, seed = int(fields["n"]), int(fields["m"]), int(fields["seed"])
+            lam, radius = float(fields["lambda"]), float(fields["radius"])
+            with warnings.catch_warnings():  # a file with no rows fails the shape check below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except KeyError as exc:
+            raise InvalidParameterError(f"{path}: header lacks {exc}") from None
+        except ValueError as exc:
+            raise InvalidParameterError(f"{path}: malformed lasso file ({exc})") from None
+    if data.shape != (m, n + 1):
         raise InvalidParameterError(f"{path}: inconsistent row data")
-    data = np.array([[float(v) for v in r] for r in rows])
-    return LassoInstance(phi=data[:, 1:], y=data[:, 0], lam=float(fields["lambda"]),
-                         radius=float(fields["radius"]), seed=int(fields["seed"]))
+    return LassoInstance(phi=data[:, 1:], y=data[:, 0], lam=lam, radius=radius, seed=seed)
 
 
 def reference_optimum_value(problem: ProblemInstance, iterations: int,
@@ -235,9 +242,9 @@ def reference_optimum_value(problem: ProblemInstance, iterations: int,
     """Upper estimate of the optimum from a long norm-adaptive run.
 
     Runs the family rule (exponent `a`) from the origin for `iterations`
-    steps with all certificate bookkeeping disabled and no averages tracked
-    (``weight_ks=()``), so it costs exactly one oracle call per iteration
-    run, and returns the best objective value seen. The result is >= the
+    steps as the lean run, with no averages tracked (``weight_ks=()``), so
+    it costs exactly one oracle call per iteration run, and returns the
+    best objective value seen. The result is >= the
     true optimum. A library helper; the CLI does not use it, because a gap
     measured against it understates the true gap. A run that knows no
     optimum brackets f* from its own oracle calls instead (see
@@ -252,7 +259,6 @@ def reference_optimum_value(problem: ProblemInstance, iterations: int,
         policy=FamilyPolicy(R=problem.radius_R, a=a),
         weight_ks=(),
         record_trace=False,
-        certify=False,
     )
     report, _ = run(problem, config)
     return report.best_value

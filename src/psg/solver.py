@@ -64,10 +64,11 @@ class SolverConfig:
     weight_ks : sequence of float
         Weight exponents k >= -1; one streaming average is maintained per
         entry. k = 0 (the plain running mean) is required for the
-        uniform-average certificates. An empty sequence tracks no average:
-        the run then costs its oracle calls, steps and projections only,
-        makes no oracle call after its last iteration, and reports empty
-        averaged points and values.
+        uniform-average certificates. An empty sequence is the lean run: it
+        tracks no average, so no policy declares a gap or monotone
+        certificate for it; it costs its oracle calls, steps and
+        projections only, makes no oracle call after its last iteration,
+        and reports empty averaged points and values.
     record_trace : bool
         Return the run's trace: one column per quantity, one entry per
         iteration (see :func:`run`). Implies evaluating the objective at
@@ -77,10 +78,8 @@ class SolverConfig:
         the run restarts (policy state and averages are reset, a new epoch
         of the bounds begins, the iterate is kept) whenever G exceeds this
         factor times its value at the previous restart. Off by default.
-    certify : bool
-        Evaluate the applicable convergence certificates. Turning this off
-        (together with ``record_trace=False``) skips all per-iteration
-        objective evaluations at averaged points.
+        The report gives the averages and bounds of the last epoch that
+        has rows.
     """
 
     max_iterations: int
@@ -89,7 +88,6 @@ class SolverConfig:
     weight_ks: Sequence[float] = (0.0,)
     record_trace: bool = False
     restart_factor: Optional[float] = None
-    certify: bool = True
 
     def __post_init__(self):
         if not self.max_iterations >= 1:
@@ -143,7 +141,8 @@ def run(problem: ProblemInstance, config: SolverConfig):
     positive finite step and a finite x_s - eta_s g_s; x_s is then finite by
     construction, and so is every weight with k <= 0. Failures raise
     :class:`NumericError` naming the iteration (:class:`InvalidParameterError`
-    for a nonpositive step), as does a weight s^(k/2) that overflows.
+    for a nonpositive step), as does a weight s^(k/2), or a running total of
+    the weights, that overflows.
 
     Returns
     -------
@@ -176,8 +175,8 @@ def run(problem: ProblemInstance, config: SolverConfig):
         x_star = ensure_vector(problem.known_optimum_point, problem.dimension, "optimum")
 
     min_linear = getattr(projector, "min_linear", None)
-    check_gap = config.certify and (f_star is not None or min_linear is not None)
-    check_step = config.certify and x_star is not None and f_star is not None
+    check_gap = f_star is not None or min_linear is not None
+    check_step = x_star is not None and f_star is not None
     per_step = True
 
     gap_certs = policy.certificates(ks, L) if check_gap else []
@@ -231,17 +230,26 @@ def run(problem: ProblemInstance, config: SolverConfig):
         s_first = s_local - rows + 1  # the rows hold iterations s_first..s_local of the epoch
         block_etas = etas[-rows:]
         weights = np.empty((rows, len(rules)))
-        for j, rule in enumerate(rules):
-            try:
+        try:
+            for j, rule in enumerate(rules):
                 weights[:, j] = rule.over(s_first, block_etas)
-            except OverflowError:
-                for i in range(rows):  # name the first iteration that overflows
+            averages.update(weights, points[:rows], out=block[:rows])
+        except OverflowError:
+            # name the first iteration whose weight, or running total weight,
+            # overflows: Python floats sum in the order of the update's cumsum
+            totals = np.broadcast_to(averages.total_weight, len(rules)).tolist()
+            for i, eta in enumerate(block_etas):
+                for j, rule in enumerate(rules):
                     try:
-                        rule(s_first + i, block_etas[i])
+                        w = rule(s_first + i, eta)
                     except OverflowError:
-                        raise NumericError(f"weight of k={rule.k:g} overflows at iteration"
+                        w = inf
+                    totals[j] += w
+                    if totals[j] == inf:
+                        what = "weight" if w == inf else "total weight"
+                        raise NumericError(f"{what} of k={rule.k:g} overflows at iteration"
                                            f" {len(etas) - rows + 1 + i}") from None
-        averages.update(weights, points[:rows], out=block[:rows])
+            raise
         if need_values:
             append_values(block[:rows])
         rows = 0
@@ -289,22 +297,18 @@ def run(problem: ProblemInstance, config: SolverConfig):
                                    or np.isfinite(image).all()):
                 raise NumericError(f"oracle image has nonfinite entries at iteration {s}")
 
+        try:
+            eta = policy.step_size(s_local + 1, g_norm)
+        except ZeroSubgradientError:
+            if g_norm != 0.0:
+                raise
+            # x is a global minimizer that the rule cannot step from (first
+            # iteration of the family rule, or the norm-normalized rule):
+            # stop with only the best iterate updated, recording no row
+            best.update(s, f_x, x)
+            stop = StopReason.ZERO_SUBGRADIENT
+            break
         s_local += 1
-        stopping = g_norm == 0.0
-        if stopping:
-            # x is a global minimizer. Record it, then stop; when the policy
-            # cannot produce a step without a subgradient norm (first
-            # iteration of the family rule, or the norm-normalized rule),
-            # stop immediately with only the best-iterate updated.
-            try:
-                eta = policy.step_size(s_local, g_norm)
-            except ZeroSubgradientError:
-                best.update(s, f_x, x)
-                s_local -= 1  # the iteration never completed
-                stop = StopReason.ZERO_SUBGRADIENT
-                break
-        else:
-            eta = policy.step_size(s_local, g_norm)
         if not 0.0 < eta < inf:
             if not eta > 0:
                 raise InvalidParameterError(f"step size {eta!r} is not positive at iteration {s}")
@@ -312,6 +316,10 @@ def run(problem: ProblemInstance, config: SolverConfig):
 
         best.update(s, f_x, x)
         if rules:
+            if s_local == 1:
+                # an epoch's averages start at its first row, so that a run
+                # whose last epoch has none reports the epoch before
+                averages = StreamingAverage()
             # x is finite: the start is checked, every later x is a projection
             # of a finite step
             if points is None:
@@ -348,7 +356,7 @@ def run(problem: ProblemInstance, config: SolverConfig):
         if rows == VALUE_BLOCK:
             flush()
 
-        if stopping:
+        if g_norm == 0.0:  # x is a global minimizer: its row is recorded, then the run stops
             stop = StopReason.ZERO_SUBGRADIENT
             break
 
@@ -360,7 +368,6 @@ def run(problem: ProblemInstance, config: SolverConfig):
                 G_ref = G_now
                 flush()
                 policy.reset()
-                averages = StreamingAverage()
                 s_local = 0
                 epoch += 1
 
@@ -394,9 +401,9 @@ def run(problem: ProblemInstance, config: SolverConfig):
     bounds, verdicts, undecided = bnd.evaluate(policy, ks, problem.radius_R, L, columns,
                                                gap_bracket)
     certs = {bnd.PER_STEP: per_step} if check_step else {}
-    if config.certify:
-        certs.update(verdicts)
-    final_bounds = {label: float(col[-1]) for label, col in bounds.items()} if s_local else {}
+    certs.update(verdicts)
+    # the last row belongs to the last epoch that has rows
+    final_bounds = {label: float(col[-1]) for label, col in bounds.items()} if etas else {}
     trace = None
     if config.record_trace:
         trace = columns | {f"bound_{label}": bounds[label]

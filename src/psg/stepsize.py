@@ -93,7 +93,7 @@ class ConstantPolicy(StepSizePolicy):
 
     def certificates(self, ks, L):
         applies = 0.0 in ks and L is not None
-        return [Certificate(bnd.CONSTANT, 0.0, bnd.CONSTANT, self.horizon_t)] if applies else []
+        return [Certificate(bnd.CONSTANT, 0.0, self.horizon_t)] if applies else []
 
     def monotone_ks(self, ks):
         return list(ks)
@@ -116,7 +116,7 @@ class ClassicPolicy(StepSizePolicy):
 
     def certificates(self, ks, L):
         applies = 0.0 in ks and L is not None
-        return [Certificate(bnd.CLASSIC, 0.0, bnd.CLASSIC)] if applies else []
+        return [Certificate(bnd.CLASSIC, 0.0)] if applies else []
 
     def monotone_ks(self, ks):
         return list(ks)
@@ -143,7 +143,7 @@ class NesterovPolicy(StepSizePolicy):
 
     def certificates(self, ks, L):
         if -1.0 in ks and L is not None:
-            return [Certificate(bnd.NESTEROV, -1.0, bnd.NESTEROV)]
+            return [Certificate(bnd.NESTEROV, -1.0)]
         return []
 
     def monotone_ks(self, ks):
@@ -184,8 +184,8 @@ class FamilyPolicy(StepSizePolicy):
         return self._G
 
     def certificates(self, ks, L):
-        uniform = [Certificate(bnd.FAMILY, 0.0, bnd.FAMILY)] if 0.0 in ks else []
-        return uniform + [Certificate(bnd.weak_label(k), k, bnd.weak_label(k)) for k in ks]
+        uniform = [Certificate(bnd.FAMILY, 0.0)] if 0.0 in ks else []
+        return uniform + [Certificate(bnd.weak_label(k), k) for k in ks]
 
     def monotone_ks(self, ks):
         return list(ks)

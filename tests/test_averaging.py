@@ -84,6 +84,15 @@ class TestStreamingAverage:
         with pytest.raises(NumericError):
             acc.update(1.0, np.array([1e200, np.inf]))
 
+    def test_overflowing_total_raises_before_the_mean_changes(self):
+        # no numpy warning either: tier-1 turns one into an error
+        acc = StreamingAverage().update(np.array([1e308, 1.0]), np.array([1.0]))
+        with pytest.raises(OverflowError, match="total weight overflows"):
+            acc.update(np.array([[1.0, 1.0], [1e308, 1.0]]), np.array([[3.0], [5.0]]))
+        assert acc.count == 1
+        assert acc.mean.tolist() == [[1.0], [1.0]]
+        assert acc.total_weight.tolist() == [1e308, 1.0]
+
     @pytest.mark.parametrize("w", [1.0, np.array([1.0, 2.0])], ids=["scalar", "vector"])
     def test_accepts_a_finite_point_whose_squared_norm_overflows(self, w):
         acc = StreamingAverage()

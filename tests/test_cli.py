@@ -137,6 +137,29 @@ class TestConfigParsing:
         cfg = write_config(tmp_path / "c.json", data)
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("field,value,where", [
+        ("iterations", "many", "iterations"),
+        ("iterations", 2.7, "iterations"),
+        ("weight_ks", ["x"], "weight_ks[0]"),
+        ("weight_ks", [float("nan")], "weight_ks[0]"),
+        ("restart_factor", "big", "restart_factor"),
+    ], ids=["iterations-str", "iterations-fraction", "weight_ks-str", "weight_ks-nan",
+            "restart_factor-str"])
+    def test_malformed_numbers_name_the_field(self, tmp_path, capsys, field, value, where):
+        data = dict(ABS_CONFIG, **{field: value})
+        with pytest.raises(ConfigError, match=re.escape(f"{where}: expected")):
+            parse_config(data)
+        cfg = write_config(tmp_path / "c.json", data)  # NaN is written as NaN
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: expected") and "Traceback" not in err
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_integral_float_is_a_count(self):
+        config = parse_config(dict(ABS_CONFIG, iterations=2000.0))
+        assert config.iterations == 2000 and isinstance(config.iterations, int)
+        assert config_to_dict(config)["iterations"] == 2000
+
     def test_json_decode_error_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{\n  \"problem\": ???\n}")
@@ -281,6 +304,19 @@ class TestRunCommand:
         assert columns["epoch"][-1] >= 2
         assert count[0] == 2000 + 3
 
+    @pytest.mark.parametrize("iterations", [4, 5])
+    def test_restart_on_the_last_iteration_keeps_averages(self, tmp_path, iterations):
+        # the restart fires at iteration 5; the report keeps epoch 0's
+        # averages and bounds either way
+        cfg = write_config(tmp_path / "c.json", {
+            "problem": {"kind": "sqrt-example"}, "policy": {"kind": "family", "a": 0.0},
+            "weight_ks": [0.0, 2.0], "iterations": iterations, "initial_point": [0.9],
+            "restart_factor": 2.0})
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path), "--strict"]) == 0
+        cell = json.loads((tmp_path / "summary.json").read_text())["cells"][0]
+        assert set(cell["averaged_values"]) == {"k0", "k2"}
+        assert set(cell["bounds"]) == {"family", "weak_k0", "weak_k2"}
+
     def test_overflowing_weight_fails_the_cell(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {
             "problem": {"kind": "abs", "dim": 2}, "policy": {"kind": "family"},
@@ -294,6 +330,16 @@ class TestRunCommand:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
+
+    def test_binary_input_is_an_input_error(self, tmp_path, capsys):
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe")
+        cfg = write_config(tmp_path / "c.json", ABS_CONFIG)
+        assert main(["run", "--config", str(binary)]) == 1
+        assert main(["check", "--trace", str(binary), "--problem", cfg]) == 1
+        assert main(["check", "--trace", str(binary), "--problem", str(binary)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3 and all(line.startswith("error: ") for line in err)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_numeric_failure_marks_cell_and_exits_2(self, tmp_path):
@@ -368,6 +414,29 @@ class TestGenLasso:
             "iterations": 20,
         })
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("damage", ["seed", "row"])
+    def test_malformed_file_is_an_input_error_for_run_and_check(self, tmp_path, capsys,
+                                                                damage):
+        out = tmp_path / "inst.csv"
+        assert main(["gen-lasso", "--seed", "1", "--n", "4", "--m", "3", "--out", str(out)]) == 0
+        cfg = write_config(tmp_path / "c.json", {
+            "problem": {"kind": "lasso-file", "path": str(out)}, "policy": {"kind": "family"},
+            "iterations": 5, "trace_path": "trace.csv"})
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        lines = out.read_text().splitlines()
+        if damage == "seed":
+            lines[0] = lines[0].replace("seed=1", "seed=x")
+        else:
+            lines[3] = "abc" + lines[3][lines[3].index(","):]
+        out.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidParameterError, match=re.escape(f"{out}: malformed")):
+            load_lasso_csv(out)
+        capsys.readouterr()
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {out}: malformed")
+        assert main(["check", "--trace", str(tmp_path / "trace.csv"), "--problem", cfg]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {out}: malformed")
 
 
 def corrupt(trace, tmp_path, column, row, change):
@@ -513,6 +582,23 @@ class TestCheckCommand:
         assert main(["check", "--trace", str(bad), "--problem", str(problem),
                      "--strict"]) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+    @pytest.mark.parametrize("damage,message", [
+        ("column", "trace has no column G"),
+        ("header", "header.iterations: expected an integer, got None"),
+    ])
+    def test_trace_no_run_writes_is_an_input_error(self, run_outputs, tmp_path, capsys,
+                                                   damage, message):
+        trace, problem = run_outputs
+        meta, columns = read_trace_csv(trace)
+        if damage == "column":
+            del columns["G"]
+        else:
+            del meta["iterations"]
+        bad = tmp_path / "bad.csv"
+        emit_trace_csv(columns, bad, meta)
+        assert main(["check", "--trace", str(bad), "--problem", str(problem)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_accepts_full_config_as_problem_file(self, run_outputs, tmp_path):
         trace, _ = run_outputs

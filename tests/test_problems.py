@@ -232,6 +232,14 @@ class TestLassoCsvRoundTrip:
         with pytest.raises(InvalidParameterError):
             load_lasso_csv(path)
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_a_file_without_rows_silently(self, tmp_path):
+        path = tmp_path / "instance.csv"
+        save_lasso_csv(generate_lasso(seed=1, n=3, m=2), path)
+        path.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n")
+        with pytest.raises(InvalidParameterError, match="inconsistent row data"):
+            load_lasso_csv(path)
+
 
 class TestReferenceOptimum:
     def test_returns_upper_estimate_that_improves_with_budget(self):

@@ -19,6 +19,7 @@ from psg import (
     StopReason,
     StreamingAverage,
     SubgradientResult,
+    ZeroSubgradientError,
     make_abs_problem,
     make_lasso,
     make_sqrt_example,
@@ -127,6 +128,20 @@ class TestStopping:
         assert report.iterations_run == 1
         assert report.best_value == 0.0
         assert report.averaged_values["k0"] == 0.0
+
+    def test_zero_subgradient_error_at_a_nonzero_norm_propagates(self):
+        # only an exactly zero subgradient stops the run; a rule that raises
+        # ZeroSubgradientError at any other norm is at fault
+        class Broken(ClassicPolicy):
+            def step_size(self, s, g_norm):
+                if s == 3:
+                    raise ZeroSubgradientError("broken rule")
+                return super().step_size(s, g_norm)
+
+        config = SolverConfig(max_iterations=5, initial_point=np.array([0.9]),
+                              policy=Broken(R=0.1, L=1.0))
+        with pytest.raises(ZeroSubgradientError, match="broken rule"):
+            run(make_abs_problem(1), config)
 
     def test_empty_subdifferential(self):
         problem = make_sqrt_example()
@@ -384,12 +399,15 @@ class TestCertificateGating:
         assert report.iterations_run == 80
         assert calls[0] == 80 + len(ks)
 
-    def test_certify_off_skips_certificates(self):
+    def test_lean_run_declares_no_averaged_certificates(self):
+        # weight_ks=() tracks no average: no gap or monotone certificate, only
+        # the per-step check, which reads no average
         problem = make_abs_problem(2)
         config = SolverConfig(max_iterations=30, initial_point=np.array([0.7, -0.4]),
-                              policy=FamilyPolicy(R=problem.radius_R), certify=False)
+                              policy=FamilyPolicy(R=problem.radius_R), weight_ks=())
         report, _ = run(problem, config)
-        assert report.certificates == {}
+        assert set(report.certificates) == {"per_step"}
+        assert report.averaged_values == {}
         assert "family" in report.bounds
 
 
@@ -415,6 +433,46 @@ class TestRestart:
         assert_trace_invariants(trace)
         assert report.certificates["per_step"]
         assert report.certificates["family"]
+
+    @staticmethod
+    def sqrt_config(iterations, restart_factor=2.0):
+        return SolverConfig(max_iterations=iterations, initial_point=np.array([0.9]),
+                            policy=FamilyPolicy(R=1.0, a=0.0), weight_ks=(0.0, 2.0),
+                            restart_factor=restart_factor)
+
+    def assert_reports_first_five_rows(self, report):
+        # the averages and bounds of epoch 0, rows 1..5: those of the same
+        # run with no restart
+        plain, _ = run(make_sqrt_example(), self.sqrt_config(5, restart_factor=None))
+        assert set(report.averaged_values) == {"k0", "k2"}
+        assert report.averaged_values == plain.averaged_values
+        assert set(report.bounds) >= {"family", "weak_k0", "weak_k2"}
+        assert report.bounds == plain.bounds
+
+    def test_restart_on_the_last_iteration_keeps_its_epoch(self):
+        # the restart fires at iteration 5, after its row: a sixth row opens epoch 1
+        _, trace = run(make_sqrt_example(),
+                       dataclasses.replace(self.sqrt_config(6), record_trace=True))
+        assert trace["epoch"].tolist() == [0, 0, 0, 0, 0, 1]
+        report, _ = run(make_sqrt_example(), self.sqrt_config(5))
+        assert report.iterations_run == 5
+        self.assert_reports_first_five_rows(report)
+        assert all(report.certificates.values())
+
+    def test_empty_subdifferential_after_a_restart_keeps_its_epoch(self):
+        problem = make_sqrt_example()
+        calls = 0
+
+        def oracle(x):
+            nonlocal calls
+            calls += 1
+            return SubgradientResult(0.0, None) if calls == 6 else problem.oracle(x)
+
+        # the averages read x alone, so the problem's value_at_image still holds
+        report, _ = run(dataclasses.replace(problem, oracle=oracle), self.sqrt_config(50))
+        assert report.stop_reason == StopReason.EMPTY_SUBDIFFERENTIAL
+        assert report.iterations_run == 5
+        self.assert_reports_first_five_rows(report)
 
 
 class TestValidation:
@@ -535,7 +593,7 @@ class TestImageHook:
 
         # without a trace or a gap certificate the image is never read
         calls = 0
-        lean = dataclasses.replace(self.config(64), record_trace=False, certify=False)
+        lean = dataclasses.replace(self.config(64), record_trace=False, weight_ks=())
         report, _ = run(broken_problem, lean)
         assert report.iterations_run == 300
 
@@ -686,7 +744,7 @@ class TestNoAverages:
         assert calls[0] == 500
         report, _ = run(problem, SolverConfig(
             max_iterations=500, initial_point=np.zeros(64), policy=FamilyPolicy(R=50.0),
-            certify=False))
+            weight_ks=()))
         assert value == report.best_value
 
 
@@ -778,6 +836,21 @@ class TestHotLoopChecks:
         assert (expected > 114) == restart
         with pytest.raises(NumericError, match=f"weight of k=300 overflows at iteration {expected}$"):
             run(problem, config)
+
+    def test_overflowing_total_weight_names_its_iteration(self):
+        # each step is about 3.2e305 and k = -1 weights by the step, so the
+        # running total passes the float maximum at iteration 569; no numpy
+        # overflow warning is raised (tier-1 turns one into an error)
+        problem = make_abs_problem(1)
+        config = SolverConfig(max_iterations=1000, initial_point=np.array([0.7]),
+                              policy=ConstantPolicy(R=1.0, L=1e-307, horizon_t=1000),
+                              weight_ks=(-1.0, 0.0))
+        with pytest.raises(NumericError,
+                           match="total weight of k=-1 overflows at iteration 569$"):
+            run(problem, config)
+        # the same steps summed as Python floats overflow at 569 too
+        eta = 1.0 / (1e-307 * 1000 ** 0.5)
+        assert sum([eta] * 568) < np.inf and sum([eta] * 569) == np.inf
 
     def test_nonpositive_step_names_the_iteration(self):
         class Broken(ClassicPolicy):

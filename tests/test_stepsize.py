@@ -148,22 +148,22 @@ class TestDeclarations:
 
     def test_constant_certificate_applies_at_the_horizon(self):
         policy = ConstantPolicy(R=1.0, L=2.0, horizon_t=80)
-        assert policy.certificates(self.KS, 2.0) == [Certificate("constant", 0.0, "constant", 80)]
+        assert policy.certificates(self.KS, 2.0) == [Certificate("constant", 0.0, 80)]
         assert policy.certificates(self.KS, None) == []
         assert policy.certificates((2.0,), 2.0) == []
 
     def test_classic_and_nesterov_need_L(self):
         assert ClassicPolicy(R=1.0, L=2.0).certificates(self.KS, 2.0) == [
-            Certificate("classic", 0.0, "classic")]
+            Certificate("classic", 0.0)]
         assert NesterovPolicy(R=1.0).certificates(self.KS, 2.0) == [
-            Certificate("nesterov", -1.0, "nesterov")]
+            Certificate("nesterov", -1.0)]
         assert ClassicPolicy(R=1.0, L=2.0).certificates(self.KS, None) == []
         assert NesterovPolicy(R=1.0).certificates(self.KS, None) == []
 
     def test_family_needs_no_L(self):
         assert FamilyPolicy(R=1.0).certificates(self.KS, None) == [
-            Certificate("family", 0.0, "family"), Certificate("weak_k-1", -1.0, "weak_k-1"),
-            Certificate("weak_k0", 0.0, "weak_k0"), Certificate("weak_k2", 2.0, "weak_k2")]
+            Certificate("family", 0.0), Certificate("weak_k-1", -1.0),
+            Certificate("weak_k0", 0.0), Certificate("weak_k2", 2.0)]
 
     def test_monotone_exponents(self):
         for policy in (FamilyPolicy(R=1.0), ClassicPolicy(R=1.0, L=1.0),
