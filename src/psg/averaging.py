@@ -68,6 +68,39 @@ class WeightRule:
         return [s ** e for s in range(s_first, s_first + len(etas))]
 
 
+# Means of at most this many entries (K x d) run the recurrence on Python
+# floats, one list per point, rather than three numpy calls per point.
+NARROW_ROW = 8
+
+
+def _narrow_recurrence(out, x, shares, mean, start: int) -> bool:
+    """The recurrence of :meth:`StreamingAverage.update` over rows start.. of `x`, on Python floats.
+
+    Writes ``out[start:]`` with the bits of the numpy loop: IEEE ``+ - *``
+    round the same on Python floats, and ``a + (b - a) c`` is the loop's
+    ``(b - a) c + a``. Returns False, writing nothing, when the last mean has
+    a nonfinite entry (a difference overflowed), so that the numpy loop
+    redoes the rows with its warnings: a nonfinite entry never turns finite.
+    """
+    rows = len(x) - start
+    if not rows:
+        return True
+    shape = mean.shape
+    # (d,) means take one share per point, (K, d) means one per average
+    points = x[start:, None] if mean.ndim == 2 else x[start:]
+    points = np.broadcast_to(points, (rows,) + shape).reshape(rows, -1).tolist()
+    shares = np.broadcast_to(shares[start:], (rows,) + shape).reshape(rows, -1).tolist()
+    m = mean.ravel().tolist()
+    means = []
+    for point, share in zip(points, shares):
+        m = [a + (b - a) * c for a, b, c in zip(m, point, share)]
+        means.append(m)
+    if not all(map(math.isfinite, m)):
+        return False
+    out[start:start + rows] = np.reshape(means, (rows,) + shape)
+    return True
+
+
 class StreamingAverage:
     """Weighted mean of a stream of points, updated in place.
 
@@ -82,7 +115,9 @@ class StreamingAverage:
     :meth:`update` also takes a block of points, one per row, and runs the
     same recurrence over its rows in order: a block gives the bits that
     feeding its rows one at a time gives, for a fixed number of numpy calls
-    per row whatever K is, and validates the block once.
+    per row whatever K is, and validates the block once. Means of at most
+    :data:`NARROW_ROW` entries run the recurrence on Python floats instead,
+    with the same bits and warnings.
     """
 
     __slots__ = ("mean", "total_weight", "count")
@@ -137,11 +172,13 @@ class StreamingAverage:
             raise OverflowError("total weight overflows")
         shares = (w / totals)[..., None]
         start = int(fresh)
-        for o, x_i, share in zip(out[start:], x[start:], shares[start:]):
-            np.subtract(x_i, mean, out=o)
-            o *= share
-            o += mean
-            mean = o
+        if not (mean.size <= NARROW_ROW and _narrow_recurrence(out, x, shares, mean, start)):
+            for o, x_i, share in zip(out[start:], x[start:], shares[start:]):
+                np.subtract(x_i, mean, out=o)
+                o *= share
+                o += mean
+                mean = o
+        mean = out[rows - 1]
         if fresh:
             self.mean = mean.copy()
         else:

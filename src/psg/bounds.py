@@ -21,9 +21,9 @@ by ``psg check`` on a stored trace.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -32,55 +32,65 @@ from .averaging import WeightRule
 from .core import REL_TOL, InvalidParameterError, leq_with_tol, scheme_label
 
 
-def _per_t(fn, t, cumulative: bool = False, tables: Optional[dict] = None):
-    """fn(t), or with `cumulative` fn(1) + ... + fn(t) in order, elementwise over ints t >= 1.
+def _per_t(fn, t):
+    """fn(t) elementwise over ints t >= 1.
 
     The terms are Python floats: numpy's power, sqrt and log differ from
     Python's in the last bit on some terms, and columns must equal scalars.
-    `tables`, when given, keeps the table fn(1), fn(2), ... under `fn`, so
-    that a later call for the same `fn` and `t` reuses it.
     """
     if np.ndim(t) == 0:
         return fn(t)
-    table = None if tables is None else tables.get(fn)
-    if table is None:
-        table = np.array([fn(u) for u in range(1, int(np.max(t, initial=0)) + 1)],
-                         dtype=np.float64)
-        if tables is not None:
-            tables[fn] = table
-    return (np.cumsum(table) if cumulative else table)[t - 1]
+    return np.array([fn(u) for u in range(1, int(np.max(t, initial=0)) + 1)],
+                    dtype=np.float64)[t - 1]
 
 
-@functools.cache
-def _power(e: float):
-    """u -> u ** e, one function per exponent, so that tables can be keyed by it."""
-    return lambda u: u ** e
+# Exponent e -> the table 1 ** e, 2 ** e, ... as Python computes it, kept for
+# the life of the process and grown on demand, so that a config's later cells
+# and ``psg check`` reuse what the first cell built. Its entries depend on e
+# alone, so sharing it changes no result.
+_POWER_TABLES: dict = {}
 
 
-_root = _power(0.5)  # Python's t ** 0.5, not sqrt: they differ in the last bit on some t
+def _powers(e: float, t, cumulative: bool = False):
+    """t ** e, or with `cumulative` 1 ** e + ... + t ** e in order, elementwise over ints t >= 1.
+
+    An array `t` reads the memoized table, grown as needed, whose entries
+    equal Python's ``u ** e`` bit for bit (a scalar `t` is only ever read
+    without `cumulative`).
+    """
+    if np.ndim(t) == 0:
+        return t ** e
+    size = int(np.max(t, initial=0))
+    table = _POWER_TABLES.get(e, np.empty(0))
+    if len(table) < size:
+        more = np.fromiter(map(pow, range(len(table) + 1, size + 1), repeat(e)),
+                           dtype=np.float64, count=size - len(table))
+        table = _POWER_TABLES[e] = np.concatenate([table, more])
+        table.flags.writeable = False  # shared by every later caller
+    return (np.cumsum(table[:size]) if cumulative else table)[t - 1]
 
 
 def constant_bound(R: float, L: float, t) -> float:
     """Gap bound R*L/sqrt(t) for the uniform mean under the constant step."""
-    return R * L / _per_t(_root, t)
+    # Python's t ** 0.5, not sqrt: they differ in the last bit on some t
+    return R * L / _powers(0.5, t)
 
 def classic_bound(R: float, L: float, t) -> float:
     """Gap bound 1.5*R*L/sqrt(t) for the uniform mean under the classic step."""
-    return 1.5 * R * L / _per_t(_root, t)
+    return 1.5 * R * L / _powers(0.5, t)
 
 def nesterov_bound(R: float, L: float, t) -> float:
     """Gap bound (2RL + RL*ln t) / (4(sqrt(t+1)-1)) for the step-weighted mean."""
     return ((2.0 * R * L + R * L * _per_t(math.log, t))
-            / (4.0 * (_per_t(lambda u: (u + 1.0) ** 0.5, t) - 1.0)))
+            / (4.0 * (_powers(0.5, t + 1) - 1.0)))
 
-def family_bound(R: float, t, max_g_norm, tables: Optional[dict] = None) -> float:
+def family_bound(R: float, t, max_g_norm) -> float:
     """Gap bound 1.5*R*max||g||/sqrt(t) for the uniform mean under the family step.
 
     Coincides with :func:`classic_bound` when ``max_g_norm`` equals the
-    Lipschitz constant. `tables` shares tabulated powers of t with other
-    bounds over the same t (see :func:`_per_t`).
+    Lipschitz constant.
     """
-    return 1.5 * R * max_g_norm / _per_t(_root, t, tables=tables)
+    return 1.5 * R * max_g_norm / _powers(0.5, t)
 
 
 def _weak_exponents(k: float) -> tuple:
@@ -216,13 +226,12 @@ def evaluate(policy, ks, R: float, L: Optional[float], columns: dict,
     max_g = np.concatenate([np.maximum.accumulate(part) for part in
                             np.split(np.asarray(columns["g_norm"], dtype=np.float64), starts[1:])])
 
-    tables: dict = {}  # one table of u ** e per distinct exponent e
-    bounds = {FAMILY: family_bound(R, t, max_g, tables)}
+    bounds = {FAMILY: family_bound(R, t, max_g)}
     for k in ks:
-        top, low, mid = map(_power, _weak_exponents(float(k)))
+        top, low, mid = _weak_exponents(float(k))
         bounds[weak_label(k)] = _weak_bound(
-            _per_t(top, t, tables=tables), _per_t(low, t, cumulative=True, tables=tables),
-            _per_t(mid, t, cumulative=True, tables=tables), R, max_g)
+            _powers(top, t), _powers(low, t, cumulative=True),
+            _powers(mid, t, cumulative=True), R, max_g)
     if L is not None:
         bounds[CLASSIC] = classic_bound(R, L, t)
         bounds[CONSTANT] = constant_bound(R, L, t)

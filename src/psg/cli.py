@@ -56,6 +56,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from types import SimpleNamespace
 from typing import Optional
 
@@ -195,6 +196,10 @@ CONFIG_FIELDS = {
 }
 
 
+# The ends of a trace header's optimum_bracket; null is an open end.
+BRACKET_FIELDS = {"low": (_float, -math.inf), "high": (_float, math.inf)}
+
+
 def parse_config(data: dict) -> SimpleNamespace:
     """Validate a decoded JSON object into a config, read by :data:`CONFIG_FIELDS`.
 
@@ -326,7 +331,9 @@ def read_trace_csv(path) -> tuple:
             raise InvalidParameterError(f"{path}: header: {exc}") from None
         names = fh.readline().strip().split(",")
         try:
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():  # a file with no rows fails the shape check below
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise InvalidParameterError(f"{path}: ragged rows: {exc}") from None
     if rows.shape[1:] != (len(names),) or not len(rows):
@@ -373,8 +380,10 @@ def check_trace(meta: dict, cols: dict, problem: ProblemInstance) -> list:
     elif recorded is None:
         bracket = (-math.inf, math.inf)
     else:
-        bracket = (-math.inf if recorded["low"] is None else recorded["low"],
-                   math.inf if recorded["high"] is None else recorded["high"])
+        if not isinstance(recorded, dict):
+            raise ConfigError("header.optimum_bracket: expected an object with 'low' and 'high'")
+        ends = _read_fields(recorded, "header.optimum_bracket.", BRACKET_FIELDS)
+        bracket = (ends["low"], ends["high"])
         # below the final f_best only when a final zero subgradient, which has
         # no row, found f*; a lower high only makes the verdicts stricter
         results.append(("optimum_bracket_high", bool(bracket[1] <= f_best[-1]),

@@ -54,7 +54,7 @@ def ensure_vector(x, dim: Optional[int] = None, name: str = "x") -> np.ndarray:
 
 def leq_with_tol(lhs: float, rhs: float, rel: float = REL_TOL, abs_: float = ABS_TOL) -> bool:
     """lhs <= rhs + rel * max(|lhs|, |rhs|) + abs_, the package's one tolerance formula."""
-    # max and abs as conditionals (same result, nan included): the solver calls this per iteration
+    # max and abs as conditionals: the same result, nan included, in fewer calls
     a = lhs if lhs >= 0.0 else -lhs
     b = rhs if rhs >= 0.0 else -rhs
     return lhs <= rhs + rel * (b if b > a else a) + abs_

@@ -10,9 +10,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bounds as bnd
-from .averaging import BestIterate, StreamingAverage, WeightRule
+from .averaging import StreamingAverage, WeightRule
 from .core import (
     ABS_TOL,
+    REL_TOL,
     VALUE_ROUNDING,
     InvalidParameterError,
     NumericError,
@@ -22,15 +23,15 @@ from .core import (
     StopReason,
     ZeroSubgradientError,
     ensure_vector,
-    leq_with_tol,
     scheme_label,
 )
 from .projection import project
 from .stepsize import StepSizePolicy
 
-# Iterations whose points are fed to the K averages in one update, and whose
-# averages are then valued together: one weight computation, one update and
-# one value_at_image call per block instead of per iteration. Holds
+# Iterations whose points are fed to the K averages in one update, whose
+# averages are then valued together, and whose per-step inequalities are
+# decided together: one weight computation, one update, one value_at_image
+# call and one per-step check per block instead of per iteration. Holds
 # 64 (K + 1) (n + m) floats; changes no output value.
 VALUE_BLOCK = 64
 
@@ -67,8 +68,9 @@ class SolverConfig:
         uniform-average certificates. An empty sequence is the lean run: it
         tracks no average, so no policy declares a gap or monotone
         certificate for it; it costs its oracle calls, steps and
-        projections only, makes no oracle call after its last iteration,
-        and reports empty averaged points and values.
+        projections only (plus a copy of x_s per iteration when the
+        per-step inequality is checked), makes no oracle call after its last
+        iteration, and reports empty averaged points and values.
     record_trace : bool
         Return the run's trace: one column per quantity, one entry per
         iteration (see :func:`run`). Implies evaluating the objective at
@@ -135,7 +137,11 @@ def run(problem: ProblemInstance, config: SolverConfig):
     When the problem sets ``value_at_image``, the values at the averages
     then come from the averaged oracle images without an oracle call, one
     call on the block's stacked averages; the report's averaged values
-    always come from the oracle. Each iteration checks only what it
+    always come from the oracle. The per-step inequality is decided per
+    block too, from the x_s rows of the buffer (filled for it alone in a
+    lean run) and the point after the block's last row, with the bits of
+    one check per iteration. The best iterate is kept by reference and
+    copied once, after the loop. Each iteration checks only what it
     produces: a finite oracle value, a subgradient of the right shape with a
     finite norm, the image contract and a finite image (when read), a
     positive finite step and a finite x_s - eta_s g_s; x_s is then finite by
@@ -166,7 +172,9 @@ def run(problem: ProblemInstance, config: SolverConfig):
     labels = [scheme_label(k) for k in ks]
 
     averages = StreamingAverage()
-    best = BestIterate()
+    # the best iterate by reference (x is never changed in place), copied
+    # once after the loop; ties keep the earliest index
+    best_value, best_index, best_x = math.inf, 0, None
 
     L = problem.lipschitz_L
     f_star = problem.known_optimum_value
@@ -194,7 +202,8 @@ def run(problem: ProblemInstance, config: SolverConfig):
     n = problem.dimension
     image_size: Optional[int] = None
     # the points [x_s; image_s] of the last `rows` iterations, oldest first,
-    # not yet fed to the averages, and the K averages after each of them
+    # not yet fed to the averages or checked by the per-step inequality, and
+    # the K averages after each of them
     points: Optional[np.ndarray] = None
     block: Optional[np.ndarray] = None
     rows = 0
@@ -222,10 +231,36 @@ def run(problem: ProblemInstance, config: SolverConfig):
         for col, col_values in zip(avg_cols, zip(*values)):
             col.extend(col_values)
 
-    def flush():
-        """Feed the pending rows to the averages, then value them when needed."""
+    def check_per_step(x_after):
+        """The per-step inequality at each pending row, x_after following the last one.
+
+        The formula of :func:`leq_with_tol` elementwise, with the bits of one
+        check per iteration: ``+ - * /`` round as on Python floats, and each
+        squared distance is the dot product ``d @ d`` as a batched matmul.
+        """
+        nonlocal per_step
+        eta, g_norm = np.array(etas[-rows:]), np.array(g_norms[-rows:])
+        f_x = np.array(f_xs[-rows:])
+        # an overflow gives the nonfinite sides that a check per iteration gives
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = np.vstack([points[:rows, :n], x_after]) - x_star
+            dist = (d[:, None, :] @ d[:, :, None])[:, 0, 0]  # ||x_s - x*||^2, s..s+rows
+            rhs = (dist[:-1] - dist[1:]) / (2.0 * eta) + 0.5 * eta * g_norm * g_norm
+            # f_x - f* also carries the rounding of f at its own magnitude
+            abs_ = ABS_TOL + VALUE_ROUNDING * np.maximum(np.abs(f_x), abs(f_star))
+            lhs = f_x - f_star
+            ok = lhs <= rhs + REL_TOL * np.maximum(np.abs(lhs), np.abs(rhs)) + abs_
+        per_step = bool(ok.all())
+
+    def flush(x_after):
+        """Check the pending rows, feed them to the averages, then value them when needed."""
         nonlocal rows
         if not rows:
+            return
+        if check_step and per_step:
+            check_per_step(x_after)
+        if not rules:
+            rows = 0
             return
         s_first = s_local - rows + 1  # the rows hold iterations s_first..s_local of the epoch
         block_etas = etas[-rows:]
@@ -260,9 +295,8 @@ def run(problem: ProblemInstance, config: SolverConfig):
     G_ref: Optional[float] = None
     stop = StopReason.BUDGET_EXHAUSTED
     restart_factor = config.restart_factor
-    if check_step:
-        d_now = x - x_star
-        dist_now = float(d_now @ d_now)  # ||x_s - x*||^2, carried to the next iteration
+    # the rows are buffered for the averages, and for the per-step check
+    buffer_rows = bool(rules) or check_step
 
     for s in range(1, config.max_iterations + 1):
         res = problem.oracle(x)
@@ -305,7 +339,8 @@ def run(problem: ProblemInstance, config: SolverConfig):
             # x is a global minimizer that the rule cannot step from (first
             # iteration of the family rule, or the norm-normalized rule):
             # stop with only the best iterate updated, recording no row
-            best.update(s, f_x, x)
+            if f_x < best_value:
+                best_value, best_index, best_x = f_x, s, x
             stop = StopReason.ZERO_SUBGRADIENT
             break
         s_local += 1
@@ -314,18 +349,19 @@ def run(problem: ProblemInstance, config: SolverConfig):
                 raise InvalidParameterError(f"step size {eta!r} is not positive at iteration {s}")
             raise NumericError(f"step size {eta!r} is not finite at iteration {s}")
 
-        best.update(s, f_x, x)
-        if rules:
-            if s_local == 1:
-                # an epoch's averages start at its first row, so that a run
-                # whose last epoch has none reports the epoch before
-                averages = StreamingAverage()
+        if f_x < best_value:
+            best_value, best_index, best_x = f_x, s, x
+        if s_local == 1 and rules:
+            # an epoch's averages start at its first row, so that a run
+            # whose last epoch has none reports the epoch before
+            averages = StreamingAverage()
+        if buffer_rows:
             # x is finite: the start is checked, every later x is a projection
             # of a finite step
             if points is None:
                 width = n + (image_size or 0)
                 points = np.empty((VALUE_BLOCK, width))
-                block = np.empty((VALUE_BLOCK, len(rules), width))
+                block = np.empty((VALUE_BLOCK, len(rules), width)) if rules else None
             if image_size:
                 points[rows, :n] = x
                 points[rows, n:] = image
@@ -337,43 +373,33 @@ def run(problem: ProblemInstance, config: SolverConfig):
         # a finite squared norm proves every entry finite; vdot never warns
         if not (math.isfinite(np.vdot(y, y)) or np.isfinite(y).all()):
             raise NumericError(f"step x - eta * g has nonfinite entries at iteration {s}")
-        x_next = projector.project(y)
+        # from here on x is x_{s+1}, which the per-step check of row s reads
+        x = projector.project(y)
 
-        if check_step and per_step:
-            d_next = x_next - x_star
-            dist_next = float(d_next @ d_next)
-            rhs = (dist_now - dist_next) / (2.0 * eta) + 0.5 * eta * g_norm * g_norm
-            # f_x - f* also carries the rounding of f at its own magnitude
-            rounding = VALUE_ROUNDING * max(abs(f_x), abs(f_star))
-            per_step = bool(leq_with_tol(f_x - f_star, rhs, abs_=ABS_TOL + rounding))
-            dist_now = dist_next
-
+        G_now = policy.G
         epochs.append(epoch)
         etas.append(eta)
         g_norms.append(g_norm)
-        big_Gs.append(policy.G)
+        big_Gs.append(G_now)
         f_xs.append(f_x)
         if rows == VALUE_BLOCK:
-            flush()
+            flush(x)
 
-        if g_norm == 0.0:  # x is a global minimizer: its row is recorded, then the run stops
+        if g_norm == 0.0:  # x_s is a global minimizer: its row is recorded, then the run stops
             stop = StopReason.ZERO_SUBGRADIENT
             break
 
-        G_now = policy.G
         if G_now is not None:
             if G_ref is None:
                 G_ref = G_now
             elif restart_factor is not None and G_now > restart_factor * G_ref:
                 G_ref = G_now
-                flush()
+                flush(x)
                 policy.reset()
                 s_local = 0
                 epoch += 1
 
-        x = x_next
-
-    flush()
+    flush(x)
 
     averaged_points = {}
     averaged_values = {}
@@ -385,7 +411,7 @@ def run(problem: ProblemInstance, config: SolverConfig):
     if f_star is not None:
         bracket = (f_star, f_star)
     elif minorants:
-        bracket = ((c_sum + min_linear(g_sum)) / minorants, best.best_value)
+        bracket = ((c_sum + min_linear(g_sum)) / minorants, best_value)
     else:
         bracket = None
 
@@ -414,9 +440,9 @@ def run(problem: ProblemInstance, config: SolverConfig):
         policy=policy.label,
         iterations_run=len(etas),
         stop_reason=stop,
-        best_value=best.best_value,
-        best_index=best.best_index,
-        best_point=best.best_point,
+        best_value=best_value,
+        best_index=best_index,
+        best_point=None if best_x is None else np.array(best_x, dtype=np.float64),
         averaged_points=averaged_points,
         averaged_values=averaged_values,
         max_g_norm=max(g_norms, default=0.0),

@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -15,6 +17,7 @@ from psg import (
     WeightRule,
     weight,
 )
+from psg.averaging import NARROW_ROW
 from psg.projection import feasibility_residual
 
 from conftest import sample_feasible
@@ -177,6 +180,13 @@ def recurrence(weights, points):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.sampled_from([None, 1, 2, 3, 4]), st.integers(1, 40), st.integers(1, 130),
        st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+# K x d just below, at and just above the largest mean run on Python floats
+@example(None, NARROW_ROW - 1, 130, 0, 1)
+@example(None, NARROW_ROW, 130, 2, 2)
+@example(None, NARROW_ROW + 1, 130, 2, 3)
+@example(2, NARROW_ROW // 2, 65, 1, 4)
+@example(3, NARROW_ROW // 3 + 1, 65, 1, 5)
+@example(1, NARROW_ROW - 1, 64, 3, 6)
 def test_block_update_equals_point_updates(K, d, rows, before, seed):
     # K None is one weight per point; `before` points fed one at a time first,
     # so the block either starts the average or continues it
@@ -208,6 +218,25 @@ def test_classic_step_weights_proportional_to_index_power(k):
     R, L = 2.0, 5.0
     ratios = [weight(k, s, R / (L * s ** 0.5)) / s ** (0.5 * k) for s in range(1, 101)]
     assert_allclose(ratios, ratios[0], rtol=1e-12)
+
+
+@pytest.mark.parametrize("K", [None, 2], ids=["one-weight", "K-weights"])
+@pytest.mark.parametrize("big", [1e308, 1e300], ids=["overflow", "finite"])
+def test_narrow_and_wide_means_warn_alike(K, big):
+    # a difference from the mean of 2e308 overflows; the narrow path hands
+    # such a block to the numpy loop, which warns as it always has
+    def feed(d):
+        w = np.ones((2,) if K is None else (2, K))
+        x = np.array([[-big], [big]]) * np.ones(d)
+        acc = StreamingAverage().update(w[0], x[0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            acc.update(w[1:], x[1:])
+        return [(c.category, str(c.message)) for c in caught], acc.mean.ravel()[0]
+
+    narrow, wide = feed(1), feed(NARROW_ROW + 1)
+    assert narrow == wide
+    assert bool(narrow[0]) is (big == 1e308)
 
 
 class TestBestIterate:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -568,6 +569,65 @@ class TestCheckCommand:
         capsys.readouterr()
         assert main(["check", "--trace", str(bad), "--problem", cfg, "--strict"]) == 3
         assert "FAIL optimum_bracket_high" in capsys.readouterr().out
+
+    @pytest.fixture()
+    def lasso_outputs(self, tmp_path):
+        # a Lasso run brackets f* itself, so check reads the header's bracket
+        cfg = write_config(tmp_path / "c.json", {
+            "problem": {"kind": "lasso", "seed": 1, "n": 8, "m": 6,
+                        "radius": 5.0, "lambda": 1.0},
+            "policy": {"kind": "family"},
+            "iterations": 50,
+            "trace_path": "trace.csv",
+        })
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path), "--strict"]) == 0
+        return tmp_path / "trace.csv", cfg
+
+    @pytest.mark.parametrize("bracket,where", [
+        ([1, 2], "header.optimum_bracket: expected an object"),
+        ("wide", "header.optimum_bracket: expected an object"),
+        ({"low": "a", "high": 1.0}, "header.optimum_bracket.low: expected a finite number"),
+        ({"low": 0.0, "high": True}, "header.optimum_bracket.high: expected a finite number"),
+        ({"low": float("-inf"), "high": 1.0},
+         "header.optimum_bracket.low: expected a finite number"),
+        ({"low": 0.0, "high": 1.0, "mid": 0.5}, "header.optimum_bracket.mid: unknown field"),
+    ])
+    def test_malformed_bracket_in_header_is_an_input_error(self, lasso_outputs, tmp_path,
+                                                           capsys, bracket, where):
+        trace, cfg = lasso_outputs
+        header, rest = trace.read_text().split("\n", 1)
+        meta = json.loads(header[2:])
+        meta["optimum_bracket"] = bracket
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# " + json.dumps(meta) + "\n" + rest)
+        capsys.readouterr()
+        assert main(["check", "--trace", str(bad), "--problem", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}") and err.count("\n") == 1
+
+    def test_open_bracket_ends_read_as_infinite(self, lasso_outputs, tmp_path, capsys):
+        # null ends, as a run writes a nonfinite end, and a missing end alike
+        trace, cfg = lasso_outputs
+        header, rest = trace.read_text().split("\n", 1)
+        meta = json.loads(header[2:])
+        meta["optimum_bracket"] = {"high": meta["optimum_bracket"]["high"], "low": None}
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# " + json.dumps(meta) + "\n" + rest)
+        capsys.readouterr()
+        assert main(["check", "--trace", str(bad), "--problem", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "PASS optimum_bracket_high" in out and "FAIL family (undecided)" in out
+
+    def test_trace_without_rows_is_one_error_line(self, run_outputs, tmp_path, capsys):
+        trace, problem = run_outputs
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(trace.read_text().splitlines(keepends=True)[:2]))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["check", "--trace", str(bad), "--problem", str(problem)]) == 1
+        assert caught == []
+        assert capsys.readouterr().err == f"error: {bad}: expected rows of 14 columns\n"
 
     @pytest.mark.parametrize("damage", ["ragged", "headerless"])
     def test_malformed_trace_is_an_input_error(self, run_outputs, tmp_path, capsys, damage):

@@ -906,3 +906,102 @@ class TestHotLoopChecks:
                                   single.averaged_points[label])
             assert report.averaged_values[label] == single.averaged_values[label]
             assert np.array_equal(trace[f"f_avg_{label}"], single_trace[f"f_avg_{label}"])
+
+
+def inflated(problem, s0):
+    """`problem` whose oracle adds 1 to the value it returns on its s0-th call (None: never).
+
+    The averages keep the problem's value_at_image, which reads x alone, so
+    a run's oracle calls are its iterations, in order, until its loop ends.
+    """
+    calls = 0
+
+    def oracle(x):
+        nonlocal calls
+        calls += 1
+        res = problem.oracle(x)
+        if calls != s0:
+            return res
+        return dataclasses.replace(res, value=res.value + 1.0)
+
+    return dataclasses.replace(problem, oracle=oracle)
+
+
+def ramp_problem():
+    """f(x) = x on [0, 100]: from x = 50 unit steps eta_s = 1/sqrt(s) never reach 0.
+
+    Every step is exact, so the per-step inequality holds with no slack:
+    pairing x_s with x_s or x_{s+2} instead of x_{s+1} moves its right side
+    by about x_s, far more than 1, either way.
+    """
+    one, no_image = np.ones(1), np.empty(0)
+
+    def oracle(x):
+        return SubgradientResult(float(x[0]), one, image=no_image)
+
+    return ProblemInstance(name="ramp", dimension=1, oracle=oracle,
+                           projector=Box(lower=np.zeros(1), upper=np.full(1, 100.0)),
+                           radius_R=100.0, known_optimum_value=0.0,
+                           known_optimum_point=np.zeros(1),
+                           value_at_image=lambda x, z: x[..., 0])
+
+
+class TestPerStepBlocks:
+    """The per-step inequality, decided for a block of rows at a time."""
+
+    # the rows on each side of the block boundaries, and the last row of a
+    # run of 200 iterations
+    CASES = [(budget, s0) for budget in (64, 65, 129, 200)
+             for s0 in (None, 1, 63, 64, 65, 128, 129, 200) if s0 is None or s0 <= budget]
+
+    @pytest.mark.parametrize("weight_ks", [(), (-1.0, 0.0, 2.0)], ids=["lean", "averages"])
+    @pytest.mark.parametrize("budget,s0", CASES)
+    def test_one_inflated_value_fails_it(self, weight_ks, budget, s0):
+        report, _ = run(inflated(ramp_problem(), s0), SolverConfig(
+            max_iterations=budget, initial_point=np.array([50.0]),
+            policy=FamilyPolicy(R=1.0), weight_ks=weight_ks))
+        assert report.iterations_run == budget
+        assert report.certificates["per_step"] is (s0 is None)
+
+    @pytest.mark.parametrize("weight_ks", [(), (-1.0, 0.0, 2.0)], ids=["lean", "averages"])
+    @pytest.mark.parametrize("s0", [None, 6, 7])
+    def test_rows_around_a_restart(self, weight_ks, s0):
+        # from 0.1 with R = 0.01 the sqrt example restarts after row 6 and its
+        # iterates keep moving: rows 6 and 7 hold with slack below 1 (so the
+        # inflated call fails them), paired with x_s the inequality fails, and
+        # paired with x_{s+2} it holds with slack above 1
+        config = SolverConfig(max_iterations=20, initial_point=np.array([0.1]),
+                              policy=FamilyPolicy(R=0.01, a=0.0), weight_ks=weight_ks,
+                              restart_factor=2.0)
+        _, trace = run(make_sqrt_example(), dataclasses.replace(config, record_trace=True))
+        assert trace["epoch"][5:7].tolist() == [0, 1]
+        report, _ = run(inflated(make_sqrt_example(), s0), config)
+        assert report.certificates["per_step"] is (s0 is None)
+
+
+class TestBestPoint:
+    def test_start_as_best_point_is_a_copy(self):
+        # f(x) = x from x = 0: every step projects back to 0, so every
+        # iteration ties the first, which keeps the best index
+        config = SolverConfig(max_iterations=70, initial_point=np.zeros(1),
+                              policy=FamilyPolicy(R=1.0), weight_ks=())
+        report, _ = run(ramp_problem(), config)
+        assert report.best_value == 0.0 and report.best_index == 1
+        assert np.array_equal(report.best_point, [0.0])
+        assert not np.shares_memory(report.best_point, config.initial_point)
+
+    def test_ties_keep_the_earliest_index(self):
+        # rows 2, 3 and 5 tie at the smallest value
+        values = iter([3.0, 1.0, 1.0, 2.0, 1.0])
+
+        def oracle(x):
+            return SubgradientResult(next(values), np.ones(1))
+
+        problem = ProblemInstance(name="ties", dimension=1, oracle=oracle,
+                                  projector=Box(lower=-np.ones(1), upper=np.ones(1)),
+                                  radius_R=2.0)
+        report, _ = run(problem, SolverConfig(max_iterations=5, initial_point=np.ones(1),
+                                              policy=FamilyPolicy(R=1.0), weight_ks=()))
+        assert report.best_value == 1.0 and report.best_index == 2
+        # x_2 = project(1 - 1) = 0
+        assert np.array_equal(report.best_point, [0.0])
