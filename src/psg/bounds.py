@@ -44,30 +44,24 @@ def _per_t(fn, t):
                     dtype=np.float64)[t - 1]
 
 
-# Exponent e -> the table 1 ** e, 2 ** e, ... as Python computes it, kept for
-# the life of the process and grown on demand, so that a config's later cells
-# and ``psg check`` reuse what the first cell built. Its entries depend on e
-# alone, so sharing it changes no result.
-_POWER_TABLES: dict = {}
-
-
-def _powers(e: float, t, cumulative: bool = False):
+def _powers(e: float, t, cumulative: bool = False, tables: Optional[dict] = None):
     """t ** e, or with `cumulative` 1 ** e + ... + t ** e in order, elementwise over ints t >= 1.
 
-    An array `t` reads the memoized table, grown as needed, whose entries
-    equal Python's ``u ** e`` bit for bit (a scalar `t` is only ever read
-    without `cumulative`).
+    An array `t` reads a table of Python's ``u ** e``, equal to it bit for
+    bit (a scalar `t` is only ever read without `cumulative`). `tables`,
+    when given, keeps the table under `e`, so that a later call for the same
+    `e` and `t` reuses it.
     """
     if np.ndim(t) == 0:
         return t ** e
-    size = int(np.max(t, initial=0))
-    table = _POWER_TABLES.get(e, np.empty(0))
-    if len(table) < size:
-        more = np.fromiter(map(pow, range(len(table) + 1, size + 1), repeat(e)),
-                           dtype=np.float64, count=size - len(table))
-        table = _POWER_TABLES[e] = np.concatenate([table, more])
-        table.flags.writeable = False  # shared by every later caller
-    return (np.cumsum(table[:size]) if cumulative else table)[t - 1]
+    table = None if tables is None else tables.get(e)
+    if table is None:
+        size = int(np.max(t, initial=0))
+        table = np.fromiter(map(pow, range(1, size + 1), repeat(e)),
+                            dtype=np.float64, count=size)
+        if tables is not None:
+            tables[e] = table
+    return (np.cumsum(table) if cumulative else table)[t - 1]
 
 
 def constant_bound(R: float, L: float, t) -> float:
@@ -84,13 +78,14 @@ def nesterov_bound(R: float, L: float, t) -> float:
     return ((2.0 * R * L + R * L * _per_t(math.log, t))
             / (4.0 * (_powers(0.5, t + 1) - 1.0)))
 
-def family_bound(R: float, t, max_g_norm) -> float:
+def family_bound(R: float, t, max_g_norm, tables: Optional[dict] = None) -> float:
     """Gap bound 1.5*R*max||g||/sqrt(t) for the uniform mean under the family step.
 
     Coincides with :func:`classic_bound` when ``max_g_norm`` equals the
-    Lipschitz constant.
+    Lipschitz constant. `tables` shares tabulated powers of t with other
+    bounds over the same t (see :func:`_powers`).
     """
-    return 1.5 * R * max_g_norm / _powers(0.5, t)
+    return 1.5 * R * max_g_norm / _powers(0.5, t, tables=tables)
 
 
 def _weak_exponents(k: float) -> tuple:
@@ -226,12 +221,13 @@ def evaluate(policy, ks, R: float, L: Optional[float], columns: dict,
     max_g = np.concatenate([np.maximum.accumulate(part) for part in
                             np.split(np.asarray(columns["g_norm"], dtype=np.float64), starts[1:])])
 
-    bounds = {FAMILY: family_bound(R, t, max_g)}
+    tables: dict = {}  # one table of u ** e per distinct exponent e
+    bounds = {FAMILY: family_bound(R, t, max_g, tables)}
     for k in ks:
         top, low, mid = _weak_exponents(float(k))
         bounds[weak_label(k)] = _weak_bound(
-            _powers(top, t), _powers(low, t, cumulative=True),
-            _powers(mid, t, cumulative=True), R, max_g)
+            _powers(top, t, tables=tables), _powers(low, t, cumulative=True, tables=tables),
+            _powers(mid, t, cumulative=True, tables=tables), R, max_g)
     if L is not None:
         bounds[CLASSIC] = classic_bound(R, L, t)
         bounds[CONSTANT] = constant_bound(R, L, t)

@@ -52,12 +52,16 @@ def ensure_vector(x, dim: Optional[int] = None, name: str = "x") -> np.ndarray:
     return arr
 
 
-def leq_with_tol(lhs: float, rhs: float, rel: float = REL_TOL, abs_: float = ABS_TOL) -> bool:
-    """lhs <= rhs + rel * max(|lhs|, |rhs|) + abs_, the package's one tolerance formula."""
-    # max and abs as conditionals: the same result, nan included, in fewer calls
-    a = lhs if lhs >= 0.0 else -lhs
-    b = rhs if rhs >= 0.0 else -rhs
-    return lhs <= rhs + rel * (b if b > a else a) + abs_
+def leq_with_tol(lhs, rhs, rel: float = REL_TOL, abs_=ABS_TOL):
+    """lhs <= rhs + rel * max(|lhs|, |rhs|) + abs_, the package's one tolerance formula.
+
+    Elementwise over arrays, giving a boolean array; on scalars, a bool. A
+    nan on either side fails. Overflow and inf - inf pass silently, as they
+    do on Python floats.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = lhs <= rhs + rel * np.maximum(np.abs(lhs), np.abs(rhs)) + abs_
+    return bool(ok) if np.ndim(ok) == 0 else ok
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from . import bounds as bnd
 from .averaging import StreamingAverage, WeightRule
 from .core import (
     ABS_TOL,
-    REL_TOL,
     VALUE_ROUNDING,
     InvalidParameterError,
     NumericError,
@@ -23,6 +22,7 @@ from .core import (
     StopReason,
     ZeroSubgradientError,
     ensure_vector,
+    leq_with_tol,
     scheme_label,
 )
 from .projection import project
@@ -234,9 +234,9 @@ def run(problem: ProblemInstance, config: SolverConfig):
     def check_per_step(x_after):
         """The per-step inequality at each pending row, x_after following the last one.
 
-        The formula of :func:`leq_with_tol` elementwise, with the bits of one
-        check per iteration: ``+ - * /`` round as on Python floats, and each
-        squared distance is the dot product ``d @ d`` as a batched matmul.
+        :func:`leq_with_tol` elementwise, with the bits of one check per
+        iteration: ``+ - * /`` round as on Python floats, and each squared
+        distance is the dot product ``d @ d`` as a batched matmul.
         """
         nonlocal per_step
         eta, g_norm = np.array(etas[-rows:]), np.array(g_norms[-rows:])
@@ -248,8 +248,7 @@ def run(problem: ProblemInstance, config: SolverConfig):
             rhs = (dist[:-1] - dist[1:]) / (2.0 * eta) + 0.5 * eta * g_norm * g_norm
             # f_x - f* also carries the rounding of f at its own magnitude
             abs_ = ABS_TOL + VALUE_ROUNDING * np.maximum(np.abs(f_x), abs(f_star))
-            lhs = f_x - f_star
-            ok = lhs <= rhs + REL_TOL * np.maximum(np.abs(lhs), np.abs(rhs)) + abs_
+            ok = leq_with_tol(f_x - f_star, rhs, abs_=abs_)
         per_step = bool(ok.all())
 
     def flush(x_after):

@@ -7,7 +7,6 @@ from psg import (
     ConstantPolicy,
     FamilyPolicy,
     InvalidParameterError,
-    NesterovPolicy,
     check_certificate,
     classic_bound,
     constant_bound,
@@ -15,7 +14,6 @@ from psg import (
     nesterov_bound,
     weak_ergodic_bound,
 )
-from psg import bounds as bnd
 from psg.bounds import WeakBoundSums, evaluate, monotone_label, weak_label
 
 
@@ -190,6 +188,25 @@ class TestEvaluate:
                          ("nesterov", nesterov_bound)):
             assert bounds[name].tolist() == [fn(R, L, u) for u in t]
 
+    def test_long_columns_equal_scalars_bit_for_bit(self):
+        # 20,000 rows: every table entry is Python's u ** e, not numpy's power
+        R, L, ks, t = 1.7, 3.0, (-1.0, 0.0, 2.0), 20_000
+        g_norm = np.random.default_rng(0).uniform(0.5, 2.0, size=t)
+        columns = {"epoch": np.zeros(t), "eta": np.ones(t), "g_norm": g_norm}
+        bounds, _, _ = evaluate(FamilyPolicy(R=R), ks, R, L, columns)
+        max_g = np.maximum.accumulate(g_norm).tolist()
+        u = range(1, t + 1)
+        assert bounds["family"].tolist() == [family_bound(R, s, g) for s, g in zip(u, max_g)]
+        for name, fn in (("classic", classic_bound), ("constant", constant_bound),
+                         ("nesterov", nesterov_bound)):
+            assert bounds[name].tolist() == [fn(R, L, s) for s in u], name
+        for k in ks:
+            sums, expected = WeakBoundSums(k), []
+            for g in max_g:
+                sums.push()
+                expected.append(sums.bound(R, g))
+            assert bounds[weak_label(k)].tolist() == expected, k
+
     @pytest.mark.parametrize("epoch,held", [([0, 0, 0, 0, 0, 0], False),
                                             ([0, 0, 1, 1, 1, 1], True)])
     def test_monotone_verdict_is_per_epoch(self, epoch, held):
@@ -217,52 +234,3 @@ class TestEvaluate:
         columns = dict(self.columns(), f_avg_k0=[9.0])  # only the final value
         _, verdicts, _ = evaluate(policy, (0.0,), 1.0, 1.0, columns, (f_star, f_star))
         assert verdicts["constant"] is proven
-
-
-class TestPowerMemo:
-    """The tables of u ** e that the bound columns read, kept per process."""
-
-    R, L, KS = 1.7, 3.0, (-1.0, 0.0, 2.0)
-
-    @pytest.fixture(autouse=True)
-    def empty_memo(self, monkeypatch):
-        monkeypatch.setattr(bnd, "_POWER_TABLES", {})
-
-    def columns(self, t):
-        g_norm = np.random.default_rng(t).uniform(0.5, 2.0, size=t)
-        return {"epoch": np.zeros(t), "eta": np.ones(t), "g_norm": g_norm}
-
-    def assert_columns_equal_scalars(self, t):
-        columns = self.columns(t)
-        bounds, _, _ = evaluate(FamilyPolicy(R=self.R), self.KS, self.R, self.L, columns)
-        max_g = np.maximum.accumulate(columns["g_norm"]).tolist()
-        u = range(1, t + 1)
-        assert bounds["family"].tolist() == [family_bound(self.R, s, g) for s, g in zip(u, max_g)]
-        for name, fn in (("classic", classic_bound), ("constant", constant_bound),
-                         ("nesterov", nesterov_bound)):
-            assert bounds[name].tolist() == [fn(self.R, self.L, s) for s in u], name
-        for k in self.KS:
-            sums, expected = WeakBoundSums(k), []
-            for g in max_g:
-                sums.push()
-                expected.append(sums.bound(self.R, g))
-            assert bounds[weak_label(k)].tolist() == expected, k
-
-    @pytest.mark.parametrize("lengths", [(20_000, 10), (10, 20_000)],
-                             ids=["longer-memo", "shorter-memo"])
-    def test_columns_equal_scalars_whatever_the_memo_holds(self, lengths):
-        for t in lengths:
-            self.assert_columns_equal_scalars(t)
-        assert len(bnd._POWER_TABLES[0.5]) >= 20_000
-
-    def test_nesterov_evaluations_leave_the_memo_alone(self):
-        def sizes():
-            return {e: len(table) for e, table in bnd._POWER_TABLES.items()}
-
-        columns = self.columns(50)
-        policy = NesterovPolicy(R=self.R)
-        evaluate(policy, (-1.0,), self.R, self.L, columns)
-        before = sizes()
-        for _ in range(100):
-            evaluate(policy, (-1.0,), self.R, self.L, columns)
-        assert sizes() == before

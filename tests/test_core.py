@@ -104,6 +104,18 @@ def test_leq_with_tol_boundary():
     assert leq_with_tol(0.0, 0.0)
 
 
+def test_leq_with_tol_on_arrays_is_the_scalar_check_per_entry():
+    inf, nan, top = float("inf"), float("nan"), float(np.finfo(float).max)
+    # inf - inf and an overflowing right side, too, give no warning
+    lhs = [1.0, 1.0 + 1e-10, 1.0 + 1e-6, -0.0, -1e300, inf, -inf, nan, 1.0, -1e-13, top]
+    rhs = [1.0, 1.0, 1.0, 0.0, -1e300, inf, -inf, 1.0, nan, -2e-13, top]
+    scalar = [leq_with_tol(a, b, abs_=1e-12) for a, b in zip(lhs, rhs)]
+    assert scalar == [True, True, False, True, True, True, False, False, False, True, True]
+    assert all(type(ok) is bool for ok in scalar)
+    abs_ = np.full(len(lhs), 1e-12)
+    assert leq_with_tol(np.array(lhs), np.array(rhs), abs_=abs_).tolist() == scalar
+
+
 def test_problem_instance_validation():
     oracle = make_abs_problem(1).oracle
     box = make_abs_problem(1).projector
