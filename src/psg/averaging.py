@@ -68,60 +68,39 @@ class WeightRule:
         return [s ** e for s in range(s_first, s_first + len(etas))]
 
 
-# Means of at most this many entries (K x d) run the recurrence on Python
-# floats, one list per point, rather than three numpy calls per point. 8 is
-# the measured crossover: on one 64-row block (numpy 2.4, 2-core Xeon VM,
-# best of 25 interleaved rounds) the float path takes about 0.7x the numpy
-# loop's time at 2 to 4 entries, 1.03x at 8 entries of one mean or 12 of K
-# means, and 1.2x to 4.6x from 16 to 64 entries.
-NARROW_ROW = 8
+def _prefix_sum(a: np.ndarray) -> None:
+    """Running sums along the first axis of `a`, in place, in one fixed order.
 
-
-def _narrow_recurrence(out, x, shares, mean, start: int) -> bool:
-    """The recurrence of :meth:`StreamingAverage.update` over rows start.. of `x`, on Python floats.
-
-    Writes ``out[start:]`` with the bits of the numpy loop: IEEE ``+ - *``
-    round the same on Python floats, and ``a + (b - a) c`` is the loop's
-    ``(b - a) c + a``. Returns False, writing nothing, when the last mean has
-    a nonfinite entry (a difference overflowed), so that the numpy loop
-    redoes the rows with its warnings: a nonfinite entry never turns finite.
+    Within groups of 8 rows one add per step spans every group; each group
+    then adds the total before it, and the rows after the last group follow.
     """
-    rows = len(x) - start
-    if not rows:
-        return True
-    shape = mean.shape
-    # (d,) means take one share per point, (K, d) means one per average
-    points = x[start:, None] if mean.ndim == 2 else x[start:]
-    points = np.broadcast_to(points, (rows,) + shape).reshape(rows, -1).tolist()
-    shares = np.broadcast_to(shares[start:], (rows,) + shape).reshape(rows, -1).tolist()
-    m = mean.ravel().tolist()
-    means = []
-    for point, share in zip(points, shares):
-        m = [a + (b - a) * c for a, b, c in zip(m, point, share)]
-        means.append(m)
-    if not all(map(math.isfinite, m)):
-        return False
-    out[start:start + rows] = np.reshape(means, (rows,) + shape)
-    return True
+    full = len(a) - len(a) % 8
+    for j in range(1, 8):
+        a[j:full:8] += a[j - 1:full:8]
+    for g in range(8, full, 8):
+        a[g:g + 8] += a[g - 1]
+    for t in range(max(full, 1), len(a)):
+        a[t] += a[t - 1]
 
 
 class StreamingAverage:
     """Weighted mean of a stream of points, updated in place.
 
-    The mean is maintained as mean <- mean + (w / W')(x - mean) with
-    W' = W + w, which equals the direct quotient sum(w_s x_s) / sum(w_s)
+    One point x with weight w moves the mean to mean + (x - mean)(w / W')
+    with W' = W + w, which equals the direct quotient sum(w_s x_s) / sum(w_s)
     and keeps the mean a convex combination of the points fed so far.
 
     Fed a 1-D array of K weights per point, it keeps K means at once (``mean``
     is K x d, ``total_weight`` has K entries), each row bit for bit equal to
     a scalar stream fed that weight, and checks the point once, not K times.
 
-    :meth:`update` also takes a block of points, one per row, and runs the
-    same recurrence over its rows in order: a block gives the bits that
-    feeding its rows one at a time gives, for a fixed number of numpy calls
-    per row whatever K is, and validates the block once. Means of at most
-    :data:`NARROW_ROW` entries run the recurrence on Python floats instead,
-    with the same bits and warnings.
+    :meth:`update` also takes a block of points, one per row, for a fixed
+    number of numpy calls whatever K and d are. With m0 the mean before it
+    (else its first point) and running totals W_t up to W_e, the means are
+    one prefix sum: mean_t = m0 + (sum_{s<=t} (w_s/W_e)(x_s - m0)) / (W_t/W_e).
+    W_e keeps the partial sums finite and m0 a constant stream constant. One
+    point gives the formula above bit for bit; a block does not give the
+    bits of feeding its rows one at a time.
     """
 
     __slots__ = ("mean", "total_weight", "count")
@@ -164,29 +143,23 @@ class StreamingAverage:
         # W' = W + w row after row: a sequential running sum from the last total
         totals = w.copy()
         fresh = self.mean is None
-        if fresh:  # the first point is the mean; the recurrence starts at row 1
-            out[0] = x[0]
-            mean = out[0]
-        else:
+        if not fresh:
             totals[0] += self.total_weight
-            mean = self.mean
         with np.errstate(over="ignore"):  # reported below, not warned
             np.cumsum(totals, axis=0, out=totals)
         if not np.isfinite(totals[-1]).all():  # the totals only grow
             raise OverflowError("total weight overflows")
-        shares = (w / totals)[..., None]
-        start = int(fresh)
-        if not (mean.size <= NARROW_ROW and _narrow_recurrence(out, x, shares, mean, start)):
-            for o, x_i, share in zip(out[start:], x[start:], shares[start:]):
-                np.subtract(x_i, mean, out=o)
-                o *= share
-                o += mean
-                mean = o
-        mean = out[rows - 1]
-        if fresh:
-            self.mean = mean.copy()
+        m0 = x[0] if fresh else self.mean
+        np.subtract(x[:, None] if w.ndim == 2 else x, m0, out=out)
+        out *= (w / totals[-1])[..., None]
+        _prefix_sum(out)
+        out /= (totals / totals[-1])[..., None]
+        out += m0
+        if fresh:  # the first point is the mean, the sign of a zero included
+            out[0] = x[0]
+            self.mean = out[-1].copy()
         else:
-            self.mean[...] = mean
+            self.mean[...] = out[-1]
         self.total_weight = float(totals[-1]) if w.ndim == 1 else totals[-1].copy()
         self.count += rows
         return self

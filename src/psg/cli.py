@@ -31,21 +31,23 @@ each cell brackets f* by ``[f_low, f_best]`` from its own oracle calls (see
 ``undecided``.
 
 Trace CSV format: a line ``# {json}`` (the cell's ``policy`` spec,
-``iterations``, ``weight_ks``, ``restart_factor`` and ``optimum_bracket``),
-then the trace that :func:`psg.solver.run` returns, column for column: the
-header
+``iterations``, ``weight_ks``, ``restart_factor``, ``optimum_bracket`` and,
+when its minorants gave f_low, ``minorant_sums`` {"g_sum", "c_sum",
+"count"}), then the trace that :func:`psg.solver.run` returns, column for
+column: the header
 ``s,epoch,eta,g_norm,G,f_x,f_best,f_avg_k<k1>,...,bound_family,bound_weak_k<k1>,...``
 and one row per iteration; ``epoch`` counts the restarts so far, every number
 is written as ``%.17g`` (lossless round-trip), and ``G`` is ``nan`` for
 policies that do not track it. :func:`read_trace_csv` returns the same
 columns. A cell that stops before its first iteration writes no trace. With
 several cells the per-cell file name is derived from ``trace_path`` by
-inserting the cell label before the extension. ``psg check`` rebuilds the policy from the first line and runs
-the solver's own evaluator (:func:`psg.bounds.evaluate`) on the columns:
-every bound column must match bit for bit, and every certificate except
-``per_step`` (it needs the iterates) is decided again. When the problem
-does not know f*, it takes the first line's bracket, whose ``high`` must
-not exceed the final ``f_best``, and its ``low`` on trust.
+inserting the cell label before the extension. ``psg check`` rebuilds the
+policy from the first line and runs the solver's own evaluator
+(:func:`psg.bounds.evaluate`) on the columns: every bound column must match
+bit for bit, and every certificate except ``per_step`` (it needs the
+iterates) is decided again. When the problem does not know f*, it takes the
+first line's bracket: its ``high`` must not exceed the final ``f_best``, and
+its ``low`` must equal ``(c_sum + min_linear(g_sum)) / count`` bit for bit.
 """
 
 from __future__ import annotations
@@ -150,7 +152,10 @@ POLICY_FIELDS = {"family": {"a": (_float, 1.0)}, "nesterov": {},
 
 
 def _read_fields(obj: dict, prefix: str, schema: dict) -> dict:
-    """Each field of `schema` read from `obj` by its reader; null counts as absent."""
+    """Each field of `schema` read from the object `obj` by its reader; null counts as absent."""
+    if not isinstance(obj, dict):
+        names = " and ".join(map(repr, schema))
+        raise ConfigError(f"{prefix[:-1]}: expected an object with {names}")
     for key in obj:
         if key not in schema:
             raise ConfigError(f"{prefix}{key}: unknown field")
@@ -198,6 +203,8 @@ CONFIG_FIELDS = {
 
 # The ends of a trace header's optimum_bracket; null is an open end.
 BRACKET_FIELDS = {"low": (_float, -math.inf), "high": (_float, math.inf)}
+MINORANT_FIELDS = {"g_sum": (_numbers, REQUIRED), "c_sum": (_float, REQUIRED),
+                   "count": (_int, REQUIRED)}
 
 
 def parse_config(data: dict) -> SimpleNamespace:
@@ -374,20 +381,27 @@ def check_trace(meta: dict, cols: dict, problem: ProblemInstance) -> list:
     results.append(("f_best_running_min", bool(np.array_equal(rebest, f_best)), ""))
 
     f_star = problem.known_optimum_value
-    recorded = meta.get("optimum_bracket")
     if f_star is not None:
         bracket = (f_star, f_star)
-    elif recorded is None:
+    elif meta.get("optimum_bracket") is None:
         bracket = (-math.inf, math.inf)
     else:
-        if not isinstance(recorded, dict):
-            raise ConfigError("header.optimum_bracket: expected an object with 'low' and 'high'")
-        ends = _read_fields(recorded, "header.optimum_bracket.", BRACKET_FIELDS)
+        ends = _read_fields(meta["optimum_bracket"], "header.optimum_bracket.", BRACKET_FIELDS)
         bracket = (ends["low"], ends["high"])
         # below the final f_best only when a final zero subgradient, which has
         # no row, found f*; a lower high only makes the verdicts stricter
         results.append(("optimum_bracket_high", bool(bracket[1] <= f_best[-1]),
                         "at most the final f_best"))
+        low, sums = None, meta.get("minorant_sums")
+        if sums is not None:
+            sums = _read_fields(sums, "header.minorant_sums.", MINORANT_FIELDS)
+            g_sum = np.array(sums["g_sum"])
+            if g_sum.shape != (problem.dimension,) or sums["count"] < 1:
+                raise ConfigError("header.minorant_sums: g_sum does not fit the problem,"
+                                  " or count is not positive")
+            low = (sums["c_sum"] + problem.projector.min_linear(g_sum)) / sums["count"]
+        results.append(("optimum_bracket_low", low == bracket[0],
+                        "no minorant sums" if low is None else "from the minorant sums"))
 
     policy = build_policy(policy_spec, problem, _int(meta.get("iterations"), "header.iterations"))
     bounds, verdicts, undecided = bnd.evaluate(
@@ -426,10 +440,6 @@ def _finite_or_null(obj):
     return obj
 
 
-def _bracket_dict(bracket):
-    return None if bracket is None else {"low": bracket[0], "high": bracket[1]}
-
-
 def run_experiment(config: SimpleNamespace, out_dir: Optional[str] = None) -> dict:
     """Execute all cells of `config` and return the summary dict.
 
@@ -464,14 +474,15 @@ def run_experiment(config: SimpleNamespace, out_dir: Optional[str] = None) -> di
         except NumericError as exc:
             return {"problem": problem.name, "policy": policy.label,
                     "status": "failed", "error": str(exc)}
-        bracket = _bracket_dict(report.optimum_bracket)
+        bracket = report.optimum_bracket and dict(zip(("low", "high"), report.optimum_bracket))
         written = trace is not None and report.iterations_run > 0
         if written:
             os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+            sums = {} if report.minorant_sums is None else {"minorant_sums": report.minorant_sums}
             emit_trace_csv(trace, path, {
                 "policy": _spec_dict(spec), "iterations": config.iterations,
                 "weight_ks": list(config.weight_ks), "restart_factor": config.restart_factor,
-                "optimum_bracket": bracket})
+                "optimum_bracket": bracket, **sums})
         return {"problem": problem.name, "policy": policy.label,
                 "status": "ok", "error": None,
                 "iterations_run": report.iterations_run,

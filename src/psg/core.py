@@ -175,7 +175,8 @@ class RunReport:
     `undecided` lists the gap certificates that were neither proven nor
     refuted, every other False one was refuted. `optimum_bracket` is the
     (low, high) pair known to contain f* that the gap certificates were
-    checked against, or None when the run formed none.
+    checked against, or None when the run formed none; `minorant_sums` the
+    {g_sum, c_sum, count} of low = (c_sum + min_linear(g_sum)) / count.
     """
 
     problem: str
@@ -192,6 +193,7 @@ class RunReport:
     certificates: dict
     optimum_bracket: Optional[tuple] = None
     undecided: list = field(default_factory=list)
+    minorant_sums: Optional[dict] = None
 
 
 def subgradient_inequality_check(oracle: Oracle, x: np.ndarray, z: np.ndarray,

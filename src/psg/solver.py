@@ -129,26 +129,25 @@ def run(problem: ProblemInstance, config: SolverConfig):
     ``certificates`` holds True only for proven ones, ``undecided`` names
     the undecided ones, and ``optimum_bracket`` is the bracket used.
 
-    The averages are fed a block at a time: each iteration only writes its
-    point [x_s; image_s] into a ``VALUE_BLOCK``-row buffer, and every
-    ``VALUE_BLOCK`` iterations, before a restart and after the loop, the
-    block's weights are formed and one :meth:`StreamingAverage.update` runs
-    the recurrence over its rows, with the bits of one update per iteration.
-    When the problem sets ``value_at_image``, the values at the averages
-    then come from the averaged oracle images without an oracle call, one
-    call on the block's stacked averages; the report's averaged values
-    always come from the oracle. The per-step inequality is decided per
-    block too, from the x_s rows of the buffer (filled for it alone in a
-    lean run) and the point after the block's last row, with the bits of
-    one check per iteration. The best iterate is kept by reference and
-    copied once, after the loop. Each iteration checks only what it
-    produces: a finite oracle value, a subgradient of the right shape with a
-    finite norm, the image contract and a finite image (when read), a
-    positive finite step and a finite x_s - eta_s g_s; x_s is then finite by
-    construction, and so is every weight with k <= 0. Failures raise
-    :class:`NumericError` naming the iteration (:class:`InvalidParameterError`
-    for a nonpositive step), as does a weight s^(k/2), or a running total of
-    the weights, that overflows.
+    The bookkeeping runs a block at a time: each iteration only writes its
+    point [x_s; image_s] and its g_s into ``VALUE_BLOCK``-row buffers, and
+    every ``VALUE_BLOCK`` iterations, before a restart and after the loop,
+    the block's images are checked, its minorants summed in iteration order
+    (the bits of one sum per iteration), its weights formed, and one
+    :meth:`StreamingAverage.update` writes the averages after each of its
+    rows as one prefix sum. With ``value_at_image`` the values at the
+    averages come from the averaged images, one call per block; the report's
+    averaged values always come from the oracle. The per-step inequality is
+    decided per block too, with the bits of one check per iteration. The
+    best iterate is kept by reference and copied once. Each iteration checks
+    a finite oracle value, a subgradient of the right shape with a finite
+    norm, the image contract, a positive finite step and a finite
+    x_s - eta_s g_s (proven by eta_s ||g_s|| < 2^960 alone when it holds);
+    x_s is then finite by construction, and so is every weight with k <= 0.
+    Failures raise :class:`NumericError` naming the iteration
+    (:class:`InvalidParameterError` for a nonpositive step), a nonfinite
+    image before any later failure, as does a weight s^(k/2), or a running
+    total of the weights, that overflows.
 
     Returns
     -------
@@ -188,10 +187,9 @@ def run(problem: ProblemInstance, config: SolverConfig):
     per_step = True
 
     gap_certs = policy.certificates(ks, L) if check_gap else []
-    # sums of the minorants' slopes g_s and offsets f(x_s) - <g_s, x_s>
-    sum_minorants = f_star is None and bool(gap_certs)
-    g_sum = np.zeros(problem.dimension) if sum_minorants else None
-    c_sum = 0.0
+    n = problem.dimension
+    # the minorants' slopes g_s and offsets f(x_s) - <g_s, x_s>: summed (row 0), pending
+    sums = np.zeros((VALUE_BLOCK + 1, n + 1)) if f_star is None and gap_certs else None
     minorants = 0
 
     need_values = config.record_trace or any(c.horizon is None for c in gap_certs)
@@ -199,7 +197,6 @@ def run(problem: ProblemInstance, config: SolverConfig):
     # vectors [x_s; image_s], and values at averages come from the averaged
     # image instead of an oracle call.
     value_at_image = problem.value_at_image if need_values and rules else None
-    n = problem.dimension
     image_size: Optional[int] = None
     # the points [x_s; image_s] of the last `rows` iterations, oldest first,
     # not yet fed to the averages or checked by the per-step inequality, and
@@ -251,13 +248,29 @@ def run(problem: ProblemInstance, config: SolverConfig):
             ok = leq_with_tol(f_x - f_star, rhs, abs_=abs_)
         per_step = bool(ok.all())
 
+    def check_images(count):
+        """Raise for the first nonfinite image among the first `count` pending rows."""
+        if image_size:
+            finite = np.isfinite(points[:count, n:]).all(axis=1)
+            if not finite.all():
+                raise NumericError("oracle image has nonfinite entries at iteration"
+                                   f" {len(etas) - rows + 1 + int(finite.argmin())}")
+
     def flush(x_after):
-        """Check the pending rows, feed them to the averages, then value them when needed."""
-        nonlocal rows
+        """Check the pending rows, sum their minorants, feed them to the averages, value them."""
+        nonlocal rows, minorants
         if not rows:
             return
+        check_images(rows)
         if check_step and per_step:
             check_per_step(x_after)
+        if sums is not None:
+            g, x_s = sums[1:rows + 1, :n], points[:rows, :n]
+            sums[1:rows + 1, n] = np.array(f_xs[-rows:]) - (g[:, None] @ x_s[..., None])[:, 0, 0]
+            # g_s.dot(x_s) by batched matmul, then sums row after row per column
+            # (n + 1 >= 2 columns): the bits of one dot and one sum per iteration
+            sums[0] = np.add.reduce(sums[:rows + 1], axis=0)
+            minorants += rows
         if not rules:
             rows = 0
             return
@@ -294,109 +307,115 @@ def run(problem: ProblemInstance, config: SolverConfig):
     G_ref: Optional[float] = None
     stop = StopReason.BUDGET_EXHAUSTED
     restart_factor = config.restart_factor
-    # the rows are buffered for the averages, and for the per-step check
-    buffer_rows = bool(rules) or check_step
+    # the rows are buffered for the averages, the per-step check and the minorants
+    buffer_rows = bool(rules) or check_step or sums is not None
 
-    for s in range(1, config.max_iterations + 1):
-        res = problem.oracle(x)
-        f_x = float(res.value)
-        if not math.isfinite(f_x):
-            raise NumericError(f"oracle returned nonfinite value at iteration {s}")
-        if res.is_empty:
-            stop = StopReason.EMPTY_SUBDIFFERENTIAL
-            break
-        g = np.asarray(res.subgradient, dtype=np.float64)
-        if g.shape != x.shape:
-            raise NumericError(f"oracle subgradient shape {g.shape} at iteration {s}")
-        # np.linalg.norm's 1-D expression; finite only if every entry is finite
-        g_norm = math.sqrt(float(g.dot(g)))
-        if not math.isfinite(g_norm):
-            raise NumericError(f"oracle subgradient has norm {g_norm} at iteration {s}")
-        if sum_minorants:
-            g_sum += g
-            c_sum += f_x - float(g.dot(x))
-            minorants += 1
-        if value_at_image is not None:
-            image = res.image
-            if image is None or np.ndim(image) != 1:
-                raise NumericError(f"oracle returned no image vector at iteration {s}")
-            if image_size is None:
-                image_size = len(image)
-            elif len(image) != image_size:
-                raise NumericError(f"oracle image has length {len(image)} at iteration {s},"
-                                   f" {image_size} before")
-            # a finite squared norm proves every entry finite; vdot never warns
-            if image_size and not (math.isfinite(np.vdot(image, image))
-                                   or np.isfinite(image).all()):
-                raise NumericError(f"oracle image has nonfinite entries at iteration {s}")
+    try:
+        for s in range(1, config.max_iterations + 1):
+            res = problem.oracle(x)
+            f_x = float(res.value)
+            if not math.isfinite(f_x):
+                raise NumericError(f"oracle returned nonfinite value at iteration {s}")
+            if res.is_empty:
+                stop = StopReason.EMPTY_SUBDIFFERENTIAL
+                break
+            g = np.asarray(res.subgradient, dtype=np.float64)
+            if g.shape != x.shape:
+                raise NumericError(f"oracle subgradient shape {g.shape} at iteration {s}")
+            # np.linalg.norm's 1-D expression; finite only if every entry is finite
+            g_norm = math.sqrt(float(g.dot(g)))
+            if not math.isfinite(g_norm):
+                raise NumericError(f"oracle subgradient has norm {g_norm} at iteration {s}")
+            if value_at_image is not None:
+                image = res.image
+                if image is None or np.ndim(image) != 1:
+                    raise NumericError(f"oracle returned no image vector at iteration {s}")
+                if image_size is None:
+                    image_size = len(image)
+                elif len(image) != image_size:
+                    raise NumericError(f"oracle image has length {len(image)} at iteration {s},"
+                                       f" {image_size} before")
+            if buffer_rows:
+                # x is finite: the start is checked, every later x is a projection of
+                # a finite step. Written before the step, for the image check's sake.
+                if points is None:
+                    width = n + (image_size or 0)
+                    points = np.zeros((VALUE_BLOCK, width))
+                    block = np.empty((VALUE_BLOCK, len(rules), width)) if rules else None
+                points[rows, :n] = x
+                if image_size:
+                    points[rows, n:] = image
+                if sums is not None:
+                    sums[rows + 1, :n] = g
 
-        try:
-            eta = policy.step_size(s_local + 1, g_norm)
-        except ZeroSubgradientError:
-            if g_norm != 0.0:
-                raise
-            # x is a global minimizer that the rule cannot step from (first
-            # iteration of the family rule, or the norm-normalized rule):
-            # stop with only the best iterate updated, recording no row
+            try:
+                eta = policy.step_size(s_local + 1, g_norm)
+            except ZeroSubgradientError:
+                if g_norm != 0.0:
+                    raise
+                # x is a global minimizer that the rule cannot step from (first
+                # iteration of the family rule, or the norm-normalized rule):
+                # stop with the best iterate and the minorants updated, recording no row
+                if f_x < best_value:
+                    best_value, best_index, best_x = f_x, s, x
+                check_images(rows + 1)
+                if sums is not None:  # summed after the pending rows
+                    flush(x)
+                    sums[0] += np.append(g, f_x - float(g.dot(x)))
+                    minorants += 1
+                stop = StopReason.ZERO_SUBGRADIENT
+                break
+            s_local += 1
+            if not 0.0 < eta < inf:
+                if not eta > 0:
+                    raise InvalidParameterError(
+                        f"step size {eta!r} is not positive at iteration {s}")
+                raise NumericError(f"step size {eta!r} is not finite at iteration {s}")
+
             if f_x < best_value:
                 best_value, best_index, best_x = f_x, s, x
-            stop = StopReason.ZERO_SUBGRADIENT
-            break
-        s_local += 1
-        if not 0.0 < eta < inf:
-            if not eta > 0:
-                raise InvalidParameterError(f"step size {eta!r} is not positive at iteration {s}")
-            raise NumericError(f"step size {eta!r} is not finite at iteration {s}")
+            if s_local == 1 and rules:
+                # an epoch's averages start at its first row, so that a run
+                # whose last epoch has none reports the epoch before
+                averages = StreamingAverage()
 
-        if f_x < best_value:
-            best_value, best_index, best_x = f_x, s, x
-        if s_local == 1 and rules:
-            # an epoch's averages start at its first row, so that a run
-            # whose last epoch has none reports the epoch before
-            averages = StreamingAverage()
-        if buffer_rows:
-            # x is finite: the start is checked, every later x is a projection
-            # of a finite step
-            if points is None:
-                width = n + (image_size or 0)
-                points = np.empty((VALUE_BLOCK, width))
-                block = np.empty((VALUE_BLOCK, len(rules), width)) if rules else None
-            if image_size:
-                points[rows, :n] = x
-                points[rows, n:] = image
-            else:  # no image, or an empty one
-                points[rows] = x
-            rows += 1
+            y = x - eta * g
+            # |fl(eta g_i)| < 2^961 cannot carry a finite x_i past the largest float;
+            # else a finite squared norm proves every entry finite (vdot never warns)
+            if not (eta * g_norm < 2.0 ** 960 or math.isfinite(np.vdot(y, y))
+                    or np.isfinite(y).all()):
+                raise NumericError(f"step x - eta * g has nonfinite entries at iteration {s}")
+            # from here on x is x_{s+1}, which the per-step check of row s reads
+            x = projector.project(y)
 
-        y = x - eta * g
-        # a finite squared norm proves every entry finite; vdot never warns
-        if not (math.isfinite(np.vdot(y, y)) or np.isfinite(y).all()):
-            raise NumericError(f"step x - eta * g has nonfinite entries at iteration {s}")
-        # from here on x is x_{s+1}, which the per-step check of row s reads
-        x = projector.project(y)
+            G_now = policy.G
+            epochs.append(epoch)
+            etas.append(eta)
+            g_norms.append(g_norm)
+            big_Gs.append(G_now)
+            f_xs.append(f_x)
+            if buffer_rows:
+                rows += 1
+                if rows == VALUE_BLOCK:
+                    flush(x)
 
-        G_now = policy.G
-        epochs.append(epoch)
-        etas.append(eta)
-        g_norms.append(g_norm)
-        big_Gs.append(G_now)
-        f_xs.append(f_x)
-        if rows == VALUE_BLOCK:
-            flush(x)
+            if g_norm == 0.0:  # x_s is a global minimizer: its row is recorded, then the run stops
+                stop = StopReason.ZERO_SUBGRADIENT
+                break
 
-        if g_norm == 0.0:  # x_s is a global minimizer: its row is recorded, then the run stops
-            stop = StopReason.ZERO_SUBGRADIENT
-            break
-
-        if G_now is not None:
-            if G_ref is None:
-                G_ref = G_now
-            elif restart_factor is not None and G_now > restart_factor * G_ref:
-                G_ref = G_now
-                flush(x)
-                policy.reset()
-                s_local = 0
-                epoch += 1
+            if G_now is not None:
+                if G_ref is None:
+                    G_ref = G_now
+                elif restart_factor is not None and G_now > restart_factor * G_ref:
+                    G_ref = G_now
+                    flush(x)
+                    policy.reset()
+                    s_local = 0
+                    epoch += 1
+    except (NumericError, InvalidParameterError):
+        # a nonfinite image fails first; row `rows` is this iteration's, a checked one, or zeros
+        check_images(rows + 1)
+        raise
 
     flush(x)
 
@@ -407,9 +426,12 @@ def run(problem: ProblemInstance, config: SolverConfig):
             averaged_points[label] = np.array(mean[:n])
             averaged_values[label] = problem.value(averaged_points[label])
 
+    minorant_sums = None
     if f_star is not None:
         bracket = (f_star, f_star)
     elif minorants:
+        c_sum, g_sum = float(sums[0, n]), sums[0, :n]
+        minorant_sums = {"g_sum": g_sum.tolist(), "c_sum": c_sum, "count": minorants}
         bracket = ((c_sum + min_linear(g_sum)) / minorants, best_value)
     else:
         bracket = None
@@ -449,5 +471,6 @@ def run(problem: ProblemInstance, config: SolverConfig):
         certificates=certs,
         optimum_bracket=bracket,
         undecided=undecided,
+        minorant_sums=minorant_sums,
     )
     return report, trace

@@ -168,13 +168,14 @@ class FamilyPolicy(StepSizePolicy):
         _require_positive(self.R, "R")
         _require_a(self.a)
         self.label = f"family_a{self.a:g}"
+        self._g_power, self._step_power = 0.5 * (1.0 - self.a), 0.5 * self.a
 
     def step_size(self, s: int, g_norm: float) -> float:
-        scaled = g_norm * s ** (0.5 * (1.0 - self.a))
+        scaled = g_norm * s ** self._g_power
         self._G = G = scaled if self._G is None else max(self._G, scaled)
         if G <= 0:
             raise ZeroSubgradientError("step size undefined: running subgradient maximum is zero")
-        return self.R / (G * s ** (0.5 * self.a))
+        return self.R / (G * s ** self._step_power)
 
     def reset(self) -> None:
         self._G = None

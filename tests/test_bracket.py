@@ -209,7 +209,8 @@ def check_agrees(problem, config, spec, report, trace, path):
         "policy": spec, "iterations": config.max_iterations,
         "weight_ks": list(config.weight_ks), "restart_factor": config.restart_factor,
         "optimum_bracket": None if report.optimum_bracket is None
-        else dict(zip(("low", "high"), report.optimum_bracket))})
+        else dict(zip(("low", "high"), report.optimum_bracket)),
+        **({} if report.minorant_sums is None else {"minorant_sums": report.minorant_sums})})
     meta, columns = read_trace_csv(path)
     assert columns.keys() == trace.keys()
     assert all(np.array_equal(columns[name], col, equal_nan=True) for name, col in trace.items())

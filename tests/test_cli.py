@@ -618,6 +618,80 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "PASS optimum_bracket_high" in out and "FAIL family (undecided)" in out
 
+    @staticmethod
+    def with_header(trace, tmp_path, change):
+        """Copy of `trace` whose header object went through `change`."""
+        header, rest = trace.read_text().split("\n", 1)
+        meta = json.loads(header[2:])
+        change(meta)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# " + json.dumps(meta) + "\n" + rest)
+        return bad
+
+    def test_raised_bracket_low_fails_strict(self, tmp_path, capsys):
+        # ten iterations leave family and weak_k0 undecided; a low end raised
+        # to the high end would prove both if check took it on trust
+        cfg = write_config(tmp_path / "c.json", {
+            "problem": {"kind": "lasso", "seed": 1, "n": 16, "m": 10},
+            "policy": {"kind": "family"}, "weight_ks": [0.0], "iterations": 10,
+            "trace_path": "trace.csv"})
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path), "--strict"]) == 3
+        trace = tmp_path / "trace.csv"
+        meta = read_trace_csv(trace)[0]
+        assert meta["minorant_sums"]["count"] == 10
+        assert len(meta["minorant_sums"]["g_sum"]) == 16
+        capsys.readouterr()
+        assert main(["check", "--trace", str(trace), "--problem", cfg, "--strict"]) == 3
+        out = capsys.readouterr().out
+        assert "PASS optimum_bracket_low" in out and "FAIL family (undecided)" in out
+
+        def raise_low(meta):
+            meta["optimum_bracket"]["low"] = meta["optimum_bracket"]["high"]
+
+        bad = self.with_header(trace, tmp_path, raise_low)
+        assert main(["check", "--trace", str(bad), "--problem", cfg, "--strict"]) == 3
+        out = capsys.readouterr().out
+        assert "FAIL optimum_bracket_low (from the minorant sums)" in out
+        assert "PASS family" in out and "PASS weak_k0" in out
+
+    def test_missing_minorant_sums_fail_strict(self, lasso_outputs, tmp_path, capsys):
+        trace, cfg = lasso_outputs
+        bad = self.with_header(trace, tmp_path, lambda meta: meta.pop("minorant_sums"))
+        capsys.readouterr()
+        assert main(["check", "--trace", str(bad), "--problem", cfg, "--strict"]) == 3
+        assert "FAIL optimum_bracket_low (no minorant sums)" in capsys.readouterr().out
+
+    def test_known_optimum_trace_has_no_minorant_sums(self, run_outputs, capsys):
+        trace, problem = run_outputs
+        assert "minorant_sums" not in read_trace_csv(trace)[0]
+        assert main(["check", "--trace", str(trace), "--problem", str(problem),
+                     "--strict"]) == 0
+        assert "optimum_bracket_low" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("field,value,where", [
+        (None, [1.0], "header.minorant_sums: expected an object"),
+        ("g_sum", [1.0, 2.0], "header.minorant_sums: g_sum does not fit the problem"),
+        ("g_sum", None, "header.minorant_sums.g_sum: required field missing"),
+        ("c_sum", "x", "header.minorant_sums.c_sum: expected a finite number"),
+        ("count", 0, "header.minorant_sums: g_sum does not fit the problem, or count"),
+        ("extra", 1, "header.minorant_sums.extra: unknown field"),
+    ])
+    def test_malformed_minorant_sums_are_an_input_error(self, lasso_outputs, tmp_path,
+                                                        capsys, field, value, where):
+        trace, cfg = lasso_outputs
+
+        def damage(meta):
+            if field is None:
+                meta["minorant_sums"] = value
+            else:
+                meta["minorant_sums"][field] = value
+
+        bad = self.with_header(trace, tmp_path, damage)
+        capsys.readouterr()
+        assert main(["check", "--trace", str(bad), "--problem", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}") and err.count("\n") == 1
+
     def test_trace_without_rows_is_one_error_line(self, run_outputs, tmp_path, capsys):
         trace, problem = run_outputs
         bad = tmp_path / "bad.csv"

@@ -1005,3 +1005,197 @@ class TestBestPoint:
         assert report.best_value == 1.0 and report.best_index == 2
         # x_2 = project(1 - 1) = 0
         assert np.array_equal(report.best_point, [0.0])
+
+
+def recorded(problem):
+    """`problem` whose oracle logs (x, f(x), g) for every call, and the log."""
+    calls = []
+
+    def oracle(x):
+        res = problem.oracle(x)
+        calls.append((np.array(x), float(res.value), np.asarray(res.subgradient)))
+        return res
+
+    return dataclasses.replace(problem, oracle=oracle), calls
+
+
+def bracket_low_per_iteration(problem, calls):
+    """The bracket's low end from the minorants of `calls`, summed one iteration at a time."""
+    g_sum, c_sum = np.zeros(problem.dimension), 0.0
+    for x, f_x, g in calls:
+        g_sum += g
+        c_sum += f_x - float(g.dot(x))
+    return (c_sum + problem.projector.min_linear(g_sum)) / len(calls), g_sum, c_sum
+
+
+class TestBlockBookkeeping:
+    """Minorant sums, image checks and the step check, done per block or by a scalar proof."""
+
+    @staticmethod
+    def no_image(problem):
+        """`problem` with an empty image, its hook valuing x alone: values call no oracle."""
+        inner, value = problem.oracle, problem.value
+
+        def oracle(x):
+            return dataclasses.replace(inner(x), image=np.empty(0))
+
+        def value_at_image(x, z):
+            return np.array([[value(point) for point in row] for row in x])
+
+        return dataclasses.replace(problem, oracle=oracle, value_at_image=value_at_image)
+
+    # flat bottoms the nesterov rule reaches with rows pending (2, 8 and 153 rows)
+    BOTTOM = {1: 2.0, 2: 1.0, 64: 2.0}
+
+    @pytest.mark.parametrize("image", [True, False], ids=["image", "no-image"])
+    @pytest.mark.parametrize("n", [1, 2, 64])
+    @pytest.mark.parametrize("case", ["budget", "restart", "zero-first", "zero-later"])
+    def test_bracket_low_equals_the_per_iteration_sum(self, case, n, image):
+        if case in ("budget", "restart"):
+            problem = make_lasso(seed=3, n=n, m=n + 3)
+            policy, x1 = FamilyPolicy(R=50.0), np.zeros(n)
+        elif case == "zero-first":
+            # x1 = 0 lies on the flat bottom: a zero subgradient at s = 1,
+            # which the family rule cannot step from
+            problem = flat_bottom_problem(c=3.0, n=n)
+            policy, x1 = FamilyPolicy(R=6.0), np.zeros(n)
+        else:
+            # the nesterov rule stops on reaching the bottom, with rows pending;
+            # lifted by 0.5, whose last minorant then moves the sum of offsets
+            bottom = flat_bottom_problem(c=self.BOTTOM[n], n=n)
+            inner = bottom.oracle
+            problem = dataclasses.replace(
+                bottom, lipschitz_L=1e3,
+                oracle=lambda x: dataclasses.replace(inner(x), value=inner(x).value + 0.5),
+                value_at_image=lambda x, z: bottom.value_at_image(x, z) + 0.5)
+            policy, x1 = NesterovPolicy(R=6.0), np.full(n, 3.0 / n ** 0.5)
+        if not image:
+            problem = self.no_image(problem)
+        problem, calls = recorded(problem)
+        report, trace = run(problem, SolverConfig(
+            max_iterations=200, initial_point=x1, policy=policy, weight_ks=(-1.0, 0.0),
+            record_trace=True, restart_factor=2.0 if case == "restart" else None))
+        # the oracle's last calls value the final averages
+        loop_calls = len(calls) - len(report.averaged_values)
+        if case == "restart" and n == 64:
+            assert trace["epoch"][-1] >= 1
+        if case.startswith("zero"):
+            assert report.stop_reason == StopReason.ZERO_SUBGRADIENT
+            assert loop_calls == report.iterations_run + 1
+            assert (report.iterations_run == 0) == (case == "zero-first")
+        low, g_sum, c_sum = bracket_low_per_iteration(problem, calls[:loop_calls])
+        assert report.optimum_bracket[0] == low
+        assert report.minorant_sums == {"g_sum": g_sum.tolist(), "c_sum": c_sum,
+                                        "count": loop_calls}
+
+    def test_zero_stop_on_an_underflowing_norm_sums_its_subgradient(self):
+        # ||g||^2 = 1e-340 underflows, so the family rule cannot step at s = 1,
+        # yet g itself is not zero and enters the minorant sums
+        def oracle(x):
+            return SubgradientResult(float(abs(x[0])) + 1.0, np.array([1e-170]))
+
+        problem, calls = recorded(ProblemInstance(
+            name="tiny", dimension=1, oracle=oracle, projector=Box(-np.ones(1), np.ones(1)),
+            radius_R=2.0))
+        report, _ = run(problem, SolverConfig(max_iterations=5, initial_point=np.array([0.5]),
+                                              policy=FamilyPolicy(R=2.0)))
+        assert report.iterations_run == 0 and len(calls) == 1
+        low, g_sum, c_sum = bracket_low_per_iteration(problem, calls)
+        assert report.minorant_sums == {"g_sum": [1e-170], "c_sum": c_sum, "count": 1}
+        assert report.optimum_bracket == (low, 1.5)
+
+    def test_zero_stop_minorant_is_summed_after_the_pending_rows(self):
+        # offsets 1, 2^53 and 1: in iteration order the last 1 is lost to
+        # rounding (2^53), summed first it is not (2^53 + 2)
+        script = [(1.0, 1.0), (2.0 ** 53 - 1.0, 2.0), (1.0, 0.0)]
+
+        def oracle(x):  # after the loop, the final averaged value
+            value, slope = script.pop(0) if script else (0.0, 0.0)
+            return SubgradientResult(value, np.array([slope]))
+
+        problem, calls = recorded(ProblemInstance(
+            name="rounding", dimension=1, oracle=oracle, projector=Box(-np.ones(1), np.ones(1)),
+            radius_R=2.0, lipschitz_L=2.0))
+        report, _ = run(problem, SolverConfig(max_iterations=5, initial_point=np.zeros(1),
+                                              policy=NesterovPolicy(R=0.5), weight_ks=(-1.0,)))
+        assert report.stop_reason == StopReason.ZERO_SUBGRADIENT and report.iterations_run == 2
+        _, g_sum, c_sum = bracket_low_per_iteration(problem, calls[:3])
+        assert c_sum == 2.0 ** 53
+        assert report.minorant_sums == {"g_sum": g_sum.tolist(), "c_sum": c_sum, "count": 3}
+
+    @staticmethod
+    def faulty_lasso(bad_image_at, bad_step_at):
+        """A Lasso whose oracle spoils the image (inf) or g (1e10-fold) on the given calls."""
+        problem = make_lasso(seed=3, n=64, m=40)
+        calls = 0
+
+        def oracle(x):
+            nonlocal calls
+            calls += 1
+            res = problem.oracle(x)
+            if calls == bad_image_at:
+                image = res.image.copy()
+                image[5] = np.inf
+                res = dataclasses.replace(res, image=image)
+            if calls == bad_step_at:
+                res = dataclasses.replace(res, subgradient=res.subgradient * 1e10)
+            return res
+
+        return dataclasses.replace(problem, oracle=oracle)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("later_step", [False, True], ids=["alone", "bad-step-after"])
+    @pytest.mark.parametrize("s0", [1, 63, 64, 65])
+    def test_nonfinite_image_names_its_iteration(self, s0, later_step):
+        # the constant step 5e298 keeps every step finite until the oracle
+        # stretches a subgradient; a step that then overflows at s0 + 1 (in
+        # the same block unless s0 ends one) must not hide the image at s0
+        s1 = s0 + 1 if later_step else None
+        config = SolverConfig(max_iterations=200, initial_point=np.zeros(64),
+                              policy=ConstantPolicy(R=50.0, L=1e-300, horizon_t=100),
+                              weight_ks=(0.0,), record_trace=True)
+        with pytest.raises(NumericError, match=f"image has nonfinite entries at iteration {s0}$"):
+            run(self.faulty_lasso(s0, s1), config)
+        with pytest.raises(NumericError, match=f"step x - eta \\* g has nonfinite entries at"
+                                               f" iteration {s0 + 1}$"):
+            run(self.faulty_lasso(None, s0 + 1), config)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_nonfinite_image_at_a_zero_subgradient_stop_is_named(self):
+        # the run stops at s = 1 without a row, yet its image was read
+        problem = flat_bottom_problem(c=1.0, n=3)
+        inner = problem.oracle
+
+        def oracle(x):
+            res = inner(x)
+            return dataclasses.replace(res, image=np.full_like(res.image, np.inf))
+
+        config = SolverConfig(max_iterations=10, initial_point=np.zeros(3),
+                              policy=FamilyPolicy(R=6.0), weight_ks=(0.0,), record_trace=True)
+        with pytest.raises(NumericError, match="image has nonfinite entries at iteration 1$"):
+            run(dataclasses.replace(problem, oracle=oracle), config)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_finite_step_that_overflows_the_point_is_caught(self):
+        # eta ||g|| = 2^970 is finite, but x - eta g from the most negative
+        # float rounds to -inf, which the box would clamp back if unchecked
+        big = np.finfo(np.float64).max
+        problem = TestHotLoopChecks.problem(lambda x: np.array([1.0]),
+                                            Box(lower=np.full(1, -big), upper=np.full(1, big)))
+        config = SolverConfig(max_iterations=3, initial_point=np.array([-big]), weight_ks=(),
+                              policy=ConstantPolicy(R=2.0 ** 970, L=1.0, horizon_t=1))
+        with pytest.raises(NumericError, match="step x - eta \\* g has nonfinite entries at"
+                                               " iteration 1$"):
+            run(problem, config)
+
+    @pytest.mark.filterwarnings("error")
+    def test_step_just_above_the_proof_threshold_continues(self):
+        # eta ||g|| = nextafter(2^960) skips the scalar proof; the vector
+        # check then finds x - eta g finite, and the box projects it
+        eta = np.nextafter(2.0 ** 960, np.inf)
+        problem = TestHotLoopChecks.problem(lambda x: np.array([1.0]))
+        report, _ = run(problem, SolverConfig(
+            max_iterations=4, initial_point=np.array([0.5]), weight_ks=(),
+            policy=ConstantPolicy(R=float(eta), L=1.0, horizon_t=1)))
+        assert report.iterations_run == 4
+        assert report.stop_reason == StopReason.BUDGET_EXHAUSTED
