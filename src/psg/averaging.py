@@ -25,6 +25,9 @@ import numpy as np
 
 from .core import InvalidParameterError, NumericError, ShapeError
 
+# The smallest normal float: a ratio W_t / W_e below it has lost bits, or is 0.
+_TINY = float(np.finfo(np.float64).tiny)
+
 
 def weight(k: float, s: int, eta_s: float) -> float:
     """Averaging weight for iterate `s` with step `eta_s` under exponent `k`."""
@@ -71,16 +74,68 @@ class WeightRule:
 def _prefix_sum(a: np.ndarray) -> None:
     """Running sums along the first axis of `a`, in place, in one fixed order.
 
-    Within groups of 8 rows one add per step spans every group; each group
-    then adds the total before it, and the rows after the last group follow.
+    Within groups of 8 rows one add per step spans every group. With at most
+    8 groups each group then adds the total before it. With more, the group
+    totals (every 8th row) are summed the same way, recursively, and added
+    back to the other 7 rows of each later group by 7 strided adds, so the
+    calls and the rounding depth grow with log8 of the rows, not with
+    rows / 8 (a Blelloch scan). The rows after the last group follow one by
+    one.
     """
     full = len(a) - len(a) % 8
     for j in range(1, 8):
         a[j:full:8] += a[j - 1:full:8]
-    for g in range(8, full, 8):
-        a[g:g + 8] += a[g - 1]
+    if full > 64:
+        _prefix_sum(a[7:full:8])
+        for j in range(7):
+            a[8 + j:full:8] += a[7:full - 8:8]
+    else:
+        for g in range(8, full, 8):
+            a[g:g + 8] += a[g - 1]
     for t in range(max(full, 1), len(a)):
         a[t] += a[t - 1]
+
+
+def _block_means(w: np.ndarray, x: np.ndarray, m0, total, out: np.ndarray) -> np.ndarray:
+    """Write the means after each row of a block into `out`; return the running totals.
+
+    `m0` is the mean before the block (None: the block starts the stream)
+    and `total` its total weight. A running total that overflows raises
+    :class:`OverflowError` before `out` is written. Where some W_t / W_e is
+    below the smallest normal float (the block's weights span more than the
+    float range), the rows up to it are a block of their own, so that no
+    ratio underflows to 0 / 0; with K weights each column is then its own
+    stream, as it would be fed alone.
+    """
+    # W' = W + w row after row: a sequential running sum from the last total
+    totals = w.copy()
+    if m0 is not None:
+        totals[0] += total
+    with np.errstate(over="ignore"):  # reported below, not warned
+        np.cumsum(totals, axis=0, out=totals)
+    if not np.isfinite(totals[-1]).all():  # the totals only grow
+        raise OverflowError("total weight overflows")
+    ratios = totals / totals[-1]
+    early = ratios < _TINY  # a leading run of rows, as the totals only grow
+    if early.any():
+        if w.ndim == 2:
+            for j in range(w.shape[1]):
+                m0_j, total_j = (None, 0.0) if m0 is None else (m0[j], total[j])
+                _block_means(w[:, j], x, m0_j, total_j, out[:, j])
+            return totals
+        p = int(np.count_nonzero(early))
+        _block_means(w[:p], x[:p], m0, total, out[:p])
+        _block_means(w[p:], x[p:], out[p - 1], totals[p - 1], out[p:])
+        return totals
+    base = x[0] if m0 is None else m0
+    np.subtract(x[:, None] if w.ndim == 2 else x, base, out=out)
+    out *= (w / totals[-1])[..., None]
+    _prefix_sum(out)
+    out /= ratios[..., None]
+    out += base
+    if m0 is None:  # the first point is the mean, the sign of a zero included
+        out[0] = x[0]
+    return totals
 
 
 class StreamingAverage:
@@ -98,9 +153,11 @@ class StreamingAverage:
     number of numpy calls whatever K and d are. With m0 the mean before it
     (else its first point) and running totals W_t up to W_e, the means are
     one prefix sum: mean_t = m0 + (sum_{s<=t} (w_s/W_e)(x_s - m0)) / (W_t/W_e).
-    W_e keeps the partial sums finite and m0 a constant stream constant. One
-    point gives the formula above bit for bit; a block does not give the
-    bits of feeding its rows one at a time.
+    W_e keeps the partial sums finite and m0 a constant stream constant; the
+    rows before a W_t / W_e that would fall below the smallest normal float
+    are summed as a block of their own. One point gives the formula above
+    bit for bit; a block does not give the bits of feeding its rows one at a
+    time.
     """
 
     __slots__ = ("mean", "total_weight", "count")
@@ -140,23 +197,9 @@ class StreamingAverage:
             return self
         if out is None:
             out = np.empty((rows,) + shape)
-        # W' = W + w row after row: a sequential running sum from the last total
-        totals = w.copy()
         fresh = self.mean is None
-        if not fresh:
-            totals[0] += self.total_weight
-        with np.errstate(over="ignore"):  # reported below, not warned
-            np.cumsum(totals, axis=0, out=totals)
-        if not np.isfinite(totals[-1]).all():  # the totals only grow
-            raise OverflowError("total weight overflows")
-        m0 = x[0] if fresh else self.mean
-        np.subtract(x[:, None] if w.ndim == 2 else x, m0, out=out)
-        out *= (w / totals[-1])[..., None]
-        _prefix_sum(out)
-        out /= (totals / totals[-1])[..., None]
-        out += m0
-        if fresh:  # the first point is the mean, the sign of a zero included
-            out[0] = x[0]
+        totals = _block_means(w, x, None if fresh else self.mean, self.total_weight, out)
+        if fresh:
             self.mean = out[-1].copy()
         else:
             self.mean[...] = out[-1]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -64,8 +64,7 @@ def leq_with_tol(lhs, rhs, rel: float = REL_TOL, abs_=ABS_TOL):
     return bool(ok) if np.ndim(ok) == 0 else ok
 
 
-@dataclass(frozen=True)
-class SubgradientResult:
+class SubgradientResult(NamedTuple):
     """Objective value and one subgradient at a point.
 
     `subgradient is None` marks an empty subdifferential: the objective value
@@ -75,6 +74,9 @@ class SubgradientResult:
     vector A x - b that the oracle computed on the way to the value. It is
     read only when the problem also sets
     :attr:`ProblemInstance.value_at_image`.
+
+    A named tuple: immutable and cheap to build, as every oracle call builds
+    one; ``result._replace(value=...)`` gives a copy with fields changed.
     """
 
     value: float

@@ -29,11 +29,26 @@ from .projection import project
 from .stepsize import StepSizePolicy
 
 # Iterations whose points are fed to the K averages in one update, whose
-# averages are then valued together, and whose per-step inequalities are
-# decided together: one weight computation, one update, one value_at_image
-# call and one per-step check per block instead of per iteration. Holds
-# 64 (K + 1) (n + m) floats; changes no output value.
+# averages are then valued together, and whose per-step inequalities and
+# minorants are handled together: one weight computation, one update, one
+# value_at_image call and one per-step check per block instead of per
+# iteration. A block holds as many rows as fit VALUE_BLOCK_BYTES, but never
+# fewer than VALUE_BLOCK nor more than VALUE_BLOCK_CAP (see block_rows).
+# The length changes no output value but the averages' last bits.
 VALUE_BLOCK = 64
+VALUE_BLOCK_CAP = 4096
+VALUE_BLOCK_BYTES = 2 ** 20
+
+
+def block_rows(n: int, image_size: int, k_count: int, minorants: bool) -> int:
+    """Rows of a run's bookkeeping block, from the width of one buffered row.
+
+    A row costs (K + 1)(n + m) floats, its point [x_s; image_s] and the K
+    averages after it, plus n + 1 floats for g_s and its offset when the
+    minorants are summed.
+    """
+    row_bytes = 8 * ((k_count + 1) * (n + image_size) + (n + 1 if minorants else 0))
+    return min(VALUE_BLOCK_CAP, max(VALUE_BLOCK, VALUE_BLOCK_BYTES // row_bytes))
 
 
 def psg_step(x: np.ndarray, g: np.ndarray, eta: float, projector) -> np.ndarray:
@@ -130,8 +145,9 @@ def run(problem: ProblemInstance, config: SolverConfig):
     the undecided ones, and ``optimum_bracket`` is the bracket used.
 
     The bookkeeping runs a block at a time: each iteration only writes its
-    point [x_s; image_s] and its g_s into ``VALUE_BLOCK``-row buffers, and
-    every ``VALUE_BLOCK`` iterations, before a restart and after the loop,
+    point [x_s; image_s] and its g_s into buffers of :func:`block_rows` rows,
+    sized once by the first row's width (64 to 4096 rows, about 1 MiB), and
+    once per block of iterations, before a restart and after the loop,
     the block's images are checked, its minorants summed in iteration order
     (the bits of one sum per iteration), its weights formed, and one
     :meth:`StreamingAverage.update` writes the averages after each of its
@@ -188,8 +204,9 @@ def run(problem: ProblemInstance, config: SolverConfig):
 
     gap_certs = policy.certificates(ks, L) if check_gap else []
     n = problem.dimension
+    sum_minorants = f_star is None and bool(gap_certs)
     # the minorants' slopes g_s and offsets f(x_s) - <g_s, x_s>: summed (row 0), pending
-    sums = np.zeros((VALUE_BLOCK + 1, n + 1)) if f_star is None and gap_certs else None
+    sums: Optional[np.ndarray] = None
     minorants = 0
 
     need_values = config.record_trace or any(c.horizon is None for c in gap_certs)
@@ -308,7 +325,8 @@ def run(problem: ProblemInstance, config: SolverConfig):
     stop = StopReason.BUDGET_EXHAUSTED
     restart_factor = config.restart_factor
     # the rows are buffered for the averages, the per-step check and the minorants
-    buffer_rows = bool(rules) or check_step or sums is not None
+    buffer_rows = bool(rules) or check_step or sum_minorants
+    block_len = 0
 
     try:
         for s in range(1, config.max_iterations + 1):
@@ -340,8 +358,14 @@ def run(problem: ProblemInstance, config: SolverConfig):
                 # a finite step. Written before the step, for the image check's sake.
                 if points is None:
                     width = n + (image_size or 0)
-                    points = np.zeros((VALUE_BLOCK, width))
-                    block = np.empty((VALUE_BLOCK, len(rules), width)) if rules else None
+                    # sized by the oracle's image whether or not it is read, so
+                    # that neither the hook nor the trace moves a block boundary
+                    m = 0 if res.image is None else np.size(res.image)
+                    block_len = block_rows(n, m, len(rules), sum_minorants)
+                    points = np.zeros((block_len, width))
+                    block = np.empty((block_len, len(rules), width)) if rules else None
+                    if sum_minorants:
+                        sums = np.zeros((block_len + 1, n + 1))
                 points[rows, :n] = x
                 if image_size:
                     points[rows, n:] = image
@@ -396,7 +420,7 @@ def run(problem: ProblemInstance, config: SolverConfig):
             f_xs.append(f_x)
             if buffer_rows:
                 rows += 1
-                if rows == VALUE_BLOCK:
+                if rows == block_len:
                     flush(x)
 
             if g_norm == 0.0:  # x_s is a global minimizer: its row is recorded, then the run stops

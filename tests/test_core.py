@@ -116,6 +116,23 @@ def test_leq_with_tol_on_arrays_is_the_scalar_check_per_entry():
     assert leq_with_tol(np.array(lhs), np.array(rhs), abs_=abs_).tolist() == scalar
 
 
+class TestSubgradientResult:
+    def test_fields_and_defaults(self):
+        g = np.ones(2)
+        res = SubgradientResult(1.5, g)
+        assert (res.value, res.subgradient, res.image) == (1.5, g, None)
+        assert not res.is_empty
+        assert SubgradientResult(value=0.0, subgradient=None).is_empty
+
+    def test_immutable_with_copies_by_replace(self):
+        res = SubgradientResult(1.0, np.zeros(1))
+        with pytest.raises(AttributeError):
+            res.value = 2.0
+        changed = res._replace(value=2.0)
+        assert changed.value == 2.0 and res.value == 1.0
+        assert changed.subgradient is res.subgradient
+
+
 def test_problem_instance_validation():
     oracle = make_abs_problem(1).oracle
     box = make_abs_problem(1).projector

@@ -32,6 +32,77 @@ from psg import solver as solver_module
 from conftest import assert_trace_invariants, make_two_slope_problem
 
 
+@pytest.fixture
+def block_lengths(monkeypatch):
+    """The block length of every run the test makes, as solver.block_rows gave it."""
+    lengths = []
+    sized = solver_module.block_rows
+
+    def recording(*args):
+        lengths.append(sized(*args))
+        return lengths[-1]
+
+    monkeypatch.setattr(solver_module, "block_rows", recording)
+    return lengths
+
+
+def at_block(rows, block):
+    """The row that case `rows` names, for a run whose blocks hold `block` rows.
+
+    Cases keep the names they had when every block held 64 rows: 63, 64 and
+    65 are the rows around the first block boundary, 128 and 129 those around
+    the second, and 130 and 200 rows inside the third block.
+    """
+    named = {63: block - 1, 64: block, 65: block + 1, 128: 2 * block,
+             129: 2 * block + 1, 130: 2 * block + 2, 200: 2 * block + 72}
+    return named.get(rows, rows)
+
+
+class TestBlockRows:
+    """The bookkeeping block's length: as many rows as fit the byte budget, within bounds."""
+
+    @staticmethod
+    def row_bytes(n, m, k_count, minorants):
+        return 8 * ((k_count + 1) * (n + m) + (n + 1 if minorants else 0))
+
+    def test_narrow_rows_stop_at_the_cap_and_wide_ones_at_the_floor(self):
+        assert solver_module.block_rows(1, 0, 3, False) == solver_module.VALUE_BLOCK_CAP
+        assert solver_module.block_rows(1, 0, 0, False) == solver_module.VALUE_BLOCK_CAP
+        assert solver_module.block_rows(512, 300, 3, True) == solver_module.VALUE_BLOCK == 64
+        assert solver_module.block_rows(10 ** 6, 0, 0, False) == 64
+
+    @pytest.mark.parametrize("n,m,k_count,minorants,expected", [
+        (64, 40, 3, True, 272), (64, 40, 1, True, 480), (64, 0, 3, True, 408),
+        (64, 40, 3, False, 315), (5, 7, 3, True, 2427)])
+    def test_the_largest_block_within_the_budget(self, n, m, k_count, minorants, expected):
+        row = self.row_bytes(n, m, k_count, minorants)
+        rows = solver_module.block_rows(n, m, k_count, minorants)
+        assert rows == expected
+        assert rows * row <= solver_module.VALUE_BLOCK_BYTES < (rows + 1) * row
+
+    def test_every_width_respects_floor_cap_and_budget(self):
+        for n in range(1, 3000, 7):
+            for m, k_count, minorants in [(0, 0, False), (n // 2, 3, True), (3 * n, 1, False)]:
+                rows = solver_module.block_rows(n, m, k_count, minorants)
+                row = self.row_bytes(n, m, k_count, minorants)
+                assert solver_module.VALUE_BLOCK <= rows <= solver_module.VALUE_BLOCK_CAP
+                if rows > solver_module.VALUE_BLOCK:
+                    assert rows * row <= solver_module.VALUE_BLOCK_BYTES
+                if rows < solver_module.VALUE_BLOCK_CAP:
+                    assert (rows + 1) * row > solver_module.VALUE_BLOCK_BYTES
+
+    def test_sized_by_the_oracle_image_read_or_not(self, block_lengths):
+        # the hook and the trace read the image; a run without them still
+        # sizes its block by it, so its averages keep their bits
+        problem = make_lasso(seed=3, n=64, m=40)
+        config = SolverConfig(max_iterations=3, initial_point=np.zeros(64),
+                              policy=FamilyPolicy(R=50.0), weight_ks=(-1.0, 0.0, 2.0))
+        run(problem, config)
+        run(problem, dataclasses.replace(config, record_trace=True))
+        run(dataclasses.replace(problem, value_at_image=None), config)
+        assert block_lengths == [272] * 3  # block_rows(64, 40, 3, True)
+
+
 class TestPsgStep:
     def test_box_step(self):
         box = Box(lower=-np.ones(1), upper=np.ones(1))
@@ -584,7 +655,7 @@ class TestImageHook:
             calls += 1
             res = problem.oracle(x)
             if calls == 3:
-                res = dataclasses.replace(res, image=breach(res.image))
+                res = res._replace(image=breach(res.image))
             return res
 
         broken_problem = dataclasses.replace(problem, oracle=broken)
@@ -632,14 +703,15 @@ class TestValueBlocks:
         """The K averages after every iteration of every run, restarts included.
 
         The solver feeds the averages a block of points at a time; these are
-        the rows that each block update writes, one per iteration.
+        the rows that each block update writes, one per iteration, one array
+        per update.
         """
         recorded = []
 
         class Recording(StreamingAverage):
             def update(self, w, x, out=None):
                 super().update(w, x, out=out)
-                recorded.extend(out.copy())
+                recorded.append(out.copy())
                 return self
 
         monkeypatch.setattr(solver_module, "StreamingAverage", Recording)
@@ -647,6 +719,7 @@ class TestValueBlocks:
 
     def assert_rows_match(self, problem, trace, means, hook):
         n = problem.dimension
+        means = [row for block in means for row in block]
         assert len(means) == len(trace["s"])
         for j, label in enumerate(f"f_avg_k{k:g}" for k in self.KS):
             if hook:
@@ -655,35 +728,50 @@ class TestValueBlocks:
                 expected = [problem.value(m[j]) for m in means]
             assert trace[label].tolist() == expected, label
 
+    # the Lasso's block: 64 + 40 floats per point, three averages, minorants;
+    # and flat_bottom_problem's at n = 64, whose image has 66 entries
+    BLOCK = solver_module.block_rows(64, 40, 3, True)
+    BOTTOM_BLOCK = solver_module.block_rows(64, 66, 3, True)
+
     @pytest.mark.parametrize("hook", [True, False], ids=["hook", "no-hook"])
     @pytest.mark.parametrize("iterations", [1, 63, 64, 65, 130])
-    def test_each_row_equals_its_own_call(self, means, iterations, hook):
+    def test_each_row_equals_its_own_call(self, means, iterations, hook, block_lengths):
+        iterations = at_block(iterations, self.BLOCK)
         problem = make_lasso(seed=3, n=64, m=40)
         if not hook:
             problem = dataclasses.replace(problem, value_at_image=None)
         _, trace = run(problem, SolverConfig(
             max_iterations=iterations, initial_point=np.zeros(64),
             policy=FamilyPolicy(R=50.0), weight_ks=self.KS, record_trace=True))
+        assert block_lengths == [self.BLOCK]
         assert len(trace["s"]) == iterations
+        # full blocks, then the rest after the loop
+        full, rest = divmod(iterations, self.BLOCK)
+        assert [len(block) for block in means] == [self.BLOCK] * full + ([rest] if rest else [])
         self.assert_rows_match(problem, trace, means, hook)
 
-    def test_restart_inside_a_block(self, means):
+    def test_restart_inside_a_block(self, means, block_lengths):
         problem = make_lasso(seed=3, n=64, m=40)
         _, trace = run(problem, SolverConfig(
-            max_iterations=130, initial_point=np.zeros(64), policy=FamilyPolicy(R=50.0),
-            weight_ks=self.KS, record_trace=True, restart_factor=2.0))
+            max_iterations=2 * self.BLOCK + 2, initial_point=np.zeros(64),
+            policy=FamilyPolicy(R=50.0), weight_ks=self.KS, record_trace=True,
+            restart_factor=2.0))
+        assert block_lengths == [self.BLOCK]
         restarts = np.flatnonzero(np.diff(trace["epoch"])) + 1
-        assert len(restarts) and np.any(restarts % solver_module.VALUE_BLOCK)
+        assert len(restarts) and np.any(restarts % self.BLOCK)
+        # an epoch after a restart still crosses a block boundary
+        assert len(trace["s"]) - restarts[-1] > self.BLOCK
         self.assert_rows_match(problem, trace, means, hook=True)
 
-    def test_zero_subgradient_inside_a_block(self, means):
-        problem = flat_bottom_problem()
+    def test_zero_subgradient_inside_a_block(self, means, block_lengths):
+        problem = flat_bottom_problem(n=64)
         report, trace = run(problem, SolverConfig(
-            max_iterations=300, initial_point=np.full(5, 2.0), policy=FamilyPolicy(R=6.0),
+            max_iterations=3000, initial_point=np.full(64, 2.0), policy=FamilyPolicy(R=6.0),
             weight_ks=self.KS, record_trace=True))
         assert report.stop_reason == StopReason.ZERO_SUBGRADIENT
-        assert report.iterations_run > solver_module.VALUE_BLOCK
-        assert report.iterations_run % solver_module.VALUE_BLOCK
+        assert block_lengths == [self.BOTTOM_BLOCK]
+        assert report.iterations_run > self.BOTTOM_BLOCK
+        assert report.iterations_run % self.BOTTOM_BLOCK
         self.assert_rows_match(problem, trace, means, hook=True)
 
     def test_hook_must_give_one_value_per_row(self):
@@ -922,13 +1010,15 @@ def inflated(problem, s0):
         res = problem.oracle(x)
         if calls != s0:
             return res
-        return dataclasses.replace(res, value=res.value + 1.0)
+        return res._replace(value=res.value + 1.0)
 
     return dataclasses.replace(problem, oracle=oracle)
 
 
 def ramp_problem():
-    """f(x) = x on [0, 100]: from x = 50 unit steps eta_s = 1/sqrt(s) never reach 0.
+    """f(x) = x on [0, 1000]: from x = 500 the steps eta_s = 1/sqrt(s) never reach 0.
+
+    Over 10,000 iterations they sum to less than 200.
 
     Every step is exact, so the per-step inequality holds with no slack:
     pairing x_s with x_s or x_{s+2} instead of x_{s+1} moves its right side
@@ -940,8 +1030,8 @@ def ramp_problem():
         return SubgradientResult(float(x[0]), one, image=no_image)
 
     return ProblemInstance(name="ramp", dimension=1, oracle=oracle,
-                           projector=Box(lower=np.zeros(1), upper=np.full(1, 100.0)),
-                           radius_R=100.0, known_optimum_value=0.0,
+                           projector=Box(lower=np.zeros(1), upper=np.full(1, 1000.0)),
+                           radius_R=1000.0, known_optimum_value=0.0,
                            known_optimum_point=np.zeros(1),
                            value_at_image=lambda x, z: x[..., 0])
 
@@ -949,17 +1039,21 @@ def ramp_problem():
 class TestPerStepBlocks:
     """The per-step inequality, decided for a block of rows at a time."""
 
+    # the ramp's block, one float per point: as long with three averages as without
+    BLOCK = solver_module.block_rows(1, 0, 0, False)
     # the rows on each side of the block boundaries, and the last row of a
-    # run of 200 iterations
+    # run that ends inside its third block (named as at_block names them)
     CASES = [(budget, s0) for budget in (64, 65, 129, 200)
              for s0 in (None, 1, 63, 64, 65, 128, 129, 200) if s0 is None or s0 <= budget]
 
     @pytest.mark.parametrize("weight_ks", [(), (-1.0, 0.0, 2.0)], ids=["lean", "averages"])
     @pytest.mark.parametrize("budget,s0", CASES)
-    def test_one_inflated_value_fails_it(self, weight_ks, budget, s0):
+    def test_one_inflated_value_fails_it(self, weight_ks, budget, s0, block_lengths):
+        budget, s0 = at_block(budget, self.BLOCK), at_block(s0, self.BLOCK)
         report, _ = run(inflated(ramp_problem(), s0), SolverConfig(
-            max_iterations=budget, initial_point=np.array([50.0]),
+            max_iterations=budget, initial_point=np.array([500.0]),
             policy=FamilyPolicy(R=1.0), weight_ks=weight_ks))
+        assert block_lengths == [self.BLOCK]
         assert report.iterations_run == budget
         assert report.certificates["per_step"] is (s0 is None)
 
@@ -1037,7 +1131,7 @@ class TestBlockBookkeeping:
         inner, value = problem.oracle, problem.value
 
         def oracle(x):
-            return dataclasses.replace(inner(x), image=np.empty(0))
+            return inner(x)._replace(image=np.empty(0))
 
         def value_at_image(x, z):
             return np.array([[value(point) for point in row] for row in x])
@@ -1050,7 +1144,12 @@ class TestBlockBookkeeping:
     @pytest.mark.parametrize("image", [True, False], ids=["image", "no-image"])
     @pytest.mark.parametrize("n", [1, 2, 64])
     @pytest.mark.parametrize("case", ["budget", "restart", "zero-first", "zero-later"])
-    def test_bracket_low_equals_the_per_iteration_sum(self, case, n, image):
+    def test_bracket_low_equals_the_per_iteration_sum(self, case, n, image, block_lengths):
+        # a Lasso with m = n + 3, two averages, minorants summed; the budget
+        # runs past the first block boundary
+        block = solver_module.block_rows(n, n + 3 if image else 0, 2, True)
+        budget = block + 9
+        block_lengths.clear()  # the call above is recorded too
         if case in ("budget", "restart"):
             problem = make_lasso(seed=3, n=n, m=n + 3)
             policy, x1 = FamilyPolicy(R=50.0), np.zeros(n)
@@ -1066,17 +1165,19 @@ class TestBlockBookkeeping:
             inner = bottom.oracle
             problem = dataclasses.replace(
                 bottom, lipschitz_L=1e3,
-                oracle=lambda x: dataclasses.replace(inner(x), value=inner(x).value + 0.5),
+                oracle=lambda x: inner(x)._replace(value=inner(x).value + 0.5),
                 value_at_image=lambda x, z: bottom.value_at_image(x, z) + 0.5)
             policy, x1 = NesterovPolicy(R=6.0), np.full(n, 3.0 / n ** 0.5)
         if not image:
             problem = self.no_image(problem)
         problem, calls = recorded(problem)
         report, trace = run(problem, SolverConfig(
-            max_iterations=200, initial_point=x1, policy=policy, weight_ks=(-1.0, 0.0),
+            max_iterations=budget, initial_point=x1, policy=policy, weight_ks=(-1.0, 0.0),
             record_trace=True, restart_factor=2.0 if case == "restart" else None))
         # the oracle's last calls value the final averages
         loop_calls = len(calls) - len(report.averaged_values)
+        if case in ("budget", "restart"):
+            assert block_lengths == [block] and report.iterations_run == budget
         if case == "restart" and n == 64:
             assert trace["epoch"][-1] >= 1
         if case.startswith("zero"):
@@ -1136,22 +1237,27 @@ class TestBlockBookkeeping:
             if calls == bad_image_at:
                 image = res.image.copy()
                 image[5] = np.inf
-                res = dataclasses.replace(res, image=image)
+                res = res._replace(image=image)
             if calls == bad_step_at:
-                res = dataclasses.replace(res, subgradient=res.subgradient * 1e10)
+                res = res._replace(subgradient=res.subgradient * 1e10)
             return res
 
         return dataclasses.replace(problem, oracle=oracle)
 
+    # the Lasso's block with one average; the Lasso declares no Lipschitz
+    # bound, so the constant rule has no gap certificate and sums no minorant
+    BLOCK = solver_module.block_rows(64, 40, 1, False)
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("later_step", [False, True], ids=["alone", "bad-step-after"])
     @pytest.mark.parametrize("s0", [1, 63, 64, 65])
-    def test_nonfinite_image_names_its_iteration(self, s0, later_step):
+    def test_nonfinite_image_names_its_iteration(self, s0, later_step, block_lengths):
         # the constant step 5e298 keeps every step finite until the oracle
         # stretches a subgradient; a step that then overflows at s0 + 1 (in
         # the same block unless s0 ends one) must not hide the image at s0
+        s0 = at_block(s0, self.BLOCK)
         s1 = s0 + 1 if later_step else None
-        config = SolverConfig(max_iterations=200, initial_point=np.zeros(64),
+        config = SolverConfig(max_iterations=2 * self.BLOCK, initial_point=np.zeros(64),
                               policy=ConstantPolicy(R=50.0, L=1e-300, horizon_t=100),
                               weight_ks=(0.0,), record_trace=True)
         with pytest.raises(NumericError, match=f"image has nonfinite entries at iteration {s0}$"):
@@ -1159,6 +1265,7 @@ class TestBlockBookkeeping:
         with pytest.raises(NumericError, match=f"step x - eta \\* g has nonfinite entries at"
                                                f" iteration {s0 + 1}$"):
             run(self.faulty_lasso(None, s0 + 1), config)
+        assert block_lengths == [self.BLOCK] * 2
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_nonfinite_image_at_a_zero_subgradient_stop_is_named(self):
@@ -1168,7 +1275,7 @@ class TestBlockBookkeeping:
 
         def oracle(x):
             res = inner(x)
-            return dataclasses.replace(res, image=np.full_like(res.image, np.inf))
+            return res._replace(image=np.full_like(res.image, np.inf))
 
         config = SolverConfig(max_iterations=10, initial_point=np.zeros(3),
                               policy=FamilyPolicy(R=6.0), weight_ks=(0.0,), record_trace=True)
