@@ -74,24 +74,20 @@ class WeightRule:
 def _prefix_sum(a: np.ndarray) -> None:
     """Running sums along the first axis of `a`, in place, in one fixed order.
 
-    Within groups of 8 rows one add per step spans every group. With at most
-    8 groups each group then adds the total before it. With more, the group
-    totals (every 8th row) are summed the same way, recursively, and added
-    back to the other 7 rows of each later group by 7 strided adds, so the
-    calls and the rounding depth grow with log8 of the rows, not with
+    Within groups of 8 rows one add per step spans every group. The group
+    totals (every 8th row) are then summed the same way, recursively, and
+    added back to the other 7 rows of each later group by 7 strided adds, so
+    the calls and the rounding depth grow with log8 of the rows, not with
     rows / 8 (a Blelloch scan). The rows after the last group follow one by
     one.
     """
     full = len(a) - len(a) % 8
     for j in range(1, 8):
         a[j:full:8] += a[j - 1:full:8]
-    if full > 64:
+    if full > 8:
         _prefix_sum(a[7:full:8])
         for j in range(7):
             a[8 + j:full:8] += a[7:full - 8:8]
-    else:
-        for g in range(8, full, 8):
-            a[g:g + 8] += a[g - 1]
     for t in range(max(full, 1), len(a)):
         a[t] += a[t - 1]
 

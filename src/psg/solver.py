@@ -37,17 +37,18 @@ from .stepsize import StepSizePolicy
 # The length changes no output value but the averages' last bits.
 VALUE_BLOCK = 64
 VALUE_BLOCK_CAP = 4096
-VALUE_BLOCK_BYTES = 2 ** 20
+VALUE_BLOCK_BYTES = 2 ** 18
 
 
-def block_rows(n: int, image_size: int, k_count: int, minorants: bool) -> int:
+def block_rows(n: int, image_size: int, minorants: bool) -> int:
     """Rows of a run's bookkeeping block, from the width of one buffered row.
 
-    A row costs (K + 1)(n + m) floats, its point [x_s; image_s] and the K
-    averages after it, plus n + 1 floats for g_s and its offset when the
-    minorants are summed.
+    A row costs n + m floats for its point [x_s; image_s], plus n + 1 for g_s
+    and its offset when the minorants are summed. The K averages after each
+    row take K times the point's floats; they do not count, so that an
+    exponent tracked beside others sees the block boundaries it sees alone.
     """
-    row_bytes = 8 * ((k_count + 1) * (n + image_size) + (n + 1 if minorants else 0))
+    row_bytes = 8 * (n + image_size + (n + 1 if minorants else 0))
     return min(VALUE_BLOCK_CAP, max(VALUE_BLOCK, VALUE_BLOCK_BYTES // row_bytes))
 
 
@@ -146,7 +147,8 @@ def run(problem: ProblemInstance, config: SolverConfig):
 
     The bookkeeping runs a block at a time: each iteration only writes its
     point [x_s; image_s] and its g_s into buffers of :func:`block_rows` rows,
-    sized once by the first row's width (64 to 4096 rows, about 1 MiB), and
+    sized once by the first row's width (64 to 4096 rows of at most
+    256 KiB of points and minorants), and
     once per block of iterations, before a restart and after the loop,
     the block's images are checked, its minorants summed in iteration order
     (the bits of one sum per iteration), its weights formed, and one
@@ -361,7 +363,7 @@ def run(problem: ProblemInstance, config: SolverConfig):
                     # sized by the oracle's image whether or not it is read, so
                     # that neither the hook nor the trace moves a block boundary
                     m = 0 if res.image is None else np.size(res.image)
-                    block_len = block_rows(n, m, len(rules), sum_minorants)
+                    block_len = block_rows(n, m, sum_minorants)
                     points = np.zeros((block_len, width))
                     block = np.empty((block_len, len(rules), width)) if rules else None
                     if sum_minorants:

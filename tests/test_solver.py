@@ -62,29 +62,29 @@ class TestBlockRows:
     """The bookkeeping block's length: as many rows as fit the byte budget, within bounds."""
 
     @staticmethod
-    def row_bytes(n, m, k_count, minorants):
-        return 8 * ((k_count + 1) * (n + m) + (n + 1 if minorants else 0))
+    def row_bytes(n, m, minorants):
+        return 8 * (n + m + (n + 1 if minorants else 0))
 
     def test_narrow_rows_stop_at_the_cap_and_wide_ones_at_the_floor(self):
-        assert solver_module.block_rows(1, 0, 3, False) == solver_module.VALUE_BLOCK_CAP
-        assert solver_module.block_rows(1, 0, 0, False) == solver_module.VALUE_BLOCK_CAP
-        assert solver_module.block_rows(512, 300, 3, True) == solver_module.VALUE_BLOCK == 64
-        assert solver_module.block_rows(10 ** 6, 0, 0, False) == 64
+        assert solver_module.block_rows(1, 0, False) == solver_module.VALUE_BLOCK_CAP
+        assert solver_module.block_rows(1, 1, True) == solver_module.VALUE_BLOCK_CAP
+        assert solver_module.block_rows(512, 300, True) == solver_module.VALUE_BLOCK == 64
+        assert solver_module.block_rows(10 ** 6, 0, False) == 64
 
-    @pytest.mark.parametrize("n,m,k_count,minorants,expected", [
-        (64, 40, 3, True, 272), (64, 40, 1, True, 480), (64, 0, 3, True, 408),
-        (64, 40, 3, False, 315), (5, 7, 3, True, 2427)])
-    def test_the_largest_block_within_the_budget(self, n, m, k_count, minorants, expected):
-        row = self.row_bytes(n, m, k_count, minorants)
-        rows = solver_module.block_rows(n, m, k_count, minorants)
+    @pytest.mark.parametrize("n,m,minorants,expected", [
+        (64, 40, True, 193), (64, 40, False, 315), (64, 0, True, 254),
+        (64, 0, False, 512), (5, 7, True, 1820)])
+    def test_the_largest_block_within_the_budget(self, n, m, minorants, expected):
+        row = self.row_bytes(n, m, minorants)
+        rows = solver_module.block_rows(n, m, minorants)
         assert rows == expected
         assert rows * row <= solver_module.VALUE_BLOCK_BYTES < (rows + 1) * row
 
     def test_every_width_respects_floor_cap_and_budget(self):
         for n in range(1, 3000, 7):
-            for m, k_count, minorants in [(0, 0, False), (n // 2, 3, True), (3 * n, 1, False)]:
-                rows = solver_module.block_rows(n, m, k_count, minorants)
-                row = self.row_bytes(n, m, k_count, minorants)
+            for m, minorants in [(0, False), (n // 2, True), (3 * n, False)]:
+                rows = solver_module.block_rows(n, m, minorants)
+                row = self.row_bytes(n, m, minorants)
                 assert solver_module.VALUE_BLOCK <= rows <= solver_module.VALUE_BLOCK_CAP
                 if rows > solver_module.VALUE_BLOCK:
                     assert rows * row <= solver_module.VALUE_BLOCK_BYTES
@@ -93,14 +93,16 @@ class TestBlockRows:
 
     def test_sized_by_the_oracle_image_read_or_not(self, block_lengths):
         # the hook and the trace read the image; a run without them still
-        # sizes its block by it, so its averages keep their bits
+        # sizes its block by it, and so does a run with another number of
+        # averages, so its averages keep their bits
         problem = make_lasso(seed=3, n=64, m=40)
         config = SolverConfig(max_iterations=3, initial_point=np.zeros(64),
                               policy=FamilyPolicy(R=50.0), weight_ks=(-1.0, 0.0, 2.0))
         run(problem, config)
         run(problem, dataclasses.replace(config, record_trace=True))
         run(dataclasses.replace(problem, value_at_image=None), config)
-        assert block_lengths == [272] * 3  # block_rows(64, 40, 3, True)
+        run(problem, dataclasses.replace(config, weight_ks=(0.0,)))
+        assert block_lengths == [193] * 4  # block_rows(64, 40, True)
 
 
 class TestPsgStep:
@@ -730,8 +732,8 @@ class TestValueBlocks:
 
     # the Lasso's block: 64 + 40 floats per point, three averages, minorants;
     # and flat_bottom_problem's at n = 64, whose image has 66 entries
-    BLOCK = solver_module.block_rows(64, 40, 3, True)
-    BOTTOM_BLOCK = solver_module.block_rows(64, 66, 3, True)
+    BLOCK = solver_module.block_rows(64, 40, True)
+    BOTTOM_BLOCK = solver_module.block_rows(64, 66, True)
 
     @pytest.mark.parametrize("hook", [True, False], ids=["hook", "no-hook"])
     @pytest.mark.parametrize("iterations", [1, 63, 64, 65, 130])
@@ -971,22 +973,28 @@ class TestHotLoopChecks:
         assert acc.count == 0
 
     @pytest.mark.parametrize("name", ["two-slope", "lasso64", "lasso512"])
-    def test_joint_averages_match_single_k_runs(self, name):
+    def test_joint_averages_match_single_k_runs(self, name, block_lengths):
         if name == "two-slope":
             problem, x1, restart = make_two_slope_problem(), np.array([0.3]), 1.5
+            block = solver_module.block_rows(1, 0, False)  # f* is known: no minorants
         else:
             n, m = (64, 40) if name == "lasso64" else (512, 300)
             problem = make_lasso(seed=3, n=n, m=m)
             x1, restart = np.zeros(n), 2.0
+            block = solver_module.block_rows(n, m, True)
+        block_lengths.clear()  # the call above is recorded too
         ks = (-1.0, 0.0, 0.5, 2.0)
 
         def solve(weight_ks):
             return run(problem, SolverConfig(
-                max_iterations=200, initial_point=x1, policy=FamilyPolicy(R=problem.radius_R),
-                weight_ks=weight_ks, record_trace=True, restart_factor=restart))
+                max_iterations=2 * block + 9, initial_point=x1,
+                policy=FamilyPolicy(R=problem.radius_R), weight_ks=weight_ks,
+                record_trace=True, restart_factor=restart))
 
         report, trace = solve(ks)
         assert np.any(np.diff(trace["G"]) < 0), "no restart happened"
+        # some epoch fills a block, so the runs cross a block boundary
+        assert np.bincount(trace["epoch"].astype(int)).max() > block
         for k in ks:
             single, single_trace = solve((k,))
             label = f"k{k:g}"
@@ -994,6 +1002,7 @@ class TestHotLoopChecks:
                                   single.averaged_points[label])
             assert report.averaged_values[label] == single.averaged_values[label]
             assert np.array_equal(trace[f"f_avg_{label}"], single_trace[f"f_avg_{label}"])
+        assert block_lengths == [block] * (1 + len(ks))
 
 
 def inflated(problem, s0):
@@ -1040,7 +1049,7 @@ class TestPerStepBlocks:
     """The per-step inequality, decided for a block of rows at a time."""
 
     # the ramp's block, one float per point: as long with three averages as without
-    BLOCK = solver_module.block_rows(1, 0, 0, False)
+    BLOCK = solver_module.block_rows(1, 0, False)
     # the rows on each side of the block boundaries, and the last row of a
     # run that ends inside its third block (named as at_block names them)
     CASES = [(budget, s0) for budget in (64, 65, 129, 200)
@@ -1147,7 +1156,7 @@ class TestBlockBookkeeping:
     def test_bracket_low_equals_the_per_iteration_sum(self, case, n, image, block_lengths):
         # a Lasso with m = n + 3, two averages, minorants summed; the budget
         # runs past the first block boundary
-        block = solver_module.block_rows(n, n + 3 if image else 0, 2, True)
+        block = solver_module.block_rows(n, n + 3 if image else 0, True)
         budget = block + 9
         block_lengths.clear()  # the call above is recorded too
         if case in ("budget", "restart"):
@@ -1246,7 +1255,7 @@ class TestBlockBookkeeping:
 
     # the Lasso's block with one average; the Lasso declares no Lipschitz
     # bound, so the constant rule has no gap certificate and sums no minorant
-    BLOCK = solver_module.block_rows(64, 40, 1, False)
+    BLOCK = solver_module.block_rows(64, 40, False)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("later_step", [False, True], ids=["alone", "bad-step-after"])
