@@ -51,7 +51,7 @@ class WeightRule:
     k: float
 
     def __post_init__(self):
-        if self.k < -1:
+        if not self.k >= -1:
             raise InvalidParameterError(f"k must be >= -1, got {self.k!r}")
 
     def __call__(self, s, eta_s):

@@ -85,7 +85,9 @@ def family_bound(R: float, t, max_g_norm, tables: Optional[dict] = None) -> floa
     Lipschitz constant. `tables` shares tabulated powers of t with other
     bounds over the same t (see :func:`_powers`).
     """
-    return 1.5 * R * max_g_norm / _powers(0.5, t, tables=tables)
+    bound = 1.5 * R * max_g_norm
+    bound /= _powers(0.5, t, tables=tables)
+    return bound
 
 
 def _weak_exponents(k: float) -> tuple:
@@ -94,7 +96,13 @@ def _weak_exponents(k: float) -> tuple:
 
 
 def _weak_bound(top, sum_low, sum_mid, R: float, max_g_norm):
-    return (top + sum_low) / (2.0 * sum_mid) * R * max_g_norm
+    """(top + sum_low) / (2 sum_mid) * R * max_g_norm, in place on arrays `top` and `sum_mid`."""
+    top += sum_low
+    sum_mid *= 2.0
+    top /= sum_mid
+    top *= R
+    top *= max_g_norm
+    return top
 
 
 def weak_ergodic_bound(R: float, t: int, k: float, max_g_norm: float) -> float:
@@ -178,8 +186,12 @@ def gap_verdict(avg, bound, low: float, high: float) -> str:
     provable = bool(finite.all())
     if not finite.any():
         return PROVEN if provable else UNDECIDED
-    avg, bound = avg[finite], bound[finite]
-    worst = int(np.argmax((1.0 - REL_TOL) * (avg - avg[0]) - bound))
+    if not provable:
+        avg, bound = avg[finite], bound[finite]
+    excess = avg - avg[0]
+    excess *= 1.0 - REL_TOL
+    excess -= bound
+    worst = int(np.argmax(excess))
     avg, bound = float(avg[worst]), float(bound[worst])
     if not leq_with_tol(avg - high, bound):
         return REFUTED
@@ -215,11 +227,17 @@ def evaluate(policy, ks, R: float, L: Optional[float], columns: dict,
     w_s / eta_s never decreases within an epoch.
     """
     eta = np.asarray(columns["eta"], dtype=np.float64)
-    new_epoch = np.diff(columns["epoch"], prepend=-1) != 0
-    starts = np.flatnonzero(new_epoch)
-    t = np.arange(len(eta)) - np.repeat(starts, np.diff(starts, append=len(eta))) + 1
-    max_g = np.concatenate([np.maximum.accumulate(part) for part in
-                            np.split(np.asarray(columns["g_norm"], dtype=np.float64), starts[1:])])
+    g_norm = np.asarray(columns["g_norm"], dtype=np.float64)
+    epoch = np.asarray(columns["epoch"])
+    new_epoch = np.ones(len(eta), dtype=bool)
+    np.not_equal(epoch[1:], epoch[:-1], out=new_epoch[1:])
+    # t and max||g|| restart with each epoch; each column is built in place
+    t = np.arange(1, len(eta) + 1)
+    max_g = np.empty(len(eta))
+    starts = np.flatnonzero(new_epoch).tolist()
+    for start, end in zip(starts, starts[1:] + [len(eta)]):
+        t[start:end] -= start
+        np.maximum.accumulate(g_norm[start:end], out=max_g[start:end])
 
     tables: dict = {}  # one table of u ** e per distinct exponent e
     bounds = {FAMILY: family_bound(R, t, max_g, tables)}
@@ -244,14 +262,15 @@ def evaluate(policy, ks, R: float, L: Optional[float], columns: dict,
         if verdict == UNDECIDED:
             undecided.append(cert.label)
     for k in policy.monotone_ks(ks):
-        ratio = WeightRule(k)(t, eta) / eta
+        ratio = WeightRule(k)(t, eta)
+        ratio /= eta
         certificates[monotone_label(k)] = _nondecreasing(ratio, new_epoch)
     return bounds, certificates, undecided
 
 
 def weak_label(k: float) -> str:
     """Canonical bound label for the k-weighted-mean certificate."""
-    if k < -1:
+    if not k >= -1:
         raise InvalidParameterError(f"k must be >= -1, got {k!r}")
     return f"weak_k{k:g}"
 

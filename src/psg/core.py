@@ -222,3 +222,17 @@ def subgradient_inequality_check(oracle: Oracle, x: np.ndarray, z: np.ndarray,
 def scheme_label(k: float) -> str:
     """Canonical label for the averaging scheme with weight exponent `k`."""
     return f"k{k:g}"
+
+
+def repeated_scheme(ks) -> Optional[float]:
+    """The first k in `ks` whose label an earlier k already has, else None.
+
+    Each k names one average and its trace columns, so no two may share a label.
+    """
+    seen = set()
+    for k in ks:
+        label = scheme_label(k)
+        if label in seen:
+            return k
+        seen.add(label)
+    return None

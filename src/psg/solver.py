@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -23,6 +24,7 @@ from .core import (
     ZeroSubgradientError,
     ensure_vector,
     leq_with_tol,
+    repeated_scheme,
     scheme_label,
 )
 from .projection import project
@@ -108,8 +110,11 @@ class SolverConfig:
     restart_factor: Optional[float] = None
 
     def __post_init__(self):
-        if not self.max_iterations >= 1:
-            raise InvalidParameterError("max_iterations must be >= 1")
+        budget = self.max_iterations
+        # range() takes no float, and a bool is no count
+        if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
+            raise InvalidParameterError(
+                f"max_iterations must be an integer >= 1, got {budget!r}")
         if self.restart_factor is not None and not self.restart_factor > 1:
             raise InvalidParameterError("restart_factor must exceed 1 when set")
 
@@ -155,9 +160,15 @@ def run(problem: ProblemInstance, config: SolverConfig):
     :meth:`StreamingAverage.update` writes the averages after each of its
     rows as one prefix sum. With ``value_at_image`` the values at the
     averages come from the averaged images, one call per block; the report's
-    averaged values always come from the oracle. The per-step inequality is
-    decided per block too, with the bits of one check per iteration. The
-    best iterate is kept by reference and copied once. Each iteration checks
+    averaged values always come from the oracle. The record is kept the same
+    way, in blocks of the same length also in a run that buffers no rows:
+    each iteration appends eta_s, ||g_s||, G and f(x_s) to short lists, and
+    each block turns them, its epoch and its K values at the averages into
+    float64 chunks, 8 (5 + K) bytes per iteration; after the loop each
+    column is joined once, its chunks dropped, before the bounds are built.
+    The per-step inequality is decided per block too, with the bits of one
+    check per iteration. The best iterate is kept by reference and copied
+    once. Each iteration checks
     a finite oracle value, a subgradient of the right shape with a finite
     norm, the image contract, a positive finite step and a finite
     x_s - eta_s g_s (proven by eta_s ||g_s|| < 2^960 alone when it holds);
@@ -187,6 +198,9 @@ def run(problem: ProblemInstance, config: SolverConfig):
     ks = [float(k) for k in config.weight_ks]
     rules = [WeightRule(k) for k in ks]
     labels = [scheme_label(k) for k in ks]
+    repeated = repeated_scheme(ks)
+    if repeated is not None:
+        raise InvalidParameterError(f"weight_ks: k={repeated:g} repeats")
 
     averages = StreamingAverage()
     # the best iterate by reference (x is never changed in place), copied
@@ -224,30 +238,31 @@ def run(problem: ProblemInstance, config: SolverConfig):
     block: Optional[np.ndarray] = None
     rows = 0
 
-    # one entry per iteration; the trace, the bounds and the certificates are
-    # computed from these after the loop
-    epochs: list[int] = []
+    # The run's record, the columns that the trace, the bounds and the
+    # certificates are computed from after the loop: the pending rows in short
+    # lists, and one float64 chunk per flushed block and column (one epoch
+    # per block; the values at the averages as one rows x K chunk).
     etas: list[float] = []
     g_norms: list[float] = []
     big_Gs: list[Optional[float]] = []
     f_xs: list[float] = []
-    avg_cols: list[list[float]] = [[] for _ in labels]
+    record: dict[str, list] = {"epoch": [], "eta": [], "g_norm": [], "G": [], "f_x": []}
+    value_chunks: list[np.ndarray] = []
+    done = 0  # rows already in the record
 
     def append_values(means):
-        """Append the values at the averages `means` (iterations x K x d) to avg_cols."""
+        """Keep the values at the averages `means` (iterations x K x d) as one chunk."""
         if value_at_image is None:
             values = [[problem.value(mean) for mean in row] for row in means]
         else:
-            values = np.asarray(value_at_image(means[..., :n], means[..., n:]),
-                                dtype=np.float64)
-            if values.shape != means.shape[:2]:
-                raise NumericError(f"value_at_image gave shape {values.shape}, not one value"
-                                   f" per average {means.shape[:2]}")
-            values = values.tolist()
-        for col, col_values in zip(avg_cols, zip(*values)):
-            col.extend(col_values)
+            values = value_at_image(means[..., :n], means[..., n:])
+        values = np.array(values, dtype=np.float64)  # a copy: a hook may reuse its output
+        if values.shape != means.shape[:2]:
+            raise NumericError(f"value_at_image gave shape {values.shape}, not one value"
+                               f" per average {means.shape[:2]}")
+        value_chunks.append(values)
 
-    def check_per_step(x_after):
+    def check_per_step(x_after, eta, g_norm, f_x):
         """The per-step inequality at each pending row, x_after following the last one.
 
         :func:`leq_with_tol` elementwise, with the bits of one check per
@@ -255,8 +270,6 @@ def run(problem: ProblemInstance, config: SolverConfig):
         distance is the dot product ``d @ d`` as a batched matmul.
         """
         nonlocal per_step
-        eta, g_norm = np.array(etas[-rows:]), np.array(g_norms[-rows:])
-        f_x = np.array(f_xs[-rows:])
         # an overflow gives the nonfinite sides that a check per iteration gives
         with np.errstate(over="ignore", invalid="ignore"):
             d = np.vstack([points[:rows, :n], x_after]) - x_star
@@ -273,38 +286,48 @@ def run(problem: ProblemInstance, config: SolverConfig):
             finite = np.isfinite(points[:count, n:]).all(axis=1)
             if not finite.all():
                 raise NumericError("oracle image has nonfinite entries at iteration"
-                                   f" {len(etas) - rows + 1 + int(finite.argmin())}")
+                                   f" {done + 1 + int(finite.argmin())}")
 
     def flush(x_after):
-        """Check the pending rows, sum their minorants, feed them to the averages, value them."""
-        nonlocal rows, minorants
+        """Check, sum, average and value the pending rows, then move them to the record."""
+        nonlocal rows, minorants, done
         if not rows:
             return
+        eta, g_norm, f_x = np.array(etas), np.array(g_norms), np.array(f_xs)
         check_images(rows)
         if check_step and per_step:
-            check_per_step(x_after)
+            check_per_step(x_after, eta, g_norm, f_x)
         if sums is not None:
             g, x_s = sums[1:rows + 1, :n], points[:rows, :n]
-            sums[1:rows + 1, n] = np.array(f_xs[-rows:]) - (g[:, None] @ x_s[..., None])[:, 0, 0]
+            sums[1:rows + 1, n] = f_x - (g[:, None] @ x_s[..., None])[:, 0, 0]
             # g_s.dot(x_s) by batched matmul, then sums row after row per column
             # (n + 1 >= 2 columns): the bits of one dot and one sum per iteration
             sums[0] = np.add.reduce(sums[:rows + 1], axis=0)
             minorants += rows
-        if not rules:
-            rows = 0
-            return
+        if rules:
+            feed_averages()
+        # None (a rule without G) becomes nan
+        for name, chunk in zip(record, (np.full(rows, float(epoch)), eta, g_norm,
+                                        np.array(big_Gs, dtype=np.float64), f_x)):
+            record[name].append(chunk)
+        for pending in (etas, g_norms, big_Gs, f_xs):
+            pending.clear()
+        done += rows
+        rows = 0
+
+    def feed_averages():
+        """Feed the pending rows to the averages and, when needed, value the averages."""
         s_first = s_local - rows + 1  # the rows hold iterations s_first..s_local of the epoch
-        block_etas = etas[-rows:]
         weights = np.empty((rows, len(rules)))
         try:
             for j, rule in enumerate(rules):
-                weights[:, j] = rule.over(s_first, block_etas)
+                weights[:, j] = rule.over(s_first, etas)
             averages.update(weights, points[:rows], out=block[:rows])
         except OverflowError:
             # name the first iteration whose weight, or running total weight,
             # overflows: Python floats sum in the order of the update's cumsum
             totals = np.broadcast_to(averages.total_weight, len(rules)).tolist()
-            for i, eta in enumerate(block_etas):
+            for i, eta in enumerate(etas):
                 for j, rule in enumerate(rules):
                     try:
                         w = rule(s_first + i, eta)
@@ -314,11 +337,10 @@ def run(problem: ProblemInstance, config: SolverConfig):
                     if totals[j] == inf:
                         what = "weight" if w == inf else "total weight"
                         raise NumericError(f"{what} of k={rule.k:g} overflows at iteration"
-                                           f" {len(etas) - rows + 1 + i}") from None
+                                           f" {done + 1 + i}") from None
             raise
         if need_values:
             append_values(block[:rows])
-        rows = 0
 
     epoch = 0
     s_local = 0
@@ -355,19 +377,20 @@ def run(problem: ProblemInstance, config: SolverConfig):
                 elif len(image) != image_size:
                     raise NumericError(f"oracle image has length {len(image)} at iteration {s},"
                                        f" {image_size} before")
-            if buffer_rows:
-                # x is finite: the start is checked, every later x is a projection of
-                # a finite step. Written before the step, for the image check's sake.
-                if points is None:
+            if not block_len:
+                # sized by the oracle's image whether or not it is read, so
+                # that neither the hook nor the trace moves a block boundary
+                m = 0 if res.image is None else np.size(res.image)
+                block_len = block_rows(n, m, sum_minorants)
+                if buffer_rows:
                     width = n + (image_size or 0)
-                    # sized by the oracle's image whether or not it is read, so
-                    # that neither the hook nor the trace moves a block boundary
-                    m = 0 if res.image is None else np.size(res.image)
-                    block_len = block_rows(n, m, sum_minorants)
                     points = np.zeros((block_len, width))
                     block = np.empty((block_len, len(rules), width)) if rules else None
                     if sum_minorants:
                         sums = np.zeros((block_len + 1, n + 1))
+            if buffer_rows:
+                # x is finite: the start is checked, every later x is a projection of
+                # a finite step. Written before the step, for the image check's sake.
                 points[rows, :n] = x
                 if image_size:
                     points[rows, n:] = image
@@ -415,15 +438,13 @@ def run(problem: ProblemInstance, config: SolverConfig):
             x = projector.project(y)
 
             G_now = policy.G
-            epochs.append(epoch)
             etas.append(eta)
             g_norms.append(g_norm)
             big_Gs.append(G_now)
             f_xs.append(f_x)
-            if buffer_rows:
-                rows += 1
-                if rows == block_len:
-                    flush(x)
+            rows += 1
+            if rows == block_len:
+                flush(x)
 
             if g_norm == 0.0:  # x_s is a global minimizer: its row is recorded, then the run stops
                 stop = StopReason.ZERO_SUBGRADIENT
@@ -462,37 +483,44 @@ def run(problem: ProblemInstance, config: SolverConfig):
     else:
         bracket = None
 
-    if not need_values:  # only a horizon certificate reads an average: the final one
-        for col, value in zip(avg_cols, averaged_values.values()):
-            col.append(value)
-    columns = {"s": range(1, len(etas) + 1), "epoch": epochs, "eta": etas, "g_norm": g_norms,
-               "G": big_Gs, "f_x": f_xs, "f_best": np.minimum.accumulate(f_xs)}
-    columns.update((f"f_avg_{label}", col) for label, col in zip(labels, avg_cols))
-    # None (a rule without G) becomes nan
-    columns = {name: np.array(col, dtype=np.float64) for name, col in columns.items()}
+    # each column joined once, its chunks dropped before the next is joined
+    columns = {}
+    for name, chunks in record.items():
+        columns[name] = np.concatenate(chunks or [np.empty(0)])
+        chunks.clear()
+    if need_values:
+        values = np.concatenate(value_chunks or [np.empty((0, len(labels)))])
+        value_chunks.clear()
+    else:  # only a horizon certificate reads an average: the final one
+        values = np.empty((0, len(labels)))
+        if averaged_values:
+            values = np.array([list(averaged_values.values())], dtype=np.float64)
+    f_avgs = {f"f_avg_{label}": values[:, j] for j, label in enumerate(labels)}
     gap_bracket = (bracket or (-math.inf, math.inf)) if check_gap else None
-    bounds, verdicts, undecided = bnd.evaluate(policy, ks, problem.radius_R, L, columns,
-                                               gap_bracket)
+    bounds, verdicts, undecided = bnd.evaluate(policy, ks, problem.radius_R, L,
+                                               columns | f_avgs, gap_bracket)
     certs = {bnd.PER_STEP: per_step} if check_step else {}
     certs.update(verdicts)
     # the last row belongs to the last epoch that has rows
-    final_bounds = {label: float(col[-1]) for label, col in bounds.items()} if etas else {}
+    final_bounds = {label: float(col[-1]) for label, col in bounds.items()} if done else {}
     trace = None
-    if config.record_trace:
-        trace = columns | {f"bound_{label}": bounds[label]
-                           for label in (bnd.FAMILY, *map(bnd.weak_label, ks))}
+    if config.record_trace:  # s and f_best are built after the bounds, which read neither
+        trace = {"s": np.arange(1, done + 1, dtype=np.float64), **columns,
+                 "f_best": np.minimum.accumulate(columns["f_x"]), **f_avgs}
+        trace.update((f"bound_{label}", bounds[label])
+                     for label in (bnd.FAMILY, *map(bnd.weak_label, ks)))
 
     report = RunReport(
         problem=problem.name,
         policy=policy.label,
-        iterations_run=len(etas),
+        iterations_run=done,
         stop_reason=stop,
         best_value=best_value,
         best_index=best_index,
         best_point=None if best_x is None else np.array(best_x, dtype=np.float64),
         averaged_points=averaged_points,
         averaged_values=averaged_values,
-        max_g_norm=max(g_norms, default=0.0),
+        max_g_norm=float(np.max(columns["g_norm"], initial=0.0)),
         bounds=final_bounds,
         certificates=certs,
         optimum_bracket=bracket,

@@ -43,6 +43,11 @@ class TestWeight:
         with pytest.raises(InvalidParameterError):
             WeightRule(-2.0)
 
+    def test_rejects_nan_k(self):
+        # NaN fails k >= -1 as well as k < -1; it must not reach the update
+        with pytest.raises(InvalidParameterError, match="k must be >= -1"):
+            WeightRule(float("nan"))
+
     def test_rule_is_callable(self):
         assert WeightRule(2.0)(9, 0.3) == 9.0
 

@@ -161,8 +161,9 @@ def test_labels():
     assert weak_label(0.0) == "weak_k0"
     assert weak_label(-0.5) == "weak_k-0.5"
     assert monotone_label(2.0) == "monotone_k2"
-    with pytest.raises(InvalidParameterError):
-        weak_label(-3.0)
+    for k in (-3.0, float("nan")):
+        with pytest.raises(InvalidParameterError):
+            weak_label(k)
 
 
 class TestEvaluate:

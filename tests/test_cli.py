@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import re
 import warnings
@@ -18,6 +19,7 @@ from psg import (
     run,
 )
 from psg.cli import (
+    CSV_CHUNK_ROWS,
     ConfigError,
     build_problem,
     config_to_dict,
@@ -144,8 +146,9 @@ class TestConfigParsing:
         ("weight_ks", ["x"], "weight_ks[0]"),
         ("weight_ks", [float("nan")], "weight_ks[0]"),
         ("restart_factor", "big", "restart_factor"),
+        ("weight_ks", [0, 2, 0], "weight_ks"),
     ], ids=["iterations-str", "iterations-fraction", "weight_ks-str", "weight_ks-nan",
-            "restart_factor-str"])
+            "restart_factor-str", "weight_ks-repeated"])
     def test_malformed_numbers_name_the_field(self, tmp_path, capsys, field, value, where):
         data = dict(ABS_CONFIG, **{field: value})
         with pytest.raises(ConfigError, match=re.escape(f"{where}: expected")):
@@ -720,6 +723,7 @@ class TestCheckCommand:
     @pytest.mark.parametrize("damage,message", [
         ("column", "trace has no column G"),
         ("header", "header.iterations: expected an integer, got None"),
+        ("repeated", "header.weight_ks: expected distinct exponents, k=0 repeats"),
     ])
     def test_trace_no_run_writes_is_an_input_error(self, run_outputs, tmp_path, capsys,
                                                    damage, message):
@@ -727,6 +731,8 @@ class TestCheckCommand:
         meta, columns = read_trace_csv(trace)
         if damage == "column":
             del columns["G"]
+        elif damage == "repeated":
+            meta["weight_ks"].append(0.0)
         else:
             del meta["iterations"]
         bad = tmp_path / "bad.csv"
@@ -769,6 +775,26 @@ def test_read_trace_csv_returns_the_emitted_columns(tmp_path, case):
     assert list(columns) == list(trace)
     for name, col in trace.items():
         assert np.array_equal(columns[name], col, equal_nan=True), name
+    emit_trace_csv(columns, again, meta)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("rows", [CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1,
+                                  2 * CSV_CHUNK_ROWS + 1])
+def test_emit_trace_csv_writes_savetxt_bytes_across_chunks(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    # integers, nan, -0.0 and floats at both ends of the range, as %.17g writes them
+    trace = {"s": np.arange(1.0, rows + 1.0), "epoch": np.arange(rows) // 100.0,
+             "G": np.full(rows, np.nan), "f_x": rng.standard_normal(rows) * 1e-300,
+             "f_avg_k2": rng.standard_normal(rows) * 1e300}
+    trace["f_x"][::7] = -0.0
+    path, again = tmp_path / "t.csv", tmp_path / "again.csv"
+    emit_trace_csv(trace, path, {"weight_ks": [2.0]})
+    reference = io.StringIO()
+    np.savetxt(reference, np.column_stack(list(trace.values())), fmt="%.17g", delimiter=",")
+    head = '# {"weight_ks": [2.0]}\n' + ",".join(trace) + "\n"
+    assert path.read_text(encoding="utf-8") == head + reference.getvalue()
+    meta, columns = read_trace_csv(path)
     emit_trace_csv(columns, again, meta)
     assert again.read_bytes() == path.read_bytes()
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -582,6 +583,25 @@ class TestValidation:
                               policy=FamilyPolicy(R=1.0), weight_ks=(-2.0,))
         with pytest.raises(InvalidParameterError):
             run(problem, config)
+
+    @pytest.mark.parametrize("budget", [2.5, True], ids=["fraction", "bool"])
+    def test_config_rejects_a_budget_that_is_no_count(self, budget):
+        with pytest.raises(InvalidParameterError, match="max_iterations must be an integer"):
+            SolverConfig(max_iterations=budget, initial_point=np.zeros(1),
+                         policy=FamilyPolicy(R=1.0))
+
+    def test_numpy_integer_budget_runs(self):
+        config = SolverConfig(max_iterations=np.int64(3), initial_point=np.array([0.9]),
+                              policy=FamilyPolicy(R=1.0))
+        report, _ = run(make_sqrt_example(), config)
+        assert report.iterations_run == 3
+
+    def test_repeated_weight_k_rejected(self):
+        # two averages would write one f_avg column under a header listing both
+        config = SolverConfig(max_iterations=3, initial_point=np.array([0.5]),
+                              policy=FamilyPolicy(R=1.0), weight_ks=(0.0, 2.0, 0.0))
+        with pytest.raises(InvalidParameterError, match="weight_ks: k=0 repeats"):
+            run(make_abs_problem(1), config)
 
 
 class TestImageHook:
@@ -1315,3 +1335,40 @@ class TestBlockBookkeeping:
             policy=ConstantPolicy(R=float(eta), L=1.0, horizon_t=1)))
         assert report.iterations_run == 4
         assert report.stop_reason == StopReason.BUDGET_EXHAUSTED
+
+
+class TestRecordMemory:
+    """The per-iteration record is float64 chunks, and nothing is sized by the budget."""
+
+    @staticmethod
+    def traced_peak(problem, config):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            report, _ = run(problem, config)
+            return report, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_nonlip_run_peak_per_iteration(self):
+        # the benchmark's nonlip config: 7 epochs, 3 averages, trace on
+        iterations, problem = 20000, make_sqrt_example()
+        config = SolverConfig(max_iterations=iterations, initial_point=np.array([0.9]),
+                              policy=FamilyPolicy(R=problem.radius_R, a=0.0),
+                              weight_ks=(-1.0, 0.0, 2.0), record_trace=True,
+                              restart_factor=2.0)
+        report, peak = self.traced_peak(problem, config)
+        assert report.iterations_run == iterations
+        # 445 B per iteration as lists of Python floats; about 180 as float64 chunks
+        assert peak <= 220 * iterations, peak / iterations
+
+    def test_budget_sizes_nothing(self):
+        # abs started at its optimum stops at the first oracle call
+        config = SolverConfig(max_iterations=10 ** 12, initial_point=np.zeros(3),
+                              policy=FamilyPolicy(R=1.0), weight_ks=(-1.0, 0.0, 2.0),
+                              record_trace=True)
+        report, peak = self.traced_peak(make_abs_problem(3), config)
+        assert report.stop_reason is StopReason.ZERO_SUBGRADIENT
+        assert report.iterations_run == 0
+        assert peak < 2 ** 20
