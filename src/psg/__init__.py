@@ -27,7 +27,6 @@ from .bounds import (
 from .core import (
     ABS_TOL,
     REL_TOL,
-    EmptySubdifferentialError,
     InvalidParameterError,
     NumericError,
     ProblemInstance,
@@ -36,7 +35,6 @@ from .core import (
     StopReason,
     SubgradientResult,
     ZeroSubgradientError,
-    subgradient_inequality_check,
 )
 from .problems import (
     LassoInstance,
@@ -48,7 +46,7 @@ from .problems import (
     reference_optimum_value,
     save_lasso_csv,
 )
-from .projection import Ball, Box, feasibility_residual, project
+from .projection import Ball, Box, project
 from .solver import SolverConfig, psg_step, run
 from .stepsize import (
     ClassicPolicy,
@@ -68,7 +66,6 @@ __all__ = [
     "Box",
     "ClassicPolicy",
     "ConstantPolicy",
-    "EmptySubdifferentialError",
     "FamilyPolicy",
     "InvalidParameterError",
     "LassoInstance",
@@ -88,7 +85,6 @@ __all__ = [
     "classic_bound",
     "constant_bound",
     "family_bound",
-    "feasibility_residual",
     "generate_lasso",
     "load_lasso_csv",
     "make_abs_problem",
@@ -100,7 +96,6 @@ __all__ = [
     "reference_optimum_value",
     "run",
     "save_lasso_csv",
-    "subgradient_inequality_check",
     "weak_ergodic_bound",
     "weight",
 ]

@@ -165,6 +165,17 @@ def check_certificate(gap: float, bound: float) -> bool:
     return math.isfinite(gap) and math.isfinite(bound) and leq_with_tol(gap, bound)
 
 
+def minorant_low(sums: dict, min_linear) -> float:
+    """(c_sum + min_linear(g_sum)) / count: the bracket's low end, f_low <= f*.
+
+    `sums` is {g_sum, c_sum, count}, the summed slopes g_s and offsets
+    f(x_s) - <g_s, x_s> of `count` minorants, as ``RunReport.minorant_sums``
+    and a trace header hold them; `min_linear` is the projector's. The run
+    and ``psg check`` both compute it here, so they agree bit for bit.
+    """
+    return (sums["c_sum"] + min_linear(np.asarray(sums["g_sum"]))) / sums["count"]
+
+
 PROVEN = "proven"
 REFUTED = "refuted"
 UNDECIDED = "undecided"

@@ -47,7 +47,8 @@ policy from the first line and runs the solver's own evaluator
 bit for bit, and every certificate except ``per_step`` (it needs the
 iterates) is decided again. When the problem does not know f*, it takes the
 first line's bracket: its ``high`` must not exceed the final ``f_best``, and
-its ``low`` must equal ``(c_sum + min_linear(g_sum)) / count`` bit for bit.
+its ``low`` must equal, bit for bit, the low end that
+:func:`psg.bounds.minorant_low` forms from the header's ``minorant_sums``.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ class ConfigError(ValueError):
 
 
 # What a bad config, problem file, trace or output path raises, a file that
-# is not text included; every command reports it as "error: ..." and exits 1
+# is not text included; main reports it for every command as "error: ..." and exits 1
 INPUT_ERRORS = (ConfigError, InvalidParameterError, OSError, UnicodeDecodeError)
 
 
@@ -147,7 +148,10 @@ def _initial_point(value, where: str):
     if value == "zero":
         return value
     if isinstance(value, dict) and set(value) == {"random"}:
-        return {"random": _int(value["random"], f"{where}.random")}
+        seed = _int(value["random"], f"{where}.random")
+        if seed < 0:
+            raise ConfigError(f"{where}.random: expected a seed >= 0, got {seed}")
+        return {"random": seed}
     if isinstance(value, list):
         return list(_numbers(value, where))
     raise ConfigError(f"{where}: expected \"zero\", {{\"random\": seed}}, or a list of numbers")
@@ -250,19 +254,20 @@ def _spec_dict(spec: SimpleNamespace) -> dict:
     return {name: value for name, value in vars(spec).items() if value is not None}
 
 
+def _plain(value):
+    """A config value as JSON writes it: a spec as its dict, a tuple as a list."""
+    if isinstance(value, SimpleNamespace):
+        return _spec_dict(value)
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
+
+
 def config_to_dict(config: SimpleNamespace) -> dict:
-    """JSON-ready form of a config; parsing it back yields an equal config."""
-    out = {
-        "problem": _spec_dict(config.problem),
-        "policy": [_spec_dict(p) for p in config.policies],
-        "weight_ks": list(config.weight_ks),
-        "iterations": config.iterations,
-        "initial_point": config.initial_point,
-        "trace_path": config.trace_path,
-        "summary_path": config.summary_path,
-        "restart_factor": config.restart_factor,
-    }
-    return {name: value for name, value in out.items() if value is not None}
+    """JSON-ready form of a config, field by field of :data:`CONFIG_FIELDS`.
+
+    Parsing it back yields an equal config.
+    """
+    fields = vars(config) | {"policy": config.policies}
+    return {name: _plain(fields[name]) for name in CONFIG_FIELDS if fields[name] is not None}
 
 
 def _load_json(path):
@@ -413,11 +418,10 @@ def check_trace(meta: dict, cols: dict, problem: ProblemInstance) -> list:
         low, sums = None, meta.get("minorant_sums")
         if sums is not None:
             sums = _read_fields(sums, "header.minorant_sums.", MINORANT_FIELDS)
-            g_sum = np.array(sums["g_sum"])
-            if g_sum.shape != (problem.dimension,) or sums["count"] < 1:
+            if len(sums["g_sum"]) != problem.dimension or sums["count"] < 1:
                 raise ConfigError("header.minorant_sums: g_sum does not fit the problem,"
                                   " or count is not positive")
-            low = (sums["c_sum"] + problem.projector.min_linear(g_sum)) / sums["count"]
+            low = bnd.minorant_low(sums, problem.projector.min_linear)
         results.append(("optimum_bracket_low", low == bracket[0],
                         "no minorant sums" if low is None else "from the minorant sums"))
 
@@ -528,12 +532,7 @@ def run_experiment(config: SimpleNamespace, out_dir: Optional[str] = None) -> di
 
 
 def _cmd_run(args) -> int:
-    try:
-        config = load_config(args.config)
-        summary = run_experiment(config, out_dir=args.out_dir)
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    summary = run_experiment(load_config(args.config), out_dir=args.out_dir)
     failed = [c for c in summary["cells"] if c["status"] != "ok"]
     for cell in failed:
         print(f"cell {cell['policy']}: {cell['error']}", file=sys.stderr)
@@ -551,25 +550,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen_lasso(args) -> int:
-    try:
-        instance = generate_lasso(args.seed, args.n, args.m, args.radius, args.lam)
-        save_lasso_csv(instance, args.out)
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    save_lasso_csv(generate_lasso(args.seed, args.n, args.m, args.radius, args.lam), args.out)
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
-    try:
-        data = _load_json(args.problem)
-        if isinstance(data, dict) and "problem" in data:  # a whole config
-            data = data["problem"]
-        problem = build_problem(_spec(PROBLEM_FIELDS, data, "problem"))
-        results = check_trace(*read_trace_csv(args.trace), problem)
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    data = _load_json(args.problem)
+    if isinstance(data, dict) and "problem" in data:  # a whole config
+        data = data["problem"]
+    problem = build_problem(_spec(PROBLEM_FIELDS, data, "problem"))
+    results = check_trace(*read_trace_csv(args.trace), problem)
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}" + (f" ({detail})" if detail else ""))
     if args.strict and not all(ok for _, ok, _ in results):
@@ -608,7 +598,11 @@ def main(argv=None) -> int:
     p_check.set_defaults(func=_cmd_check)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entry_point() -> None:

@@ -34,10 +34,6 @@ class ZeroSubgradientError(RuntimeError):
     """A step size was requested for a zero subgradient (caller must stop first)."""
 
 
-class EmptySubdifferentialError(RuntimeError):
-    """The oracle has no subgradient at the queried point."""
-
-
 def ensure_vector(x, dim: Optional[int] = None, name: str = "x") -> np.ndarray:
     """Coerce `x` to a finite 1-D float64 array, checking dimension if given."""
     arr = np.asarray(x, dtype=np.float64)
@@ -52,15 +48,16 @@ def ensure_vector(x, dim: Optional[int] = None, name: str = "x") -> np.ndarray:
     return arr
 
 
-def leq_with_tol(lhs, rhs, rel: float = REL_TOL, abs_=ABS_TOL):
-    """lhs <= rhs + rel * max(|lhs|, |rhs|) + abs_, the package's one tolerance formula.
+def leq_with_tol(lhs, rhs, abs_=ABS_TOL):
+    """lhs <= rhs + REL_TOL * max(|lhs|, |rhs|) + abs_, the package's one tolerance formula.
 
     Elementwise over arrays, giving a boolean array; on scalars, a bool. A
     nan on either side fails. Overflow and inf - inf pass silently, as they
-    do on Python floats.
+    do on Python floats. The relative part is always REL_TOL; only the
+    absolute part `abs_` varies (the per-step check widens it per entry).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        ok = lhs <= rhs + rel * np.maximum(np.abs(lhs), np.abs(rhs)) + abs_
+        ok = lhs <= rhs + REL_TOL * np.maximum(np.abs(lhs), np.abs(rhs)) + abs_
     return bool(ok) if np.ndim(ok) == 0 else ok
 
 
@@ -178,7 +175,7 @@ class RunReport:
     refuted, every other False one was refuted. `optimum_bracket` is the
     (low, high) pair known to contain f* that the gap certificates were
     checked against, or None when the run formed none; `minorant_sums` the
-    {g_sum, c_sum, count} of low = (c_sum + min_linear(g_sum)) / count.
+    {g_sum, c_sum, count} that :func:`psg.bounds.minorant_low` turns into low.
     """
 
     problem: str
@@ -196,27 +193,6 @@ class RunReport:
     optimum_bracket: Optional[tuple] = None
     undecided: list = field(default_factory=list)
     minorant_sums: Optional[dict] = None
-
-
-def subgradient_inequality_check(oracle: Oracle, x: np.ndarray, z: np.ndarray,
-                                 rel: float = REL_TOL, abs_: float = ABS_TOL) -> bool:
-    """Check the defining inequality of a subgradient at `x` against a probe `z`.
-
-    For g in the subdifferential at x, convexity requires
-    f(z) >= f(x) + g.(z - x). Returns True when the inequality holds up to
-    the package tolerance.
-
-    Raises
-    ------
-    EmptySubdifferentialError
-        If the oracle reports an empty subdifferential at `x`.
-    """
-    res_x = oracle(x)
-    if res_x.is_empty:
-        raise EmptySubdifferentialError("subdifferential is empty at x")
-    lower = res_x.value + float(np.dot(res_x.subgradient, np.asarray(z) - np.asarray(x)))
-    f_z = oracle(z).value
-    return leq_with_tol(lower, f_z, rel, abs_)
 
 
 def scheme_label(k: float) -> str:

@@ -177,6 +177,8 @@ def generate_lasso(seed: int, n: int, m: int, radius: float = 50.0,
     """
     if n < 1 or m < 1:
         raise InvalidParameterError("n and m must be >= 1")
+    if seed < 0:  # numpy's generator takes no negative seed
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     phi = rng.standard_normal((m, n))
     nnz = -(-n // 16)
@@ -237,11 +239,10 @@ def load_lasso_csv(path) -> LassoInstance:
     return LassoInstance(phi=data[:, 1:], y=data[:, 0], lam=lam, radius=radius, seed=seed)
 
 
-def reference_optimum_value(problem: ProblemInstance, iterations: int,
-                            a: float = 1.0) -> float:
+def reference_optimum_value(problem: ProblemInstance, iterations: int) -> float:
     """Upper estimate of the optimum from a long norm-adaptive run.
 
-    Runs the family rule (exponent `a`) from the origin for `iterations`
+    Runs the family rule (exponent a = 1) from the origin for `iterations`
     steps as the lean run, with no averages tracked (``weight_ks=()``), so
     it costs exactly one oracle call per iteration run, and returns the
     best objective value seen. The result is >= the
@@ -256,7 +257,7 @@ def reference_optimum_value(problem: ProblemInstance, iterations: int,
     config = SolverConfig(
         max_iterations=iterations,
         initial_point=np.zeros(problem.dimension),
-        policy=FamilyPolicy(R=problem.radius_R, a=a),
+        policy=FamilyPolicy(R=problem.radius_R),
         weight_ks=(),
         record_trace=False,
     )

@@ -24,7 +24,7 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", ensure_vector(self.center, name="center"))
-        if self.radius < 0:
+        if not self.radius >= 0:  # a NaN radius fails too
             raise InvalidParameterError("radius must be nonnegative")
         object.__setattr__(self, "_at_origin", not self.center.any())
 
@@ -97,8 +97,3 @@ def project(op, y) -> np.ndarray:
     if y.shape[0] != op.dimension:
         raise ShapeError(f"point has dimension {y.shape[0]}, operator expects {op.dimension}")
     return op.project(y)
-
-
-def feasibility_residual(op, x) -> float:
-    """Distance from `x` to the feasible set (0 for feasible points)."""
-    return float(np.linalg.norm(project(op, x) - np.asarray(x, dtype=np.float64)))

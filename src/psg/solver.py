@@ -145,8 +145,9 @@ def run(problem: ProblemInstance, config: SolverConfig):
     ``min_linear``, the run brackets f* itself at no oracle cost: every
     oracle call gives the minorant f(z) >= f(x_s) + <g_s, z - x_s>, and the
     minimum of their uniform mean over the feasible set is f_low <= f*
-    (summed across restarts), while f* <= f_best. Each gap certificate is
-    proven, refuted or undecided (:func:`bounds.gap_verdict`);
+    (summed across restarts; :func:`bounds.minorant_low`), while
+    f* <= f_best. Each gap certificate is proven, refuted or undecided
+    (:func:`bounds.gap_verdict`);
     ``certificates`` holds True only for proven ones, ``undecided`` names
     the undecided ones, and ``optimum_bracket`` is the bracket used.
 
@@ -397,6 +398,8 @@ def run(problem: ProblemInstance, config: SolverConfig):
                 if sums is not None:
                     sums[rows + 1, :n] = g
 
+            if f_x < best_value:
+                best_value, best_index, best_x = f_x, s, x
             try:
                 eta = policy.step_size(s_local + 1, g_norm)
             except ZeroSubgradientError:
@@ -405,8 +408,6 @@ def run(problem: ProblemInstance, config: SolverConfig):
                 # x is a global minimizer that the rule cannot step from (first
                 # iteration of the family rule, or the norm-normalized rule):
                 # stop with the best iterate and the minorants updated, recording no row
-                if f_x < best_value:
-                    best_value, best_index, best_x = f_x, s, x
                 check_images(rows + 1)
                 if sums is not None:  # summed after the pending rows
                     flush(x)
@@ -421,8 +422,6 @@ def run(problem: ProblemInstance, config: SolverConfig):
                         f"step size {eta!r} is not positive at iteration {s}")
                 raise NumericError(f"step size {eta!r} is not finite at iteration {s}")
 
-            if f_x < best_value:
-                best_value, best_index, best_x = f_x, s, x
             if s_local == 1 and rules:
                 # an epoch's averages start at its first row, so that a run
                 # whose last epoch has none reports the epoch before
@@ -477,9 +476,9 @@ def run(problem: ProblemInstance, config: SolverConfig):
     if f_star is not None:
         bracket = (f_star, f_star)
     elif minorants:
-        c_sum, g_sum = float(sums[0, n]), sums[0, :n]
-        minorant_sums = {"g_sum": g_sum.tolist(), "c_sum": c_sum, "count": minorants}
-        bracket = ((c_sum + min_linear(g_sum)) / minorants, best_value)
+        minorant_sums = {"g_sum": sums[0, :n].tolist(), "c_sum": float(sums[0, n]),
+                         "count": minorants}
+        bracket = (bnd.minorant_low(minorant_sums, min_linear), best_value)
     else:
         bracket = None
 

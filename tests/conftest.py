@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from psg import Ball, Box, ProblemInstance, SubgradientResult
+from psg import Ball, Box, ProblemInstance, SubgradientResult, project
 
 
 def sample_feasible(projector, rng, count=1):
@@ -13,6 +13,11 @@ def sample_feasible(projector, rng, count=1):
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     radii = projector.radius * rng.uniform(size=(count, 1)) ** (1.0 / dim)
     return projector.center + directions * radii
+
+
+def feasibility_residual(op, x) -> float:
+    """Distance from `x` to the feasible set of `op` (0 for feasible points)."""
+    return float(np.linalg.norm(project(op, x) - x))
 
 
 def assert_trace_invariants(trace):

@@ -19,9 +19,8 @@ from psg import (
     weight,
 )
 from psg.averaging import _prefix_sum
-from psg.projection import feasibility_residual
 
-from conftest import sample_feasible
+from conftest import feasibility_residual, sample_feasible
 
 
 class TestWeight:

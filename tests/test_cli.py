@@ -38,6 +38,13 @@ def write_config(path, data):
     return str(path)
 
 
+def assert_one_error_line(capsys, start="error: "):
+    """stderr holds one line, starting with `start`, and no traceback."""
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(start), err
+    assert "Traceback" not in err
+
+
 ABS_CONFIG = {
     "problem": {"kind": "abs", "dim": 1},
     "policy": {"kind": "family", "a": 1.0},
@@ -147,16 +154,16 @@ class TestConfigParsing:
         ("weight_ks", [float("nan")], "weight_ks[0]"),
         ("restart_factor", "big", "restart_factor"),
         ("weight_ks", [0, 2, 0], "weight_ks"),
+        ("initial_point", {"random": -1}, "initial_point.random"),
     ], ids=["iterations-str", "iterations-fraction", "weight_ks-str", "weight_ks-nan",
-            "restart_factor-str", "weight_ks-repeated"])
+            "restart_factor-str", "weight_ks-repeated", "random-seed-negative"])
     def test_malformed_numbers_name_the_field(self, tmp_path, capsys, field, value, where):
         data = dict(ABS_CONFIG, **{field: value})
         with pytest.raises(ConfigError, match=re.escape(f"{where}: expected")):
             parse_config(data)
         cfg = write_config(tmp_path / "c.json", data)  # NaN is written as NaN
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {where}: expected") and "Traceback" not in err
+        assert_one_error_line(capsys, f"error: {where}: expected")
         assert not (tmp_path / "summary.json").exists()
 
     def test_integral_float_is_a_count(self):
@@ -441,6 +448,44 @@ class TestGenLasso:
         assert capsys.readouterr().err.startswith(f"error: {out}: malformed")
         assert main(["check", "--trace", str(tmp_path / "trace.csv"), "--problem", cfg]) == 1
         assert capsys.readouterr().err.startswith(f"error: {out}: malformed")
+
+
+@pytest.mark.parametrize("command", ["run", "check", "gen-lasso"])
+def test_input_error_inside_a_command_is_one_error_line(tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "c.json", ABS_CONFIG)
+    argv = {"run": ["run", "--config", str(tmp_path / "missing.json")],
+            "check": ["check", "--trace", str(tmp_path / "missing.csv"), "--problem", cfg],
+            "gen-lasso": ["gen-lasso", "--seed", "1", "--n", "4", "--m", "3",
+                          "--out", str(tmp_path / "no-such-dir" / "inst.csv")]}[command]
+    assert main(argv) == 1
+    assert_one_error_line(capsys)
+
+
+class TestNegativeSeed:
+    """numpy's generator raises ValueError on a negative seed; each route stops before it.
+
+    The random start's seed is a row of test_malformed_numbers_name_the_field.
+    """
+
+    def test_lasso_problem_in_run_and_check(self, tmp_path, capsys):
+        lasso = {"problem": {"kind": "lasso", "seed": 1, "n": 4, "m": 3},
+                 "policy": {"kind": "family"}, "iterations": 5, "trace_path": "trace.csv"}
+        cfg = write_config(tmp_path / "c.json", lasso)
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        lasso["problem"]["seed"] = -3
+        bad = write_config(tmp_path / "bad.json", lasso)
+        capsys.readouterr()
+        assert main(["run", "--config", bad, "--out-dir", str(tmp_path)]) == 1
+        assert_one_error_line(capsys, "error: seed must be >= 0, got -3")
+        assert main(["check", "--trace", str(tmp_path / "trace.csv"), "--problem", bad]) == 1
+        assert_one_error_line(capsys, "error: seed must be >= 0, got -3")
+
+    def test_gen_lasso(self, tmp_path, capsys):
+        out = tmp_path / "inst.csv"
+        assert main(["gen-lasso", "--seed", "-1", "--n", "4", "--m", "3",
+                     "--out", str(out)]) == 1
+        assert_one_error_line(capsys, "error: seed must be >= 0, got -1")
+        assert not out.exists()
 
 
 def corrupt(trace, tmp_path, column, row, change):

@@ -145,6 +145,8 @@ class TestLasso:
             LassoInstance(phi=np.ones((2, 2)), y=np.ones(3), lam=1.0, radius=1.0, seed=0)
         with pytest.raises(InvalidParameterError):
             LassoInstance(phi=np.ones((2, 2)), y=np.ones(2), lam=0.0, radius=1.0, seed=0)
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -3"):
+            generate_lasso(seed=-3, n=4, m=3)
 
     def test_sparse_ground_truth_size(self):
         instance = generate_lasso(seed=7, n=64, m=10)

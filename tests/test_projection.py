@@ -6,9 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from psg import Ball, Box, InvalidParameterError, ShapeError, project
-from psg.projection import feasibility_residual
 
-from conftest import sample_feasible
+from conftest import feasibility_residual, sample_feasible
 
 
 class TestBall:
@@ -25,6 +24,11 @@ class TestBall:
         ball = Ball(center=np.array([2.0, -1.0]), radius=0.0)
         assert_allclose(project(ball, np.array([2.0, -1.0])), [2.0, -1.0])
         assert_allclose(project(ball, np.array([5.0, -1.0])), [2.0, -1.0])
+
+    @pytest.mark.parametrize("radius", [-1.0, float("nan")])
+    def test_negative_or_nan_radius_rejected(self, radius):
+        with pytest.raises(InvalidParameterError, match="radius must be nonnegative"):
+            Ball(center=np.zeros(2), radius=radius)
 
     def test_overflowing_norm_still_scales_to_boundary(self):
         # ||d||^2 overflows for these finite points; the projection must not
