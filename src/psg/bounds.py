@@ -235,7 +235,8 @@ def evaluate(policy, ks, R: float, L: Optional[float], columns: dict,
     :func:`gap_verdict` over every row, or over the last row if its epoch
     has exactly the horizon; `undecided` names those neither proven nor
     refuted. ``monotone_k<k>``, for k in ``policy.monotone_ks``, is True iff
-    w_s / eta_s never decreases within an epoch.
+    every eta_s is positive and finite and w_s / eta_s never decreases within
+    an epoch.
     """
     eta = np.asarray(columns["eta"], dtype=np.float64)
     g_norm = np.asarray(columns["g_norm"], dtype=np.float64)
@@ -272,7 +273,12 @@ def evaluate(policy, ks, R: float, L: Optional[float], columns: dict,
         certificates[cert.label] = verdict == PROVEN
         if verdict == UNDECIDED:
             undecided.append(cert.label)
+    # a zero, negative or nonfinite step has no ratio: it fails, unwarned
+    steps_valid = bool(np.all((eta > 0) & (eta < math.inf)))
     for k in policy.monotone_ks(ks):
+        if not steps_valid:
+            certificates[monotone_label(k)] = False
+            continue
         ratio = WeightRule(k)(t, eta)
         ratio /= eta
         certificates[monotone_label(k)] = _nondecreasing(ratio, new_epoch)

@@ -128,17 +128,24 @@ class LassoInstance:
         matrix and are not estimated). The oracle also returns the residual
         r = Phi x - y as its image, and the value at an averaged point is
         computed from the averaged residual without a matvec.
+
+        The two matvecs and the value's ``r . r`` call ``ndarray.dot`` on a
+        C-contiguous Phi: the bits of ``Phi @ x``, ``Phi.T @ r`` and
+        ``r @ r``, without the matmul dispatch. A strided Phi (the column
+        view :func:`load_lasso_csv` returns) is copied first, so a loaded
+        instance gives the bits of the generated one it was saved from.
         """
-        phi, y, lam = self.phi, self.y, self.lam
+        phi, y, lam = np.ascontiguousarray(self.phi), self.y, self.lam
+        phi_t = phi.T
 
         def value_at_image(x: np.ndarray, r: np.ndarray):
             # np.abs(x).sum() without the wrapper: the same pairwise reduction.
             # The oracle calls this on one point per step, where the 1-D
             # expression is cheapest.
             if r.ndim == 1:
-                return float(r @ r) + lam * float(np.add.reduce(np.abs(x)))
+                return float(r.dot(r)) + lam * float(np.add.reduce(np.abs(x)))
             # Rows of a stack, each bit for bit the 1-D value: a batched
-            # 1 x m @ m x 1 matmul takes the same dot as r @ r (einsum does not)
+            # 1 x m @ m x 1 matmul takes the same dot as r.dot(r) (einsum does not)
             return ((r[..., None, :] @ r[..., :, None])[..., 0, 0]
                     + lam * np.add.reduce(np.abs(x), axis=-1))
 
@@ -147,10 +154,10 @@ class LassoInstance:
         # No doubled copy of phi is kept: at m=300, n=512 the two copies
         # overflow a 2 MB L2 cache and each call gets slower.
         def oracle(x: np.ndarray) -> SubgradientResult:
-            r = phi @ x
+            r = phi.dot(x)
             r -= y
             value = value_at_image(x, r)
-            grad = phi.T @ r
+            grad = phi_t.dot(r)
             grad *= 2.0
             grad += lam * np.sign(x)
             return SubgradientResult(value=value, subgradient=grad, image=r)

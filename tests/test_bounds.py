@@ -216,6 +216,14 @@ class TestEvaluate:
         _, verdicts, _ = evaluate(FamilyPolicy(R=1.0), (0.0,), 1.0, None, columns)
         assert verdicts["monotone_k0"] is held
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("step", [0.0, -0.5, math.inf, math.nan])
+    def test_invalid_step_fails_monotone_without_a_warning(self, step):
+        # w_s / eta_s has no value there; no division is attempted
+        columns = self.columns(eta=(1.0, 0.9, step, 0.7, 0.6, 0.5))
+        _, verdicts, _ = evaluate(FamilyPolicy(R=1.0), (-1.0, 0.0, 2.0), 1.0, None, columns)
+        assert verdicts == {"monotone_k-1": False, "monotone_k0": False, "monotone_k2": False}
+
     def test_gap_verdicts_need_a_bracket(self):
         policy = FamilyPolicy(R=1.0)
         _, verdicts, undecided = evaluate(policy, (0.0,), 1.0, None, self.columns())

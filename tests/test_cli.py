@@ -426,6 +426,22 @@ class TestGenLasso:
         })
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("n,m", [(2, 8), (3, 40), (64, 40)])
+    def test_file_run_reproduces_the_generated_run(self, tmp_path, n, m):
+        out = tmp_path / "inst.csv"
+        assert main(["gen-lasso", "--seed", "5", "--n", str(n), "--m", str(m),
+                     "--out", str(out)]) == 0
+        cells = {}
+        for kind, problem in (("lasso", {"kind": "lasso", "seed": 5, "n": n, "m": m}),
+                              ("file", {"kind": "lasso-file", "path": str(out)})):
+            cfg = write_config(tmp_path / f"{kind}.json", {
+                "problem": problem, "policy": {"kind": "family"},
+                "weight_ks": [-1.0, 0.0, 2.0], "iterations": 300,
+                "summary_path": f"{kind}_summary.json"})
+            assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+            cells[kind] = json.loads((tmp_path / f"{kind}_summary.json").read_text())["cells"]
+        assert cells["file"] == cells["lasso"]
+
     @pytest.mark.parametrize("damage", ["seed", "row"])
     def test_malformed_file_is_an_input_error_for_run_and_check(self, tmp_path, capsys,
                                                                 damage):
@@ -558,6 +574,23 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         for label in ("family", "weak_k-1", "weak_k0", "weak_k2", "monotone_k-1"):
             assert f"PASS {label}\n" in out
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("step", ["0", "-0.5", "inf", "nan"])
+    def test_invalid_step_fails_strict_without_a_warning(self, restarted_outputs, tmp_path,
+                                                         capsys, step):
+        trace, config = restarted_outputs
+        bad = corrupt(trace, tmp_path, "eta", 100, lambda v: step)
+        capsys.readouterr()
+        assert main(["check", "--trace", str(bad), "--problem", str(config),
+                     "--strict"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert all(line.startswith(("PASS ", "FAIL ")) for line in lines)
+        assert ("FAIL eta_positive" in lines) is (step != "inf")  # inf is positive
+        for k in ("-1", "0", "2"):
+            assert f"FAIL monotone_k{k} (refuted)" in lines
 
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_moved_epoch_boundary_fails_strict(self, restarted_outputs, tmp_path, shift):

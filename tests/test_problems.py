@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,14 +8,18 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from psg import (
+    FamilyPolicy,
     InvalidParameterError,
     LassoInstance,
+    NumericError,
+    SolverConfig,
     generate_lasso,
     load_lasso_csv,
     make_abs_problem,
     make_lasso,
     make_sqrt_example,
     reference_optimum_value,
+    run,
     save_lasso_csv,
 )
 
@@ -166,10 +171,21 @@ class TestLassoOracle:
         x[2, :n // 2] = 0.0
         return x
 
-    @pytest.mark.parametrize("n,m", [(10, 6), (64, 40), (512, 300)])
-    def test_bit_identical_to_textbook(self, n, m, rng):
+    # n or m in {1, 2, 3} as well as the benchmark's shapes, each also as an
+    # instance read back from its CSV (a strided column view of the rows)
+    SHAPES = [(1, 1), (1, 5), (2, 8), (3, 40), (5, 1), (40, 2), (33, 3), (10, 6), (64, 40),
+              (512, 300)]
+
+    @pytest.mark.parametrize("n,m,loaded", [
+        pytest.param(n, m, loaded, id=f"{n}-{m}" + ("-loaded" if loaded else ""))
+        for n, m in SHAPES for loaded in (False, True)])
+    def test_bit_identical_to_textbook(self, n, m, loaded, rng, tmp_path):
         instance = generate_lasso(seed=4, n=n, m=m)
-        phi, y, lam = instance.phi, instance.y, instance.lam
+        if loaded:
+            save_lasso_csv(instance, tmp_path / "instance.csv")
+            instance = load_lasso_csv(tmp_path / "instance.csv")
+        # the textbook @ forms, on a C-contiguous phi
+        phi, y, lam = np.ascontiguousarray(instance.phi), instance.y, instance.lam
         problem = instance.to_problem()
         for x in self.points(n, rng):
             res = problem.oracle(x)
@@ -178,6 +194,21 @@ class TestLassoOracle:
             assert res.value == float(r @ r) + lam * float(np.abs(x).sum())
             assert np.array_equal(res.subgradient, 2.0 * (phi.T @ r) + lam * np.sign(x))
             assert problem.value_at_image(x, r) == res.value
+
+    def test_overflowing_value_warns_and_fails_the_run(self):
+        # r.dot(r) overflows to inf with numpy's warning, as r @ r does, and
+        # the run reports the nonfinite value
+        instance = generate_lasso(seed=4, n=3, m=2)
+        huge = LassoInstance(phi=instance.phi, y=instance.y * 1e200, lam=instance.lam,
+                             radius=instance.radius, seed=instance.seed).to_problem()
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert huge.oracle(np.zeros(3)).value == math.inf
+        config = SolverConfig(max_iterations=5, initial_point=np.zeros(3),
+                              policy=FamilyPolicy(R=instance.radius))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NumericError, match="iteration 1"):
+                run(huge, config)
 
     def test_data_unchanged_and_results_independent(self, rng):
         instance = generate_lasso(seed=4, n=64, m=40)
