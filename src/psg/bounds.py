@@ -32,61 +32,52 @@ from .averaging import WeightRule
 from .core import REL_TOL, InvalidParameterError, leq_with_tol, scheme_label
 
 
-def _per_t(fn, t):
-    """fn(t) elementwise over ints t >= 1.
+def _per_t(t, fn, *args, cumulative: bool = False, tables: Optional[dict] = None):
+    """fn(t, *args), or with `cumulative` fn(1, *args) + ... + fn(t, *args) in order.
 
-    The terms are Python floats: numpy's power, sqrt and log differ from
-    Python's in the last bit on some terms, and columns must equal scalars.
+    Elementwise over ints t >= 1: an array `t` reads a table of the Python
+    floats fn(u, *args), as numpy's power, sqrt and log differ from Python's
+    in the last bit on some terms, and columns must equal scalars (a scalar
+    `t` is only ever read without `cumulative`). `tables`, when given, keeps
+    the table under ``(fn, *args)``, so that a later call for the same terms
+    and `t` reuses it.
     """
     if np.ndim(t) == 0:
-        return fn(t)
-    return np.array([fn(u) for u in range(1, int(np.max(t, initial=0)) + 1)],
-                    dtype=np.float64)[t - 1]
-
-
-def _powers(e: float, t, cumulative: bool = False, tables: Optional[dict] = None):
-    """t ** e, or with `cumulative` 1 ** e + ... + t ** e in order, elementwise over ints t >= 1.
-
-    An array `t` reads a table of Python's ``u ** e``, equal to it bit for
-    bit (a scalar `t` is only ever read without `cumulative`). `tables`,
-    when given, keeps the table under `e`, so that a later call for the same
-    `e` and `t` reuses it.
-    """
-    if np.ndim(t) == 0:
-        return t ** e
-    table = None if tables is None else tables.get(e)
+        return fn(t, *args)
+    key = (fn, *args)
+    table = None if tables is None else tables.get(key)
     if table is None:
         size = int(np.max(t, initial=0))
-        table = np.fromiter(map(pow, range(1, size + 1), repeat(e)),
+        table = np.fromiter(map(fn, range(1, size + 1), *map(repeat, args)),
                             dtype=np.float64, count=size)
         if tables is not None:
-            tables[e] = table
+            tables[key] = table
     return (np.cumsum(table) if cumulative else table)[t - 1]
 
 
 def constant_bound(R: float, L: float, t) -> float:
     """Gap bound R*L/sqrt(t) for the uniform mean under the constant step."""
     # Python's t ** 0.5, not sqrt: they differ in the last bit on some t
-    return R * L / _powers(0.5, t)
+    return R * L / _per_t(t, pow, 0.5)
 
 def classic_bound(R: float, L: float, t) -> float:
     """Gap bound 1.5*R*L/sqrt(t) for the uniform mean under the classic step."""
-    return 1.5 * R * L / _powers(0.5, t)
+    return 1.5 * R * L / _per_t(t, pow, 0.5)
 
 def nesterov_bound(R: float, L: float, t) -> float:
     """Gap bound (2RL + RL*ln t) / (4(sqrt(t+1)-1)) for the step-weighted mean."""
-    return ((2.0 * R * L + R * L * _per_t(math.log, t))
-            / (4.0 * (_powers(0.5, t + 1) - 1.0)))
+    return ((2.0 * R * L + R * L * _per_t(t, math.log))
+            / (4.0 * (_per_t(t + 1, pow, 0.5) - 1.0)))
 
 def family_bound(R: float, t, max_g_norm, tables: Optional[dict] = None) -> float:
     """Gap bound 1.5*R*max||g||/sqrt(t) for the uniform mean under the family step.
 
     Coincides with :func:`classic_bound` when ``max_g_norm`` equals the
     Lipschitz constant. `tables` shares tabulated powers of t with other
-    bounds over the same t (see :func:`_powers`).
+    bounds over the same t (see :func:`_per_t`).
     """
     bound = 1.5 * R * max_g_norm
-    bound /= _powers(0.5, t, tables=tables)
+    bound /= _per_t(t, pow, 0.5, tables=tables)
     return bound
 
 
@@ -256,8 +247,9 @@ def evaluate(policy, ks, R: float, L: Optional[float], columns: dict,
     for k in ks:
         top, low, mid = _weak_exponents(float(k))
         bounds[weak_label(k)] = _weak_bound(
-            _powers(top, t, tables=tables), _powers(low, t, cumulative=True, tables=tables),
-            _powers(mid, t, cumulative=True, tables=tables), R, max_g)
+            _per_t(t, pow, top, tables=tables),
+            _per_t(t, pow, low, cumulative=True, tables=tables),
+            _per_t(t, pow, mid, cumulative=True, tables=tables), R, max_g)
     if L is not None:
         bounds[CLASSIC] = classic_bound(R, L, t)
         bounds[CONSTANT] = constant_bound(R, L, t)

@@ -41,11 +41,14 @@ is written as ``%.17g`` (lossless round-trip), and ``G`` is ``nan`` for
 policies that do not track it. :func:`read_trace_csv` returns the same
 columns. A cell that stops before its first iteration writes no trace. With
 several cells the per-cell file name is derived from ``trace_path`` by
-inserting the cell label before the extension. ``psg check`` rebuilds the
-policy from the first line and runs the solver's own evaluator
+inserting the cell label before the extension. ``psg check`` checks the
+columns' structure (``eta_positive``: every step is positive and finite),
+rebuilds the policy from the first line and runs the solver's own evaluator
 (:func:`psg.bounds.evaluate`) on the columns: every bound column must match
 bit for bit, and every certificate except ``per_step`` (it needs the
-iterates) is decided again. When the problem does not know f*, it takes the
+iterates) is decided again. A trace that lacks a column every run writes,
+``G`` or ``bound_family`` or ``bound_weak_k<k>`` for a header ``k`` among
+them, is an input error. When the problem does not know f*, it takes the
 first line's bracket: its ``high`` must not exceed the final ``f_best``, and
 its ``low`` must equal, bit for bit, the low end that
 :func:`psg.bounds.minorant_low` forms from the header's ``minorant_sums``.
@@ -59,7 +62,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from types import SimpleNamespace
 from typing import Optional
 
@@ -70,8 +72,10 @@ from .core import (
     InvalidParameterError,
     NumericError,
     ProblemInstance,
+    read_csv,
     repeated_scheme,
     scheme_label,
+    write_csv,
 )
 from .problems import (
     load_lasso_csv,
@@ -88,10 +92,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_CERTIFICATE = 3
-
-# Rows formatted per write by emit_trace_csv: on a 20,000-row trace 512 rows
-# write as fast as 1,024 and hold half as many Python floats at once
-CSV_CHUNK_ROWS = 512
 
 
 class ConfigError(ValueError):
@@ -324,26 +324,14 @@ def emit_trace_csv(trace: dict, path, header: dict) -> None:
     """Write a trace, as :func:`psg.solver.run` returns it, to `path` as CSV.
 
     The first line is ``# `` and the JSON object `header` (nonfinite numbers
-    written as null), the second the column names, then one row per entry
-    with every number as ``%.17g``, which round-trips floats and prints
-    integers as integers.
+    written as null), then the columns in the layout of
+    :func:`psg.core.write_csv`: their names, then one row per entry with
+    every number as ``%.17g``.
     """
-    columns = [np.asarray(col) for col in trace.values()]
-    lengths = {len(col) for col in columns}
-    if len(lengths) > 1:
-        raise InvalidParameterError(f"trace columns differ in length: {sorted(lengths)}")
-    if not columns or not columns[0].size:
+    if not trace or not len(next(iter(trace.values()))):
         raise InvalidParameterError("cannot write an empty trace")
-    row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# " + json.dumps(_finite_or_null(header), sort_keys=True, allow_nan=False)
-                 + "\n")
-        fh.write(",".join(trace) + "\n")
-        # np.savetxt's bytes with one % per chunk, not one per row; only the
-        # chunk's rows are stacked, and few values are alive as Python floats
-        for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-            chunk = np.column_stack([col[start:start + CSV_CHUNK_ROWS] for col in columns])
-            fh.write((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
+    write_csv(path, "# " + json.dumps(_finite_or_null(header), sort_keys=True, allow_nan=False),
+              trace)
 
 
 def read_trace_csv(path) -> tuple:
@@ -351,21 +339,11 @@ def read_trace_csv(path) -> tuple:
 
     The columns map each name, in the file's order, to a float array.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.startswith("# {"):
-            raise InvalidParameterError(f"{path}: first line is not a '# {{...}}' header")
-        try:
-            meta = json.loads(first[2:])
-        except json.JSONDecodeError as exc:
-            raise InvalidParameterError(f"{path}: header: {exc}") from None
-        names = fh.readline().strip().split(",")
-        try:
-            with warnings.catch_warnings():  # a file with no rows fails the shape check below
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise InvalidParameterError(f"{path}: ragged rows: {exc}") from None
+    first, names, rows = read_csv(path, "# {")
+    try:
+        meta = json.loads(first[2:])
+    except json.JSONDecodeError as exc:
+        raise InvalidParameterError(f"{path}: header: {exc}") from None
     if rows.shape[1:] != (len(names),) or not len(rows):
         raise InvalidParameterError(f"{path}: expected rows of {len(names)} columns")
     return meta, dict(zip(names, rows.T))
@@ -384,14 +362,16 @@ def check_trace(meta: dict, cols: dict, problem: ProblemInstance) -> list:
     policy_spec = _spec(POLICY_FIELDS, meta.get("policy"), "header.policy")
     ks = _exponents(meta.get("weight_ks"), "header.weight_ks")
     missing = [name for name in ("s", "epoch", "eta", "g_norm", "G", "f_x", "f_best",
-                                 *(f"f_avg_{scheme_label(k)}" for k in ks)) if name not in cols]
+                                 *(f"f_avg_{scheme_label(k)}" for k in ks), "bound_family",
+                                 *(f"bound_{bnd.weak_label(k)}" for k in ks))
+               if name not in cols]
     if missing:
         raise InvalidParameterError(f"trace has no column {', '.join(missing)}")
     epoch, G, f_best = cols["epoch"], cols["G"], cols["f_best"]
     # each whole-length temporary dies with its check, before evaluate builds its own
     results = [
         ("s_strictly_increasing", bool(np.all(np.diff(cols["s"]) > 0)), ""),
-        ("eta_positive", bool(np.all(cols["eta"] > 0)), ""),
+        ("eta_positive", bool(np.all((cols["eta"] > 0) & (cols["eta"] < math.inf))), ""),
         ("epoch_counts_restarts",
          bool(epoch[0] == 0 and np.all(np.isin(np.diff(epoch), (0.0, 1.0)))), ""),
     ]
@@ -438,17 +418,15 @@ def check_trace(meta: dict, cols: dict, problem: ProblemInstance) -> list:
     return results
 
 
-def _cell_label(policy, index: int, total: int) -> str:
-    return policy.label if total == 1 else f"{index}_{policy.label}"
+def _trace_path(base: Optional[str], policy, index: int, total: int) -> Optional[str]:
+    """The trace file of cell `index` of `total`: `base` itself for one cell.
 
-
-def _trace_path_for(base: Optional[str], label: str, single: bool) -> Optional[str]:
-    if base is None:
-        return None
-    if single:
+    With several cells, `base` with the cell's label before its extension.
+    """
+    if base is None or total == 1:
         return base
     root, ext = os.path.splitext(base)
-    return f"{root}__{label}{ext or '.csv'}"
+    return f"{root}__{index}_{policy.label}{ext or '.csv'}"
 
 
 def _finite_or_null(obj):
@@ -475,15 +453,10 @@ def run_experiment(config: SimpleNamespace, out_dir: Optional[str] = None) -> di
     policies = [build_policy(spec, problem, config.iterations) for spec in config.policies]
 
     def resolve(path):
-        if path is None:
-            return None
-        if os.path.isabs(path) or out_dir is None:
-            return path
-        return os.path.join(out_dir, path)
+        return None if path is None else os.path.join(out_dir or "", path)
 
-    single = len(policies) == 1
-    labels = [_cell_label(p, i, len(policies)) for i, p in enumerate(policies)]
-    paths = [resolve(_trace_path_for(config.trace_path, lbl, single)) for lbl in labels]
+    paths = [resolve(_trace_path(config.trace_path, p, i, len(policies)))
+             for i, p in enumerate(policies)]
 
     def execute(spec, policy, path):
         solver_config = SolverConfig(

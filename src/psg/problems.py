@@ -9,12 +9,11 @@ random quantity is drawn from one seeded ``numpy.random.default_rng``
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidParameterError, ProblemInstance, SubgradientResult
+from .core import InvalidParameterError, ProblemInstance, SubgradientResult, read_csv, write_csv
 from .projection import Ball, Box
 
 
@@ -131,9 +130,8 @@ class LassoInstance:
 
         The two matvecs and the value's ``r . r`` call ``ndarray.dot`` on a
         C-contiguous Phi: the bits of ``Phi @ x``, ``Phi.T @ r`` and
-        ``r @ r``, without the matmul dispatch. A strided Phi (the column
-        view :func:`load_lasso_csv` returns) is copied first, so a loaded
-        instance gives the bits of the generated one it was saved from.
+        ``r @ r``, without the matmul dispatch. A strided Phi is copied
+        first; a generated or loaded one is already contiguous.
         """
         phi, y, lam = np.ascontiguousarray(self.phi), self.y, self.lam
         phi_t = phi.T
@@ -210,40 +208,35 @@ def save_lasso_csv(instance: LassoInstance, path) -> None:
     Line 1 is a comment carrying the scalars
     (``# lasso n=<n> m=<m> lambda=<lam> radius=<R> seed=<seed>``), line 2 a
     header, then one row per observation: ``y_i, phi_i1, ..., phi_in``, all
-    floats printed with 17 significant digits (lossless for float64).
+    floats printed with 17 significant digits (lossless for float64), by
+    :func:`psg.core.write_csv`.
     """
-    header = (f"# lasso n={instance.n} m={instance.m} lambda={instance.lam:.17g}"
-              f" radius={instance.radius:.17g} seed={instance.seed}\n"
-              + "y," + ",".join(f"phi_{j}" for j in range(instance.n)))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, np.column_stack([instance.y, instance.phi]), fmt="%.17g",
-                   delimiter=",", header=header, comments="")
+    first_line = (f"# lasso n={instance.n} m={instance.m} lambda={instance.lam:.17g}"
+                  f" radius={instance.radius:.17g} seed={instance.seed}")
+    columns = {"y": instance.y, **{f"phi_{j}": instance.phi[:, j] for j in range(instance.n)}}
+    write_csv(path, first_line, columns)
 
 
 def load_lasso_csv(path) -> LassoInstance:
     """Read an instance written by :func:`save_lasso_csv`.
 
-    A malformed file raises :class:`InvalidParameterError` naming `path`.
+    Phi and y are C-contiguous arrays that own their memory, so the block
+    of parsed rows is freed and the instance holds Phi once. A malformed
+    file raises :class:`InvalidParameterError` naming `path`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        meta = fh.readline()
-        if not meta.startswith("# lasso "):
-            raise InvalidParameterError(f"{path}: not a lasso instance file")
-        fh.readline()  # header
-        try:
-            fields = dict(part.split("=", 1) for part in meta[len("# lasso "):].split())
-            n, m, seed = int(fields["n"]), int(fields["m"]), int(fields["seed"])
-            lam, radius = float(fields["lambda"]), float(fields["radius"])
-            with warnings.catch_warnings():  # a file with no rows fails the shape check below
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except KeyError as exc:
-            raise InvalidParameterError(f"{path}: header lacks {exc}") from None
-        except ValueError as exc:
-            raise InvalidParameterError(f"{path}: malformed lasso file ({exc})") from None
+    first, _, data = read_csv(path, "# lasso ")
+    try:
+        fields = dict(part.split("=", 1) for part in first[len("# lasso "):].split())
+        n, m, seed = int(fields["n"]), int(fields["m"]), int(fields["seed"])
+        lam, radius = float(fields["lambda"]), float(fields["radius"])
+    except KeyError as exc:
+        raise InvalidParameterError(f"{path}: header lacks {exc}") from None
+    except ValueError as exc:
+        raise InvalidParameterError(f"{path}: malformed header ({exc})") from None
     if data.shape != (m, n + 1):
         raise InvalidParameterError(f"{path}: inconsistent row data")
-    return LassoInstance(phi=data[:, 1:], y=data[:, 0], lam=lam, radius=radius, seed=seed)
+    return LassoInstance(phi=data[:, 1:].copy(), y=data[:, 0].copy(), lam=lam,
+                         radius=radius, seed=seed)
 
 
 def reference_optimum_value(problem: ProblemInstance, iterations: int) -> float:

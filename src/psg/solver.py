@@ -325,21 +325,21 @@ def run(problem: ProblemInstance, config: SolverConfig):
                 weights[:, j] = rule.over(s_first, etas)
             averages.update(weights, points[:rows], out=block[:rows])
         except OverflowError:
-            # name the first iteration whose weight, or running total weight,
-            # overflows: Python floats sum in the order of the update's cumsum
-            totals = np.broadcast_to(averages.total_weight, len(rules)).tolist()
-            for i, eta in enumerate(etas):
-                for j, rule in enumerate(rules):
-                    try:
-                        w = rule(s_first + i, eta)
-                    except OverflowError:
-                        w = inf
-                    totals[j] += w
-                    if totals[j] == inf:
-                        what = "weight" if w == inf else "total weight"
-                        raise NumericError(f"{what} of k={rule.k:g} overflows at iteration"
-                                           f" {done + 1 + i}") from None
-            raise
+            # name the first (row, k), in row-major order, whose weight or running
+            # total weight is infinite; the totals add the rows to the total
+            # before the block in the order of the update's cumsum
+            s_rows, eta_rows = np.arange(s_first, s_local + 1), np.array(etas)
+            with np.errstate(over="ignore"):
+                w = np.column_stack([rule(s_rows, eta_rows) for rule in rules])
+                totals = np.vstack([np.broadcast_to(averages.total_weight, len(rules)), w])
+                np.cumsum(totals, axis=0, out=totals)
+            infinite = np.isinf(totals[1:])
+            if not infinite.any():
+                raise
+            i, j = divmod(int(infinite.argmax()), len(rules))
+            what = "weight" if np.isinf(w[i, j]) else "total weight"
+            raise NumericError(f"{what} of k={rules[j].k:g} overflows at iteration"
+                               f" {done + 1 + i}") from None
         if need_values:
             append_values(block[:rows])
 

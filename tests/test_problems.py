@@ -1,3 +1,4 @@
+import io
 import math
 import warnings
 
@@ -258,6 +259,36 @@ class TestLassoCsvRoundTrip:
         assert loaded.lam == instance.lam
         assert loaded.radius == instance.radius
         assert loaded.seed == instance.seed
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (3, 2), (7, 9), (64, 40)])
+    def test_writes_the_bytes_of_savetxt(self, tmp_path, n, m):
+        rng = np.random.default_rng(100 * n + m)
+        data = rng.standard_normal((m, n + 1)) * 10.0 ** rng.integers(-300, 300, (m, n + 1))
+        # -0.0, subnormals and integral entries, as %.17g writes them
+        specials = [-0.0, 5e-324, 3.0, -2.5e-310, 1e16, -7.0]
+        data.flat[:len(specials)] = specials[:data.size]
+        instance = LassoInstance(phi=data[:, 1:].copy(), y=data[:, 0].copy(), lam=3.25,
+                                 radius=12.5, seed=7)
+        path, again = tmp_path / "instance.csv", tmp_path / "again.csv"
+        save_lasso_csv(instance, path)
+        header = (f"# lasso n={n} m={m} lambda=3.25 radius=12.5 seed=7\n"
+                  + "y," + ",".join(f"phi_{j}" for j in range(n)))
+        reference = io.StringIO()
+        np.savetxt(reference, np.column_stack([instance.y, instance.phi]), fmt="%.17g",
+                   delimiter=",", header=header, comments="")
+        assert path.read_text(encoding="utf-8") == reference.getvalue()
+        save_lasso_csv(load_lasso_csv(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (4, 1), (9, 7)])
+    def test_loads_contiguous_arrays_that_own_their_memory(self, tmp_path, n, m):
+        # views into the parsed block would keep all of it alive beside the
+        # contiguous copy of phi that the oracle needs
+        path = tmp_path / "instance.csv"
+        save_lasso_csv(generate_lasso(seed=3, n=n, m=m), path)
+        loaded = load_lasso_csv(path)
+        for array in (loaded.phi, loaded.y):
+            assert array.flags.c_contiguous and array.base is None
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "not_lasso.csv"

@@ -1,8 +1,11 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from psg import (
@@ -17,9 +20,11 @@ from psg import (
     ProblemInstance,
     ShapeError,
     SolverConfig,
+    StepSizePolicy,
     StopReason,
     StreamingAverage,
     SubgradientResult,
+    WeightRule,
     ZeroSubgradientError,
     make_abs_problem,
     make_lasso,
@@ -961,6 +966,43 @@ class TestHotLoopChecks:
         # the same steps summed as Python floats overflow at 569 too
         eta = 1.0 / (1e-307 * 1000 ** 0.5)
         assert sum([eta] * 568) < np.inf and sum([eta] * 569) == np.inf
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(k=st.floats(200.0, 400.0), scale=st.floats(0.5, 5.0), spread=st.floats(0.0, 1.0),
+           dim=st.integers(1, 600), seed=st.integers(0, 2 ** 16))
+    def test_overflow_is_named_as_a_python_float_loop_names_it(self, k, scale, spread, dim,
+                                                                seed):
+        # k = -1 weights by steps near 1e305, so its total overflows; s ** (k/2)
+        # overflows as a weight or as a total. dim sets the block length.
+        steps = (1e305 * scale
+                 * (1.0 + spread * np.random.default_rng(seed).random(1500))).tolist()
+
+        class Listed(StepSizePolicy):
+            def step_size(self, s, g_norm):
+                return steps[s - 1]
+
+        ks = (-1.0, 0.0, k)
+        # the reference: each weight and running total a Python float, in order
+        rules, totals, expected = [WeightRule(e) for e in ks], [0.0] * len(ks), None
+        for s, eta in enumerate(steps, 1):
+            for j, rule in enumerate(rules):
+                try:
+                    w = rule(s, eta)
+                except OverflowError:
+                    w = math.inf
+                totals[j] += w
+                if totals[j] == math.inf:
+                    what = "weight" if w == math.inf else "total weight"
+                    expected = f"{what} of k={rule.k:g} overflows at iteration {s}"
+                    break
+            if expected is not None:
+                break
+        assert expected is not None
+        config = SolverConfig(max_iterations=len(steps), initial_point=np.full(dim, 0.5),
+                              policy=Listed(), weight_ks=ks)
+        with pytest.raises(NumericError) as caught:
+            run(make_abs_problem(dim), config)
+        assert str(caught.value) == expected
 
     def test_nonpositive_step_names_the_iteration(self):
         class Broken(ClassicPolicy):
