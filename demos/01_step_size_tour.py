@@ -34,9 +34,8 @@ for policy in policies:
                               policy=policy, weight_ks=(-1.0, 0.0))
     report, _ = psg.run(problem, config)
     gap = report.averaged_values["k0"]
-    bound_label = {"constant": "constant", "classic": "classic",
-                   "nesterov": "nesterov", "family_a1": "family"}[policy.label]
-    bound = report.bounds[bound_label]
+    # each rule's first declared bound is its own uniform-average bound
+    bound = report.bounds[policy.bound_labels(config.weight_ks, L)[0]]
     certs = ",".join(name for name, ok in report.certificates.items() if ok)
     print(f"{policy.label:<12} {gap:>16.6f} {bound:>10.4f} "
           f"{report.best_value:>10.6f} {certs:<30}")

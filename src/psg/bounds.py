@@ -220,8 +220,9 @@ def evaluate(policy, ks, R: float, L: Optional[float], columns: dict,
     one entry per iteration, and ``f_avg_k<k>`` to the objective at the
     k-weighted mean after each (only the last entry is read when no
     certificate without a horizon reads it). Each epoch restarts the bounds:
-    t counts its rows and max||g|| runs over them. `L` adds the classic,
-    constant and nesterov bound columns. Given ``bracket = (low, high)``,
+    t counts its rows and max||g|| runs over them. `bounds` holds one
+    column per label of ``policy.bound_labels(ks, L)``, in its order, and
+    no other. Given ``bracket = (low, high)``,
     each ``policy.certificates`` gap certificate is True iff proven by
     :func:`gap_verdict` over every row, or over the last row if its epoch
     has exactly the horizon; `undecided` names those neither proven nor
@@ -243,17 +244,20 @@ def evaluate(policy, ks, R: float, L: Optional[float], columns: dict,
         np.maximum.accumulate(g_norm[start:end], out=max_g[start:end])
 
     tables: dict = {}  # one table of u ** e per distinct exponent e
-    bounds = {FAMILY: family_bound(R, t, max_g, tables)}
-    for k in ks:
-        top, low, mid = _weak_exponents(float(k))
-        bounds[weak_label(k)] = _weak_bound(
-            _per_t(t, pow, top, tables=tables),
-            _per_t(t, pow, low, cumulative=True, tables=tables),
-            _per_t(t, pow, mid, cumulative=True, tables=tables), R, max_g)
-    if L is not None:
-        bounds[CLASSIC] = classic_bound(R, L, t)
-        bounds[CONSTANT] = constant_bound(R, L, t)
-        bounds[NESTEROV] = nesterov_bound(R, L, t)
+    weak = {weak_label(k): _weak_exponents(float(k)) for k in ks}
+    bounds = {}
+    for label in policy.bound_labels(ks, L):
+        if label == FAMILY:
+            bounds[label] = family_bound(R, t, max_g, tables)
+        elif label in weak:
+            top, low, mid = weak[label]
+            bounds[label] = _weak_bound(
+                _per_t(t, pow, top, tables=tables),
+                _per_t(t, pow, low, cumulative=True, tables=tables),
+                _per_t(t, pow, mid, cumulative=True, tables=tables), R, max_g)
+        else:  # a bound of t and the Lipschitz bound L alone
+            bound = {CLASSIC: classic_bound, CONSTANT: constant_bound, NESTEROV: nesterov_bound}
+            bounds[label] = bound[label](R, L, t)
 
     certificates, undecided = {}, []
     for cert in policy.certificates(ks, L) if bracket is not None else ():

@@ -35,20 +35,23 @@ Trace CSV format: a line ``# {json}`` (the cell's ``policy`` spec,
 when its minorants gave f_low, ``minorant_sums`` {"g_sum", "c_sum",
 "count"}), then the trace that :func:`psg.solver.run` returns, column for
 column: the header
-``s,epoch,eta,g_norm,G,f_x,f_best,f_avg_k<k1>,...,bound_family,bound_weak_k<k1>,...``
+``s,epoch,eta,g_norm,G,f_x,f_best,f_avg_k<k1>,...,bound_<label1>,...``
 and one row per iteration; ``epoch`` counts the restarts so far, every number
 is written as ``%.17g`` (lossless round-trip), and ``G`` is ``nan`` for
-policies that do not track it. :func:`read_trace_csv` returns the same
-columns. A cell that stops before its first iteration writes no trace. With
+policies that do not track it. The bound columns are those the policy
+declares (:meth:`psg.stepsize.StepSizePolicy.bound_labels`): ``family`` and
+``weak_k<k>`` per ``k`` for the family rule, and for the others their own
+label when the problem declares a Lipschitz bound. :func:`read_trace_csv`
+returns the same columns. A cell that stops before its first iteration writes no trace. With
 several cells the per-cell file name is derived from ``trace_path`` by
 inserting the cell label before the extension. ``psg check`` checks the
 columns' structure (``eta_positive``: every step is positive and finite),
 rebuilds the policy from the first line and runs the solver's own evaluator
 (:func:`psg.bounds.evaluate`) on the columns: every bound column must match
 bit for bit, and every certificate except ``per_step`` (it needs the
-iterates) is decided again. A trace that lacks a column every run writes,
-``G`` or ``bound_family`` or ``bound_weak_k<k>`` for a header ``k`` among
-them, is an input error. When the problem does not know f*, it takes the
+iterates) is decided again. A trace that repeats a column name, or lacks a
+column its run writes, ``G`` or a declared ``bound_<label>`` among them, is
+an input error. When the problem does not know f*, it takes the
 first line's bracket: its ``high`` must not exceed the final ``f_best``, and
 its ``low`` must equal, bit for bit, the low end that
 :func:`psg.bounds.minorant_low` forms from the header's ``minorant_sums``.
@@ -337,7 +340,8 @@ def emit_trace_csv(trace: dict, path, header: dict) -> None:
 def read_trace_csv(path) -> tuple:
     """Parse a trace written by :func:`emit_trace_csv`: (header object, columns).
 
-    The columns map each name, in the file's order, to a float array.
+    The columns map each name, in the file's order, to a float array; a
+    name that repeats is an input error.
     """
     first, names, rows = read_csv(path, "# {")
     try:
@@ -346,6 +350,9 @@ def read_trace_csv(path) -> tuple:
         raise InvalidParameterError(f"{path}: header: {exc}") from None
     if rows.shape[1:] != (len(names),) or not len(rows):
         raise InvalidParameterError(f"{path}: expected rows of {len(names)} columns")
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise InvalidParameterError(f"{path}: column {repeated[0]} repeats")
     return meta, dict(zip(names, rows.T))
 
 
@@ -359,11 +366,13 @@ def check_trace(meta: dict, cols: dict, problem: ProblemInstance) -> list:
     or a column set that no run writes raises :class:`ConfigError` or
     :class:`InvalidParameterError`.
     """
-    policy_spec = _spec(POLICY_FIELDS, meta.get("policy"), "header.policy")
+    policy = build_policy(_spec(POLICY_FIELDS, meta.get("policy"), "header.policy"), problem,
+                          _int(meta.get("iterations"), "header.iterations"))
     ks = _exponents(meta.get("weight_ks"), "header.weight_ks")
+    L = problem.lipschitz_L
     missing = [name for name in ("s", "epoch", "eta", "g_norm", "G", "f_x", "f_best",
-                                 *(f"f_avg_{scheme_label(k)}" for k in ks), "bound_family",
-                                 *(f"bound_{bnd.weak_label(k)}" for k in ks))
+                                 *(f"f_avg_{scheme_label(k)}" for k in ks),
+                                 *(f"bound_{label}" for label in policy.bound_labels(ks, L)))
                if name not in cols]
     if missing:
         raise InvalidParameterError(f"trace has no column {', '.join(missing)}")
@@ -405,13 +414,10 @@ def check_trace(meta: dict, cols: dict, problem: ProblemInstance) -> list:
         results.append(("optimum_bracket_low", low == bracket[0],
                         "no minorant sums" if low is None else "from the minorant sums"))
 
-    policy = build_policy(policy_spec, problem, _int(meta.get("iterations"), "header.iterations"))
-    bounds, verdicts, undecided = bnd.evaluate(
-        policy, ks, problem.radius_R, problem.lipschitz_L, cols, bracket)
+    bounds, verdicts, undecided = bnd.evaluate(policy, ks, problem.radius_R, L, cols, bracket)
     for label, column in bounds.items():
         name = f"bound_{label}"
-        if name in cols:
-            results.append((f"{name}_recomputed", bool(np.array_equal(column, cols[name])), ""))
+        results.append((f"{name}_recomputed", bool(np.array_equal(column, cols[name])), ""))
     for label, ok in verdicts.items():
         detail = "" if ok else "undecided" if label in undecided else "refuted"
         results.append((label, ok, detail))

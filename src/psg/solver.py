@@ -135,10 +135,11 @@ def run(problem: ProblemInstance, config: SolverConfig):
     carry the rounding of f), and records per iteration the epoch (restarts
     so far), eta_s, ||g_s|| and, when a trace or a per-iteration certificate
     needs them, the values at the averages. After the loop
-    :func:`bounds.evaluate` turns those columns into every bound and into
-    the verdicts of the gap certificates the policy declares
-    (``policy.certificates``) and of the monotonicity of w_s / eta_s
-    (``policy.monotone_ks``); ``psg check`` runs it on a stored trace.
+    :func:`bounds.evaluate` turns those columns into the bounds the policy
+    declares (``policy.bound_labels``) and into the verdicts of its gap
+    certificates (``policy.certificates``) and of the monotonicity of
+    w_s / eta_s (``policy.monotone_ks``); ``psg check`` runs it on a stored
+    trace.
 
     Gap certificates need f*, or a bracket around it. A known optimum value
     is the bracket [f*, f*]. Without one, when the projector has
@@ -186,8 +187,9 @@ def run(problem: ProblemInstance, config: SolverConfig):
         columns of the trace CSV, in its order, to float arrays with one entry
         per iteration: ``s, epoch, eta, g_norm, G, f_x, f_best``,
         ``f_avg_k<k>`` per weight exponent (the value at the k-weighted mean),
-        ``bound_family`` and ``bound_weak_k<k>`` per exponent. ``G`` is nan
-        for rules that do not track it.
+        and ``bound_<label>`` per label of ``policy.bound_labels(ks, L)``,
+        the bounds in the report's ``bounds``. ``G`` is nan for rules that
+        do not track it.
     """
     projector = problem.projector
     x = ensure_vector(config.initial_point, problem.dimension, "initial_point")
@@ -506,8 +508,7 @@ def run(problem: ProblemInstance, config: SolverConfig):
     if config.record_trace:  # s and f_best are built after the bounds, which read neither
         trace = {"s": np.arange(1, done + 1, dtype=np.float64), **columns,
                  "f_best": np.minimum.accumulate(columns["f_x"]), **f_avgs}
-        trace.update((f"bound_{label}", bounds[label])
-                     for label in (bnd.FAMILY, *map(bnd.weak_label, ks)))
+        trace.update((f"bound_{label}", column) for label, column in bounds.items())
 
     report = RunReport(
         problem=problem.name,

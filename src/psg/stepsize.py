@@ -13,7 +13,8 @@ Four rules are provided, all producing a positive step eta_s at iteration s:
   matches the optimal 1/sqrt(t) rate.
 
 Each rule is one policy class, the only place its step is computed, which
-also declares the certificates its theorems guarantee.
+also declares the bounds its theorems give and the certificates they
+guarantee.
 
 All fractional powers are evaluated with the general float power operator
 (no integer fast paths): the exponents are continuous in `a`, and with a = 1
@@ -47,8 +48,8 @@ class StepSizePolicy:
     the 1-based iteration index and the current subgradient norm; it trusts
     both and the parameters validated at construction. Instances are owned
     by a single solver run; :meth:`reset` returns them to their initial state.
-    Subclasses declare what their theory guarantees (:meth:`certificates`,
-    :meth:`monotone_ks`); the base class guarantees nothing.
+    Subclasses declare what their theory gives (:meth:`bound_labels`,
+    :meth:`certificates`, :meth:`monotone_ks`); the base class gives nothing.
     """
 
     label: str = "policy"
@@ -63,6 +64,10 @@ class StepSizePolicy:
     def G(self) -> Optional[float]:
         """Running scaled-norm maximum, for policies that track one."""
         return None
+
+    def bound_labels(self, ks: Sequence[float], L: Optional[float]) -> list:
+        """Labels of the bounds its theorems give for the exponents `ks` and Lipschitz bound `L`."""
+        return []
 
     def certificates(self, ks: Sequence[float], L: Optional[float]) -> list:
         """Gap certificates guaranteed for the weight exponents `ks` and Lipschitz bound `L`."""
@@ -91,6 +96,9 @@ class ConstantPolicy(StepSizePolicy):
     def step_size(self, s: int, g_norm: float) -> float:
         return self._eta
 
+    def bound_labels(self, ks, L):
+        return [bnd.CONSTANT] if L is not None else []
+
     def certificates(self, ks, L):
         applies = 0.0 in ks and L is not None
         return [Certificate(bnd.CONSTANT, 0.0, self.horizon_t)] if applies else []
@@ -113,6 +121,9 @@ class ClassicPolicy(StepSizePolicy):
 
     def step_size(self, s: int, g_norm: float) -> float:
         return self.R / (self.L * s ** 0.5)
+
+    def bound_labels(self, ks, L):
+        return [bnd.CLASSIC] if L is not None else []
 
     def certificates(self, ks, L):
         applies = 0.0 in ks and L is not None
@@ -140,6 +151,9 @@ class NesterovPolicy(StepSizePolicy):
         if g_norm == 0:
             raise ZeroSubgradientError("step size undefined for a zero subgradient")
         return self.R / (g_norm * s ** 0.5)
+
+    def bound_labels(self, ks, L):
+        return [bnd.NESTEROV] if L is not None else []
 
     def certificates(self, ks, L):
         if -1.0 in ks and L is not None:
@@ -183,6 +197,9 @@ class FamilyPolicy(StepSizePolicy):
     @property
     def G(self) -> Optional[float]:
         return self._G
+
+    def bound_labels(self, ks, L):
+        return [bnd.FAMILY, *map(bnd.weak_label, ks)]
 
     def certificates(self, ks, L):
         uniform = [Certificate(bnd.FAMILY, 0.0)] if 0.0 in ks else []

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from psg import (
+    ClassicPolicy,
     ConstantPolicy,
     FamilyPolicy,
     InvalidParameterError,
+    NesterovPolicy,
     check_certificate,
     classic_bound,
     constant_bound,
@@ -176,31 +178,40 @@ class TestEvaluate:
         return {"epoch": self.EPOCH, "eta": list(eta), "g_norm": self.G_NORM,
                 "f_avg_k0": [1.0] * 6, "f_avg_k2": [1.0] * 6}
 
+    @staticmethod
+    def rules_with_L(R, L):
+        """Each rule whose one bound needs L, with that bound's formula."""
+        return ((ClassicPolicy(R=R, L=L), classic_bound),
+                (ConstantPolicy(R=R, L=L, horizon_t=4), constant_bound),
+                (NesterovPolicy(R=R), nesterov_bound))
+
     def test_bounds_start_over_with_each_epoch_bit_for_bit(self):
         R, L, ks = 1.7, 3.0, (0.0, 2.0)
         bounds, _, _ = evaluate(FamilyPolicy(R=R), ks, R, L, self.columns())
+        assert list(bounds) == ["family", "weak_k0", "weak_k2"]
         t = [1, 2, 3, 1, 2, 1]
         max_g = [2.0, 2.0, 3.0, 0.5, 0.7, 4.0]
         assert bounds["family"].tolist() == [family_bound(R, u, g) for u, g in zip(t, max_g)]
         for k in ks:
             assert bounds[weak_label(k)].tolist() == [
                 weak_ergodic_bound(R, u, k, g) for u, g in zip(t, max_g)]
-        for name, fn in (("classic", classic_bound), ("constant", constant_bound),
-                         ("nesterov", nesterov_bound)):
-            assert bounds[name].tolist() == [fn(R, L, u) for u in t]
+        for policy, fn in self.rules_with_L(R, L):
+            bounds, _, _ = evaluate(policy, ks, R, L, self.columns())
+            assert list(bounds) == [policy.label]
+            assert bounds[policy.label].tolist() == [fn(R, L, u) for u in t]
 
     def test_long_columns_equal_scalars_bit_for_bit(self):
         # 20,000 rows: every table entry is Python's u ** e, not numpy's power
         R, L, ks, t = 1.7, 3.0, (-1.0, 0.0, 2.0), 20_000
         g_norm = np.random.default_rng(0).uniform(0.5, 2.0, size=t)
         columns = {"epoch": np.zeros(t), "eta": np.ones(t), "g_norm": g_norm}
-        bounds, _, _ = evaluate(FamilyPolicy(R=R), ks, R, L, columns)
         max_g = np.maximum.accumulate(g_norm).tolist()
         u = range(1, t + 1)
+        for policy, fn in self.rules_with_L(R, L):
+            bounds, _, _ = evaluate(policy, ks, R, L, columns)
+            assert bounds[policy.label].tolist() == [fn(R, L, s) for s in u], policy.label
+        bounds, _, _ = evaluate(FamilyPolicy(R=R), ks, R, L, columns)
         assert bounds["family"].tolist() == [family_bound(R, s, g) for s, g in zip(u, max_g)]
-        for name, fn in (("classic", classic_bound), ("constant", constant_bound),
-                         ("nesterov", nesterov_bound)):
-            assert bounds[name].tolist() == [fn(R, L, s) for s in u], name
         for k in ks:
             sums, expected = WeakBoundSums(k), []
             for g in max_g:

@@ -20,6 +20,7 @@ from psg import (
 )
 from psg.cli import (
     ConfigError,
+    build_policy,
     build_problem,
     config_to_dict,
     emit_trace_csv,
@@ -823,6 +824,18 @@ class TestCheckCommand:
         assert main(["check", "--trace", str(bad), "--problem", str(problem)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_repeated_column_is_an_input_error(self, lasso_outputs, tmp_path, capsys):
+        # f_x again, far below f*, before the run's columns: a reader that
+        # kept one column per name would check the other and pass
+        trace, cfg = lasso_outputs
+        header, names, *rows = trace.read_text().splitlines()
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([header, "f_x," + names, *("-1e300," + row for row in rows)])
+                       + "\n")
+        capsys.readouterr()
+        assert main(["check", "--strict", "--trace", str(bad), "--problem", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: column f_x repeats\n"
+
     def test_accepts_full_config_as_problem_file(self, run_outputs, tmp_path):
         trace, _ = run_outputs
         full = tmp_path / "full.json"
@@ -834,6 +847,52 @@ class TestCheckCommand:
         meta, columns = read_trace_csv(trace)
         assert meta["weight_ks"] == [-1.0, 0.0, 2.0]
         assert len(columns["s"]) > 0
+
+
+@pytest.mark.parametrize("problem,L", [({"kind": "abs", "dim": 3}, None),
+                                       ({"kind": "lasso", "seed": 3, "n": 6, "m": 8}, 60.0)],
+                         ids=["abs", "lasso"])
+@pytest.mark.parametrize("rule", ["family", "nesterov", "classic", "constant"])
+def test_each_rule_writes_and_checks_its_own_bounds(tmp_path, capsys, problem, L, rule):
+    # abs declares its Lipschitz bound, so every rule has its own bound there;
+    # the Lasso declares none, so only the family rule's bounds hold for it
+    ks = [-1.0, 0.0, 2.0]
+    cfg = write_config(tmp_path / "c.json", {
+        "problem": problem,
+        "policy": {"kind": rule, "L": L} if rule in ("classic", "constant") else {"kind": rule},
+        "weight_ks": ks, "iterations": 400, "initial_point": {"random": 0},
+        "trace_path": "trace.csv"})
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path), "--strict"]) == 0
+    config = load_config(cfg)
+    built = build_problem(config.problem)
+    policy = build_policy(config.policies[0], built, config.iterations)
+    labels = policy.bound_labels(ks, built.lipschitz_L)
+    if rule == "family":
+        assert labels == ["family", "weak_k-1", "weak_k0", "weak_k2"]
+    else:
+        assert labels == ([rule] if L is None else [])
+
+    meta, columns = read_trace_csv(tmp_path / "trace.csv")
+    assert [name for name in columns if name.startswith("bound_")] == [
+        f"bound_{label}" for label in labels]
+    cell = json.loads((tmp_path / "summary.json").read_text())["cells"][0]
+    assert sorted(cell["bounds"]) == sorted(labels)
+    gap = [name for name in cell["certificates"]
+           if name != "per_step" and not name.startswith("monotone_")]
+    assert gap == [c.label for c in policy.certificates(ks, built.lipschitz_L)]
+    assert set(gap) <= set(labels)
+
+    capsys.readouterr()
+    assert main(["check", "--strict", "--trace", str(tmp_path / "trace.csv"),
+                 "--problem", cfg]) == 0
+    recomputed = [line for line in capsys.readouterr().out.splitlines() if "bound_" in line]
+    assert recomputed == [f"PASS bound_{label}_recomputed" for label in labels]
+    for label in labels:
+        dropped = tmp_path / "dropped.csv"
+        emit_trace_csv({name: col for name, col in columns.items()
+                        if name != f"bound_{label}"}, dropped, meta)
+        assert main(["check", "--trace", str(dropped), "--problem", cfg]) == 1
+        assert capsys.readouterr().err == f"error: trace has no column bound_{label}\n"
 
 
 @pytest.mark.parametrize("case", ["restarted", "nesterov", "family"])
@@ -850,7 +909,9 @@ def test_read_trace_csv_returns_the_emitted_columns(tmp_path, case):
         record_trace=True, restart_factor=2.0 if case == "restarted" else None))
     assert (trace["epoch"][-1] >= 2) == (case == "restarted")
     assert np.all(np.isnan(trace["G"])) == (case == "nesterov")
-    assert "f_avg_k-0.5" in trace and "bound_weak_k-0.5" in trace
+    # nesterov writes its own bound (abs declares L) and none of the family rule's
+    assert "f_avg_k-0.5" in trace and ("bound_weak_k-0.5" in trace) == (case != "nesterov")
+    assert ("bound_nesterov" in trace) == (case == "nesterov")
     path, again = tmp_path / "t.csv", tmp_path / "again.csv"
     emit_trace_csv(trace, path, {"weight_ks": list(ks)})
     meta, columns = read_trace_csv(path)
