@@ -14,6 +14,8 @@ optimality gap of an averaged (or best) iterate after t iterations:
   * R * max_{s<=t} ||g_s||, valid for the family step and any k >= -1.
 
 The first four also apply elementwise to an array of iteration counts t.
+Every power of t is formed by :func:`_power`, so an array holds the bits of
+its scalars.
 :func:`evaluate` is the one place a run's bounds and certificates are
 computed, from its per-iteration columns: by the solver after its loop, and
 by ``psg check`` on a stored trace.
@@ -32,52 +34,77 @@ from .averaging import WeightRule
 from .core import REL_TOL, InvalidParameterError, leq_with_tol, scheme_label
 
 
-def _per_t(t, fn, *args, cumulative: bool = False, tables: Optional[dict] = None):
-    """fn(t, *args), or with `cumulative` fn(1, *args) + ... + fn(t, *args) in order.
+def _pow(u, e: float) -> float:
+    """Python's u ** e, or inf where it overflows."""
+    try:
+        return u ** e
+    except OverflowError:
+        return math.inf
 
-    Elementwise over ints t >= 1: an array `t` reads a table of the Python
-    floats fn(u, *args), as numpy's power, sqrt and log differ from Python's
-    in the last bit on some terms, and columns must equal scalars (a scalar
-    `t` is only ever read without `cumulative`). `tables`, when given, keeps
-    the table under ``(fn, *args)``, so that a later call for the same terms
-    and `t` reuses it.
+
+def _times_powers(result, u, m: int):
+    """result * u^m, multiplying in u, u^2, u^4, ... for the set bits of m, lowest first."""
+    while m:
+        if m & 1:
+            result *= u
+        m >>= 1
+        if m:
+            u = u * u
+    return result
+
+
+def _power(u, e: float):
+    """u ** e for counts u >= 1, elementwise over an array `u`; a term that overflows is inf.
+
+    A half-integer e = j/2, the only kind that integer k and the step rules
+    give, is sqrt(u) (1 when j is even) times u^(|j| // 2) as
+    :func:`_times_powers` forms it, inverted last when j < 0. Each step is
+    one correctly rounded IEEE-754 operation, run by numpy on an array and on
+    Python floats for a scalar, so an array holds the bits of its scalars and
+    both are the same on every IEEE-754 platform; libm's pow is not correctly
+    rounded (glibc's u ** 0.5 differs from sqrt(u) at 1,638 of the integers
+    u <= 2e6). Any other exponent is Python's pow, term by term.
     """
-    if np.ndim(t) == 0:
-        return fn(t, *args)
-    key = (fn, *args)
-    table = None if tables is None else tables.get(key)
-    if table is None:
-        size = int(np.max(t, initial=0))
-        table = np.fromiter(map(fn, range(1, size + 1), *map(repeat, args)),
-                            dtype=np.float64, count=size)
-        if tables is not None:
-            tables[key] = table
-    return (np.cumsum(table) if cumulative else table)[t - 1]
+    j = 2.0 * e
+    if not j.is_integer():
+        if not isinstance(u, np.ndarray):
+            return _pow(u, e)
+        return np.fromiter(map(_pow, u.tolist(), repeat(e)), dtype=np.float64, count=u.size)
+    n = abs(int(j))
+    if isinstance(u, np.ndarray):
+        u = np.asarray(u, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            result = _times_powers(np.sqrt(u) if n % 2 else np.ones_like(u), u, n // 2)
+    else:
+        u = float(u)
+        result = _times_powers(math.sqrt(u) if n % 2 else 1.0, u, n // 2)
+    return 1.0 / result if j < 0 else result
 
 
 def constant_bound(R: float, L: float, t) -> float:
     """Gap bound R*L/sqrt(t) for the uniform mean under the constant step."""
-    # Python's t ** 0.5, not sqrt: they differ in the last bit on some t
-    return R * L / _per_t(t, pow, 0.5)
+    # sqrt(t), correctly rounded, as every bound forms t ** 0.5 (see _power)
+    return R * L / _power(t, 0.5)
 
 def classic_bound(R: float, L: float, t) -> float:
     """Gap bound 1.5*R*L/sqrt(t) for the uniform mean under the classic step."""
-    return 1.5 * R * L / _per_t(t, pow, 0.5)
+    return 1.5 * R * L / _power(t, 0.5)
 
 def nesterov_bound(R: float, L: float, t) -> float:
     """Gap bound (2RL + RL*ln t) / (4(sqrt(t+1)-1)) for the step-weighted mean."""
-    return ((2.0 * R * L + R * L * _per_t(t, math.log))
-            / (4.0 * (_per_t(t + 1, pow, 0.5) - 1.0)))
+    # math.log term by term: numpy's log can differ in the last bit
+    log_t = (np.fromiter(map(math.log, t.tolist()), dtype=np.float64, count=t.size)
+             if isinstance(t, np.ndarray) else math.log(t))
+    return (2.0 * R * L + R * L * log_t) / (4.0 * (_power(t + 1, 0.5) - 1.0))
 
-def family_bound(R: float, t, max_g_norm, tables: Optional[dict] = None) -> float:
+def family_bound(R: float, t, max_g_norm) -> float:
     """Gap bound 1.5*R*max||g||/sqrt(t) for the uniform mean under the family step.
 
     Coincides with :func:`classic_bound` when ``max_g_norm`` equals the
-    Lipschitz constant. `tables` shares tabulated powers of t with other
-    bounds over the same t (see :func:`_per_t`).
+    Lipschitz constant.
     """
     bound = 1.5 * R * max_g_norm
-    bound /= _per_t(t, pow, 0.5, tables=tables)
+    bound /= _power(t, 0.5)
     return bound
 
 
@@ -87,13 +114,32 @@ def _weak_exponents(k: float) -> tuple:
 
 
 def _weak_bound(top, sum_low, sum_mid, R: float, max_g_norm):
-    """(top + sum_low) / (2 sum_mid) * R * max_g_norm, in place on arrays `top` and `sum_mid`."""
+    """(top + sum_low) / (2 sum_mid) * R * max_g_norm, in place on an array `top`.
+
+    Halving the quotient gives the bits of dividing by 2 sum_mid, but 2 sum_mid
+    cannot overflow: a bound whose top term alone overflows is inf, not nan.
+    """
     top += sum_low
-    sum_mid *= 2.0
     top /= sum_mid
+    top *= 0.5
     top *= R
     top *= max_g_norm
     return top
+
+
+def _weak_column(exponents: tuple, R: float, t, max_g, epochs):
+    """The weak bound over counts `t` that restart at each (start, end) row range of `epochs`.
+
+    Its two sums run within each range, adding a scalar bound's terms in its order.
+    """
+    top, low, mid = exponents
+    # terms and sums overflow to inf, and inf / inf is nan, as on Python floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        sum_low, sum_mid = _power(t, low), _power(t, mid)
+        for start, end in epochs:
+            for terms in (sum_low[start:end], sum_mid[start:end]):
+                np.cumsum(terms, out=terms)
+        return _weak_bound(_power(t, top), sum_low, sum_mid, R, max_g)
 
 
 def weak_ergodic_bound(R: float, t: int, k: float, max_g_norm: float) -> float:
@@ -124,13 +170,13 @@ class WeakBoundSums:
     def push(self) -> None:
         self.t += 1
         _, low, mid = self._exponents
-        self._sum_low += self.t ** low
-        self._sum_mid += self.t ** mid
+        self._sum_low += _power(self.t, low)
+        self._sum_mid += _power(self.t, mid)
 
     def bound(self, R: float, max_g_norm: float) -> float:
         if self.t == 0:
             raise InvalidParameterError("no iterations pushed yet")
-        top = self.t ** self._exponents[0]
+        top = _power(self.t, self._exponents[0])
         return _weak_bound(top, self._sum_low, self._sum_mid, R, max_g_norm)
 
     def reset(self) -> None:
@@ -236,28 +282,24 @@ def evaluate(policy, ks, R: float, L: Optional[float], columns: dict,
     new_epoch = np.ones(len(eta), dtype=bool)
     np.not_equal(epoch[1:], epoch[:-1], out=new_epoch[1:])
     # t and max||g|| restart with each epoch; each column is built in place
-    t = np.arange(1, len(eta) + 1)
+    t = np.arange(1.0, len(eta) + 1.0)
     max_g = np.empty(len(eta))
     starts = np.flatnonzero(new_epoch).tolist()
-    for start, end in zip(starts, starts[1:] + [len(eta)]):
+    epochs = list(zip(starts, starts[1:] + [len(eta)]))
+    for start, end in epochs:
         t[start:end] -= start
         np.maximum.accumulate(g_norm[start:end], out=max_g[start:end])
 
-    tables: dict = {}  # one table of u ** e per distinct exponent e
     weak = {weak_label(k): _weak_exponents(float(k)) for k in ks}
+    lipschitz = {CLASSIC: classic_bound, CONSTANT: constant_bound, NESTEROV: nesterov_bound}
     bounds = {}
     for label in policy.bound_labels(ks, L):
         if label == FAMILY:
-            bounds[label] = family_bound(R, t, max_g, tables)
+            bounds[label] = family_bound(R, t, max_g)
         elif label in weak:
-            top, low, mid = weak[label]
-            bounds[label] = _weak_bound(
-                _per_t(t, pow, top, tables=tables),
-                _per_t(t, pow, low, cumulative=True, tables=tables),
-                _per_t(t, pow, mid, cumulative=True, tables=tables), R, max_g)
+            bounds[label] = _weak_column(weak[label], R, t, max_g, epochs)
         else:  # a bound of t and the Lipschitz bound L alone
-            bound = {CLASSIC: classic_bound, CONSTANT: constant_bound, NESTEROV: nesterov_bound}
-            bounds[label] = bound[label](R, L, t)
+            bounds[label] = lipschitz[label](R, L, t)
 
     certificates, undecided = {}, []
     for cert in policy.certificates(ks, L) if bracket is not None else ():
@@ -275,8 +317,9 @@ def evaluate(policy, ks, R: float, L: Optional[float], columns: dict,
         if not steps_valid:
             certificates[monotone_label(k)] = False
             continue
-        ratio = WeightRule(k)(t, eta)
-        ratio /= eta
+        with np.errstate(over="ignore"):  # a ratio past the float range is inf
+            ratio = WeightRule(k)(t, eta)
+            ratio /= eta
         certificates[monotone_label(k)] = _nondecreasing(ratio, new_epoch)
     return bounds, certificates, undecided
 

@@ -295,7 +295,8 @@ def build_problem(spec: SimpleNamespace) -> ProblemInstance:
     return load_lasso_csv(spec.path).to_problem()
 
 
-def build_policy(spec: SimpleNamespace, problem: ProblemInstance, iterations: int):
+def build_policy(spec: SimpleNamespace, problem: ProblemInstance, iterations: int, where: str):
+    """The policy of `spec`; `where` names the spec's field in an error ("policy")."""
     R = problem.radius_R
     if spec.kind == "family":
         return FamilyPolicy(R=R, a=spec.a)
@@ -304,7 +305,7 @@ def build_policy(spec: SimpleNamespace, problem: ProblemInstance, iterations: in
     L = spec.L if spec.L is not None else problem.lipschitz_L
     if L is None:
         raise ConfigError(
-            f"policy.L: required for kind {spec.kind!r} (problem declares no Lipschitz bound)")
+            f"{where}.L: required for kind {spec.kind!r} (problem declares no Lipschitz bound)")
     if spec.kind == "classic":
         return ClassicPolicy(R=R, L=L)
     return ConstantPolicy(R=R, L=L, horizon_t=iterations)
@@ -367,7 +368,7 @@ def check_trace(meta: dict, cols: dict, problem: ProblemInstance) -> list:
     :class:`InvalidParameterError`.
     """
     policy = build_policy(_spec(POLICY_FIELDS, meta.get("policy"), "header.policy"), problem,
-                          _int(meta.get("iterations"), "header.iterations"))
+                          _int(meta.get("iterations"), "header.iterations"), "header.policy")
     ks = _exponents(meta.get("weight_ks"), "header.weight_ks")
     L = problem.lipschitz_L
     missing = [name for name in ("s", "epoch", "eta", "g_norm", "G", "f_x", "f_best",
@@ -456,7 +457,8 @@ def run_experiment(config: SimpleNamespace, out_dir: Optional[str] = None) -> di
     numeric failure marks its cell as failed without affecting the others.
     """
     problem = build_problem(config.problem)
-    policies = [build_policy(spec, problem, config.iterations) for spec in config.policies]
+    policies = [build_policy(spec, problem, config.iterations, "policy")
+                for spec in config.policies]
 
     def resolve(path):
         return None if path is None else os.path.join(out_dir or "", path)

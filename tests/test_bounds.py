@@ -107,6 +107,34 @@ class TestTracker:
             WeakBoundSums(0.0).bound(1.0, 1.0)
 
 
+def test_bounds_are_sqrt_and_products_without_libm_pow():
+    # every term is correctly rounded sqrt, product and reciprocal steps, so no
+    # bound depends on the C library; glibc's u ** 0.5 differs from sqrt(u)
+    # at 16 of these u
+    R, g = 1.7, 2.3
+    weak_terms = {  # k: the top term and the two summed terms at u, sqrt(u)
+        -1.0: lambda u, r: (1.0, 1.0 / u, 1.0 / r),
+        0.0: lambda u, r: (r, 1.0 / r, 1.0),
+        2.0: lambda u, r: (u * r, r, u),
+        5.0: lambda u, r: (u * (u * u), u * u, r * (u * u)),
+    }
+    streams = {k: (WeakBoundSums(k), [0.0, 0.0]) for k in weak_terms}
+    for u in range(1, 20_001):
+        r = math.sqrt(u)
+        assert family_bound(R, u, g) == 1.5 * R * g / r, u
+        assert classic_bound(R, g, u) == 1.5 * R * g / r, u
+        assert constant_bound(R, g, u) == R * g / r, u
+        assert nesterov_bound(R, g, u) == (
+            (2.0 * R * g + R * g * math.log(u)) / (4.0 * (math.sqrt(u + 1) - 1.0))), u
+        for k, terms in weak_terms.items():
+            top, low, mid = terms(float(u), r)
+            tracker, sums = streams[k]
+            sums[0] += low
+            sums[1] += mid
+            tracker.push()
+            assert tracker.bound(R, g) == (top + sums[0]) / (2.0 * sums[1]) * R * g, (k, u)
+
+
 def test_kahan_regime_matches_fsum():
     t = 100_001
     for k in (-1.0, 0.0, 2.0):
@@ -201,8 +229,8 @@ class TestEvaluate:
             assert bounds[policy.label].tolist() == [fn(R, L, u) for u in t]
 
     def test_long_columns_equal_scalars_bit_for_bit(self):
-        # 20,000 rows: every table entry is Python's u ** e, not numpy's power
-        R, L, ks, t = 1.7, 3.0, (-1.0, 0.0, 2.0), 20_000
+        # 20,000 rows; k = 0.5 takes Python's pow, k = 5 squares u^2
+        R, L, ks, t = 1.7, 3.0, (-1.0, 0.0, 0.5, 2.0, 5.0), 20_000
         g_norm = np.random.default_rng(0).uniform(0.5, 2.0, size=t)
         columns = {"epoch": np.zeros(t), "eta": np.ones(t), "g_norm": g_norm}
         max_g = np.maximum.accumulate(g_norm).tolist()

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import math
 import re
 import warnings
 
@@ -339,6 +340,28 @@ class TestRunCommand:
         assert cell["status"] == "failed"
         assert cell["error"] == "weight of k=300 overflows at iteration 114"
         assert "overflows at iteration 114" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [2047.0, 2047.5])
+    def test_overflowing_bound_term_leaves_its_certificate_undecided(self, tmp_path, capsys, k):
+        # at t = 2 the weak bound's top term 2^((k+1)/2) passes the float range,
+        # formed by squaring (k = 2047) or by Python's pow (k = 2047.5)
+        cfg = write_config(tmp_path / "c.json", {
+            "problem": {"kind": "abs", "dim": 1}, "policy": {"kind": "family"},
+            "weight_ks": [k], "iterations": 2, "initial_point": [0.7],
+            "trace_path": "trace.csv"})
+        label = f"weak_k{k:g}"
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path), "--strict"]) == 3
+        cell = json.loads((tmp_path / "summary.json").read_text())["cells"][0]
+        assert cell["status"] == "ok" and cell["undecided"] == [label]
+        assert cell["bounds"][label] is None  # inf, which strict JSON writes as null
+        _, columns = read_trace_csv(tmp_path / "trace.csv")
+        bound = columns[f"bound_{label}"]
+        assert math.isfinite(bound[0]) and bound[1] == math.inf
+        capsys.readouterr()
+        assert main(["check", "--trace", str(tmp_path / "trace.csv"), "--problem", cfg,
+                     "--strict"]) == 3
+        out = capsys.readouterr().out
+        assert f"PASS bound_{label}_recomputed" in out and f"FAIL {label} (undecided)" in out
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
@@ -824,6 +847,26 @@ class TestCheckCommand:
         assert main(["check", "--trace", str(bad), "--problem", str(problem)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_header_policy_error_names_the_header_field(self, tmp_path, capsys):
+        # the Lasso declares no L, so a classic trace's header must carry it
+        cfg = write_config(tmp_path / "c.json", {
+            "problem": {"kind": "lasso", "seed": 1, "n": 8, "m": 6,
+                        "radius": 5.0, "lambda": 1.0},
+            "policy": {"kind": "classic", "L": 100.0},
+            "iterations": 50,
+            "trace_path": "trace.csv",
+        })
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        meta, columns = read_trace_csv(tmp_path / "trace.csv")
+        del meta["policy"]["L"]
+        bad = tmp_path / "bad.csv"
+        emit_trace_csv(columns, bad, meta)
+        capsys.readouterr()
+        assert main(["check", "--trace", str(bad), "--problem", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "error: header.policy.L: required for kind 'classic'"
+            " (problem declares no Lipschitz bound)\n")
+
     def test_repeated_column_is_an_input_error(self, lasso_outputs, tmp_path, capsys):
         # f_x again, far below f*, before the run's columns: a reader that
         # kept one column per name would check the other and pass
@@ -865,7 +908,7 @@ def test_each_rule_writes_and_checks_its_own_bounds(tmp_path, capsys, problem, L
     assert main(["run", "--config", cfg, "--out-dir", str(tmp_path), "--strict"]) == 0
     config = load_config(cfg)
     built = build_problem(config.problem)
-    policy = build_policy(config.policies[0], built, config.iterations)
+    policy = build_policy(config.policies[0], built, config.iterations, "policy")
     labels = policy.bound_labels(ks, built.lipschitz_L)
     if rule == "family":
         assert labels == ["family", "weak_k-1", "weak_k0", "weak_k2"]
