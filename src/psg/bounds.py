@@ -13,9 +13,12 @@ optimality gap of an averaged (or best) iterate after t iterations:
   (t^((k+1)/2) + sum_{s<=t} s^((k-1)/2)) / (2 sum_{s<=t} s^(k/2))
   * R * max_{s<=t} ||g_s||, valid for the family step and any k >= -1.
 
-The first four also apply elementwise to an array of iteration counts t.
-Every power of t is formed by :func:`_power`, so an array holds the bits of
-its scalars.
+Each bound has one implementation, over a column of counts t >= 1: the
+first four take an array of counts or one count, a 0-d column, for which
+they return a float (numpy's float64 scalar is one), and
+``weak_ergodic_bound`` is the last entry of its column over 1..t. Every
+power of t is formed by :func:`_power`, so a scalar holds the bits of its
+entry in a column.
 :func:`evaluate` is the one place a run's bounds and certificates are
 computed, from its per-iteration columns: by the solver after its loop, and
 by ``psg check`` on a stored trace.
@@ -31,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .averaging import WeightRule
-from .core import REL_TOL, InvalidParameterError, leq_with_tol, scheme_label
+from .core import REL_TOL, InvalidParameterError, leq_with_tol, require_count, scheme_label
 
 
 def _pow(u, e: float) -> float:
@@ -53,32 +56,31 @@ def _times_powers(result, u, m: int):
     return result
 
 
-def _power(u, e: float):
-    """u ** e for counts u >= 1, elementwise over an array `u`; a term that overflows is inf.
+def _power(u, e: float) -> np.ndarray:
+    """u ** e for counts u >= 1, over `u` as a float64 array; a term that overflows is inf.
 
     A half-integer e = j/2, the only kind that integer k and the step rules
     give, is sqrt(u) (1 when j is even) times u^(|j| // 2) as
     :func:`_times_powers` forms it, inverted last when j < 0. Each step is
-    one correctly rounded IEEE-754 operation, run by numpy on an array and on
-    Python floats for a scalar, so an array holds the bits of its scalars and
-    both are the same on every IEEE-754 platform; libm's pow is not correctly
-    rounded (glibc's u ** 0.5 differs from sqrt(u) at 1,638 of the integers
-    u <= 2e6). Any other exponent is Python's pow, term by term.
+    one correctly rounded IEEE-754 operation, so the powers are the same on
+    every IEEE-754 platform and a 0-d `u` holds the bits of its entry in a
+    column; libm's pow is not correctly rounded (glibc's u ** 0.5 differs
+    from sqrt(u) at 1,638 of the integers u <= 2e6). Any other exponent is
+    Python's pow, term by term.
     """
+    u = np.asarray(u, dtype=np.float64)
     j = 2.0 * e
     if not j.is_integer():
-        if not isinstance(u, np.ndarray):
-            return _pow(u, e)
-        return np.fromiter(map(_pow, u.tolist(), repeat(e)), dtype=np.float64, count=u.size)
+        terms = map(_pow, u.ravel().tolist(), repeat(e))
+        return np.fromiter(terms, dtype=np.float64, count=u.size).reshape(u.shape)
     n = abs(int(j))
-    if isinstance(u, np.ndarray):
-        u = np.asarray(u, dtype=np.float64)
-        with np.errstate(over="ignore"):
-            result = _times_powers(np.sqrt(u) if n % 2 else np.ones_like(u), u, n // 2)
-    else:
-        u = float(u)
-        result = _times_powers(math.sqrt(u) if n % 2 else 1.0, u, n // 2)
+    with np.errstate(over="ignore"):
+        result = _times_powers(np.sqrt(u) if n % 2 else np.ones_like(u), u, n // 2)
     return 1.0 / result if j < 0 else result
+
+
+# math.log term by term: numpy's log can differ in the last bit
+_log = np.frompyfunc(math.log, 1, 1)
 
 
 def constant_bound(R: float, L: float, t) -> float:
@@ -88,13 +90,11 @@ def constant_bound(R: float, L: float, t) -> float:
 
 def classic_bound(R: float, L: float, t) -> float:
     """Gap bound 1.5*R*L/sqrt(t) for the uniform mean under the classic step."""
-    return 1.5 * R * L / _power(t, 0.5)
+    return family_bound(R, t, L)
 
 def nesterov_bound(R: float, L: float, t) -> float:
     """Gap bound (2RL + RL*ln t) / (4(sqrt(t+1)-1)) for the step-weighted mean."""
-    # math.log term by term: numpy's log can differ in the last bit
-    log_t = (np.fromiter(map(math.log, t.tolist()), dtype=np.float64, count=t.size)
-             if isinstance(t, np.ndarray) else math.log(t))
+    log_t = np.asarray(_log(t), dtype=np.float64)
     return (2.0 * R * L + R * L * log_t) / (4.0 * (_power(t + 1, 0.5) - 1.0))
 
 def family_bound(R: float, t, max_g_norm) -> float:
@@ -108,81 +108,59 @@ def family_bound(R: float, t, max_g_norm) -> float:
     return bound
 
 
-def _weak_exponents(k: float) -> tuple:
-    """Powers of s in the weak bound: its top term and the terms of its two sums."""
-    return 0.5 * (k + 1.0), 0.5 * (k - 1.0), 0.5 * k
-
-
-def _weak_bound(top, sum_low, sum_mid, R: float, max_g_norm):
-    """(top + sum_low) / (2 sum_mid) * R * max_g_norm, in place on an array `top`.
-
-    Halving the quotient gives the bits of dividing by 2 sum_mid, but 2 sum_mid
-    cannot overflow: a bound whose top term alone overflows is inf, not nan.
-    """
-    top += sum_low
-    top /= sum_mid
-    top *= 0.5
-    top *= R
-    top *= max_g_norm
-    return top
-
-
-def _weak_column(exponents: tuple, R: float, t, max_g, epochs):
+def _weak_column(k: float, R: float, t, max_g, epochs) -> np.ndarray:
     """The weak bound over counts `t` that restart at each (start, end) row range of `epochs`.
 
-    Its two sums run within each range, adding a scalar bound's terms in its order.
+    (t^((k+1)/2) + sum_low) / (2 sum_mid) * R * max_g, where sum_low and
+    sum_mid add s^((k-1)/2) and s^(k/2) in ascending order within each
+    range. Halving the quotient gives the bits of dividing by 2 sum_mid, but
+    2 sum_mid cannot overflow: a bound whose top term alone overflows is inf,
+    not nan.
     """
-    top, low, mid = exponents
-    # terms and sums overflow to inf, and inf / inf is nan, as on Python floats
+    # terms and sums overflow to inf, and inf / inf is nan, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
-        sum_low, sum_mid = _power(t, low), _power(t, mid)
+        sum_low, sum_mid = _power(t, 0.5 * (k - 1.0)), _power(t, 0.5 * k)
         for start, end in epochs:
             for terms in (sum_low[start:end], sum_mid[start:end]):
                 np.cumsum(terms, out=terms)
-        return _weak_bound(_power(t, top), sum_low, sum_mid, R, max_g)
+        top = _power(t, 0.5 * (k + 1.0))
+        top += sum_low
+        top /= sum_mid
+        top *= 0.5
+        top *= R
+        top *= max_g
+        return top
 
 
 def weak_ergodic_bound(R: float, t: int, k: float, max_g_norm: float) -> float:
-    """Gap bound for the k-weighted mean under the family step, as a run streams it."""
-    sums = WeakBoundSums(k)
-    if not t >= 1:
-        raise InvalidParameterError(f"t must be >= 1, got {t!r}")
-    for _ in range(t):
-        sums.push()
-    return sums.bound(R, max_g_norm)
+    """Gap bound for the k-weighted mean under the family step after t iterations.
+
+    The last entry of the ``weak_k<k>`` column of :func:`evaluate` over
+    counts 1..t in one epoch, so O(t) numpy work.
+    """
+    weak_label(k)  # rejects k < -1
+    require_count(t, "t")
+    return _weak_column(float(k), R, np.arange(1.0, t + 1.0), max_g_norm, [(0, t)])[-1]
 
 
 class WeakBoundSums:
-    """The two power sums of :func:`weak_ergodic_bound`, one term per push.
+    """:func:`weak_ergodic_bound` at a count that each push raises by one."""
 
-    Plain ascending accumulation, as :func:`evaluate` sums each epoch: at
-    t = 1e6 the sums stay within 1e-11 relative of exactly rounded ones.
-    """
-
-    __slots__ = ("k", "label", "t", "_sum_low", "_sum_mid", "_exponents")
+    __slots__ = ("k", "label", "t")
 
     def __init__(self, k: float):
         self.label = weak_label(k)
         self.k = float(k)
-        self._exponents = _weak_exponents(self.k)
         self.reset()
 
     def push(self) -> None:
         self.t += 1
-        _, low, mid = self._exponents
-        self._sum_low += _power(self.t, low)
-        self._sum_mid += _power(self.t, mid)
 
     def bound(self, R: float, max_g_norm: float) -> float:
-        if self.t == 0:
-            raise InvalidParameterError("no iterations pushed yet")
-        top = _power(self.t, self._exponents[0])
-        return _weak_bound(top, self._sum_low, self._sum_mid, R, max_g_norm)
+        return weak_ergodic_bound(R, self.t, self.k, max_g_norm)
 
     def reset(self) -> None:
         self.t = 0
-        self._sum_low = 0.0   # sum of s^((k-1)/2)
-        self._sum_mid = 0.0   # sum of s^(k/2)
 
 
 @dataclass(frozen=True)
@@ -290,7 +268,7 @@ def evaluate(policy, ks, R: float, L: Optional[float], columns: dict,
         t[start:end] -= start
         np.maximum.accumulate(g_norm[start:end], out=max_g[start:end])
 
-    weak = {weak_label(k): _weak_exponents(float(k)) for k in ks}
+    weak = {weak_label(k): float(k) for k in ks}
     lipschitz = {CLASSIC: classic_bound, CONSTANT: constant_bound, NESTEROV: nesterov_bound}
     bounds = {}
     for label in policy.bound_labels(ks, L):
@@ -328,7 +306,7 @@ def weak_label(k: float) -> str:
     """Canonical bound label for the k-weighted-mean certificate."""
     if not k >= -1:
         raise InvalidParameterError(f"k must be >= -1, got {k!r}")
-    return f"weak_k{k:g}"
+    return f"weak_{scheme_label(k)}"
 
 
 # Fixed labels for the remaining bounds/certificates.
@@ -341,4 +319,4 @@ PER_STEP = "per_step"
 
 def monotone_label(k: float) -> str:
     """Label for the weight/step monotonicity invariant at exponent `k`."""
-    return f"monotone_k{k:g}"
+    return f"monotone_{scheme_label(k)}"

@@ -8,6 +8,7 @@ by :func:`read_csv`.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -43,6 +44,13 @@ class NumericError(ArithmeticError):
 
 class ZeroSubgradientError(RuntimeError):
     """A step size was requested for a zero subgradient (caller must stop first)."""
+
+
+def require_count(value, name: str) -> None:
+    """Raise InvalidParameterError unless `value` is an integer >= 1."""
+    # range() takes no float, and a bool is no count
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise InvalidParameterError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def ensure_vector(x, dim: Optional[int] = None, name: str = "x") -> np.ndarray:
@@ -208,7 +216,8 @@ class RunReport:
 
 def scheme_label(k: float) -> str:
     """Canonical label for the averaging scheme with weight exponent `k`."""
-    return f"k{k:g}"
+    # + 0.0 turns -0.0, which weighs as 0.0 does, into 0.0
+    return f"k{k + 0.0:g}"
 
 
 def repeated_scheme(ks) -> Optional[float]:

@@ -105,10 +105,10 @@ class LassoInstance:
             raise InvalidParameterError("y length must match the rows of phi")
         if not (np.all(np.isfinite(self.phi)) and np.all(np.isfinite(self.y))):
             raise InvalidParameterError("phi and y must be finite")
-        if not self.lam > 0:
-            raise InvalidParameterError("lam must be positive")
-        if not self.radius > 0:
-            raise InvalidParameterError("radius must be positive")
+        if not 0 < self.lam < math.inf:
+            raise InvalidParameterError(f"lam must be positive and finite, got {self.lam!r}")
+        if not 0 < self.radius < math.inf:
+            raise InvalidParameterError(f"radius must be positive and finite, got {self.radius!r}")
 
     @property
     def n(self) -> int:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import copy
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -25,6 +24,7 @@ from .core import (
     ensure_vector,
     leq_with_tol,
     repeated_scheme,
+    require_count,
     scheme_label,
 )
 from .projection import project
@@ -110,11 +110,7 @@ class SolverConfig:
     restart_factor: Optional[float] = None
 
     def __post_init__(self):
-        budget = self.max_iterations
-        # range() takes no float, and a bool is no count
-        if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
-            raise InvalidParameterError(
-                f"max_iterations must be an integer >= 1, got {budget!r}")
+        require_count(self.max_iterations, "max_iterations")
         if self.restart_factor is not None and not self.restart_factor > 1:
             raise InvalidParameterError("restart_factor must exceed 1 when set")
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psg import (
     ClassicPolicy,
@@ -24,6 +26,61 @@ def weak_oracle(R, t, k, max_g):
     num = t ** ((k + 1) / 2) + math.fsum(s ** ((k - 1) / 2) for s in range(1, t + 1))
     den = 2.0 * math.fsum(s ** (k / 2) for s in range(1, t + 1))
     return num / den * R * max_g
+
+
+def reference_power(u: float, e: float) -> float:
+    """Python-float u ** e as the bounds form it: sqrt and products for a half-integer e.
+
+    sqrt(u) (1 when 2e is even) times u, u^2, u^4, ... for the set bits of
+    |2e| // 2, lowest first, inverted last when e < 0; any other e is
+    Python's pow, inf where it overflows.
+    """
+    j = 2.0 * e
+    if not j.is_integer():
+        try:
+            return u ** e
+        except OverflowError:
+            return math.inf
+    n = abs(int(j))
+    result, m = (math.sqrt(u) if n % 2 else 1.0), n // 2
+    while m:
+        if m & 1:
+            result *= u
+        m >>= 1
+        if m:
+            u *= u
+    return 1.0 / result if j < 0 else result
+
+
+def reference_weak(R, k, max_g):
+    """The weak bound at t = 1, 2, ..., one per entry of `max_g`, on Python floats.
+
+    Its two sums add their terms in ascending order, one term per t.
+    """
+    sum_low = sum_mid = 0.0
+    for t, g in enumerate(max_g, 1):
+        sum_low += reference_power(float(t), 0.5 * (k - 1.0))
+        sum_mid += reference_power(float(t), 0.5 * k)
+        yield (reference_power(float(t), 0.5 * (k + 1.0)) + sum_low) / (2.0 * sum_mid) * R * g
+
+
+# k: the weak bound's top term and its two summed terms at u, sqrt(u), as
+# correctly rounded sqrt, product and reciprocal steps
+WEAK_TERMS = {
+    -1.0: lambda u, r: (1.0, 1.0 / u, 1.0 / r),
+    0.0: lambda u, r: (r, 1.0 / r, 1.0),
+    2.0: lambda u, r: (u * r, r, u),
+    4.0: lambda u, r: (r * (u * u), r * u, u * u),
+    5.0: lambda u, r: (u * (u * u), u * u, r * (u * u)),
+}
+
+
+def family_columns(R, ks, g_norm):
+    """evaluate's family and weak columns over t = 1..len(g_norm) in one epoch."""
+    t = len(g_norm)
+    columns = {"epoch": np.zeros(t), "eta": np.ones(t), "g_norm": g_norm}
+    bounds, _, _ = evaluate(FamilyPolicy(R=R), ks, R, None, columns)
+    return bounds
 
 
 class TestSpotValues:
@@ -67,8 +124,15 @@ class TestSpotValues:
     def test_weak_rejects_bad_input(self):
         with pytest.raises(InvalidParameterError):
             weak_ergodic_bound(1, 1, -1.5, 1.0)
-        with pytest.raises(InvalidParameterError):
-            weak_ergodic_bound(1, 0, 0.0, 1.0)
+        # a count is an integer >= 1 and no bool, as max_iterations is
+        for t in (0, -3, 2.5, 3.0, True, "3", None):
+            with pytest.raises(InvalidParameterError, match="t must be an integer >= 1"):
+                weak_ergodic_bound(1, t, 0.0, 1.0)
+
+    def test_scalar_calls_return_floats(self):
+        for value in (constant_bound(1, 1, 4), classic_bound(1, 1, 4), nesterov_bound(1, 1, 4),
+                      family_bound(1, 4, 1.0), weak_ergodic_bound(1, np.int64(4), 0.0, 1.0)):
+            assert isinstance(value, float) and np.ndim(value) == 0
 
 
 class TestCheckCertificate:
@@ -111,28 +175,29 @@ def test_bounds_are_sqrt_and_products_without_libm_pow():
     # every term is correctly rounded sqrt, product and reciprocal steps, so no
     # bound depends on the C library; glibc's u ** 0.5 differs from sqrt(u)
     # at 16 of these u
-    R, g = 1.7, 2.3
-    weak_terms = {  # k: the top term and the two summed terms at u, sqrt(u)
-        -1.0: lambda u, r: (1.0, 1.0 / u, 1.0 / r),
-        0.0: lambda u, r: (r, 1.0 / r, 1.0),
-        2.0: lambda u, r: (u * r, r, u),
-        5.0: lambda u, r: (u * (u * u), u * u, r * (u * u)),
-    }
-    streams = {k: (WeakBoundSums(k), [0.0, 0.0]) for k in weak_terms}
-    for u in range(1, 20_001):
-        r = math.sqrt(u)
-        assert family_bound(R, u, g) == 1.5 * R * g / r, u
-        assert classic_bound(R, g, u) == 1.5 * R * g / r, u
-        assert constant_bound(R, g, u) == R * g / r, u
-        assert nesterov_bound(R, g, u) == (
-            (2.0 * R * g + R * g * math.log(u)) / (4.0 * (math.sqrt(u + 1) - 1.0))), u
-        for k, terms in weak_terms.items():
-            top, low, mid = terms(float(u), r)
-            tracker, sums = streams[k]
-            sums[0] += low
-            sums[1] += mid
-            tracker.push()
-            assert tracker.bound(R, g) == (top + sums[0]) / (2.0 * sums[1]) * R * g, (k, u)
+    R, g, ks, t = 1.7, 2.3, (-1.0, 0.0, 2.0, 5.0), 20_000
+    u = np.arange(1.0, t + 1.0)
+    columns = family_columns(R, ks, np.full(t, g))
+    expected = {"family": [], "classic": [], "constant": [], "nesterov": [],
+                **{k: [] for k in ks}}
+    sums = {k: [0.0, 0.0] for k in ks}
+    for s in range(1, t + 1):
+        r = math.sqrt(s)
+        expected["family"].append(1.5 * R * g / r)
+        expected["constant"].append(R * g / r)
+        expected["nesterov"].append(
+            (2.0 * R * g + R * g * math.log(s)) / (4.0 * (math.sqrt(s + 1) - 1.0)))
+        for k in ks:
+            top, low, mid = WEAK_TERMS[k](float(s), r)
+            sums[k][0] += low
+            sums[k][1] += mid
+            expected[k].append((top + sums[k][0]) / (2.0 * sums[k][1]) * R * g)
+    assert columns["family"].tolist() == expected["family"]
+    assert classic_bound(R, g, u).tolist() == expected["family"]
+    assert constant_bound(R, g, u).tolist() == expected["constant"]
+    assert nesterov_bound(R, g, u).tolist() == expected["nesterov"]
+    for k in ks:
+        assert columns[weak_label(k)].tolist() == expected[k], k
 
 
 def test_kahan_regime_matches_fsum():
@@ -144,31 +209,61 @@ def test_kahan_regime_matches_fsum():
 
 @pytest.mark.parametrize("k", [-1.0, 4.0])
 def test_streamed_sums_match_fsum_at_1e6(k):
-    # the plain streamed sums are the only accumulator; at t = 1e6 they stay
-    # within 1e-11 relative of exactly rounded sums (k = 4 is the worst case)
+    # the bound's two sums add their terms in ascending order, the only
+    # accumulator; at t = 1e6 they stay within 1e-11 relative of exactly
+    # rounded sums (k = 4 is the worst case), and the bound is formed from them
     t = 1_000_000
-    sums = WeakBoundSums(k)
-    for _ in range(t):
-        sums.push()
-    for got, exponent in ((sums._sum_low, 0.5 * (k - 1.0)), (sums._sum_mid, 0.5 * k)):
-        exact = math.fsum(s ** exponent for s in range(1, t + 1))
+    u = np.arange(1.0, t + 1.0)
+    _, low, mid = WEAK_TERMS[k](u, np.sqrt(u))
+    sums = []
+    for terms in (low, mid):
+        got, exact = float(np.add.accumulate(terms)[-1]), math.fsum(terms.tolist())
         assert abs(got - exact) <= 1e-11 * exact
+        sums.append(got)
+    top = WEAK_TERMS[k](float(t), math.sqrt(t))[0]
+    assert weak_ergodic_bound(1.0, t, k, 1.0) == (top + sums[0]) / (2.0 * sums[1])
 
 
 def test_weak_k0_below_family_bound_up_to_1e5():
-    sums = WeakBoundSums(0.0)
-    for t in range(1, 100_001):
-        sums.push()
-        assert sums.bound(1.0, 1.0) <= family_bound(1.0, t, 1.0)
+    bounds = family_columns(1.0, (0.0,), np.ones(100_000))
+    above = np.flatnonzero(bounds["weak_k0"] > bounds["family"])
+    assert above.size == 0, above[:5] + 1
 
 
 def test_weak_km1_below_nesterov_bound_up_to_1e5():
     # with max||g|| = L the k = -1 bound is dominated by the
     # norm-normalized rule's bound
-    sums = WeakBoundSums(-1.0)
-    for t in range(1, 100_001):
-        sums.push()
-        assert sums.bound(1.0, 1.0) <= nesterov_bound(1.0, 1.0, t)
+    t = 100_000
+    weak = family_columns(1.0, (-1.0,), np.ones(t))["weak_k-1"]
+    above = np.flatnonzero(weak > nesterov_bound(1.0, 1.0, np.arange(1.0, t + 1.0)))
+    assert above.size == 0, above[:5] + 1
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(T=st.integers(1, 2_000), fraction=st.floats(0.0, 1.0),
+       R=st.floats(0.01, 100.0), L=st.floats(0.01, 100.0), seed=st.integers(0, 2**32 - 1))
+def test_scalar_is_its_column_entry(T, fraction, R, L, seed):
+    # one code path: a scalar call is entry t of the column over 1..T, and
+    # both equal the Python-float reference bit for bit
+    ks = (-1.0, -0.5, 0.0, 0.5, 2.0, 5.0)
+    t = 1 + int(fraction * (T - 1))
+    u = np.arange(1.0, T + 1.0)
+    g_norm = np.random.default_rng(seed).uniform(0.5, 2.0, size=T)
+    max_g = np.maximum.accumulate(g_norm)
+    g, r = float(max_g[t - 1]), math.sqrt(t)
+    lipschitz = (
+        (constant_bound, R * L / r),
+        (classic_bound, 1.5 * R * L / r),
+        (nesterov_bound, (2.0 * R * L + R * L * math.log(t)) / (4.0 * (math.sqrt(t + 1) - 1.0))),
+    )
+    for fn, reference in lipschitz:
+        assert fn(R, L, t) == fn(R, L, u)[t - 1] == reference, fn.__name__
+    columns = family_columns(R, ks, g_norm)
+    assert family_bound(R, t, g) == columns["family"][t - 1] == 1.5 * R * g / r
+    assert family_bound(R, u, max_g)[t - 1] == columns["family"][t - 1]
+    for k in ks:
+        streamed = list(reference_weak(R, k, max_g[:t].tolist()))[-1]
+        assert weak_ergodic_bound(R, t, k, g) == columns[weak_label(k)][t - 1] == streamed, k
 
 
 @pytest.mark.parametrize("k", [-0.5, 0.0, 1.0, 2.0, 8.0])
@@ -229,7 +324,9 @@ class TestEvaluate:
             assert bounds[policy.label].tolist() == [fn(R, L, u) for u in t]
 
     def test_long_columns_equal_scalars_bit_for_bit(self):
-        # 20,000 rows; k = 0.5 takes Python's pow, k = 5 squares u^2
+        # 20,000 rows; k = 0.5 takes Python's pow, k = 5 squares u^2; a weak
+        # column equals the streamed reference, whose every entry is a scalar
+        # call (see test_scalar_is_its_column_entry)
         R, L, ks, t = 1.7, 3.0, (-1.0, 0.0, 0.5, 2.0, 5.0), 20_000
         g_norm = np.random.default_rng(0).uniform(0.5, 2.0, size=t)
         columns = {"epoch": np.zeros(t), "eta": np.ones(t), "g_norm": g_norm}
@@ -241,10 +338,7 @@ class TestEvaluate:
         bounds, _, _ = evaluate(FamilyPolicy(R=R), ks, R, L, columns)
         assert bounds["family"].tolist() == [family_bound(R, s, g) for s, g in zip(u, max_g)]
         for k in ks:
-            sums, expected = WeakBoundSums(k), []
-            for g in max_g:
-                sums.push()
-                expected.append(sums.bound(R, g))
+            expected = list(reference_weak(R, k, max_g))
             assert bounds[weak_label(k)].tolist() == expected, k
 
     @pytest.mark.parametrize("epoch,held", [([0, 0, 0, 0, 0, 0], False),

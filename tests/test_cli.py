@@ -156,9 +156,11 @@ class TestConfigParsing:
         ("weight_ks", [float("nan")], "weight_ks[0]"),
         ("restart_factor", "big", "restart_factor"),
         ("weight_ks", [0, 2, 0], "weight_ks"),
+        ("weight_ks", [0.0, -0.0], "weight_ks"),
         ("initial_point", {"random": -1}, "initial_point.random"),
     ], ids=["iterations-str", "iterations-fraction", "weight_ks-str", "weight_ks-nan",
-            "restart_factor-str", "weight_ks-repeated", "random-seed-negative"])
+            "restart_factor-str", "weight_ks-repeated", "weight_ks-signed-zero",
+            "random-seed-negative"])
     def test_malformed_numbers_name_the_field(self, tmp_path, capsys, field, value, where):
         data = dict(ABS_CONFIG, **{field: value})
         with pytest.raises(ConfigError, match=re.escape(f"{where}: expected")):
@@ -193,6 +195,27 @@ class TestRunCommand:
         assert cell["max_g_norm"] == 1.0
         assert "family" in cell["bounds"] and "weak_k0" in cell["bounds"]
         assert (tmp_path / "trace.csv").exists()
+
+    def test_negative_zero_exponent_runs_as_zero(self, tmp_path, capsys):
+        # -0.0 weighs as 0.0 and takes its labels, f_avg_k0 and weak_k0 included
+        cells, traces = {}, {}
+        for name, k in (("zero", 0.0), ("negative", -0.0)):
+            data = dict(ABS_CONFIG, problem={"kind": "abs", "dim": 2}, weight_ks=[k],
+                        initial_point=[0.7, -0.4], iterations=50)
+            cfg = write_config(tmp_path / f"{name}.json", data)
+            out = tmp_path / name
+            assert main(["run", "--config", cfg, "--out-dir", str(out), "--strict"]) == 0
+            cells[name] = json.loads((out / "summary.json").read_text())["cells"]
+            traces[name] = (out / "trace.csv").read_text().split("\n", 1)
+            capsys.readouterr()
+            trace = str(out / "trace.csv")
+            assert main(["check", "--strict", "--trace", trace, "--problem", cfg]) == 0
+            assert "PASS weak_k0\n" in capsys.readouterr().out
+        for cell in cells["zero"] + cells["negative"]:
+            del cell["trace_path"]
+        assert cells["negative"] == cells["zero"]
+        assert '"weight_ks": [-0.0]' in traces["negative"][0]  # the header keeps the config's k
+        assert traces["negative"][1] == traces["zero"][1]
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", ABS_CONFIG)
@@ -465,6 +488,25 @@ class TestGenLasso:
             assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
             cells[kind] = json.loads((tmp_path / f"{kind}_summary.json").read_text())["cells"]
         assert cells["file"] == cells["lasso"]
+
+    @pytest.mark.parametrize("option,field", [("--lambda", "lam"), ("--radius", "radius")])
+    def test_infinite_lambda_or_radius_is_an_input_error(self, tmp_path, capsys, option, field):
+        out = tmp_path / "inst.csv"
+        assert main(["gen-lasso", "--seed", "1", "--n", "4", "--m", "3", "--out", str(out),
+                     option, "inf"]) == 1
+        assert_one_error_line(capsys, f"error: {field} must be positive and finite, got inf")
+        assert not out.exists()
+        # a file that says so, as an earlier gen-lasso wrote it, is rejected on load
+        assert main(["gen-lasso", "--seed", "1", "--n", "4", "--m", "3", "--out", str(out)]) == 0
+        text = out.read_text()
+        out.write_text(text.replace({"lam": "lambda=10", "radius": "radius=50"}[field],
+                                    {"lam": "lambda=inf", "radius": "radius=inf"}[field], 1))
+        cfg = write_config(tmp_path / "c.json", {
+            "problem": {"kind": "lasso-file", "path": str(out)}, "policy": {"kind": "family"},
+            "iterations": 5, "summary_path": "summary.json"})
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
+        assert_one_error_line(capsys, f"error: {field} must be positive and finite, got inf")
+        assert not (tmp_path / "summary.json").exists()
 
     @pytest.mark.parametrize("damage", ["seed", "row"])
     def test_malformed_file_is_an_input_error_for_run_and_check(self, tmp_path, capsys,

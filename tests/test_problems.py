@@ -154,6 +154,16 @@ class TestLasso:
         with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -3"):
             generate_lasso(seed=-3, n=4, m=3)
 
+    @pytest.mark.parametrize("field", ["lam", "radius"])
+    def test_lambda_and_radius_must_be_finite(self, field):
+        # an infinite lambda or radius gives a nonfinite oracle or step at iteration 1
+        data = dict(phi=np.ones((2, 2)), y=np.ones(2), lam=1.0, radius=1.0, seed=0)
+        message = f"{field} must be positive and finite, got inf"
+        with pytest.raises(InvalidParameterError, match=message):
+            LassoInstance(**dict(data, **{field: math.inf}))
+        with pytest.raises(InvalidParameterError, match=message):
+            generate_lasso(seed=1, n=4, m=3, **{field: math.inf})
+
     def test_sparse_ground_truth_size(self):
         instance = generate_lasso(seed=7, n=64, m=10)
         # ceil(64 / 16) = 4 nonzero +-1 entries in the planted signal feed y

@@ -608,6 +608,26 @@ class TestValidation:
         with pytest.raises(InvalidParameterError, match="weight_ks: k=0 repeats"):
             run(make_abs_problem(1), config)
 
+    def test_negative_zero_weight_k_runs_as_zero(self):
+        # s^(-0/2) = s^(0/2) = 1: -0.0 is the uniform mean, under the labels of 0.0
+        problem = make_abs_problem(2)
+        reports = [run(problem, SolverConfig(max_iterations=50, initial_point=np.array([0.7, -0.4]),
+                                             policy=FamilyPolicy(R=problem.radius_R),
+                                             weight_ks=(k,), record_trace=True))
+                   for k in (0.0, -0.0)]
+        (zero, zero_trace), (negative, negative_trace) = reports
+        assert list(negative.certificates) == ["per_step", "family", "weak_k0", "monotone_k0"]
+        assert negative.certificates == zero.certificates
+        assert negative.bounds.keys() == zero.bounds.keys()
+        assert all(np.array_equal(negative.bounds[b], zero.bounds[b]) for b in zero.bounds)
+        assert negative.averaged_values == zero.averaged_values
+        assert negative_trace.keys() == zero_trace.keys()
+        assert all(np.array_equal(negative_trace[c], zero_trace[c]) for c in zero_trace)
+        config = SolverConfig(max_iterations=3, initial_point=np.array([0.5]),
+                              policy=FamilyPolicy(R=1.0), weight_ks=(0.0, -0.0))
+        with pytest.raises(InvalidParameterError, match="weight_ks: k=-0 repeats"):
+            run(make_abs_problem(1), config)
+
 
 class TestImageHook:
     """Values at averages streamed from the oracle's image, not re-evaluated."""
