@@ -38,11 +38,14 @@ column: the header
 ``s,epoch,eta,g_norm,G,f_x,f_best,f_avg_k<k1>,...,bound_<label1>,...``
 and one row per iteration; ``epoch`` counts the restarts so far, every number
 is written as ``%.17g`` (lossless round-trip), and ``G`` is ``nan`` for
-policies that do not track it. The bound columns are those the policy
-declares (:meth:`psg.stepsize.StepSizePolicy.bound_labels`): ``family`` and
-``weak_k<k>`` per ``k`` for the family rule, and for the others their own
-label when the problem declares a Lipschitz bound. :func:`read_trace_csv`
-returns the same columns. A cell that stops before its first iteration writes no trace. With
+policies that do not track it. The bound columns are the labels of the
+bounds the policy claims (:meth:`psg.stepsize.StepSizePolicy.claims`, of
+which the base class derives ``bound_labels``): ``family`` and
+``weak_k<k>`` per ``k`` for the family rule, ``nesterov`` when the problem
+declares a Lipschitz bound, and ``classic`` or ``constant`` when the
+policy's ``L`` is the problem's; another ``L`` runs uncertified.
+:func:`read_trace_csv` returns the same columns. A cell that stops before
+its first iteration writes no trace. With
 several cells the per-cell file name is derived from ``trace_path`` by
 inserting the cell label before the extension. ``psg check`` checks the
 columns' structure (``eta_positive``: every step is positive and finite),

@@ -235,8 +235,11 @@ def load_lasso_csv(path) -> LassoInstance:
         raise InvalidParameterError(f"{path}: malformed header ({exc})") from None
     if data.shape != (m, n + 1):
         raise InvalidParameterError(f"{path}: inconsistent row data")
-    return LassoInstance(phi=data[:, 1:].copy(), y=data[:, 0].copy(), lam=lam,
-                         radius=radius, seed=seed)
+    try:
+        return LassoInstance(phi=data[:, 1:].copy(), y=data[:, 0].copy(), lam=lam,
+                             radius=radius, seed=seed)
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"{path}: {exc}") from None
 
 
 def reference_optimum_value(problem: ProblemInstance, iterations: int) -> float:

@@ -12,9 +12,11 @@ Four rules are provided, all producing a positive step eta_s at iteration s:
   when subgradient norms are unbounded, and its uniform-average guarantee
   matches the optimal 1/sqrt(t) rate.
 
-Each rule is one policy class, the only place its step is computed, which
-also declares the bounds its theorems give and the certificates they
-guarantee.
+Each rule is one policy class, the only place its step is computed. Its
+:meth:`~StepSizePolicy.claims` is the one place its theorems are declared;
+the base class derives from them the bound columns a run writes and the
+certificates it checks. A Lipschitz rule's theorem holds for the L its step
+divides by, so it claims its bound only at that L.
 
 All fractional powers are evaluated with the general float power operator
 (no integer fast paths): the exponents are continuous in `a`, and with a = 1
@@ -28,7 +30,7 @@ from typing import Optional, Sequence
 
 from . import bounds as bnd
 from .bounds import Certificate
-from .core import InvalidParameterError, ZeroSubgradientError
+from .core import InvalidParameterError, ZeroSubgradientError, require_count
 
 
 def _require_positive(value: float, name: str) -> None:
@@ -48,11 +50,14 @@ class StepSizePolicy:
     the 1-based iteration index and the current subgradient norm; it trusts
     both and the parameters validated at construction. Instances are owned
     by a single solver run; :meth:`reset` returns them to their initial state.
-    Subclasses declare what their theory gives (:meth:`bound_labels`,
-    :meth:`certificates`, :meth:`monotone_ks`); the base class gives nothing.
+    Each subclass declares its theorems once, in :meth:`claims`, and sets
+    ``nonincreasing_steps`` when its steps never grow; the base class derives
+    :meth:`bound_labels`, :meth:`certificates` and :meth:`monotone_ks` from
+    them and by itself claims nothing.
     """
 
     label: str = "policy"
+    nonincreasing_steps: bool = False
 
     def step_size(self, s: int, g_norm: float) -> float:
         raise NotImplementedError
@@ -65,17 +70,21 @@ class StepSizePolicy:
         """Running scaled-norm maximum, for policies that track one."""
         return None
 
-    def bound_labels(self, ks: Sequence[float], L: Optional[float]) -> list:
-        """Labels of the bounds its theorems give for the exponents `ks` and Lipschitz bound `L`."""
+    def claims(self, ks: Sequence[float], L: Optional[float]) -> list:
+        """One :class:`Certificate` per bound its theorems give for the exponents `ks` and `L`."""
         return []
 
+    def bound_labels(self, ks: Sequence[float], L: Optional[float]) -> list:
+        """Labels of the bounds its theorems give, one bound column each."""
+        return [claim.label for claim in self.claims(ks, L)]
+
     def certificates(self, ks: Sequence[float], L: Optional[float]) -> list:
-        """Gap certificates guaranteed for the weight exponents `ks` and Lipschitz bound `L`."""
-        return []
+        """The claims whose weight exponent is in `ks`: the gap certificates a run checks."""
+        return [claim for claim in self.claims(ks, L) if claim.k in ks]
 
     def monotone_ks(self, ks: Sequence[float]) -> list:
         """The exponents in `ks` at which w_s / eta_s is nondecreasing."""
-        return []
+        return list(ks) if self.nonincreasing_steps else []
 
 
 @dataclass
@@ -85,26 +94,20 @@ class ConstantPolicy(StepSizePolicy):
     R: float
     L: float
     horizon_t: int
+    nonincreasing_steps = True
 
     def __post_init__(self):
         _require_positive(self.R, "R")
         _require_positive(self.L, "L")
-        _require_positive(self.horizon_t, "horizon_t")
+        require_count(self.horizon_t, "horizon_t")
         self._eta = self.R / (self.L * self.horizon_t ** 0.5)
         self.label = "constant"
 
     def step_size(self, s: int, g_norm: float) -> float:
         return self._eta
 
-    def bound_labels(self, ks, L):
-        return [bnd.CONSTANT] if L is not None else []
-
-    def certificates(self, ks, L):
-        applies = 0.0 in ks and L is not None
-        return [Certificate(bnd.CONSTANT, 0.0, self.horizon_t)] if applies else []
-
-    def monotone_ks(self, ks):
-        return list(ks)
+    def claims(self, ks, L):
+        return [Certificate(bnd.CONSTANT, 0.0, self.horizon_t)] if L == self.L else []
 
 
 @dataclass
@@ -113,6 +116,7 @@ class ClassicPolicy(StepSizePolicy):
 
     R: float
     L: float
+    nonincreasing_steps = True
 
     def __post_init__(self):
         _require_positive(self.R, "R")
@@ -122,15 +126,8 @@ class ClassicPolicy(StepSizePolicy):
     def step_size(self, s: int, g_norm: float) -> float:
         return self.R / (self.L * s ** 0.5)
 
-    def bound_labels(self, ks, L):
-        return [bnd.CLASSIC] if L is not None else []
-
-    def certificates(self, ks, L):
-        applies = 0.0 in ks and L is not None
-        return [Certificate(bnd.CLASSIC, 0.0)] if applies else []
-
-    def monotone_ks(self, ks):
-        return list(ks)
+    def claims(self, ks, L):
+        return [Certificate(bnd.CLASSIC, 0.0)] if L == self.L else []
 
 
 @dataclass
@@ -152,13 +149,8 @@ class NesterovPolicy(StepSizePolicy):
             raise ZeroSubgradientError("step size undefined for a zero subgradient")
         return self.R / (g_norm * s ** 0.5)
 
-    def bound_labels(self, ks, L):
-        return [bnd.NESTEROV] if L is not None else []
-
-    def certificates(self, ks, L):
-        if -1.0 in ks and L is not None:
-            return [Certificate(bnd.NESTEROV, -1.0)]
-        return []
+    def claims(self, ks, L):
+        return [Certificate(bnd.NESTEROV, -1.0)] if L is not None else []
 
     def monotone_ks(self, ks):
         return [k for k in ks if k == -1.0]
@@ -177,6 +169,7 @@ class FamilyPolicy(StepSizePolicy):
     R: float
     a: float = 1.0
     _G: Optional[float] = field(default=None, init=False, repr=False)
+    nonincreasing_steps = True
 
     def __post_init__(self):
         _require_positive(self.R, "R")
@@ -198,12 +191,5 @@ class FamilyPolicy(StepSizePolicy):
     def G(self) -> Optional[float]:
         return self._G
 
-    def bound_labels(self, ks, L):
-        return [bnd.FAMILY, *map(bnd.weak_label, ks)]
-
-    def certificates(self, ks, L):
-        uniform = [Certificate(bnd.FAMILY, 0.0)] if 0.0 in ks else []
-        return uniform + [Certificate(bnd.weak_label(k), k) for k in ks]
-
-    def monotone_ks(self, ks):
-        return list(ks)
+    def claims(self, ks, L):
+        return [Certificate(bnd.FAMILY, 0.0), *(Certificate(bnd.weak_label(k), k) for k in ks)]

@@ -505,7 +505,8 @@ class TestGenLasso:
             "problem": {"kind": "lasso-file", "path": str(out)}, "policy": {"kind": "family"},
             "iterations": 5, "summary_path": "summary.json"})
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
-        assert_one_error_line(capsys, f"error: {field} must be positive and finite, got inf")
+        assert_one_error_line(capsys,
+                              f"error: {out}: {field} must be positive and finite, got inf")
         assert not (tmp_path / "summary.json").exists()
 
     @pytest.mark.parametrize("damage", ["seed", "row"])
@@ -978,6 +979,27 @@ def test_each_rule_writes_and_checks_its_own_bounds(tmp_path, capsys, problem, L
                         if name != f"bound_{label}"}, dropped, meta)
         assert main(["check", "--trace", str(dropped), "--problem", cfg]) == 1
         assert capsys.readouterr().err == f"error: trace has no column bound_{label}\n"
+
+
+@pytest.mark.parametrize("L", [100.0, 0.01])
+def test_lipschitz_rules_at_another_L_run_uncertified(tmp_path, capsys, L):
+    # the classic and constant bounds hold for the L the step divides by, not
+    # for the problem's sqrt(3): the cells write no bound and prove nothing
+    cfg = write_config(tmp_path / "c.json", {
+        "problem": {"kind": "abs", "dim": 3},
+        "policy": [{"kind": "classic", "L": L}, {"kind": "constant", "L": L}],
+        "weight_ks": [0.0], "iterations": 500, "initial_point": [0.7, -0.4, 0.2],
+        "trace_path": "trace.csv"})
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path), "--strict"]) == 0
+    for cell in json.loads((tmp_path / "summary.json").read_text())["cells"]:
+        assert cell["bounds"] == {} and cell["undecided"] == []
+    for name in ("trace__0_classic.csv", "trace__1_constant.csv"):
+        _, columns = read_trace_csv(tmp_path / name)
+        assert not [column for column in columns if column.startswith("bound_")]
+        capsys.readouterr()
+        assert main(["check", "--strict", "--trace", str(tmp_path / name),
+                     "--problem", cfg]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("case", ["restarted", "nesterov", "family"])

@@ -165,6 +165,14 @@ class TestDeclarations:
             Certificate("family", 0.0), Certificate("weak_k-1", -1.0),
             Certificate("weak_k0", 0.0), Certificate("weak_k2", 2.0)]
 
+    @pytest.mark.parametrize("L", [3.0, 1.0])
+    def test_lipschitz_rules_claim_nothing_at_another_L(self, L):
+        # their theorems hold for the L their steps divide by, here 2
+        for policy in (ClassicPolicy(R=1, L=2), ConstantPolicy(R=1, L=2, horizon_t=80)):
+            assert policy.claims(self.KS, L) == []
+            assert policy.bound_labels(self.KS, L) == []
+            assert policy.certificates(self.KS, L) == []
+
     def test_monotone_exponents(self):
         for policy in (FamilyPolicy(R=1.0), ClassicPolicy(R=1.0, L=1.0),
                        ConstantPolicy(R=1.0, L=1.0, horizon_t=5)):
@@ -208,6 +216,10 @@ class TestPolicies:
         for ctor in (lambda: ClassicPolicy(R=0.0, L=1.0),
                      lambda: NesterovPolicy(R=-1.0),
                      lambda: FamilyPolicy(R=0.0),
-                     lambda: ConstantPolicy(R=1.0, L=1.0, horizon_t=0)):
+                     lambda: ConstantPolicy(R=1.0, L=1.0, horizon_t=0),
+                     # a run never has 2.5 rows, and a bool is no count
+                     lambda: ConstantPolicy(R=1.0, L=1.0, horizon_t=2.5),
+                     lambda: ConstantPolicy(R=1.0, L=1.0, horizon_t=True)):
             with pytest.raises(InvalidParameterError):
                 ctor()
+        assert ConstantPolicy(R=1.0, L=1.0, horizon_t=np.int64(5)).horizon_t == 5
