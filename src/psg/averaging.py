@@ -7,9 +7,12 @@ The weight put on iterate s is controlled by a single exponent k >= -1:
 
 k = 0 gives the plain running mean, k = -1 the step-size-weighted mean, and
 growing k shifts weight toward recent iterates (approaching last-iterate
-behaviour as k grows). Averages are maintained as streaming convex
-combinations, so no iterate history is stored; only the running total of the
-weights is kept, and a total that overflows raises :class:`OverflowError`.
+behaviour as k grows). :class:`WeightRule` writes this formula once, with
+:func:`psg.core.power`: the run averages with its weights, and
+``monotone_k<k>`` certifies the same ones. Averages are maintained as
+streaming convex combinations, so no iterate history is stored; only the
+running total of the weights is kept, and a total that overflows raises
+:class:`OverflowError`.
 :class:`StreamingAverage` keeps all K averages of a run as one K x d array
 and updates it with the same numpy calls whatever K is, one point or one
 block of points per call.
@@ -23,29 +26,30 @@ from typing import Optional
 
 import numpy as np
 
-from .core import InvalidParameterError, NumericError, ShapeError
+from .core import InvalidParameterError, NumericError, ShapeError, power
 
 # The smallest normal float: a ratio W_t / W_e below it has lost bits, or is 0.
 _TINY = float(np.finfo(np.float64).tiny)
 
 
 def weight(k: float, s: int, eta_s: float) -> float:
-    """Averaging weight for iterate `s` with step `eta_s` under exponent `k`."""
+    """Averaging weight for iterate `s` with step `eta_s` under exponent `k`, inf on overflow."""
     rule = WeightRule(k)
     if not s >= 1:
         raise InvalidParameterError(f"s must be >= 1, got {s!r}")
     if not eta_s > 0:
         raise InvalidParameterError(f"eta_s must be positive, got {eta_s!r}")
-    return rule(s, eta_s)
+    return float(rule(s, eta_s))
 
 
 @dataclass(frozen=True)
 class WeightRule:
     """Weight exponent validated once; rule(s, eta_s) is the weight formula, unchecked.
 
-    The one place the formula is written: ``__call__`` for one iteration,
-    which also applies elementwise when `s` and `eta_s` are numpy arrays of
-    iteration indices and steps, and :meth:`over` for a run of iterations.
+    The one place the formula is written. It applies elementwise to numpy
+    arrays of iteration indices and steps and gives float64 values, each
+    power formed by :func:`psg.core.power`: a weight has the same bits alone
+    and in a column, and a weight that overflows is inf.
     """
 
     k: float
@@ -55,20 +59,7 @@ class WeightRule:
             raise InvalidParameterError(f"k must be >= -1, got {self.k!r}")
 
     def __call__(self, s, eta_s):
-        return eta_s ** -self.k if self.k <= 0 else s ** (0.5 * self.k)
-
-    def over(self, s_first: int, etas) -> list:
-        """Weights of iterations s_first, s_first + 1, ... with steps `etas`.
-
-        Python floats, each equal to ``rule(s, eta_s)`` bit for bit (numpy's
-        ``power`` can differ in the last bit). For k > 0 a weight that
-        overflows raises :class:`OverflowError`.
-        """
-        if self.k <= 0:
-            p = -self.k
-            return [eta ** p for eta in etas]
-        e = 0.5 * self.k
-        return [s ** e for s in range(s_first, s_first + len(etas))]
+        return power(eta_s, -self.k) if self.k <= 0 else power(s, 0.5 * self.k)
 
 
 def _prefix_sum(a: np.ndarray) -> None:

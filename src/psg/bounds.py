@@ -17,8 +17,9 @@ Each bound has one implementation, over a column of counts t >= 1: the
 first four take an array of counts or one count, a 0-d column, for which
 they return a float (numpy's float64 scalar is one), and
 ``weak_ergodic_bound`` is the last entry of its column over 1..t. Every
-power of t is formed by :func:`_power`, so a scalar holds the bits of its
-entry in a column.
+power of t is formed by :func:`psg.core.power`, so a scalar holds the bits
+of its entry in a column; ``monotone_k<k>`` is decided on the weights of
+:class:`~psg.averaging.WeightRule`, which the run averages with.
 :func:`evaluate` is the one place a run's bounds and certificates are
 computed, from its per-iteration columns: by the solver after its loop, and
 by ``psg check`` on a stored trace.
@@ -28,55 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from .averaging import WeightRule
-from .core import REL_TOL, InvalidParameterError, leq_with_tol, require_count, scheme_label
-
-
-def _pow(u, e: float) -> float:
-    """Python's u ** e, or inf where it overflows."""
-    try:
-        return u ** e
-    except OverflowError:
-        return math.inf
-
-
-def _times_powers(result, u, m: int):
-    """result * u^m, multiplying in u, u^2, u^4, ... for the set bits of m, lowest first."""
-    while m:
-        if m & 1:
-            result *= u
-        m >>= 1
-        if m:
-            u = u * u
-    return result
-
-
-def _power(u, e: float) -> np.ndarray:
-    """u ** e for counts u >= 1, over `u` as a float64 array; a term that overflows is inf.
-
-    A half-integer e = j/2, the only kind that integer k and the step rules
-    give, is sqrt(u) (1 when j is even) times u^(|j| // 2) as
-    :func:`_times_powers` forms it, inverted last when j < 0. Each step is
-    one correctly rounded IEEE-754 operation, so the powers are the same on
-    every IEEE-754 platform and a 0-d `u` holds the bits of its entry in a
-    column; libm's pow is not correctly rounded (glibc's u ** 0.5 differs
-    from sqrt(u) at 1,638 of the integers u <= 2e6). Any other exponent is
-    Python's pow, term by term.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    j = 2.0 * e
-    if not j.is_integer():
-        terms = map(_pow, u.ravel().tolist(), repeat(e))
-        return np.fromiter(terms, dtype=np.float64, count=u.size).reshape(u.shape)
-    n = abs(int(j))
-    with np.errstate(over="ignore"):
-        result = _times_powers(np.sqrt(u) if n % 2 else np.ones_like(u), u, n // 2)
-    return 1.0 / result if j < 0 else result
+from .core import REL_TOL, InvalidParameterError, leq_with_tol, power, require_count, scheme_label
 
 
 # math.log term by term: numpy's log can differ in the last bit
@@ -85,8 +43,8 @@ _log = np.frompyfunc(math.log, 1, 1)
 
 def constant_bound(R: float, L: float, t) -> float:
     """Gap bound R*L/sqrt(t) for the uniform mean under the constant step."""
-    # sqrt(t), correctly rounded, as every bound forms t ** 0.5 (see _power)
-    return R * L / _power(t, 0.5)
+    # sqrt(t), correctly rounded, as every bound forms t ** 0.5 (see power)
+    return R * L / power(t, 0.5)
 
 def classic_bound(R: float, L: float, t) -> float:
     """Gap bound 1.5*R*L/sqrt(t) for the uniform mean under the classic step."""
@@ -95,7 +53,7 @@ def classic_bound(R: float, L: float, t) -> float:
 def nesterov_bound(R: float, L: float, t) -> float:
     """Gap bound (2RL + RL*ln t) / (4(sqrt(t+1)-1)) for the step-weighted mean."""
     log_t = np.asarray(_log(t), dtype=np.float64)
-    return (2.0 * R * L + R * L * log_t) / (4.0 * (_power(t + 1, 0.5) - 1.0))
+    return (2.0 * R * L + R * L * log_t) / (4.0 * (power(t + 1, 0.5) - 1.0))
 
 def family_bound(R: float, t, max_g_norm) -> float:
     """Gap bound 1.5*R*max||g||/sqrt(t) for the uniform mean under the family step.
@@ -104,7 +62,7 @@ def family_bound(R: float, t, max_g_norm) -> float:
     Lipschitz constant.
     """
     bound = 1.5 * R * max_g_norm
-    bound /= _power(t, 0.5)
+    bound /= power(t, 0.5)
     return bound
 
 
@@ -119,11 +77,11 @@ def _weak_column(k: float, R: float, t, max_g, epochs) -> np.ndarray:
     """
     # terms and sums overflow to inf, and inf / inf is nan, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
-        sum_low, sum_mid = _power(t, 0.5 * (k - 1.0)), _power(t, 0.5 * k)
+        sum_low, sum_mid = power(t, 0.5 * (k - 1.0)), power(t, 0.5 * k)
         for start, end in epochs:
             for terms in (sum_low[start:end], sum_mid[start:end]):
                 np.cumsum(terms, out=terms)
-        top = _power(t, 0.5 * (k + 1.0))
+        top = power(t, 0.5 * (k + 1.0))
         top += sum_low
         top /= sum_mid
         top *= 0.5
@@ -231,9 +189,8 @@ def gap_verdict(avg, bound, low: float, high: float) -> str:
 def _nondecreasing(x: np.ndarray, new_epoch: np.ndarray) -> bool:
     """x_{s-1} <= x_s up to the package tolerance within every epoch."""
     prev, cur = x[:-1], x[1:]
-    # a pair with prev <= cur passes the tolerance check without it
-    suspects = np.flatnonzero(~new_epoch[1:] & ~(prev <= cur))
-    return all(leq_with_tol(float(prev[i]), float(cur[i])) for i in suspects)
+    # prev <= cur passes without the tolerance, a pair of -inf included
+    return bool(np.all(new_epoch[1:] | (prev <= cur) | leq_with_tol(prev, cur)))
 
 
 def evaluate(policy, ks, R: float, L: Optional[float], columns: dict,

@@ -1,17 +1,20 @@
 """Shared domain types: oracles, problem instances, run reports, and tolerances.
 
-Also the CSV layout that both file formats of the package share, the Lasso
-instance and the trace: a first line of the format's own, a line of column
-names, then rows of ``%.17g`` numbers, written by :func:`write_csv` and read
-by :func:`read_csv`.
+Also the package's one power function, :func:`power`, which forms every
+averaging weight and every power of t in a bound; and the CSV layout that
+both file formats of the package share, the Lasso instance and the trace: a
+first line of the format's own, a line of column names, then rows of
+``%.17g`` numbers, written by :func:`write_csv` and read by :func:`read_csv`.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -78,6 +81,49 @@ def leq_with_tol(lhs, rhs, abs_=ABS_TOL):
     with np.errstate(over="ignore", invalid="ignore"):
         ok = lhs <= rhs + REL_TOL * np.maximum(np.abs(lhs), np.abs(rhs)) + abs_
     return bool(ok) if np.ndim(ok) == 0 else ok
+
+
+def _pow(u, e: float) -> float:
+    """Python's u ** e, or inf where it overflows."""
+    try:
+        return u ** e
+    except OverflowError:
+        return math.inf
+
+
+def _times_powers(result, u, m: int):
+    """result * u^m, multiplying in u, u^2, u^4, ... for the set bits of m, lowest first."""
+    while m:
+        if m & 1:
+            result *= u
+        m >>= 1
+        if m:
+            u = u * u
+    return result
+
+
+def power(u, e: float) -> np.ndarray:
+    """u ** e for u > 0, over `u` as a float64 array; a term that overflows is inf.
+
+    The package's one power of iteration counts and steps: every bound's
+    powers of t, and every averaging weight, the run's and the certificates'.
+    A half-integer e = j/2 is sqrt(u) (1 when j is even) times u^(|j| // 2)
+    as :func:`_times_powers` forms it, inverted last when j < 0. Each step is
+    one correctly rounded IEEE-754 operation, so the powers are the same on
+    every IEEE-754 platform and a 0-d `u` holds the bits of its entry in a
+    column; libm's pow is not correctly rounded (glibc's u ** 0.5 differs
+    from sqrt(u) at 1,638 of the integers u <= 2e6). Any other exponent is
+    Python's pow, term by term.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    j = 2.0 * e
+    if not j.is_integer():
+        terms = map(_pow, u.ravel().tolist(), repeat(e))
+        return np.fromiter(terms, dtype=np.float64, count=u.size).reshape(u.shape)
+    n = abs(int(j))
+    with np.errstate(over="ignore"):
+        result = _times_powers(np.sqrt(u) if n % 2 else np.ones_like(u), u, n // 2)
+    return 1.0 / result if j < 0 else result
 
 
 class SubgradientResult(NamedTuple):
@@ -169,10 +215,10 @@ class ProblemInstance:
     def __post_init__(self):
         if self.dimension < 1:
             raise InvalidParameterError("dimension must be >= 1")
-        if not self.radius_R > 0:
-            raise InvalidParameterError("radius_R must be positive")
-        if self.lipschitz_L is not None and not self.lipschitz_L > 0:
-            raise InvalidParameterError("lipschitz_L must be positive when given")
+        if not 0 < self.radius_R < math.inf:
+            raise InvalidParameterError("radius_R must be positive and finite")
+        if self.lipschitz_L is not None and not 0 < self.lipschitz_L < math.inf:
+            raise InvalidParameterError("lipschitz_L must be positive and finite when given")
 
     def value(self, x: np.ndarray) -> float:
         """Objective value at `x` (valid even where the subdifferential is empty)."""

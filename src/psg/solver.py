@@ -304,7 +304,7 @@ def run(problem: ProblemInstance, config: SolverConfig):
             sums[0] = np.add.reduce(sums[:rows + 1], axis=0)
             minorants += rows
         if rules:
-            feed_averages()
+            feed_averages(eta)
         # None (a rule without G) becomes nan
         for name, chunk in zip(record, (np.full(rows, float(epoch)), eta, g_norm,
                                         np.array(big_Gs, dtype=np.float64), f_x)):
@@ -314,30 +314,23 @@ def run(problem: ProblemInstance, config: SolverConfig):
         done += rows
         rows = 0
 
-    def feed_averages():
-        """Feed the pending rows to the averages and, when needed, value the averages."""
-        s_first = s_local - rows + 1  # the rows hold iterations s_first..s_local of the epoch
-        weights = np.empty((rows, len(rules)))
-        try:
-            for j, rule in enumerate(rules):
-                weights[:, j] = rule.over(s_first, etas)
-            averages.update(weights, points[:rows], out=block[:rows])
-        except OverflowError:
-            # name the first (row, k), in row-major order, whose weight or running
-            # total weight is infinite; the totals add the rows to the total
-            # before the block in the order of the update's cumsum
-            s_rows, eta_rows = np.arange(s_first, s_local + 1), np.array(etas)
-            with np.errstate(over="ignore"):
-                w = np.column_stack([rule(s_rows, eta_rows) for rule in rules])
-                totals = np.vstack([np.broadcast_to(averages.total_weight, len(rules)), w])
-                np.cumsum(totals, axis=0, out=totals)
-            infinite = np.isinf(totals[1:])
-            if not infinite.any():
-                raise
-            i, j = divmod(int(infinite.argmax()), len(rules))
-            what = "weight" if np.isinf(w[i, j]) else "total weight"
+    def feed_averages(eta):
+        """Feed the pending rows, with steps `eta`, to the averages; value them when needed."""
+        # the rows hold iterations s_local - rows + 1 .. s_local of the epoch
+        s_rows = np.arange(s_local - rows + 1.0, s_local + 1.0)
+        weights = np.column_stack([rule(s_rows, eta) for rule in rules])
+        # the running totals in the order of the update's cumsum, from the
+        # total before the block; they only grow, so the last row shows an overflow
+        totals = np.vstack([np.broadcast_to(averages.total_weight, len(rules)), weights])
+        with np.errstate(over="ignore"):
+            np.cumsum(totals, axis=0, out=totals)
+        if not np.isfinite(totals[-1]).all():
+            # name the first (row, k), in row-major order, whose weight or total is infinite
+            i, j = divmod(int(np.isinf(totals[1:]).argmax()), len(rules))
+            what = "weight" if np.isinf(weights[i, j]) else "total weight"
             raise NumericError(f"{what} of k={rules[j].k:g} overflows at iteration"
-                               f" {done + 1 + i}") from None
+                               f" {done + 1 + i}")
+        averages.update(weights, points[:rows], out=block[:rows])
         if need_values:
             append_values(block[:rows])
 

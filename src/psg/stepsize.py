@@ -25,6 +25,7 @@ the family rule reproduces the classic rule bit for bit when G_s equals L.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -34,8 +35,8 @@ from .core import InvalidParameterError, ZeroSubgradientError, require_count
 
 
 def _require_positive(value: float, name: str) -> None:
-    if not value > 0:
-        raise InvalidParameterError(f"{name} must be positive, got {value!r}")
+    if not 0 < value < math.inf:
+        raise InvalidParameterError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _require_a(a: float) -> None:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,30 @@ def sample_feasible(projector, rng, count=1):
 def feasibility_residual(op, x) -> float:
     """Distance from `x` to the feasible set of `op` (0 for feasible points)."""
     return float(np.linalg.norm(project(op, x) - x))
+
+
+def reference_power(u: float, e: float) -> float:
+    """Python-float u ** e as psg.core.power forms it: sqrt and products for a half-integer e.
+
+    sqrt(u) (1 when 2e is even) times u, u^2, u^4, ... for the set bits of
+    |2e| // 2, lowest first, inverted last when e < 0; any other e is
+    Python's pow, inf where it overflows.
+    """
+    j = 2.0 * e
+    if not j.is_integer():
+        try:
+            return u ** e
+        except OverflowError:
+            return math.inf
+    n = abs(int(j))
+    result, m = (math.sqrt(u) if n % 2 else 1.0), n // 2
+    while m:
+        if m & 1:
+            result *= u
+        m >>= 1
+        if m:
+            u *= u
+    return 1.0 / result if j < 0 else result
 
 
 def assert_trace_invariants(trace):

@@ -20,7 +20,7 @@ from psg import (
 )
 from psg.averaging import _prefix_sum
 
-from conftest import feasibility_residual, sample_feasible
+from conftest import feasibility_residual, reference_power, sample_feasible
 
 
 class TestWeight:
@@ -53,14 +53,28 @@ class TestWeight:
     @pytest.mark.parametrize("k", [-1.0, -0.5, -0.25, 0.0, 0.5, 2.0, 7.0])
     def test_over_a_run_equals_each_call(self, k, rng):
         rule = WeightRule(k)
-        etas = rng.uniform(1e-3, 10.0, size=50).tolist()
-        weights = rule.over(17, etas)
-        assert weights == [rule(s, eta) for s, eta in enumerate(etas, start=17)]
-        assert all(type(w) is float for w in weights)
+        s = np.arange(17.0, 67.0)
+        etas = rng.uniform(1e-3, 10.0, size=50)
+        weights = rule(s, etas)
+        assert weights.dtype == np.float64 and weights.shape == (50,)
+        assert weights.tolist() == [float(rule(s_i, eta))
+                                    for s_i, eta in zip(range(17, 67), etas.tolist())]
 
-    def test_over_raises_on_overflow(self):
-        with pytest.raises(OverflowError):
-            WeightRule(300.0).over(100, [1.0] * 20)
+    def test_over_a_run_overflow_is_inf(self):
+        # s ** 150 overflows first at s = 114; no numpy warning (tier-1 turns one into an error)
+        weights = WeightRule(300.0)(np.arange(100.0, 120.0), np.ones(20))
+        assert np.isfinite(weights[:14]).all() and np.isinf(weights[14:]).all()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(k=st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]),
+           s=st.integers(1, 2 * 10 ** 6), eta=st.floats(1e-6, 1e6))
+    def test_weight_is_the_exact_power_of_the_bounds(self, k, s, eta):
+        # the rule's power is the bounds' one: sqrt and products for a
+        # half-integer exponent, Python's pow for any other
+        expected = reference_power(eta, -k) if k <= 0 else reference_power(float(s), 0.5 * k)
+        rule = WeightRule(k)
+        assert float(rule(s, eta)) == expected
+        assert rule(np.array([float(s)] * 3), np.array([eta] * 3)).tolist() == [expected] * 3
 
 
 class TestStreamingAverage:
@@ -211,7 +225,7 @@ def solver_weights(rng, n, k):
     s = np.arange(1, n + 1.0)
     etas = rng.uniform(0.1, 10.0) / (np.maximum.accumulate(rng.uniform(0.5, 2.0, n))
                                      * s ** (0.5 * rng.uniform(0.0, 1.0)))
-    return np.array(WeightRule(k).over(1, etas.tolist()))
+    return WeightRule(k)(s, etas)
 
 
 def assert_within_ulps(means, weights, points):

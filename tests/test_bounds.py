@@ -20,36 +20,14 @@ from psg import (
 )
 from psg.bounds import WeakBoundSums, evaluate, monotone_label, weak_label
 
+from conftest import reference_power
+
 
 def weak_oracle(R, t, k, max_g):
     """Independent direct-summation evaluation (exact fsum accumulation)."""
     num = t ** ((k + 1) / 2) + math.fsum(s ** ((k - 1) / 2) for s in range(1, t + 1))
     den = 2.0 * math.fsum(s ** (k / 2) for s in range(1, t + 1))
     return num / den * R * max_g
-
-
-def reference_power(u: float, e: float) -> float:
-    """Python-float u ** e as the bounds form it: sqrt and products for a half-integer e.
-
-    sqrt(u) (1 when 2e is even) times u, u^2, u^4, ... for the set bits of
-    |2e| // 2, lowest first, inverted last when e < 0; any other e is
-    Python's pow, inf where it overflows.
-    """
-    j = 2.0 * e
-    if not j.is_integer():
-        try:
-            return u ** e
-        except OverflowError:
-            return math.inf
-    n = abs(int(j))
-    result, m = (math.sqrt(u) if n % 2 else 1.0), n // 2
-    while m:
-        if m & 1:
-            result *= u
-        m >>= 1
-        if m:
-            u *= u
-    return 1.0 / result if j < 0 else result
 
 
 def reference_weak(R, k, max_g):

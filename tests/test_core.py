@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,14 @@ def test_problem_instance_validation():
     with pytest.raises(InvalidParameterError):
         ProblemInstance(name="bad", dimension=1, oracle=oracle, projector=box,
                         radius_R=1.0, lipschitz_L=0.0)
+
+
+@pytest.mark.parametrize("field", ["radius_R", "lipschitz_L"])
+def test_problem_instance_rejects_infinite_R_and_L(field):
+    # an infinite R or L would reach the steps and bounds as inf * 0 = nan
+    problem = make_abs_problem(2)
+    with pytest.raises(InvalidParameterError, match=f"{field} must be positive and finite"):
+        dataclasses.replace(problem, **{field: np.inf})
 
 
 def test_scheme_labels():

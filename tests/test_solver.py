@@ -832,6 +832,31 @@ class TestValueBlocks:
             run(one_value, config)
 
 
+@pytest.mark.parametrize("policy", [FamilyPolicy(R=math.sqrt(3.0), a=0.5),
+                                    NesterovPolicy(R=math.sqrt(3.0))], ids=["a0.5", "nesterov"])
+def test_run_averages_with_the_weights_monotone_k_certifies(policy, monkeypatch):
+    # the weights the averages are fed are WeightRule's over the trace's
+    # columns bit for bit, which bounds.evaluate decides monotone_k<k> on;
+    # on this run numpy's power differs from Python's pow at k = -0.5, 0.5, 1 and 3
+    ks = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
+    fed = []
+
+    class Spy(StreamingAverage):
+        def update(self, w, x, out=None):
+            fed.append(np.array(w, dtype=np.float64))
+            return super().update(w, x, out=out)
+
+    monkeypatch.setattr(solver_module, "StreamingAverage", Spy)
+    _, trace = run(make_abs_problem(3), SolverConfig(
+        max_iterations=3000, initial_point=np.array([0.7, -0.4, 0.2]), policy=policy,
+        weight_ks=ks, record_trace=True))
+    weights = np.concatenate(fed)
+    assert weights.shape == (3000, len(ks))
+    for j, k in enumerate(ks):
+        differing = np.flatnonzero(weights[:, j] != WeightRule(k)(trace["s"], trace["eta"]))
+        assert differing.tolist() == [], k
+
+
 class TestNoAverages:
     """weight_ks=() tracks no average and costs one oracle call per iteration."""
 
@@ -1002,18 +1027,22 @@ class TestHotLoopChecks:
                 return steps[s - 1]
 
         ks = (-1.0, 0.0, k)
+
+        def python_weight(e, s, eta):
+            try:
+                return eta ** -e if e <= 0 else s ** (0.5 * e)
+            except OverflowError:
+                return math.inf
+
         # the reference: each weight and running total a Python float, in order
-        rules, totals, expected = [WeightRule(e) for e in ks], [0.0] * len(ks), None
+        totals, expected = [0.0] * len(ks), None
         for s, eta in enumerate(steps, 1):
-            for j, rule in enumerate(rules):
-                try:
-                    w = rule(s, eta)
-                except OverflowError:
-                    w = math.inf
+            for j, e in enumerate(ks):
+                w = python_weight(e, s, eta)
                 totals[j] += w
                 if totals[j] == math.inf:
                     what = "weight" if w == math.inf else "total weight"
-                    expected = f"{what} of k={rule.k:g} overflows at iteration {s}"
+                    expected = f"{what} of k={e:g} overflows at iteration {s}"
                     break
             if expected is not None:
                 break

@@ -216,6 +216,11 @@ class TestPolicies:
         for ctor in (lambda: ClassicPolicy(R=0.0, L=1.0),
                      lambda: NesterovPolicy(R=-1.0),
                      lambda: FamilyPolicy(R=0.0),
+                     # an infinite R or L fails here, not at the first step
+                     lambda: FamilyPolicy(R=np.inf),
+                     lambda: NesterovPolicy(R=np.inf),
+                     lambda: ClassicPolicy(R=1.0, L=np.inf),
+                     lambda: ConstantPolicy(R=np.inf, L=1.0, horizon_t=5),
                      lambda: ConstantPolicy(R=1.0, L=1.0, horizon_t=0),
                      # a run never has 2.5 rows, and a bool is no count
                      lambda: ConstantPolicy(R=1.0, L=1.0, horizon_t=2.5),
