@@ -2,7 +2,8 @@
 
 Drives the same machinery as ``psg run --config configs/lasso_desk.json``
 in-process, then reads the per-iteration traces back to compare stability.
-Output files (CSV traces and a JSON summary) land in ``demo_output/``.
+Output files (one ``.npz`` trace per cell, as the config names them, and a JSON
+summary) land in ``demo_output/``.
 """
 
 import json
@@ -10,7 +11,7 @@ import os
 
 import numpy as np
 
-from psg.cli import load_config, read_trace_csv, run_experiment
+from psg.cli import load_config, read_trace, run_experiment
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 OUT = os.path.join(HERE, "demo_output")
@@ -28,7 +29,7 @@ for cell in summary["cells"]:
 
 print("\nlast-500-iteration stability of the raw objective values:")
 for cell in summary["cells"]:
-    meta, columns = read_trace_csv(cell["trace_path"])
+    meta, columns = read_trace(cell["trace_path"])
     tail = columns["f_x"][-500:]
     print(f"  {cell['policy']:<12} std = {np.std(tail, ddof=1):10.4f}   "
           f"(mean {np.mean(tail):10.4f})")
@@ -36,4 +37,4 @@ for cell in summary["cells"]:
 print("\nThe norm-normalized rule oscillates because each step is rescaled by")
 print("the current subgradient alone; the adaptive rule divides by the")
 print("running maximum instead and settles. Certificates for every cell are")
-print("in the summary JSON; plot the CSVs for the full picture.")
+print("in the summary JSON; plot the traces' columns for the full picture.")

@@ -4,7 +4,7 @@ Subcommands
 -----------
 ``psg run --config cfg.json [--out-dir DIR] [--strict]``
     Run every (problem x policy) cell of a JSON experiment config, write one
-    CSV trace per cell (when requested) and a JSON summary.
+    trace per cell (when requested) and a JSON summary.
 ``psg gen-lasso --seed S --n N --m M --out FILE [--lambda L] [--radius R]``
     Write a synthetic Lasso instance to CSV for cross-run reuse.
 ``psg check --trace FILE --problem FILE [--strict]``
@@ -30,24 +30,32 @@ each cell brackets f* by ``[f_low, f_best]`` from its own oracle calls (see
 ({"low", "high"}, or null), ``certificates`` (True iff proven) and
 ``undecided``.
 
-Trace CSV format: a line ``# {json}`` (the cell's ``policy`` spec,
-``iterations``, ``weight_ks``, ``restart_factor``, ``optimum_bracket`` and,
-when its minorants gave f_low, ``minorant_sums`` {"g_sum", "c_sum",
-"count"}), then the trace that :func:`psg.solver.run` returns, column for
-column: the header
-``s,epoch,eta,g_norm,G,f_x,f_best,f_avg_k<k1>,...,bound_<label1>,...``
-and one row per iteration; ``epoch`` counts the restarts so far, every number
-is written as ``%.17g`` (lossless round-trip), and ``G`` is ``nan`` for
-policies that do not track it. The bound columns are the labels of the
+Trace files: the suffix of ``trace_path`` picks the format. A path that
+ends in ``.npz`` gets an uncompressed NumPy zip (NEP 1 ``.npy`` entries):
+the entry ``header``, a 0-d str array holding the JSON object below, then one
+1-D float64 entry per column, in trace order, holding the bits the run
+computed. Any other path gets CSV: a line ``# {json}``, the column names and
+one row per iteration, every number written as ``%.17g`` (lossless
+round-trip). :func:`emit_trace` and :func:`read_trace` pick the format by
+the suffix, and ``meta, columns = read_trace(f); emit_trace_csv(columns,
+out, meta)`` converts a ``.npz`` trace to the CSV that a ``.csv`` run
+writes, byte for byte. The header
+object holds the cell's ``policy`` spec, ``iterations``, ``weight_ks``,
+``restart_factor``, ``optimum_bracket`` and, when its minorants gave f_low,
+``minorant_sums`` {"g_sum", "c_sum", "count"}. The columns are the trace
+that :func:`psg.solver.run` returns, column for column:
+``s,epoch,eta,g_norm,G,f_x,f_best,f_avg_k<k1>,...,bound_<label1>,...``;
+``epoch`` counts the restarts so far, and ``G`` is ``nan`` for policies that
+do not track it. The bound columns are the labels of the
 bounds the policy claims (:meth:`psg.stepsize.StepSizePolicy.claims`, of
 which the base class derives ``bound_labels``): ``family`` and
 ``weak_k<k>`` per ``k`` for the family rule, ``nesterov`` when the problem
 declares a Lipschitz bound, and ``classic`` or ``constant`` when the
 policy's ``L`` is the problem's; another ``L`` runs uncertified.
-:func:`read_trace_csv` returns the same columns. A cell that stops before
+:func:`read_trace` returns the same columns. A cell that stops before
 its first iteration writes no trace. With
 several cells the per-cell file name is derived from ``trace_path`` by
-inserting the cell label before the extension. ``psg check`` checks the
+inserting the cell label before the extension, which it keeps. ``psg check`` checks the
 columns' structure (``eta_positive``: every step is positive and finite),
 rebuilds the policy from the first line and runs the solver's own evaluator
 (:func:`psg.bounds.evaluate`) on the columns: every bound column must match
@@ -55,7 +63,7 @@ bit for bit, and every certificate except ``per_step`` (it needs the
 iterates) is decided again. A trace that repeats a column name, or lacks a
 column its run writes, ``G`` or a declared ``bound_<label>`` among them, is
 an input error. When the problem does not know f*, it takes the
-first line's bracket: its ``high`` must not exceed the final ``f_best``, and
+header's bracket: its ``high`` must not exceed the final ``f_best``, and
 its ``low`` must equal, bit for bit, the low end that
 :func:`psg.bounds.minorant_low` forms from the header's ``minorant_sums``.
 """
@@ -68,6 +76,7 @@ import json
 import math
 import os
 import sys
+import zipfile
 from types import SimpleNamespace
 from typing import Optional
 
@@ -249,6 +258,14 @@ def parse_config(data: dict) -> SimpleNamespace:
         raise ConfigError("iterations: must be >= 1")
     if fields["restart_factor"] is not None and not fields["restart_factor"] > 1:
         raise ConfigError("restart_factor: must exceed 1")
+    for name in ("trace_path", "summary_path"):
+        # an empty name, or a directory's, fails only when the file is opened
+        if fields[name] is not None and os.path.basename(fields[name]) in ("", ".", ".."):
+            raise ConfigError(f"{name}: expected a file name, got {fields[name]!r}")
+    same = fields["trace_path"] is not None and (
+        os.path.normpath(fields["trace_path"]) == os.path.normpath(fields["summary_path"]))
+    if same and len(fields["policy"]) == 1:
+        raise ConfigError("trace_path: is the summary_path; the summary would overwrite it")
     if fields["initial_point"] is None:
         fields["initial_point"] = [0.5] if fields["problem"].kind == "sqrt-example" else "zero"
     fields["policies"] = fields.pop("policy")
@@ -327,6 +344,31 @@ def resolve_initial_point(initial, problem: ProblemInstance) -> np.ndarray:
     return point
 
 
+def _header_json(trace: dict, header: dict) -> str:
+    """The JSON text of a trace's `header`, nonfinite numbers as null; an empty trace fails."""
+    if not trace or not len(next(iter(trace.values()))):
+        raise InvalidParameterError("cannot write an empty trace")
+    return json.dumps(_finite_or_null(header), sort_keys=True, allow_nan=False)
+
+
+def _header_object(path, text: str) -> dict:
+    try:
+        meta = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidParameterError(f"{path}: header: {exc}") from None
+    if not isinstance(meta, dict):
+        raise InvalidParameterError(f"{path}: header: expected a JSON object")
+    return meta
+
+
+def _column_dict(path, names: list, columns: list) -> dict:
+    """Each name to its column, in the file's order; a name that repeats is an input error."""
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise InvalidParameterError(f"{path}: column {repeated[0]} repeats")
+    return dict(zip(names, columns))
+
+
 def emit_trace_csv(trace: dict, path, header: dict) -> None:
     """Write a trace, as :func:`psg.solver.run` returns it, to `path` as CSV.
 
@@ -335,10 +377,7 @@ def emit_trace_csv(trace: dict, path, header: dict) -> None:
     :func:`psg.core.write_csv`: their names, then one row per entry with
     every number as ``%.17g``.
     """
-    if not trace or not len(next(iter(trace.values()))):
-        raise InvalidParameterError("cannot write an empty trace")
-    write_csv(path, "# " + json.dumps(_finite_or_null(header), sort_keys=True, allow_nan=False),
-              trace)
+    write_csv(path, "# " + _header_json(trace, header), trace)
 
 
 def read_trace_csv(path) -> tuple:
@@ -348,22 +387,63 @@ def read_trace_csv(path) -> tuple:
     name that repeats is an input error.
     """
     first, names, rows = read_csv(path, "# {")
-    try:
-        meta = json.loads(first[2:])
-    except json.JSONDecodeError as exc:
-        raise InvalidParameterError(f"{path}: header: {exc}") from None
+    meta = _header_object(path, first[2:])
     if rows.shape[1:] != (len(names),) or not len(rows):
         raise InvalidParameterError(f"{path}: expected rows of {len(names)} columns")
-    repeated = [name for i, name in enumerate(names) if name in names[:i]]
-    if repeated:
-        raise InvalidParameterError(f"{path}: column {repeated[0]} repeats")
-    return meta, dict(zip(names, rows.T))
+    return meta, _column_dict(path, names, list(rows.T))
+
+
+def emit_trace(trace: dict, path, header: dict) -> None:
+    """Write a trace to `path`: a NumPy zip if `path` ends in ``.npz``, else CSV.
+
+    The zip, uncompressed and byte-deterministic, holds the entry ``header``
+    (a 0-d str array, the JSON text of :func:`emit_trace_csv`'s first line)
+    and then each column as a 1-D float64 entry, in the trace's order.
+    """
+    if not str(path).endswith(".npz"):
+        return emit_trace_csv(trace, path, header)
+    text = _header_json(trace, header)
+    columns = {name: np.asarray(col, dtype=np.float64) for name, col in trace.items()}
+    if len({col.shape for col in columns.values()}) > 1 or next(iter(columns.values())).ndim != 1:
+        raise InvalidParameterError("columns differ in length or are not 1-D")
+    with open(path, "wb") as fh:  # every zip entry is dated 1980-01-01
+        np.savez(fh, header=np.array(text), **columns)
+
+
+def read_trace(path) -> tuple:
+    """Read a trace that :func:`emit_trace` wrote: (header object, columns).
+
+    A path ending in ``.npz`` is read as the NumPy zip, any other by
+    :func:`read_trace_csv`; both give the header object and the columns'
+    bits that were written. A file that is not such a zip, a missing or
+    malformed ``header``, an entry that is not a 1-D float64 array, columns
+    of unequal length or no rows, and a repeated name are input errors
+    naming `path`.
+    """
+    if not str(path).endswith(".npz"):
+        return read_trace_csv(path)
+    try:
+        with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh, allow_pickle=False) as npz:
+            names = npz.files
+            entries = [npz[name] for name in names]  # a member that is not .npy reads as bytes
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        raise InvalidParameterError(f"{path}: not a NumPy zip of arrays ({exc})") from None
+    header = entries.pop(names.index("header")) if names.count("header") == 1 else None
+    names = [name for name in names if name != "header"]
+    if not (isinstance(header, np.ndarray) and header.shape == () and header.dtype.kind == "U"):
+        raise InvalidParameterError(f"{path}: expected one entry header, a 0-d str array")
+    for name, col in zip(names, entries):
+        if not (isinstance(col, np.ndarray) and col.dtype == np.float64 and col.ndim == 1):
+            raise InvalidParameterError(f"{path}: entry {name} is not a 1-D float64 array")
+    if len({len(col) for col in entries}) != 1 or not len(entries[0]):
+        raise InvalidParameterError(f"{path}: expected columns of one length, with rows")
+    return _header_object(path, header.item()), _column_dict(path, names, entries)
 
 
 def check_trace(meta: dict, cols: dict, problem: ProblemInstance) -> list:
     """Re-validate a trace; returns (name, passed, detail) triples.
 
-    `meta` and `cols` are as :func:`read_trace_csv` returns them. The
+    `meta` and `cols` are as :func:`read_trace` returns them. The
     structural invariants come from the columns; the bounds and the
     certificates from :func:`psg.bounds.evaluate`, as ``psg run`` computes
     them (see the module docstring for what is taken on trust). A header
@@ -485,7 +565,7 @@ def run_experiment(config: SimpleNamespace, out_dir: Optional[str] = None) -> di
         if written:
             os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
             sums = {} if report.minorant_sums is None else {"minorant_sums": report.minorant_sums}
-            emit_trace_csv(trace, path, {
+            emit_trace(trace, path, {
                 "policy": _spec_dict(spec), "iterations": config.iterations,
                 "weight_ks": list(config.weight_ks), "restart_factor": config.restart_factor,
                 "optimum_bracket": bracket, **sums})
@@ -543,7 +623,7 @@ def _cmd_check(args) -> int:
     if isinstance(data, dict) and "problem" in data:  # a whole config
         data = data["problem"]
     problem = build_problem(_spec(PROBLEM_FIELDS, data, "problem"))
-    results = check_trace(*read_trace_csv(args.trace), problem)
+    results = check_trace(*read_trace(args.trace), problem)
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}" + (f" ({detail})" if detail else ""))
     if args.strict and not all(ok for _, ok, _ in results):

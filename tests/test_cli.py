@@ -2,8 +2,10 @@ import dataclasses
 import io
 import json
 import math
+import pathlib
 import re
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -24,10 +26,12 @@ from psg.cli import (
     build_policy,
     build_problem,
     config_to_dict,
+    emit_trace,
     emit_trace_csv,
     load_config,
     main,
     parse_config,
+    read_trace,
     read_trace_csv,
     resolve_initial_point,
     run_experiment,
@@ -169,6 +173,34 @@ class TestConfigParsing:
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
         assert_one_error_line(capsys, f"error: {where}: expected")
         assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("trace_path", ""), ("trace_path", "sub/"), ("trace_path", "."),
+        ("summary_path", ""), ("summary_path", "sub/"), ("summary_path", "sub/.."),
+    ])
+    def test_path_that_cannot_hold_a_file_fails_before_any_cell(self, tmp_path, capsys,
+                                                              field, value):
+        data = dict(ABS_CONFIG, **{field: value})
+        with pytest.raises(ConfigError, match=f"{field}: expected a file name"):
+            parse_config(data)
+        cfg = write_config(tmp_path / "c.json", data)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out-dir", str(out), "--strict"]) == 1
+        assert_one_error_line(capsys, f"error: {field}: expected a file name")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trace", ["same.json", "./same.json", "sub/../same.json"])
+    def test_one_cell_trace_path_that_is_the_summary_path(self, tmp_path, capsys, trace):
+        data = dict(ABS_CONFIG, trace_path=trace, summary_path="same.json")
+        with pytest.raises(ConfigError, match="trace_path: is the summary_path"):
+            parse_config(data)
+        cfg = write_config(tmp_path / "c.json", data)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out-dir", str(out), "--strict"]) == 1
+        assert_one_error_line(capsys, "error: trace_path: is the summary_path")
+        assert not out.exists()
+        # several cells derive their own trace names, which cannot be the summary's
+        parse_config(dict(data, policy=[{"kind": "family"}, {"kind": "nesterov"}]))
 
     def test_integral_float_is_a_count(self):
         config = parse_config(dict(ABS_CONFIG, iterations=2000.0))
@@ -1054,6 +1086,194 @@ def test_emit_trace_csv_rejects_empty(tmp_path):
     for trace in ({}, {"s": np.array([]), "eta": np.array([])}):  # no columns, no rows
         with pytest.raises(InvalidParameterError):
             emit_trace_csv(trace, tmp_path / "x.csv", {})
+
+
+# Configs that run once with a .npz and once with a .csv trace path.
+NPZ_CONFIGS = {
+    # every rule on a problem that declares L
+    "abs_rules": {"problem": {"kind": "abs", "dim": 3},
+                  "policy": [{"kind": "nesterov"}, {"kind": "classic"}, {"kind": "constant"},
+                             {"kind": "family"}],
+                  "weight_ks": [-1.0, 0.0, 0.5], "iterations": 500,
+                  "initial_point": [0.7, -0.4, 0.2]},
+    # 8,000 iterations fill a whole 4,096-row block inside one epoch
+    "restarted": {"problem": {"kind": "sqrt-example"}, "policy": {"kind": "family", "a": 0.0},
+                  "weight_ks": [-1.0, 0.0, 2.0], "iterations": 8000, "initial_point": [0.9],
+                  "restart_factor": 2.0},
+    "lasso": {"problem": {"kind": "lasso", "seed": 1, "n": 8, "m": 6,
+                          "radius": 5.0, "lambda": 1.0},
+              "policy": [{"kind": "family"}, {"kind": "nesterov"}],
+              "weight_ks": [-1.0, 0.0, 2.0], "iterations": 200},
+}
+
+
+def _save_npz(path, **entries):
+    with open(path, "wb") as fh:
+        np.savez(fh, **entries)
+
+
+def _append_member(path, name, array):
+    with warnings.catch_warnings():  # zipfile warns of a repeated name
+        warnings.simplefilter("ignore", UserWarning)
+        with zipfile.ZipFile(path, "a") as zf, zf.open(name, "w") as fh:
+            np.lib.format.write_array(fh, array)
+
+
+def _flip_a_byte(good, bad, meta, columns):
+    data = bytearray(good.read_bytes())
+    data[data.find(columns["eta"].tobytes()) + 8] ^= 1  # the CRC of eta.npy no longer matches
+    bad.write_bytes(bytes(data))
+
+
+def _npy_file(good, bad, meta, columns):
+    with open(bad, "wb") as fh:  # np.save would append .npy to the name
+        np.save(fh, columns["s"])
+
+
+def _non_npy_member(good, bad, meta, columns):
+    bad.write_bytes(good.read_bytes())
+    with zipfile.ZipFile(bad, "a") as zf:
+        zf.writestr("notes.txt", "not an array")
+
+
+# damage(good, bad, meta, columns) writes `bad` from the trace `good`, and the
+# error line names `bad` and then says `message`
+MALFORMED_NPZ = {
+    "truncated": (lambda good, bad, meta, columns: bad.write_bytes(
+        good.read_bytes()[:good.stat().st_size // 2]), "not a NumPy zip of arrays"),
+    "empty": (lambda good, bad, meta, columns: bad.write_bytes(b""),
+              "not a NumPy zip of arrays"),
+    "csv": (lambda good, bad, meta, columns: emit_trace_csv(columns, bad, meta),
+            "not a NumPy zip of arrays"),
+    "npy": (_npy_file, "not a NumPy zip of arrays"),
+    "bad-crc": (_flip_a_byte, "not a NumPy zip of arrays (Bad CRC-32"),
+    "object-column": (lambda good, bad, meta, columns: _save_npz(
+        bad, header=np.array(json.dumps(meta)),
+        **dict(columns, eta=np.array(list(columns["eta"]), dtype=object))),
+        "not a NumPy zip of arrays (Object arrays cannot be loaded"),
+    "no-header": (lambda good, bad, meta, columns: _save_npz(bad, **columns),
+                  "expected one entry header, a 0-d str array"),
+    "header-1d": (lambda good, bad, meta, columns: _save_npz(
+        bad, header=np.array([json.dumps(meta)]), **columns),
+        "expected one entry header, a 0-d str array"),
+    "header-number": (lambda good, bad, meta, columns: _save_npz(
+        bad, header=np.array(1.0), **columns), "expected one entry header, a 0-d str array"),
+    "header-twice": (lambda good, bad, meta, columns: (
+        bad.write_bytes(good.read_bytes()),
+        _append_member(bad, "header.npy", np.array(json.dumps(meta)))),
+        "expected one entry header, a 0-d str array"),
+    "header-list": (lambda good, bad, meta, columns: _save_npz(
+        bad, header=np.array("[1, 2]"), **columns), "header: expected a JSON object"),
+    "header-json": (lambda good, bad, meta, columns: _save_npz(
+        bad, header=np.array("{nope"), **columns), "header: Expecting property name"),
+    "int-column": (lambda good, bad, meta, columns: _save_npz(
+        bad, header=np.array(json.dumps(meta)), **dict(columns, s=columns["s"].astype(int))),
+        "entry s is not a 1-D float64 array"),
+    "2d-column": (lambda good, bad, meta, columns: _save_npz(
+        bad, header=np.array(json.dumps(meta)),
+        **dict(columns, eta=columns["eta"].reshape(-1, 1))),
+        "entry eta is not a 1-D float64 array"),
+    "non-npy-member": (_non_npy_member, "entry notes.txt is not a 1-D float64 array"),
+    "unequal-lengths": (lambda good, bad, meta, columns: _save_npz(
+        bad, header=np.array(json.dumps(meta)), **dict(columns, eta=columns["eta"][:-1])),
+        "expected columns of one length, with rows"),
+    "no-rows": (lambda good, bad, meta, columns: _save_npz(
+        bad, header=np.array(json.dumps(meta)),
+        **{name: col[:0] for name, col in columns.items()}),
+        "expected columns of one length, with rows"),
+    "no-columns": (lambda good, bad, meta, columns: _save_npz(
+        bad, header=np.array(json.dumps(meta))), "expected columns of one length, with rows"),
+    # f_x again, far below f*: a reader that kept one column per name would pass
+    "repeated-column": (lambda good, bad, meta, columns: (
+        bad.write_bytes(good.read_bytes()),
+        _append_member(bad, "f_x.npy", columns["f_x"] - 1e300)), "column f_x repeats"),
+}
+
+
+class TestNpzTrace:
+    @pytest.mark.parametrize("name", sorted(NPZ_CONFIGS))
+    def test_npz_trace_holds_the_bits_of_the_csv_trace(self, tmp_path, capsys, name):
+        runs = {}
+        for suffix in ("npz", "csv"):
+            cfg = write_config(tmp_path / f"{suffix}.json",
+                               dict(NPZ_CONFIGS[name], trace_path=f"trace.{suffix}"))
+            out = tmp_path / suffix
+            assert main(["run", "--config", cfg, "--out-dir", str(out), "--strict"]) == 0
+            runs[suffix] = cfg, json.loads((out / "summary.json").read_text())
+        (npz_cfg, npz_summary), (csv_cfg, csv_summary) = runs["npz"], runs["csv"]
+        assert npz_summary["config"].pop("trace_path") == "trace.npz"
+        assert csv_summary["config"].pop("trace_path") == "trace.csv"
+        for npz_cell, csv_cell in zip(npz_summary["cells"], csv_summary["cells"]):
+            npz_trace, csv_trace = npz_cell.pop("trace_path"), csv_cell.pop("trace_path")
+            assert npz_trace == csv_trace.replace("/csv/", "/npz/")[:-3] + "npz"
+            meta, columns = read_trace(npz_trace)
+            csv_meta, csv_columns = read_trace_csv(csv_trace)
+            assert meta == csv_meta and list(columns) == list(csv_columns)
+            for column, col in csv_columns.items():  # every bit, nan included
+                assert columns[column].dtype == np.float64
+                assert np.array_equal(columns[column].view(np.int64), col.view(np.int64))
+            # only the family rule tracks G; the others write it as nan
+            assert np.all(np.isnan(columns["G"])) != npz_cell["policy"].startswith("family")
+            converted = tmp_path / "converted.csv"
+            emit_trace_csv(columns, converted, meta)
+            assert converted.read_bytes() == pathlib.Path(csv_trace).read_bytes()
+            checked = []
+            for trace, cfg in ((npz_trace, npz_cfg), (csv_trace, csv_cfg)):
+                capsys.readouterr()
+                assert main(["check", "--strict", "--trace", trace, "--problem", cfg]) == 0
+                checked.append(capsys.readouterr().out)
+            assert checked[0] == checked[1] and "PASS" in checked[0]
+        assert npz_summary == csv_summary
+
+    def test_reruns_write_identical_npz_bytes(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", dict(NPZ_CONFIGS["lasso"], trace_path="t.npz"))
+        for out in ("first", "second"):
+            assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / out)]) == 0
+        # several cells keep the .npz suffix in their derived names
+        names = ["summary.json", "t__0_family_a1.npz", "t__1_nesterov.npz"]
+        assert sorted(p.name for p in (tmp_path / "first").iterdir()) == names
+        cells = json.loads((tmp_path / "first" / "summary.json").read_text())["cells"]
+        assert [cell["trace_path"] for cell in cells] == [
+            str(tmp_path / "first" / name) for name in names[1:]]
+        for name in names[1:]:
+            assert (tmp_path / "second" / name).read_bytes() == (
+                tmp_path / "first" / name).read_bytes()
+        with zipfile.ZipFile(tmp_path / "first" / names[1]) as zf:
+            infos = zf.infolist()
+        meta, columns = read_trace(tmp_path / "first" / names[1])
+        assert [info.filename for info in infos] == [
+            f"{name}.npy" for name in ("header", *columns)]
+        assert {(info.date_time, info.compress_type) for info in infos} == {
+            ((1980, 1, 1, 0, 0, 0), zipfile.ZIP_STORED)}
+
+    @pytest.fixture()
+    def npz_outputs(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", dict(
+            NPZ_CONFIGS["lasso"], policy={"kind": "family"}, trace_path="trace.npz"))
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path), "--strict"]) == 0
+        return tmp_path / "trace.npz", cfg
+
+    @pytest.mark.parametrize("damage", sorted(MALFORMED_NPZ))
+    def test_malformed_npz_is_one_error_line(self, npz_outputs, tmp_path, capsys, damage):
+        good, cfg = npz_outputs
+        write, message = MALFORMED_NPZ[damage]
+        bad = tmp_path / "bad.npz"
+        write(good, bad, *read_trace(good))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["check", "--strict", "--trace", str(bad), "--problem", cfg]) == 1
+        assert caught == []
+        assert_one_error_line(capsys, f"error: {bad}: {message}")
+
+    @pytest.mark.parametrize("trace", [{}, {"s": np.array([]), "eta": np.array([])},
+                                       {"s": np.ones(3), "eta": np.ones(2)},
+                                       {"s": np.ones((3, 2))}],
+                             ids=["no-columns", "no-rows", "ragged", "2d"])
+    def test_emit_trace_rejects_what_it_cannot_read(self, tmp_path, trace):
+        with pytest.raises(InvalidParameterError):
+            emit_trace(trace, tmp_path / "x.npz", {})
+        assert not (tmp_path / "x.npz").exists()
 
 
 def test_run_experiment_returns_summary_dict(tmp_path):
