@@ -53,9 +53,12 @@ which the base class derives ``bound_labels``): ``family`` and
 declares a Lipschitz bound, and ``classic`` or ``constant`` when the
 policy's ``L`` is the problem's; another ``L`` runs uncertified.
 :func:`read_trace` returns the same columns. A cell that stops before
-its first iteration writes no trace. With
-several cells the per-cell file name is derived from ``trace_path`` by
-inserting the cell label before the extension, which it keeps. ``psg check`` checks the
+its first iteration writes no trace. One cell writes ``trace_path`` itself;
+cell ``i`` of several writes ``<root>__<i>_<label><ext>``, ``trace_path``
+with the cell's index and label before its extension, which it keeps
+(``.csv`` when it has none). Before the first cell runs, every trace and the
+summary are vetted as the files they resolve to: none may be an existing
+directory, the problem's input file or another of the run's outputs. ``psg check`` checks the
 columns' structure (``eta_positive``: every step is positive and finite),
 rebuilds the policy from the first line and runs the solver's own evaluator
 (:func:`psg.bounds.evaluate`) on the columns: every bound column must match
@@ -258,14 +261,6 @@ def parse_config(data: dict) -> SimpleNamespace:
         raise ConfigError("iterations: must be >= 1")
     if fields["restart_factor"] is not None and not fields["restart_factor"] > 1:
         raise ConfigError("restart_factor: must exceed 1")
-    for name in ("trace_path", "summary_path"):
-        # an empty name, or a directory's, fails only when the file is opened
-        if fields[name] is not None and os.path.basename(fields[name]) in ("", ".", ".."):
-            raise ConfigError(f"{name}: expected a file name, got {fields[name]!r}")
-    same = fields["trace_path"] is not None and (
-        os.path.normpath(fields["trace_path"]) == os.path.normpath(fields["summary_path"]))
-    if same and len(fields["policy"]) == 1:
-        raise ConfigError("trace_path: is the summary_path; the summary would overwrite it")
     if fields["initial_point"] is None:
         fields["initial_point"] = [0.5] if fields["problem"].kind == "sqrt-example" else "zero"
     fields["policies"] = fields.pop("policy")
@@ -508,15 +503,38 @@ def check_trace(meta: dict, cols: dict, problem: ProblemInstance) -> list:
     return results
 
 
-def _trace_path(base: Optional[str], policy, index: int, total: int) -> Optional[str]:
-    """The trace file of cell `index` of `total`: `base` itself for one cell.
+def _output_paths(config: SimpleNamespace, policies: list, out_dir: Optional[str]) -> tuple:
+    """Each cell's trace file (or None) and the summary file, under `out_dir`.
 
-    With several cells, `base` with the cell's label before its extension.
+    One cell writes ``trace_path`` itself; several write ``trace_path`` with
+    ``__<i>_<label>`` before its extension (``.csv`` when it has none). A
+    name that is not a file's, an existing directory, two outputs that are
+    one file and an output that is the problem's input file are config
+    errors, raised before anything is written.
     """
-    if base is None or total == 1:
-        return base
-    root, ext = os.path.splitext(base)
-    return f"{root}__{index}_{policy.label}{ext or '.csv'}"
+    for name in ("trace_path", "summary_path"):
+        path = getattr(config, name)
+        if path is not None and os.path.basename(path) in ("", ".", ".."):
+            raise ConfigError(f"{name}: expected a file name, got {path!r}")
+    trace = config.trace_path and os.path.join(out_dir or "", config.trace_path)
+    root, ext = os.path.splitext(trace or "")
+    traces = [trace if len(policies) == 1 or not trace else f"{root}__{i}_{p.label}{ext or '.csv'}"
+              for i, p in enumerate(policies)]
+    summary = os.path.join(out_dir or "", config.summary_path)
+    # each file's real path -> (what it is, what would overwrite it); the
+    # summary goes first, as it is written last
+    owners = {}
+    if config.problem.kind == "lasso-file":
+        owners[os.path.realpath(config.problem.path)] = ("problem's input file", "the run")
+    for where, path, writer in [("summary_path", summary, "the summary")] + [
+            ("trace_path" if len(traces) == 1 else f"trace_path ({path})", path, "a trace")
+            for path in traces if path]:
+        if os.path.isdir(path):
+            raise ConfigError(f"{where}: {path} is a directory")
+        owner = owners.setdefault(os.path.realpath(path), (where, writer))
+        if owner != (where, writer):
+            raise ConfigError(f"{where}: is the {owner[0]}; {owner[1]} would overwrite it")
+    return traces, summary
 
 
 def _finite_or_null(obj):
@@ -530,65 +548,56 @@ def _finite_or_null(obj):
     return obj
 
 
+# The fields of a run's report that a summary cell holds as they are
+REPORT_FIELDS = ("iterations_run", "best_value", "best_index", "averaged_values", "max_g_norm",
+                 "bounds", "certificates", "undecided")
+
+
 def run_experiment(config: SimpleNamespace, out_dir: Optional[str] = None) -> dict:
     """Execute all cells of `config` and return the summary dict.
 
     The summary is also written to ``config.summary_path`` as strict JSON:
     nonfinite floats (such as the best value of a run that stopped before
     its first step) are written, and returned, as null. Relative output
-    paths are resolved under `out_dir` (default: current directory). A
-    numeric failure marks its cell as failed without affecting the others.
+    paths are resolved under `out_dir` (default: current directory), and
+    an output path that cannot hold its file is a :class:`ConfigError`
+    before the first cell runs. A numeric failure marks its cell as failed
+    without affecting the others.
     """
     problem = build_problem(config.problem)
     policies = [build_policy(spec, problem, config.iterations, "policy")
                 for spec in config.policies]
-
-    def resolve(path):
-        return None if path is None else os.path.join(out_dir or "", path)
-
-    paths = [resolve(_trace_path(config.trace_path, p, i, len(policies)))
-             for i, p in enumerate(policies)]
+    paths, summary_path = _output_paths(config, policies, out_dir)
+    x0 = resolve_initial_point(config.initial_point, problem)  # run never changes it
 
     def execute(spec, policy, path):
+        cell = {"problem": problem.name, "policy": policy.label}
         solver_config = SolverConfig(
-            max_iterations=config.iterations,
-            initial_point=resolve_initial_point(config.initial_point, problem),
+            max_iterations=config.iterations, initial_point=x0,
             policy=policy, weight_ks=config.weight_ks, record_trace=path is not None,
             restart_factor=config.restart_factor)
         try:
             report, trace = run(problem, solver_config)
         except NumericError as exc:
-            return {"problem": problem.name, "policy": policy.label,
-                    "status": "failed", "error": str(exc)}
+            return cell | {"status": "failed", "error": str(exc)}
         bracket = report.optimum_bracket and dict(zip(("low", "high"), report.optimum_bracket))
         written = trace is not None and report.iterations_run > 0
         if written:
-            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+            # the parent as written: in "sub/../t.csv" sub must exist, abspath would drop it
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
             sums = {} if report.minorant_sums is None else {"minorant_sums": report.minorant_sums}
             emit_trace(trace, path, {
                 "policy": _spec_dict(spec), "iterations": config.iterations,
                 "weight_ks": list(config.weight_ks), "restart_factor": config.restart_factor,
                 "optimum_bracket": bracket, **sums})
-        return {"problem": problem.name, "policy": policy.label,
-                "status": "ok", "error": None,
-                "iterations_run": report.iterations_run,
-                "stop_reason": report.stop_reason.value,
-                "best_value": report.best_value,
-                "best_index": report.best_index,
-                "averaged_values": report.averaged_values,
-                "max_g_norm": report.max_g_norm,
-                "bounds": report.bounds,
-                "certificates": report.certificates,
-                "optimum_bracket": bracket,
-                "undecided": report.undecided,
-                "trace_path": path if written else None}
+        return cell | {name: getattr(report, name) for name in REPORT_FIELDS} | {
+            "status": "ok", "error": None, "stop_reason": report.stop_reason.value,
+            "optimum_bracket": bracket, "trace_path": path if written else None}
 
     cells = [execute(*cell) for cell in zip(config.policies, policies, paths)]
 
     summary = _finite_or_null({"config": config_to_dict(config), "cells": cells})
-    summary_path = resolve(config.summary_path)
-    parent = os.path.dirname(os.path.abspath(summary_path))
-    os.makedirs(parent, exist_ok=True)
+    os.makedirs(os.path.dirname(summary_path) or ".", exist_ok=True)
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import pathlib
 import re
 import warnings
@@ -181,10 +182,10 @@ class TestConfigParsing:
     def test_path_that_cannot_hold_a_file_fails_before_any_cell(self, tmp_path, capsys,
                                                               field, value):
         data = dict(ABS_CONFIG, **{field: value})
-        with pytest.raises(ConfigError, match=f"{field}: expected a file name"):
-            parse_config(data)
-        cfg = write_config(tmp_path / "c.json", data)
         out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=f"{field}: expected a file name"):
+            run_experiment(parse_config(data), out_dir=str(out))
+        cfg = write_config(tmp_path / "c.json", data)
         assert main(["run", "--config", cfg, "--out-dir", str(out), "--strict"]) == 1
         assert_one_error_line(capsys, f"error: {field}: expected a file name")
         assert not out.exists()
@@ -192,15 +193,22 @@ class TestConfigParsing:
     @pytest.mark.parametrize("trace", ["same.json", "./same.json", "sub/../same.json"])
     def test_one_cell_trace_path_that_is_the_summary_path(self, tmp_path, capsys, trace):
         data = dict(ABS_CONFIG, trace_path=trace, summary_path="same.json")
-        with pytest.raises(ConfigError, match="trace_path: is the summary_path"):
-            parse_config(data)
-        cfg = write_config(tmp_path / "c.json", data)
         out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=re.escape(
+                "trace_path: is the summary_path; the summary would overwrite it")):
+            run_experiment(parse_config(data), out_dir=str(out))
+        cfg = write_config(tmp_path / "c.json", data)
         assert main(["run", "--config", cfg, "--out-dir", str(out), "--strict"]) == 1
         assert_one_error_line(capsys, "error: trace_path: is the summary_path")
         assert not out.exists()
-        # several cells derive their own trace names, which cannot be the summary's
-        parse_config(dict(data, policy=[{"kind": "family"}, {"kind": "nesterov"}]))
+        # several cells derive their own trace names, none of them the summary's
+        cfg = write_config(tmp_path / "c.json", dict(
+            data, policy=[{"kind": "family"}, {"kind": "nesterov"}]))
+        assert main(["run", "--config", cfg, "--out-dir", str(out), "--strict"]) == 0
+        summary = json.loads((out / "same.json").read_text())
+        assert [cell["trace_path"] for cell in summary["cells"]] == [
+            os.path.join(out, trace.replace("same.json", f"same__{i}_{label}.json"))
+            for i, label in enumerate(("family_a1", "nesterov"))]
 
     def test_integral_float_is_a_count(self):
         config = parse_config(dict(ABS_CONFIG, iterations=2000.0))
@@ -212,6 +220,65 @@ class TestConfigParsing:
         path.write_text("{\n  \"problem\": ???\n}")
         with pytest.raises(ConfigError, match="line 2"):
             load_config(path)
+
+
+class TestOutputPaths:
+    """Every file a run writes is vetted before its first cell runs."""
+
+    TWO_CELLS = dict(ABS_CONFIG, problem={"kind": "abs", "dim": 2}, initial_point=[0.7, -0.4],
+                     policy=[{"kind": "family"}, {"kind": "nesterov"}], iterations=50)
+
+    def fails_before_any_cell(self, capsys, cfg, out, start):
+        """`psg run` exits 1 with one error line starting `start` and writes nothing."""
+        before = sorted(out.rglob("*")) if out.exists() else None
+        assert main(["run", "--config", cfg, "--out-dir", str(out), "--strict"]) == 1
+        assert_one_error_line(capsys, start)
+        assert (sorted(out.rglob("*")) if out.exists() else None) == before
+
+    def test_summary_over_a_derived_trace(self, tmp_path, capsys):
+        data = dict(self.TWO_CELLS, trace_path="t.csv", summary_path="t__1_nesterov.csv")
+        cfg = write_config(tmp_path / "c.json", data)
+        out = tmp_path / "out"
+        derived = out / "t__1_nesterov.csv"
+        self.fails_before_any_cell(capsys, cfg, out, f"error: trace_path ({derived}): is the"
+                                   " summary_path; the summary would overwrite it")
+
+    def test_directory_summary_path(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "d").mkdir(parents=True)
+        cfg = write_config(tmp_path / "c.json", dict(self.TWO_CELLS, summary_path="d"))
+        self.fails_before_any_cell(capsys, cfg, out,
+                                   f"error: summary_path: {out / 'd'} is a directory")
+
+    def test_directory_trace_path(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "trace.csv").mkdir(parents=True)
+        cfg = write_config(tmp_path / "c.json", ABS_CONFIG)
+        self.fails_before_any_cell(capsys, cfg, out, "error: trace_path: ")
+
+    @pytest.mark.parametrize("field,name,out_dir", [
+        ("trace_path", "inst.csv", None), ("trace_path", "./inst.csv", None),
+        ("trace_path", "inst.csv", "link"), ("summary_path", "inst.csv", None),
+        ("summary_path", "../data/inst.csv", "out"),
+    ], ids=["trace", "dot-slash", "symlinked-out-dir", "summary", "summary-up"])
+    def test_output_over_the_problem_file(self, tmp_path, monkeypatch, capsys,
+                                          field, name, out_dir):
+        monkeypatch.chdir(tmp_path)
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        assert main(["gen-lasso", "--seed", "3", "--n", "4", "--m", "6",
+                     "--out", str(data_dir / "inst.csv")]) == 0
+        instance = (data_dir / "inst.csv").read_bytes()
+        (tmp_path / "link").symlink_to(data_dir)
+        (tmp_path / "out").mkdir()
+        cfg = write_config(tmp_path / "c.json", {
+            "problem": {"kind": "lasso-file", "path": "data/inst.csv"},
+            "policy": {"kind": "family"}, "iterations": 50, field: name})
+        out = tmp_path / (out_dir or "data")
+        self.fails_before_any_cell(capsys, cfg, out, f"error: {field}: is the problem's input"
+                                   " file; the run would overwrite it")
+        assert (data_dir / "inst.csv").read_bytes() == instance
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "data", "link", "out"]
 
 
 class TestRunCommand:
