@@ -27,8 +27,8 @@ subdifferential there). A problem that knows its exact optimum f* (abs,
 sqrt-example) is the optimality bracket ``[f*, f*]``; without one (Lasso)
 each cell brackets f* by ``[f_low, f_best]`` from its own oracle calls (see
 :func:`psg.solver.run`). Each summary cell reports ``optimum_bracket``
-({"low", "high"}, or null), ``certificates`` (True iff proven) and
-``undecided``.
+({"low", "high"}, or null), ``certificates`` (True iff proven),
+``undecided`` and ``oracle_calls`` (the calls its run made).
 
 Trace files: the suffix of ``trace_path`` picks the format. A path that
 ends in ``.npz`` gets an uncompressed NumPy zip (NEP 1 ``.npy`` entries):
@@ -58,7 +58,8 @@ cell ``i`` of several writes ``<root>__<i>_<label><ext>``, ``trace_path``
 with the cell's index and label before its extension, which it keeps
 (``.csv`` when it has none). Before the first cell runs, every trace and the
 summary are vetted as the files they resolve to: none may be an existing
-directory, the problem's input file or another of the run's outputs. ``psg check`` checks the
+directory, lie under a file, or be the problem's input file, the config
+file or another of the run's outputs. ``psg check`` checks the
 columns' structure (``eta_positive``: every step is positive and finite),
 rebuilds the policy from the first line and runs the solver's own evaluator
 (:func:`psg.bounds.evaluate`) on the columns: every bound column must match
@@ -503,14 +504,24 @@ def check_trace(meta: dict, cols: dict, problem: ProblemInstance) -> list:
     return results
 
 
-def _output_paths(config: SimpleNamespace, policies: list, out_dir: Optional[str]) -> tuple:
+def _file_above(path: str) -> Optional[str]:
+    """The nearest existing parent of `path` if it is not a directory, else None."""
+    parent = os.path.dirname(path)
+    while parent and not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    return parent if parent and not os.path.isdir(parent) else None
+
+
+def _output_paths(config: SimpleNamespace, policies: list, out_dir: Optional[str],
+                  config_path: Optional[str]) -> tuple:
     """Each cell's trace file (or None) and the summary file, under `out_dir`.
 
     One cell writes ``trace_path`` itself; several write ``trace_path`` with
     ``__<i>_<label>`` before its extension (``.csv`` when it has none). A
-    name that is not a file's, an existing directory, two outputs that are
-    one file and an output that is the problem's input file are config
-    errors, raised before anything is written.
+    name that is not a file's, an existing directory, an output under a
+    file, two outputs that are one file and an output that is an input (the
+    problem's file, or the config file at `config_path`) are config errors,
+    raised before anything is written.
     """
     for name in ("trace_path", "summary_path"):
         path = getattr(config, name)
@@ -526,11 +537,16 @@ def _output_paths(config: SimpleNamespace, policies: list, out_dir: Optional[str
     owners = {}
     if config.problem.kind == "lasso-file":
         owners[os.path.realpath(config.problem.path)] = ("problem's input file", "the run")
+    if config_path is not None:
+        owners[os.path.realpath(config_path)] = ("config file", "the run")
     for where, path, writer in [("summary_path", summary, "the summary")] + [
             ("trace_path" if len(traces) == 1 else f"trace_path ({path})", path, "a trace")
             for path in traces if path]:
         if os.path.isdir(path):
             raise ConfigError(f"{where}: {path} is a directory")
+        blocked = _file_above(path)
+        if blocked:
+            raise ConfigError(f"{where}: {blocked} is a file, not a directory")
         owner = owners.setdefault(os.path.realpath(path), (where, writer))
         if owner != (where, writer):
             raise ConfigError(f"{where}: is the {owner[0]}; {owner[1]} would overwrite it")
@@ -550,24 +566,26 @@ def _finite_or_null(obj):
 
 # The fields of a run's report that a summary cell holds as they are
 REPORT_FIELDS = ("iterations_run", "best_value", "best_index", "averaged_values", "max_g_norm",
-                 "bounds", "certificates", "undecided")
+                 "bounds", "certificates", "undecided", "oracle_calls")
 
 
-def run_experiment(config: SimpleNamespace, out_dir: Optional[str] = None) -> dict:
+def run_experiment(config: SimpleNamespace, out_dir: Optional[str] = None,
+                   config_path: Optional[str] = None) -> dict:
     """Execute all cells of `config` and return the summary dict.
 
     The summary is also written to ``config.summary_path`` as strict JSON:
     nonfinite floats (such as the best value of a run that stopped before
     its first step) are written, and returned, as null. Relative output
     paths are resolved under `out_dir` (default: current directory), and
-    an output path that cannot hold its file is a :class:`ConfigError`
+    an output path that cannot hold its file, or that is the file the config
+    was read from (`config_path`, when given), is a :class:`ConfigError`
     before the first cell runs. A numeric failure marks its cell as failed
     without affecting the others.
     """
     problem = build_problem(config.problem)
     policies = [build_policy(spec, problem, config.iterations, "policy")
                 for spec in config.policies]
-    paths, summary_path = _output_paths(config, policies, out_dir)
+    paths, summary_path = _output_paths(config, policies, out_dir, config_path)
     x0 = resolve_initial_point(config.initial_point, problem)  # run never changes it
 
     def execute(spec, policy, path):
@@ -605,7 +623,8 @@ def run_experiment(config: SimpleNamespace, out_dir: Optional[str] = None) -> di
 
 
 def _cmd_run(args) -> int:
-    summary = run_experiment(load_config(args.config), out_dir=args.out_dir)
+    summary = run_experiment(load_config(args.config), out_dir=args.out_dir,
+                             config_path=args.config)
     failed = [c for c in summary["cells"] if c["status"] != "ok"]
     for cell in failed:
         print(f"cell {cell['policy']}: {cell['error']}", file=sys.stderr)

@@ -164,7 +164,11 @@ class ProblemInstance:
     dimension : int
         Length of the decision vector.
     oracle : callable
-        Maps a point to a :class:`SubgradientResult`.
+        Maps a point to a :class:`SubgradientResult`. It must be a function
+        of the point: equal bytes of x give an equal answer, and the caller
+        may keep the arrays it returns. :func:`psg.solver.run` relies on
+        this: it does not call the oracle again at the point it called it at
+        last, but reuses that answer.
     projector : object
         Euclidean projection operator onto the feasible set (see
         :mod:`psg.projection`).
@@ -241,6 +245,8 @@ class RunReport:
     (low, high) pair known to contain f* that the gap certificates were
     checked against, or None when the run formed none; `minorant_sums` the
     {g_sum, c_sum, count} that :func:`psg.bounds.minorant_low` turns into low.
+    `oracle_calls` counts the calls the run made into the problem's oracle,
+    those that valued its averages included.
     """
 
     problem: str
@@ -255,6 +261,7 @@ class RunReport:
     max_g_norm: float
     bounds: dict
     certificates: dict
+    oracle_calls: int
     optimum_bracket: Optional[tuple] = None
     undecided: list = field(default_factory=list)
     minorant_sums: Optional[dict] = None

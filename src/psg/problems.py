@@ -247,8 +247,9 @@ def reference_optimum_value(problem: ProblemInstance, iterations: int) -> float:
 
     Runs the family rule (exponent a = 1) from the origin for `iterations`
     steps as the lean run, with no averages tracked (``weight_ks=()``), so
-    it costs exactly one oracle call per iteration run, and returns the
-    best objective value seen. The result is >= the
+    it costs at most one oracle call per iteration run (none for an iterate
+    equal to the last point evaluated), and returns the best objective value
+    seen. The result is >= the
     true optimum. A library helper; the CLI does not use it, because a gap
     measured against it understates the true gap. A run that knows no
     optimum brackets f* from its own oracle calls instead (see

@@ -85,10 +85,12 @@ class SolverConfig:
         entry. k = 0 (the plain running mean) is required for the
         uniform-average certificates. An empty sequence is the lean run: it
         tracks no average, so no policy declares a gap or monotone
-        certificate for it; it costs its oracle calls, steps and
-        projections only (plus a copy of x_s per iteration when the
-        per-step inequality is checked), makes no oracle call after its last
-        iteration, and reports empty averaged points and values.
+        certificate for it; it costs its oracle calls (at most one per
+        iteration, and none for an iterate equal to the last point
+        evaluated), steps and projections only (plus a copy of x_s per
+        iteration when the per-step inequality is checked), makes no oracle
+        call after its last iteration, and reports empty averaged points and
+        values.
     record_trace : bool
         Return the run's trace: one column per quantity, one entry per
         iteration (see :func:`run`). Implies evaluating the objective at
@@ -139,14 +141,24 @@ def run(problem: ProblemInstance, config: SolverConfig):
 
     Gap certificates need f*, or a bracket around it. A known optimum value
     is the bracket [f*, f*]. Without one, when the projector has
-    ``min_linear``, the run brackets f* itself at no oracle cost: every
-    oracle call gives the minorant f(z) >= f(x_s) + <g_s, z - x_s>, and the
+    ``min_linear``, the run brackets f* itself at no oracle cost: the
+    oracle's answer at each iterate gives the minorant
+    f(z) >= f(x_s) + <g_s, z - x_s>, one per iteration, and the
     minimum of their uniform mean over the feasible set is f_low <= f*
     (summed across restarts; :func:`bounds.minorant_low`), while
     f* <= f_best. Each gap certificate is proven, refuted or undecided
     (:func:`bounds.gap_verdict`);
     ``certificates`` holds True only for proven ones, ``undecided`` names
     the undecided ones, and ``optimum_bracket`` is the bracket used.
+
+    The oracle is called at most once per iteration, and not at all for an
+    iterate equal to the last point evaluated: a one-entry memo keeps the
+    bytes of that point (``x.tobytes()``, so -0.0 and 0.0 differ), and an
+    iterate with the same bytes reuses the last answer and everything the
+    loop derived and checked from it. The final values at the averaged
+    points go through the same memo. An oracle is a function of x (see
+    :class:`ProblemInstance`), so no output changes; ``oracle_calls`` in
+    the report counts the calls made, final values included.
 
     The bookkeeping runs a block at a time: each iteration only writes its
     point [x_s; image_s] and its g_s into buffers of :func:`block_rows` rows,
@@ -251,8 +263,10 @@ def run(problem: ProblemInstance, config: SolverConfig):
 
     def append_values(means):
         """Keep the values at the averages `means` (iterations x K x d) as one chunk."""
+        nonlocal oracle_calls
         if value_at_image is None:
             values = [[problem.value(mean) for mean in row] for row in means]
+            oracle_calls += means.shape[0] * means.shape[1]
         else:
             values = value_at_image(means[..., :n], means[..., n:])
         values = np.array(values, dtype=np.float64)  # a copy: a hook may reuse its output
@@ -344,31 +358,41 @@ def run(problem: ProblemInstance, config: SolverConfig):
     buffer_rows = bool(rules) or check_step or sum_minorants
     block_len = 0
 
+    # The oracle memo (see above): the bytes of the last point the oracle was
+    # called at; f_x, g, g_norm and image still hold what the loop derived and
+    # checked from that call, so an iterate that did not move costs no call.
+    memo_key = None
+    oracle_calls = 0
+
     try:
         for s in range(1, config.max_iterations + 1):
-            res = problem.oracle(x)
-            f_x = float(res.value)
-            if not math.isfinite(f_x):
-                raise NumericError(f"oracle returned nonfinite value at iteration {s}")
-            if res.is_empty:
-                stop = StopReason.EMPTY_SUBDIFFERENTIAL
-                break
-            g = np.asarray(res.subgradient, dtype=np.float64)
-            if g.shape != x.shape:
-                raise NumericError(f"oracle subgradient shape {g.shape} at iteration {s}")
-            # np.linalg.norm's 1-D expression; finite only if every entry is finite
-            g_norm = math.sqrt(float(g.dot(g)))
-            if not math.isfinite(g_norm):
-                raise NumericError(f"oracle subgradient has norm {g_norm} at iteration {s}")
-            if value_at_image is not None:
-                image = res.image
-                if image is None or np.ndim(image) != 1:
-                    raise NumericError(f"oracle returned no image vector at iteration {s}")
-                if image_size is None:
-                    image_size = len(image)
-                elif len(image) != image_size:
-                    raise NumericError(f"oracle image has length {len(image)} at iteration {s},"
-                                       f" {image_size} before")
+            key = x.tobytes()
+            if key != memo_key:
+                res = problem.oracle(x)
+                oracle_calls += 1
+                memo_key = key
+                f_x = float(res.value)
+                if not math.isfinite(f_x):
+                    raise NumericError(f"oracle returned nonfinite value at iteration {s}")
+                if res.is_empty:
+                    stop = StopReason.EMPTY_SUBDIFFERENTIAL
+                    break
+                g = np.asarray(res.subgradient, dtype=np.float64)
+                if g.shape != x.shape:
+                    raise NumericError(f"oracle subgradient shape {g.shape} at iteration {s}")
+                # np.linalg.norm's 1-D expression; finite only if every entry is finite
+                g_norm = math.sqrt(float(g.dot(g)))
+                if not math.isfinite(g_norm):
+                    raise NumericError(f"oracle subgradient has norm {g_norm} at iteration {s}")
+                if value_at_image is not None:
+                    image = res.image
+                    if image is None or np.ndim(image) != 1:
+                        raise NumericError(f"oracle returned no image vector at iteration {s}")
+                    if image_size is None:
+                        image_size = len(image)
+                    elif len(image) != image_size:
+                        raise NumericError(f"oracle image has length {len(image)} at"
+                                           f" iteration {s}, {image_size} before")
             if not block_len:
                 # sized by the oracle's image whether or not it is read, so
                 # that neither the hook nor the trace moves a block boundary
@@ -460,8 +484,12 @@ def run(problem: ProblemInstance, config: SolverConfig):
     averaged_values = {}
     if averages.count > 0:
         for label, mean in zip(labels, averages.mean):
-            averaged_points[label] = np.array(mean[:n])
-            averaged_values[label] = problem.value(averaged_points[label])
+            point = averaged_points[label] = np.array(mean[:n])
+            key = point.tobytes()
+            if key != memo_key:  # through the memo, as in the loop
+                memo_key, f_x = key, problem.value(point)
+                oracle_calls += 1
+            averaged_values[label] = f_x
 
     minorant_sums = None
     if f_star is not None:
@@ -512,6 +540,7 @@ def run(problem: ProblemInstance, config: SolverConfig):
         max_g_norm=float(np.max(columns["g_norm"], initial=0.0)),
         bounds=final_bounds,
         certificates=certs,
+        oracle_calls=oracle_calls,
         optimum_bracket=bracket,
         undecided=undecided,
         minorant_sums=minorant_sums,

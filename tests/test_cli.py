@@ -280,6 +280,37 @@ class TestOutputPaths:
         assert (data_dir / "inst.csv").read_bytes() == instance
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "data", "link", "out"]
 
+    @pytest.mark.parametrize("field,name,out_dir", [
+        ("trace_path", "e.json", None), ("summary_path", "e.json", None),
+        ("trace_path", "../e.json", "out"), ("summary_path", "./e.json", "."),
+    ], ids=["trace", "summary", "trace-up", "summary-dot"])
+    def test_output_over_the_config_file(self, tmp_path, monkeypatch, capsys,
+                                         field, name, out_dir):
+        # the config file is an input of the run, as a lasso-file instance is
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").mkdir()
+        write_config(tmp_path / "e.json", dict(ABS_CONFIG, iterations=5, **{field: name}))
+        config = (tmp_path / "e.json").read_bytes()
+        argv = ["run", "--config", "e.json"] + (["--out-dir", out_dir] if out_dir else [])
+        assert main(argv) == 1
+        assert_one_error_line(capsys, f"error: {field}: is the config file; the run would"
+                                      " overwrite it")
+        assert (tmp_path / "e.json").read_bytes() == config
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["e.json", "out"]
+
+    @pytest.mark.parametrize("field,name", [
+        ("trace_path", "s.json/t.csv"), ("summary_path", "s.json/sub/summary.json"),
+    ], ids=["trace", "summary-deeper"])
+    def test_output_under_a_file(self, tmp_path, capsys, field, name):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "s.json").write_text("{}\n")
+        cfg = write_config(tmp_path / "c.json", dict(self.TWO_CELLS, **{field: name}))
+        where = field if field == "summary_path" else f"{field} ({out / 's.json/t__0_family_a1.csv'})"
+        self.fails_before_any_cell(capsys, cfg, out,
+                                   f"error: {where}: {out / 's.json'} is a file, not a directory")
+        assert (out / "s.json").read_text() == "{}\n"
+
 
 class TestRunCommand:
     def test_abs_family_summary(self, tmp_path):
@@ -415,17 +446,23 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("name,calls", [("lasso_desk.json", 4006), ("sweep_a.json", 10005)])
     def test_shipped_lasso_oracle_calls(self, tmp_path, monkeypatch, name, calls):
-        # cells x iterations, plus one final call per cell and average
+        # the Lasso iterate moves at every step: cells x iterations, plus one
+        # final call per cell and average; each cell reports its own
         import pathlib
 
         count = self.count_oracle_calls(monkeypatch)
         cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / name
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path), "--strict"]) == 0
         assert count[0] == calls
+        summary = json.loads((tmp_path / json.loads(cfg.read_text())["summary_path"]).read_text())
+        cells = summary["cells"]
+        assert [cell["oracle_calls"] for cell in cells] == [calls // len(cells)] * len(cells)
 
     def test_restarted_sqrt_oracle_calls(self, tmp_path, monkeypatch):
-        # the sqrt example values its averages from the iterates alone: one
-        # call per iteration plus one final call per average
+        # the sqrt example values its averages from the iterates alone, so
+        # its only calls are the loop's and the final values': x_1 = 0.9, then
+        # x = 1.0 from row 2 on, where the projection pins every later
+        # iterate and the last epoch's averages, which the memo serves
         count = self.count_oracle_calls(monkeypatch)
         cfg = write_config(tmp_path / "c.json", {
             "problem": {"kind": "sqrt-example"}, "policy": {"kind": "family", "a": 0.0},
@@ -437,7 +474,9 @@ class TestRunCommand:
         assert cell["iterations_run"] == 2000
         _, columns = read_trace_csv(tmp_path / "trace.csv")
         assert columns["epoch"][-1] >= 2
-        assert count[0] == 2000 + 3
+        assert columns["f_x"][0] != -1.0 and columns["f_x"][1:].tolist() == [-1.0] * 1999
+        assert cell["averaged_values"] == {"k-1": -1.0, "k0": -1.0, "k2": -1.0}
+        assert count[0] == cell["oracle_calls"] == 2
 
     @pytest.mark.parametrize("iterations", [4, 5])
     def test_restart_on_the_last_iteration_keeps_averages(self, tmp_path, iterations):
@@ -544,7 +583,7 @@ class TestRunCommand:
         cell = {"policy": "family_a1", "status": "ok", "undecided": ["weak_k0"],
                 "certificates": {"family": True, "weak_k0": False, "monotone_k0": True}}
         monkeypatch.setattr(psg.cli, "run_experiment",
-                            lambda config, out_dir=None: {"cells": [cell]})
+                            lambda config, out_dir=None, config_path=None: {"cells": [cell]})
         cfg = write_config(tmp_path / "c.json", ABS_CONFIG)
         assert main(["run", "--config", cfg]) == 0
         assert main(["run", "--config", cfg, "--strict"]) == 3

@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -514,15 +516,15 @@ class TestRestart:
         assert report.certificates["family"]
 
     @staticmethod
-    def sqrt_config(iterations, restart_factor=2.0):
+    def sqrt_config(iterations, restart_factor=2.0, R=1.0):
         return SolverConfig(max_iterations=iterations, initial_point=np.array([0.9]),
-                            policy=FamilyPolicy(R=1.0, a=0.0), weight_ks=(0.0, 2.0),
+                            policy=FamilyPolicy(R=R, a=0.0), weight_ks=(0.0, 2.0),
                             restart_factor=restart_factor)
 
-    def assert_reports_first_five_rows(self, report):
+    def assert_reports_first_five_rows(self, report, R=1.0):
         # the averages and bounds of epoch 0, rows 1..5: those of the same
         # run with no restart
-        plain, _ = run(make_sqrt_example(), self.sqrt_config(5, restart_factor=None))
+        plain, _ = run(make_sqrt_example(), self.sqrt_config(5, restart_factor=None, R=R))
         assert set(report.averaged_values) == {"k0", "k2"}
         assert report.averaged_values == plain.averaged_values
         assert set(report.bounds) >= {"family", "weak_k0", "weak_k2"}
@@ -547,11 +549,18 @@ class TestRestart:
             calls += 1
             return SubgradientResult(0.0, None) if calls == 6 else problem.oracle(x)
 
-        # the averages read x alone, so the problem's value_at_image still holds
-        report, _ = run(dataclasses.replace(problem, oracle=oracle), self.sqrt_config(50))
+        # With R = 0.01 the iterate moves at every step (with R = 1 it sits at
+        # x* = 1 from row 2, and the memo makes no sixth call), so call 6 is
+        # iteration 6, the first of epoch 1. The averages read x alone, so the
+        # problem's value_at_image still holds.
+        _, trace = run(problem, dataclasses.replace(self.sqrt_config(6, R=0.01),
+                                                    record_trace=True))
+        assert trace["epoch"].tolist() == [0, 0, 0, 0, 0, 1]
+        assert len(set(trace["f_x"])) == 6
+        report, _ = run(dataclasses.replace(problem, oracle=oracle), self.sqrt_config(50, R=0.01))
         assert report.stop_reason == StopReason.EMPTY_SUBDIFFERENTIAL
         assert report.iterations_run == 5
-        self.assert_reports_first_five_rows(report)
+        self.assert_reports_first_five_rows(report, R=0.01)
 
 
 class TestValidation:
@@ -885,8 +894,11 @@ class TestNoAverages:
 
         counted, calls = self.counted(problem)
         report, trace = solve(counted, ())
-        assert calls[0] == report.iterations_run
-        plain, plain_trace = solve(problem, (0.0,))
+        assert calls[0] == report.iterations_run == report.oracle_calls
+        # the report counts every call, also those that value the averages
+        counted, calls = self.counted(problem)
+        plain, plain_trace = solve(counted, (0.0,))
+        assert calls[0] == plain.oracle_calls > plain.iterations_run
         assert report.averaged_points == {} and report.averaged_values == {}
         for field in ("best_value", "best_index", "iterations_run", "stop_reason",
                       "max_g_norm"):
@@ -906,6 +918,96 @@ class TestNoAverages:
             max_iterations=500, initial_point=np.zeros(64), policy=FamilyPolicy(R=50.0),
             weight_ks=()))
         assert value == report.best_value
+
+
+def sqrt_sum_problem(dim):
+    """f(x) = -sum_i sqrt(x_i) on [0, 1]^dim: f* = -dim at the vertex x* = (1, ..., 1).
+
+    No Lipschitz bound exists, and the subdifferential is empty where some
+    x_i = 0. Like the sqrt example, the hook values x alone.
+    """
+    no_image = np.empty(0)
+
+    def oracle(x):
+        if not (x > 0.0).all():
+            return SubgradientResult(-float(np.sqrt(np.maximum(x, 0.0)).sum()), None)
+        roots = np.sqrt(x)
+        return SubgradientResult(-float(roots.sum()), -0.5 / roots, image=no_image)
+
+    return ProblemInstance(name=f"sqrt_sum{dim}", dimension=dim, oracle=oracle,
+                           projector=Box(lower=np.zeros(dim), upper=np.ones(dim)),
+                           radius_R=math.sqrt(dim), known_optimum_value=-float(dim),
+                           known_optimum_point=np.ones(dim),
+                           value_at_image=lambda x, z: -np.sqrt(x).sum(axis=-1))
+
+
+class TestOracleMemo:
+    """An iterate equal to the last point the oracle was called at costs no call."""
+
+    @staticmethod
+    def assert_same_run(got, want):
+        """Two runs' (report, trace) pairs are equal, arrays bit for bit."""
+        (report, trace), (other, other_trace) = got, want
+        for name in (f.name for f in dataclasses.fields(report)):
+            a, b = getattr(report, name), getattr(other, name)
+            if name == "averaged_points":
+                assert list(a) == list(b) and all(np.array_equal(a[k], b[k]) for k in a)
+            elif name == "best_point":
+                assert np.array_equal(a, b)
+            else:
+                assert a == b, name
+        assert list(trace) == list(other_trace)
+        for name in trace:
+            assert np.array_equal(trace[name], other_trace[name], equal_nan=True), name
+
+    # vertex optima: the projection pins the iterate once it reaches x* = 1
+    @pytest.mark.parametrize("dim,start,a,restart_factor,calls", [
+        (1, [0.9], 0.0, 2.0, 2),  # the benchmark's nonlip: averages exactly 1 too
+        (1, [0.1], 1.0, None, 5),
+        (3, [0.9, 0.3, 0.05], 0.0, 2.0, 3),
+        (3, [0.9, 0.3, 0.05], 1.0, None, 6),
+        (3, [1e-3, 0.2, 0.99], 0.5, None, 22),
+    ])
+    def test_calls_only_where_the_iterate_moved(self, dim, start, a, restart_factor, calls):
+        plain = make_sqrt_example() if dim == 1 else sqrt_sum_problem(dim)
+        problem, seen = recorded(plain)
+        problem, iterates = projected(problem)
+        config = SolverConfig(max_iterations=2000, initial_point=np.array(start),
+                              policy=FamilyPolicy(R=plain.radius_R, a=a),
+                              weight_ks=(-1.0, 0.0, 2.0), record_trace=True,
+                              restart_factor=restart_factor)
+        report, trace = run(problem, config)
+        t = report.iterations_run
+        assert t == 2000 and all(report.certificates.values())
+        points = [x.tobytes() for x, _, _ in seen]
+        assert all(p != q for p, q in zip(points, points[1:]))
+        # x_1 is called at; x_s for s > 1 only when it moved; then each final
+        # average that differs from the point called at before it
+        keys = [x.tobytes() for x in iterates[:t]]
+        moved = sum(p != q for p, q in zip(keys, keys[1:]))
+        finals, last = 0, keys[-1]
+        for point in report.averaged_points.values():
+            finals += point.tobytes() != last
+            last = point.tobytes()
+        assert len(seen) == report.oracle_calls == 1 + moved + finals == calls
+        assert moved < t - 1
+        # each served value is f at its point, and the wrappers change nothing
+        assert trace["f_x"].tolist() == [plain.value(x) for x in iterates[:t]]
+        assert report.averaged_values == {label: plain.value(point) for label, point
+                                          in report.averaged_points.items()}
+        self.assert_same_run((report, trace), run(plain, config))
+
+    @pytest.mark.parametrize("signs,calls", [((0.0,), 1), ((-0.0, 0.0), 50)])
+    def test_points_are_compared_bit_for_bit(self, signs, calls):
+        # f(x) = x from x = 0: every step lands at 0, here as -0.0 and 0.0 in
+        # turn, which are equal as numbers but not as bytes
+        sign = itertools.cycle(signs)
+        problem, seen = recorded(ramp_problem())
+        problem, _ = projected(problem, lambda y: np.full(1, next(sign)))
+        report, _ = run(problem, SolverConfig(max_iterations=50, initial_point=np.zeros(1),
+                                              policy=FamilyPolicy(R=1.0), weight_ks=()))
+        assert report.iterations_run == 50
+        assert len(seen) == report.oracle_calls == calls
 
 
 class TestHotLoopChecks:
@@ -1233,6 +1335,23 @@ def recorded(problem):
     return dataclasses.replace(problem, oracle=oracle), calls
 
 
+def projected(problem, project=None):
+    """`problem` whose projector logs every point it returns, x_1, x_2, ... in order, and the log.
+
+    `project`, when given, replaces the projector's own map.
+    """
+    inner, points = problem.projector, []
+    project = project or inner.project
+
+    def logged(y):
+        points.append(project(y))
+        return points[-1]
+
+    projector = SimpleNamespace(dimension=inner.dimension, project=logged,
+                                min_linear=getattr(inner, "min_linear", None))
+    return dataclasses.replace(problem, projector=projector), points
+
+
 def bracket_low_per_iteration(problem, calls):
     """The bracket's low end from the minorants of `calls`, summed one iteration at a time."""
     g_sum, c_sum = np.zeros(problem.dimension), 0.0
@@ -1291,23 +1410,29 @@ class TestBlockBookkeeping:
         if not image:
             problem = self.no_image(problem)
         problem, calls = recorded(problem)
+        problem, iterates = projected(problem)
         report, trace = run(problem, SolverConfig(
             max_iterations=budget, initial_point=x1, policy=policy, weight_ks=(-1.0, 0.0),
             record_trace=True, restart_factor=2.0 if case == "restart" else None))
-        # the oracle's last calls value the final averages
-        loop_calls = len(calls) - len(report.averaged_values)
+        # iteration s sums the minorant of x_s, which the oracle answered at its
+        # last call there: the memo calls it once for an iterate that did not move
+        summed = report.iterations_run
         if case in ("budget", "restart"):
             assert block_lengths == [block] and report.iterations_run == budget
         if case == "restart" and n == 64:
             assert trace["epoch"][-1] >= 1
         if case.startswith("zero"):
+            # the stopping iteration sums its minorant and projects no step
             assert report.stop_reason == StopReason.ZERO_SUBGRADIENT
-            assert loop_calls == report.iterations_run + 1
+            summed += 1
+            assert len(iterates) == summed
             assert (report.iterations_run == 0) == (case == "zero-first")
-        low, g_sum, c_sum = bracket_low_per_iteration(problem, calls[:loop_calls])
+        answers = {x.tobytes(): (x, f_x, g) for x, f_x, g in calls}
+        per_iteration = [answers[x.tobytes()] for x in iterates[:summed]]
+        low, g_sum, c_sum = bracket_low_per_iteration(problem, per_iteration)
         assert report.optimum_bracket[0] == low
         assert report.minorant_sums == {"g_sum": g_sum.tolist(), "c_sum": c_sum,
-                                        "count": loop_calls}
+                                        "count": summed}
 
     def test_zero_stop_on_an_underflowing_norm_sums_its_subgradient(self):
         # ||g||^2 = 1e-340 underflows, so the family rule cannot step at s = 1,
