@@ -15,9 +15,8 @@ subgradient iteration x_{s+1} = project(x_s - eta_s g_s) and provides:
   CLI (:mod:`psg.cli`).
 """
 
-from .averaging import BestIterate, StreamingAverage, WeightRule, weight
+from .averaging import StreamingAverage, WeightRule
 from .bounds import (
-    check_certificate,
     classic_bound,
     constant_bound,
     family_bound,
@@ -43,11 +42,10 @@ from .problems import (
     make_abs_problem,
     make_lasso,
     make_sqrt_example,
-    reference_optimum_value,
     save_lasso_csv,
 )
 from .projection import Ball, Box, project
-from .solver import SolverConfig, psg_step, run
+from .solver import SolverConfig, run
 from .stepsize import (
     ClassicPolicy,
     ConstantPolicy,
@@ -62,7 +60,6 @@ __all__ = [
     "ABS_TOL",
     "REL_TOL",
     "Ball",
-    "BestIterate",
     "Box",
     "ClassicPolicy",
     "ConstantPolicy",
@@ -81,7 +78,6 @@ __all__ = [
     "SubgradientResult",
     "WeightRule",
     "ZeroSubgradientError",
-    "check_certificate",
     "classic_bound",
     "constant_bound",
     "family_bound",
@@ -92,10 +88,7 @@ __all__ = [
     "make_sqrt_example",
     "nesterov_bound",
     "project",
-    "psg_step",
-    "reference_optimum_value",
     "run",
     "save_lasso_csv",
     "weak_ergodic_bound",
-    "weight",
 ]

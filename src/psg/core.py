@@ -56,6 +56,12 @@ def require_count(value, name: str) -> None:
         raise InvalidParameterError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def require_positive(value: float, name: str) -> None:
+    """Raise InvalidParameterError unless `value` is positive and finite."""
+    if not 0 < value < math.inf:
+        raise InvalidParameterError(f"{name} must be positive and finite, got {value!r}")
+
+
 def ensure_vector(x, dim: Optional[int] = None, name: str = "x") -> np.ndarray:
     """Coerce `x` to a finite 1-D float64 array, checking dimension if given."""
     arr = np.asarray(x, dtype=np.float64)
@@ -219,10 +225,9 @@ class ProblemInstance:
     def __post_init__(self):
         if self.dimension < 1:
             raise InvalidParameterError("dimension must be >= 1")
-        if not 0 < self.radius_R < math.inf:
-            raise InvalidParameterError("radius_R must be positive and finite")
-        if self.lipschitz_L is not None and not 0 < self.lipschitz_L < math.inf:
-            raise InvalidParameterError("lipschitz_L must be positive and finite when given")
+        require_positive(self.radius_R, "radius_R")
+        if self.lipschitz_L is not None:
+            require_positive(self.lipschitz_L, "lipschitz_L")
 
     def value(self, x: np.ndarray) -> float:
         """Objective value at `x` (valid even where the subdifferential is empty)."""

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidParameterError, ProblemInstance, SubgradientResult, read_csv, write_csv
+from .core import (InvalidParameterError, ProblemInstance, SubgradientResult, read_csv,
+                   require_positive, write_csv)
 from .projection import Ball, Box
 
 
@@ -105,10 +106,8 @@ class LassoInstance:
             raise InvalidParameterError("y length must match the rows of phi")
         if not (np.all(np.isfinite(self.phi)) and np.all(np.isfinite(self.y))):
             raise InvalidParameterError("phi and y must be finite")
-        if not 0 < self.lam < math.inf:
-            raise InvalidParameterError(f"lam must be positive and finite, got {self.lam!r}")
-        if not 0 < self.radius < math.inf:
-            raise InvalidParameterError(f"radius must be positive and finite, got {self.radius!r}")
+        require_positive(self.lam, "lam")
+        require_positive(self.radius, "radius")
 
     @property
     def n(self) -> int:

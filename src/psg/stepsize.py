@@ -25,18 +25,12 @@ the family rule reproduces the classic rule bit for bit when G_s equals L.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import bounds as bnd
 from .bounds import Certificate
-from .core import InvalidParameterError, ZeroSubgradientError, require_count
-
-
-def _require_positive(value: float, name: str) -> None:
-    if not 0 < value < math.inf:
-        raise InvalidParameterError(f"{name} must be positive and finite, got {value!r}")
+from .core import InvalidParameterError, ZeroSubgradientError, require_count, require_positive
 
 
 def _require_a(a: float) -> None:
@@ -98,8 +92,8 @@ class ConstantPolicy(StepSizePolicy):
     nonincreasing_steps = True
 
     def __post_init__(self):
-        _require_positive(self.R, "R")
-        _require_positive(self.L, "L")
+        require_positive(self.R, "R")
+        require_positive(self.L, "L")
         require_count(self.horizon_t, "horizon_t")
         self._eta = self.R / (self.L * self.horizon_t ** 0.5)
         self.label = "constant"
@@ -120,8 +114,8 @@ class ClassicPolicy(StepSizePolicy):
     nonincreasing_steps = True
 
     def __post_init__(self):
-        _require_positive(self.R, "R")
-        _require_positive(self.L, "L")
+        require_positive(self.R, "R")
+        require_positive(self.L, "L")
         self.label = "classic"
 
     def step_size(self, s: int, g_norm: float) -> float:
@@ -142,7 +136,7 @@ class NesterovPolicy(StepSizePolicy):
     R: float
 
     def __post_init__(self):
-        _require_positive(self.R, "R")
+        require_positive(self.R, "R")
         self.label = "nesterov"
 
     def step_size(self, s: int, g_norm: float) -> float:
@@ -173,7 +167,7 @@ class FamilyPolicy(StepSizePolicy):
     nonincreasing_steps = True
 
     def __post_init__(self):
-        _require_positive(self.R, "R")
+        require_positive(self.R, "R")
         _require_a(self.a)
         self.label = f"family_a{self.a:g}"
         self._g_power, self._step_power = 0.5 * (1.0 - self.a), 0.5 * self.a

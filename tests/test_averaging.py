@@ -9,16 +9,14 @@ from numpy.testing import assert_allclose
 
 from psg import (
     Ball,
-    BestIterate,
     Box,
     InvalidParameterError,
     NumericError,
     ShapeError,
     StreamingAverage,
     WeightRule,
-    weight,
 )
-from psg.averaging import _prefix_sum
+from psg.averaging import BestIterate, _prefix_sum, weight
 
 from conftest import feasibility_residual, reference_power, sample_feasible
 

@@ -11,14 +11,13 @@ from psg import (
     FamilyPolicy,
     InvalidParameterError,
     NesterovPolicy,
-    check_certificate,
     classic_bound,
     constant_bound,
     family_bound,
     nesterov_bound,
     weak_ergodic_bound,
 )
-from psg.bounds import WeakBoundSums, evaluate, monotone_label, weak_label
+from psg.bounds import WeakBoundSums, check_certificate, evaluate, monotone_label, weak_label
 
 from conftest import reference_power
 

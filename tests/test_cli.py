@@ -46,10 +46,10 @@ def write_config(path, data):
 
 
 def assert_one_error_line(capsys, start="error: "):
-    """stderr holds one line, starting with `start`, and no traceback."""
-    err = capsys.readouterr().err
+    """stderr holds one line, starting with `start`, and no traceback; stdout is empty."""
+    out, err = capsys.readouterr()
     assert len(err.splitlines()) == 1 and err.startswith(start), err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and out == "", out
 
 
 ABS_CONFIG = {
@@ -1202,6 +1202,12 @@ NPZ_CONFIGS = {
                              {"kind": "family"}],
                   "weight_ks": [-1.0, 0.0, 0.5], "iterations": 500,
                   "initial_point": [0.7, -0.4, 0.2]},
+    # the weights of k = -0.5, 1 and 3 are sqrt and product powers, and
+    # monotone_k<k> is decided on the weights the run averages with
+    "abs_half_powers": {"problem": {"kind": "abs", "dim": 3},
+                        "policy": [{"kind": "family", "a": 0.5}, {"kind": "nesterov"}],
+                        "weight_ks": [-0.5, 1.0, 3.0], "iterations": 3000,
+                        "initial_point": [0.7, -0.4, 0.2]},
     # 8,000 iterations fill a whole 4,096-row block inside one epoch
     "restarted": {"problem": {"kind": "sqrt-example"}, "policy": {"kind": "family", "a": 0.0},
                   "weight_ks": [-1.0, 0.0, 2.0], "iterations": 8000, "initial_point": [0.9],

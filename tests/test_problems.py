@@ -19,10 +19,10 @@ from psg import (
     make_abs_problem,
     make_lasso,
     make_sqrt_example,
-    reference_optimum_value,
     run,
     save_lasso_csv,
 )
+from psg.problems import reference_optimum_value
 
 from conftest import sample_feasible
 

@@ -31,11 +31,11 @@ from psg import (
     make_abs_problem,
     make_lasso,
     make_sqrt_example,
-    psg_step,
-    reference_optimum_value,
     run,
 )
 from psg import solver as solver_module
+from psg.problems import reference_optimum_value
+from psg.solver import psg_step
 
 from conftest import assert_trace_invariants, make_two_slope_problem
 
