@@ -91,6 +91,7 @@ from .core import (
     InvalidParameterError,
     NumericError,
     ProblemInstance,
+    ShapeError,
     read_csv,
     repeated_scheme,
     scheme_label,
@@ -118,8 +119,9 @@ class ConfigError(ValueError):
 
 
 # What a bad config, problem file, trace or output path raises, a file that
-# is not text included; main reports it for every command as "error: ..." and exits 1
-INPUT_ERRORS = (ConfigError, InvalidParameterError, OSError, UnicodeDecodeError)
+# is not text and a start point of the wrong dimension (ShapeError, from run)
+# included; main reports it for every command as "error: ..." and exits 1
+INPUT_ERRORS = (ConfigError, InvalidParameterError, ShapeError, OSError, UnicodeDecodeError)
 
 
 def _int(value, where: str) -> int:
@@ -333,11 +335,7 @@ def resolve_initial_point(initial, problem: ProblemInstance) -> np.ndarray:
         return np.zeros(problem.dimension)
     if isinstance(initial, dict):
         return np.random.default_rng(initial["random"]).standard_normal(problem.dimension)
-    point = np.array(initial, dtype=np.float64)
-    if point.shape != (problem.dimension,):
-        raise ConfigError(
-            f"initial_point: has dimension {point.shape[0]}, problem needs {problem.dimension}")
-    return point
+    return np.array(initial, dtype=np.float64)  # run checks its dimension
 
 
 def _header_json(trace: dict, header: dict) -> str:

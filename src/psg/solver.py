@@ -163,22 +163,25 @@ def run(problem: ProblemInstance, config: SolverConfig):
     The bookkeeping runs a block at a time: each iteration only writes its
     point [x_s; image_s] and its g_s into buffers of :func:`block_rows` rows,
     sized once by the first row's width (64 to 4096 rows of at most
-    256 KiB of points and minorants), and
-    once per block of iterations, before a restart and after the loop,
-    the block's images are checked, its minorants summed in iteration order
-    (the bits of one sum per iteration), its weights formed, and one
-    :meth:`StreamingAverage.update` writes the averages after each of its
-    rows as one prefix sum. With ``value_at_image`` the values at the
-    averages come from the averaged images, one call per block; the report's
-    averaged values always come from the oracle. The record is kept the same
-    way, in blocks of the same length also in a run that buffers no rows:
-    each iteration appends eta_s, ||g_s||, G and f(x_s) to short lists, and
-    each block turns them, its epoch and its K values at the averages into
-    float64 chunks, 8 (5 + K) bytes per iteration; after the loop each
-    column is joined once, its chunks dropped, before the bounds are built.
-    The per-step inequality is decided per block too, with the bits of one
-    check per iteration. The best iterate is kept by reference and copied
-    once. Each iteration checks
+    256 KiB of points and minorants). Each iteration also appends eta_s,
+    ||g_s||, G and f(x_s) to short lists, in blocks of the same length also
+    in a run that buffers no rows. Once per block of iterations, before a
+    restart and after the loop, one closure, ``flush``, runs the whole
+    block in order: it checks the block's images, decides its per-step
+    inequalities (the bits of one check per iteration), sums its minorants
+    in iteration order (the bits of one sum per iteration), forms its
+    weights, writes the averages after each of its rows with one
+    :meth:`StreamingAverage.update` as one prefix sum, values them when
+    needed, and appends the block to the record. With ``value_at_image``
+    the values at the averages come from the averaged images, one call per
+    block; the report's averaged values always come from the oracle. The
+    record holds every column as float64 chunks, one per block: ``epoch``,
+    ``eta``, ``g_norm``, ``G``, ``f_x`` and one ``f_avg_k<k>`` per weight
+    exponent, 8 (5 + K) bytes per iteration. A run that values no row gives
+    each ``f_avg`` column one entry, the final averaged value, which is all
+    a horizon certificate reads. After the loop each column is joined once,
+    its chunks dropped, before the bounds are built. The best iterate is
+    kept by reference and copied once. Each iteration checks
     a finite oracle value, a subgradient of the right shape with a finite
     norm, the image contract, a positive finite step and a finite
     x_s - eta_s g_s (proven by eta_s ||g_s|| < 2^960 alone when it holds);
@@ -252,46 +255,14 @@ def run(problem: ProblemInstance, config: SolverConfig):
     # The run's record, the columns that the trace, the bounds and the
     # certificates are computed from after the loop: the pending rows in short
     # lists, and one float64 chunk per flushed block and column (one epoch
-    # per block; the values at the averages as one rows x K chunk).
+    # per block; the values at the averages as one f_avg column per k).
     etas: list[float] = []
     g_norms: list[float] = []
     big_Gs: list[Optional[float]] = []
     f_xs: list[float] = []
-    record: dict[str, list] = {"epoch": [], "eta": [], "g_norm": [], "G": [], "f_x": []}
-    value_chunks: list[np.ndarray] = []
+    record: dict[str, list] = {name: [] for name in ("epoch", "eta", "g_norm", "G", "f_x")}
+    record.update((f"f_avg_{label}", []) for label in labels)
     done = 0  # rows already in the record
-
-    def append_values(means):
-        """Keep the values at the averages `means` (iterations x K x d) as one chunk."""
-        nonlocal oracle_calls
-        if value_at_image is None:
-            values = [[problem.value(mean) for mean in row] for row in means]
-            oracle_calls += means.shape[0] * means.shape[1]
-        else:
-            values = value_at_image(means[..., :n], means[..., n:])
-        values = np.array(values, dtype=np.float64)  # a copy: a hook may reuse its output
-        if values.shape != means.shape[:2]:
-            raise NumericError(f"value_at_image gave shape {values.shape}, not one value"
-                               f" per average {means.shape[:2]}")
-        value_chunks.append(values)
-
-    def check_per_step(x_after, eta, g_norm, f_x):
-        """The per-step inequality at each pending row, x_after following the last one.
-
-        :func:`leq_with_tol` elementwise, with the bits of one check per
-        iteration: ``+ - * /`` round as on Python floats, and each squared
-        distance is the dot product ``d @ d`` as a batched matmul.
-        """
-        nonlocal per_step
-        # an overflow gives the nonfinite sides that a check per iteration gives
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = np.vstack([points[:rows, :n], x_after]) - x_star
-            dist = (d[:, None, :] @ d[:, :, None])[:, 0, 0]  # ||x_s - x*||^2, s..s+rows
-            rhs = (dist[:-1] - dist[1:]) / (2.0 * eta) + 0.5 * eta * g_norm * g_norm
-            # f_x - f* also carries the rounding of f at its own magnitude
-            abs_ = ABS_TOL + VALUE_ROUNDING * np.maximum(np.abs(f_x), abs(f_star))
-            ok = leq_with_tol(f_x - f_star, rhs, abs_=abs_)
-        per_step = bool(ok.all())
 
     def check_images(count):
         """Raise for the first nonfinite image among the first `count` pending rows."""
@@ -302,14 +273,28 @@ def run(problem: ProblemInstance, config: SolverConfig):
                                    f" {done + 1 + int(finite.argmin())}")
 
     def flush(x_after):
-        """Check, sum, average and value the pending rows, then move them to the record."""
-        nonlocal rows, minorants, done
+        """Run the block of pending rows, x_after following the last one, into the record.
+
+        In order: the image check, the per-step inequality, the minorant sums,
+        the weights and averages, the values at the averages, the record.
+        """
+        nonlocal rows, minorants, done, per_step, oracle_calls
         if not rows:
             return
         eta, g_norm, f_x = np.array(etas), np.array(g_norms), np.array(f_xs)
         check_images(rows)
         if check_step and per_step:
-            check_per_step(x_after, eta, g_norm, f_x)
+            # leq_with_tol elementwise, with the bits of one check per iteration:
+            # + - * / round as on Python floats, and each squared distance is
+            # the dot product d @ d as a batched matmul. An overflow gives the
+            # nonfinite sides that a check per iteration gives.
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = np.vstack([points[:rows, :n], x_after]) - x_star
+                dist = (d[:, None, :] @ d[:, :, None])[:, 0, 0]  # ||x_s - x*||^2, s..s+rows
+                rhs = (dist[:-1] - dist[1:]) / (2.0 * eta) + 0.5 * eta * g_norm * g_norm
+                # f_x - f* also carries the rounding of f at its own magnitude
+                abs_ = ABS_TOL + VALUE_ROUNDING * np.maximum(np.abs(f_x), abs(f_star))
+                per_step = bool(leq_with_tol(f_x - f_star, rhs, abs_=abs_).all())
         if sums is not None:
             g, x_s = sums[1:rows + 1, :n], points[:rows, :n]
             sums[1:rows + 1, n] = f_x - (g[:, None] @ x_s[..., None])[:, 0, 0]
@@ -317,36 +302,43 @@ def run(problem: ProblemInstance, config: SolverConfig):
             # (n + 1 >= 2 columns): the bits of one dot and one sum per iteration
             sums[0] = np.add.reduce(sums[:rows + 1], axis=0)
             minorants += rows
+        values = ()  # the f_avg chunks, one per k, when the averages are valued
         if rules:
-            feed_averages(eta)
+            # the rows hold iterations s_local - rows + 1 .. s_local of the epoch
+            s_rows = np.arange(s_local - rows + 1.0, s_local + 1.0)
+            weights = np.column_stack([rule(s_rows, eta) for rule in rules])
+            # the running totals in the order of the update's cumsum, from the
+            # total before the block; they only grow, so the last row shows an overflow
+            totals = np.vstack([np.broadcast_to(averages.total_weight, len(rules)), weights])
+            with np.errstate(over="ignore"):
+                np.cumsum(totals, axis=0, out=totals)
+            if not np.isfinite(totals[-1]).all():
+                # name the first (row, k), in row-major order, whose weight or total is infinite
+                i, j = divmod(int(np.isinf(totals[1:]).argmax()), len(rules))
+                what = "weight" if np.isinf(weights[i, j]) else "total weight"
+                raise NumericError(f"{what} of k={rules[j].k:g} overflows at iteration"
+                                   f" {done + 1 + i}")
+            averages.update(weights, points[:rows], out=block[:rows])
+            if need_values:
+                means = block[:rows]
+                if value_at_image is None:
+                    values = [[problem.value(mean) for mean in row] for row in means]
+                    oracle_calls += means.shape[0] * means.shape[1]
+                else:
+                    values = value_at_image(means[..., :n], means[..., n:])
+                values = np.array(values, dtype=np.float64)  # a copy: a hook may reuse its output
+                if values.shape != means.shape[:2]:
+                    raise NumericError(f"value_at_image gave shape {values.shape}, not one"
+                                       f" value per average {means.shape[:2]}")
+                values = values.T
         # None (a rule without G) becomes nan
         for name, chunk in zip(record, (np.full(rows, float(epoch)), eta, g_norm,
-                                        np.array(big_Gs, dtype=np.float64), f_x)):
+                                        np.array(big_Gs, dtype=np.float64), f_x, *values)):
             record[name].append(chunk)
         for pending in (etas, g_norms, big_Gs, f_xs):
             pending.clear()
         done += rows
         rows = 0
-
-    def feed_averages(eta):
-        """Feed the pending rows, with steps `eta`, to the averages; value them when needed."""
-        # the rows hold iterations s_local - rows + 1 .. s_local of the epoch
-        s_rows = np.arange(s_local - rows + 1.0, s_local + 1.0)
-        weights = np.column_stack([rule(s_rows, eta) for rule in rules])
-        # the running totals in the order of the update's cumsum, from the
-        # total before the block; they only grow, so the last row shows an overflow
-        totals = np.vstack([np.broadcast_to(averages.total_weight, len(rules)), weights])
-        with np.errstate(over="ignore"):
-            np.cumsum(totals, axis=0, out=totals)
-        if not np.isfinite(totals[-1]).all():
-            # name the first (row, k), in row-major order, whose weight or total is infinite
-            i, j = divmod(int(np.isinf(totals[1:]).argmax()), len(rules))
-            what = "weight" if np.isinf(weights[i, j]) else "total weight"
-            raise NumericError(f"{what} of k={rules[j].k:g} overflows at iteration"
-                               f" {done + 1 + i}")
-        averages.update(weights, points[:rows], out=block[:rows])
-        if need_values:
-            append_values(block[:rows])
 
     epoch = 0
     s_local = 0
@@ -501,30 +493,27 @@ def run(problem: ProblemInstance, config: SolverConfig):
     else:
         bracket = None
 
+    if not need_values and averaged_values:
+        # only a horizon certificate reads an average: the final one
+        for label, value in averaged_values.items():
+            record[f"f_avg_{label}"].append(np.array([value], dtype=np.float64))
     # each column joined once, its chunks dropped before the next is joined
     columns = {}
     for name, chunks in record.items():
         columns[name] = np.concatenate(chunks or [np.empty(0)])
         chunks.clear()
-    if need_values:
-        values = np.concatenate(value_chunks or [np.empty((0, len(labels)))])
-        value_chunks.clear()
-    else:  # only a horizon certificate reads an average: the final one
-        values = np.empty((0, len(labels)))
-        if averaged_values:
-            values = np.array([list(averaged_values.values())], dtype=np.float64)
-    f_avgs = {f"f_avg_{label}": values[:, j] for j, label in enumerate(labels)}
     gap_bracket = (bracket or (-math.inf, math.inf)) if check_gap else None
     bounds, verdicts, undecided = bnd.evaluate(policy, ks, problem.radius_R, L,
-                                               columns | f_avgs, gap_bracket)
+                                               columns, gap_bracket)
     certs = {bnd.PER_STEP: per_step} if check_step else {}
     certs.update(verdicts)
     # the last row belongs to the last epoch that has rows
     final_bounds = {label: float(col[-1]) for label, col in bounds.items()} if done else {}
     trace = None
     if config.record_trace:  # s and f_best are built after the bounds, which read neither
-        trace = {"s": np.arange(1, done + 1, dtype=np.float64), **columns,
-                 "f_best": np.minimum.accumulate(columns["f_x"]), **f_avgs}
+        items = list(columns.items())  # f_best goes between f_x and the f_avg columns
+        trace = dict([("s", np.arange(1, done + 1, dtype=np.float64)), *items[:5],
+                      ("f_best", np.minimum.accumulate(columns["f_x"])), *items[5:]])
         trace.update((f"bound_{label}", column) for label, column in bounds.items())
 
     report = RunReport(

@@ -95,6 +95,7 @@ class TestConfigParsing:
         (lambda d: d.update(restart_factor=0.5), "restart_factor"),
         (lambda d: d.update(unexpected=1), "unexpected"),
         (lambda d: d.update(problem={"kind": "abs"}), "problem.dim"),
+        (lambda d: d.update(iterations=0), "iterations: must be >= 1"),
     ], ids=lambda v: v if isinstance(v, str) else "")
     def test_errors_name_the_field(self, mutate, field):
         data = json.loads(json.dumps(ABS_CONFIG))
@@ -163,17 +164,32 @@ class TestConfigParsing:
         ("weight_ks", [0, 2, 0], "weight_ks"),
         ("weight_ks", [0.0, -0.0], "weight_ks"),
         ("initial_point", {"random": -1}, "initial_point.random"),
+        ("weight_ks", [], "weight_ks"),
+        ("trace_path", 3, "trace_path"),
+        ("initial_point", "ones", "initial_point"),
+        ("problem", {"dim": 1}, "problem"),
+        ("policy", [], "policy"),
+        (None, [ABS_CONFIG], "top level"),
     ], ids=["iterations-str", "iterations-fraction", "weight_ks-str", "weight_ks-nan",
             "restart_factor-str", "weight_ks-repeated", "weight_ks-signed-zero",
-            "random-seed-negative"])
+            "random-seed-negative", "weight_ks-empty", "trace_path-int",
+            "initial_point-word", "problem-without-kind", "policy-empty", "top-level-list"])
     def test_malformed_numbers_name_the_field(self, tmp_path, capsys, field, value, where):
-        data = dict(ABS_CONFIG, **{field: value})
+        # a field of None replaces the whole config by `value`
+        data = value if field is None else dict(ABS_CONFIG, **{field: value})
         with pytest.raises(ConfigError, match=re.escape(f"{where}: expected")):
             parse_config(data)
         cfg = write_config(tmp_path / "c.json", data)  # NaN is written as NaN
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
         assert_one_error_line(capsys, f"error: {where}: expected")
         assert not (tmp_path / "summary.json").exists()
+
+    def test_initial_point_of_the_wrong_dimension_is_one_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", dict(ABS_CONFIG, initial_point=[1.0, 2.0]))
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out-dir", str(out), "--strict"]) == 1
+        assert_one_error_line(capsys, "error: initial_point has dimension 2, expected 1")
+        assert not out.exists()
 
     @pytest.mark.parametrize("field,value", [
         ("trace_path", ""), ("trace_path", "sub/"), ("trace_path", "."),
@@ -1189,9 +1205,12 @@ def test_emit_trace_csv_writes_savetxt_bytes_across_chunks(tmp_path, rows):
 
 
 def test_emit_trace_csv_rejects_empty(tmp_path):
-    for trace in ({}, {"s": np.array([]), "eta": np.array([])}):  # no columns, no rows
+    # no columns, no rows, and columns of unequal length
+    for trace in ({}, {"s": np.array([]), "eta": np.array([])},
+                  {"s": np.ones(3), "eta": np.ones(2)}):
         with pytest.raises(InvalidParameterError):
             emit_trace_csv(trace, tmp_path / "x.csv", {})
+        assert not (tmp_path / "x.csv").exists()
 
 
 # Configs that run once with a .npz and once with a .csv trace path.

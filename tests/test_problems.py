@@ -153,6 +153,11 @@ class TestLasso:
             LassoInstance(phi=np.ones((2, 2)), y=np.ones(2), lam=0.0, radius=1.0, seed=0)
         with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -3"):
             generate_lasso(seed=-3, n=4, m=3)
+        with pytest.raises(InvalidParameterError, match="phi must be a matrix"):
+            LassoInstance(phi=np.ones(2), y=np.ones(2), lam=1.0, radius=1.0, seed=0)
+        with pytest.raises(InvalidParameterError, match="phi and y must be finite"):
+            LassoInstance(phi=np.array([[1.0, np.nan], [0.0, 1.0]]), y=np.ones(2), lam=1.0,
+                          radius=1.0, seed=0)
 
     @pytest.mark.parametrize("field", ["lam", "radius"])
     def test_lambda_and_radius_must_be_finite(self, field):
@@ -304,6 +309,9 @@ class TestLassoCsvRoundTrip:
         path = tmp_path / "not_lasso.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(InvalidParameterError):
+            load_lasso_csv(path)
+        path.write_text("# lasso n=1 m=1 lambda=1 seed=0\ny,phi_0\n1,2\n")
+        with pytest.raises(InvalidParameterError, match="header lacks 'radius'"):
             load_lasso_csv(path)
 
     @pytest.mark.filterwarnings("error")

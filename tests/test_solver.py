@@ -1060,6 +1060,14 @@ class TestHotLoopChecks:
         with pytest.raises(NumericError, match="norm (nan|inf) at iteration 2"):
             run(problem, config)
 
+    def test_subgradient_of_the_wrong_shape(self):
+        # a length-1 subgradient would broadcast over the 2-D step unnoticed
+        problem = self.problem(lambda x: np.ones(1), Ball(center=np.zeros(2), radius=1.0))
+        config = SolverConfig(max_iterations=5, initial_point=np.array([0.5, 0.0]),
+                              policy=FamilyPolicy(R=1.0))
+        with pytest.raises(NumericError, match=r"subgradient shape \(1,\) at iteration 1"):
+            run(problem, config)
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_nonfinite_step_is_caught_before_projection(self):
         # the oracle breaks the declared L, so x - eta * g overflows; the box
