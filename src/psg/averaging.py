@@ -14,8 +14,8 @@ streaming convex combinations, so no iterate history is stored; only the
 running total of the weights is kept, and a total that overflows raises
 :class:`OverflowError`.
 :class:`StreamingAverage` keeps all K averages of a run as one K x d array
-and updates it with the same numpy calls whatever K is, one point or one
-block of points per call.
+and takes one block of points per call, one row of K weights per point,
+with the same numpy calls whatever K is.
 """
 
 from __future__ import annotations
@@ -86,13 +86,14 @@ def _prefix_sum(a: np.ndarray) -> None:
 def _block_means(w: np.ndarray, x: np.ndarray, m0, total, out: np.ndarray) -> np.ndarray:
     """Write the means after each row of a block into `out`; return the running totals.
 
-    `m0` is the mean before the block (None: the block starts the stream)
-    and `total` its total weight. A running total that overflows raises
+    `w` is rows x K, `x` rows x d and `out` rows x K x d. `m0` is the K x d
+    mean before the block (None: the block starts the stream) and `total`
+    its K total weights. A running total that overflows raises
     :class:`OverflowError` before `out` is written. Where some W_t / W_e is
     below the smallest normal float (the block's weights span more than the
-    float range), the rows up to it are a block of their own, so that no
-    ratio underflows to 0 / 0; with K weights each column is then its own
-    stream, as it would be fed alone.
+    float range), each of the K columns is its own stream, as it would be
+    fed alone, and in that stream the rows up to it are a block of their
+    own, so that no ratio underflows to 0 / 0.
     """
     # W' = W + w row after row: a sequential running sum from the last total
     totals = w.copy()
@@ -105,17 +106,17 @@ def _block_means(w: np.ndarray, x: np.ndarray, m0, total, out: np.ndarray) -> np
     ratios = totals / totals[-1]
     early = ratios < _TINY  # a leading run of rows, as the totals only grow
     if early.any():
-        if w.ndim == 2:
+        if w.shape[1] > 1:
             for j in range(w.shape[1]):
-                m0_j, total_j = (None, 0.0) if m0 is None else (m0[j], total[j])
-                _block_means(w[:, j], x, m0_j, total_j, out[:, j])
+                m0_j, total_j = (None, 0.0) if m0 is None else (m0[j:j + 1], total[j:j + 1])
+                _block_means(w[:, j:j + 1], x, m0_j, total_j, out[:, j:j + 1])
             return totals
         p = int(np.count_nonzero(early))
         _block_means(w[:p], x[:p], m0, total, out[:p])
         _block_means(w[p:], x[p:], out[p - 1], totals[p - 1], out[p:])
         return totals
     base = x[0] if m0 is None else m0
-    np.subtract(x[:, None] if w.ndim == 2 else x, base, out=out)
+    np.subtract(x[:, None], base, out=out)
     out *= (w / totals[-1])[..., None]
     _prefix_sum(out)
     out /= ratios[..., None]
@@ -126,25 +127,25 @@ def _block_means(w: np.ndarray, x: np.ndarray, m0, total, out: np.ndarray) -> np
 
 
 class StreamingAverage:
-    """Weighted mean of a stream of points, updated in place.
+    """K weighted means of a stream of points, updated in place a block at a time.
 
-    One point x with weight w moves the mean to mean + (x - mean)(w / W')
-    with W' = W + w, which equals the direct quotient sum(w_s x_s) / sum(w_s)
-    and keeps the mean a convex combination of the points fed so far.
+    Each point x comes with a row of K weights, and mean j moves to
+    mean_j + (x - mean_j)(w_j / W_j') with W_j' = W_j + w_j, which equals the
+    direct quotient sum(w_sj x_s) / sum(w_sj) and keeps each mean a convex
+    combination of the points fed so far. ``mean`` is K x d and
+    ``total_weight`` holds the K totals once fed; each mean is bit for bit
+    the one a 1-column stream fed that weight keeps, and each point is
+    checked once, not K times.
 
-    Fed a 1-D array of K weights per point, it keeps K means at once (``mean``
-    is K x d, ``total_weight`` has K entries), each row bit for bit equal to
-    a scalar stream fed that weight, and checks the point once, not K times.
-
-    :meth:`update` also takes a block of points, one per row, for a fixed
-    number of numpy calls whatever K and d are. With m0 the mean before it
-    (else its first point) and running totals W_t up to W_e, the means are
-    one prefix sum: mean_t = m0 + (sum_{s<=t} (w_s/W_e)(x_s - m0)) / (W_t/W_e).
+    :meth:`update` takes a block of points, one per row, for a fixed number
+    of numpy calls whatever K and d are. With m0 the mean before it (else
+    its first point) and running totals W_t up to W_e, the means are one
+    prefix sum: mean_t = m0 + (sum_{s<=t} (w_s/W_e)(x_s - m0)) / (W_t/W_e).
     W_e keeps the partial sums finite and m0 a constant stream constant; the
     rows before a W_t / W_e that would fall below the smallest normal float
-    are summed as a block of their own. One point gives the formula above
-    bit for bit; a block does not give the bits of feeding its rows one at a
-    time.
+    are summed as a block of their own. A 1-row block gives the formula
+    above bit for bit; a block does not give the bits of feeding its rows
+    one at a time.
     """
 
     __slots__ = ("mean", "total_weight", "count")
@@ -155,43 +156,36 @@ class StreamingAverage:
         self.count = 0
 
     def update(self, w, x: np.ndarray, out: Optional[np.ndarray] = None) -> "StreamingAverage":
-        """Feed one point `x` with weight `w`, or a block of points.
+        """Feed a block of points `x`, rows x d, with weights `w`, rows x K.
 
-        A 1-D `x` is one point; `w` is its weight, or a 1-D array of K
-        weights. A 2-D `x` is a block with one point per row, and `w` then
-        holds one weight, or one row of K weights, per point. When given,
-        `out` (one row per point, each of the mean's shape) receives the
-        means after every point; ``mean`` itself never shares memory with it.
-        A running total weight that overflows raises :class:`OverflowError`,
-        without a numpy warning, before the means change.
+        Row i of `w` holds the K weights of point i. When given, `out`
+        (rows x K x d) receives the K means after every point; ``mean``
+        itself never shares memory with it. Any other shape, or a K or d
+        that differs from the mean's, raises :class:`ShapeError`; a weight
+        that is not positive and finite, or a nonfinite point, raises
+        :class:`NumericError`; a running total weight that overflows raises
+        :class:`OverflowError`, without a numpy warning. Each leaves the
+        means, totals and count as they were.
         """
-        x = np.asarray(x, dtype=np.float64)
-        w = np.asarray(w, dtype=np.float64)
-        if x.ndim == 1:
-            x, w = x[None], w[None]
-        if x.ndim != 2 or w.shape[:1] != x.shape[:1] or w.ndim > 2:
-            raise ShapeError(f"weights of shape {w.shape} do not fit points of shape {x.shape}")
-        valid = (w > 0) & (w < math.inf)
-        if not valid.all():
-            bad = float(w[~valid][0])
-            raise NumericError(f"weight must be positive and finite, got {bad!r}")
+        x, w = np.asarray(x, dtype=np.float64), np.asarray(w, dtype=np.float64)
+        shape = w.shape + x.shape[1:]  # rows x K x d
+        if (x.ndim != 2 or w.ndim != 2 or len(w) != len(x)
+                or (out is not None and out.shape != shape)
+                or (self.mean is not None and self.mean.shape != shape[1:])):
+            raise ShapeError(f"weights {w.shape} do not fit points {x.shape}, out or the means")
+        bad = w[~((w > 0) & (w < math.inf))]
+        if bad.size:
+            raise NumericError(f"weight must be positive and finite, got {float(bad[0])!r}")
         # a finite squared norm proves every entry finite; vdot never warns
         if not (math.isfinite(np.vdot(x, x)) or np.isfinite(x).all()):
             raise NumericError("point contains nonfinite entries")
-        shape = w.shape[1:] + x.shape[1:]  # (d,) for one weight per point, else (K, d)
-        rows = len(x)
-        if rows == 0:
+        if len(x) == 0:
             return self
-        if out is None:
-            out = np.empty((rows,) + shape)
-        fresh = self.mean is None
-        totals = _block_means(w, x, None if fresh else self.mean, self.total_weight, out)
-        if fresh:
-            self.mean = out[-1].copy()
-        else:
-            self.mean[...] = out[-1]
-        self.total_weight = float(totals[-1]) if w.ndim == 1 else totals[-1].copy()
-        self.count += rows
+        out = np.empty(shape) if out is None else out
+        totals = _block_means(w, x, self.mean, self.total_weight, out)
+        self.mean = out[-1].copy()
+        self.total_weight = totals[-1].copy()
+        self.count += len(x)
         return self
 
 

@@ -197,7 +197,7 @@ def _read_fields(obj: dict, prefix: str, schema: dict) -> dict:
     """Each field of `schema` read from the object `obj` by its reader; null counts as absent."""
     if not isinstance(obj, dict):
         names = " and ".join(map(repr, schema))
-        raise ConfigError(f"{prefix[:-1]}: expected an object with {names}")
+        raise ConfigError(f"{prefix[:-1] or 'top level'}: expected an object with {names}")
     for key in obj:
         if key not in schema:
             raise ConfigError(f"{prefix}{key}: unknown field")
@@ -257,8 +257,6 @@ def parse_config(data: dict) -> SimpleNamespace:
     object's fields (``spec.kind``, ``spec.n``, ...); ``initial_point`` keeps
     the config's own form.
     """
-    if not isinstance(data, dict):
-        raise ConfigError("top level: expected a JSON object")
     fields = _read_fields(data, "", CONFIG_FIELDS)
     if fields["iterations"] < 1:
         raise ConfigError("iterations: must be >= 1")

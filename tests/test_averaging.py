@@ -75,48 +75,54 @@ class TestWeight:
         assert rule(np.array([float(s)] * 3), np.array([eta] * 3)).tolist() == [expected] * 3
 
 
+def state(acc):
+    """The mean, total weight and count of `acc`, as lists and numbers."""
+    return np.asarray(acc.mean).tolist(), np.asarray(acc.total_weight).tolist(), acc.count
+
+
 class TestStreamingAverage:
     def test_single_point(self):
         acc = StreamingAverage()
-        acc.update(1.0, np.array([2.0, 0.0]))
-        assert_allclose(acc.mean, [2.0, 0.0])
+        acc.update([[1.0]], np.array([[2.0, 0.0]]))
+        assert_allclose(acc.mean, [[2.0, 0.0]])
         assert acc.total_weight == 1.0
 
     def test_equal_weights(self):
         acc = StreamingAverage()
-        acc.update(1.0, np.array([0.0])).update(1.0, np.array([1.0]))
-        assert_allclose(acc.mean, [0.5])
+        acc.update([[1.0]], np.array([[0.0]])).update([[1.0]], np.array([[1.0]]))
+        assert_allclose(acc.mean, [[0.5]])
 
     def test_unequal_weights(self):
         # direct quotient (1*0 + 3*4) / 4 = 3
         acc = StreamingAverage()
-        acc.update(1.0, np.array([0.0])).update(3.0, np.array([4.0]))
-        assert_allclose(acc.mean, [3.0])
+        acc.update([[1.0]], np.array([[0.0]])).update([[3.0]], np.array([[4.0]]))
+        assert_allclose(acc.mean, [[3.0]])
 
     def test_rejects_bad_weight_and_point(self):
         acc = StreamingAverage()
         with pytest.raises(NumericError):
-            acc.update(0.0, np.array([1.0]))
+            acc.update([[0.0]], np.array([[1.0]]))
         with pytest.raises(NumericError):
-            acc.update(np.inf, np.array([1.0]))
+            acc.update([[np.inf]], np.array([[1.0]]))
         with pytest.raises(NumericError):
-            acc.update(1.0, np.array([np.nan]))
+            acc.update([[1.0]], np.array([[np.nan]]))
         with pytest.raises(NumericError):
-            acc.update(1.0, np.array([1e200, np.inf]))
+            acc.update([[1.0]], np.array([[1e200, np.inf]]))
 
     def test_overflowing_total_raises_before_the_mean_changes(self):
         # no numpy warning either: tier-1 turns one into an error
-        acc = StreamingAverage().update(np.array([1e308, 1.0]), np.array([1.0]))
+        acc = StreamingAverage().update(np.array([[1e308, 1.0]]), np.array([[1.0]]))
         with pytest.raises(OverflowError, match="total weight overflows"):
             acc.update(np.array([[1.0, 1.0], [1e308, 1.0]]), np.array([[3.0], [5.0]]))
         assert acc.count == 1
         assert acc.mean.tolist() == [[1.0], [1.0]]
         assert acc.total_weight.tolist() == [1e308, 1.0]
 
-    @pytest.mark.parametrize("w", [1.0, np.array([1.0, 2.0])], ids=["scalar", "vector"])
+    @pytest.mark.parametrize("w", [np.array([[1.0]]), np.array([[1.0, 2.0]])],
+                             ids=["scalar", "vector"])
     def test_accepts_a_finite_point_whose_squared_norm_overflows(self, w):
         acc = StreamingAverage()
-        x = np.array([1e200, -1e200])
+        x = np.array([[1e200, -1e200]])
         acc.update(w, x).update(w, x)
         assert acc.count == 2
         assert np.all(acc.mean == x)
@@ -128,28 +134,28 @@ class TestStreamingAverage:
             points = rng.standard_normal((length, 3))
             acc = StreamingAverage()
             for w, x in zip(weights, points):
-                acc.update(w, x)
+                acc.update([[w]], x[None])
             direct = (weights[:, None] * points).sum(axis=0) / weights.sum()
-            assert_allclose(acc.mean, direct, rtol=1e-9, atol=1e-12)
-            assert acc.total_weight == pytest.approx(weights.sum(), rel=1e-9)
+            assert_allclose(acc.mean[0], direct, rtol=1e-9, atol=1e-12)
+            assert acc.total_weight[0] == pytest.approx(weights.sum(), rel=1e-9)
             assert acc.count == length
 
     def test_k_zero_reduces_to_plain_running_mean(self, rng):
         points = rng.standard_normal((500, 2))
         acc = StreamingAverage()
         for s, x in enumerate(points, start=1):
-            acc.update(weight(0.0, s, eta_s=1.0 / s), x)
-        assert_allclose(acc.mean, points.mean(axis=0), rtol=1e-12, atol=1e-14)
+            acc.update([[weight(0.0, s, eta_s=1.0 / s)]], x[None])
+        assert_allclose(acc.mean[0], points.mean(axis=0), rtol=1e-12, atol=1e-14)
 
-    @pytest.mark.parametrize("K", [None, 3], ids=["scalar", "vector"])
+    @pytest.mark.parametrize("K", [1, 3], ids=["scalar", "vector"])
     def test_block_mean_is_not_a_view_of_out(self, K, rng):
         points = rng.standard_normal((5, 4))
-        weights = rng.uniform(0.5, 2.0, size=(5,) if K is None else (5, K))
+        weights = rng.uniform(0.5, 2.0, size=(5, K))
         for fresh in (True, False):
             acc = StreamingAverage()
             if not fresh:
-                acc.update(weights[0], points[0])
-            out = np.empty((5,) + ((4,) if K is None else (K, 4)))
+                acc.update(weights[:1], points[:1])
+            out = np.empty((5, K, 4))
             acc.update(weights, points, out=out)
             assert np.array_equal(acc.mean, out[-1])
             kept = acc.mean.copy()
@@ -157,10 +163,35 @@ class TestStreamingAverage:
             assert np.array_equal(acc.mean, kept)
             assert acc.count == 5 + (not fresh)
 
-    def test_block_rejects_mismatched_weights(self):
-        for w in (np.ones(3), np.ones((3, 2)), 1.0):
+    @pytest.mark.parametrize("w,x", [
+        (1.0, np.ones(4)),  # one point with one weight
+        (np.ones(2), np.ones(4)),  # one point with a row of K weights
+        (np.ones(2), np.ones((2, 4))),  # a block with one weight per row
+        (np.ones(3), np.ones((2, 4))),
+        (1.0, np.ones((2, 4))),
+        (np.ones((3, 2)), np.ones((2, 4))),  # more weight rows than points
+    ], ids=["point-weight", "point-K-weights", "weight-per-row", "three-weights",
+            "block-weight", "more-weight-rows"])
+    def test_block_rejects_mismatched_weights(self, w, x):
+        fed = StreamingAverage().update(np.ones((1, 2)), np.zeros((1, 4)))
+        for acc in (StreamingAverage(), fed):
+            before = state(acc)
             with pytest.raises(ShapeError):
-                StreamingAverage().update(w, np.ones((2, 4)))
+                acc.update(w, x)
+            assert state(acc) == before
+
+    @pytest.mark.parametrize("w,x,out", [
+        (np.ones((2, 2)), np.ones((2, 4)), np.empty((2, 4))),  # out without the K axis
+        (np.ones((2, 2)), np.ones((2, 4)), np.empty((3, 2, 4))),  # out with another row count
+        (np.ones((2, 1)), np.ones((2, 4)), None),  # K differs from the means'
+        (np.ones((2, 2)), np.ones((2, 5)), None),  # d differs from the means'
+    ], ids=["out-without-K", "out-rows", "other-K", "other-d"])
+    def test_block_must_fit_out_and_the_means(self, w, x, out):
+        acc = StreamingAverage().update(np.ones((1, 2)), np.zeros((1, 4)))
+        before = state(acc)
+        with pytest.raises(ShapeError):
+            acc.update(w, x, out=out)
+        assert state(acc) == before
 
     def test_block_names_the_bad_weight(self):
         acc = StreamingAverage()
@@ -177,27 +208,34 @@ class TestStreamingAverage:
     def test_mean_stays_feasible(self, op, rng):
         acc = StreamingAverage()
         for s, x in enumerate(sample_feasible(op, rng, 300), start=1):
-            acc.update(s ** 0.5, x)
-            assert feasibility_residual(op, acc.mean) <= 1e-9
+            acc.update([[s ** 0.5]], x[None])
+            assert feasibility_residual(op, acc.mean[0]) <= 1e-9
 
 
 def exact_means(weights, points):
-    """The weighted means after each point, as exact fractions of the float inputs."""
-    shape = weights.shape[1:]
-    num = np.full(shape + points.shape[1:], Fraction(0), dtype=object)
-    den = np.full(shape, Fraction(0), dtype=object) if shape else Fraction(0)
+    """The K weighted means after each point, as exact fractions of the float inputs.
+
+    1-D weights are one weight per point, a 1-column block.
+    """
+    weights = weights.reshape(len(weights), -1)
+    num = np.full(weights.shape[1:] + points.shape[1:], Fraction(0), dtype=object)
+    den = np.full(weights.shape[1:], Fraction(0), dtype=object)
     means = []
     for w, x in zip(weights, points):
         w_exact = np.vectorize(Fraction, otypes=[object])(w)
         x_exact = np.vectorize(Fraction, otypes=[object])(x)
-        num = num + (w_exact[..., None] * x_exact if shape else w_exact * x_exact)
+        num = num + w_exact[..., None] * x_exact
         den = den + w_exact
-        means.append(num / (den[..., None] if shape else den))
+        means.append(num / den[..., None])
     return means
 
 
 def feed_blocks(weights, points, before):
-    """`before` points as one block, then the rest as another: (average, means after each)."""
+    """`before` points as one block, then the rest as another: (average, means after each).
+
+    1-D weights are one weight per point, fed as a 1-column block.
+    """
+    weights = weights.reshape(len(weights), -1)
     acc = StreamingAverage()
     outs = []
     for part in (slice(0, before), slice(before, None)):
@@ -241,7 +279,6 @@ def test_block_means_stay_near_the_exact_mean(K, rows, before):
     n = before + rows
     ks = [0.0] if K is None else [-1.0, 0.0, 2.0]
     weights = np.column_stack([solver_weights(rng, n, k) for k in ks])
-    weights = weights[:, 0] if K is None else weights
     points = rng.standard_normal((n, 4)) * 10.0 ** rng.uniform(-3, 3, size=4)
     _, means = feed_blocks(weights, points, before)
     assert_within_ulps(means, weights, points)
@@ -251,6 +288,7 @@ def test_block_means_stay_near_the_exact_mean(K, rows, before):
 @given(st.sampled_from([None, 1, 2, 3]), st.integers(1, 12), st.sampled_from(BLOCK_ROWS),
        st.integers(0, 9), st.integers(0, 2 ** 32 - 1))
 def test_block_means_stay_near_the_exact_mean_for_spread_weights(K, d, rows, before, seed):
+    # K None: one weight per point, fed as a 1-column block by feed_blocks
     rng = np.random.default_rng(seed)
     shape = () if K is None else (K,)
     weights = 10.0 ** rng.uniform(-6.0, 6.0, size=(before + rows,) + shape)
@@ -265,7 +303,7 @@ def test_block_means_stay_near_the_exact_mean_for_spread_weights(K, d, rows, bef
 @pytest.mark.parametrize("K", [None, 3], ids=["one-weight", "K-weights"])
 def test_constant_stream_stays_exactly_constant(K, rows, before, rng):
     point = rng.standard_normal(5) * 1e3
-    weights = 10.0 ** rng.uniform(-8.0, 8.0, size=(before + rows,) + (() if K is None else (K,)))
+    weights = 10.0 ** rng.uniform(-8.0, 8.0, size=(before + rows, K or 1))
     acc, means = feed_blocks(weights, np.tile(point, (before + rows, 1)), before)
     for mean in means + [acc.mean]:
         assert np.array_equal(mean, np.broadcast_to(point, mean.shape))
@@ -305,7 +343,7 @@ def test_long_prefix_sums_are_exact_on_integers(rows, rng):
 def test_weights_beyond_the_float_range_in_one_block(K, rng):
     # after a first point of weight 1e-320, the block's W_1 / W_5 = 2e-330
     # underflows to 0: the block splits there rather than dividing 0 by 0
-    weights = np.array([1e-320, 1e-320, 1e10, 0.7, 1.3, 2.1])
+    weights = np.array([[1e-320], [1e-320], [1e10], [0.7], [1.3], [2.1]])
     if K:  # beside a column of ordinary weights, which keeps its own bits
         weights = np.column_stack([weights, 10.0 ** rng.uniform(-3.0, 3.0, size=6)])
     points = np.array([[1.0], [3.0], [2.0], [0.3], [0.9], [0.45]])
@@ -315,21 +353,22 @@ def test_weights_beyond_the_float_range_in_one_block(K, rng):
     assert_within_ulps(means, weights, points)
     assert [float(np.ravel(mean)[0]) for mean in means[:3]] == [1.0, 2.0, 2.0]
     if K:
-        _, alone = feed_blocks(weights[:, 1], points, 1)
-        assert np.array_equal(np.array(means)[:, 1], np.array(alone))
+        _, alone = feed_blocks(weights[:, 1:2], points, 1)
+        assert np.array_equal(np.array(means)[:, 1:2], np.array(alone))
 
 
 @pytest.mark.parametrize("K", [None, 3], ids=["one-weight", "K-weights"])
 def test_one_point_update_is_the_recurrence(K, rng):
-    shape = () if K is None else (K,)
+    # each point a 1-row block
+    shape = (K or 1,)
     acc = StreamingAverage().update(rng.uniform(0.5, 2.0, size=(6,) + shape),
                                     rng.standard_normal((6, 4)))
     for _ in range(20):
         w, x = rng.uniform(0.01, 100.0, size=shape), rng.standard_normal(4) * 1e2
         mean, total = acc.mean.copy(), acc.total_weight + w
         share = w / total
-        expected = mean + (x - mean) * (share[..., None] if K else share)
-        acc.update(w, x)
+        expected = mean + (x - mean) * share[..., None]
+        acc.update(w[None], x[None])
         assert np.array_equal(acc.mean, expected)
         assert np.array_equal(acc.total_weight, total)
 
@@ -341,11 +380,11 @@ def test_each_of_k_weights_is_its_single_weight_stream(rows, before, rng):
     points = rng.standard_normal((before + rows, 6))
     joint, joint_means = feed_blocks(weights, points, before)
     for j in range(3):
-        alone, means = feed_blocks(weights[:, j], points, before)
-        assert np.array_equal(np.array(joint_means)[:, j], np.array(means))
-        assert np.array_equal(joint.mean[j], alone.mean)
+        alone, means = feed_blocks(weights[:, j:j + 1], points, before)
+        assert np.array_equal(np.array(joint_means)[:, j:j + 1], np.array(means))
+        assert np.array_equal(joint.mean[j:j + 1], alone.mean)
         assert joint.total_weight[j] == alone.total_weight
-        assert type(alone.total_weight) is float
+        assert alone.total_weight.shape == (1,)
 
 
 @pytest.mark.parametrize("K", [None, 2], ids=["one-weight", "K-weights"])
@@ -354,9 +393,9 @@ def test_narrow_and_wide_means_warn_alike(K, big):
     # a point 2e308 away from the mean overflows x - m0: numpy warns, and the
     # mean turns nonfinite rather than silently finite, for 1 entry or 12
     def feed(d):
-        w = np.ones((3,) if K is None else (3, K))
+        w = np.ones((3, K or 1))
         x = np.array([[-big], [big], [big]]) * np.ones(d)
-        acc = StreamingAverage().update(w[0], x[0])
+        acc = StreamingAverage().update(w[:1], x[:1])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             acc.update(w[1:], x[1:])

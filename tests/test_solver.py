@@ -1180,17 +1180,18 @@ class TestHotLoopChecks:
         together = StreamingAverage()
         apart = [StreamingAverage() for _ in range(3)]
         for w, x in zip(weights, points):
-            together.update(w, x)
+            together.update(w[None], x[None])
             for acc, w_i in zip(apart, w):
-                acc.update(float(w_i), x)
+                acc.update([[w_i]], x[None])
         assert together.count == 500
-        assert np.array_equal(together.mean, np.array([acc.mean for acc in apart]))
-        assert np.array_equal(together.total_weight, [acc.total_weight for acc in apart])
+        assert np.array_equal(together.mean, np.concatenate([acc.mean for acc in apart]))
+        assert np.array_equal(together.total_weight,
+                              np.concatenate([acc.total_weight for acc in apart]))
 
     def test_weight_vector_rejects_bad_entry(self):
         acc = StreamingAverage()
         with pytest.raises(NumericError, match="got 0.0"):
-            acc.update(np.array([1.0, 0.0]), np.ones(2))
+            acc.update(np.array([[1.0, 0.0]]), np.ones((1, 2)))
         assert acc.count == 0
 
     @pytest.mark.parametrize("name", ["two-slope", "lasso64", "lasso512"])
