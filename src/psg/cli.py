@@ -13,19 +13,23 @@ Subcommands
 Exit codes: 0 success, 1 config or I/O error, 2 numeric failure inside a
 run, 3 a certificate not proven (only with ``--strict``).
 
-A config is a JSON object. :data:`CONFIG_FIELDS` lists its fields, and
-:data:`PROBLEM_FIELDS` and :data:`POLICY_FIELDS` the fields of each kind of
-``problem`` and ``policy`` object (``policy`` may also be a list of them,
-one cell each), each field with its type and default; the README shows an
-example. A field that the object's kind does not take is an error, at every
-level, and so is a value of the wrong type: counts are integers (``2000.0``
-counts), other numbers finite; ``null`` is the same as omitting the field.
-For the classic and constant policies ``L`` may be omitted when the problem
-declares a Lipschitz bound. The default initial point is the origin, except
-for the sqrt example where it is 0.5 (the origin has an empty
-subdifferential there). A problem that knows its exact optimum f* (abs,
-sqrt-example) is the optimality bracket ``[f*, f*]``; without one (Lasso)
-each cell brackets f* by ``[f_low, f_best]`` from its own oracle calls (see
+A config is a JSON object. :data:`CONFIG_FIELDS` lists its fields, each
+with its type and default, and :data:`PROBLEM_KINDS` and
+:data:`POLICY_KINDS` hold one row per kind of ``problem`` and ``policy``
+object (``policy`` may also be a list of them, one cell each): the kind's
+fields, read the same way, and the builder that turns them into the problem
+or the policy; the README shows an example. A field that the object's kind
+does not take is an error, at every level, and so is a value of the wrong
+type: counts are integers (``2000.0`` counts), other numbers finite;
+``null`` is the same as omitting the field. For the classic and constant
+policies ``L`` may be omitted when the problem declares a Lipschitz bound.
+A value that the step rule rejects, such as a family ``a`` of 2, is an
+error that names the policy object (``policy: a must lie in [0, 1], got
+2.0``). The default initial point is the origin, except for the sqrt
+example where it is 0.5 (the origin has an empty subdifferential there).
+A problem that knows its exact optimum f* (abs, sqrt-example) is the
+optimality bracket ``[f*, f*]``; without one (Lasso) each cell brackets f*
+by ``[f_low, f_best]`` from its own oracle calls (see
 :func:`psg.solver.run`). Each summary cell reports ``optimum_bracket``
 ({"low", "high"}, or null), ``certificates`` (True iff proven),
 ``undecided`` and ``oracle_calls`` (the calls its run made).
@@ -43,7 +47,8 @@ writes, byte for byte. The header
 object holds the cell's ``policy`` spec, ``iterations``, ``weight_ks``,
 ``restart_factor``, ``optimum_bracket`` and, when its minorants gave f_low,
 ``minorant_sums`` {"g_sum", "c_sum", "count"}. The columns are the trace
-that :func:`psg.solver.run` returns, column for column:
+that :func:`psg.solver.run` returns, column for column, named and ordered
+by :func:`psg.solver.trace_columns`:
 ``s,epoch,eta,g_norm,G,f_x,f_best,f_avg_k<k1>,...,bound_<label1>,...``;
 ``epoch`` counts the restarts so far, and ``G`` is ``nan`` for policies that
 do not track it. The bound columns are the labels of the
@@ -82,7 +87,7 @@ import os
 import sys
 import zipfile
 from types import SimpleNamespace
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -94,7 +99,6 @@ from .core import (
     ShapeError,
     read_csv,
     repeated_scheme,
-    scheme_label,
     write_csv,
 )
 from .problems import (
@@ -105,7 +109,7 @@ from .problems import (
     save_lasso_csv,
     generate_lasso,
 )
-from .solver import SolverConfig, run
+from .solver import SolverConfig, run, trace_columns
 from .stepsize import ClassicPolicy, ConstantPolicy, FamilyPolicy, NesterovPolicy
 
 EXIT_OK = 0
@@ -178,19 +182,26 @@ def _initial_point(value, where: str):
     raise ConfigError(f"{where}: expected \"zero\", {{\"random\": seed}}, or a list of numbers")
 
 
-# The fields each kind of problem and policy object takes besides "kind",
-# name -> (reader, default): the one place they are listed. REQUIRED marks a
-# field without a default; a default of None means "not set".
+# One row per kind of problem and policy object, the one place a kind is
+# listed: the fields it takes besides "kind", name -> (reader, default), and
+# its builder, which takes the fields' values in the row's order (a policy's
+# after R and the iteration budget t). REQUIRED marks a field without a
+# default; a default of None means "not set".
 REQUIRED = object()
-PROBLEM_FIELDS = {
-    "abs": {"dim": (_int, REQUIRED)},
-    "sqrt-example": {},
-    "lasso": {"seed": (_int, REQUIRED), "n": (_int, REQUIRED), "m": (_int, REQUIRED),
-              "radius": (_float, 50.0), "lambda": (_float, 10.0)},
-    "lasso-file": {"path": (_str, REQUIRED)},
+Kind = NamedTuple("Kind", [("fields", dict), ("build", Callable)])
+PROBLEM_KINDS = {
+    "abs": Kind({"dim": (_int, REQUIRED)}, make_abs_problem),
+    "sqrt-example": Kind({}, make_sqrt_example),
+    "lasso": Kind({"seed": (_int, REQUIRED), "n": (_int, REQUIRED), "m": (_int, REQUIRED),
+                   "radius": (_float, 50.0), "lambda": (_float, 10.0)}, make_lasso),
+    "lasso-file": Kind({"path": (_str, REQUIRED)}, lambda path: load_lasso_csv(path).to_problem()),
 }
-POLICY_FIELDS = {"family": {"a": (_float, 1.0)}, "nesterov": {},
-                 "classic": {"L": (_float, None)}, "constant": {"L": (_float, None)}}
+POLICY_KINDS = {
+    "family": Kind({"a": (_float, 1.0)}, lambda R, t, a: FamilyPolicy(R, a)),
+    "nesterov": Kind({}, lambda R, t: NesterovPolicy(R)),
+    "classic": Kind({"L": (_float, None)}, lambda R, t, L: ClassicPolicy(R, L)),
+    "constant": Kind({"L": (_float, None)}, lambda R, t, L: ConstantPolicy(R, L, t)),
+}
 
 
 def _read_fields(obj: dict, prefix: str, schema: dict) -> dict:
@@ -220,19 +231,19 @@ def _spec(kinds: dict, obj, where: str) -> SimpleNamespace:
     if not isinstance(kind, str) or kind not in kinds:
         raise ConfigError(f"{where}.kind: unknown kind {kind!r}, expected one of {sorted(kinds)}")
     fields = {key: value for key, value in obj.items() if key != "kind"}
-    return SimpleNamespace(kind=kind, **_read_fields(fields, f"{where}.", kinds[kind]))
+    return SimpleNamespace(kind=kind, **_read_fields(fields, f"{where}.", kinds[kind].fields))
 
 
 def _policies(value, where: str) -> tuple:
     items = [value] if isinstance(value, dict) else value
     if not isinstance(items, list) or not items:
         raise ConfigError(f"{where}: expected a policy object or a nonempty list of them")
-    return tuple(_spec(POLICY_FIELDS, item, where) for item in items)
+    return tuple(_spec(POLICY_KINDS, item, where) for item in items)
 
 
-# The top-level fields of a config, as the kinds' fields above.
+# The top-level fields of a config, read as the kinds' fields above.
 CONFIG_FIELDS = {
-    "problem": (functools.partial(_spec, PROBLEM_FIELDS), REQUIRED),
+    "problem": (functools.partial(_spec, PROBLEM_KINDS), REQUIRED),
     "policy": (_policies, REQUIRED),
     "iterations": (_int, REQUIRED),
     "weight_ks": (_exponents, (0.0,)),
@@ -302,29 +313,27 @@ def load_config(path) -> SimpleNamespace:
 
 
 def build_problem(spec: SimpleNamespace) -> ProblemInstance:
-    if spec.kind == "abs":
-        return make_abs_problem(spec.dim)
-    if spec.kind == "sqrt-example":
-        return make_sqrt_example()
-    if spec.kind == "lasso":
-        return make_lasso(spec.seed, spec.n, spec.m, spec.radius, vars(spec)["lambda"])
-    return load_lasso_csv(spec.path).to_problem()
+    """The problem of `spec`, built by its kind's row of :data:`PROBLEM_KINDS`."""
+    kind = PROBLEM_KINDS[spec.kind]
+    return kind.build(*(vars(spec)[name] for name in kind.fields))
 
 
 def build_policy(spec: SimpleNamespace, problem: ProblemInstance, iterations: int, where: str):
-    """The policy of `spec`; `where` names the spec's field in an error ("policy")."""
-    R = problem.radius_R
-    if spec.kind == "family":
-        return FamilyPolicy(R=R, a=spec.a)
-    if spec.kind == "nesterov":
-        return NesterovPolicy(R=R)
-    L = spec.L if spec.L is not None else problem.lipschitz_L
-    if L is None:
+    """The policy of `spec`, built by its kind's row of :data:`POLICY_KINDS`.
+
+    A kind that takes ``L`` steps with the spec's, else with the problem's
+    Lipschitz bound. `where` names the spec's field in an error ("policy"),
+    a value that the rule rejects included.
+    """
+    kind = POLICY_KINDS[spec.kind]
+    values = {"L": problem.lipschitz_L} | _spec_dict(spec)  # the spec's L, else the problem's
+    if values["L"] is None and "L" in kind.fields:
         raise ConfigError(
             f"{where}.L: required for kind {spec.kind!r} (problem declares no Lipschitz bound)")
-    if spec.kind == "classic":
-        return ClassicPolicy(R=R, L=L)
-    return ConstantPolicy(R=R, L=L, horizon_t=iterations)
+    try:
+        return kind.build(problem.radius_R, iterations, *(values[name] for name in kind.fields))
+    except InvalidParameterError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def resolve_initial_point(initial, problem: ProblemInstance) -> np.ndarray:
@@ -337,9 +346,15 @@ def resolve_initial_point(initial, problem: ProblemInstance) -> np.ndarray:
 
 
 def _header_json(trace: dict, header: dict) -> str:
-    """The JSON text of a trace's `header`, nonfinite numbers as null; an empty trace fails."""
-    if not trace or not len(next(iter(trace.values()))):
-        raise InvalidParameterError("cannot write an empty trace")
+    """The JSON text of a trace's `header`, nonfinite numbers as null.
+
+    Both writers call it before they open their file, so a trace that
+    :func:`read_trace` would refuse fails first: no columns, no rows, or
+    columns that are not 1-D or not of one length.
+    """
+    shape, *others = {np.shape(col) for col in trace.values()} or {(0,)}
+    if others or len(shape) != 1 or not shape[0]:
+        raise InvalidParameterError("a trace needs 1-D columns of one nonzero length")
     return json.dumps(_finite_or_null(header), sort_keys=True, allow_nan=False)
 
 
@@ -396,8 +411,6 @@ def emit_trace(trace: dict, path, header: dict) -> None:
         return emit_trace_csv(trace, path, header)
     text = _header_json(trace, header)
     columns = {name: np.asarray(col, dtype=np.float64) for name, col in trace.items()}
-    if len({col.shape for col in columns.values()}) > 1 or next(iter(columns.values())).ndim != 1:
-        raise InvalidParameterError("columns differ in length or are not 1-D")
     with open(path, "wb") as fh:  # every zip entry is dated 1980-01-01
         np.savez(fh, header=np.array(text), **columns)
 
@@ -442,14 +455,11 @@ def check_trace(meta: dict, cols: dict, problem: ProblemInstance) -> list:
     or a column set that no run writes raises :class:`ConfigError` or
     :class:`InvalidParameterError`.
     """
-    policy = build_policy(_spec(POLICY_FIELDS, meta.get("policy"), "header.policy"), problem,
+    policy = build_policy(_spec(POLICY_KINDS, meta.get("policy"), "header.policy"), problem,
                           _int(meta.get("iterations"), "header.iterations"), "header.policy")
     ks = _exponents(meta.get("weight_ks"), "header.weight_ks")
     L = problem.lipschitz_L
-    missing = [name for name in ("s", "epoch", "eta", "g_norm", "G", "f_x", "f_best",
-                                 *(f"f_avg_{scheme_label(k)}" for k in ks),
-                                 *(f"bound_{label}" for label in policy.bound_labels(ks, L)))
-               if name not in cols]
+    missing = [name for name in trace_columns(ks, policy.bound_labels(ks, L)) if name not in cols]
     if missing:
         raise InvalidParameterError(f"trace has no column {', '.join(missing)}")
     epoch, G, f_best = cols["epoch"], cols["G"], cols["f_best"]
@@ -646,7 +656,7 @@ def _cmd_check(args) -> int:
     data = _load_json(args.problem)
     if isinstance(data, dict) and "problem" in data:  # a whole config
         data = data["problem"]
-    problem = build_problem(_spec(PROBLEM_FIELDS, data, "problem"))
+    problem = build_problem(_spec(PROBLEM_KINDS, data, "problem"))
     results = check_trace(*read_trace(args.trace), problem)
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}" + (f" ({detail})" if detail else ""))
@@ -672,9 +682,9 @@ def main(argv=None) -> int:
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--m", type=int, required=True)
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--lambda", dest="lam", type=float,
-                       default=PROBLEM_FIELDS["lasso"]["lambda"][1])
-    p_gen.add_argument("--radius", type=float, default=PROBLEM_FIELDS["lasso"]["radius"][1])
+    lasso = PROBLEM_KINDS["lasso"].fields
+    p_gen.add_argument("--lambda", dest="lam", type=float, default=lasso["lambda"][1])
+    p_gen.add_argument("--radius", type=float, default=lasso["radius"][1])
     p_gen.set_defaults(func=_cmd_gen_lasso)
 
     p_check = sub.add_parser("check", help="re-validate a stored trace")

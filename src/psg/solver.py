@@ -5,7 +5,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -52,6 +52,19 @@ def block_rows(n: int, image_size: int, minorants: bool) -> int:
     """
     row_bytes = 8 * (n + image_size + (n + 1 if minorants else 0))
     return min(VALUE_BLOCK_CAP, max(VALUE_BLOCK, VALUE_BLOCK_BYTES // row_bytes))
+
+
+def trace_columns(ks: Sequence[float], bound_labels: Iterable[str]) -> list:
+    """The names of a trace's columns, in order, for weight exponents `ks` and bound labels.
+
+    ``s, epoch, eta, g_norm, G, f_x, f_best``, then ``f_avg_k<k>`` per
+    exponent and ``bound_<label>`` per label: the columns of the trace that
+    :func:`run` returns, of the files that ``psg run`` writes and that
+    ``psg check`` reads.
+    """
+    return ["s", "epoch", "eta", "g_norm", "G", "f_x", "f_best",
+            *(f"f_avg_{scheme_label(k)}" for k in ks),
+            *(f"bound_{label}" for label in bound_labels)]
 
 
 def psg_step(x: np.ndarray, g: np.ndarray, eta: float, projector) -> np.ndarray:
@@ -194,13 +207,13 @@ def run(problem: ProblemInstance, config: SolverConfig):
     Returns
     -------
     (RunReport, dict or None)
-        The trace is None unless ``config.record_trace`` is set. It maps the
-        columns of the trace CSV, in its order, to float arrays with one entry
-        per iteration: ``s, epoch, eta, g_norm, G, f_x, f_best``,
+        The trace is None unless ``config.record_trace`` is set. It maps each
+        of :func:`trace_columns` for the run's exponents and
+        ``policy.bound_labels(ks, L)``, in that order, to a float array with
+        one entry per iteration: ``s, epoch, eta, g_norm, G, f_x, f_best``,
         ``f_avg_k<k>`` per weight exponent (the value at the k-weighted mean),
-        and ``bound_<label>`` per label of ``policy.bound_labels(ks, L)``,
-        the bounds in the report's ``bounds``. ``G`` is nan for rules that
-        do not track it.
+        and ``bound_<label>`` per label, the bounds in the report's
+        ``bounds``. ``G`` is nan for rules that do not track it.
     """
     projector = problem.projector
     x = ensure_vector(config.initial_point, problem.dimension, "initial_point")
@@ -255,13 +268,13 @@ def run(problem: ProblemInstance, config: SolverConfig):
     # The run's record, the columns that the trace, the bounds and the
     # certificates are computed from after the loop: the pending rows in short
     # lists, and one float64 chunk per flushed block and column (one epoch
-    # per block; the values at the averages as one f_avg column per k).
+    # per block; the values at the averages as one f_avg column per k). It
+    # holds the trace's columns but s and f_best, which are derived after the loop.
     etas: list[float] = []
     g_norms: list[float] = []
     big_Gs: list[Optional[float]] = []
     f_xs: list[float] = []
-    record: dict[str, list] = {name: [] for name in ("epoch", "eta", "g_norm", "G", "f_x")}
-    record.update((f"f_avg_{label}", []) for label in labels)
+    record = {name: [] for name in trace_columns(ks, ()) if name not in ("s", "f_best")}
     done = 0  # rows already in the record
 
     def check_images(count):
@@ -511,10 +524,10 @@ def run(problem: ProblemInstance, config: SolverConfig):
     final_bounds = {label: float(col[-1]) for label, col in bounds.items()} if done else {}
     trace = None
     if config.record_trace:  # s and f_best are built after the bounds, which read neither
-        items = list(columns.items())  # f_best goes between f_x and the f_avg columns
-        trace = dict([("s", np.arange(1, done + 1, dtype=np.float64)), *items[:5],
-                      ("f_best", np.minimum.accumulate(columns["f_x"])), *items[5:]])
-        trace.update((f"bound_{label}", column) for label, column in bounds.items())
+        columns.update(s=np.arange(1, done + 1, dtype=np.float64),
+                       f_best=np.minimum.accumulate(columns["f_x"]))
+        columns.update((f"bound_{label}", column) for label, column in bounds.items())
+        trace = {name: columns[name] for name in trace_columns(ks, bounds)}
 
     report = RunReport(
         problem=problem.name,

@@ -698,6 +698,30 @@ def test_input_error_inside_a_command_is_one_error_line(tmp_path, capsys, comman
     assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("command,policy,message", [
+    ("run", {"kind": "family", "a": 2}, "policy: a must lie in [0, 1], got 2.0"),
+    ("run", {"kind": "classic", "L": -1}, "policy: L must be positive and finite, got -1.0"),
+    ("run", {"kind": "constant", "L": 0}, "policy: L must be positive and finite, got 0.0"),
+    ("check", {"kind": "family", "a": 2}, "header.policy: a must lie in [0, 1], got 2.0"),
+], ids=["run-family-a", "run-classic-L", "run-constant-L", "check-family-a"])
+def test_policy_value_the_rule_rejects_names_the_policy(tmp_path, capsys, command, policy,
+                                                        message):
+    if command == "run":
+        cfg = write_config(tmp_path / "c.json", dict(ABS_CONFIG, policy=policy))
+        argv = ["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]
+    else:  # a trace whose header holds the policy
+        cfg = write_config(tmp_path / "c.json", ABS_CONFIG)
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        meta, columns = read_trace(tmp_path / "trace.csv")
+        emit_trace(columns, tmp_path / "bad.csv", meta | {"policy": policy})
+        argv = ["check", "--trace", str(tmp_path / "bad.csv"), "--problem", cfg]
+    files = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert_one_error_line(capsys, f"error: {message}\n")
+    assert sorted(tmp_path.rglob("*")) == files
+
+
 class TestNegativeSeed:
     """numpy's generator raises ValueError on a negative seed; each route stops before it.
 
@@ -1204,13 +1228,18 @@ def test_emit_trace_csv_writes_savetxt_bytes_across_chunks(tmp_path, rows):
     assert again.read_bytes() == path.read_bytes()
 
 
-def test_emit_trace_csv_rejects_empty(tmp_path):
-    # no columns, no rows, and columns of unequal length
-    for trace in ({}, {"s": np.array([]), "eta": np.array([])},
-                  {"s": np.ones(3), "eta": np.ones(2)}):
-        with pytest.raises(InvalidParameterError):
-            emit_trace_csv(trace, tmp_path / "x.csv", {})
-        assert not (tmp_path / "x.csv").exists()
+@pytest.mark.parametrize("trace", [{}, {"s": np.array([]), "eta": np.array([])},
+                                   {"s": np.ones(3), "eta": np.ones(2)},
+                                   {"s": np.ones((3, 2))}],
+                         ids=["no-columns", "no-rows", "ragged", "2d"])
+@pytest.mark.parametrize("write,name", [(emit_trace, "x.csv"), (emit_trace, "x.npz"),
+                                        (emit_trace_csv, "x.csv")],
+                         ids=["emit_trace-csv", "emit_trace-npz", "emit_trace_csv"])
+def test_trace_writers_refuse_what_they_cannot_read(tmp_path, write, name, trace):
+    # each writer checks the columns before it opens its file
+    with pytest.raises(InvalidParameterError):
+        write(trace, tmp_path / name, {})
+    assert not (tmp_path / name).exists()
 
 
 # Configs that run once with a .npz and once with a .csv trace path.
@@ -1396,15 +1425,6 @@ class TestNpzTrace:
             assert main(["check", "--strict", "--trace", str(bad), "--problem", cfg]) == 1
         assert caught == []
         assert_one_error_line(capsys, f"error: {bad}: {message}")
-
-    @pytest.mark.parametrize("trace", [{}, {"s": np.array([]), "eta": np.array([])},
-                                       {"s": np.ones(3), "eta": np.ones(2)},
-                                       {"s": np.ones((3, 2))}],
-                             ids=["no-columns", "no-rows", "ragged", "2d"])
-    def test_emit_trace_rejects_what_it_cannot_read(self, tmp_path, trace):
-        with pytest.raises(InvalidParameterError):
-            emit_trace(trace, tmp_path / "x.npz", {})
-        assert not (tmp_path / "x.npz").exists()
 
 
 def test_run_experiment_returns_summary_dict(tmp_path):

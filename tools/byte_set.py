@@ -1,4 +1,4 @@
-"""Write the byte-comparison set of a refactor: every output of 16 `psg` runs.
+"""Write the byte-comparison set of a refactor: every output of 26 `psg` runs.
 
     python tools/byte_set.py OUT_DIR
 
@@ -13,7 +13,9 @@ stdout and stderr beside those outputs, in ``<command>.exit``,
   (``bench/workloads.make_config``);
 * the ``NPZ_CONFIGS`` of ``tests/test_cli.py``, each with a ``.npz`` and a
   ``.csv`` trace path;
-* ROADMAP item 1's Lasso case, with both trace suffixes.
+* ROADMAP item 1's Lasso case, with both trace suffixes;
+* ten configs that ``psg run`` rejects (``ERRORS``), whose exit code and
+  error line are their only output.
 
 The commands run the ``psg`` package under ``src/`` of the checkout that holds
 this script, from inside each run's directory, so every path they write is
@@ -41,6 +43,23 @@ ITEM1 = {"problem": {"kind": "lasso", "seed": 38, "n": 8, "m": 5, "radius": 0.3,
          "policy": {"kind": "family", "a": 1.0}, "weight_ks": [0.0, 2.0],
          "iterations": 300, "initial_point": [-1.0] * 8}
 
+# Configs that psg run rejects, each ABS with one or both of its objects
+# replaced: their exit code and error line are the error path's bytes
+ABS = {"problem": {"kind": "abs", "dim": 3}, "policy": {"kind": "family"}, "iterations": 10}
+LASSO = {"kind": "lasso", "seed": 1, "n": 8, "m": 5}
+ERRORS = {
+    "unknown_problem": {"problem": {"kind": "ridge"}},
+    "lasso_without_n": {"problem": {"kind": "lasso", "seed": 1, "m": 5}},
+    "abs_dim_string": {"problem": {"kind": "abs", "dim": "two"}},
+    "unknown_policy": {"policy": {"kind": "polyak"}},
+    "nesterov_with_a": {"policy": {"kind": "nesterov", "a": 0.5}},
+    "classic_without_L_on_lasso": {"problem": LASSO, "policy": {"kind": "classic"}},
+    "family_a_2": {"policy": {"kind": "family", "a": 2}},
+    "constant_L_0": {"policy": {"kind": "constant", "L": 0}},
+    "abs_dim_0": {"problem": {"kind": "abs", "dim": 0}},
+    "lasso_lambda_0": {"problem": LASSO | {"lambda": 0}},
+}
+
 
 def npz_configs() -> dict:
     """The ``NPZ_CONFIGS`` literal of ``tests/test_cli.py``, read without importing it."""
@@ -64,6 +83,7 @@ def cases() -> dict:
     for name, config in sorted(npz_configs().items()) + [("item1", ITEM1)]:
         for suffix in ("npz", "csv"):
             runs[f"{name}_{suffix}"] = dict(config, trace_path=f"trace.{suffix}")
+    runs.update((f"error_{name}", ABS | change) for name, change in ERRORS.items())
     return runs
 
 
