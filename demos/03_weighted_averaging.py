@@ -4,10 +4,12 @@ One weighted average is tracked per exponent: k = 0 is the plain running
 mean, k = -1 weights by step size, and larger k concentrates weight on
 recent iterates (approaching the raw last iterate as k grows). All of them
 carry the same 1/sqrt(t)-rate guarantee under the norm-adaptive rule, but
-recency weighting usually wins in practice. None stores an iterate history;
-checking their certificates evaluates the objective at every average in
-every iteration, which for the Lasso costs O(m + n) from the streamed
-residual, not an oracle call.
+recency weighting usually wins in practice. None stores an iterate history:
+each average is one weighted sum of the iterates, folded in a block of
+iterations at a time. Their certificates are decided on the weighted mean
+of the objective values the run already computed, which bounds the value
+at the average (Jensen), so checking them costs no oracle call; each
+average is evaluated once, at the end.
 """
 
 import numpy as np

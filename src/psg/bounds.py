@@ -1,7 +1,8 @@
 """Convergence-rate expressions used as runtime certificates.
 
 Each evaluator returns the right-hand side of a provable bound on the
-optimality gap of an averaged (or best) iterate after t iterations:
+optimality gap of the weighted value mean v_k = sum w_s f(x_s) / sum w_s
+after t iterations, and so, by Jensen, of the averaged (or best) iterate:
 
 * ``constant_bound``:  R L / sqrt(t), uniform mean, constant step tuned to t;
 * ``classic_bound``:   3 R L / (2 sqrt(t)), uniform mean, classic step;
@@ -123,7 +124,10 @@ class WeakBoundSums:
 
 @dataclass(frozen=True)
 class Certificate:
-    """A step-size rule's guarantee: f(mean of exponent `k`) - f* <= the bound `label`.
+    """A step-size rule's guarantee: v_k - f* <= the bound `label`.
+
+    v_k is the value mean of exponent `k` (:func:`value_mean`), at least
+    f(mean of exponent `k`) by Jensen.
 
     Checked at every iteration, or only after exactly `horizon` iterations.
     """
@@ -186,6 +190,22 @@ def gap_verdict(avg, bound, low: float, high: float) -> str:
     return UNDECIDED
 
 
+def value_mean(w: np.ndarray, f_x: np.ndarray, epochs) -> np.ndarray:
+    """v_s = sum_{r<=s} w_r f(x_r) / sum_{r<=s} w_r within each (start, end) row range of `epochs`.
+
+    The weighted value mean that every gap bound is proven for; Jensen
+    carries it to the averaged point, f(sum w x / sum w) <= v. `w` is
+    summed in place. Both sums run row after row; a sum that overflows
+    gives a nonfinite entry, unwarned.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = w * f_x
+        for start, end in epochs:
+            for sums in (v[start:end], w[start:end]):
+                np.cumsum(sums, out=sums)
+        return v / w
+
+
 def _nondecreasing(x: np.ndarray, new_epoch: np.ndarray) -> bool:
     """x_{s-1} <= x_s up to the package tolerance within every epoch."""
     prev, cur = x[:-1], x[1:]
@@ -197,17 +217,19 @@ def evaluate(policy, ks, R: float, L: Optional[float], columns: dict,
              bracket: Optional[tuple] = None) -> tuple:
     """(bounds, certificates, undecided) of a run, from its per-iteration columns.
 
-    `columns` maps ``epoch`` (the restart count), ``eta`` and ``g_norm`` to
-    one entry per iteration, and ``f_avg_k<k>`` to the objective at the
-    k-weighted mean after each (only the last entry is read when no
-    certificate without a horizon reads it). Each epoch restarts the bounds:
-    t counts its rows and max||g|| runs over them. `bounds` holds one
-    column per label of ``policy.bound_labels(ks, L)``, in its order, and
-    no other. Given ``bracket = (low, high)``,
-    each ``policy.certificates`` gap certificate is True iff proven by
-    :func:`gap_verdict` over every row, or over the last row if its epoch
-    has exactly the horizon; `undecided` names those neither proven nor
-    refuted. ``monotone_k<k>``, for k in ``policy.monotone_ks``, is True iff
+    `columns` maps ``epoch`` (the restart count), ``eta``, ``g_norm`` and
+    ``f_x`` to one entry per iteration. Each epoch restarts the bounds and
+    the means: t counts its rows and max||g|| runs over them. `bounds`
+    holds one column per label of ``policy.bound_labels(ks, L)``, in its
+    order, and no other. Given ``bracket = (low, high)``, each
+    ``policy.certificates`` gap certificate is decided on the value mean
+    v_k of its exponent (:func:`value_mean`, with the weights of
+    :class:`~psg.averaging.WeightRule`), the quantity its bound is proven
+    for: True iff proven by :func:`gap_verdict` over every row, or over the
+    last row if its epoch has exactly the horizon; `undecided` names those
+    neither proven nor refuted. Since f(mean_k) <= v_k and f_best <= v_k, a
+    proven certificate also bounds the gap of the averaged point and of the
+    best one. ``monotone_k<k>``, for k in ``policy.monotone_ks``, is True iff
     every eta_s is positive and finite and w_s / eta_s never decreases within
     an epoch.
     """
@@ -237,8 +259,12 @@ def evaluate(policy, ks, R: float, L: Optional[float], columns: dict,
             bounds[label] = lipschitz[label](R, L, t)
 
     certificates, undecided = {}, []
-    for cert in policy.certificates(ks, L) if bracket is not None else ():
-        avg, bound = columns[f"f_avg_{scheme_label(cert.k)}"], bounds[cert.label]
+    certs = policy.certificates(ks, L) if bracket is not None else ()
+    # the value mean of each exponent that a certificate reads
+    means = {k: value_mean(WeightRule(k)(t, eta), columns["f_x"], epochs)
+             for k in {cert.k for cert in certs}}
+    for cert in certs:
+        avg, bound = means[cert.k], bounds[cert.label]
         if cert.horizon is not None:
             decided = len(t) and t[-1] == cert.horizon
             avg, bound = (avg[-1:], bound[-1:]) if decided else ((), ())

@@ -49,7 +49,7 @@ object holds the cell's ``policy`` spec, ``iterations``, ``weight_ks``,
 ``minorant_sums`` {"g_sum", "c_sum", "count"}. The columns are the trace
 that :func:`psg.solver.run` returns, column for column, named and ordered
 by :func:`psg.solver.trace_columns`:
-``s,epoch,eta,g_norm,G,f_x,f_best,f_avg_k<k1>,...,bound_<label1>,...``;
+``s,epoch,eta,g_norm,G,f_x,f_best,bound_<label1>,...``;
 ``epoch`` counts the restarts so far, and ``G`` is ``nan`` for policies that
 do not track it. The bound columns are the labels of the
 bounds the policy claims (:meth:`psg.stepsize.StepSizePolicy.claims`, of
@@ -69,9 +69,10 @@ columns' structure (``eta_positive``: every step is positive and finite),
 rebuilds the policy from the first line and runs the solver's own evaluator
 (:func:`psg.bounds.evaluate`) on the columns: every bound column must match
 bit for bit, and every certificate except ``per_step`` (it needs the
-iterates) is decided again. A trace that repeats a column name, or lacks a
-column its run writes, ``G`` or a declared ``bound_<label>`` among them, is
-an input error. When the problem does not know f*, it takes the
+iterates) is decided again, each gap certificate on the weighted value mean
+that ``evaluate`` forms from the ``f_x`` and ``eta`` columns. A trace that
+repeats a column name, or lacks a column its run writes, ``G`` or a
+declared ``bound_<label>`` among them, is an input error. When the problem does not know f*, it takes the
 header's bracket: its ``high`` must not exceed the final ``f_best``, and
 its ``low`` must equal, bit for bit, the low end that
 :func:`psg.bounds.minorant_low` forms from the header's ``minorant_sums``.
@@ -452,14 +453,16 @@ def check_trace(meta: dict, cols: dict, problem: ProblemInstance) -> list:
     structural invariants come from the columns; the bounds and the
     certificates from :func:`psg.bounds.evaluate`, as ``psg run`` computes
     them (see the module docstring for what is taken on trust). A header
-    or a column set that no run writes raises :class:`ConfigError` or
-    :class:`InvalidParameterError`.
+    that no run writes, or a column set that lacks a column its run
+    writes, raises :class:`ConfigError` or :class:`InvalidParameterError`;
+    a column that no run writes, such as an ``f_avg_k<k>`` column of an
+    older trace, is not read.
     """
     policy = build_policy(_spec(POLICY_KINDS, meta.get("policy"), "header.policy"), problem,
                           _int(meta.get("iterations"), "header.iterations"), "header.policy")
     ks = _exponents(meta.get("weight_ks"), "header.weight_ks")
     L = problem.lipschitz_L
-    missing = [name for name in trace_columns(ks, policy.bound_labels(ks, L)) if name not in cols]
+    missing = [name for name in trace_columns(policy.bound_labels(ks, L)) if name not in cols]
     if missing:
         raise InvalidParameterError(f"trace has no column {', '.join(missing)}")
     epoch, G, f_best = cols["epoch"], cols["G"], cols["f_best"]

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -138,18 +138,12 @@ class SubgradientResult(NamedTuple):
     `subgradient is None` marks an empty subdifferential: the objective value
     is still valid but no descent direction exists at the point.
 
-    `image` is optional: for an objective of the form h(A x - b) + r(x), the
-    vector A x - b that the oracle computed on the way to the value. It is
-    read only when the problem also sets
-    :attr:`ProblemInstance.value_at_image`.
-
     A named tuple: immutable and cheap to build, as every oracle call builds
     one; ``result._replace(value=...)`` gives a copy with fields changed.
     """
 
     value: float
     subgradient: Optional[np.ndarray]
-    image: Optional[np.ndarray] = None
 
     @property
     def is_empty(self) -> bool:
@@ -191,25 +185,6 @@ class ProblemInstance:
         gap use the value; the per-step descent certificate needs the point.
         A problem without an optimum value lets the run bracket f* from its
         own minorants instead (see :func:`psg.solver.run`).
-    value_at_image : callable, optional
-        For an objective of the form f(x) = h(A x - b) + r(x) whose oracle
-        returns the image A x - b in :attr:`SubgradientResult.image`: maps a
-        point x and an image z to h(z) + r(x). For weights w_s >= 0 summing
-        to 1 it must satisfy
-        ``value_at_image(sum w_s x_s, sum w_s z_s) == f(sum w_s x_s)``, which
-        holds because A x - b is affine. The solver then streams each
-        weighted average of the images beside the average of the iterates and
-        evaluates the objective at an average in O(m + n), without an oracle
-        call. It works row-wise: given stacked arrays of shapes (..., n) and
-        (..., m), possibly column slices of one array, it returns an array
-        of shape (...) with one value per row, each equal bit for bit to the
-        call on that row's 1-D pair. The solver calls it once per block of
-        iterations, on the averages of every iteration in the block. Provide
-        it when the oracle's cost is dominated by forming A x; leave it None
-        otherwise. The image may be empty (m = 0), for a hook that reads the
-        value from x alone. The hook belongs to the oracle: a copy of the
-        problem with another oracle must set ``value_at_image=None`` (or a
-        hook of its own), or its averages are valued by the old objective.
     """
 
     name: str
@@ -220,7 +195,6 @@ class ProblemInstance:
     lipschitz_L: Optional[float] = None
     known_optimum_value: Optional[float] = None
     known_optimum_point: Optional[np.ndarray] = None
-    value_at_image: Optional[Callable[[np.ndarray, np.ndarray], Union[float, np.ndarray]]] = None
 
     def __post_init__(self):
         if self.dimension < 1:

@@ -25,28 +25,13 @@ def make_sqrt_example() -> ProblemInstance:
     Lipschitz bound exists, so the constant and classic step rules do not
     apply. The subdifferential at x = 0 is empty; starting there stops the
     solver immediately. Optimum x* = 1 with f* = -1.
-
-    The oracle returns an empty image and the problem a row-wise
-    ``value_at_image`` that reads the value from x alone, so a run values its
-    averages without oracle calls. A copy with another oracle
-    (``dataclasses.replace(problem, oracle=...)``) must also set
-    ``value_at_image=None``, or its averages keep the values of this one.
     """
-    no_image = np.empty(0)
-
     def oracle(x: np.ndarray) -> SubgradientResult:
         v = float(x[0])
         if v <= 0.0:
             return SubgradientResult(value=0.0, subgradient=None)
         root = math.sqrt(v)
-        return SubgradientResult(value=-root, subgradient=np.array([-0.5 / root]),
-                                 image=no_image)
-
-    def value_at_image(x: np.ndarray, z: np.ndarray):
-        # the oracle's value row by row: np.sqrt and math.sqrt both round
-        # correctly, and the other branch gives +0.0 as the oracle does
-        v = x[..., 0]
-        return np.where(v > 0.0, -np.sqrt(np.maximum(v, 0.0)), 0.0)
+        return SubgradientResult(value=-root, subgradient=np.array([-0.5 / root]))
 
     return ProblemInstance(
         name="sqrt-example",
@@ -57,7 +42,6 @@ def make_sqrt_example() -> ProblemInstance:
         lipschitz_L=None,
         known_optimum_value=-1.0,
         known_optimum_point=np.ones(1),
-        value_at_image=value_at_image,
     )
 
 
@@ -123,9 +107,7 @@ class LassoInstance:
         The objective value is ||y - Phi x||^2 + lam * ||x||_1 and the
         subgradient 2 Phi^T (Phi x - y) + lam * sign(x); no Lipschitz bound
         is attached (subgradient norms over the ball depend on the random
-        matrix and are not estimated). The oracle also returns the residual
-        r = Phi x - y as its image, and the value at an averaged point is
-        computed from the averaged residual without a matvec.
+        matrix and are not estimated).
 
         The two matvecs and the value's ``r . r`` call ``ndarray.dot`` on a
         C-contiguous Phi: the bits of ``Phi @ x``, ``Phi.T @ r`` and
@@ -135,17 +117,6 @@ class LassoInstance:
         phi, y, lam = np.ascontiguousarray(self.phi), self.y, self.lam
         phi_t = phi.T
 
-        def value_at_image(x: np.ndarray, r: np.ndarray):
-            # np.abs(x).sum() without the wrapper: the same pairwise reduction.
-            # The oracle calls this on one point per step, where the 1-D
-            # expression is cheapest.
-            if r.ndim == 1:
-                return float(r.dot(r)) + lam * float(np.add.reduce(np.abs(x)))
-            # Rows of a stack, each bit for bit the 1-D value: a batched
-            # 1 x m @ m x 1 matmul takes the same dot as r.dot(r) (einsum does not)
-            return ((r[..., None, :] @ r[..., :, None])[..., 0, 0]
-                    + lam * np.add.reduce(np.abs(x), axis=-1))
-
         # In-place updates of the fresh matvec results give the same bits as
         # phi @ x - y and 2 (phi^T r) + lam sign(x) without spare temporaries.
         # No doubled copy of phi is kept: at m=300, n=512 the two copies
@@ -153,11 +124,12 @@ class LassoInstance:
         def oracle(x: np.ndarray) -> SubgradientResult:
             r = phi.dot(x)
             r -= y
-            value = value_at_image(x, r)
+            # np.abs(x).sum() without the wrapper: the same pairwise reduction
+            value = float(r.dot(r)) + lam * float(np.add.reduce(np.abs(x)))
             grad = phi_t.dot(r)
             grad *= 2.0
             grad += lam * np.sign(x)
-            return SubgradientResult(value=value, subgradient=grad, image=r)
+            return SubgradientResult(value=value, subgradient=grad)
 
         return ProblemInstance(
             name=f"lasso_n{self.n}_m{self.m}_seed{self.seed}",
@@ -165,7 +137,6 @@ class LassoInstance:
             oracle=oracle,
             projector=Ball(center=np.zeros(self.n), radius=self.radius),
             radius_R=self.radius,
-            value_at_image=value_at_image,
         )
 
 

@@ -30,10 +30,9 @@ from .core import (
 from .projection import project
 from .stepsize import StepSizePolicy
 
-# Iterations whose points are fed to the K averages in one update, whose
-# averages are then valued together, and whose per-step inequalities and
-# minorants are handled together: one weight computation, one update, one
-# value_at_image call and one per-step check per block instead of per
+# Iterations whose points are fed to the K averages in one update, and whose
+# per-step inequalities and minorants are handled together: one weight
+# computation, one update and one per-step check per block instead of per
 # iteration. A block holds as many rows as fit VALUE_BLOCK_BYTES, but never
 # fewer than VALUE_BLOCK nor more than VALUE_BLOCK_CAP (see block_rows).
 # The length changes no output value but the averages' last bits.
@@ -42,28 +41,26 @@ VALUE_BLOCK_CAP = 4096
 VALUE_BLOCK_BYTES = 2 ** 18
 
 
-def block_rows(n: int, image_size: int, minorants: bool) -> int:
+def block_rows(n: int, minorants: bool) -> int:
     """Rows of a run's bookkeeping block, from the width of one buffered row.
 
-    A row costs n + m floats for its point [x_s; image_s], plus n + 1 for g_s
-    and its offset when the minorants are summed. The K averages after each
-    row take K times the point's floats; they do not count, so that an
-    exponent tracked beside others sees the block boundaries it sees alone.
+    A row costs n floats for its point x_s, plus n + 1 for g_s and its
+    offset when the minorants are summed. The number of averages does not
+    count, so that an exponent tracked beside others sees the block
+    boundaries it sees alone.
     """
-    row_bytes = 8 * (n + image_size + (n + 1 if minorants else 0))
+    row_bytes = 8 * (n + (n + 1 if minorants else 0))
     return min(VALUE_BLOCK_CAP, max(VALUE_BLOCK, VALUE_BLOCK_BYTES // row_bytes))
 
 
-def trace_columns(ks: Sequence[float], bound_labels: Iterable[str]) -> list:
-    """The names of a trace's columns, in order, for weight exponents `ks` and bound labels.
+def trace_columns(bound_labels: Iterable[str]) -> list:
+    """The names of a trace's columns, in order, for the run's bound labels.
 
-    ``s, epoch, eta, g_norm, G, f_x, f_best``, then ``f_avg_k<k>`` per
-    exponent and ``bound_<label>`` per label: the columns of the trace that
-    :func:`run` returns, of the files that ``psg run`` writes and that
-    ``psg check`` reads.
+    ``s, epoch, eta, g_norm, G, f_x, f_best``, then ``bound_<label>`` per
+    label: the columns of the trace that :func:`run` returns, of the files
+    that ``psg run`` writes and that ``psg check`` reads.
     """
     return ["s", "epoch", "eta", "g_norm", "G", "f_x", "f_best",
-            *(f"f_avg_{scheme_label(k)}" for k in ks),
             *(f"bound_{label}" for label in bound_labels)]
 
 
@@ -106,8 +103,8 @@ class SolverConfig:
         values.
     record_trace : bool
         Return the run's trace: one column per quantity, one entry per
-        iteration (see :func:`run`). Implies evaluating the objective at
-        every tracked average each iteration.
+        iteration (see :func:`run`). It costs no oracle call: the trace
+        holds the columns that the bounds and certificates are computed from.
     restart_factor : float, optional
         When set (> 1) and the policy tracks a running scaled-norm maximum G,
         the run restarts (policy state and averages are reset, a new epoch
@@ -144,13 +141,13 @@ def run(problem: ProblemInstance, config: SolverConfig):
     f(x_s) - f* <= (||x_s-x*||^2 - ||x_{s+1}-x*||^2) / (2 eta_s)
     + eta_s ||g_s||^2 / 2 (any rule; needs the optimum point; f_x - f* may
     carry the rounding of f), and records per iteration the epoch (restarts
-    so far), eta_s, ||g_s|| and, when a trace or a per-iteration certificate
-    needs them, the values at the averages. After the loop
+    so far), eta_s, ||g_s||, G and f(x_s). After the loop
     :func:`bounds.evaluate` turns those columns into the bounds the policy
     declares (``policy.bound_labels``) and into the verdicts of its gap
-    certificates (``policy.certificates``) and of the monotonicity of
-    w_s / eta_s (``policy.monotone_ks``); ``psg check`` runs it on a stored
-    trace.
+    certificates (``policy.certificates``), decided on the weighted value
+    means, and of the monotonicity of w_s / eta_s (``policy.monotone_ks``);
+    ``psg check`` runs it on a stored trace. The averaged points are valued
+    once, after the loop.
 
     Gap certificates need f*, or a bracket around it. A known optimum value
     is the bracket [f*, f*]. Without one, when the projector has
@@ -174,46 +171,37 @@ def run(problem: ProblemInstance, config: SolverConfig):
     the report counts the calls made, final values included.
 
     The bookkeeping runs a block at a time: each iteration only writes its
-    point [x_s; image_s] and its g_s into buffers of :func:`block_rows` rows,
-    sized once by the first row's width (64 to 4096 rows of at most
-    256 KiB of points and minorants). Each iteration also appends eta_s,
-    ||g_s||, G and f(x_s) to short lists, in blocks of the same length also
-    in a run that buffers no rows. Once per block of iterations, before a
-    restart and after the loop, one closure, ``flush``, runs the whole
-    block in order: it checks the block's images, decides its per-step
-    inequalities (the bits of one check per iteration), sums its minorants
-    in iteration order (the bits of one sum per iteration), forms its
-    weights, writes the averages after each of its rows with one
-    :meth:`StreamingAverage.update` as one prefix sum, values them when
-    needed, and appends the block to the record. With ``value_at_image``
-    the values at the averages come from the averaged images, one call per
-    block; the report's averaged values always come from the oracle. The
-    record holds every column as float64 chunks, one per block: ``epoch``,
-    ``eta``, ``g_norm``, ``G``, ``f_x`` and one ``f_avg_k<k>`` per weight
-    exponent, 8 (5 + K) bytes per iteration. A run that values no row gives
-    each ``f_avg`` column one entry, the final averaged value, which is all
-    a horizon certificate reads. After the loop each column is joined once,
-    its chunks dropped, before the bounds are built. The best iterate is
-    kept by reference and copied once. Each iteration checks
-    a finite oracle value, a subgradient of the right shape with a finite
-    norm, the image contract, a positive finite step and a finite
-    x_s - eta_s g_s (proven by eta_s ||g_s|| < 2^960 alone when it holds);
-    x_s is then finite by construction, and so is every weight with k <= 0.
-    Failures raise :class:`NumericError` naming the iteration
-    (:class:`InvalidParameterError` for a nonpositive step), a nonfinite
-    image before any later failure, as does a weight s^(k/2), or a running
-    total of the weights, that overflows.
+    point x_s and its g_s into buffers of :func:`block_rows` rows (64 to
+    4096 rows of at most 256 KiB of points and minorants). Each iteration
+    also appends eta_s, ||g_s||, G and f(x_s) to short lists, in blocks of
+    the same length also in a run that buffers no rows. Once per block of
+    iterations, before a restart and after the loop, one closure, ``flush``,
+    runs the whole block in order: it decides its per-step inequalities (the
+    bits of one check per iteration), sums its minorants in iteration order
+    (the bits of one sum per iteration), forms its weights, folds its points
+    into the averages with one :meth:`StreamingAverage.update`, and appends
+    the block to the record. The record holds every column as float64
+    chunks, one per block: ``epoch``, ``eta``, ``g_norm``, ``G`` and
+    ``f_x``, 40 bytes per iteration. After the loop each column is joined
+    once, its chunks dropped, before the bounds are built. The best iterate
+    is kept by reference and copied once. Each iteration checks a finite
+    oracle value, a subgradient of the right shape with a finite norm, a
+    positive finite step and a finite x_s - eta_s g_s (proven by
+    eta_s ||g_s|| < 2^960 alone when it holds); x_s is then finite by
+    construction, and so is every weight with k <= 0. Failures raise
+    :class:`NumericError` naming the iteration (:class:`InvalidParameterError`
+    for a nonpositive step), as does a weight s^(k/2), a running total of
+    the weights or a weighted sum of the points that overflows.
 
     Returns
     -------
     (RunReport, dict or None)
         The trace is None unless ``config.record_trace`` is set. It maps each
-        of :func:`trace_columns` for the run's exponents and
-        ``policy.bound_labels(ks, L)``, in that order, to a float array with
-        one entry per iteration: ``s, epoch, eta, g_norm, G, f_x, f_best``,
-        ``f_avg_k<k>`` per weight exponent (the value at the k-weighted mean),
-        and ``bound_<label>`` per label, the bounds in the report's
-        ``bounds``. ``G`` is nan for rules that do not track it.
+        of :func:`trace_columns` for ``policy.bound_labels(ks, L)``, in that
+        order, to a float array with one entry per iteration:
+        ``s, epoch, eta, g_norm, G, f_x, f_best`` and ``bound_<label>`` per
+        label, the bounds in the report's ``bounds``. ``G`` is nan for rules
+        that do not track it.
     """
     projector = problem.projector
     x = ensure_vector(config.initial_point, problem.dimension, "initial_point")
@@ -248,105 +236,67 @@ def run(problem: ProblemInstance, config: SolverConfig):
     gap_certs = policy.certificates(ks, L) if check_gap else []
     n = problem.dimension
     sum_minorants = f_star is None and bool(gap_certs)
-    # the minorants' slopes g_s and offsets f(x_s) - <g_s, x_s>: summed (row 0), pending
-    sums: Optional[np.ndarray] = None
-    minorants = 0
-
-    need_values = config.record_trace or any(c.horizon is None for c in gap_certs)
-    # With the problem's image hook, each average runs over the stacked
-    # vectors [x_s; image_s], and values at averages come from the averaged
-    # image instead of an oracle call.
-    value_at_image = problem.value_at_image if need_values and rules else None
-    image_size: Optional[int] = None
-    # the points [x_s; image_s] of the last `rows` iterations, oldest first,
-    # not yet fed to the averages or checked by the per-step inequality, and
-    # the K averages after each of them
-    points: Optional[np.ndarray] = None
-    block: Optional[np.ndarray] = None
+    block_len = block_rows(n, sum_minorants)
+    # the points x_s of the last `rows` iterations, oldest first, not yet fed
+    # to the averages or checked by the per-step inequality, and the
+    # minorants' slopes g_s and offsets f(x_s) - <g_s, x_s>: summed (row 0), pending
     rows = 0
+    points = np.zeros((block_len, n)) if rules or check_step or sum_minorants else None
+    sums = np.zeros((block_len + 1, n + 1)) if sum_minorants else None
+    minorants = 0
 
     # The run's record, the columns that the trace, the bounds and the
     # certificates are computed from after the loop: the pending rows in short
     # lists, and one float64 chunk per flushed block and column (one epoch
-    # per block; the values at the averages as one f_avg column per k). It
-    # holds the trace's columns but s and f_best, which are derived after the loop.
+    # per block). It holds the trace's columns but s, f_best and the bounds,
+    # which are derived after the loop.
     etas: list[float] = []
     g_norms: list[float] = []
     big_Gs: list[Optional[float]] = []
     f_xs: list[float] = []
-    record = {name: [] for name in trace_columns(ks, ()) if name not in ("s", "f_best")}
+    record = {name: [] for name in trace_columns(()) if name not in ("s", "f_best")}
     done = 0  # rows already in the record
-
-    def check_images(count):
-        """Raise for the first nonfinite image among the first `count` pending rows."""
-        if image_size:
-            finite = np.isfinite(points[:count, n:]).all(axis=1)
-            if not finite.all():
-                raise NumericError("oracle image has nonfinite entries at iteration"
-                                   f" {done + 1 + int(finite.argmin())}")
 
     def flush(x_after):
         """Run the block of pending rows, x_after following the last one, into the record.
 
-        In order: the image check, the per-step inequality, the minorant sums,
-        the weights and averages, the values at the averages, the record.
+        In order: the per-step inequality, the minorant sums, the weights and
+        averages, the record.
         """
-        nonlocal rows, minorants, done, per_step, oracle_calls
+        nonlocal rows, minorants, done, per_step
         if not rows:
             return
         eta, g_norm, f_x = np.array(etas), np.array(g_norms), np.array(f_xs)
-        check_images(rows)
         if check_step and per_step:
             # leq_with_tol elementwise, with the bits of one check per iteration:
             # + - * / round as on Python floats, and each squared distance is
             # the dot product d @ d as a batched matmul. An overflow gives the
             # nonfinite sides that a check per iteration gives.
             with np.errstate(over="ignore", invalid="ignore"):
-                d = np.vstack([points[:rows, :n], x_after]) - x_star
+                d = np.vstack([points[:rows], x_after]) - x_star
                 dist = (d[:, None, :] @ d[:, :, None])[:, 0, 0]  # ||x_s - x*||^2, s..s+rows
                 rhs = (dist[:-1] - dist[1:]) / (2.0 * eta) + 0.5 * eta * g_norm * g_norm
                 # f_x - f* also carries the rounding of f at its own magnitude
                 abs_ = ABS_TOL + VALUE_ROUNDING * np.maximum(np.abs(f_x), abs(f_star))
                 per_step = bool(leq_with_tol(f_x - f_star, rhs, abs_=abs_).all())
         if sums is not None:
-            g, x_s = sums[1:rows + 1, :n], points[:rows, :n]
+            g, x_s = sums[1:rows + 1, :n], points[:rows]
             sums[1:rows + 1, n] = f_x - (g[:, None] @ x_s[..., None])[:, 0, 0]
             # g_s.dot(x_s) by batched matmul, then sums row after row per column
             # (n + 1 >= 2 columns): the bits of one dot and one sum per iteration
             sums[0] = np.add.reduce(sums[:rows + 1], axis=0)
             minorants += rows
-        values = ()  # the f_avg chunks, one per k, when the averages are valued
         if rules:
             # the rows hold iterations s_local - rows + 1 .. s_local of the epoch
             s_rows = np.arange(s_local - rows + 1.0, s_local + 1.0)
             weights = np.column_stack([rule(s_rows, eta) for rule in rules])
-            # the running totals in the order of the update's cumsum, from the
-            # total before the block; they only grow, so the last row shows an overflow
-            totals = np.vstack([np.broadcast_to(averages.total_weight, len(rules)), weights])
-            with np.errstate(over="ignore"):
-                np.cumsum(totals, axis=0, out=totals)
-            if not np.isfinite(totals[-1]).all():
-                # name the first (row, k), in row-major order, whose weight or total is infinite
-                i, j = divmod(int(np.isinf(totals[1:]).argmax()), len(rules))
-                what = "weight" if np.isinf(weights[i, j]) else "total weight"
-                raise NumericError(f"{what} of k={rules[j].k:g} overflows at iteration"
-                                   f" {done + 1 + i}")
-            averages.update(weights, points[:rows], out=block[:rows])
-            if need_values:
-                means = block[:rows]
-                if value_at_image is None:
-                    values = [[problem.value(mean) for mean in row] for row in means]
-                    oracle_calls += means.shape[0] * means.shape[1]
-                else:
-                    values = value_at_image(means[..., :n], means[..., n:])
-                values = np.array(values, dtype=np.float64)  # a copy: a hook may reuse its output
-                if values.shape != means.shape[:2]:
-                    raise NumericError(f"value_at_image gave shape {values.shape}, not one"
-                                       f" value per average {means.shape[:2]}")
-                values = values.T
+            try:
+                averages.update(weights, points[:rows])
+            except (NumericError, OverflowError):
+                raise _overflow(averages, ks, weights, points[:rows], done + 1) from None
         # None (a rule without G) becomes nan
         for name, chunk in zip(record, (np.full(rows, float(epoch)), eta, g_norm,
-                                        np.array(big_Gs, dtype=np.float64), f_x, *values)):
+                                        np.array(big_Gs, dtype=np.float64), f_x)):
             record[name].append(chunk)
         for pending in (etas, g_norms, big_Gs, f_xs):
             pending.clear()
@@ -359,137 +309,106 @@ def run(problem: ProblemInstance, config: SolverConfig):
     G_ref: Optional[float] = None
     stop = StopReason.BUDGET_EXHAUSTED
     restart_factor = config.restart_factor
-    # the rows are buffered for the averages, the per-step check and the minorants
-    buffer_rows = bool(rules) or check_step or sum_minorants
-    block_len = 0
 
     # The oracle memo (see above): the bytes of the last point the oracle was
-    # called at; f_x, g, g_norm and image still hold what the loop derived and
+    # called at; f_x, g and g_norm still hold what the loop derived and
     # checked from that call, so an iterate that did not move costs no call.
     memo_key = None
     oracle_calls = 0
 
-    try:
-        for s in range(1, config.max_iterations + 1):
-            key = x.tobytes()
-            if key != memo_key:
-                res = problem.oracle(x)
-                oracle_calls += 1
-                memo_key = key
-                f_x = float(res.value)
-                if not math.isfinite(f_x):
-                    raise NumericError(f"oracle returned nonfinite value at iteration {s}")
-                if res.is_empty:
-                    stop = StopReason.EMPTY_SUBDIFFERENTIAL
-                    break
-                g = np.asarray(res.subgradient, dtype=np.float64)
-                if g.shape != x.shape:
-                    raise NumericError(f"oracle subgradient shape {g.shape} at iteration {s}")
-                # np.linalg.norm's 1-D expression; finite only if every entry is finite
-                g_norm = math.sqrt(float(g.dot(g)))
-                if not math.isfinite(g_norm):
-                    raise NumericError(f"oracle subgradient has norm {g_norm} at iteration {s}")
-                if value_at_image is not None:
-                    image = res.image
-                    if image is None or np.ndim(image) != 1:
-                        raise NumericError(f"oracle returned no image vector at iteration {s}")
-                    if image_size is None:
-                        image_size = len(image)
-                    elif len(image) != image_size:
-                        raise NumericError(f"oracle image has length {len(image)} at"
-                                           f" iteration {s}, {image_size} before")
-            if not block_len:
-                # sized by the oracle's image whether or not it is read, so
-                # that neither the hook nor the trace moves a block boundary
-                m = 0 if res.image is None else np.size(res.image)
-                block_len = block_rows(n, m, sum_minorants)
-                if buffer_rows:
-                    width = n + (image_size or 0)
-                    points = np.zeros((block_len, width))
-                    block = np.empty((block_len, len(rules), width)) if rules else None
-                    if sum_minorants:
-                        sums = np.zeros((block_len + 1, n + 1))
-            if buffer_rows:
-                # x is finite: the start is checked, every later x is a projection of
-                # a finite step. Written before the step, for the image check's sake.
-                points[rows, :n] = x
-                if image_size:
-                    points[rows, n:] = image
-                if sums is not None:
-                    sums[rows + 1, :n] = g
-
-            if f_x < best_value:
-                best_value, best_index, best_x = f_x, s, x
-            try:
-                eta = policy.step_size(s_local + 1, g_norm)
-            except ZeroSubgradientError:
-                if g_norm != 0.0:
-                    raise
-                # x is a global minimizer that the rule cannot step from (first
-                # iteration of the family rule, or the norm-normalized rule):
-                # stop with the best iterate and the minorants updated, recording no row
-                check_images(rows + 1)
-                if sums is not None:  # summed after the pending rows
-                    flush(x)
-                    sums[0] += np.append(g, f_x - float(g.dot(x)))
-                    minorants += 1
-                stop = StopReason.ZERO_SUBGRADIENT
+    for s in range(1, config.max_iterations + 1):
+        key = x.tobytes()
+        if key != memo_key:
+            res = problem.oracle(x)
+            oracle_calls += 1
+            memo_key = key
+            f_x = float(res.value)
+            if not math.isfinite(f_x):
+                raise NumericError(f"oracle returned nonfinite value at iteration {s}")
+            if res.is_empty:
+                stop = StopReason.EMPTY_SUBDIFFERENTIAL
                 break
-            s_local += 1
-            if not 0.0 < eta < inf:
-                if not eta > 0:
-                    raise InvalidParameterError(
-                        f"step size {eta!r} is not positive at iteration {s}")
-                raise NumericError(f"step size {eta!r} is not finite at iteration {s}")
+            g = np.asarray(res.subgradient, dtype=np.float64)
+            if g.shape != x.shape:
+                raise NumericError(f"oracle subgradient shape {g.shape} at iteration {s}")
+            # np.linalg.norm's 1-D expression; finite only if every entry is finite
+            g_norm = math.sqrt(float(g.dot(g)))
+            if not math.isfinite(g_norm):
+                raise NumericError(f"oracle subgradient has norm {g_norm} at iteration {s}")
+        if points is not None:
+            # x is finite: the start is checked, every later x is a projection of
+            # a finite step
+            points[rows] = x
+            if sums is not None:
+                sums[rows + 1, :n] = g
 
-            if s_local == 1 and rules:
-                # an epoch's averages start at its first row, so that a run
-                # whose last epoch has none reports the epoch before
-                averages = StreamingAverage()
-
-            y = x - eta * g
-            # |fl(eta g_i)| < 2^961 cannot carry a finite x_i past the largest float;
-            # else a finite squared norm proves every entry finite (vdot never warns)
-            if not (eta * g_norm < 2.0 ** 960 or math.isfinite(np.vdot(y, y))
-                    or np.isfinite(y).all()):
-                raise NumericError(f"step x - eta * g has nonfinite entries at iteration {s}")
-            # from here on x is x_{s+1}, which the per-step check of row s reads
-            x = projector.project(y)
-
-            G_now = policy.G
-            etas.append(eta)
-            g_norms.append(g_norm)
-            big_Gs.append(G_now)
-            f_xs.append(f_x)
-            rows += 1
-            if rows == block_len:
+        if f_x < best_value:
+            best_value, best_index, best_x = f_x, s, x
+        try:
+            eta = policy.step_size(s_local + 1, g_norm)
+        except ZeroSubgradientError:
+            if g_norm != 0.0:
+                raise
+            # x is a global minimizer that the rule cannot step from (first
+            # iteration of the family rule, or the norm-normalized rule):
+            # stop with the best iterate and the minorants updated, recording no row
+            if sums is not None:  # summed after the pending rows
                 flush(x)
+                sums[0] += np.append(g, f_x - float(g.dot(x)))
+                minorants += 1
+            stop = StopReason.ZERO_SUBGRADIENT
+            break
+        s_local += 1
+        if not 0.0 < eta < inf:
+            if not eta > 0:
+                raise InvalidParameterError(
+                    f"step size {eta!r} is not positive at iteration {s}")
+            raise NumericError(f"step size {eta!r} is not finite at iteration {s}")
 
-            if g_norm == 0.0:  # x_s is a global minimizer: its row is recorded, then the run stops
-                stop = StopReason.ZERO_SUBGRADIENT
-                break
+        if s_local == 1 and rules:
+            # an epoch's averages start at its first row, so that a run
+            # whose last epoch has none reports the epoch before
+            averages = StreamingAverage()
 
-            if G_now is not None:
-                if G_ref is None:
-                    G_ref = G_now
-                elif restart_factor is not None and G_now > restart_factor * G_ref:
-                    G_ref = G_now
-                    flush(x)
-                    policy.reset()
-                    s_local = 0
-                    epoch += 1
-    except (NumericError, InvalidParameterError):
-        # a nonfinite image fails first; row `rows` is this iteration's, a checked one, or zeros
-        check_images(rows + 1)
-        raise
+        y = x - eta * g
+        # |fl(eta g_i)| < 2^961 cannot carry a finite x_i past the largest float;
+        # else a finite squared norm proves every entry finite (vdot never warns)
+        if not (eta * g_norm < 2.0 ** 960 or math.isfinite(np.vdot(y, y))
+                or np.isfinite(y).all()):
+            raise NumericError(f"step x - eta * g has nonfinite entries at iteration {s}")
+        # from here on x is x_{s+1}, which the per-step check of row s reads
+        x = projector.project(y)
+
+        G_now = policy.G
+        etas.append(eta)
+        g_norms.append(g_norm)
+        big_Gs.append(G_now)
+        f_xs.append(f_x)
+        rows += 1
+        if rows == block_len:
+            flush(x)
+
+        if g_norm == 0.0:  # x_s is a global minimizer: its row is recorded, then the run stops
+            stop = StopReason.ZERO_SUBGRADIENT
+            break
+
+        if G_now is not None:
+            if G_ref is None:
+                G_ref = G_now
+            elif restart_factor is not None and G_now > restart_factor * G_ref:
+                G_ref = G_now
+                flush(x)
+                policy.reset()
+                s_local = 0
+                epoch += 1
 
     flush(x)
 
     averaged_points = {}
     averaged_values = {}
     if averages.count > 0:
-        for label, mean in zip(labels, averages.mean):
-            point = averaged_points[label] = np.array(mean[:n])
+        for label, point in zip(labels, averages.mean):
+            averaged_points[label] = point
             key = point.tobytes()
             if key != memo_key:  # through the memo, as in the loop
                 memo_key, f_x = key, problem.value(point)
@@ -506,10 +425,6 @@ def run(problem: ProblemInstance, config: SolverConfig):
     else:
         bracket = None
 
-    if not need_values and averaged_values:
-        # only a horizon certificate reads an average: the final one
-        for label, value in averaged_values.items():
-            record[f"f_avg_{label}"].append(np.array([value], dtype=np.float64))
     # each column joined once, its chunks dropped before the next is joined
     columns = {}
     for name, chunks in record.items():
@@ -527,7 +442,7 @@ def run(problem: ProblemInstance, config: SolverConfig):
         columns.update(s=np.arange(1, done + 1, dtype=np.float64),
                        f_best=np.minimum.accumulate(columns["f_x"]))
         columns.update((f"bound_{label}", column) for label, column in bounds.items())
-        trace = {name: columns[name] for name in trace_columns(ks, bounds)}
+        trace = {name: columns[name] for name in trace_columns(bounds)}
 
     report = RunReport(
         problem=problem.name,
@@ -548,3 +463,26 @@ def run(problem: ProblemInstance, config: SolverConfig):
         minorant_sums=minorant_sums,
     )
     return report, trace
+
+
+def _overflow(averages: StreamingAverage, ks, weights, points, first: int) -> NumericError:
+    """The error of a block whose weights, running totals or weighted sums overflow.
+
+    It names the first (iteration, k), in row-major order, whose weight,
+    total weight or weighted sum, each added row after row to the fold's
+    state, is not finite; the block's rows are iterations `first` on. A sum
+    that overflows only in the update's own order of addition is named at
+    the block's last row, by its largest entry.
+    """
+    base, before = (points[0], 0.0) if averages.base is None else (averages.base, averages.sums)
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = np.cumsum(np.vstack([np.broadcast_to(averages.total_weight, len(ks)),
+                                      weights]), axis=0)[1:]
+        sums = np.cumsum(weights[..., None] * (points - base)[:, None], axis=0) + before
+        sums = np.abs(sums).max(axis=2)  # rows x K, nan where a sum is nan
+    bad = np.isinf(totals) | ~np.isfinite(sums)
+    i, j = divmod(int(bad.argmax()), len(ks)) if bad.any() else (len(points) - 1,
+                                                                  int(sums[-1].argmax()))
+    what = ("weight" if np.isinf(weights[i, j])
+            else "total weight" if np.isinf(totals[i, j]) else "weighted sum")
+    return NumericError(f"{what} of k={ks[j]:g} overflows at iteration {first + i}")

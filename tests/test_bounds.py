@@ -17,7 +17,9 @@ from psg import (
     nesterov_bound,
     weak_ergodic_bound,
 )
-from psg.bounds import WeakBoundSums, check_certificate, evaluate, monotone_label, weak_label
+from psg.averaging import WeightRule
+from psg.bounds import (WeakBoundSums, check_certificate, evaluate, monotone_label, value_mean,
+                         weak_label)
 
 from conftest import reference_power
 
@@ -276,7 +278,7 @@ class TestEvaluate:
 
     def columns(self, eta=(1.0, 0.9, 0.8, 0.7, 0.6, 0.5)):
         return {"epoch": self.EPOCH, "eta": list(eta), "g_norm": self.G_NORM,
-                "f_avg_k0": [1.0] * 6, "f_avg_k2": [1.0] * 6}
+                "f_x": [1.0] * 6}
 
     @staticmethod
     def rules_with_L(R, L):
@@ -347,9 +349,37 @@ class TestEvaluate:
                                                       (2, 7.5, True)])
     def test_horizon_certificate_reads_the_last_row_of_a_full_epoch(self, horizon, f_star,
                                                                     proven):
-        # the last epoch has one row: 9 - f* against R L / sqrt(1) = 1 at horizon 1;
-        # at horizon 2 the certificate never applies and holds vacuously
+        # the last epoch has one row, so v_0 = f(x_6) = 9: 9 - f* against
+        # R L / sqrt(1) = 1 at horizon 1; at horizon 2 the certificate never
+        # applies and holds vacuously
         policy = ConstantPolicy(R=1.0, L=1.0, horizon_t=horizon)
-        columns = dict(self.columns(), f_avg_k0=[9.0])  # only the final value
+        columns = dict(self.columns(), f_x=[1.0] * 5 + [9.0])
         _, verdicts, _ = evaluate(policy, (0.0,), 1.0, 1.0, columns, (f_star, f_star))
         assert verdicts["constant"] is proven
+
+    @pytest.mark.parametrize("k", [-1.0, 0.0, 2.0])
+    def test_value_mean_is_the_weighted_mean_of_f_x_per_epoch(self, k):
+        # sum w_s f(x_s) / sum w_s, summed row after row and restarted with each epoch
+        eta, f_x = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5], [4.0, 3.5, 3.25, 9.0, 2.0, 7.0]
+        rule, expected = WeightRule(k), []
+        for start, end in ((0, 3), (3, 5), (5, 6)):
+            num = den = 0.0
+            for t, s in enumerate(range(start, end), start=1):
+                w = float(rule(t, eta[s]))
+                num, den = num + w * f_x[s], den + w
+                expected.append(num / den)
+        w = rule(np.array([1.0, 2.0, 3.0, 1.0, 2.0, 1.0]), np.array(eta))
+        assert value_mean(w, np.array(f_x), [(0, 3), (3, 5), (5, 6)]).tolist() == expected
+
+    def test_gap_verdicts_read_the_value_mean_not_a_column_of_averaged_values(self):
+        # f(x_s) = 1, 3: v_0 = 1, 2; with f* = 0 and the family bound 1.5 R max||g|| / sqrt(t)
+        # (R = 1, ||g|| = 1: 1.5, 1.06) the second row is refuted, whatever an
+        # f_avg column beside it says
+        columns = {"epoch": [0, 0], "eta": [1.0, 1.0], "g_norm": [1.0, 1.0], "f_x": [1.0, 3.0],
+                   "f_avg_k0": [0.0, 0.0]}
+        _, verdicts, undecided = evaluate(FamilyPolicy(R=1.0), (0.0,), 1.0, None, columns,
+                                          (0.0, 0.0))
+        assert verdicts["family"] is False and undecided == []
+        columns["f_x"] = [1.0, 1.0]
+        _, verdicts, _ = evaluate(FamilyPolicy(R=1.0), (0.0,), 1.0, None, columns, (0.0, 0.0))
+        assert verdicts["family"] is True

@@ -343,7 +343,7 @@ class TestRunCommand:
         assert (tmp_path / "trace.csv").exists()
 
     def test_negative_zero_exponent_runs_as_zero(self, tmp_path, capsys):
-        # -0.0 weighs as 0.0 and takes its labels, f_avg_k0 and weak_k0 included
+        # -0.0 weighs as 0.0 and takes its labels, weak_k0 included
         cells, traces = {}, {}
         for name, k in (("zero", 0.0), ("negative", -0.0)):
             data = dict(ABS_CONFIG, problem={"kind": "abs", "dim": 2}, weight_ks=[k],
@@ -381,8 +381,7 @@ class TestRunCommand:
                           '"policy": {"a": 1.0, "kind": "family"}, "restart_factor": null, '
                           '"weight_ks": [0.0]}')
         assert len(lines) == 2
-        assert lines[0] == ("s,epoch,eta,g_norm,G,f_x,f_best,f_avg_k0,"
-                            "bound_family,bound_weak_k0")
+        assert lines[0] == "s,epoch,eta,g_norm,G,f_x,f_best,bound_family,bound_weak_k0"
         assert lines[1].startswith("1,0,1,")
 
     def test_header_tracks_configured_ks(self, tmp_path):
@@ -391,7 +390,6 @@ class TestRunCommand:
         main(["run", "--config", cfg, "--out-dir", str(tmp_path)])
         header = (tmp_path / "trace.csv").read_text().splitlines()[1]
         assert header == ("s,epoch,eta,g_norm,G,f_x,f_best,"
-                          "f_avg_k-1,f_avg_k0.5,f_avg_k2,"
                           "bound_family,bound_weak_k-1,bound_weak_k0.5,bound_weak_k2")
 
     def test_sqrt_from_zero_stops_empty(self, tmp_path):
@@ -870,6 +868,33 @@ class TestCheckCommand:
             assert f"FAIL {label} (" in out
         assert "PASS optimum_bracket_high" in out
 
+    def test_forged_averaged_values_fail_strict(self, tmp_path, capsys):
+        # ROADMAP item 1's Lasso refutes weak_k0 and weak_k2. A forger adds
+        # the columns of f at the averages that traces used to carry, every
+        # entry at the bracket's low end: the verdicts read the value mean
+        # of f_x, which the forgery leaves alone, so both stay refuted
+        cfg = write_config(tmp_path / "c.json", {
+            "problem": {"kind": "lasso", "seed": 38, "n": 8, "m": 5, "radius": 0.3,
+                        "lambda": 0.05},
+            "policy": {"kind": "family", "a": 1.0}, "weight_ks": [0.0, 2.0],
+            "iterations": 300, "initial_point": [-1.0] * 8, "trace_path": "trace.csv"})
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path), "--strict"]) == 3
+        meta, columns = read_trace_csv(tmp_path / "trace.csv")
+        low = np.full(len(columns["s"]), meta["optimum_bracket"]["low"])
+        forged = {}
+        for name, column in columns.items():
+            if not name.startswith("f_avg_"):
+                forged[name] = column
+            if name == "f_best":
+                forged.update(f_avg_k0=low, f_avg_k2=low)
+        bad = tmp_path / "forged.csv"
+        emit_trace_csv(forged, bad, meta)
+        capsys.readouterr()
+        assert main(["check", "--strict", "--trace", str(bad), "--problem", cfg]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("FAIL")] == [
+            "FAIL weak_k0 (refuted)", "FAIL weak_k2 (refuted)"]
+
     def test_falling_G_fails_strict(self, run_outputs, tmp_path, capsys):
         trace, problem = run_outputs
         bad = corrupt(trace, tmp_path, "G", 10, lambda v: repr(float(v) / 2))
@@ -1027,7 +1052,7 @@ class TestCheckCommand:
             warnings.simplefilter("always")
             assert main(["check", "--trace", str(bad), "--problem", str(problem)]) == 1
         assert caught == []
-        assert capsys.readouterr().err == f"error: {bad}: expected rows of 14 columns\n"
+        assert capsys.readouterr().err == f"error: {bad}: expected rows of 11 columns\n"
 
     @pytest.mark.parametrize("damage", ["ragged", "headerless"])
     def test_malformed_trace_is_an_input_error(self, run_outputs, tmp_path, capsys, damage):
@@ -1182,7 +1207,8 @@ def test_lipschitz_rules_at_another_L_run_uncertified(tmp_path, capsys, L):
 
 @pytest.mark.parametrize("case", ["restarted", "nesterov", "family"])
 def test_read_trace_csv_returns_the_emitted_columns(tmp_path, case):
-    # every case tracks k = -0.5; nesterov tracks no G, which is written as nan
+    # every case tracks k = -0.5, which only the family rule bounds; nesterov
+    # tracks no G, which is written as nan
     if case == "restarted":
         problem, x1, policy = make_sqrt_example(), [0.9], FamilyPolicy(R=1.0, a=0.0)
     else:
@@ -1195,7 +1221,7 @@ def test_read_trace_csv_returns_the_emitted_columns(tmp_path, case):
     assert (trace["epoch"][-1] >= 2) == (case == "restarted")
     assert np.all(np.isnan(trace["G"])) == (case == "nesterov")
     # nesterov writes its own bound (abs declares L) and none of the family rule's
-    assert "f_avg_k-0.5" in trace and ("bound_weak_k-0.5" in trace) == (case != "nesterov")
+    assert ("bound_weak_k-0.5" in trace) == (case != "nesterov")
     assert ("bound_nesterov" in trace) == (case == "nesterov")
     path, again = tmp_path / "t.csv", tmp_path / "again.csv"
     emit_trace_csv(trace, path, {"weight_ks": list(ks)})
@@ -1215,7 +1241,7 @@ def test_emit_trace_csv_writes_savetxt_bytes_across_chunks(tmp_path, rows):
     # integers, nan, -0.0 and floats at both ends of the range, as %.17g writes them
     trace = {"s": np.arange(1.0, rows + 1.0), "epoch": np.arange(rows) // 100.0,
              "G": np.full(rows, np.nan), "f_x": rng.standard_normal(rows) * 1e-300,
-             "f_avg_k2": rng.standard_normal(rows) * 1e300}
+             "bound_weak_k2": rng.standard_normal(rows) * 1e300}
     trace["f_x"][::7] = -0.0
     path, again = tmp_path / "t.csv", tmp_path / "again.csv"
     emit_trace_csv(trace, path, {"weight_ks": [2.0]})

@@ -104,7 +104,7 @@ class TestSubgradientResult:
     def test_fields_and_defaults(self):
         g = np.ones(2)
         res = SubgradientResult(1.5, g)
-        assert (res.value, res.subgradient, res.image) == (1.5, g, None)
+        assert res == (1.5, g)
         assert not res.is_empty
         assert SubgradientResult(value=0.0, subgradient=None).is_empty
 

@@ -44,22 +44,6 @@ class TestSqrtExample:
         assert res.is_empty
         assert res.value == 0.0
 
-    def test_image_hook_equals_the_oracle_value_per_row(self, rng):
-        problem = make_sqrt_example()
-        xs = np.concatenate(([0.0, -0.0, 5e-324, 1e-300, 1.0, 0.25],
-                             rng.uniform(0.0, 1.0, 200), 10.0 ** rng.uniform(-300, 0, 200)))
-        stack = xs.reshape(-1, 2, 1)  # iterations x averages x n
-        values = problem.value_at_image(stack, stack[..., 1:])
-        assert values.shape == (len(xs) // 2, 2)
-        for x, value in zip(stack.reshape(-1, 1), values.ravel()):
-            res = problem.oracle(x)
-            assert res.is_empty or res.image.shape == (0,)
-            for got in (value, problem.value_at_image(x, np.empty(0))):
-                # equal bit for bit: the same number with the same sign, +0.0 at x = 0
-                assert got == res.value
-                assert math.copysign(1.0, got) == math.copysign(1.0, res.value)
-        assert math.copysign(1.0, problem.value_at_image(np.zeros(1), np.empty(0))) == 1.0
-
     def test_declares_no_lipschitz_bound(self):
         problem = make_sqrt_example()
         assert problem.lipschitz_L is None
@@ -206,10 +190,8 @@ class TestLassoOracle:
         for x in self.points(n, rng):
             res = problem.oracle(x)
             r = phi @ x - y
-            assert np.array_equal(res.image, r)
             assert res.value == float(r @ r) + lam * float(np.abs(x).sum())
             assert np.array_equal(res.subgradient, 2.0 * (phi.T @ r) + lam * np.sign(x))
-            assert problem.value_at_image(x, r) == res.value
 
     def test_overflowing_value_warns_and_fails_the_run(self):
         # r.dot(r) overflows to inf with numpy's warning, as r @ r does, and
@@ -232,35 +214,13 @@ class TestLassoOracle:
         problem = instance.to_problem()
         x = self.points(64, rng)[1]
         first = problem.oracle(x)
-        expected = (first.value, first.subgradient.copy(), first.image.copy())
+        expected = (first.value, first.subgradient.copy())
         first.subgradient[:] = np.nan
-        first.image[:] = np.nan
         second = problem.oracle(x)
         assert second.value == expected[0]
         assert np.array_equal(second.subgradient, expected[1])
-        assert np.array_equal(second.image, expected[2])
         assert second.subgradient is not first.subgradient
         assert np.array_equal(instance.phi, phi) and np.array_equal(instance.y, y)
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(st.integers(1, 599), st.integers(1, 399), st.lists(st.integers(1, 4), min_size=1,
-       max_size=2), st.booleans(), st.floats(0.01, 100.0), st.integers(0, 2 ** 32 - 1))
-def test_lasso_hook_on_stacks_equals_each_row(n, m, shape, sliced, lam, seed):
-    # (..., n) and (..., m) stacks, as column slices of one [x; r] block like
-    # the solver's or as separate arrays, give each row's 1-D value bit for bit
-    value_at_image = LassoInstance(phi=np.ones((m, n)), y=np.zeros(m), lam=lam, radius=1.0,
-                                   seed=0).to_problem().value_at_image
-    rng = np.random.default_rng(seed)
-    shape = tuple(shape)
-    block = rng.standard_normal((*shape, n + m)) * rng.uniform(0.1, 100.0, (*shape, 1))
-    x, r = block[..., :n], block[..., n:]
-    if not sliced:
-        x, r = np.array(x), np.array(r)
-    values = value_at_image(x, r)
-    assert values.shape == shape
-    for index in np.ndindex(*shape):
-        assert values[index] == value_at_image(np.array(x[index]), np.array(r[index]))
 
 
 class TestLassoCsvRoundTrip:

@@ -34,6 +34,7 @@ from psg import (
     run,
 )
 from psg import solver as solver_module
+from psg.bounds import gap_verdict
 from psg.problems import reference_optimum_value
 from psg.solver import psg_step
 
@@ -70,47 +71,44 @@ class TestBlockRows:
     """The bookkeeping block's length: as many rows as fit the byte budget, within bounds."""
 
     @staticmethod
-    def row_bytes(n, m, minorants):
-        return 8 * (n + m + (n + 1 if minorants else 0))
+    def row_bytes(n, minorants):
+        return 8 * (n + (n + 1 if minorants else 0))
 
     def test_narrow_rows_stop_at_the_cap_and_wide_ones_at_the_floor(self):
-        assert solver_module.block_rows(1, 0, False) == solver_module.VALUE_BLOCK_CAP
-        assert solver_module.block_rows(1, 1, True) == solver_module.VALUE_BLOCK_CAP
-        assert solver_module.block_rows(512, 300, True) == solver_module.VALUE_BLOCK == 64
-        assert solver_module.block_rows(10 ** 6, 0, False) == 64
+        assert solver_module.block_rows(1, False) == solver_module.VALUE_BLOCK_CAP
+        assert solver_module.block_rows(1, True) == solver_module.VALUE_BLOCK_CAP
+        assert solver_module.block_rows(512, True) == solver_module.VALUE_BLOCK == 64
+        assert solver_module.block_rows(10 ** 6, False) == 64
 
-    @pytest.mark.parametrize("n,m,minorants,expected", [
-        (64, 40, True, 193), (64, 40, False, 315), (64, 0, True, 254),
-        (64, 0, False, 512), (5, 7, True, 1820)])
-    def test_the_largest_block_within_the_budget(self, n, m, minorants, expected):
-        row = self.row_bytes(n, m, minorants)
-        rows = solver_module.block_rows(n, m, minorants)
+    @pytest.mark.parametrize("n,minorants,expected", [
+        (64, True, 254), (64, False, 512), (5, True, 2978), (300, False, 109)])
+    def test_the_largest_block_within_the_budget(self, n, minorants, expected):
+        row = self.row_bytes(n, minorants)
+        rows = solver_module.block_rows(n, minorants)
         assert rows == expected
         assert rows * row <= solver_module.VALUE_BLOCK_BYTES < (rows + 1) * row
 
     def test_every_width_respects_floor_cap_and_budget(self):
         for n in range(1, 3000, 7):
-            for m, minorants in [(0, False), (n // 2, True), (3 * n, False)]:
-                rows = solver_module.block_rows(n, m, minorants)
-                row = self.row_bytes(n, m, minorants)
+            for minorants in (False, True):
+                rows = solver_module.block_rows(n, minorants)
+                row = self.row_bytes(n, minorants)
                 assert solver_module.VALUE_BLOCK <= rows <= solver_module.VALUE_BLOCK_CAP
                 if rows > solver_module.VALUE_BLOCK:
                     assert rows * row <= solver_module.VALUE_BLOCK_BYTES
                 if rows < solver_module.VALUE_BLOCK_CAP:
                     assert (rows + 1) * row > solver_module.VALUE_BLOCK_BYTES
 
-    def test_sized_by_the_oracle_image_read_or_not(self, block_lengths):
-        # the hook and the trace read the image; a run without them still
-        # sizes its block by it, and so does a run with another number of
-        # averages, so its averages keep their bits
+    def test_sized_by_the_point_and_the_minorants_alone(self, block_lengths):
+        # neither the trace nor the number of averages moves a block
+        # boundary, so each average keeps its bits
         problem = make_lasso(seed=3, n=64, m=40)
         config = SolverConfig(max_iterations=3, initial_point=np.zeros(64),
                               policy=FamilyPolicy(R=50.0), weight_ks=(-1.0, 0.0, 2.0))
         run(problem, config)
         run(problem, dataclasses.replace(config, record_trace=True))
-        run(dataclasses.replace(problem, value_at_image=None), config)
         run(problem, dataclasses.replace(config, weight_ks=(0.0,)))
-        assert block_lengths == [193] * 4  # block_rows(64, 40, True)
+        assert block_lengths == [254] * 3  # block_rows(64, True)
 
 
 class TestPsgStep:
@@ -163,7 +161,6 @@ class TestTwoStepHandTrace:
         assert list(trace["s"]) == [1, 2]
         assert (trace["eta"][0], trace["g_norm"][0], trace["G"][0]) == (1.0, 1.0, 1.0)
         assert trace["f_x"][0] == 1.0 and trace["f_best"][0] == 1.0
-        assert trace["f_avg_k0"][0] == 1.0
         assert trace["g_norm"][1] == 0.0
         assert trace["eta"][1] == 1.0 / 2 ** 0.5  # G stays 1, step R/(G sqrt(2))
         assert trace["f_x"][1] == 0.0 and trace["f_best"][1] == 0.0
@@ -193,7 +190,7 @@ class TestStopping:
         assert report.stop_reason is StopReason.ZERO_SUBGRADIENT
         assert report.best_value == 0.0
         assert report.iterations_run == 0
-        assert list(trace) == ["s", "epoch", "eta", "g_norm", "G", "f_x", "f_best", "f_avg_k0",
+        assert list(trace) == ["s", "epoch", "eta", "g_norm", "G", "f_x", "f_best",
                                "bound_family", "bound_weak_k0"]
         assert all(len(col) == 0 for col in trace.values())
         assert report.averaged_values == {}
@@ -282,15 +279,13 @@ def test_trace_matches_independent_reimplementation(rng):
     assert_allclose(trace["eta"], etas, rtol=0, atol=0)
     assert_allclose(trace["g_norm"], norms, rtol=0, atol=0)
     assert_allclose(trace["f_x"], np.abs(xs[:-1]).sum(axis=1), rtol=0, atol=0)
-    # streaming means against direct prefix quotients
-    uniform = np.cumsum(xs[:-1], axis=0) / np.arange(1, len(etas) + 1)[:, None]
-    stored = trace["f_avg_k0"]
-    assert_allclose(stored, np.abs(uniform).sum(axis=1), rtol=1e-12, atol=1e-14)
+    # the final means against direct quotients
+    uniform = xs[:-1].mean(axis=0)
+    assert_allclose(report.averaged_points["k0"], uniform, rtol=1e-12, atol=1e-14)
+    assert report.averaged_values["k0"] == np.abs(report.averaged_points["k0"]).sum()
     w2 = np.arange(1, len(etas) + 1, dtype=float)  # s^(k/2) with k = 2
-    weighted = (np.cumsum(w2[:, None] * xs[:-1], axis=0)
-                / np.cumsum(w2)[:, None])
-    stored2 = trace["f_avg_k2"]
-    assert_allclose(stored2, np.abs(weighted).sum(axis=1), rtol=1e-9, atol=1e-12)
+    weighted = (w2[:, None] * xs[:-1]).sum(axis=0) / w2.sum()
+    assert_allclose(report.averaged_points["k2"], weighted, rtol=1e-9, atol=1e-12)
 
 
 def test_per_step_certificate_recomputed_from_reference(rng):
@@ -459,10 +454,9 @@ class TestCertificateGating:
         assert list(report.certificates) == expected
         assert all(report.certificates.values())
 
-    def test_constant_certificate_reads_the_reported_average(self):
-        # no per-iteration certificate reads an average, and the end-of-horizon
-        # check reuses the report's averaged value: one oracle call per
-        # iteration plus one per average
+    def test_constant_certificate_reads_the_value_mean_at_its_horizon(self):
+        # the end-of-horizon check reads v_0 from f_x and eta, no value at an
+        # average: one oracle call per iteration plus one per reported average
         problem = make_abs_problem(2)
         calls = [0]
 
@@ -475,10 +469,14 @@ class TestCertificateGating:
                               policy=ConstantPolicy(R=problem.radius_R,
                                                     L=problem.lipschitz_L, horizon_t=80),
                               weight_ks=ks)
-        report, _ = run(dataclasses.replace(problem, oracle=oracle), config)
+        report, trace = run(dataclasses.replace(problem, oracle=oracle),
+                            dataclasses.replace(config, record_trace=True))
         assert report.certificates["constant"]
         assert report.iterations_run == 80
         assert calls[0] == 80 + len(ks)
+        v_0 = float(np.mean(trace["f_x"]))  # uniform weights
+        assert gap_verdict([v_0], trace["bound_constant"][-1:], 0.0, 0.0) == "proven"
+        assert report.averaged_values["k0"] <= v_0
 
     def test_lean_run_declares_no_averaged_certificates(self):
         # weight_ks=() tracks no average: no gap or monotone certificate, only
@@ -551,8 +549,7 @@ class TestRestart:
 
         # With R = 0.01 the iterate moves at every step (with R = 1 it sits at
         # x* = 1 from row 2, and the memo makes no sixth call), so call 6 is
-        # iteration 6, the first of epoch 1. The averages read x alone, so the
-        # problem's value_at_image still holds.
+        # iteration 6, the first of epoch 1.
         _, trace = run(problem, dataclasses.replace(self.sqrt_config(6, R=0.01),
                                                     record_trace=True))
         assert trace["epoch"].tolist() == [0, 0, 0, 0, 0, 1]
@@ -611,7 +608,7 @@ class TestValidation:
         assert report.iterations_run == 3
 
     def test_repeated_weight_k_rejected(self):
-        # two averages would write one f_avg column under a header listing both
+        # two averages would report one averaged point under a header listing both
         config = SolverConfig(max_iterations=3, initial_point=np.array([0.5]),
                               policy=FamilyPolicy(R=1.0), weight_ks=(0.0, 2.0, 0.0))
         with pytest.raises(InvalidParameterError, match="weight_ks: k=0 repeats"):
@@ -638,95 +635,8 @@ class TestValidation:
             run(make_abs_problem(1), config)
 
 
-class TestImageHook:
-    """Values at averages streamed from the oracle's image, not re-evaluated."""
-
-    KS = (-1.0, 0.0, 2.0)
-
-    @staticmethod
-    def lasso(n, m):
-        return make_lasso(seed=3, n=n, m=m)
-
-    def config(self, n, restart_factor=None):
-        return SolverConfig(max_iterations=300, initial_point=np.zeros(n),
-                            policy=FamilyPolicy(R=50.0, a=1.0), weight_ks=self.KS,
-                            record_trace=True, restart_factor=restart_factor)
-
-    @pytest.mark.parametrize("restart_factor", [None, 2.0])
-    @pytest.mark.parametrize("n,m", [(64, 40), (512, 300)])
-    def test_matches_oracle_evaluation(self, n, m, restart_factor):
-        problem = self.lasso(n, m)
-        config = self.config(n, restart_factor)
-        report, trace = run(problem, config)
-        plain_report, plain_trace = run(
-            dataclasses.replace(problem, value_at_image=None), config)
-
-        restarted = bool(np.any(np.diff(trace["G"]) < 0))
-        assert restarted == (restart_factor is not None)
-        assert len(trace["s"]) == len(plain_trace["s"]) == 300
-        assert trace.keys() == plain_trace.keys()
-        for name, plain in plain_trace.items():
-            if name.startswith("f_avg_"):
-                assert np.all(np.abs(trace[name] - plain) <= 1e-9 * np.abs(plain)), name
-            else:
-                assert np.array_equal(trace[name], plain), name
-        assert report.certificates == plain_report.certificates
-        assert all(report.certificates.values())
-        assert report.averaged_values == plain_report.averaged_values
-        assert report.best_value == plain_report.best_value
-        for label, point in plain_report.averaged_points.items():
-            assert np.array_equal(report.averaged_points[label], point)
-
-    def test_one_oracle_call_per_iteration(self):
-        problem = self.lasso(64, 40)
-        calls = 0
-
-        def counted(x):
-            nonlocal calls
-            calls += 1
-            return problem.oracle(x)
-
-        report, _ = run(dataclasses.replace(problem, oracle=counted), self.config(64))
-        assert report.iterations_run == 300
-        assert calls == report.iterations_run + len(self.KS)
-
-        calls = 0
-        report, _ = run(dataclasses.replace(problem, oracle=counted, value_at_image=None),
-                        self.config(64))
-        assert calls == report.iterations_run * (1 + len(self.KS)) + len(self.KS)
-
-    @pytest.mark.parametrize("breach,message", [
-        (lambda image: None, "no image vector at iteration 3"),
-        (lambda image: image[:, None], "no image vector at iteration 3"),
-        (lambda image: image[:-1], "image has length 39 at iteration 3"),
-        (lambda image: np.where(np.arange(image.size) == 5, np.inf, image),
-         "nonfinite entries at iteration 3"),
-    ])
-    def test_broken_contract_raises(self, breach, message):
-        problem = self.lasso(64, 40)
-        calls = 0
-
-        def broken(x):
-            nonlocal calls
-            calls += 1
-            res = problem.oracle(x)
-            if calls == 3:
-                res = res._replace(image=breach(res.image))
-            return res
-
-        broken_problem = dataclasses.replace(problem, oracle=broken)
-        with pytest.raises(NumericError, match=message):
-            run(broken_problem, self.config(64))
-
-        # without a trace or a gap certificate the image is never read
-        calls = 0
-        lean = dataclasses.replace(self.config(64), record_trace=False, weight_ks=())
-        report, _ = run(broken_problem, lean)
-        assert report.iterations_run == 300
-
-
 def flat_bottom_problem(c=1.0, n=5, seed=1):
-    """f(x) = max(||A x - b||_inf - c, 0) in a ball, with the image A x - b.
+    """f(x) = max(||A x - b||_inf - c, 0) in a ball.
 
     The subgradient is exactly zero on the flat bottom, so a run stops there.
     """
@@ -738,77 +648,68 @@ def flat_bottom_problem(c=1.0, n=5, seed=1):
         i = int(np.argmax(np.abs(z)))
         v = abs(float(z[i])) - c
         if v <= 0:
-            return SubgradientResult(0.0, np.zeros(n), image=z)
-        return SubgradientResult(v, np.sign(z[i]) * A[i], image=z)
-
-    def value_at_image(x, z):
-        return np.maximum(np.max(np.abs(z), axis=-1) - c, 0.0)
+            return SubgradientResult(0.0, np.zeros(n))
+        return SubgradientResult(v, np.sign(z[i]) * A[i])
 
     return ProblemInstance(name="flat_bottom", dimension=n, oracle=oracle,
-                           projector=Ball(center=np.zeros(n), radius=3.0), radius_R=6.0,
-                           value_at_image=value_at_image)
+                           projector=Ball(center=np.zeros(n), radius=3.0), radius_R=6.0)
 
 
 class TestValueBlocks:
-    """Values at the averages, evaluated a block of iterations at a time."""
+    """The averages, folded in a block of iterations at a time."""
 
     KS = (-1.0, 0.0, 2.0)
 
     @pytest.fixture
-    def means(self, monkeypatch):
-        """The K averages after every iteration of every run, restarts included.
-
-        The solver feeds the averages a block of points at a time; these are
-        the rows that each block update writes, one per iteration, one array
-        per update.
-        """
+    def blocks(self, monkeypatch):
+        """The (weights, points) of every update of every run, restarts included."""
         recorded = []
 
         class Recording(StreamingAverage):
-            def update(self, w, x, out=None):
-                super().update(w, x, out=out)
-                recorded.append(out.copy())
-                return self
+            def update(self, w, x):
+                recorded.append((np.array(w), np.array(x)))
+                return super().update(w, x)
 
         monkeypatch.setattr(solver_module, "StreamingAverage", Recording)
         return recorded
 
-    def assert_rows_match(self, problem, trace, means, hook):
-        n = problem.dimension
-        means = [row for block in means for row in block]
-        assert len(means) == len(trace["s"])
-        for j, label in enumerate(f"f_avg_k{k:g}" for k in self.KS):
-            if hook:
-                expected = [float(problem.value_at_image(m[j, :n], m[j, n:])) for m in means]
-            else:
-                expected = [problem.value(m[j]) for m in means]
-            assert trace[label].tolist() == expected, label
+    def assert_last_epoch_averaged(self, report, trace, blocks, iterates):
+        """The report's averages are the weighted means of the last epoch's iterates x_1, ....
 
-    # the Lasso's block: 64 + 40 floats per point, three averages, minorants;
-    # and flat_bottom_problem's at n = 64, whose image has 66 entries
-    BLOCK = solver_module.block_rows(64, 40, True)
-    BOTTOM_BLOCK = solver_module.block_rows(64, 66, True)
+        Its rows are the last rows of the blocks fed, and its weights those
+        of WeightRule over the epoch's own count, as ``psg check`` forms them.
+        """
+        epoch = trace["epoch"]
+        first = int(np.argmax(epoch == epoch[-1]))
+        x = np.array(iterates[first:len(epoch)])
+        fed = np.concatenate([points for _, points in blocks])[-len(x):]
+        assert np.array_equal(fed, x)
+        t = np.arange(1.0, len(x) + 1.0)
+        for k in self.KS:
+            w = WeightRule(k)(t, trace["eta"][first:])
+            direct = (w[:, None] * x).sum(axis=0) / w.sum()
+            assert_allclose(report.averaged_points[f"k{k:g}"], direct, rtol=1e-12, atol=1e-13)
 
-    @pytest.mark.parametrize("hook", [True, False], ids=["hook", "no-hook"])
+    # the Lasso's block: 64 floats per point, and 65 per minorant
+    BLOCK = solver_module.block_rows(64, True)
+
     @pytest.mark.parametrize("iterations", [1, 63, 64, 65, 130])
-    def test_each_row_equals_its_own_call(self, means, iterations, hook, block_lengths):
+    def test_each_block_is_one_update(self, blocks, iterations, block_lengths):
         iterations = at_block(iterations, self.BLOCK)
-        problem = make_lasso(seed=3, n=64, m=40)
-        if not hook:
-            problem = dataclasses.replace(problem, value_at_image=None)
-        _, trace = run(problem, SolverConfig(
+        problem, iterates = projected(make_lasso(seed=3, n=64, m=40))
+        report, trace = run(problem, SolverConfig(
             max_iterations=iterations, initial_point=np.zeros(64),
             policy=FamilyPolicy(R=50.0), weight_ks=self.KS, record_trace=True))
         assert block_lengths == [self.BLOCK]
         assert len(trace["s"]) == iterations
         # full blocks, then the rest after the loop
         full, rest = divmod(iterations, self.BLOCK)
-        assert [len(block) for block in means] == [self.BLOCK] * full + ([rest] if rest else [])
-        self.assert_rows_match(problem, trace, means, hook)
+        assert [len(x) for _, x in blocks] == [self.BLOCK] * full + ([rest] if rest else [])
+        self.assert_last_epoch_averaged(report, trace, blocks, iterates)
 
-    def test_restart_inside_a_block(self, means, block_lengths):
-        problem = make_lasso(seed=3, n=64, m=40)
-        _, trace = run(problem, SolverConfig(
+    def test_restart_inside_a_block(self, blocks, block_lengths):
+        problem, iterates = projected(make_lasso(seed=3, n=64, m=40))
+        report, trace = run(problem, SolverConfig(
             max_iterations=2 * self.BLOCK + 2, initial_point=np.zeros(64),
             policy=FamilyPolicy(R=50.0), weight_ks=self.KS, record_trace=True,
             restart_factor=2.0))
@@ -817,28 +718,18 @@ class TestValueBlocks:
         assert len(restarts) and np.any(restarts % self.BLOCK)
         # an epoch after a restart still crosses a block boundary
         assert len(trace["s"]) - restarts[-1] > self.BLOCK
-        self.assert_rows_match(problem, trace, means, hook=True)
+        self.assert_last_epoch_averaged(report, trace, blocks, iterates)
 
-    def test_zero_subgradient_inside_a_block(self, means, block_lengths):
-        problem = flat_bottom_problem(n=64)
+    def test_zero_subgradient_inside_a_block(self, blocks, block_lengths):
+        problem, iterates = projected(flat_bottom_problem(n=64))
         report, trace = run(problem, SolverConfig(
             max_iterations=3000, initial_point=np.full(64, 2.0), policy=FamilyPolicy(R=6.0),
             weight_ks=self.KS, record_trace=True))
         assert report.stop_reason == StopReason.ZERO_SUBGRADIENT
-        assert block_lengths == [self.BOTTOM_BLOCK]
-        assert report.iterations_run > self.BOTTOM_BLOCK
-        assert report.iterations_run % self.BOTTOM_BLOCK
-        self.assert_rows_match(problem, trace, means, hook=True)
-
-    def test_hook_must_give_one_value_per_row(self):
-        problem = make_lasso(seed=3, n=64, m=40)
-        one_value = dataclasses.replace(
-            problem, value_at_image=lambda x, r: float(np.vdot(r, r)))
-        config = SolverConfig(max_iterations=5, initial_point=np.zeros(64),
-                              policy=FamilyPolicy(R=50.0), weight_ks=self.KS,
-                              record_trace=True)
-        with pytest.raises(NumericError, match=r"shape \(\), not one value per average \(5, 3\)"):
-            run(one_value, config)
+        assert block_lengths == [self.BLOCK]
+        assert report.iterations_run > self.BLOCK
+        assert report.iterations_run % self.BLOCK
+        self.assert_last_epoch_averaged(report, trace, blocks, iterates)
 
 
 @pytest.mark.parametrize("policy", [FamilyPolicy(R=math.sqrt(3.0), a=0.5),
@@ -851,9 +742,9 @@ def test_run_averages_with_the_weights_monotone_k_certifies(policy, monkeypatch)
     fed = []
 
     class Spy(StreamingAverage):
-        def update(self, w, x, out=None):
+        def update(self, w, x):
             fed.append(np.array(w, dtype=np.float64))
-            return super().update(w, x, out=out)
+            return super().update(w, x)
 
     monkeypatch.setattr(solver_module, "StreamingAverage", Spy)
     _, trace = run(make_abs_problem(3), SolverConfig(
@@ -895,10 +786,11 @@ class TestNoAverages:
         counted, calls = self.counted(problem)
         report, trace = solve(counted, ())
         assert calls[0] == report.iterations_run == report.oracle_calls
-        # the report counts every call, also those that value the averages
+        # the report counts every call, also the one that values the average
+        # after the loop, the only one that a traced or certified run adds
         counted, calls = self.counted(problem)
         plain, plain_trace = solve(counted, (0.0,))
-        assert calls[0] == plain.oracle_calls > plain.iterations_run
+        assert calls[0] == plain.oracle_calls == plain.iterations_run + 1
         assert report.averaged_points == {} and report.averaged_values == {}
         for field in ("best_value", "best_index", "iterations_run", "stop_reason",
                       "max_g_norm"):
@@ -906,7 +798,6 @@ class TestNoAverages:
         assert np.array_equal(report.best_point, plain.best_point)
         assert report.iterations_run > 1
         if record_trace:
-            assert not any(name.startswith("f_avg_") for name in trace)
             for name in ("s", "eta", "f_x", "f_best", "bound_family"):
                 assert np.array_equal(trace[name], plain_trace[name]), name
 
@@ -924,21 +815,18 @@ def sqrt_sum_problem(dim):
     """f(x) = -sum_i sqrt(x_i) on [0, 1]^dim: f* = -dim at the vertex x* = (1, ..., 1).
 
     No Lipschitz bound exists, and the subdifferential is empty where some
-    x_i = 0. Like the sqrt example, the hook values x alone.
+    x_i = 0.
     """
-    no_image = np.empty(0)
-
     def oracle(x):
         if not (x > 0.0).all():
             return SubgradientResult(-float(np.sqrt(np.maximum(x, 0.0)).sum()), None)
         roots = np.sqrt(x)
-        return SubgradientResult(-float(roots.sum()), -0.5 / roots, image=no_image)
+        return SubgradientResult(-float(roots.sum()), -0.5 / roots)
 
     return ProblemInstance(name=f"sqrt_sum{dim}", dimension=dim, oracle=oracle,
                            projector=Box(lower=np.zeros(dim), upper=np.ones(dim)),
                            radius_R=math.sqrt(dim), known_optimum_value=-float(dim),
-                           known_optimum_point=np.ones(dim),
-                           value_at_image=lambda x, z: -np.sqrt(x).sum(axis=-1))
+                           known_optimum_point=np.ones(dim))
 
 
 class TestOracleMemo:
@@ -1128,7 +1016,7 @@ class TestHotLoopChecks:
     def test_overflow_is_named_as_a_python_float_loop_names_it(self, k, scale, spread, dim,
                                                                 seed):
         # k = -1 weights by steps near 1e305, so its total overflows; s ** (k/2)
-        # overflows as a weight or as a total. dim sets the block length.
+        # overflows as a weight, a total or a weighted sum. dim sets the block length.
         steps = (1e305 * scale
                  * (1.0 + spread * np.random.default_rng(seed).random(1500))).tolist()
 
@@ -1144,18 +1032,23 @@ class TestHotLoopChecks:
             except OverflowError:
                 return math.inf
 
-        # the reference: each weight and running total a Python float, in order
-        totals, expected = [0.0] * len(ks), None
+        # the reference: each weight, running total and running weighted sum
+        # w_s (x_s - x_1) a Python float, in order; the box sends the
+        # iterates from 0.5 to -1 and 1 in turn
+        totals, sums, expected, x = [0.0] * len(ks), [0.0] * len(ks), None, 0.5
         for s, eta in enumerate(steps, 1):
             for j, e in enumerate(ks):
                 w = python_weight(e, s, eta)
                 totals[j] += w
-                if totals[j] == math.inf:
-                    what = "weight" if w == math.inf else "total weight"
+                sums[j] += w * (x - 0.5)
+                if totals[j] == math.inf or not math.isfinite(sums[j]):
+                    what = ("weight" if w == math.inf else "total weight"
+                            if totals[j] == math.inf else "weighted sum")
                     expected = f"{what} of k={e:g} overflows at iteration {s}"
                     break
             if expected is not None:
                 break
+            x = min(max(x - eta * math.copysign(1.0, x), -1.0), 1.0)
         assert expected is not None
         config = SolverConfig(max_iterations=len(steps), initial_point=np.full(dim, 0.5),
                               policy=Listed(), weight_ks=ks)
@@ -1198,12 +1091,12 @@ class TestHotLoopChecks:
     def test_joint_averages_match_single_k_runs(self, name, block_lengths):
         if name == "two-slope":
             problem, x1, restart = make_two_slope_problem(), np.array([0.3]), 1.5
-            block = solver_module.block_rows(1, 0, False)  # f* is known: no minorants
+            block = solver_module.block_rows(1, False)  # f* is known: no minorants
         else:
             n, m = (64, 40) if name == "lasso64" else (512, 300)
             problem = make_lasso(seed=3, n=n, m=m)
             x1, restart = np.zeros(n), 2.0
-            block = solver_module.block_rows(n, m, True)
+            block = solver_module.block_rows(n, True)
         block_lengths.clear()  # the call above is recorded too
         ks = (-1.0, 0.0, 0.5, 2.0)
 
@@ -1223,15 +1116,15 @@ class TestHotLoopChecks:
             assert np.array_equal(report.averaged_points[label],
                                   single.averaged_points[label])
             assert report.averaged_values[label] == single.averaged_values[label]
-            assert np.array_equal(trace[f"f_avg_{label}"], single_trace[f"f_avg_{label}"])
+            for name in ("eta", "f_x", "epoch"):
+                assert np.array_equal(trace[name], single_trace[name])
         assert block_lengths == [block] * (1 + len(ks))
 
 
 def inflated(problem, s0):
     """`problem` whose oracle adds 1 to the value it returns on its s0-th call (None: never).
 
-    The averages keep the problem's value_at_image, which reads x alone, so
-    a run's oracle calls are its iterations, in order, until its loop ends.
+    A run's oracle calls are its iterations, in order, until its loop ends.
     """
     calls = 0
 
@@ -1255,23 +1148,22 @@ def ramp_problem():
     pairing x_s with x_s or x_{s+2} instead of x_{s+1} moves its right side
     by about x_s, far more than 1, either way.
     """
-    one, no_image = np.ones(1), np.empty(0)
+    one = np.ones(1)
 
     def oracle(x):
-        return SubgradientResult(float(x[0]), one, image=no_image)
+        return SubgradientResult(float(x[0]), one)
 
     return ProblemInstance(name="ramp", dimension=1, oracle=oracle,
                            projector=Box(lower=np.zeros(1), upper=np.full(1, 1000.0)),
                            radius_R=1000.0, known_optimum_value=0.0,
-                           known_optimum_point=np.zeros(1),
-                           value_at_image=lambda x, z: x[..., 0])
+                           known_optimum_point=np.zeros(1))
 
 
 class TestPerStepBlocks:
     """The per-step inequality, decided for a block of rows at a time."""
 
     # the ramp's block, one float per point: as long with three averages as without
-    BLOCK = solver_module.block_rows(1, 0, False)
+    BLOCK = solver_module.block_rows(1, False)
     # the rows on each side of the block boundaries, and the last row of a
     # run that ends inside its third block (named as at_block names them)
     CASES = [(budget, s0) for budget in (64, 65, 129, 200)
@@ -1371,31 +1263,17 @@ def bracket_low_per_iteration(problem, calls):
 
 
 class TestBlockBookkeeping:
-    """Minorant sums, image checks and the step check, done per block or by a scalar proof."""
-
-    @staticmethod
-    def no_image(problem):
-        """`problem` with an empty image, its hook valuing x alone: values call no oracle."""
-        inner, value = problem.oracle, problem.value
-
-        def oracle(x):
-            return inner(x)._replace(image=np.empty(0))
-
-        def value_at_image(x, z):
-            return np.array([[value(point) for point in row] for row in x])
-
-        return dataclasses.replace(problem, oracle=oracle, value_at_image=value_at_image)
+    """Minorant sums and the step check, done per block or by a scalar proof."""
 
     # flat bottoms the nesterov rule reaches with rows pending (2, 8 and 153 rows)
     BOTTOM = {1: 2.0, 2: 1.0, 64: 2.0}
 
-    @pytest.mark.parametrize("image", [True, False], ids=["image", "no-image"])
     @pytest.mark.parametrize("n", [1, 2, 64])
     @pytest.mark.parametrize("case", ["budget", "restart", "zero-first", "zero-later"])
-    def test_bracket_low_equals_the_per_iteration_sum(self, case, n, image, block_lengths):
+    def test_bracket_low_equals_the_per_iteration_sum(self, case, n, block_lengths):
         # a Lasso with m = n + 3, two averages, minorants summed; the budget
         # runs past the first block boundary
-        block = solver_module.block_rows(n, n + 3 if image else 0, True)
+        block = solver_module.block_rows(n, True)
         budget = block + 9
         block_lengths.clear()  # the call above is recorded too
         if case in ("budget", "restart"):
@@ -1413,11 +1291,8 @@ class TestBlockBookkeeping:
             inner = bottom.oracle
             problem = dataclasses.replace(
                 bottom, lipschitz_L=1e3,
-                oracle=lambda x: inner(x)._replace(value=inner(x).value + 0.5),
-                value_at_image=lambda x, z: bottom.value_at_image(x, z) + 0.5)
+                oracle=lambda x: inner(x)._replace(value=inner(x).value + 0.5))
             policy, x1 = NesterovPolicy(R=6.0), np.full(n, 3.0 / n ** 0.5)
-        if not image:
-            problem = self.no_image(problem)
         problem, calls = recorded(problem)
         problem, iterates = projected(problem)
         report, trace = run(problem, SolverConfig(
@@ -1479,8 +1354,8 @@ class TestBlockBookkeeping:
         assert report.minorant_sums == {"g_sum": g_sum.tolist(), "c_sum": c_sum, "count": 3}
 
     @staticmethod
-    def faulty_lasso(bad_image_at, bad_step_at):
-        """A Lasso whose oracle spoils the image (inf) or g (1e10-fold) on the given calls."""
+    def faulty_lasso(bad_step_at):
+        """A Lasso whose oracle stretches g 1e10-fold on the given call."""
         problem = make_lasso(seed=3, n=64, m=40)
         calls = 0
 
@@ -1488,10 +1363,6 @@ class TestBlockBookkeeping:
             nonlocal calls
             calls += 1
             res = problem.oracle(x)
-            if calls == bad_image_at:
-                image = res.image.copy()
-                image[5] = np.inf
-                res = res._replace(image=image)
             if calls == bad_step_at:
                 res = res._replace(subgradient=res.subgradient * 1e10)
             return res
@@ -1500,41 +1371,22 @@ class TestBlockBookkeeping:
 
     # the Lasso's block with one average; the Lasso declares no Lipschitz
     # bound, so the constant rule has no gap certificate and sums no minorant
-    BLOCK = solver_module.block_rows(64, 40, False)
+    BLOCK = solver_module.block_rows(64, False)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.parametrize("later_step", [False, True], ids=["alone", "bad-step-after"])
     @pytest.mark.parametrize("s0", [1, 63, 64, 65])
-    def test_nonfinite_image_names_its_iteration(self, s0, later_step, block_lengths):
+    def test_nonfinite_step_names_its_iteration(self, s0, block_lengths):
         # the constant step 5e298 keeps every step finite until the oracle
-        # stretches a subgradient; a step that then overflows at s0 + 1 (in
-        # the same block unless s0 ends one) must not hide the image at s0
+        # stretches a subgradient: the step that then overflows is named,
+        # whether or not its row ends a block
         s0 = at_block(s0, self.BLOCK)
-        s1 = s0 + 1 if later_step else None
         config = SolverConfig(max_iterations=2 * self.BLOCK, initial_point=np.zeros(64),
                               policy=ConstantPolicy(R=50.0, L=1e-300, horizon_t=100),
                               weight_ks=(0.0,), record_trace=True)
-        with pytest.raises(NumericError, match=f"image has nonfinite entries at iteration {s0}$"):
-            run(self.faulty_lasso(s0, s1), config)
         with pytest.raises(NumericError, match=f"step x - eta \\* g has nonfinite entries at"
-                                               f" iteration {s0 + 1}$"):
-            run(self.faulty_lasso(None, s0 + 1), config)
-        assert block_lengths == [self.BLOCK] * 2
-
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_nonfinite_image_at_a_zero_subgradient_stop_is_named(self):
-        # the run stops at s = 1 without a row, yet its image was read
-        problem = flat_bottom_problem(c=1.0, n=3)
-        inner = problem.oracle
-
-        def oracle(x):
-            res = inner(x)
-            return res._replace(image=np.full_like(res.image, np.inf))
-
-        config = SolverConfig(max_iterations=10, initial_point=np.zeros(3),
-                              policy=FamilyPolicy(R=6.0), weight_ks=(0.0,), record_trace=True)
-        with pytest.raises(NumericError, match="image has nonfinite entries at iteration 1$"):
-            run(dataclasses.replace(problem, oracle=oracle), config)
+                                               f" iteration {s0}$"):
+            run(self.faulty_lasso(s0), config)
+        assert block_lengths == [self.BLOCK]
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_finite_step_that_overflows_the_point_is_caught(self):
