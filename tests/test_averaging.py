@@ -155,8 +155,9 @@ class TestStreamingAverage:
         assert_allclose(acc.mean[0], points.mean(axis=0), rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("K", [1, 3], ids=["scalar", "vector"])
-    def test_mean_is_not_a_view_of_the_block(self, K, rng):
-        # the solver feeds one buffer again and again: the fold keeps no view of it
+    def test_block_mean_is_not_a_view_of_out(self, K, rng):
+        # the solver feeds one buffer again and again, and hands the mean it
+        # reads out to the report: the fold keeps a view of neither
         points = rng.standard_normal((5, 4))
         weights = rng.uniform(0.5, 2.0, size=(5, K))
         for fresh in (True, False):
@@ -165,10 +166,11 @@ class TestStreamingAverage:
                 acc.update(weights[:1], points[:1])
             block = points.copy()
             acc.update(weights, block)
-            kept = acc.mean
+            out = acc.mean
+            kept = out.copy()
             block[...] = np.nan
+            out[...] = np.nan
             assert np.array_equal(acc.mean, kept)
-            assert acc.mean is not acc.mean  # each read is a new array
             assert acc.count == 5 + (not fresh)
 
     @pytest.mark.parametrize("w,x", [
@@ -332,6 +334,35 @@ def test_constant_stream_stays_exactly_constant(K, rows, before, rng):
         assert np.array_equal(mean, np.broadcast_to(point, mean.shape))
 
 
+@pytest.mark.parametrize("K,d", [(1, 1), (1, 5), (3, 5)], ids=["rows", "column", "K-by-d"])
+def test_prefix_sum_keeps_its_order_up_to_64_rows(K, d, rng):
+    # each total is a running sum down its weight column, from the total
+    # before the block: the bits of adding one weight after another
+    for rows in range(1, 65):
+        weights = 10.0 ** rng.uniform(-8, 8, size=(rows + 1, K))
+        points = rng.standard_normal((rows + 1, d))
+        acc = StreamingAverage().update(weights[:1], points[:1])
+        acc.update(weights[1:], points[1:])
+        for j in range(K):
+            total = 0.0
+            for w in weights[:, j].tolist():
+                total += w
+            assert acc.total_weight[j] == total, (rows, j)
+
+
+@pytest.mark.parametrize("rows", [65, 72, 511, 512, 513, 4096, 4101])
+def test_long_prefix_sums_are_exact_on_integers(rows, rng):
+    # weights below 2^10 and offsets x - b below 2^21 make integer products
+    # below 2^31, whose sums stay below 2^53: exact in any order, so both
+    # the totals and the weighted sums equal the integer sums
+    weights = rng.integers(1, 2 ** 10, size=(rows, 2))
+    points = rng.integers(-2 ** 20, 2 ** 20, size=(rows, 3))
+    acc = StreamingAverage().update(weights.astype(np.float64), points.astype(np.float64))
+    offsets = points - points[0]
+    assert acc.total_weight.tolist() == weights.sum(axis=0).tolist()
+    assert acc.sums.tolist() == (weights.T @ offsets).tolist()
+
+
 @pytest.mark.parametrize("K", [None, 2], ids=["one-weight", "K-weights"])
 def test_weights_beyond_the_float_range_in_one_block(K, rng):
     # weights from 1e-320 to 1e10 in one block, a ratio of 1e330 that no
@@ -383,9 +414,9 @@ def test_each_of_k_weights_is_its_single_weight_stream(rows, before, rng):
 
 @pytest.mark.parametrize("K", [None, 2], ids=["one-weight", "K-weights"])
 @pytest.mark.parametrize("big", [1e308, 1e300], ids=["overflow", "finite"])
-def test_narrow_and_wide_sums_overflow_alike(K, big):
-    # a point 2e308 away from the first overflows x - b: the update raises,
-    # unwarned, and keeps the fold as it was, for 1 entry or 12
+def test_narrow_and_wide_means_warn_alike(K, big):
+    # a point 2e308 away from the first overflows x - b: for 1 entry or 12
+    # the update raises rather than warns, and keeps the fold as it was
     def feed(d):
         w = np.ones((3, K or 1))
         x = np.array([[-big], [big], [big]]) * np.ones(d)

@@ -655,6 +655,23 @@ def flat_bottom_problem(c=1.0, n=5, seed=1):
                            projector=Ball(center=np.zeros(n), radius=3.0), radius_R=6.0)
 
 
+def one_buffer(problem):
+    """`problem` whose oracle answers every call in one subgradient array, which the next overwrites.
+
+    The run must copy each g_s it keeps before it calls the oracle again.
+    """
+    inner, buffer = problem.oracle, np.empty(problem.dimension)
+
+    def oracle(x):
+        res = inner(x)
+        if res.is_empty:
+            return res
+        buffer[...] = res.subgradient
+        return res._replace(subgradient=buffer)
+
+    return dataclasses.replace(problem, oracle=oracle)
+
+
 class TestValueBlocks:
     """The averages, folded in a block of iterations at a time."""
 
@@ -693,10 +710,13 @@ class TestValueBlocks:
     # the Lasso's block: 64 floats per point, and 65 per minorant
     BLOCK = solver_module.block_rows(64, True)
 
+    # hook: the Lasso's own oracle, a new array per answer; no-hook: one_buffer's
+    @pytest.mark.parametrize("hook", [True, False], ids=["hook", "no-hook"])
     @pytest.mark.parametrize("iterations", [1, 63, 64, 65, 130])
-    def test_each_block_is_one_update(self, blocks, iterations, block_lengths):
+    def test_each_row_equals_its_own_call(self, blocks, iterations, hook, block_lengths):
         iterations = at_block(iterations, self.BLOCK)
-        problem, iterates = projected(make_lasso(seed=3, n=64, m=40))
+        lasso = make_lasso(seed=3, n=64, m=40)
+        problem, iterates = projected(lasso if hook else one_buffer(lasso))
         report, trace = run(problem, SolverConfig(
             max_iterations=iterations, initial_point=np.zeros(64),
             policy=FamilyPolicy(R=50.0), weight_ks=self.KS, record_trace=True))
@@ -706,6 +726,10 @@ class TestValueBlocks:
         full, rest = divmod(iterations, self.BLOCK)
         assert [len(x) for _, x in blocks] == [self.BLOCK] * full + ([rest] if rest else [])
         self.assert_last_epoch_averaged(report, trace, blocks, iterates)
+        # each row's value, and each average's, is the oracle's answer at its own point
+        assert trace["f_x"].tolist() == [lasso.value(x) for x in iterates[:iterations]]
+        for label, point in report.averaged_points.items():
+            assert report.averaged_values[label] == lasso.value(point), label
 
     def test_restart_inside_a_block(self, blocks, block_lengths):
         problem, iterates = projected(make_lasso(seed=3, n=64, m=40))
@@ -1268,9 +1292,11 @@ class TestBlockBookkeeping:
     # flat bottoms the nesterov rule reaches with rows pending (2, 8 and 153 rows)
     BOTTOM = {1: 2.0, 2: 1.0, 64: 2.0}
 
+    # image: the oracle's own arrays, a new one per answer; no-image: one_buffer's
+    @pytest.mark.parametrize("image", [True, False], ids=["image", "no-image"])
     @pytest.mark.parametrize("n", [1, 2, 64])
     @pytest.mark.parametrize("case", ["budget", "restart", "zero-first", "zero-later"])
-    def test_bracket_low_equals_the_per_iteration_sum(self, case, n, block_lengths):
+    def test_bracket_low_equals_the_per_iteration_sum(self, case, n, image, block_lengths):
         # a Lasso with m = n + 3, two averages, minorants summed; the budget
         # runs past the first block boundary
         block = solver_module.block_rows(n, True)
@@ -1294,6 +1320,8 @@ class TestBlockBookkeeping:
                 oracle=lambda x: inner(x)._replace(value=inner(x).value + 0.5))
             policy, x1 = NesterovPolicy(R=6.0), np.full(n, 3.0 / n ** 0.5)
         problem, calls = recorded(problem)
+        if not image:
+            problem = one_buffer(problem)
         problem, iterates = projected(problem)
         report, trace = run(problem, SolverConfig(
             max_iterations=budget, initial_point=x1, policy=policy, weight_ks=(-1.0, 0.0),
@@ -1354,8 +1382,8 @@ class TestBlockBookkeeping:
         assert report.minorant_sums == {"g_sum": g_sum.tolist(), "c_sum": c_sum, "count": 3}
 
     @staticmethod
-    def faulty_lasso(bad_step_at):
-        """A Lasso whose oracle stretches g 1e10-fold on the given call."""
+    def faulty_lasso(bad_value_at, bad_step_at):
+        """A Lasso whose oracle spoils f(x) (inf) or g (1e10-fold) on the given calls."""
         problem = make_lasso(seed=3, n=64, m=40)
         calls = 0
 
@@ -1363,6 +1391,8 @@ class TestBlockBookkeeping:
             nonlocal calls
             calls += 1
             res = problem.oracle(x)
+            if calls == bad_value_at:
+                res = res._replace(value=math.inf)
             if calls == bad_step_at:
                 res = res._replace(subgradient=res.subgradient * 1e10)
             return res
@@ -1374,19 +1404,40 @@ class TestBlockBookkeeping:
     BLOCK = solver_module.block_rows(64, False)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("later_step", [False, True], ids=["alone", "bad-step-after"])
     @pytest.mark.parametrize("s0", [1, 63, 64, 65])
-    def test_nonfinite_step_names_its_iteration(self, s0, block_lengths):
+    def test_nonfinite_image_names_its_iteration(self, s0, later_step, block_lengths):
         # the constant step 5e298 keeps every step finite until the oracle
-        # stretches a subgradient: the step that then overflows is named,
-        # whether or not its row ends a block
+        # stretches a subgradient; the image f(x_s0) that the oracle returns
+        # is inf, and a step that overflows at s0 + 1 (in the same block
+        # unless s0 ends one) must not hide it; nor does a block boundary
+        # hide the step that overflows
         s0 = at_block(s0, self.BLOCK)
+        s1 = s0 + 1 if later_step else None
         config = SolverConfig(max_iterations=2 * self.BLOCK, initial_point=np.zeros(64),
                               policy=ConstantPolicy(R=50.0, L=1e-300, horizon_t=100),
                               weight_ks=(0.0,), record_trace=True)
+        with pytest.raises(NumericError, match=f"oracle returned nonfinite value at iteration"
+                                               f" {s0}$"):
+            run(self.faulty_lasso(s0, s1), config)
         with pytest.raises(NumericError, match=f"step x - eta \\* g has nonfinite entries at"
-                                               f" iteration {s0}$"):
-            run(self.faulty_lasso(s0), config)
-        assert block_lengths == [self.BLOCK]
+                                               f" iteration {s0 + 1}$"):
+            run(self.faulty_lasso(None, s0 + 1), config)
+        assert block_lengths == [self.BLOCK] * 2
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_nonfinite_image_at_a_zero_subgradient_stop_is_named(self):
+        # the run would stop at s = 1 without a row, yet its value f(x_1) is read
+        problem = flat_bottom_problem(c=1.0, n=3)
+        inner = problem.oracle
+
+        def oracle(x):
+            return inner(x)._replace(value=math.inf)
+
+        config = SolverConfig(max_iterations=10, initial_point=np.zeros(3),
+                              policy=FamilyPolicy(R=6.0), weight_ks=(0.0,), record_trace=True)
+        with pytest.raises(NumericError, match="oracle returned nonfinite value at iteration 1$"):
+            run(dataclasses.replace(problem, oracle=oracle), config)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_finite_step_that_overflows_the_point_is_caught(self):
