@@ -25,7 +25,7 @@ print(f"  stop reason: {report.stop_reason.value}\n")
 for x1 in (0.01, 1e-6):
     config = psg.SolverConfig(max_iterations=10_000, initial_point=np.array([x1]),
                               policy=psg.FamilyPolicy(R=1.0, a=1.0),
-                              weight_ks=(0.0,), record_trace=True)
+                              weight_ks=(0.0,))
     report, trace = psg.run(problem, config)
     print(f"starting at x = {x1:g} (initial ||g|| = {trace['g_norm'][0]:.1f}):")
     print(f"  first step size {trace['eta'][0]:.4f}, G after one step {trace['G'][0]:.1f}")

@@ -4,11 +4,12 @@ Subcommands
 -----------
 ``psg run --config cfg.json [--out-dir DIR] [--strict]``
     Run every (problem x policy) cell of a JSON experiment config, write one
-    trace per cell (when requested) and a JSON summary.
+    trace per cell (when the config has a ``trace_path``) and a JSON summary.
 ``psg gen-lasso --seed S --n N --m M --out FILE [--lambda L] [--radius R]``
     Write a synthetic Lasso instance to CSV for cross-run reuse.
 ``psg check --trace FILE --problem FILE [--strict]``
-    Re-validate the invariants and certificates of a stored trace.
+    Re-validate the invariants and certificates of a stored trace; FILE
+    holds the trace's problem spec, alone or as the ``problem`` of a config.
 
 Exit codes: 0 success, 1 config or I/O error, 2 numeric failure inside a
 run, 3 a certificate not proven (only with ``--strict``).
@@ -44,7 +45,8 @@ round-trip). :func:`emit_trace` and :func:`read_trace` pick the format by
 the suffix, and ``meta, columns = read_trace(f); emit_trace_csv(columns,
 out, meta)`` converts a ``.npz`` trace to the CSV that a ``.csv`` run
 writes, byte for byte. The header
-object holds the cell's ``policy`` spec, ``iterations``, ``weight_ks``,
+object holds the config's ``problem`` spec and the cell's ``policy`` spec,
+as :func:`config_to_dict` writes them, ``iterations``, ``weight_ks``,
 ``restart_factor``, ``optimum_bracket`` and, when its minorants gave f_low,
 ``minorant_sums`` {"g_sum", "c_sum", "count"}. The columns are the trace
 that :func:`psg.solver.run` returns, column for column, named and ordered
@@ -64,18 +66,22 @@ with the cell's index and label before its extension, which it keeps
 (``.csv`` when it has none). Before the first cell runs, every trace and the
 summary are vetted as the files they resolve to: none may be an existing
 directory, lie under a file, or be the problem's input file, the config
-file or another of the run's outputs. ``psg check`` checks the
-columns' structure (``eta_positive``: every step is positive and finite),
-rebuilds the policy from the first line and runs the solver's own evaluator
-(:func:`psg.bounds.evaluate`) on the columns: every bound column must match
-bit for bit, and every certificate except ``per_step`` (it needs the
+file or another of the run's outputs. ``psg check`` refuses, as an input
+error, a ``--problem`` spec that is not the header's ``problem`` (and so a
+trace whose header has none). It checks the columns' structure
+(``eta_positive``: every step is positive and finite;
+``epoch_counts_restarts``: every epoch 0 when the header's
+``restart_factor`` is null), rebuilds the policy from the header and runs
+the solver's own evaluator (:func:`psg.bounds.evaluate`) on the columns:
+every bound column must match bit for bit, and every certificate except ``per_step`` (it needs the
 iterates) is decided again, each gap certificate on the weighted value mean
 that ``evaluate`` forms from the ``f_x`` and ``eta`` columns. A trace that
 repeats a column name, or lacks a column its run writes, ``G`` or a
-declared ``bound_<label>`` among them, is an input error. When the problem does not know f*, it takes the
-header's bracket: its ``high`` must not exceed the final ``f_best``, and
-its ``low`` must equal, bit for bit, the low end that
-:func:`psg.bounds.minorant_low` forms from the header's ``minorant_sums``.
+declared ``bound_<label>`` among them, is an input error. When the problem
+does not know f*, it takes the header's bracket: its ``high`` must not
+exceed the final ``f_best``, and its ``low`` must equal, bit for bit, the
+low end that :func:`psg.bounds.minorant_low` forms from the header's
+``minorant_sums``.
 """
 
 from __future__ import annotations
@@ -264,8 +270,8 @@ MINORANT_FIELDS = {"g_sum": (_numbers, REQUIRED), "c_sum": (_float, REQUIRED),
 def parse_config(data: dict) -> SimpleNamespace:
     """Validate a decoded JSON object into a config, read by :data:`CONFIG_FIELDS`.
 
-    The result has every field, defaults filled in, with ``policy`` as the
-    tuple ``policies``. ``problem`` and each policy are namespaces of their
+    The result has every field, defaults filled in, ``policy`` a tuple of
+    one spec per cell. ``problem`` and each policy are namespaces of their
     object's fields (``spec.kind``, ``spec.n``, ...); ``initial_point`` keeps
     the config's own form.
     """
@@ -276,7 +282,6 @@ def parse_config(data: dict) -> SimpleNamespace:
         raise ConfigError("restart_factor: must exceed 1")
     if fields["initial_point"] is None:
         fields["initial_point"] = [0.5] if fields["problem"].kind == "sqrt-example" else "zero"
-    fields["policies"] = fields.pop("policy")
     return SimpleNamespace(**fields)
 
 
@@ -297,7 +302,7 @@ def config_to_dict(config: SimpleNamespace) -> dict:
 
     Parsing it back yields an equal config.
     """
-    fields = vars(config) | {"policy": config.policies}
+    fields = vars(config)
     return {name: _plain(fields[name]) for name in CONFIG_FIELDS if fields[name] is not None}
 
 
@@ -456,7 +461,8 @@ def check_trace(meta: dict, cols: dict, problem: ProblemInstance) -> list:
     that no run writes, or a column set that lacks a column its run
     writes, raises :class:`ConfigError` or :class:`InvalidParameterError`;
     a column that no run writes, such as an ``f_avg_k<k>`` column of an
-    older trace, is not read.
+    older trace, is not read. The header's ``problem`` is not read:
+    ``psg check`` compares it with the spec that `problem` is built from.
     """
     policy = build_policy(_spec(POLICY_KINDS, meta.get("policy"), "header.policy"), problem,
                           _int(meta.get("iterations"), "header.iterations"), "header.policy")
@@ -466,12 +472,14 @@ def check_trace(meta: dict, cols: dict, problem: ProblemInstance) -> list:
     if missing:
         raise InvalidParameterError(f"trace has no column {', '.join(missing)}")
     epoch, G, f_best = cols["epoch"], cols["G"], cols["f_best"]
+    # a run without restart_factor has one epoch
+    steps = (0.0,) if meta.get("restart_factor") is None else (0.0, 1.0)
     # each whole-length temporary dies with its check, before evaluate builds its own
     results = [
         ("s_strictly_increasing", bool(np.all(np.diff(cols["s"]) > 0)), ""),
         ("eta_positive", bool(np.all((cols["eta"] > 0) & (cols["eta"] < math.inf))), ""),
-        ("epoch_counts_restarts",
-         bool(epoch[0] == 0 and np.all(np.isin(np.diff(epoch), (0.0, 1.0)))), ""),
+        ("epoch_counts_restarts", bool(epoch[0] == 0 and np.all(np.isin(np.diff(epoch), steps))),
+         ""),
     ]
     if np.all(np.isnan(G)):
         results.append(("G_nondecreasing", True, "not tracked"))
@@ -593,7 +601,7 @@ def run_experiment(config: SimpleNamespace, out_dir: Optional[str] = None,
     """
     problem = build_problem(config.problem)
     policies = [build_policy(spec, problem, config.iterations, "policy")
-                for spec in config.policies]
+                for spec in config.policy]
     paths, summary_path = _output_paths(config, policies, out_dir, config_path)
     x0 = resolve_initial_point(config.initial_point, problem)  # run never changes it
 
@@ -601,14 +609,13 @@ def run_experiment(config: SimpleNamespace, out_dir: Optional[str] = None,
         cell = {"problem": problem.name, "policy": policy.label}
         solver_config = SolverConfig(
             max_iterations=config.iterations, initial_point=x0,
-            policy=policy, weight_ks=config.weight_ks, record_trace=path is not None,
-            restart_factor=config.restart_factor)
+            policy=policy, weight_ks=config.weight_ks, restart_factor=config.restart_factor)
         try:
             report, trace = run(problem, solver_config)
         except NumericError as exc:
             return cell | {"status": "failed", "error": str(exc)}
         bracket = report.optimum_bracket and dict(zip(("low", "high"), report.optimum_bracket))
-        written = trace is not None and report.iterations_run > 0
+        written = path is not None and report.iterations_run > 0
         if written:
             # the parent as written: in "sub/../t.csv" sub must exist, abspath would drop it
             os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -616,12 +623,12 @@ def run_experiment(config: SimpleNamespace, out_dir: Optional[str] = None,
             emit_trace(trace, path, {
                 "policy": _spec_dict(spec), "iterations": config.iterations,
                 "weight_ks": list(config.weight_ks), "restart_factor": config.restart_factor,
-                "optimum_bracket": bracket, **sums})
+                "optimum_bracket": bracket, "problem": _spec_dict(config.problem), **sums})
         return cell | {name: getattr(report, name) for name in REPORT_FIELDS} | {
             "status": "ok", "error": None, "stop_reason": report.stop_reason.value,
             "optimum_bracket": bracket, "trace_path": path if written else None}
 
-    cells = [execute(*cell) for cell in zip(config.policies, policies, paths)]
+    cells = [execute(*cell) for cell in zip(config.policy, policies, paths)]
 
     summary = _finite_or_null({"config": config_to_dict(config), "cells": cells})
     os.makedirs(os.path.dirname(summary_path) or ".", exist_ok=True)
@@ -659,8 +666,11 @@ def _cmd_check(args) -> int:
     data = _load_json(args.problem)
     if isinstance(data, dict) and "problem" in data:  # a whole config
         data = data["problem"]
-    problem = build_problem(_spec(PROBLEM_KINDS, data, "problem"))
-    results = check_trace(*read_trace(args.trace), problem)
+    spec = _spec(PROBLEM_KINDS, data, "problem")
+    problem, (meta, cols) = build_problem(spec), read_trace(args.trace)
+    if _spec(PROBLEM_KINDS, meta.get("problem"), "header.problem") != spec:
+        raise ConfigError(f"problem: differs from the header.problem of {args.trace}")
+    results = check_trace(meta, cols, problem)
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}" + (f" ({detail})" if detail else ""))
     if args.strict and not all(ok for _, ok, _ in results):

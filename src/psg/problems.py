@@ -233,7 +233,6 @@ def reference_optimum_value(problem: ProblemInstance, iterations: int) -> float:
         initial_point=np.zeros(problem.dimension),
         policy=FamilyPolicy(R=problem.radius_R),
         weight_ks=(),
-        record_trace=False,
     )
     report, _ = run(problem, config)
     return report.best_value

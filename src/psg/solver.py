@@ -101,10 +101,6 @@ class SolverConfig:
         iteration when the per-step inequality is checked), makes no oracle
         call after its last iteration, and reports empty averaged points and
         values.
-    record_trace : bool
-        Return the run's trace: one column per quantity, one entry per
-        iteration (see :func:`run`). It costs no oracle call: the trace
-        holds the columns that the bounds and certificates are computed from.
     restart_factor : float, optional
         When set (> 1) and the policy tracks a running scaled-norm maximum G,
         the run restarts (policy state and averages are reset, a new epoch
@@ -118,7 +114,6 @@ class SolverConfig:
     initial_point: np.ndarray
     policy: StepSizePolicy
     weight_ks: Sequence[float] = (0.0,)
-    record_trace: bool = False
     restart_factor: Optional[float] = None
 
     def __post_init__(self):
@@ -195,13 +190,14 @@ def run(problem: ProblemInstance, config: SolverConfig):
 
     Returns
     -------
-    (RunReport, dict or None)
-        The trace is None unless ``config.record_trace`` is set. It maps each
-        of :func:`trace_columns` for ``policy.bound_labels(ks, L)``, in that
-        order, to a float array with one entry per iteration:
+    (RunReport, dict)
+        The trace maps each of :func:`trace_columns` for
+        ``policy.bound_labels(ks, L)``, in that order, to a float array with
+        one entry per iteration, empty when the run has no rows:
         ``s, epoch, eta, g_norm, G, f_x, f_best`` and ``bound_<label>`` per
         label, the bounds in the report's ``bounds``. ``G`` is nan for rules
-        that do not track it.
+        that do not track it. Building it costs no oracle call: the record
+        that the bounds and certificates are computed from holds its columns.
     """
     projector = problem.projector
     x = ensure_vector(config.initial_point, problem.dimension, "initial_point")
@@ -437,12 +433,11 @@ def run(problem: ProblemInstance, config: SolverConfig):
     certs.update(verdicts)
     # the last row belongs to the last epoch that has rows
     final_bounds = {label: float(col[-1]) for label, col in bounds.items()} if done else {}
-    trace = None
-    if config.record_trace:  # s and f_best are built after the bounds, which read neither
-        columns.update(s=np.arange(1, done + 1, dtype=np.float64),
-                       f_best=np.minimum.accumulate(columns["f_x"]))
-        columns.update((f"bound_{label}", column) for label, column in bounds.items())
-        trace = {name: columns[name] for name in trace_columns(bounds)}
+    # s and f_best are built after the bounds, which read neither
+    columns.update(s=np.arange(1, done + 1, dtype=np.float64),
+                   f_best=np.minimum.accumulate(columns["f_x"]))
+    columns.update((f"bound_{label}", column) for label, column in bounds.items())
+    trace = {name: columns[name] for name in trace_columns(bounds)}
 
     report = RunReport(
         problem=problem.name,

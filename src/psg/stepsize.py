@@ -33,11 +33,6 @@ from .bounds import Certificate
 from .core import InvalidParameterError, ZeroSubgradientError, require_count, require_positive
 
 
-def _require_a(a: float) -> None:
-    if not 0.0 <= a <= 1.0:
-        raise InvalidParameterError(f"a must lie in [0, 1], got {a!r}")
-
-
 class StepSizePolicy:
     """Stateful per-iteration step-size rule.
 
@@ -168,7 +163,8 @@ class FamilyPolicy(StepSizePolicy):
 
     def __post_init__(self):
         require_positive(self.R, "R")
-        _require_a(self.a)
+        if not 0.0 <= self.a <= 1.0:
+            raise InvalidParameterError(f"a must lie in [0, 1], got {self.a!r}")
         self.label = f"family_a{self.a:g}"
         self._g_power, self._step_power = 0.5 * (1.0 - self.a), 0.5 * self.a
 

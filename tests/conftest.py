@@ -82,6 +82,40 @@ def make_two_slope_problem():
     )
 
 
+def make_resisting_problem(k: int, R: float, L: float) -> ProblemInstance:
+    """Nesterov's resisting instance (Introductory Lectures, 2004, section 3.2.1).
+
+    f(x) = gamma max_{i<=k} x_i + (mu/2) ||x||^2 on Ball(0, R) in R^k, with
+    gamma = L sqrt(k) / (1 + sqrt(k)) and mu = L / (R (1 + sqrt(k))), so that
+    ||g|| <= L on the ball. Its subgradient is gamma e_i* + mu x, i* the first
+    index that attains the max. The optimum x* = -(gamma / (mu k)) sum e_i
+    lies on the sphere ||x*|| = R, with f* = -L R / (2 (1 + sqrt(k))), so the
+    ball lies within 2R of it. From x_1 = 0 the iterates after s steps lie in
+    span(e_1..e_s): below t = k steps every average keeps a gap of at least
+    L R / (2 (1 + sqrt(k))), which the bounds must stay above.
+    """
+    root = math.sqrt(k)
+    gamma, mu = L * root / (1.0 + root), L / (R * (1.0 + root))
+
+    def oracle(x):
+        i = int(np.argmax(x))
+        g = mu * x
+        g[i] += gamma
+        return SubgradientResult(value=gamma * float(x[i]) + 0.5 * mu * float(x.dot(x)),
+                                 subgradient=g)
+
+    return ProblemInstance(
+        name=f"resisting{k}",
+        dimension=k,
+        oracle=oracle,
+        projector=Ball(center=np.zeros(k), radius=R),
+        radius_R=2.0 * R,
+        lipschitz_L=L,
+        known_optimum_value=-L * R / (2.0 * (1.0 + root)),
+        known_optimum_point=np.full(k, -gamma / (mu * k)),
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -112,7 +112,6 @@ def full_grid_runs():
                     initial_point=_start_point(dim),
                     policy=psg.FamilyPolicy(R=problem.radius_R, a=a),
                     weight_ks=FULL_K_GRID,
-                    record_trace=True,
                 )
                 runs[(dim, a)] = psg.run(problem, config)
         _full_grid_cache["runs"] = runs
@@ -213,7 +212,7 @@ def test_criterion_classic_reduction_bitwise():
     traces = {}
     for policy in (psg.FamilyPolicy(R=1.0, a=1.0), psg.ClassicPolicy(R=1.0, L=1.0)):
         config = psg.SolverConfig(max_iterations=1000, initial_point=np.array([0.7]),
-                                  policy=policy, weight_ks=(0.0,), record_trace=True)
+                                  policy=policy, weight_ks=(0.0,))
         _, trace = psg.run(problem, config)
         traces[policy.label] = trace["eta"]
     prefix = min(len(traces["family_a1"]), len(traces["classic"]))
@@ -292,7 +291,7 @@ def test_criterion_desk_scale_lasso():
         for policy in (psg.FamilyPolicy(R=50.0, a=1.0), psg.NesterovPolicy(R=50.0)):
             config = psg.SolverConfig(
                 max_iterations=2000, initial_point=np.zeros(64), policy=policy,
-                weight_ks=(0.0, 2.0), record_trace=True)
+                weight_ks=(0.0, 2.0))
             results[policy.label] = psg.run(problem, config)
 
         fam_report, fam_trace = results["family_a1"]

@@ -11,17 +11,19 @@ from psg import (
     FamilyPolicy,
     InvalidParameterError,
     NesterovPolicy,
+    SolverConfig,
     classic_bound,
     constant_bound,
     family_bound,
     nesterov_bound,
+    run,
     weak_ergodic_bound,
 )
 from psg.averaging import WeightRule
-from psg.bounds import (WeakBoundSums, check_certificate, evaluate, monotone_label, value_mean,
-                         weak_label)
+from psg.bounds import (PROVEN, REFUTED, WeakBoundSums, check_certificate, evaluate, gap_verdict,
+                         monotone_label, value_mean, weak_label)
 
-from conftest import reference_power
+from conftest import make_resisting_problem, reference_power
 
 
 def weak_oracle(R, t, k, max_g):
@@ -383,3 +385,33 @@ class TestEvaluate:
         columns["f_x"] = [1.0, 1.0]
         _, verdicts, _ = evaluate(FamilyPolicy(R=1.0), (0.0,), 1.0, None, columns, (0.0, 0.0))
         assert verdicts["family"] is True
+
+
+RESISTING_KS = (-1.0, -0.5, 0.0, 0.5, 2.0)
+
+
+@pytest.mark.parametrize("rule", ["family-a0", "family-a1", "classic", "constant", "nesterov"])
+def test_every_bound_is_within_8x_of_the_gap_on_the_resisting_instance(rule):
+    # On Nesterov's resisting instance (k = 1001, R = L = 1) the gap stays
+    # large for t = 1,000 < k steps from 0, so every bound is proven with at
+    # most an 8x margin (the smallest measured bound/gap is 2.39, constant),
+    # and a bound 8x too small, the mutant, is refuted: a wrong bound fails here
+    problem = make_resisting_problem(1001, R=1.0, L=1.0)
+    R, L, f_star = problem.radius_R, problem.lipschitz_L, problem.known_optimum_value
+    policy = {"family-a0": FamilyPolicy(R, a=0.0), "family-a1": FamilyPolicy(R, a=1.0),
+              "classic": ClassicPolicy(R, L), "constant": ConstantPolicy(R, L, 1000),
+              "nesterov": NesterovPolicy(R)}[rule]
+    report, trace = run(problem, SolverConfig(max_iterations=1000, initial_point=np.zeros(1001),
+                                              policy=policy, weight_ks=RESISTING_KS))
+    assert report.iterations_run == 1000 and "per_step" in report.certificates
+    assert all(report.certificates.values()), report.certificates
+    claims = policy.claims(RESISTING_KS, L)
+    assert [name for name in trace if name.startswith("bound_")] == [
+        f"bound_{claim.label}" for claim in claims]
+    for claim in claims:
+        v = value_mean(WeightRule(claim.k)(trace["s"], trace["eta"]), trace["f_x"], [(0, 1000)])
+        bound = trace[f"bound_{claim.label}"]
+        if claim.horizon is not None:  # decided at its horizon alone
+            v, bound = v[-1:], bound[-1:]
+        assert gap_verdict(v, bound, f_star, f_star) == PROVEN, claim.label
+        assert gap_verdict(v, bound / 8, f_star, f_star) == REFUTED, claim.label

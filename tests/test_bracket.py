@@ -193,7 +193,7 @@ def drawn_runs(draw, problems=_known_optimum_problem):
     ks = tuple(sorted({-1.0 if rule == "nesterov" else 0.0, *extra}))
     restart = draw(st.sampled_from([None, 2.0]))
     config = SolverConfig(max_iterations=iterations, initial_point=start, policy=policy,
-                          weight_ks=ks, record_trace=True, restart_factor=restart)
+                          weight_ks=ks, restart_factor=restart)
     spec = {"kind": rule, **({"a": policy.a} if rule == "family" else {})}
     return problem, f_star, config, spec
 
@@ -322,7 +322,7 @@ def test_per_step_refutes_an_excess_at_a_large_offset(offset, excess):
     problem = _offset_abs_problem(offset, known=True)
     x1 = np.array([0.3, -0.2])
     config = SolverConfig(max_iterations=1, initial_point=x1,
-                          policy=FamilyPolicy(R=problem.radius_R), record_trace=True)
+                          policy=FamilyPolicy(R=problem.radius_R))
     _, trace = run(problem, config)
     eta, g = trace["eta"][0], np.sign(x1)
     x2 = problem.projector.project(x1 - eta * g)
@@ -341,7 +341,7 @@ def test_check_agrees_after_a_final_zero_subgradient(tmp_path):
     problem = dataclasses.replace(make_abs_problem(1), known_optimum_value=None,
                                   known_optimum_point=None)
     config = SolverConfig(max_iterations=5, initial_point=np.array([0.5]),
-                          policy=NesterovPolicy(R=0.5), weight_ks=(-1.0,), record_trace=True)
+                          policy=NesterovPolicy(R=0.5), weight_ks=(-1.0,))
     report, trace = run(problem, config)
     assert list(trace["f_best"]) == [0.5]
     assert report.optimum_bracket[1] == report.best_value == 0.0

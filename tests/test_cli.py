@@ -37,6 +37,7 @@ from psg.cli import (
     resolve_initial_point,
     run_experiment,
 )
+from psg.bounds import evaluate
 from psg.core import CSV_CHUNK_ROWS
 
 
@@ -83,8 +84,8 @@ class TestConfigParsing:
 
     def test_single_policy_normalizes_to_list(self):
         config = parse_config(ABS_CONFIG)
-        assert len(config.policies) == 1
-        assert config.policies[0].kind == "family"
+        assert len(config.policy) == 1
+        assert config.policy[0].kind == "family"
 
     @pytest.mark.parametrize("mutate,field", [
         (lambda d: d.pop("problem"), "problem"),
@@ -378,7 +379,8 @@ class TestRunCommand:
         main(["run", "--config", cfg, "--out-dir", str(tmp_path)])
         header, *lines = (tmp_path / "trace.csv").read_text().splitlines()
         assert header == ('# {"iterations": 1, "optimum_bracket": {"high": 0.0, "low": 0.0}, '
-                          '"policy": {"a": 1.0, "kind": "family"}, "restart_factor": null, '
+                          '"policy": {"a": 1.0, "kind": "family"}, '
+                          '"problem": {"dim": 1, "kind": "abs"}, "restart_factor": null, '
                           '"weight_ks": [0.0]}')
         assert len(lines) == 2
         assert lines[0] == "s,epoch,eta,g_norm,G,f_x,f_best,bound_family,bound_weak_k0"
@@ -845,6 +847,57 @@ class TestCheckCommand:
         assert main(["check", "--trace", str(bad), "--problem", str(config),
                      "--strict"]) == 3
 
+    @pytest.mark.parametrize("change", [{}, {"seed": 7, "lambda": 0.5}],
+                             ids=["same-problem", "seed7-lambda0.5"])
+    def test_trace_of_another_problem_is_an_input_error(self, tmp_path, capsys, change):
+        # the desk family trace checked against a Lasso of the same n and
+        # radius: its bounds and bracket would pass, but the header names its problem
+        desk = pathlib.Path(__file__).resolve().parent.parent / "configs" / "lasso_desk.json"
+        assert main(["run", "--config", str(desk), "--out-dir", str(tmp_path), "--strict"]) == 0
+        data = json.loads(desk.read_text())
+        cfg = write_config(tmp_path / "c.json", dict(data, problem=data["problem"] | change))
+        trace = tmp_path / "lasso_desk_trace__0_family_a1.npz"
+        capsys.readouterr()
+        code = main(["check", "--strict", "--trace", str(trace), "--problem", cfg])
+        if change:
+            assert code == 1
+            assert_one_error_line(capsys, "error: problem: differs from the header.problem of ")
+        else:
+            assert code == 0 and "FAIL" not in capsys.readouterr().out
+
+    def test_trace_without_its_problem_is_an_input_error(self, run_outputs, tmp_path, capsys):
+        # a trace written before headers named their problem
+        trace, problem = run_outputs
+        meta, columns = read_trace(trace)
+        del meta["problem"]
+        emit_trace(columns, tmp_path / "old.csv", meta)
+        capsys.readouterr()
+        assert main(["check", "--trace", str(tmp_path / "old.csv"), "--problem", str(problem),
+                     "--strict"]) == 1
+        assert_one_error_line(capsys, "error: header.problem: expected an object")
+
+    def test_restart_without_restart_factor_fails_strict(self, run_outputs, tmp_path, capsys):
+        # the header's restart_factor is null, so the run had one epoch; a
+        # restart forged from mid-run, its bound columns recomputed to match,
+        # fails on the epochs alone
+        trace, problem_json = run_outputs
+        meta, columns = read_trace(trace)
+        assert meta["restart_factor"] is None and not columns["epoch"].any()
+        columns["epoch"][30:] = 1.0
+        problem = make_abs_problem(1)
+        bounds, _, _ = evaluate(FamilyPolicy(R=problem.radius_R), (-1.0, 0.0, 2.0),
+                                problem.radius_R, problem.lipschitz_L, columns)
+        columns.update((f"bound_{label}", column) for label, column in bounds.items())
+        bad = tmp_path / "bad.csv"
+        emit_trace(columns, bad, meta)
+        capsys.readouterr()
+        assert main(["check", "--trace", str(bad), "--problem", str(problem_json),
+                     "--strict"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL epoch_counts_restarts" in lines
+        assert [line for line in lines if "_recomputed" in line] == [
+            f"PASS bound_{label}_recomputed" for label in bounds]
+
     def test_crossed_bracket_in_header_fails_strict(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {
             "problem": {"kind": "lasso", "seed": 1, "n": 8, "m": 6,
@@ -1154,7 +1207,7 @@ def test_each_rule_writes_and_checks_its_own_bounds(tmp_path, capsys, problem, L
     assert main(["run", "--config", cfg, "--out-dir", str(tmp_path), "--strict"]) == 0
     config = load_config(cfg)
     built = build_problem(config.problem)
-    policy = build_policy(config.policies[0], built, config.iterations, "policy")
+    policy = build_policy(config.policy[0], built, config.iterations, "policy")
     labels = policy.bound_labels(ks, built.lipschitz_L)
     if rule == "family":
         assert labels == ["family", "weak_k-1", "weak_k0", "weak_k2"]
@@ -1217,7 +1270,7 @@ def test_read_trace_csv_returns_the_emitted_columns(tmp_path, case):
     ks = (-1.0, -0.5, 2.0)
     _, trace = run(problem, SolverConfig(
         max_iterations=300, initial_point=np.array(x1), policy=policy, weight_ks=ks,
-        record_trace=True, restart_factor=2.0 if case == "restarted" else None))
+        restart_factor=2.0 if case == "restarted" else None))
     assert (trace["epoch"][-1] >= 2) == (case == "restarted")
     assert np.all(np.isnan(trace["G"])) == (case == "nesterov")
     # nesterov writes its own bound (abs declares L) and none of the family rule's

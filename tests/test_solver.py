@@ -100,15 +100,14 @@ class TestBlockRows:
                     assert (rows + 1) * row > solver_module.VALUE_BLOCK_BYTES
 
     def test_sized_by_the_point_and_the_minorants_alone(self, block_lengths):
-        # neither the trace nor the number of averages moves a block
-        # boundary, so each average keeps its bits
+        # the number of averages does not move a block boundary, so each
+        # average keeps its bits
         problem = make_lasso(seed=3, n=64, m=40)
         config = SolverConfig(max_iterations=3, initial_point=np.zeros(64),
                               policy=FamilyPolicy(R=50.0), weight_ks=(-1.0, 0.0, 2.0))
         run(problem, config)
-        run(problem, dataclasses.replace(config, record_trace=True))
         run(problem, dataclasses.replace(config, weight_ks=(0.0,)))
-        assert block_lengths == [254] * 3  # block_rows(64, True)
+        assert block_lengths == [254] * 2  # block_rows(64, True)
 
 
 class TestPsgStep:
@@ -144,8 +143,7 @@ class TestTwoStepHandTrace:
     def result(self):
         problem = make_abs_problem(1)
         config = SolverConfig(max_iterations=10, initial_point=np.array([1.0]),
-                              policy=FamilyPolicy(R=1.0, a=1.0), weight_ks=(0.0,),
-                              record_trace=True)
+                              policy=FamilyPolicy(R=1.0, a=1.0), weight_ks=(0.0,))
         return run(problem, config)
 
     def test_stops_at_optimum(self, result):
@@ -185,7 +183,7 @@ class TestStopping:
         # only the best iterate is recorded
         problem = make_abs_problem(1)
         config = SolverConfig(max_iterations=5, initial_point=np.zeros(1),
-                              policy=FamilyPolicy(R=1.0, a=1.0), record_trace=True)
+                              policy=FamilyPolicy(R=1.0, a=1.0))
         report, trace = run(problem, config)
         assert report.stop_reason is StopReason.ZERO_SUBGRADIENT
         assert report.best_value == 0.0
@@ -194,13 +192,17 @@ class TestStopping:
                                "bound_family", "bound_weak_k0"]
         assert all(len(col) == 0 for col in trace.values())
         assert report.averaged_values == {}
+        # the lean run, with no average, returns its columns empty too
+        _, lean = run(problem, dataclasses.replace(config, weight_ks=()))
+        assert list(lean) == list(trace)[:-1]
+        assert all(len(col) == 0 for col in lean.values())
 
     def test_start_at_optimum_classic_rule(self):
         # the L-based rule can still produce a step, so the final point is
         # folded into the averages before stopping
         problem = make_abs_problem(1)
         config = SolverConfig(max_iterations=5, initial_point=np.zeros(1),
-                              policy=ClassicPolicy(R=1.0, L=1.0), record_trace=True)
+                              policy=ClassicPolicy(R=1.0, L=1.0))
         report, trace = run(problem, config)
         assert report.stop_reason is StopReason.ZERO_SUBGRADIENT
         assert report.iterations_run == 1
@@ -271,7 +273,7 @@ def test_trace_matches_independent_reimplementation(rng):
     t = 400
     config = SolverConfig(max_iterations=t, initial_point=x1,
                           policy=FamilyPolicy(R=problem.radius_R, a=0.5),
-                          weight_ks=(0.0, 2.0), record_trace=True)
+                          weight_ks=(0.0, 2.0))
     report, trace = run(problem, config)
     xs, norms, etas = reference_family_run(problem, x1, 0.5, t)
 
@@ -317,7 +319,7 @@ class TestTraceInvariantsAndDeterminism:
     def test_invariants_hold(self, policy, rng):
         problem = make_abs_problem(4)
         config = SolverConfig(max_iterations=120, initial_point=rng.uniform(-1, 1, 4),
-                              policy=policy, weight_ks=(-1.0, 0.0, 2.0), record_trace=True)
+                              policy=policy, weight_ks=(-1.0, 0.0, 2.0))
         report, trace = run(problem, config)
         assert_trace_invariants(trace)
         assert report.max_g_norm == max(trace["g_norm"])
@@ -327,7 +329,7 @@ class TestTraceInvariantsAndDeterminism:
         # track feasibility through the objective: |x| <= dim on the box,
         # and the per-record f_x equals the oracle at a feasible point
         config = SolverConfig(max_iterations=200, initial_point=5 * rng.standard_normal(3),
-                              policy=FamilyPolicy(R=problem.radius_R), record_trace=True)
+                              policy=FamilyPolicy(R=problem.radius_R))
         _, trace = run(problem, config)
         assert np.all(trace["f_x"] <= 3.0 + 1e-12)
 
@@ -337,7 +339,7 @@ class TestTraceInvariantsAndDeterminism:
         def make_config():
             return SolverConfig(max_iterations=150, initial_point=np.array([0.3, -0.9, 0.5]),
                                 policy=FamilyPolicy(R=problem.radius_R, a=0.5),
-                                weight_ks=(0.0, 1.0), record_trace=True)
+                                weight_ks=(0.0, 1.0))
 
         _, trace_a = run(problem, make_config())
         _, trace_b = run(problem, make_config())
@@ -469,8 +471,7 @@ class TestCertificateGating:
                               policy=ConstantPolicy(R=problem.radius_R,
                                                     L=problem.lipschitz_L, horizon_t=80),
                               weight_ks=ks)
-        report, trace = run(dataclasses.replace(problem, oracle=oracle),
-                            dataclasses.replace(config, record_trace=True))
+        report, trace = run(dataclasses.replace(problem, oracle=oracle), config)
         assert report.certificates["constant"]
         assert report.iterations_run == 80
         assert calls[0] == 80 + len(ks)
@@ -495,7 +496,7 @@ class TestRestart:
         problem = make_two_slope_problem()
         config = SolverConfig(max_iterations=200, initial_point=np.array([0.3]),
                               policy=FamilyPolicy(R=1.0, a=1.0), weight_ks=(0.0,),
-                              record_trace=True, restart_factor=1.5)
+                              restart_factor=1.5)
         report, trace = run(problem, config)
         # the norm maximum jumps from 1 to 2 at s=2, tripping the trigger;
         # the next row shows a freshly accumulated G below the old one
@@ -506,8 +507,7 @@ class TestRestart:
     def test_restart_off_keeps_G_monotone(self):
         problem = make_two_slope_problem()
         config = SolverConfig(max_iterations=200, initial_point=np.array([0.3]),
-                              policy=FamilyPolicy(R=1.0, a=1.0), weight_ks=(0.0,),
-                              record_trace=True)
+                              policy=FamilyPolicy(R=1.0, a=1.0), weight_ks=(0.0,))
         report, trace = run(problem, config)
         assert_trace_invariants(trace)
         assert report.certificates["per_step"]
@@ -530,8 +530,7 @@ class TestRestart:
 
     def test_restart_on_the_last_iteration_keeps_its_epoch(self):
         # the restart fires at iteration 5, after its row: a sixth row opens epoch 1
-        _, trace = run(make_sqrt_example(),
-                       dataclasses.replace(self.sqrt_config(6), record_trace=True))
+        _, trace = run(make_sqrt_example(), self.sqrt_config(6))
         assert trace["epoch"].tolist() == [0, 0, 0, 0, 0, 1]
         report, _ = run(make_sqrt_example(), self.sqrt_config(5))
         assert report.iterations_run == 5
@@ -550,8 +549,7 @@ class TestRestart:
         # With R = 0.01 the iterate moves at every step (with R = 1 it sits at
         # x* = 1 from row 2, and the memo makes no sixth call), so call 6 is
         # iteration 6, the first of epoch 1.
-        _, trace = run(problem, dataclasses.replace(self.sqrt_config(6, R=0.01),
-                                                    record_trace=True))
+        _, trace = run(problem, self.sqrt_config(6, R=0.01))
         assert trace["epoch"].tolist() == [0, 0, 0, 0, 0, 1]
         assert len(set(trace["f_x"])) == 6
         report, _ = run(dataclasses.replace(problem, oracle=oracle), self.sqrt_config(50, R=0.01))
@@ -584,7 +582,7 @@ class TestValidation:
     def test_infeasible_start_is_projected(self):
         problem = make_abs_problem(2)
         config = SolverConfig(max_iterations=3, initial_point=np.array([5.0, -9.0]),
-                              policy=FamilyPolicy(R=problem.radius_R), record_trace=True)
+                              policy=FamilyPolicy(R=problem.radius_R))
         _, trace = run(problem, config)
         assert trace["f_x"][0] == 2.0  # |(1, -1)|_1 after clamping
 
@@ -619,7 +617,7 @@ class TestValidation:
         problem = make_abs_problem(2)
         reports = [run(problem, SolverConfig(max_iterations=50, initial_point=np.array([0.7, -0.4]),
                                              policy=FamilyPolicy(R=problem.radius_R),
-                                             weight_ks=(k,), record_trace=True))
+                                             weight_ks=(k,)))
                    for k in (0.0, -0.0)]
         (zero, zero_trace), (negative, negative_trace) = reports
         assert list(negative.certificates) == ["per_step", "family", "weak_k0", "monotone_k0"]
@@ -719,7 +717,7 @@ class TestValueBlocks:
         problem, iterates = projected(lasso if hook else one_buffer(lasso))
         report, trace = run(problem, SolverConfig(
             max_iterations=iterations, initial_point=np.zeros(64),
-            policy=FamilyPolicy(R=50.0), weight_ks=self.KS, record_trace=True))
+            policy=FamilyPolicy(R=50.0), weight_ks=self.KS))
         assert block_lengths == [self.BLOCK]
         assert len(trace["s"]) == iterations
         # full blocks, then the rest after the loop
@@ -735,8 +733,7 @@ class TestValueBlocks:
         problem, iterates = projected(make_lasso(seed=3, n=64, m=40))
         report, trace = run(problem, SolverConfig(
             max_iterations=2 * self.BLOCK + 2, initial_point=np.zeros(64),
-            policy=FamilyPolicy(R=50.0), weight_ks=self.KS, record_trace=True,
-            restart_factor=2.0))
+            policy=FamilyPolicy(R=50.0), weight_ks=self.KS, restart_factor=2.0))
         assert block_lengths == [self.BLOCK]
         restarts = np.flatnonzero(np.diff(trace["epoch"])) + 1
         assert len(restarts) and np.any(restarts % self.BLOCK)
@@ -748,7 +745,7 @@ class TestValueBlocks:
         problem, iterates = projected(flat_bottom_problem(n=64))
         report, trace = run(problem, SolverConfig(
             max_iterations=3000, initial_point=np.full(64, 2.0), policy=FamilyPolicy(R=6.0),
-            weight_ks=self.KS, record_trace=True))
+            weight_ks=self.KS))
         assert report.stop_reason == StopReason.ZERO_SUBGRADIENT
         assert block_lengths == [self.BLOCK]
         assert report.iterations_run > self.BLOCK
@@ -773,7 +770,7 @@ def test_run_averages_with_the_weights_monotone_k_certifies(policy, monkeypatch)
     monkeypatch.setattr(solver_module, "StreamingAverage", Spy)
     _, trace = run(make_abs_problem(3), SolverConfig(
         max_iterations=3000, initial_point=np.array([0.7, -0.4, 0.2]), policy=policy,
-        weight_ks=ks, record_trace=True))
+        weight_ks=ks))
     weights = np.concatenate(fed)
     assert weights.shape == (3000, len(ks))
     for j, k in enumerate(ks):
@@ -794,9 +791,8 @@ class TestNoAverages:
 
         return dataclasses.replace(problem, oracle=oracle), calls
 
-    @pytest.mark.parametrize("record_trace", [False, True])
     @pytest.mark.parametrize("name", ["lasso64", "abs3"])
-    def test_same_run_without_averages(self, name, record_trace):
+    def test_same_run_without_averages(self, name):
         if name == "lasso64":
             problem, x1 = make_lasso(seed=3, n=64, m=40), np.zeros(64)
         else:
@@ -805,7 +801,7 @@ class TestNoAverages:
         def solve(problem, weight_ks):
             return run(problem, SolverConfig(
                 max_iterations=300, initial_point=x1, policy=FamilyPolicy(R=problem.radius_R),
-                weight_ks=weight_ks, record_trace=record_trace))
+                weight_ks=weight_ks))
 
         counted, calls = self.counted(problem)
         report, trace = solve(counted, ())
@@ -821,9 +817,10 @@ class TestNoAverages:
             assert getattr(report, field) == getattr(plain, field), field
         assert np.array_equal(report.best_point, plain.best_point)
         assert report.iterations_run > 1
-        if record_trace:
-            for name in ("s", "eta", "f_x", "f_best", "bound_family"):
-                assert np.array_equal(trace[name], plain_trace[name]), name
+        # the lean trace has every column but the average's bound, each equal
+        assert list(trace) == [name for name in plain_trace if name != "bound_weak_k0"]
+        for name in trace:
+            assert np.array_equal(trace[name], plain_trace[name], equal_nan=True), name
 
     def test_reference_run_makes_one_call_per_iteration(self):
         problem, calls = self.counted(make_lasso(seed=3, n=64, m=40))
@@ -886,8 +883,7 @@ class TestOracleMemo:
         problem, iterates = projected(problem)
         config = SolverConfig(max_iterations=2000, initial_point=np.array(start),
                               policy=FamilyPolicy(R=plain.radius_R, a=a),
-                              weight_ks=(-1.0, 0.0, 2.0), record_trace=True,
-                              restart_factor=restart_factor)
+                              weight_ks=(-1.0, 0.0, 2.0), restart_factor=restart_factor)
         report, trace = run(problem, config)
         t = report.iterations_run
         assert t == 2000 and all(report.certificates.values())
@@ -1009,7 +1005,7 @@ class TestHotLoopChecks:
             problem, x1 = make_abs_problem(2), np.array([0.7, -0.4])
         config = SolverConfig(max_iterations=3000, initial_point=x1,
                               policy=FamilyPolicy(R=problem.radius_R), weight_ks=(0.0, 300.0),
-                              restart_factor=1.5 if restart else None, record_trace=True)
+                              restart_factor=1.5 if restart else None)
         # the error counts iterations over the run, the weight over the epoch
         _, trace = run(problem, dataclasses.replace(config, weight_ks=(0.0,)))
         epoch = trace["epoch"].astype(int)
@@ -1128,7 +1124,7 @@ class TestHotLoopChecks:
             return run(problem, SolverConfig(
                 max_iterations=2 * block + 9, initial_point=x1,
                 policy=FamilyPolicy(R=problem.radius_R), weight_ks=weight_ks,
-                record_trace=True, restart_factor=restart))
+                restart_factor=restart))
 
         report, trace = solve(ks)
         assert np.any(np.diff(trace["G"]) < 0), "no restart happened"
@@ -1214,7 +1210,7 @@ class TestPerStepBlocks:
         config = SolverConfig(max_iterations=20, initial_point=np.array([0.1]),
                               policy=FamilyPolicy(R=0.01, a=0.0), weight_ks=weight_ks,
                               restart_factor=2.0)
-        _, trace = run(make_sqrt_example(), dataclasses.replace(config, record_trace=True))
+        _, trace = run(make_sqrt_example(), config)
         assert trace["epoch"][5:7].tolist() == [0, 1]
         report, _ = run(inflated(make_sqrt_example(), s0), config)
         assert report.certificates["per_step"] is (s0 is None)
@@ -1325,7 +1321,7 @@ class TestBlockBookkeeping:
         problem, iterates = projected(problem)
         report, trace = run(problem, SolverConfig(
             max_iterations=budget, initial_point=x1, policy=policy, weight_ks=(-1.0, 0.0),
-            record_trace=True, restart_factor=2.0 if case == "restart" else None))
+            restart_factor=2.0 if case == "restart" else None))
         # iteration s sums the minorant of x_s, which the oracle answered at its
         # last call there: the memo calls it once for an iterate that did not move
         summed = report.iterations_run
@@ -1416,7 +1412,7 @@ class TestBlockBookkeeping:
         s1 = s0 + 1 if later_step else None
         config = SolverConfig(max_iterations=2 * self.BLOCK, initial_point=np.zeros(64),
                               policy=ConstantPolicy(R=50.0, L=1e-300, horizon_t=100),
-                              weight_ks=(0.0,), record_trace=True)
+                              weight_ks=(0.0,))
         with pytest.raises(NumericError, match=f"oracle returned nonfinite value at iteration"
                                                f" {s0}$"):
             run(self.faulty_lasso(s0, s1), config)
@@ -1435,7 +1431,7 @@ class TestBlockBookkeeping:
             return inner(x)._replace(value=math.inf)
 
         config = SolverConfig(max_iterations=10, initial_point=np.zeros(3),
-                              policy=FamilyPolicy(R=6.0), weight_ks=(0.0,), record_trace=True)
+                              policy=FamilyPolicy(R=6.0), weight_ks=(0.0,))
         with pytest.raises(NumericError, match="oracle returned nonfinite value at iteration 1$"):
             run(dataclasses.replace(problem, oracle=oracle), config)
 
@@ -1484,8 +1480,7 @@ class TestRecordMemory:
         iterations, problem = 20000, make_sqrt_example()
         config = SolverConfig(max_iterations=iterations, initial_point=np.array([0.9]),
                               policy=FamilyPolicy(R=problem.radius_R, a=0.0),
-                              weight_ks=(-1.0, 0.0, 2.0), record_trace=True,
-                              restart_factor=2.0)
+                              weight_ks=(-1.0, 0.0, 2.0), restart_factor=2.0)
         report, peak = self.traced_peak(problem, config)
         assert report.iterations_run == iterations
         # 445 B per iteration as lists of Python floats; about 180 as float64 chunks
@@ -1494,8 +1489,7 @@ class TestRecordMemory:
     def test_budget_sizes_nothing(self):
         # abs started at its optimum stops at the first oracle call
         config = SolverConfig(max_iterations=10 ** 12, initial_point=np.zeros(3),
-                              policy=FamilyPolicy(R=1.0), weight_ks=(-1.0, 0.0, 2.0),
-                              record_trace=True)
+                              policy=FamilyPolicy(R=1.0), weight_ks=(-1.0, 0.0, 2.0))
         report, peak = self.traced_peak(make_abs_problem(3), config)
         assert report.stop_reason is StopReason.ZERO_SUBGRADIENT
         assert report.iterations_run == 0
