@@ -142,15 +142,25 @@ def check_certificate(gap: float, bound: float) -> bool:
     return math.isfinite(gap) and math.isfinite(bound) and leq_with_tol(gap, bound)
 
 
-def minorant_low(sums: dict, min_linear) -> float:
-    """(c_sum + min_linear(g_sum)) / count: the bracket's low end, f_low <= f*.
+def bracket(problem, sums: Optional[dict], high: float) -> Optional[tuple]:
+    """The optimality bracket (low, high) around f* of a run on `problem`, or None.
 
-    `sums` is {g_sum, c_sum, count}, the summed slopes g_s and offsets
-    f(x_s) - <g_s, x_s> of `count` minorants, as ``RunReport.minorant_sums``
-    and a trace header hold them; `min_linear` is the projector's. The run
-    and ``psg check`` both compute it here, so they agree bit for bit.
+    A problem that knows f* is [f*, f*]. Otherwise the run's `count`
+    minorants f(z) >= f(x_s) + <g_s, z - x_s>, summed as `sums` = {g_sum,
+    c_sum, count} (``RunReport.minorant_sums``, a trace header's
+    ``minorant_sums``), give low = (c_sum + min_linear(g_sum)) / count <= f*,
+    the minimum of their mean over the feasible set; `high` is a value the
+    run attained, so f* <= high. Without sums there is no bracket. The run
+    (high: its best value) and ``psg check`` (high: the trace's final
+    ``f_best``) both form it here, so their low ends agree bit for bit.
     """
-    return (sums["c_sum"] + min_linear(np.asarray(sums["g_sum"]))) / sums["count"]
+    f_star = problem.known_optimum_value
+    if f_star is not None:
+        return (f_star, f_star)
+    if sums is None:
+        return None
+    low = sums["c_sum"] + problem.projector.min_linear(np.asarray(sums["g_sum"]))
+    return (low / sums["count"], high)
 
 
 PROVEN = "proven"

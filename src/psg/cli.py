@@ -47,9 +47,9 @@ out, meta)`` converts a ``.npz`` trace to the CSV that a ``.csv`` run
 writes, byte for byte. The header
 object holds the config's ``problem`` spec and the cell's ``policy`` spec,
 as :func:`config_to_dict` writes them, ``iterations``, ``weight_ks``,
-``restart_factor``, ``optimum_bracket`` and, when its minorants gave f_low,
-``minorant_sums`` {"g_sum", "c_sum", "count"}. The columns are the trace
-that :func:`psg.solver.run` returns, column for column, named and ordered
+``restart_factor`` and, when its minorants gave f_low, ``minorant_sums``
+{"g_sum", "c_sum", "count"}; the bracket is not stored. The columns are
+the trace that :func:`psg.solver.run` returns, column for column, named and ordered
 by :func:`psg.solver.trace_columns`:
 ``s,epoch,eta,g_norm,G,f_x,f_best,bound_<label1>,...``;
 ``epoch`` counts the restarts so far, and ``G`` is ``nan`` for policies that
@@ -71,17 +71,24 @@ error, a ``--problem`` spec that is not the header's ``problem`` (and so a
 trace whose header has none). It checks the columns' structure
 (``eta_positive``: every step is positive and finite;
 ``epoch_counts_restarts``: every epoch 0 when the header's
-``restart_factor`` is null), rebuilds the policy from the header and runs
-the solver's own evaluator (:func:`psg.bounds.evaluate`) on the columns:
+``restart_factor`` is null; ``iterations`` and ``restart_factor`` are
+read and range-checked as a config's are), rebuilds the policy from the
+header and runs the solver's own evaluator (:func:`psg.bounds.evaluate`) on the columns:
 every bound column must match bit for bit, and every certificate except ``per_step`` (it needs the
 iterates) is decided again, each gap certificate on the weighted value mean
 that ``evaluate`` forms from the ``f_x`` and ``eta`` columns. A trace that
 repeats a column name, or lacks a column its run writes, ``G`` or a
-declared ``bound_<label>`` among them, is an input error. When the problem
-does not know f*, it takes the header's bracket: its ``high`` must not
-exceed the final ``f_best``, and its ``low`` must equal, bit for bit, the
-low end that :func:`psg.bounds.minorant_low` forms from the header's
-``minorant_sums``.
+declared ``bound_<label>`` among them, is an input error; a header key that
+check does not read, such as the ``optimum_bracket`` of an older trace, is
+ignored. The gap certificates are decided against the bracket of
+:func:`psg.bounds.bracket`, which ``psg run`` forms too: [f*, f*] when the
+problem knows f*, else the low end that the header's ``minorant_sums``
+give and the trace's final ``f_best``; without the sums there is none, and
+no gap certificate is proven. Those sums and the ``f_x`` column are taken
+on trust. The run's high, its best value, is lower only when it stopped on
+a zero subgradient that its rule could not step from, an iteration with no
+row: check's bracket is then wider, and a verdict can only move from
+refuted to undecided, never to proven.
 """
 
 from __future__ import annotations
@@ -261,10 +268,24 @@ CONFIG_FIELDS = {
 }
 
 
-# The ends of a trace header's optimum_bracket; null is an open end.
-BRACKET_FIELDS = {"low": (_float, -math.inf), "high": (_float, math.inf)}
+# The summed minorants of a trace header, from which psg check brackets f*
 MINORANT_FIELDS = {"g_sum": (_numbers, REQUIRED), "c_sum": (_float, REQUIRED),
                    "count": (_int, REQUIRED)}
+
+
+def _run_length(obj: dict, prefix: str) -> tuple:
+    """(iterations, restart_factor) of a config or a trace header, each read and in range.
+
+    iterations must be >= 1 and restart_factor, unless null, must exceed 1.
+    """
+    iterations = _int(obj.get("iterations"), prefix + "iterations")
+    factor = obj.get("restart_factor")
+    factor = None if factor is None else _float(factor, prefix + "restart_factor")
+    if iterations < 1:
+        raise ConfigError(f"{prefix}iterations: must be >= 1")
+    if factor is not None and not factor > 1:
+        raise ConfigError(f"{prefix}restart_factor: must exceed 1")
+    return iterations, factor
 
 
 def parse_config(data: dict) -> SimpleNamespace:
@@ -276,10 +297,7 @@ def parse_config(data: dict) -> SimpleNamespace:
     the config's own form.
     """
     fields = _read_fields(data, "", CONFIG_FIELDS)
-    if fields["iterations"] < 1:
-        raise ConfigError("iterations: must be >= 1")
-    if fields["restart_factor"] is not None and not fields["restart_factor"] > 1:
-        raise ConfigError("restart_factor: must exceed 1")
+    _run_length(fields, "")
     if fields["initial_point"] is None:
         fields["initial_point"] = [0.5] if fields["problem"].kind == "sqrt-example" else "zero"
     return SimpleNamespace(**fields)
@@ -457,15 +475,20 @@ def check_trace(meta: dict, cols: dict, problem: ProblemInstance) -> list:
     `meta` and `cols` are as :func:`read_trace` returns them. The
     structural invariants come from the columns; the bounds and the
     certificates from :func:`psg.bounds.evaluate`, as ``psg run`` computes
-    them (see the module docstring for what is taken on trust). A header
-    that no run writes, or a column set that lacks a column its run
-    writes, raises :class:`ConfigError` or :class:`InvalidParameterError`;
-    a column that no run writes, such as an ``f_avg_k<k>`` column of an
-    older trace, is not read. The header's ``problem`` is not read:
-    ``psg check`` compares it with the spec that `problem` is built from.
+    them, against the bracket that :func:`psg.bounds.bracket` forms from
+    the header's ``minorant_sums`` and the final ``f_best`` (see the module
+    docstring for what is taken on trust). A header field that check reads
+    and that is missing or malformed, or a column set that lacks a column
+    its run writes, raises :class:`ConfigError` or
+    :class:`InvalidParameterError`; a header key or a column that no run
+    writes, such as an older trace's ``optimum_bracket`` or its
+    ``f_avg_k<k>`` columns, is not read. The header's ``problem`` is not
+    read: ``psg check`` compares it with the spec that `problem` is built
+    from.
     """
-    policy = build_policy(_spec(POLICY_KINDS, meta.get("policy"), "header.policy"), problem,
-                          _int(meta.get("iterations"), "header.iterations"), "header.policy")
+    spec = _spec(POLICY_KINDS, meta.get("policy"), "header.policy")
+    iterations, restart_factor = _run_length(meta, "header.")
+    policy = build_policy(spec, problem, iterations, "header.policy")
     ks = _exponents(meta.get("weight_ks"), "header.weight_ks")
     L = problem.lipschitz_L
     missing = [name for name in trace_columns(policy.bound_labels(ks, L)) if name not in cols]
@@ -473,7 +496,7 @@ def check_trace(meta: dict, cols: dict, problem: ProblemInstance) -> list:
         raise InvalidParameterError(f"trace has no column {', '.join(missing)}")
     epoch, G, f_best = cols["epoch"], cols["G"], cols["f_best"]
     # a run without restart_factor has one epoch
-    steps = (0.0,) if meta.get("restart_factor") is None else (0.0, 1.0)
+    steps = (0.0,) if restart_factor is None else (0.0, 1.0)
     # each whole-length temporary dies with its check, before evaluate builds its own
     results = [
         ("s_strictly_increasing", bool(np.all(np.diff(cols["s"]) > 0)), ""),
@@ -489,28 +512,15 @@ def check_trace(meta: dict, cols: dict, problem: ProblemInstance) -> list:
     rebest_ok = np.array_equal(np.minimum.accumulate(cols["f_x"]), f_best)
     results.append(("f_best_running_min", bool(rebest_ok), ""))
 
-    f_star = problem.known_optimum_value
-    if f_star is not None:
-        bracket = (f_star, f_star)
-    elif meta.get("optimum_bracket") is None:
-        bracket = (-math.inf, math.inf)
-    else:
-        ends = _read_fields(meta["optimum_bracket"], "header.optimum_bracket.", BRACKET_FIELDS)
-        bracket = (ends["low"], ends["high"])
-        # below the final f_best only when a final zero subgradient, which has
-        # no row, found f*; a lower high only makes the verdicts stricter
-        results.append(("optimum_bracket_high", bool(bracket[1] <= f_best[-1]),
-                        "at most the final f_best"))
-        low, sums = None, meta.get("minorant_sums")
-        if sums is not None:
-            sums = _read_fields(sums, "header.minorant_sums.", MINORANT_FIELDS)
-            if len(sums["g_sum"]) != problem.dimension or sums["count"] < 1:
-                raise ConfigError("header.minorant_sums: g_sum does not fit the problem,"
-                                  " or count is not positive")
-            low = bnd.minorant_low(sums, problem.projector.min_linear)
-        results.append(("optimum_bracket_low", low == bracket[0],
-                        "no minorant sums" if low is None else "from the minorant sums"))
-
+    sums = meta.get("minorant_sums")
+    if sums is not None:
+        sums = _read_fields(sums, "header.minorant_sums.", MINORANT_FIELDS)
+        if len(sums["g_sum"]) != problem.dimension or sums["count"] < 1:
+            raise ConfigError("header.minorant_sums: g_sum does not fit the problem,"
+                              " or count is not positive")
+    # the final f_best, which the run's best value undercuts only at a final
+    # zero subgradient that has no row: a wider bracket, never a looser verdict
+    bracket = bnd.bracket(problem, sums, f_best[-1]) or (-math.inf, math.inf)
     bounds, verdicts, undecided = bnd.evaluate(policy, ks, problem.radius_R, L, cols, bracket)
     for label, column in bounds.items():
         name = f"bound_{label}"
@@ -623,7 +633,7 @@ def run_experiment(config: SimpleNamespace, out_dir: Optional[str] = None,
             emit_trace(trace, path, {
                 "policy": _spec_dict(spec), "iterations": config.iterations,
                 "weight_ks": list(config.weight_ks), "restart_factor": config.restart_factor,
-                "optimum_bracket": bracket, "problem": _spec_dict(config.problem), **sums})
+                "problem": _spec_dict(config.problem), **sums})
         return cell | {name: getattr(report, name) for name in REPORT_FIELDS} | {
             "status": "ok", "error": None, "stop_reason": report.stop_reason.value,
             "optimum_bracket": bracket, "trace_path": path if written else None}

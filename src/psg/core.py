@@ -223,7 +223,7 @@ class RunReport:
     refuted, every other False one was refuted. `optimum_bracket` is the
     (low, high) pair known to contain f* that the gap certificates were
     checked against, or None when the run formed none; `minorant_sums` the
-    {g_sum, c_sum, count} that :func:`psg.bounds.minorant_low` turns into low.
+    {g_sum, c_sum, count} that :func:`psg.bounds.bracket` turns into low.
     `oracle_calls` counts the calls the run made into the problem's oracle,
     those that valued its averages included.
     """

@@ -150,9 +150,10 @@ def run(problem: ProblemInstance, config: SolverConfig):
     oracle's answer at each iterate gives the minorant
     f(z) >= f(x_s) + <g_s, z - x_s>, one per iteration, and the
     minimum of their uniform mean over the feasible set is f_low <= f*
-    (summed across restarts; :func:`bounds.minorant_low`), while
-    f* <= f_best. Each gap certificate is proven, refuted or undecided
-    (:func:`bounds.gap_verdict`);
+    (summed across restarts), while f* <= f_best, the run's best value;
+    :func:`bounds.bracket` forms the bracket, as ``psg check`` does from a
+    trace. The minorants are summed only when f* is unknown. Each gap
+    certificate is proven, refuted or undecided (:func:`bounds.gap_verdict`);
     ``certificates`` holds True only for proven ones, ``undecided`` names
     the undecided ones, and ``optimum_bracket`` is the bracket used.
 
@@ -411,15 +412,10 @@ def run(problem: ProblemInstance, config: SolverConfig):
                 oracle_calls += 1
             averaged_values[label] = f_x
 
-    minorant_sums = None
-    if f_star is not None:
-        bracket = (f_star, f_star)
-    elif minorants:
-        minorant_sums = {"g_sum": sums[0, :n].tolist(), "c_sum": float(sums[0, n]),
-                         "count": minorants}
-        bracket = (bnd.minorant_low(minorant_sums, min_linear), best_value)
-    else:
-        bracket = None
+    # minorants are summed only when f* is unknown
+    minorant_sums = {"g_sum": sums[0, :n].tolist(), "c_sum": float(sums[0, n]),
+                     "count": minorants} if minorants else None
+    bracket = bnd.bracket(problem, minorant_sums, best_value)
 
     # each column joined once, its chunks dropped before the next is joined
     columns = {}

@@ -203,8 +203,6 @@ def check_agrees(problem, config, spec, report, trace, path):
     emit_trace_csv(trace, path, {
         "policy": spec, "iterations": config.max_iterations,
         "weight_ks": list(config.weight_ks), "restart_factor": config.restart_factor,
-        "optimum_bracket": None if report.optimum_bracket is None
-        else dict(zip(("low", "high"), report.optimum_bracket)),
         **({} if report.minorant_sums is None else {"minorant_sums": report.minorant_sums})})
     meta, columns = read_trace_csv(path)
     assert columns.keys() == trace.keys()
@@ -337,7 +335,8 @@ def test_per_step_refutes_an_excess_at_a_large_offset(offset, excess):
 
 def test_check_agrees_after_a_final_zero_subgradient(tmp_path):
     # the nesterov step lands on x* = 0, where it has no step: that iteration
-    # has no trace row, yet its value is the run's f_best and bracket high
+    # has no trace row, yet its value is the run's f_best and bracket high;
+    # check brackets f* up to the final f_best, 0.5, and still agrees
     problem = dataclasses.replace(make_abs_problem(1), known_optimum_value=None,
                                   known_optimum_point=None)
     config = SolverConfig(max_iterations=5, initial_point=np.array([0.5]),

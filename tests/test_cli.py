@@ -37,7 +37,7 @@ from psg.cli import (
     resolve_initial_point,
     run_experiment,
 )
-from psg.bounds import evaluate
+from psg.bounds import bracket, evaluate
 from psg.core import CSV_CHUNK_ROWS
 
 
@@ -378,8 +378,7 @@ class TestRunCommand:
         cfg = write_config(tmp_path / "c.json", data)
         main(["run", "--config", cfg, "--out-dir", str(tmp_path)])
         header, *lines = (tmp_path / "trace.csv").read_text().splitlines()
-        assert header == ('# {"iterations": 1, "optimum_bracket": {"high": 0.0, "low": 0.0}, '
-                          '"policy": {"a": 1.0, "kind": "family"}, '
+        assert header == ('# {"iterations": 1, "policy": {"a": 1.0, "kind": "family"}, '
                           '"problem": {"dim": 1, "kind": "abs"}, "restart_factor": null, '
                           '"weight_ks": [0.0]}')
         assert len(lines) == 2
@@ -909,17 +908,19 @@ class TestCheckCommand:
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path), "--strict"]) == 0
         trace = tmp_path / "trace.csv"
         assert main(["check", "--trace", str(trace), "--problem", cfg, "--strict"]) == 0
-        header, rest = trace.read_text().split("\n", 1)
-        meta = json.loads(header[2:])
-        meta["optimum_bracket"]["low"] = meta["optimum_bracket"]["high"] + 1.0
+        # c_sum raised until the low end that check derives exceeds the final f_best
+        meta, columns = read_trace_csv(trace)
+        problem, high = build_problem(load_config(cfg).problem), columns["f_best"][-1]
+        sums = meta["minorant_sums"]
+        sums["c_sum"] += sums["count"] * (high - bracket(problem, sums, high)[0] + 1.0)
+        assert bracket(problem, sums, high)[0] > high
         bad = tmp_path / "bad.csv"
-        bad.write_text("# " + json.dumps(meta) + "\n" + rest)
+        emit_trace_csv(columns, bad, meta)
         capsys.readouterr()
         assert main(["check", "--trace", str(bad), "--problem", cfg, "--strict"]) == 3
         out = capsys.readouterr().out
         for label in ("family", "weak_k0"):
             assert f"FAIL {label} (" in out
-        assert "PASS optimum_bracket_high" in out
 
     def test_forged_averaged_values_fail_strict(self, tmp_path, capsys):
         # ROADMAP item 1's Lasso refutes weak_k0 and weak_k2. A forger adds
@@ -933,7 +934,8 @@ class TestCheckCommand:
             "iterations": 300, "initial_point": [-1.0] * 8, "trace_path": "trace.csv"})
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path), "--strict"]) == 3
         meta, columns = read_trace_csv(tmp_path / "trace.csv")
-        low = np.full(len(columns["s"]), meta["optimum_bracket"]["low"])
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        low = np.full(len(columns["s"]), summary["cells"][0]["optimum_bracket"]["low"])
         forged = {}
         for name, column in columns.items():
             if not name.startswith("f_avg_"):
@@ -955,28 +957,9 @@ class TestCheckCommand:
                      "--strict"]) == 3
         assert "FAIL G_nondecreasing" in capsys.readouterr().out
 
-    def test_bracket_high_above_final_f_best_fails_strict(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "c.json", {
-            "problem": {"kind": "lasso", "seed": 1, "n": 8, "m": 6,
-                        "radius": 5.0, "lambda": 1.0},
-            "policy": {"kind": "family"},
-            "iterations": 50,
-            "trace_path": "trace.csv",
-        })
-        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path), "--strict"]) == 0
-        trace = tmp_path / "trace.csv"
-        header, rest = trace.read_text().split("\n", 1)
-        meta = json.loads(header[2:])
-        meta["optimum_bracket"]["high"] += 1e-6
-        bad = tmp_path / "bad.csv"
-        bad.write_text("# " + json.dumps(meta) + "\n" + rest)
-        capsys.readouterr()
-        assert main(["check", "--trace", str(bad), "--problem", cfg, "--strict"]) == 3
-        assert "FAIL optimum_bracket_high" in capsys.readouterr().out
-
     @pytest.fixture()
     def lasso_outputs(self, tmp_path):
-        # a Lasso run brackets f* itself, so check reads the header's bracket
+        # a Lasso run brackets f* itself, and check from the header's minorant sums
         cfg = write_config(tmp_path / "c.json", {
             "problem": {"kind": "lasso", "seed": 1, "n": 8, "m": 6,
                         "radius": 5.0, "lambda": 1.0},
@@ -986,41 +969,6 @@ class TestCheckCommand:
         })
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path), "--strict"]) == 0
         return tmp_path / "trace.csv", cfg
-
-    @pytest.mark.parametrize("bracket,where", [
-        ([1, 2], "header.optimum_bracket: expected an object"),
-        ("wide", "header.optimum_bracket: expected an object"),
-        ({"low": "a", "high": 1.0}, "header.optimum_bracket.low: expected a finite number"),
-        ({"low": 0.0, "high": True}, "header.optimum_bracket.high: expected a finite number"),
-        ({"low": float("-inf"), "high": 1.0},
-         "header.optimum_bracket.low: expected a finite number"),
-        ({"low": 0.0, "high": 1.0, "mid": 0.5}, "header.optimum_bracket.mid: unknown field"),
-    ])
-    def test_malformed_bracket_in_header_is_an_input_error(self, lasso_outputs, tmp_path,
-                                                           capsys, bracket, where):
-        trace, cfg = lasso_outputs
-        header, rest = trace.read_text().split("\n", 1)
-        meta = json.loads(header[2:])
-        meta["optimum_bracket"] = bracket
-        bad = tmp_path / "bad.csv"
-        bad.write_text("# " + json.dumps(meta) + "\n" + rest)
-        capsys.readouterr()
-        assert main(["check", "--trace", str(bad), "--problem", cfg]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {where}") and err.count("\n") == 1
-
-    def test_open_bracket_ends_read_as_infinite(self, lasso_outputs, tmp_path, capsys):
-        # null ends, as a run writes a nonfinite end, and a missing end alike
-        trace, cfg = lasso_outputs
-        header, rest = trace.read_text().split("\n", 1)
-        meta = json.loads(header[2:])
-        meta["optimum_bracket"] = {"high": meta["optimum_bracket"]["high"], "low": None}
-        bad = tmp_path / "bad.csv"
-        bad.write_text("# " + json.dumps(meta) + "\n" + rest)
-        capsys.readouterr()
-        assert main(["check", "--trace", str(bad), "--problem", cfg]) == 0
-        out = capsys.readouterr().out
-        assert "PASS optimum_bracket_high" in out and "FAIL family (undecided)" in out
 
     @staticmethod
     def with_header(trace, tmp_path, change):
@@ -1033,8 +981,9 @@ class TestCheckCommand:
         return bad
 
     def test_raised_bracket_low_fails_strict(self, tmp_path, capsys):
-        # ten iterations leave family and weak_k0 undecided; a low end raised
-        # to the high end would prove both if check took it on trust
+        # ten iterations leave family and weak_k0 undecided; a header bracket
+        # of older traces, its low end raised to its high end, would prove
+        # both if check read it: check derives the bracket and ignores it
         cfg = write_config(tmp_path / "c.json", {
             "problem": {"kind": "lasso", "seed": 1, "n": 16, "m": 10},
             "policy": {"kind": "family"}, "weight_ks": [0.0], "iterations": 10,
@@ -1047,23 +996,22 @@ class TestCheckCommand:
         capsys.readouterr()
         assert main(["check", "--trace", str(trace), "--problem", cfg, "--strict"]) == 3
         out = capsys.readouterr().out
-        assert "PASS optimum_bracket_low" in out and "FAIL family (undecided)" in out
+        assert "FAIL family (undecided)" in out and "optimum_bracket" not in out
 
-        def raise_low(meta):
-            meta["optimum_bracket"]["low"] = meta["optimum_bracket"]["high"]
+        def add_raised_bracket(meta):
+            high = read_trace_csv(trace)[1]["f_best"][-1]
+            meta["optimum_bracket"] = {"low": high, "high": high}
 
-        bad = self.with_header(trace, tmp_path, raise_low)
+        bad = self.with_header(trace, tmp_path, add_raised_bracket)
         assert main(["check", "--trace", str(bad), "--problem", cfg, "--strict"]) == 3
-        out = capsys.readouterr().out
-        assert "FAIL optimum_bracket_low (from the minorant sums)" in out
-        assert "PASS family" in out and "PASS weak_k0" in out
+        assert capsys.readouterr().out == out
 
     def test_missing_minorant_sums_fail_strict(self, lasso_outputs, tmp_path, capsys):
         trace, cfg = lasso_outputs
         bad = self.with_header(trace, tmp_path, lambda meta: meta.pop("minorant_sums"))
         capsys.readouterr()
         assert main(["check", "--trace", str(bad), "--problem", cfg, "--strict"]) == 3
-        assert "FAIL optimum_bracket_low (no minorant sums)" in capsys.readouterr().out
+        assert "FAIL family (undecided)" in capsys.readouterr().out
 
     def test_known_optimum_trace_has_no_minorant_sums(self, run_outputs, capsys):
         trace, problem = run_outputs
@@ -1145,6 +1093,28 @@ class TestCheckCommand:
         emit_trace_csv(columns, bad, meta)
         assert main(["check", "--trace", str(bad), "--problem", str(problem)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("restart_factor", "abc", "restart_factor: expected a finite number, got 'abc'"),
+        ("restart_factor", 0.5, "restart_factor: must exceed 1"),
+        ("restart_factor", -3, "restart_factor: must exceed 1"),
+        ("iterations", -5, "iterations: must be >= 1"),
+    ])
+    def test_header_run_length_is_read_as_in_a_config(self, tmp_path, capsys, field, value,
+                                                      message):
+        data = dict(ABS_CONFIG, iterations=20, initial_point=[0.7])
+        with pytest.raises(ConfigError) as caught:
+            parse_config(dict(data, **{field: value}))
+        assert str(caught.value) == message
+        cfg = write_config(tmp_path / "c.json", data)
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        meta, columns = read_trace(tmp_path / "trace.csv")
+        meta[field] = value
+        bad = tmp_path / "bad.csv"
+        emit_trace(columns, bad, meta)
+        capsys.readouterr()
+        assert main(["check", "--strict", "--trace", str(bad), "--problem", cfg]) == 1
+        assert capsys.readouterr() == ("", f"error: header.{message}\n")
 
     def test_header_policy_error_names_the_header_field(self, tmp_path, capsys):
         # the Lasso declares no L, so a classic trace's header must carry it
@@ -1344,6 +1314,29 @@ NPZ_CONFIGS = {
               "policy": [{"kind": "family"}, {"kind": "nesterov"}],
               "weight_ks": [-1.0, 0.0, 2.0], "iterations": 200},
 }
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in CONFIGS.glob("*.json"))
+                         + sorted(NPZ_CONFIGS))
+def test_check_derives_the_bracket_of_the_summary(tmp_path, name):
+    # bounds.bracket of each trace's minorant sums and final f_best, as psg
+    # check forms it, is its summary cell's bracket bit for bit; known f* included
+    data = (dict(NPZ_CONFIGS[name], trace_path="trace.npz") if name in NPZ_CONFIGS
+            else json.loads((CONFIGS / name).read_text()))
+    config = parse_config(data)
+    problem = build_problem(config.problem)
+    for cell in run_experiment(config, out_dir=str(tmp_path))["cells"]:
+        meta, columns = read_trace(cell["trace_path"])
+        derived = bracket(problem, meta.get("minorant_sums"), columns["f_best"][-1])
+        # none for a cell without gap certificates: nesterov on a Lasso, which has no L
+        expected = cell["optimum_bracket"] and (cell["optimum_bracket"]["low"],
+                                                cell["optimum_bracket"]["high"])
+        assert "optimum_bracket" not in meta
+        assert (derived and [float(end).hex() for end in derived]) == (
+            expected and [end.hex() for end in expected])
 
 
 def _save_npz(path, **entries):
