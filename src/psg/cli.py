@@ -69,7 +69,9 @@ directory, lie under a file, or be the problem's input file, the config
 file or another of the run's outputs. ``psg check`` refuses, as an input
 error, a ``--problem`` spec that is not the header's ``problem`` (and so a
 trace whose header has none). It checks the columns' structure
-(``eta_positive``: every step is positive and finite;
+(``s_counts_1_to_t``: ``s`` is 1..t bit for bit; ``G_nondecreasing``: ``G``
+is positive, finite and nondecreasing within each epoch when the header's
+policy tracks it, else all ``nan``; ``eta_positive``: every step is positive and finite;
 ``epoch_counts_restarts``: every epoch 0 when the header's
 ``restart_factor`` is null; ``iterations`` and ``restart_factor`` are
 read and range-checked as a config's are), rebuilds the policy from the
@@ -499,16 +501,16 @@ def check_trace(meta: dict, cols: dict, problem: ProblemInstance) -> list:
     steps = (0.0,) if restart_factor is None else (0.0, 1.0)
     # each whole-length temporary dies with its check, before evaluate builds its own
     results = [
-        ("s_strictly_increasing", bool(np.all(np.diff(cols["s"]) > 0)), ""),
+        ("s_counts_1_to_t", bool(np.array_equal(cols["s"], np.arange(1.0, len(G) + 1))), ""),
         ("eta_positive", bool(np.all((cols["eta"] > 0) & (cols["eta"] < math.inf))), ""),
         ("epoch_counts_restarts", bool(epoch[0] == 0 and np.all(np.isin(np.diff(epoch), steps))),
          ""),
     ]
-    if np.all(np.isnan(G)):
-        results.append(("G_nondecreasing", True, "not tracked"))
-    else:
-        ok = np.all((np.diff(G) >= 0) | (np.diff(epoch) != 0))
+    if policy.tracks_G:  # positive and finite at every row, as the rule's step divides by it
+        ok = np.all((G > 0) & (G < math.inf)) and np.all((np.diff(G) >= 0) | (np.diff(epoch) != 0))
         results.append(("G_nondecreasing", bool(ok), "within each epoch"))
+    else:
+        results.append(("G_nondecreasing", bool(np.all(np.isnan(G))), "not tracked"))
     rebest_ok = np.array_equal(np.minimum.accumulate(cols["f_x"]), f_best)
     results.append(("f_best_running_min", bool(rebest_ok), ""))
 

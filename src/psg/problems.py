@@ -112,24 +112,28 @@ class LassoInstance:
         The two matvecs and the value's ``r . r`` call ``ndarray.dot`` on a
         C-contiguous Phi: the bits of ``Phi @ x``, ``Phi.T @ r`` and
         ``r @ r``, without the matmul dispatch. A strided Phi is copied
-        first; a generated or loaded one is already contiguous.
+        first; a generated or loaded one is already contiguous. The l1 term
+        is ``lam * (sign(x) . x)``, one BLAS dot on the sign vector that the
+        subgradient needs: each product sign(x_i) x_i is |x_i| exactly, and
+        the sum is within n 2^-53 ||x||_1 of the exact one.
         """
         phi, y, lam = np.ascontiguousarray(self.phi), self.y, self.lam
         phi_t = phi.T
 
-        # In-place updates of the fresh matvec results give the same bits as
-        # phi @ x - y and 2 (phi^T r) + lam sign(x) without spare temporaries.
-        # No doubled copy of phi is kept: at m=300, n=512 the two copies
-        # overflow a 2 MB L2 cache and each call gets slower.
+        # In-place updates of the fresh matvec results and sign vector give
+        # the same bits as phi @ x - y and 2 (phi^T r) + lam sign(x) without
+        # spare temporaries. No doubled copy of phi is kept: at m=300, n=512
+        # the two copies overflow a 2 MB L2 cache and each call gets slower.
         def oracle(x: np.ndarray) -> SubgradientResult:
             r = phi.dot(x)
             r -= y
-            # np.abs(x).sum() without the wrapper: the same pairwise reduction
-            value = float(r.dot(r)) + lam * float(np.add.reduce(np.abs(x)))
+            sign = np.sign(x)
+            value = float(r.dot(r)) + lam * float(sign.dot(x))
             grad = phi_t.dot(r)
             grad *= 2.0
-            grad += lam * np.sign(x)
-            return SubgradientResult(value=value, subgradient=grad)
+            sign *= lam
+            grad += sign
+            return SubgradientResult(value, grad)
 
         return ProblemInstance(
             name=f"lasso_n{self.n}_m{self.m}_seed{self.seed}",

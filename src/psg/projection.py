@@ -33,6 +33,12 @@ class Ball:
         return self.center.shape[0]
 
     def project(self, y: np.ndarray) -> np.ndarray:
+        """The nearest point of the ball to the finite vector `y`; may return `y` itself.
+
+        A `y` inside the ball is returned as it is, not copied: the solver's
+        step ``x - eta * g`` is a fresh array that it owns, and
+        :func:`project` copies it for every other caller.
+        """
         # np.vdot is the BLAS dot of d.dot(d), bit for bit, but raises no
         # overflow warning; y - 0 is y, and y - center cannot overflow when
         # y.dot(y) is finite (then every |y_i| < 1.4e154)
@@ -44,7 +50,7 @@ class Ball:
             d = None
         norm = math.inf if d is None else math.sqrt(float(np.vdot(d, d)))
         if norm <= self.radius:
-            return np.array(y, dtype=np.float64)
+            return y
         if norm == math.inf:
             # d.dot(d) or d itself would overflow: halve before subtracting,
             # then take the norm of d rescaled to max |d| = 1
@@ -89,11 +95,13 @@ class Box:
 def project(op, y) -> np.ndarray:
     """Project `y` onto the feasible set described by `op`.
 
-    Returns the unique Euclidean-nearest feasible point. The operation is
-    idempotent and nonexpansive toward every feasible point:
+    Returns the unique Euclidean-nearest feasible point, an array that
+    shares no memory with `y`. The operation is idempotent and
+    nonexpansive toward every feasible point:
     ||project(y) - x|| <= ||y - x|| whenever x is feasible.
     """
     y = ensure_vector(y, name="y")
     if y.shape[0] != op.dimension:
         raise ShapeError(f"point has dimension {y.shape[0]}, operator expects {op.dimension}")
-    return op.project(y)
+    x = op.project(y)  # a set's own project may return y, which may be the caller's array
+    return x.copy() if x is y else x

@@ -319,13 +319,13 @@ def run(problem: ProblemInstance, config: SolverConfig):
             res = problem.oracle(x)
             oracle_calls += 1
             memo_key = key
-            f_x = float(res.value)
+            f_x, g = float(res.value), res.subgradient
             if not math.isfinite(f_x):
                 raise NumericError(f"oracle returned nonfinite value at iteration {s}")
-            if res.is_empty:
+            if g is None:  # an empty subdifferential
                 stop = StopReason.EMPTY_SUBDIFFERENTIAL
                 break
-            g = np.asarray(res.subgradient, dtype=np.float64)
+            g = np.asarray(g, dtype=np.float64)
             if g.shape != x.shape:
                 raise NumericError(f"oracle subgradient shape {g.shape} at iteration {s}")
             # np.linalg.norm's 1-D expression; finite only if every entry is finite

@@ -41,13 +41,15 @@ class StepSizePolicy:
     both and the parameters validated at construction. Instances are owned
     by a single solver run; :meth:`reset` returns them to their initial state.
     Each subclass declares its theorems once, in :meth:`claims`, and sets
-    ``nonincreasing_steps`` when its steps never grow; the base class derives
+    ``nonincreasing_steps`` when its steps never grow and ``tracks_G`` when
+    it keeps a running scaled-norm maximum (:attr:`G`); the base class derives
     :meth:`bound_labels`, :meth:`certificates` and :meth:`monotone_ks` from
     them and by itself claims nothing.
     """
 
     label: str = "policy"
     nonincreasing_steps: bool = False
+    tracks_G: bool = False
 
     def step_size(self, s: int, g_norm: float) -> float:
         raise NotImplementedError
@@ -160,6 +162,7 @@ class FamilyPolicy(StepSizePolicy):
     a: float = 1.0
     _G: Optional[float] = field(default=None, init=False, repr=False)
     nonincreasing_steps = True
+    tracks_G = True
 
     def __post_init__(self):
         require_positive(self.R, "R")

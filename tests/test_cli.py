@@ -957,6 +957,52 @@ class TestCheckCommand:
                      "--strict"]) == 3
         assert "FAIL G_nondecreasing" in capsys.readouterr().out
 
+    @staticmethod
+    def check_forged(trace, problem, tmp_path, capsys, forge):
+        """The exit code and FAIL lines of ``psg check --strict`` on `trace` after `forge`."""
+        meta, columns = read_trace_csv(trace)
+        forge(meta, columns)
+        bad = tmp_path / "forged.csv"
+        emit_trace_csv(columns, bad, meta)
+        capsys.readouterr()
+        code = main(["check", "--trace", str(bad), "--problem", str(problem), "--strict"])
+        return code, [line for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("FAIL")]
+
+    def test_rewritten_s_fails_strict(self, run_outputs, tmp_path, capsys):
+        # 2s + 7.5 still increases strictly; s must be 1..t
+        trace, problem = run_outputs
+
+        def forge(meta, columns):
+            columns["s"] = 2.0 * columns["s"] + 7.5
+
+        assert self.check_forged(trace, problem, tmp_path, capsys, forge) == (
+            3, ["FAIL s_counts_1_to_t"])
+
+    def test_untracked_G_of_a_family_trace_fails_strict(self, run_outputs, tmp_path, capsys):
+        trace, problem = run_outputs
+
+        def forge(meta, columns):
+            columns["G"] = np.full(len(columns["G"]), np.nan)
+
+        assert self.check_forged(trace, problem, tmp_path, capsys, forge) == (
+            3, ["FAIL G_nondecreasing (within each epoch)"])
+
+    def test_finite_G_of_a_nesterov_trace_fails_strict(self, tmp_path, capsys):
+        # the rule tracks no G, so its trace's G must stay nan
+        data = dict(ABS_CONFIG, policy={"kind": "nesterov"}, iterations=60,
+                    weight_ks=[-1.0], initial_point=[0.7])
+        cfg = write_config(tmp_path / "c.json", data)
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path), "--strict"]) == 0
+        trace = tmp_path / "trace.csv"
+        assert main(["check", "--trace", str(trace), "--problem", cfg, "--strict"]) == 0
+
+        def forge(meta, columns):
+            columns["G"] = np.maximum.accumulate(columns["g_norm"])
+
+        assert self.check_forged(trace, cfg, tmp_path, capsys, forge) == (
+            3, ["FAIL G_nondecreasing (not tracked)"])
+
     @pytest.fixture()
     def lasso_outputs(self, tmp_path):
         # a Lasso run brackets f* itself, and check from the header's minorant sums

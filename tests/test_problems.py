@@ -184,14 +184,27 @@ class TestLassoOracle:
         if loaded:
             save_lasso_csv(instance, tmp_path / "instance.csv")
             instance = load_lasso_csv(tmp_path / "instance.csv")
-        # the textbook @ forms, on a C-contiguous phi
+        # the textbook @ forms, on a C-contiguous phi, with ||x||_1 as sign(x) @ x
         phi, y, lam = np.ascontiguousarray(instance.phi), instance.y, instance.lam
         problem = instance.to_problem()
         for x in self.points(n, rng):
             res = problem.oracle(x)
             r = phi @ x - y
-            assert res.value == float(r @ r) + lam * float(np.abs(x).sum())
+            assert res.value == float(r @ r) + lam * float(np.sign(x) @ x)
             assert np.array_equal(res.subgradient, 2.0 * (phi.T @ r) + lam * np.sign(x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
+                              st.floats(min_value=-1e300, max_value=1e300)),
+                    min_size=1, max_size=70))
+    def test_l1_term_within_its_rounding_of_the_exact_sum(self, entries):
+        # zero Phi and y leave the value lam ||x||_1 alone, here with lam = 1
+        x = np.array(entries)
+        n = len(x)
+        problem = LassoInstance(phi=np.zeros((1, n)), y=np.zeros(1), lam=1.0, radius=1.0,
+                                seed=0).to_problem()
+        exact = math.fsum(abs(v) for v in entries)
+        assert abs(problem.oracle(x).value - exact) <= n * 2.0 ** -53 * exact
 
     def test_overflowing_value_warns_and_fails_the_run(self):
         # r.dot(r) overflows to inf with numpy's warning, as r @ r does, and

@@ -16,9 +16,13 @@ class TestBall:
         assert_allclose(project(ball, np.array([3.0, 4.0])), [0.6, 0.8])
 
     def test_inside_point_unchanged(self):
-        ball = Ball(center=np.zeros(3), radius=50.0)
         y = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(project(ball, y), y)
+        for center in (np.zeros(3), np.array([1.0, -1.0, 2.0])):
+            ball = Ball(center=center, radius=50.0)
+            # the set's own project may hand y back; the checked project copies it
+            assert ball.project(y) is y
+            x = project(ball, y)
+            assert np.array_equal(x, y) and not np.shares_memory(x, y)
 
     def test_zero_radius_returns_center(self):
         ball = Ball(center=np.array([2.0, -1.0]), radius=0.0)

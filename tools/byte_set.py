@@ -20,7 +20,8 @@ stdout and stderr beside those outputs, in ``<command>.exit``,
 The commands run the ``psg`` package under ``src/`` of the checkout that holds
 this script, from inside each run's directory, so every path they write is
 relative. A refactor runs the script in the parent's checkout and in its own
-and compares the two directories with ``diff -r``.
+and compares the two directories with ``diff -r``; ``tools/byte_diff.py``
+reports what moved between them.
 """
 
 from __future__ import annotations
