@@ -12,7 +12,10 @@ Subcommands
     holds the trace's problem spec, alone or as the ``problem`` of a config.
 
 Exit codes: 0 success, 1 config or I/O error, 2 numeric failure inside a
-run, 3 a certificate not proven (only with ``--strict``).
+run, 3 a certificate not proven (only with ``--strict``). :func:`main`
+builds its parser once per process, so a process that calls it for many
+commands (a benchmark's check loop, a test suite) parses each as a fresh
+``psg`` process would.
 
 A config is a JSON object. :data:`CONFIG_FIELDS` lists its fields, each
 with its type and default, and :data:`PROBLEM_KINDS` and
@@ -36,10 +39,13 @@ by ``[f_low, f_best]`` from its own oracle calls (see
 ``undecided`` and ``oracle_calls`` (the calls its run made).
 
 Trace files: the suffix of ``trace_path`` picks the format. A path that
-ends in ``.npz`` gets an uncompressed NumPy zip (NEP 1 ``.npy`` entries):
-the entry ``header``, a 0-d str array holding the JSON object below, then one
-1-D float64 entry per column, in trace order, holding the bits the run
-computed. Any other path gets CSV: a line ``# {json}``, the column names and
+ends in ``.npz`` gets an uncompressed NumPy zip of three NEP 1 ``.npy``
+members: ``header``, a 0-d str array holding the JSON object below;
+``names``, the column names in trace order, a 1-D str array; and
+``columns``, a float64 matrix with one row per column, holding the bits the
+run computed, so that each column reads back as a contiguous row. A
+``.npz`` of the older layout, one member per column, is refused as an input
+error. Any other path gets CSV: a line ``# {json}``, the column names and
 one row per iteration, every number written as ``%.17g`` (lossless
 round-trip). :func:`emit_trace` and :func:`read_trace` pick the format by
 the suffix, and ``meta, columns = read_trace(f); emit_trace_csv(columns,
@@ -426,19 +432,40 @@ def read_trace_csv(path) -> tuple:
     return meta, _column_dict(path, names, list(rows.T))
 
 
+# The members of a .npz trace, in the file's order
+NPZ_MEMBERS = ["header.npy", "names.npy", "columns.npy"]
+
+
 def emit_trace(trace: dict, path, header: dict) -> None:
     """Write a trace to `path`: a NumPy zip if `path` ends in ``.npz``, else CSV.
 
-    The zip, uncompressed and byte-deterministic, holds the entry ``header``
-    (a 0-d str array, the JSON text of :func:`emit_trace_csv`'s first line)
-    and then each column as a 1-D float64 entry, in the trace's order.
+    The zip, uncompressed and byte-deterministic, holds the three ``.npy``
+    members of :data:`NPZ_MEMBERS`: ``header`` (a 0-d str array, the JSON
+    text of :func:`emit_trace_csv`'s first line), ``names`` (the column
+    names, a 1-D str array, in the trace's order) and ``columns`` (a float64
+    matrix with one row per column). It is the file that ``np.savez`` writes
+    of those three arrays, but the matrix is written column by column, so
+    the trace is never copied whole.
     """
     if not str(path).endswith(".npz"):
         return emit_trace_csv(trace, path, header)
     text = _header_json(trace, header)
-    columns = {name: np.asarray(col, dtype=np.float64) for name, col in trace.items()}
-    with open(path, "wb") as fh:  # every zip entry is dated 1980-01-01
-        np.savez(fh, header=np.array(text), **columns)
+    shape = (len(trace), len(next(iter(trace.values()))))
+    # each member opened as np.savez opens it, so each is dated 1980-01-01
+    with zipfile.ZipFile(path, "w", allowZip64=True) as zf:
+        for name, array in zip(NPZ_MEMBERS, (np.array(text), np.array(list(trace)))):
+            with zf.open(name, "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, array)
+        with zf.open(NPZ_MEMBERS[2], "w", force_zip64=True) as fh:
+            np.lib.format.write_array_header_1_0(
+                fh, {"descr": "<f8", "fortran_order": False, "shape": shape})
+            for col in trace.values():
+                fh.write(np.ascontiguousarray(col, dtype="<f8"))
+
+
+def _npy_member(zf: zipfile.ZipFile, name: str) -> np.ndarray:
+    with zf.open(name) as fh:
+        return np.lib.format.read_array(fh, allow_pickle=False)
 
 
 def read_trace(path) -> tuple:
@@ -446,29 +473,33 @@ def read_trace(path) -> tuple:
 
     A path ending in ``.npz`` is read as the NumPy zip, any other by
     :func:`read_trace_csv`; both give the header object and the columns'
-    bits that were written. A file that is not such a zip, a missing or
-    malformed ``header``, an entry that is not a 1-D float64 array, columns
-    of unequal length or no rows, and a repeated name are input errors
-    naming `path`.
+    bits that were written. A ``.npz`` column is a row of the ``columns``
+    matrix, a contiguous view. A file that is not a zip of ``.npy`` members,
+    members other than :data:`NPZ_MEMBERS` in that order (a trace of the
+    older layout, one member per column, among them), a ``header`` that is
+    not a 0-d str array holding a JSON object, ``names`` and ``columns``
+    that are not a 1-D str array and a float64 matrix with one nonempty row
+    per name, and a repeated name are input errors naming `path`.
     """
     if not str(path).endswith(".npz"):
         return read_trace_csv(path)
     try:
-        with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh, allow_pickle=False) as npz:
-            names = npz.files
-            entries = [npz[name] for name in names]  # a member that is not .npy reads as bytes
+        with zipfile.ZipFile(path) as zf:
+            members = zf.namelist()
+            if members == NPZ_MEMBERS:
+                header, names, matrix = (_npy_member(zf, name) for name in members)
     except (zipfile.BadZipFile, EOFError, ValueError) as exc:
         raise InvalidParameterError(f"{path}: not a NumPy zip of arrays ({exc})") from None
-    header = entries.pop(names.index("header")) if names.count("header") == 1 else None
-    names = [name for name in names if name != "header"]
-    if not (isinstance(header, np.ndarray) and header.shape == () and header.dtype.kind == "U"):
-        raise InvalidParameterError(f"{path}: expected one entry header, a 0-d str array")
-    for name, col in zip(names, entries):
-        if not (isinstance(col, np.ndarray) and col.dtype == np.float64 and col.ndim == 1):
-            raise InvalidParameterError(f"{path}: entry {name} is not a 1-D float64 array")
-    if len({len(col) for col in entries}) != 1 or not len(entries[0]):
-        raise InvalidParameterError(f"{path}: expected columns of one length, with rows")
-    return _header_object(path, header.item()), _column_dict(path, names, entries)
+    if members != NPZ_MEMBERS:
+        raise InvalidParameterError(f"{path}: expected the members {', '.join(NPZ_MEMBERS)},"
+                                    f" got {', '.join(members) or 'none'}")
+    if not (header.shape == () and header.dtype.kind == "U"):
+        raise InvalidParameterError(f"{path}: expected header, a 0-d str array")
+    if not (names.dtype.kind == "U" and matrix.dtype == np.float64 and matrix.ndim == 2
+            and names.shape == matrix.shape[:1] and matrix.size):
+        raise InvalidParameterError(f"{path}: expected names, a 1-D str array, and columns,"
+                                    " a float64 matrix with one nonempty row per name")
+    return _header_object(path, header.item()), _column_dict(path, names.tolist(), list(matrix))
 
 
 def check_trace(meta: dict, cols: dict, problem: ProblemInstance) -> list:
@@ -690,7 +721,9 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The ``psg`` parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="psg", description="Projected subgradient benchmark runner")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -719,8 +752,11 @@ def main(argv=None) -> int:
     p_check.add_argument("--strict", action="store_true",
                          help="exit 3 when any validation fails")
     p_check.set_defaults(func=_cmd_check)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except INPUT_ERRORS as exc:

@@ -52,3 +52,20 @@ def test_relative_change_of_special_values():
     assert byte_diff.relative_change([0.0], [-0.0]) == 0.0
     assert byte_diff.relative_change([np.nan, 1.0], [1.0, 1.0]) == np.inf
     assert byte_diff.relative_change([1.0], [1.0]) == 0.0
+
+
+def test_reads_the_per_column_npz_layout(tmp_path, capsys):
+    # a tree whose .npz traces have the older layout, the header and one
+    # member per column, compares with one of today's layout: the bytes
+    # differ, but no column or header key moved
+    write_tree(tmp_path / "a", [3.0, 1.0], 5.0, 1.0, "PASS s")
+    write_tree(tmp_path / "b", [3.0, 1.0], 5.0, 1.0, "PASS s")
+    old = tmp_path / "a" / "run" / "out" / "trace.npz"
+    with open(old, "wb") as fh:
+        np.savez(fh, header=np.array(json.dumps({"minorant_sums": {"c_sum": 5.0, "count": 2}})),
+                 s=np.array([1.0, 2.0]), f_x=np.array([3.0, 1.0]))
+    assert byte_diff.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out == "run/out/trace.npz\n3 of 4 files identical\n"
+    old_meta, old_columns = byte_diff.read_any_trace(old)
+    new_meta, new_columns = byte_diff.read_any_trace(tmp_path / "b" / "run" / "out" / "trace.npz")
+    assert old_meta == new_meta and list(old_columns) == list(new_columns) == ["s", "f_x"]

@@ -5,6 +5,8 @@ import math
 import os
 import pathlib
 import re
+import subprocess
+import sys
 import warnings
 import zipfile
 
@@ -1364,6 +1366,9 @@ NPZ_CONFIGS = {
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
+# psg as a fresh process runs it, with its arguments after -c
+PSG = "import sys; from psg.cli import main; sys.exit(main(sys.argv[1:]))"
+
 
 @pytest.mark.parametrize("name", sorted(path.name for path in CONFIGS.glob("*.json"))
                          + sorted(NPZ_CONFIGS))
@@ -1390,6 +1395,16 @@ def _save_npz(path, **entries):
         np.savez(fh, **entries)
 
 
+def _members(meta, trace, **change):
+    """The three members of the .npz trace of `meta` and `trace`, `change` replacing some."""
+    return {"header": np.array(json.dumps(meta)), "names": np.array(list(trace)),
+            "columns": np.stack(list(trace.values()))} | change
+
+
+def _save_members(meta, trace, bad, **change):
+    _save_npz(bad, **_members(meta, trace, **change))
+
+
 def _append_member(path, name, array):
     with warnings.catch_warnings():  # zipfile warns of a repeated name
         warnings.simplefilter("ignore", UserWarning)
@@ -1399,7 +1414,7 @@ def _append_member(path, name, array):
 
 def _flip_a_byte(good, bad, meta, columns):
     data = bytearray(good.read_bytes())
-    data[data.find(columns["eta"].tobytes()) + 8] ^= 1  # the CRC of eta.npy no longer matches
+    data[data.find(columns["eta"].tobytes()) + 8] ^= 1  # the CRC of columns.npy no longer matches
     bad.write_bytes(bytes(data))
 
 
@@ -1414,6 +1429,16 @@ def _non_npy_member(good, bad, meta, columns):
         zf.writestr("notes.txt", "not an array")
 
 
+def _repeated_column(good, bad, meta, columns):
+    # f_x again, far below f*: a reader that kept one column per name would pass
+    names, matrix = list(columns) + ["f_x"], np.stack([*columns.values(), columns["f_x"] - 1e300])
+    _save_members(meta, columns, bad, names=np.array(names), columns=matrix)
+
+
+MEMBERS = "expected the members header.npy, names.npy, columns.npy, got"
+MATRIX = ("expected names, a 1-D str array, and columns, a float64 matrix with one nonempty row"
+          " per name")
+
 # damage(good, bad, meta, columns) writes `bad` from the trace `good`, and the
 # error line names `bad` and then says `message`
 MALFORMED_NPZ = {
@@ -1424,47 +1449,46 @@ MALFORMED_NPZ = {
     "csv": (lambda good, bad, meta, columns: emit_trace_csv(columns, bad, meta),
             "not a NumPy zip of arrays"),
     "npy": (_npy_file, "not a NumPy zip of arrays"),
-    "bad-crc": (_flip_a_byte, "not a NumPy zip of arrays (Bad CRC-32"),
-    "object-column": (lambda good, bad, meta, columns: _save_npz(
-        bad, header=np.array(json.dumps(meta)),
-        **dict(columns, eta=np.array(list(columns["eta"]), dtype=object))),
+    "bad-crc": (_flip_a_byte, "not a NumPy zip of arrays (Bad CRC-32 for file 'columns.npy'"),
+    "object-column": (lambda good, bad, meta, columns: _save_members(
+        meta, columns, bad, columns=np.stack(list(columns.values())).astype(object)),
         "not a NumPy zip of arrays (Object arrays cannot be loaded"),
-    "no-header": (lambda good, bad, meta, columns: _save_npz(bad, **columns),
-                  "expected one entry header, a 0-d str array"),
-    "header-1d": (lambda good, bad, meta, columns: _save_npz(
-        bad, header=np.array([json.dumps(meta)]), **columns),
-        "expected one entry header, a 0-d str array"),
-    "header-number": (lambda good, bad, meta, columns: _save_npz(
-        bad, header=np.array(1.0), **columns), "expected one entry header, a 0-d str array"),
+    "no-header": (lambda good, bad, meta, columns: _save_npz(
+        bad, names=np.array(list(columns)), columns=np.stack(list(columns.values()))),
+        f"{MEMBERS} names.npy, columns.npy"),
+    "header-1d": (lambda good, bad, meta, columns: _save_members(
+        meta, columns, bad, header=np.array([json.dumps(meta)])),
+        "expected header, a 0-d str array"),
+    "header-number": (lambda good, bad, meta, columns: _save_members(
+        meta, columns, bad, header=np.array(1.0)), "expected header, a 0-d str array"),
     "header-twice": (lambda good, bad, meta, columns: (
         bad.write_bytes(good.read_bytes()),
         _append_member(bad, "header.npy", np.array(json.dumps(meta)))),
-        "expected one entry header, a 0-d str array"),
-    "header-list": (lambda good, bad, meta, columns: _save_npz(
-        bad, header=np.array("[1, 2]"), **columns), "header: expected a JSON object"),
-    "header-json": (lambda good, bad, meta, columns: _save_npz(
-        bad, header=np.array("{nope"), **columns), "header: Expecting property name"),
-    "int-column": (lambda good, bad, meta, columns: _save_npz(
-        bad, header=np.array(json.dumps(meta)), **dict(columns, s=columns["s"].astype(int))),
-        "entry s is not a 1-D float64 array"),
-    "2d-column": (lambda good, bad, meta, columns: _save_npz(
-        bad, header=np.array(json.dumps(meta)),
-        **dict(columns, eta=columns["eta"].reshape(-1, 1))),
-        "entry eta is not a 1-D float64 array"),
-    "non-npy-member": (_non_npy_member, "entry notes.txt is not a 1-D float64 array"),
-    "unequal-lengths": (lambda good, bad, meta, columns: _save_npz(
-        bad, header=np.array(json.dumps(meta)), **dict(columns, eta=columns["eta"][:-1])),
-        "expected columns of one length, with rows"),
-    "no-rows": (lambda good, bad, meta, columns: _save_npz(
-        bad, header=np.array(json.dumps(meta)),
-        **{name: col[:0] for name, col in columns.items()}),
-        "expected columns of one length, with rows"),
-    "no-columns": (lambda good, bad, meta, columns: _save_npz(
-        bad, header=np.array(json.dumps(meta))), "expected columns of one length, with rows"),
-    # f_x again, far below f*: a reader that kept one column per name would pass
-    "repeated-column": (lambda good, bad, meta, columns: (
-        bad.write_bytes(good.read_bytes()),
-        _append_member(bad, "f_x.npy", columns["f_x"] - 1e300)), "column f_x repeats"),
+        f"{MEMBERS} header.npy, names.npy, columns.npy, header.npy"),
+    "header-list": (lambda good, bad, meta, columns: _save_members(
+        meta, columns, bad, header=np.array("[1, 2]")), "header: expected a JSON object"),
+    "header-json": (lambda good, bad, meta, columns: _save_members(
+        meta, columns, bad, header=np.array("{nope")), "header: Expecting property name"),
+    "int-column": (lambda good, bad, meta, columns: _save_members(
+        meta, columns, bad, columns=np.stack(list(columns.values())).astype(int)), MATRIX),
+    "2d-column": (lambda good, bad, meta, columns: _save_members(
+        meta, columns, bad, columns=np.stack(list(columns.values()))[:, :, None]), MATRIX),
+    "float-names": (lambda good, bad, meta, columns: _save_members(
+        meta, columns, bad, names=np.arange(float(len(columns)))), MATRIX),
+    "non-npy-member": (_non_npy_member,
+                       f"{MEMBERS} header.npy, names.npy, columns.npy, notes.txt"),
+    "unequal-lengths": (lambda good, bad, meta, columns: _save_members(
+        meta, columns, bad, names=np.array(list(columns)[:-1])), MATRIX),
+    "no-rows": (lambda good, bad, meta, columns: _save_members(
+        meta, columns, bad, columns=np.stack(list(columns.values()))[:, :0]), MATRIX),
+    "no-columns": (lambda good, bad, meta, columns: _save_members(
+        meta, columns, bad, names=np.array([], dtype=str),
+        columns=np.empty((0, len(columns["s"])))), MATRIX),
+    "repeated-column": (_repeated_column, "column f_x repeats"),
+    # the older layout: the header, then one 1-D member per column
+    "per-column": (lambda good, bad, meta, columns: _save_npz(
+        bad, header=np.array(json.dumps(meta)), **columns),
+        f"{MEMBERS} header.npy, s.npy, epoch.npy, eta.npy"),
 }
 
 
@@ -1516,13 +1540,19 @@ class TestNpzTrace:
         for name in names[1:]:
             assert (tmp_path / "second" / name).read_bytes() == (
                 tmp_path / "first" / name).read_bytes()
-        with zipfile.ZipFile(tmp_path / "first" / names[1]) as zf:
+        trace = tmp_path / "first" / names[1]
+        with zipfile.ZipFile(trace) as zf:
             infos = zf.infolist()
-        meta, columns = read_trace(tmp_path / "first" / names[1])
-        assert [info.filename for info in infos] == [
-            f"{name}.npy" for name in ("header", *columns)]
+        assert [info.filename for info in infos] == ["header.npy", "names.npy", "columns.npy"]
         assert {(info.date_time, info.compress_type) for info in infos} == {
             ((1980, 1, 1, 0, 0, 0), zipfile.ZIP_STORED)}
+        # the bytes of np.savez of the header, the names and the stacked
+        # columns, each column read back as a contiguous row of one matrix
+        meta, columns = read_trace(trace)
+        _save_members(meta, columns, tmp_path / "savez.npz")
+        assert (tmp_path / "savez.npz").read_bytes() == trace.read_bytes()
+        rows = list(columns.values())
+        assert all(col.flags.c_contiguous and col.base is rows[0].base for col in rows)
 
     @pytest.fixture()
     def npz_outputs(self, tmp_path):
@@ -1543,6 +1573,37 @@ class TestNpzTrace:
             assert main(["check", "--strict", "--trace", str(bad), "--problem", cfg]) == 1
         assert caught == []
         assert_one_error_line(capsys, f"error: {bad}: {message}")
+
+
+def _main_in_process(capsys, args) -> tuple:
+    try:
+        code = main(args)
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_one_process_answers_each_command_as_a_fresh_one(tmp_path, monkeypatch, capsys):
+    # main parses with one parser per process: a run, a check, a usage error
+    # and an input error in one process print and exit as each command does
+    # in a fresh psg process
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+    cfg = write_config(tmp_path / "c.json", dict(ABS_CONFIG, trace_path="trace.npz"))
+    trace, missing = str(tmp_path / "trace.npz"), str(tmp_path / "missing.npz")
+    commands = [["run", "--config", cfg, "--out-dir", str(tmp_path)],
+                ["check", "--trace", trace, "--problem", cfg],
+                ["check", "--trace", trace],
+                ["check", "--trace", missing, "--problem", cfg],
+                ["check", "--strict", "--trace", trace, "--problem", cfg]]
+    capsys.readouterr()
+    in_process = [_main_in_process(capsys, args) for args in commands]
+    env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
+    fresh = [subprocess.run([sys.executable, "-c", PSG, *args], env=env, capture_output=True,
+                            text=True) for args in commands]
+    assert in_process == [(done.returncode, done.stdout, done.stderr) for done in fresh]
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 1, 0]
+    assert in_process[1][1].startswith("PASS ") and in_process[1] == in_process[4]
 
 
 def test_run_experiment_returns_summary_dict(tmp_path):

@@ -7,9 +7,11 @@ prints each file that is in one tree only, then each file whose bytes differ
 and below it what moved:
 
 * a trace (``.npz``, or ``.csv`` with a ``# {json}`` header), read with
-  ``psg.cli.read_trace``: each column whose bits moved, with the number of
-  entries that moved and their largest relative change, and each header key
-  that moved;
+  ``psg.cli.read_trace``, or with ``np.load`` for a ``.npz`` of the older
+  layout (``header`` and one member per column), so that a tree of either
+  layout compares with one of the other: each column whose bits moved, with
+  the number of entries that moved and their largest relative change, and
+  each header key that moved;
 * a JSON file: each key that moved, by its path (``cells[0].best_value``);
   a list of numbers is one key;
 * any other file: the lines that differ, ``-`` from A and ``+`` from B.
@@ -81,11 +83,25 @@ def json_changes(a, b) -> list:
     return lines
 
 
-def trace_changes(a: Path, b: Path) -> list:
-    """The columns and header keys of two traces that moved."""
+def read_any_trace(path: Path) -> tuple:
+    """(header object, columns) of a trace, the older per-column ``.npz`` layout included.
+
+    ``psg.cli.read_trace`` refuses a ``.npz`` of that layout, whose members
+    are ``header`` and one 1-D array per column, so ``np.load`` reads it here.
+    """
     from psg.cli import read_trace
 
-    (old_meta, old), (new_meta, new) = read_trace(a), read_trace(b)
+    if path.suffix == ".npz":
+        with np.load(path, allow_pickle=False) as npz:
+            if "names" not in npz.files:
+                return (json.loads(npz["header"].item()),
+                        {name: npz[name] for name in npz.files if name != "header"})
+    return read_trace(path)
+
+
+def trace_changes(a: Path, b: Path) -> list:
+    """The columns and header keys of two traces that moved."""
+    (old_meta, old), (new_meta, new) = read_any_trace(a), read_any_trace(b)
     lines = []
     for name in list(old) + [name for name in new if name not in old]:
         if name not in new or name not in old:
