@@ -38,11 +38,9 @@ from .core import (
 from .problems import (
     LassoInstance,
     generate_lasso,
-    load_lasso_csv,
     make_abs_problem,
     make_lasso,
     make_sqrt_example,
-    save_lasso_csv,
 )
 from .projection import Ball, Box, project
 from .solver import SolverConfig, run
@@ -82,13 +80,11 @@ __all__ = [
     "constant_bound",
     "family_bound",
     "generate_lasso",
-    "load_lasso_csv",
     "make_abs_problem",
     "make_lasso",
     "make_sqrt_example",
     "nesterov_bound",
     "project",
     "run",
-    "save_lasso_csv",
     "weak_ergodic_bound",
 ]

@@ -1,17 +1,13 @@
 """Shared domain types: oracles, problem instances, run reports, and tolerances.
 
 Also the package's one power function, :func:`power`, which forms every
-averaging weight and every power of t in a bound; and the CSV layout that
-both file formats of the package share, the Lasso instance and the trace: a
-first line of the format's own, a line of column names, then rows of
-``%.17g`` numbers, written by :func:`write_csv` and read by :func:`read_csv`.
+averaging weight and every power of t in a bound.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
@@ -27,10 +23,6 @@ ABS_TOL = 1e-12
 # A difference of two computed objective values near |f| carries their rounding:
 # it is allowed VALUE_ROUNDING * |f| (64 units in the last place) more.
 VALUE_ROUNDING = 2.0 ** -46
-
-# Rows formatted per write by write_csv: on a 20,000-row trace 512 rows
-# write as fast as 1,024 and hold half as many Python floats at once
-CSV_CHUNK_ROWS = 512
 
 
 class InvalidParameterError(ValueError):
@@ -264,48 +256,3 @@ def repeated_scheme(ks) -> Optional[float]:
             return k
         seen.add(label)
     return None
-
-
-def write_csv(path, first_line: str, columns: dict) -> None:
-    """Write `first_line`, the names of `columns`, then one row per entry, to `path`.
-
-    `columns` maps each name to a 1-D array, all of one length. Every number
-    is written as ``%.17g``, which round-trips floats and prints integers as
-    integers: the bytes of ``np.savetxt(fmt="%.17g", delimiter=",")``, but
-    with one ``%`` per chunk of :data:`CSV_CHUNK_ROWS` rows, not one per row;
-    only the chunk's rows are stacked, and few values are alive as Python
-    floats.
-    """
-    cols = list(columns.values())
-    lengths = {len(col) for col in cols}
-    if len(lengths) > 1:
-        raise InvalidParameterError(f"columns differ in length: {sorted(lengths)}")
-    row_fmt = ",".join(["%.17g"] * len(cols)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(first_line + "\n" + ",".join(columns) + "\n")
-        for start in range(0, max(lengths, default=0), CSV_CHUNK_ROWS):
-            chunk = np.column_stack([col[start:start + CSV_CHUNK_ROWS] for col in cols])
-            fh.write((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
-
-
-def read_csv(path, prefix: str) -> tuple:
-    """(first line, column names, rows) of a file in the layout of :func:`write_csv`.
-
-    The first line must start with `prefix`; it is returned whole, newline
-    included, for the format to parse. `rows` is a 2-D float array, possibly
-    without rows, for the format to check against the names. A first line
-    without the prefix, and rows that do not parse, raise
-    :class:`InvalidParameterError` naming `path`.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.startswith(prefix):
-            raise InvalidParameterError(f"{path}: first line does not start with {prefix!r}")
-        names = fh.readline().strip().split(",")
-        try:
-            with warnings.catch_warnings():  # a file with no rows fails the format's checks
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise InvalidParameterError(f"{path}: malformed rows ({exc})") from None
-    return first, names, rows

@@ -3,7 +3,10 @@
 All oracles return the minimal-norm element wherever the subdifferential is
 not a singleton (in particular sign(0) = 0 for every l1 term), and every
 random quantity is drawn from one seeded ``numpy.random.default_rng``
-(PCG64) generator, so instances are bit-reproducible for a given seed.
+(PCG64) generator, so instances are bit-reproducible for a given seed. A
+Lasso of one's own data is
+``LassoInstance(phi, y, lam, radius, seed).to_problem()``; the package
+reads no instance file.
 """
 
 from __future__ import annotations
@@ -13,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (InvalidParameterError, ProblemInstance, SubgradientResult, read_csv,
-                   require_positive, write_csv)
+from .core import InvalidParameterError, ProblemInstance, SubgradientResult, require_positive
 from .projection import Ball, Box
 
 
@@ -112,7 +114,7 @@ class LassoInstance:
         The two matvecs and the value's ``r . r`` call ``ndarray.dot`` on a
         C-contiguous Phi: the bits of ``Phi @ x``, ``Phi.T @ r`` and
         ``r @ r``, without the matmul dispatch. A strided Phi is copied
-        first; a generated or loaded one is already contiguous. The l1 term
+        first; a generated one is already contiguous. The l1 term
         is ``lam * (sign(x) . x)``, one BLAS dot on the sign vector that the
         subgradient needs: each product sign(x_i) x_i is |x_i| exactly, and
         the sum is within n 2^-53 ||x||_1 of the exact one.
@@ -174,46 +176,6 @@ def make_lasso(seed: int, n: int, m: int, radius: float = 50.0,
                lam: float = 10.0) -> ProblemInstance:
     """Convenience wrapper: generate an instance and return its problem view."""
     return generate_lasso(seed, n, m, radius, lam).to_problem()
-
-
-def save_lasso_csv(instance: LassoInstance, path) -> None:
-    """Write an instance to CSV for cross-run reuse.
-
-    Line 1 is a comment carrying the scalars
-    (``# lasso n=<n> m=<m> lambda=<lam> radius=<R> seed=<seed>``), line 2 a
-    header, then one row per observation: ``y_i, phi_i1, ..., phi_in``, all
-    floats printed with 17 significant digits (lossless for float64), by
-    :func:`psg.core.write_csv`.
-    """
-    first_line = (f"# lasso n={instance.n} m={instance.m} lambda={instance.lam:.17g}"
-                  f" radius={instance.radius:.17g} seed={instance.seed}")
-    columns = {"y": instance.y, **{f"phi_{j}": instance.phi[:, j] for j in range(instance.n)}}
-    write_csv(path, first_line, columns)
-
-
-def load_lasso_csv(path) -> LassoInstance:
-    """Read an instance written by :func:`save_lasso_csv`.
-
-    Phi and y are C-contiguous arrays that own their memory, so the block
-    of parsed rows is freed and the instance holds Phi once. A malformed
-    file raises :class:`InvalidParameterError` naming `path`.
-    """
-    first, _, data = read_csv(path, "# lasso ")
-    try:
-        fields = dict(part.split("=", 1) for part in first[len("# lasso "):].split())
-        n, m, seed = int(fields["n"]), int(fields["m"]), int(fields["seed"])
-        lam, radius = float(fields["lambda"]), float(fields["radius"])
-    except KeyError as exc:
-        raise InvalidParameterError(f"{path}: header lacks {exc}") from None
-    except ValueError as exc:
-        raise InvalidParameterError(f"{path}: malformed header ({exc})") from None
-    if data.shape != (m, n + 1):
-        raise InvalidParameterError(f"{path}: inconsistent row data")
-    try:
-        return LassoInstance(phi=data[:, 1:].copy(), y=data[:, 0].copy(), lam=lam,
-                             radius=radius, seed=seed)
-    except InvalidParameterError as exc:
-        raise InvalidParameterError(f"{path}: {exc}") from None
 
 
 def reference_optimum_value(problem: ProblemInstance, iterations: int) -> float:

@@ -19,12 +19,12 @@ from psg import (
     NesterovPolicy,
     SolverConfig,
     generate_lasso,
-    load_lasso_csv,
     make_abs_problem,
     make_sqrt_example,
     run,
 )
 from psg.cli import (
+    CSV_CHUNK_ROWS,
     ConfigError,
     build_policy,
     build_problem,
@@ -40,7 +40,6 @@ from psg.cli import (
     run_experiment,
 )
 from psg.bounds import bracket, evaluate
-from psg.core import CSV_CHUNK_ROWS
 
 
 def write_config(path, data):
@@ -141,7 +140,7 @@ class TestConfigParsing:
         ("problem", {"kind": "lasso", "seed": 1, "n": 8, "m": 6, "lamda": 1.0}, "problem.lamda"),
         ("problem", {"kind": "abs", "dim": 1, "f_star": -1000.0}, "problem.f_star"),
         ("problem", {"kind": "sqrt-example", "dim": 1}, "problem.dim"),
-        ("problem", {"kind": "lasso-file", "path": "x.csv", "seed": 1}, "problem.seed"),
+        ("problem", {"kind": "abs", "dim": 1, "seed": 1}, "problem.seed"),
         ("policy", {"kind": "family", "A": 0.25}, "policy.A"),
         ("policy", [{"kind": "nesterov"}, {"kind": "nesterov", "a": 0.5}], "policy.a"),
         ("policy", {"kind": "classic", "L": 1.0, "a": 1.0}, "policy.a"),
@@ -276,36 +275,12 @@ class TestOutputPaths:
         self.fails_before_any_cell(capsys, cfg, out, "error: trace_path: ")
 
     @pytest.mark.parametrize("field,name,out_dir", [
-        ("trace_path", "inst.csv", None), ("trace_path", "./inst.csv", None),
-        ("trace_path", "inst.csv", "link"), ("summary_path", "inst.csv", None),
-        ("summary_path", "../data/inst.csv", "out"),
-    ], ids=["trace", "dot-slash", "symlinked-out-dir", "summary", "summary-up"])
-    def test_output_over_the_problem_file(self, tmp_path, monkeypatch, capsys,
-                                          field, name, out_dir):
-        monkeypatch.chdir(tmp_path)
-        data_dir = tmp_path / "data"
-        data_dir.mkdir()
-        assert main(["gen-lasso", "--seed", "3", "--n", "4", "--m", "6",
-                     "--out", str(data_dir / "inst.csv")]) == 0
-        instance = (data_dir / "inst.csv").read_bytes()
-        (tmp_path / "link").symlink_to(data_dir)
-        (tmp_path / "out").mkdir()
-        cfg = write_config(tmp_path / "c.json", {
-            "problem": {"kind": "lasso-file", "path": "data/inst.csv"},
-            "policy": {"kind": "family"}, "iterations": 50, field: name})
-        out = tmp_path / (out_dir or "data")
-        self.fails_before_any_cell(capsys, cfg, out, f"error: {field}: is the problem's input"
-                                   " file; the run would overwrite it")
-        assert (data_dir / "inst.csv").read_bytes() == instance
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "data", "link", "out"]
-
-    @pytest.mark.parametrize("field,name,out_dir", [
         ("trace_path", "e.json", None), ("summary_path", "e.json", None),
         ("trace_path", "../e.json", "out"), ("summary_path", "./e.json", "."),
     ], ids=["trace", "summary", "trace-up", "summary-dot"])
     def test_output_over_the_config_file(self, tmp_path, monkeypatch, capsys,
                                          field, name, out_dir):
-        # the config file is an input of the run, as a lasso-file instance is
+        # the config file is the run's input
         monkeypatch.chdir(tmp_path)
         (tmp_path / "out").mkdir()
         write_config(tmp_path / "e.json", dict(ABS_CONFIG, iterations=5, **{field: name}))
@@ -555,16 +530,15 @@ class TestRunCommand:
         assert len(err) == 3 and all(line.startswith("error: ") for line in err)
 
     @pytest.mark.filterwarnings("ignore:overflow")
-    def test_numeric_failure_marks_cell_and_exits_2(self, tmp_path):
+    def test_numeric_failure_marks_cell_and_exits_2(self, tmp_path, monkeypatch):
         # an instance with astronomically large data overflows the objective
+        import psg.cli
+
         instance = generate_lasso(seed=1, n=4, m=3)
-        huge = type(instance)(phi=instance.phi, y=instance.y * 1e200,
-                              lam=instance.lam, radius=instance.radius,
-                              seed=instance.seed)
-        from psg import save_lasso_csv
-        save_lasso_csv(huge, tmp_path / "huge.csv")
+        huge = dataclasses.replace(instance, y=instance.y * 1e200).to_problem()
+        monkeypatch.setattr(psg.cli, "build_problem", lambda spec: huge)
         cfg = write_config(tmp_path / "c.json", {
-            "problem": {"kind": "lasso-file", "path": str(tmp_path / "huge.csv")},
+            "problem": {"kind": "lasso", "seed": 1, "n": 4, "m": 3},
             "policy": {"kind": "family"},
             "iterations": 5,
         })
@@ -607,94 +581,43 @@ class TestRunCommand:
         assert capsys.readouterr().err == "certificate undecided: family_a1: weak_k0\n"
 
 
-class TestGenLasso:
-    def test_matches_library_generator(self, tmp_path):
-        out = tmp_path / "inst.csv"
-        assert main(["gen-lasso", "--seed", "11", "--n", "20", "--m", "12",
-                     "--out", str(out)]) == 0
-        loaded = load_lasso_csv(out)
-        direct = generate_lasso(seed=11, n=20, m=12)
-        assert np.array_equal(loaded.phi, direct.phi)
-        assert np.array_equal(loaded.y, direct.y)
+class TestLassoFileIsGone:
+    """A Lasso is named by its ``lasso`` spec alone: no instance file, no ``gen-lasso``."""
 
-    def test_config_can_reuse_the_file(self, tmp_path):
-        out = tmp_path / "inst.csv"
-        main(["gen-lasso", "--seed", "11", "--n", "8", "--m", "6", "--out", str(out),
-              "--radius", "5.0", "--lambda", "1.0"])
-        cfg = write_config(tmp_path / "c.json", {
-            "problem": {"kind": "lasso-file", "path": str(out)},
-            "policy": {"kind": "family"},
-            "iterations": 20,
-        })
+    LASSO_FILE = {"kind": "lasso-file", "path": "inst.csv"}
+
+    def test_run_names_the_kinds(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", dict(ABS_CONFIG, problem=self.LASSO_FILE))
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 1
+        assert_one_error_line(capsys, "error: problem.kind: unknown kind 'lasso-file', expected"
+                                      " one of ['abs', 'lasso', 'sqrt-example']\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_check_refuses_a_header_that_names_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", ABS_CONFIG)
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
-
-    @pytest.mark.parametrize("n,m", [(2, 8), (3, 40), (64, 40)])
-    def test_file_run_reproduces_the_generated_run(self, tmp_path, n, m):
-        out = tmp_path / "inst.csv"
-        assert main(["gen-lasso", "--seed", "5", "--n", str(n), "--m", str(m),
-                     "--out", str(out)]) == 0
-        cells = {}
-        for kind, problem in (("lasso", {"kind": "lasso", "seed": 5, "n": n, "m": m}),
-                              ("file", {"kind": "lasso-file", "path": str(out)})):
-            cfg = write_config(tmp_path / f"{kind}.json", {
-                "problem": problem, "policy": {"kind": "family"},
-                "weight_ks": [-1.0, 0.0, 2.0], "iterations": 300,
-                "summary_path": f"{kind}_summary.json"})
-            assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
-            cells[kind] = json.loads((tmp_path / f"{kind}_summary.json").read_text())["cells"]
-        assert cells["file"] == cells["lasso"]
-
-    @pytest.mark.parametrize("option,field", [("--lambda", "lam"), ("--radius", "radius")])
-    def test_infinite_lambda_or_radius_is_an_input_error(self, tmp_path, capsys, option, field):
-        out = tmp_path / "inst.csv"
-        assert main(["gen-lasso", "--seed", "1", "--n", "4", "--m", "3", "--out", str(out),
-                     option, "inf"]) == 1
-        assert_one_error_line(capsys, f"error: {field} must be positive and finite, got inf")
-        assert not out.exists()
-        # a file that says so, as an earlier gen-lasso wrote it, is rejected on load
-        assert main(["gen-lasso", "--seed", "1", "--n", "4", "--m", "3", "--out", str(out)]) == 0
-        text = out.read_text()
-        out.write_text(text.replace({"lam": "lambda=10", "radius": "radius=50"}[field],
-                                    {"lam": "lambda=inf", "radius": "radius=inf"}[field], 1))
-        cfg = write_config(tmp_path / "c.json", {
-            "problem": {"kind": "lasso-file", "path": str(out)}, "policy": {"kind": "family"},
-            "iterations": 5, "summary_path": "summary.json"})
-        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
-        assert_one_error_line(capsys,
-                              f"error: {out}: {field} must be positive and finite, got inf")
-        assert not (tmp_path / "summary.json").exists()
-
-    @pytest.mark.parametrize("damage", ["seed", "row"])
-    def test_malformed_file_is_an_input_error_for_run_and_check(self, tmp_path, capsys,
-                                                                damage):
-        out = tmp_path / "inst.csv"
-        assert main(["gen-lasso", "--seed", "1", "--n", "4", "--m", "3", "--out", str(out)]) == 0
-        cfg = write_config(tmp_path / "c.json", {
-            "problem": {"kind": "lasso-file", "path": str(out)}, "policy": {"kind": "family"},
-            "iterations": 5, "trace_path": "trace.csv"})
-        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
-        lines = out.read_text().splitlines()
-        if damage == "seed":
-            lines[0] = lines[0].replace("seed=1", "seed=x")
-        else:
-            lines[3] = "abc" + lines[3][lines[3].index(","):]
-        out.write_text("\n".join(lines) + "\n")
-        with pytest.raises(InvalidParameterError, match=re.escape(f"{out}: malformed")):
-            load_lasso_csv(out)
+        meta, columns = read_trace(tmp_path / "trace.csv")
+        emit_trace(columns, tmp_path / "old.csv", meta | {"problem": self.LASSO_FILE})
         capsys.readouterr()
-        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {out}: malformed")
-        assert main(["check", "--trace", str(tmp_path / "trace.csv"), "--problem", cfg]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {out}: malformed")
+        assert main(["check", "--trace", str(tmp_path / "old.csv"), "--problem", cfg]) == 1
+        assert_one_error_line(capsys, "error: header.problem.kind: unknown kind 'lasso-file'")
+
+    def test_gen_lasso_is_no_command(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-lasso", "--seed", "1", "--n", "4", "--m", "3",
+                  "--out", str(tmp_path / "inst.csv")])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: psg ")
+        assert "argument command: invalid choice: 'gen-lasso'" in err
+        assert not (tmp_path / "inst.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["run", "check", "gen-lasso"])
+@pytest.mark.parametrize("command", ["run", "check"])
 def test_input_error_inside_a_command_is_one_error_line(tmp_path, capsys, command):
     cfg = write_config(tmp_path / "c.json", ABS_CONFIG)
     argv = {"run": ["run", "--config", str(tmp_path / "missing.json")],
-            "check": ["check", "--trace", str(tmp_path / "missing.csv"), "--problem", cfg],
-            "gen-lasso": ["gen-lasso", "--seed", "1", "--n", "4", "--m", "3",
-                          "--out", str(tmp_path / "no-such-dir" / "inst.csv")]}[command]
+            "check": ["check", "--trace", str(tmp_path / "missing.csv"), "--problem", cfg]}[command]
     assert main(argv) == 1
     assert_one_error_line(capsys)
 
@@ -741,13 +664,6 @@ class TestNegativeSeed:
         assert_one_error_line(capsys, "error: seed must be >= 0, got -3")
         assert main(["check", "--trace", str(tmp_path / "trace.csv"), "--problem", bad]) == 1
         assert_one_error_line(capsys, "error: seed must be >= 0, got -3")
-
-    def test_gen_lasso(self, tmp_path, capsys):
-        out = tmp_path / "inst.csv"
-        assert main(["gen-lasso", "--seed", "-1", "--n", "4", "--m", "3",
-                     "--out", str(out)]) == 1
-        assert_one_error_line(capsys, "error: seed must be >= 0, got -1")
-        assert not out.exists()
 
 
 def corrupt(trace, tmp_path, column, row, change):
@@ -1309,11 +1225,13 @@ def test_read_trace_csv_returns_the_emitted_columns(tmp_path, case):
                                   2 * CSV_CHUNK_ROWS + 1])
 def test_emit_trace_csv_writes_savetxt_bytes_across_chunks(tmp_path, rows):
     rng = np.random.default_rng(rows)
-    # integers, nan, -0.0 and floats at both ends of the range, as %.17g writes them
+    # integers, nan, -0.0, subnormals and floats at both ends of the range,
+    # as %.17g writes them
     trace = {"s": np.arange(1.0, rows + 1.0), "epoch": np.arange(rows) // 100.0,
              "G": np.full(rows, np.nan), "f_x": rng.standard_normal(rows) * 1e-300,
              "bound_weak_k2": rng.standard_normal(rows) * 1e300}
     trace["f_x"][::7] = -0.0
+    trace["f_x"][1:6] = [5e-324, -2.5e-310, 1e16, 3.0, -7.0]
     path, again = tmp_path / "t.csv", tmp_path / "again.csv"
     emit_trace_csv(trace, path, {"weight_ks": [2.0]})
     reference = io.StringIO()

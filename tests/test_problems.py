@@ -1,4 +1,4 @@
-import io
+import dataclasses
 import math
 import warnings
 
@@ -15,12 +15,10 @@ from psg import (
     NumericError,
     SolverConfig,
     generate_lasso,
-    load_lasso_csv,
     make_abs_problem,
     make_lasso,
     make_sqrt_example,
     run,
-    save_lasso_csv,
 )
 from psg.problems import reference_optimum_value
 
@@ -172,18 +170,19 @@ class TestLassoOracle:
         return x
 
     # n or m in {1, 2, 3} as well as the benchmark's shapes, each also as an
-    # instance read back from its CSV (a strided column view of the rows)
+    # instance whose Phi is a strided view, which to_problem copies
     SHAPES = [(1, 1), (1, 5), (2, 8), (3, 40), (5, 1), (40, 2), (33, 3), (10, 6), (64, 40),
               (512, 300)]
 
     @pytest.mark.parametrize("n,m,loaded", [
         pytest.param(n, m, loaded, id=f"{n}-{m}" + ("-loaded" if loaded else ""))
         for n, m in SHAPES for loaded in (False, True)])
-    def test_bit_identical_to_textbook(self, n, m, loaded, rng, tmp_path):
+    def test_bit_identical_to_textbook(self, n, m, loaded, rng):
         instance = generate_lasso(seed=4, n=n, m=m)
-        if loaded:
-            save_lasso_csv(instance, tmp_path / "instance.csv")
-            instance = load_lasso_csv(tmp_path / "instance.csv")
+        if loaded:  # every other column of a matrix twice as wide: a strided Phi
+            wide = np.repeat(instance.phi, 2, axis=1)
+            instance = dataclasses.replace(instance, phi=wide[:, ::2])
+            assert instance.phi.flags.c_contiguous == (n * m == 1)
         # the textbook @ forms, on a C-contiguous phi, with ||x||_1 as sign(x) @ x
         phi, y, lam = np.ascontiguousarray(instance.phi), instance.y, instance.lam
         problem = instance.to_problem()
@@ -234,66 +233,6 @@ class TestLassoOracle:
         assert np.array_equal(second.subgradient, expected[1])
         assert second.subgradient is not first.subgradient
         assert np.array_equal(instance.phi, phi) and np.array_equal(instance.y, y)
-
-
-class TestLassoCsvRoundTrip:
-    def test_round_trip_is_exact(self, tmp_path):
-        instance = generate_lasso(seed=42, n=9, m=7, radius=12.5, lam=3.25)
-        path = tmp_path / "instance.csv"
-        save_lasso_csv(instance, path)
-        loaded = load_lasso_csv(path)
-        assert np.array_equal(loaded.phi, instance.phi)
-        assert np.array_equal(loaded.y, instance.y)
-        assert loaded.lam == instance.lam
-        assert loaded.radius == instance.radius
-        assert loaded.seed == instance.seed
-
-    @pytest.mark.parametrize("n,m", [(1, 1), (3, 2), (7, 9), (64, 40)])
-    def test_writes_the_bytes_of_savetxt(self, tmp_path, n, m):
-        rng = np.random.default_rng(100 * n + m)
-        data = rng.standard_normal((m, n + 1)) * 10.0 ** rng.integers(-300, 300, (m, n + 1))
-        # -0.0, subnormals and integral entries, as %.17g writes them
-        specials = [-0.0, 5e-324, 3.0, -2.5e-310, 1e16, -7.0]
-        data.flat[:len(specials)] = specials[:data.size]
-        instance = LassoInstance(phi=data[:, 1:].copy(), y=data[:, 0].copy(), lam=3.25,
-                                 radius=12.5, seed=7)
-        path, again = tmp_path / "instance.csv", tmp_path / "again.csv"
-        save_lasso_csv(instance, path)
-        header = (f"# lasso n={n} m={m} lambda=3.25 radius=12.5 seed=7\n"
-                  + "y," + ",".join(f"phi_{j}" for j in range(n)))
-        reference = io.StringIO()
-        np.savetxt(reference, np.column_stack([instance.y, instance.phi]), fmt="%.17g",
-                   delimiter=",", header=header, comments="")
-        assert path.read_text(encoding="utf-8") == reference.getvalue()
-        save_lasso_csv(load_lasso_csv(path), again)
-        assert again.read_bytes() == path.read_bytes()
-
-    @pytest.mark.parametrize("n,m", [(1, 1), (4, 1), (9, 7)])
-    def test_loads_contiguous_arrays_that_own_their_memory(self, tmp_path, n, m):
-        # views into the parsed block would keep all of it alive beside the
-        # contiguous copy of phi that the oracle needs
-        path = tmp_path / "instance.csv"
-        save_lasso_csv(generate_lasso(seed=3, n=n, m=m), path)
-        loaded = load_lasso_csv(path)
-        for array in (loaded.phi, loaded.y):
-            assert array.flags.c_contiguous and array.base is None
-
-    def test_rejects_foreign_files(self, tmp_path):
-        path = tmp_path / "not_lasso.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(InvalidParameterError):
-            load_lasso_csv(path)
-        path.write_text("# lasso n=1 m=1 lambda=1 seed=0\ny,phi_0\n1,2\n")
-        with pytest.raises(InvalidParameterError, match="header lacks 'radius'"):
-            load_lasso_csv(path)
-
-    @pytest.mark.filterwarnings("error")
-    def test_rejects_a_file_without_rows_silently(self, tmp_path):
-        path = tmp_path / "instance.csv"
-        save_lasso_csv(generate_lasso(seed=1, n=3, m=2), path)
-        path.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n")
-        with pytest.raises(InvalidParameterError, match="inconsistent row data"):
-            load_lasso_csv(path)
 
 
 class TestReferenceOptimum:
