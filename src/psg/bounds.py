@@ -21,9 +21,11 @@ they return a float (numpy's float64 scalar is one), and
 power of t is formed by :func:`psg.core.power`, so a scalar holds the bits
 of its entry in a column; ``monotone_k<k>`` is decided on the weights of
 :class:`~psg.averaging.WeightRule`, which the run averages with.
-:func:`evaluate` is the one place a run's bounds and certificates are
-computed, from its per-iteration columns: by the solver after its loop, and
-by ``psg check`` on a stored trace.
+:class:`Evaluator` is the one place a run's bounds and certificates are
+computed, from its per-iteration columns fed a chunk of rows at a time, its
+sums carried from one chunk to the next: by the solver as it runs, and by
+``psg check`` as it reads a stored trace. So neither builds a temporary as
+long as the run; :func:`evaluate` feeds it whole columns as one chunk.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from typing import Optional
 import numpy as np
 
 from .averaging import WeightRule
-from .core import REL_TOL, InvalidParameterError, leq_with_tol, power, require_count, scheme_label
+from .core import (REL_TOL, VALUE_BLOCK_CAP, InvalidParameterError, leq_with_tol, power,
+                   require_count, scheme_label)
 
 
 # math.log term by term: numpy's log can differ in the last bit
@@ -67,21 +70,35 @@ def family_bound(R: float, t, max_g_norm) -> float:
     return bound
 
 
-def _weak_column(k: float, R: float, t, max_g, epochs) -> np.ndarray:
+def _accumulate(ufunc, x: np.ndarray, epochs, carried: dict, key) -> np.ndarray:
+    """`x`, accumulated in place by `ufunc` row after row within each (start, end) of `epochs`.
+
+    The range from row 0 continues from ``carried[key]`` when it is there,
+    as one pass over the rows before it and these would; ``carried[key]``
+    is then x's last entry.
+    """
+    if key in carried:
+        x[0] = ufunc(carried[key], x[0])
+    for start, end in epochs:
+        ufunc.accumulate(x[start:end], out=x[start:end])
+    carried[key] = x[-1]
+    return x
+
+
+def _weak_column(k: float, R: float, t, max_g, epochs, carried: dict) -> np.ndarray:
     """The weak bound over counts `t` that restart at each (start, end) row range of `epochs`.
 
     (t^((k+1)/2) + sum_low) / (2 sum_mid) * R * max_g, where sum_low and
     sum_mid add s^((k-1)/2) and s^(k/2) in ascending order within each
-    range. Halving the quotient gives the bits of dividing by 2 sum_mid, but
-    2 sum_mid cannot overflow: a bound whose top term alone overflows is inf,
-    not nan.
+    range, the range from row 0 continuing the sums in `carried`
+    (:func:`_accumulate`). Halving the quotient gives the bits of dividing
+    by 2 sum_mid, but 2 sum_mid cannot overflow: a bound whose top term
+    alone overflows is inf, not nan.
     """
     # terms and sums overflow to inf, and inf / inf is nan, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
-        sum_low, sum_mid = power(t, 0.5 * (k - 1.0)), power(t, 0.5 * k)
-        for start, end in epochs:
-            for terms in (sum_low[start:end], sum_mid[start:end]):
-                np.cumsum(terms, out=terms)
+        sum_low = _accumulate(np.add, power(t, 0.5 * (k - 1.0)), epochs, carried, ("low", k))
+        sum_mid = _accumulate(np.add, power(t, 0.5 * k), epochs, carried, ("mid", k))
         top = power(t, 0.5 * (k + 1.0))
         top += sum_low
         top /= sum_mid
@@ -95,11 +112,16 @@ def weak_ergodic_bound(R: float, t: int, k: float, max_g_norm: float) -> float:
     """Gap bound for the k-weighted mean under the family step after t iterations.
 
     The last entry of the ``weak_k<k>`` column of :func:`evaluate` over
-    counts 1..t in one epoch, so O(t) numpy work.
+    counts 1..t in one epoch: O(t) numpy work, done VALUE_BLOCK_CAP counts
+    at a time with the sums carried over, so its memory does not grow with t.
     """
     weak_label(k)  # rejects k < -1
     require_count(t, "t")
-    return _weak_column(float(k), R, np.arange(1.0, t + 1.0), max_g_norm, [(0, t)])[-1]
+    carried = {}
+    for start in range(0, t, VALUE_BLOCK_CAP):
+        counts = np.arange(start + 1.0, min(start + VALUE_BLOCK_CAP, t) + 1.0)
+        column = _weak_column(float(k), R, counts, max_g_norm, [(0, len(counts))], carried)
+    return column[-1]
 
 
 class WeakBoundSums:
@@ -168,6 +190,42 @@ REFUTED = "refuted"
 UNDECIDED = "undecided"
 
 
+class _WorstPair:
+    """The pair that :func:`gap_verdict` decides on, of the (avg_s, bound_s) chunks folded so far.
+
+    It keeps whether every pair was finite, the first finite avg_s that
+    the excess is taken relative to, and the first pair of largest excess
+    with that excess: a chunk's pair replaces it only when its excess is
+    larger, so the chunks give the pair of one pass over all of them.
+    """
+
+    provable, first, worst = True, None, None
+
+    def fold(self, avg, bound) -> "_WorstPair":
+        avg, bound = np.asarray(avg, dtype=np.float64), np.asarray(bound, dtype=np.float64)
+        finite = np.isfinite(avg) & np.isfinite(bound)
+        self.provable = self.provable and bool(finite.all())
+        avg, bound = avg[finite], bound[finite]
+        if len(avg):
+            self.first = avg[0] if self.first is None else self.first
+            excess = (avg - self.first) * (1.0 - REL_TOL) - bound
+            i = int(np.argmax(excess))
+            if self.worst is None or excess[i] > self.worst[0]:
+                self.worst = (excess[i], float(avg[i]), float(bound[i]))
+        return self
+
+    def verdict(self, low: float, high: float) -> str:
+        if self.worst is None:
+            return PROVEN if self.provable else UNDECIDED
+        _, avg, bound = self.worst
+        if not leq_with_tol(avg - high, bound):
+            return REFUTED
+        # a crossed bracket means some subgradient gave no minorant
+        proven = (self.provable and math.isfinite(low) and leq_with_tol(low, high)
+                  and leq_with_tol(avg - low, bound))
+        return PROVEN if proven else UNDECIDED
+
+
 def gap_verdict(avg, bound, low: float, high: float) -> str:
     """PROVEN, REFUTED or UNDECIDED: avg_s - f* <= bound_s at every s, for low <= f* <= high.
 
@@ -179,53 +237,111 @@ def gap_verdict(avg, bound, low: float, high: float) -> str:
     bracket, undecided otherwise. A nonfinite pair makes the claim
     unprovable; no pair at all proves it. A known optimum is [f*, f*].
     """
-    avg, bound = np.asarray(avg, dtype=np.float64), np.asarray(bound, dtype=np.float64)
-    finite = np.isfinite(avg) & np.isfinite(bound)
-    provable = bool(finite.all())
-    if not finite.any():
-        return PROVEN if provable else UNDECIDED
-    if not provable:
-        avg, bound = avg[finite], bound[finite]
-    excess = avg - avg[0]
-    excess *= 1.0 - REL_TOL
-    excess -= bound
-    worst = int(np.argmax(excess))
-    avg, bound = float(avg[worst]), float(bound[worst])
-    if not leq_with_tol(avg - high, bound):
-        return REFUTED
-    # a crossed bracket means some subgradient gave no minorant
-    if (provable and math.isfinite(low) and leq_with_tol(low, high)
-            and leq_with_tol(avg - low, bound)):
-        return PROVEN
-    return UNDECIDED
+    return _WorstPair().fold(avg, bound).verdict(low, high)
 
 
-def value_mean(w: np.ndarray, f_x: np.ndarray, epochs) -> np.ndarray:
+def value_mean(w: np.ndarray, f_x: np.ndarray, epochs, carried=None) -> np.ndarray:
     """v_s = sum_{r<=s} w_r f(x_r) / sum_{r<=s} w_r within each (start, end) row range of `epochs`.
 
     The weighted value mean that every gap bound is proven for; Jensen
     carries it to the averaged point, f(sum w x / sum w) <= v. `w` is
-    summed in place. Both sums run row after row; a sum that overflows
-    gives a nonfinite entry, unwarned.
+    summed in place. Both sums run row after row, the range from row 0
+    continuing those in `carried` (:func:`_accumulate`); a sum that
+    overflows gives a nonfinite entry, unwarned.
     """
+    carried = {} if carried is None else carried
     with np.errstate(over="ignore", invalid="ignore"):
-        v = w * f_x
-        for start, end in epochs:
-            for sums in (v[start:end], w[start:end]):
-                np.cumsum(sums, out=sums)
-        return v / w
+        v = _accumulate(np.add, w * f_x, epochs, carried, "v")
+        return v / _accumulate(np.add, w, epochs, carried, "w")
 
 
-def _nondecreasing(x: np.ndarray, new_epoch: np.ndarray) -> bool:
-    """x_{s-1} <= x_s up to the package tolerance within every epoch."""
-    prev, cur = x[:-1], x[1:]
-    # prev <= cur passes without the tolerance, a pair of -inf included
-    return bool(np.all(new_epoch[1:] | (prev <= cur) | leq_with_tol(prev, cur)))
+class Evaluator:
+    """The bounds and certificates of a run, from its per-iteration columns fed a chunk at a time.
+
+    :meth:`feed` takes the next rows of the columns that :func:`evaluate`
+    reads and returns their bound columns; :meth:`verdicts` decides the
+    certificates on every row fed. What carries from one chunk to the next
+    is the last row's epoch and, within that epoch, t, max||g||, the weak
+    bounds' power sums, each value mean's sums and each last w_s / eta_s
+    (``carried``, emptied when a chunk starts an epoch); per gap
+    certificate, its worst pair (:class:`_WorstPair`); and per monotone
+    exponent, whether it has held. Every carried sum adds row after row, as
+    one pass does, so the bounds and verdicts keep their bits whatever the
+    chunks. Certifying a run costs memory per chunk, not per row. Without
+    `gap` no gap certificate is decided.
+    """
+
+    def __init__(self, policy, ks, R: float, L: Optional[float], gap: bool = True):
+        self.R, self.L, self.labels = R, L, policy.bound_labels(ks, L)
+        self.weak = {weak_label(k): float(k) for k in ks}
+        self.certs = policy.certificates(ks, L) if gap else []
+        self.worst = {cert.label: _WorstPair() for cert in self.certs}
+        self.monotone = dict.fromkeys(policy.monotone_ks(ks), True)
+        self.epoch, self.carried = math.nan, {}
+
+    def feed(self, columns: dict) -> dict:
+        """The bounds of the next rows, one column per label of ``policy.bound_labels``."""
+        eta = np.asarray(columns["eta"], dtype=np.float64)
+        if not len(eta):
+            return {label: np.empty(0) for label in self.labels}
+        # begins[s]: row s begins an epoch; begins[0]: nothing carries over
+        epoch = np.asarray(columns["epoch"])
+        begins = np.concatenate(([epoch[0] != self.epoch], epoch[1:] != epoch[:-1]))
+        carried = self.carried = {} if begins[0] else self.carried
+        self.epoch = epoch[-1]
+        starts = [0, *(np.flatnonzero(begins[1:]) + 1).tolist()]
+        epochs = list(zip(starts, starts[1:] + [len(eta)]))
+        # t and max||g|| restart with each epoch
+        t = _accumulate(np.add, np.ones(len(eta)), epochs, carried, "t")
+        max_g = _accumulate(np.maximum, np.array(columns["g_norm"], float), epochs, carried, "g")
+        bounds = {}
+        for label in self.labels:  # family's and the weak bounds read max||g||, the others L
+            k = self.weak.get(label)
+            bounds[label] = (_weak_column(k, self.R, t, max_g, epochs, carried) if k is not None
+                             else family_bound(self.R, t, max_g) if label == FAMILY
+                             else _LIPSCHITZ_BOUNDS[label](self.R, self.L, t))
+
+        # the value mean of each exponent that a certificate reads
+        means = {k: value_mean(WeightRule(k)(t, eta), columns["f_x"], epochs,
+                               carried.setdefault(("mean", k), {}))
+                 for k in {cert.k for cert in self.certs}}
+        for cert in self.certs:
+            avg, bound = means[cert.k], bounds[cert.label]
+            if cert.horizon is not None:  # the last row, if its epoch has exactly the horizon
+                self.worst[cert.label] = _WorstPair()
+                avg, bound = (avg[-1:], bound[-1:]) if t[-1] == cert.horizon else ((), ())
+            self.worst[cert.label].fold(avg, bound)
+        # a zero, negative or nonfinite step has no ratio: every k fails, unwarned
+        if not np.all((eta > 0) & (eta < math.inf)):
+            self.monotone = dict.fromkeys(self.monotone, False)
+        for k in [k for k, held in self.monotone.items() if held]:
+            with np.errstate(over="ignore"):  # a ratio past the float range is inf
+                ratio = WeightRule(k)(t, eta) / eta
+            # each ratio against the one before it, up to the package tolerance;
+            # prev <= ratio passes without it, a pair of -inf included
+            prev = np.concatenate(([carried.get(("ratio", k), math.nan)], ratio[:-1]))
+            carried[("ratio", k)] = ratio[-1]
+            self.monotone[k] = bool((begins | (prev <= ratio) | leq_with_tol(prev, ratio)).all())
+        return bounds
+
+    def verdicts(self, bracket: Optional[tuple]) -> tuple:
+        """(certificates, undecided) over the rows fed so far, gap certificates against `bracket`.
+
+        Each gap certificate is True iff :func:`gap_verdict` proves it, over
+        every row, or over the last row if its epoch has exactly the
+        certificate's horizon; `undecided` names those neither proven nor
+        refuted. ``monotone_k<k>`` is True iff every eta_s is positive and
+        finite and w_s / eta_s never decreases within an epoch.
+        """
+        verdicts = {label: worst.verdict(*bracket) for label, worst in self.worst.items()}
+        certificates = {label: verdict == PROVEN for label, verdict in verdicts.items()}
+        certificates.update((monotone_label(k), held) for k, held in self.monotone.items())
+        return certificates, [label for label, verdict in verdicts.items() if verdict == UNDECIDED]
 
 
 def evaluate(policy, ks, R: float, L: Optional[float], columns: dict,
              bracket: Optional[tuple] = None) -> tuple:
-    """(bounds, certificates, undecided) of a run, from its per-iteration columns.
+    """(bounds, certificates, undecided) of a run, from its per-iteration columns as one chunk.
 
     `columns` maps ``epoch`` (the restart count), ``eta``, ``g_norm`` and
     ``f_x`` to one entry per iteration. Each epoch restarts the bounds and
@@ -235,64 +351,14 @@ def evaluate(policy, ks, R: float, L: Optional[float], columns: dict,
     ``policy.certificates`` gap certificate is decided on the value mean
     v_k of its exponent (:func:`value_mean`, with the weights of
     :class:`~psg.averaging.WeightRule`), the quantity its bound is proven
-    for: True iff proven by :func:`gap_verdict` over every row, or over the
-    last row if its epoch has exactly the horizon; `undecided` names those
-    neither proven nor refuted. Since f(mean_k) <= v_k and f_best <= v_k, a
-    proven certificate also bounds the gap of the averaged point and of the
-    best one. ``monotone_k<k>``, for k in ``policy.monotone_ks``, is True iff
-    every eta_s is positive and finite and w_s / eta_s never decreases within
-    an epoch.
+    for (:meth:`Evaluator.verdicts`). Since f(mean_k) <= v_k and
+    f_best <= v_k, a proven certificate also bounds the gap of the averaged
+    point and of the best one. :class:`Evaluator` gives the same bits fed
+    the rows a chunk at a time, as the solver and ``psg check`` feed them.
     """
-    eta = np.asarray(columns["eta"], dtype=np.float64)
-    g_norm = np.asarray(columns["g_norm"], dtype=np.float64)
-    epoch = np.asarray(columns["epoch"])
-    new_epoch = np.ones(len(eta), dtype=bool)
-    np.not_equal(epoch[1:], epoch[:-1], out=new_epoch[1:])
-    # t and max||g|| restart with each epoch; each column is built in place
-    t = np.arange(1.0, len(eta) + 1.0)
-    max_g = np.empty(len(eta))
-    starts = np.flatnonzero(new_epoch).tolist()
-    epochs = list(zip(starts, starts[1:] + [len(eta)]))
-    for start, end in epochs:
-        t[start:end] -= start
-        np.maximum.accumulate(g_norm[start:end], out=max_g[start:end])
-
-    weak = {weak_label(k): float(k) for k in ks}
-    lipschitz = {CLASSIC: classic_bound, CONSTANT: constant_bound, NESTEROV: nesterov_bound}
-    bounds = {}
-    for label in policy.bound_labels(ks, L):
-        if label == FAMILY:
-            bounds[label] = family_bound(R, t, max_g)
-        elif label in weak:
-            bounds[label] = _weak_column(weak[label], R, t, max_g, epochs)
-        else:  # a bound of t and the Lipschitz bound L alone
-            bounds[label] = lipschitz[label](R, L, t)
-
-    certificates, undecided = {}, []
-    certs = policy.certificates(ks, L) if bracket is not None else ()
-    # the value mean of each exponent that a certificate reads
-    means = {k: value_mean(WeightRule(k)(t, eta), columns["f_x"], epochs)
-             for k in {cert.k for cert in certs}}
-    for cert in certs:
-        avg, bound = means[cert.k], bounds[cert.label]
-        if cert.horizon is not None:
-            decided = len(t) and t[-1] == cert.horizon
-            avg, bound = (avg[-1:], bound[-1:]) if decided else ((), ())
-        verdict = gap_verdict(avg, bound, *bracket)
-        certificates[cert.label] = verdict == PROVEN
-        if verdict == UNDECIDED:
-            undecided.append(cert.label)
-    # a zero, negative or nonfinite step has no ratio: it fails, unwarned
-    steps_valid = bool(np.all((eta > 0) & (eta < math.inf)))
-    for k in policy.monotone_ks(ks):
-        if not steps_valid:
-            certificates[monotone_label(k)] = False
-            continue
-        with np.errstate(over="ignore"):  # a ratio past the float range is inf
-            ratio = WeightRule(k)(t, eta)
-            ratio /= eta
-        certificates[monotone_label(k)] = _nondecreasing(ratio, new_epoch)
-    return bounds, certificates, undecided
+    evaluator = Evaluator(policy, ks, R, L, gap=bracket is not None)
+    bounds = evaluator.feed(columns)
+    return (bounds, *evaluator.verdicts(bracket))
 
 
 def weak_label(k: float) -> str:
@@ -308,6 +374,8 @@ CLASSIC = "classic"
 NESTEROV = "nesterov"
 FAMILY = "family"
 PER_STEP = "per_step"
+# The bounds of t and the Lipschitz bound L alone, by label
+_LIPSCHITZ_BOUNDS = {CLASSIC: classic_bound, CONSTANT: constant_bound, NESTEROV: nesterov_bound}
 
 
 def monotone_label(k: float) -> str:

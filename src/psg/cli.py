@@ -79,10 +79,17 @@ policy tracks it, else all ``nan``; ``eta_positive``: every step is positive and
 ``epoch_counts_restarts``: every epoch 0 when the header's
 ``restart_factor`` is null; ``iterations`` and ``restart_factor`` are
 read and range-checked as a config's are), rebuilds the policy from the
-header and runs the solver's own evaluator (:func:`psg.bounds.evaluate`) on the columns:
-every bound column must match bit for bit, and every certificate except ``per_step`` (it needs the
-iterates) is decided again, each gap certificate on the weighted value mean
-that ``evaluate`` forms from the ``f_x`` and ``eta`` columns. A trace that
+header and feeds the columns to the solver's own evaluator
+(:class:`psg.bounds.Evaluator`): every bound column must match bit for bit,
+and every certificate except ``per_step`` (it needs the iterates) is decided
+again, each gap certificate on the weighted value mean that the evaluator
+forms from the ``f_x`` and ``eta`` columns. Check reads a CSV trace
+``VALUE_BLOCK_CAP`` (4096) rows at a time, runs every check on each chunk,
+carrying across chunk edges what a check needs of the rows before, and feeds
+the evaluator the same chunks, so its memory does not grow with the trace's
+length; a ``.npz`` trace is read whole and checked in chunks of its views.
+A malformed row is an input error wherever it lies, and check prints no
+verdict line before every row is read. A trace that
 repeats a column name, or lacks a column its run writes, ``G`` or a
 declared ``bound_<label>`` among them, is an input error; a header key that
 check does not read, such as the ``optimum_bracket`` of an older trace, is
@@ -113,7 +120,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import bounds as bnd
-from .core import InvalidParameterError, NumericError, ProblemInstance, ShapeError, repeated_scheme
+from .core import (VALUE_BLOCK_CAP, InvalidParameterError, NumericError, ProblemInstance,
+                   ShapeError, repeated_scheme)
 from .problems import make_abs_problem, make_lasso, make_sqrt_example
 from .solver import SolverConfig, run, trace_columns
 from .stepsize import ClassicPolicy, ConstantPolicy, FamilyPolicy, NesterovPolicy
@@ -417,29 +425,47 @@ def emit_trace_csv(trace: dict, path, header: dict) -> None:
             fh.write((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
-def read_trace_csv(path) -> tuple:
-    """Parse a trace written by :func:`emit_trace_csv`: (header object, columns).
+def _csv_chunks(path):
+    """The header object of a CSV trace, then its columns VALUE_BLOCK_CAP rows at a time.
 
-    The columns map each name, in the file's order, to a float array. A
-    first line that does not start with ``# {``, rows that do not parse or
-    that are not one per entry of each name, and a name that repeats are
-    input errors naming `path`.
+    A generator, which holds the file open until its last chunk is read;
+    each chunk maps each name, in the file's order, to a float array. The
+    input errors are those of :func:`read_trace_csv`, each raised where the
+    file shows it.
     """
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
         if not first.startswith("# {"):
             raise InvalidParameterError(f"{path}: first line does not start with '# {{'")
         names = fh.readline().strip().split(",")
-        try:
-            with warnings.catch_warnings():  # a file with no rows fails the check below
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise InvalidParameterError(f"{path}: malformed rows ({exc})") from None
-    meta = _header_object(path, first[2:])
-    if rows.shape[1:] != (len(names),) or not len(rows):
-        raise InvalidParameterError(f"{path}: expected rows of {len(names)} columns")
-    return meta, _column_dict(path, names, list(rows.T))
+        yield _header_object(path, first[2:])
+        read = 0
+        while read % VALUE_BLOCK_CAP == 0:  # a chunk short of the cap is the last
+            try:
+                with warnings.catch_warnings():  # a file with no rows fails the check below
+                    warnings.simplefilter("ignore", UserWarning)
+                    rows = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=VALUE_BLOCK_CAP)
+            except ValueError as exc:
+                raise InvalidParameterError(f"{path}: malformed rows ({exc})") from None
+            if read and not len(rows):
+                return
+            if rows.shape[1:] != (len(names),) or not len(rows):
+                raise InvalidParameterError(f"{path}: expected rows of {len(names)} columns")
+            read += len(rows)
+            yield _column_dict(path, names, list(rows.T))
+
+
+def read_trace_csv(path) -> tuple:
+    """Parse a trace written by :func:`emit_trace_csv`: (header object, columns).
+
+    The columns map each name, in the file's order, to a float array,
+    joined from the chunks that ``psg check`` reads one at a time. A first
+    line that does not start with ``# {``, a header that is not a JSON
+    object, rows that do not parse or that are not one per entry of each
+    name, and a name that repeats are input errors naming `path`.
+    """
+    meta, *chunks = _csv_chunks(path)
+    return meta, {name: np.concatenate([chunk[name] for chunk in chunks]) for name in chunks[0]}
 
 
 # The members of a .npz trace, in the file's order
@@ -512,65 +538,90 @@ def read_trace(path) -> tuple:
     return _header_object(path, header.item()), _column_dict(path, names.tolist(), list(matrix))
 
 
-def check_trace(meta: dict, cols: dict, problem: ProblemInstance) -> list:
+def _trace_chunks(path):
+    """The header object of a trace file, then its columns VALUE_BLOCK_CAP rows at a time.
+
+    A CSV trace is read a chunk at a time (:func:`_csv_chunks`); a ``.npz``
+    trace is read whole by :func:`read_trace` and cut into views.
+    """
+    if not str(path).endswith(".npz"):
+        return _csv_chunks(path)
+    meta, cols = read_trace(path)
+    starts = range(0, len(next(iter(cols.values()))), VALUE_BLOCK_CAP)
+    return iter([meta, *({name: col[i:i + VALUE_BLOCK_CAP] for name, col in cols.items()}
+                         for i in starts)])
+
+
+def check_trace(meta: dict, cols, problem: ProblemInstance) -> list:
     """Re-validate a trace; returns (name, passed, detail) triples.
 
-    `meta` and `cols` are as :func:`read_trace` returns them. The
-    structural invariants come from the columns; the bounds and the
-    certificates from :func:`psg.bounds.evaluate`, as ``psg run`` computes
-    them, against the bracket that :func:`psg.bounds.bracket` forms from
-    the header's ``minorant_sums`` and the final ``f_best`` (see the module
-    docstring for what is taken on trust). A header field that check reads
-    and that is missing or malformed, or a column set that lacks a column
-    its run writes, raises :class:`ConfigError` or
-    :class:`InvalidParameterError`; a header key or a column that no run
-    writes, such as an older trace's ``optimum_bracket`` or its
-    ``f_avg_k<k>`` columns, is not read. The header's ``problem`` is not
-    read: ``psg check`` compares it with the spec that `problem` is built
-    from.
+    `meta` and `cols` are as :func:`read_trace` returns them, or `cols` is
+    an iterable of such dicts, each the next rows of every column, as
+    ``psg check`` reads a trace a chunk at a time; a dict is one chunk.
+    Every check runs per chunk and carries the last row's epoch, G and
+    running minimum of ``f_x`` and the row count across chunk edges, and
+    the bounds and certificates come from one :class:`psg.bounds.Evaluator`
+    fed the chunks, as ``psg run`` computes them, so no verdict depends on
+    the chunks. The certificates are decided against the bracket that
+    :func:`psg.bounds.bracket` forms from the header's ``minorant_sums`` and
+    the final ``f_best`` (see the module docstring for what is taken on
+    trust). A header field that check reads and that is missing or
+    malformed, or a column set that lacks a column its run writes, raises
+    :class:`ConfigError` or :class:`InvalidParameterError`, as does a chunk
+    that the reader refuses; a header key or a column that no run writes,
+    such as an older trace's ``optimum_bracket`` or its ``f_avg_k<k>``
+    columns, is not read. The header's ``problem`` is not read: ``psg
+    check`` compares it with the spec that `problem` is built from.
     """
     spec = _spec(POLICY_KINDS, meta.get("policy"), "header.policy")
     iterations, restart_factor = _run_length(meta, "header.")
     policy = build_policy(spec, problem, iterations, "header.policy")
     ks = _exponents(meta.get("weight_ks"), "header.weight_ks")
-    L = problem.lipschitz_L
-    missing = [name for name in trace_columns(policy.bound_labels(ks, L)) if name not in cols]
-    if missing:
-        raise InvalidParameterError(f"trace has no column {', '.join(missing)}")
-    epoch, G, f_best = cols["epoch"], cols["G"], cols["f_best"]
-    # a run without restart_factor has one epoch
-    steps = (0.0,) if restart_factor is None else (0.0, 1.0)
-    # each whole-length temporary dies with its check, before evaluate builds its own
-    results = [
-        ("s_counts_1_to_t", bool(np.array_equal(cols["s"], np.arange(1.0, len(G) + 1))), ""),
-        ("eta_positive", bool(np.all((cols["eta"] > 0) & (cols["eta"] < math.inf))), ""),
-        ("epoch_counts_restarts", bool(epoch[0] == 0 and np.all(np.isin(np.diff(epoch), steps))),
-         ""),
-    ]
-    if policy.tracks_G:  # positive and finite at every row, as the rule's step divides by it
-        ok = np.all((G > 0) & (G < math.inf)) and np.all((np.diff(G) >= 0) | (np.diff(epoch) != 0))
-        results.append(("G_nondecreasing", bool(ok), "within each epoch"))
-    else:
-        results.append(("G_nondecreasing", bool(np.all(np.isnan(G))), "not tracked"))
-    rebest_ok = np.array_equal(np.minimum.accumulate(cols["f_x"]), f_best)
-    results.append(("f_best_running_min", bool(rebest_ok), ""))
-
     sums = meta.get("minorant_sums")
     if sums is not None:
         sums = _read_fields(sums, "header.minorant_sums.", MINORANT_FIELDS)
         if len(sums["g_sum"]) != problem.dimension or sums["count"] < 1:
             raise ConfigError("header.minorant_sums: g_sum does not fit the problem,"
                               " or count is not positive")
+    evaluator = bnd.Evaluator(policy, ks, problem.radius_R, problem.lipschitz_L)
+    # a run without restart_factor has one epoch
+    steps = (0.0,) if restart_factor is None else (0.0, 1.0)
+    passed = dict.fromkeys(["s_counts_1_to_t", "eta_positive", "epoch_counts_restarts",
+                            "G_nondecreasing", "f_best_running_min",
+                            *(f"bound_{label}_recomputed" for label in evaluator.labels)], True)
+    # the last row's epoch, G and running minimum of f_x; before the first
+    # row, an epoch 0 that any G follows
+    rows, last = 0, (0.0, -math.inf, math.inf)
+    for chunk in [cols] if isinstance(cols, dict) else cols:
+        missing = [name for name in trace_columns(evaluator.labels) if name not in chunk]
+        if missing:
+            raise InvalidParameterError(f"trace has no column {', '.join(missing)}")
+        # each column led by the last row of the chunk before
+        epoch, G, f_min = (np.concatenate(([prev], chunk[name]))
+                           for prev, name in zip(last, ("epoch", "G", "f_x")))
+        np.minimum.accumulate(f_min, out=f_min)
+        step, eta = np.diff(epoch), chunk["eta"]
+        with np.errstate(invalid="ignore"):  # an inf G after an inf G fails, unwarned
+            ok = [np.array_equal(chunk["s"], np.arange(rows + 1.0, rows + len(eta) + 1)),
+                  np.all((eta > 0) & (eta < math.inf)),
+                  (rows or epoch[1] == 0) and np.all(np.isin(step, steps)),
+                  # positive and finite at every row, as the rule's step divides by it
+                  np.all((G[1:] > 0) & (G[1:] < math.inf) & ((np.diff(G) >= 0) | (step != 0)))
+                  if policy.tracks_G else np.all(np.isnan(G[1:])),
+                  np.array_equal(f_min[1:], chunk["f_best"]),
+                  *(np.array_equal(column, chunk[f"bound_{label}"])
+                    for label, column in evaluator.feed(chunk).items())]
+        passed = {name: was and bool(now) for (name, was), now in zip(passed.items(), ok)}
+        rows, last, f_best = rows + len(eta), (epoch[-1], G[-1], f_min[-1]), chunk["f_best"][-1]
+
     # the final f_best, which the run's best value undercuts only at a final
     # zero subgradient that has no row: a wider bracket, never a looser verdict
-    bracket = bnd.bracket(problem, sums, f_best[-1]) or (-math.inf, math.inf)
-    bounds, verdicts, undecided = bnd.evaluate(policy, ks, problem.radius_R, L, cols, bracket)
-    for label, column in bounds.items():
-        name = f"bound_{label}"
-        results.append((f"{name}_recomputed", bool(np.array_equal(column, cols[name])), ""))
+    bracket = bnd.bracket(problem, sums, f_best) or (-math.inf, math.inf)
+    verdicts, undecided = evaluator.verdicts(bracket)
+    detail = {"G_nondecreasing": "within each epoch" if policy.tracks_G else "not tracked"}
+    results = [(name, ok, detail.get(name, "")) for name, ok in passed.items()]
     for label, ok in verdicts.items():
-        detail = "" if ok else "undecided" if label in undecided else "refuted"
-        results.append((label, ok, detail))
+        results.append((label, ok, "" if ok else "undecided" if label in undecided else "refuted"))
     return results
 
 
@@ -712,10 +763,11 @@ def _cmd_check(args) -> int:
     if isinstance(data, dict) and "problem" in data:  # a whole config
         data = data["problem"]
     spec = _spec(PROBLEM_KINDS, data, "problem")
-    problem, (meta, cols) = build_problem(spec), read_trace(args.trace)
+    problem, chunks = build_problem(spec), _trace_chunks(args.trace)
+    meta = next(chunks)
     if _spec(PROBLEM_KINDS, meta.get("problem"), "header.problem") != spec:
         raise ConfigError(f"problem: differs from the header.problem of {args.trace}")
-    results = check_trace(meta, cols, problem)
+    results = check_trace(meta, chunks, problem)
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}" + (f" ({detail})" if detail else ""))
     if args.strict and not all(ok for _, ok, _ in results):

@@ -23,6 +23,10 @@ ABS_TOL = 1e-12
 # A difference of two computed objective values near |f| carries their rounding:
 # it is allowed VALUE_ROUNDING * |f| (64 units in the last place) more.
 VALUE_ROUNDING = 2.0 ** -46
+# The most rows that a run's bookkeeping block holds (psg.solver), and the rows
+# that the bounds' evaluator and psg check take at a time, so that what they
+# build grows with the chunk, not with the run.
+VALUE_BLOCK_CAP = 4096
 
 
 class InvalidParameterError(ValueError):

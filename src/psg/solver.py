@@ -13,6 +13,7 @@ from . import bounds as bnd
 from .averaging import StreamingAverage, WeightRule
 from .core import (
     ABS_TOL,
+    VALUE_BLOCK_CAP,
     VALUE_ROUNDING,
     InvalidParameterError,
     NumericError,
@@ -37,7 +38,6 @@ from .stepsize import StepSizePolicy
 # fewer than VALUE_BLOCK nor more than VALUE_BLOCK_CAP (see block_rows).
 # The length changes no output value but the averages' last bits.
 VALUE_BLOCK = 64
-VALUE_BLOCK_CAP = 4096
 VALUE_BLOCK_BYTES = 2 ** 18
 
 
@@ -136,13 +136,13 @@ def run(problem: ProblemInstance, config: SolverConfig):
     f(x_s) - f* <= (||x_s-x*||^2 - ||x_{s+1}-x*||^2) / (2 eta_s)
     + eta_s ||g_s||^2 / 2 (any rule; needs the optimum point; f_x - f* may
     carry the rounding of f), and records per iteration the epoch (restarts
-    so far), eta_s, ||g_s||, G and f(x_s). After the loop
-    :func:`bounds.evaluate` turns those columns into the bounds the policy
-    declares (``policy.bound_labels``) and into the verdicts of its gap
-    certificates (``policy.certificates``), decided on the weighted value
-    means, and of the monotonicity of w_s / eta_s (``policy.monotone_ks``);
-    ``psg check`` runs it on a stored trace. The averaged points are valued
-    once, after the loop.
+    so far), eta_s, ||g_s||, G and f(x_s). A :class:`bounds.Evaluator` turns
+    those columns into the bounds the policy declares
+    (``policy.bound_labels``) and into the verdicts of its gap certificates
+    (``policy.certificates``), decided on the weighted value means, and of
+    the monotonicity of w_s / eta_s (``policy.monotone_ks``); ``psg check``
+    feeds one the same columns from a stored trace. The averaged points are
+    valued once, after the loop.
 
     Gap certificates need f*, or a bracket around it. A known optimum value
     is the bracket [f*, f*]. Without one, when the projector has
@@ -176,11 +176,19 @@ def run(problem: ProblemInstance, config: SolverConfig):
     bits of one check per iteration), sums its minorants in iteration order
     (the bits of one sum per iteration), forms its weights, folds its points
     into the averages with one :meth:`StreamingAverage.update`, and appends
-    the block to the record. The record holds every column as float64
-    chunks, one per block: ``epoch``, ``eta``, ``g_norm``, ``G`` and
-    ``f_x``, 40 bytes per iteration. After the loop each column is joined
-    once, its chunks dropped, before the bounds are built. The best iterate
-    is kept by reference and copied once. Each iteration checks a finite
+    the block to the record. The record holds one float64 array per trace
+    column but ``s`` and ``f_best``: ``epoch``, ``eta``, ``g_norm``, ``G``,
+    ``f_x`` and one bound per label, 8 bytes per iteration each. The first
+    block gives each array room for the budget, but at most 2^15 rows, and
+    a block that overflows the room doubles it; only the rows written are
+    resident. Whenever 4096 (``VALUE_BLOCK_CAP``) or more recorded rows
+    have no bounds yet, and after the loop, those rows go to the evaluator
+    as one chunk, and it writes their bounds into the record: the evaluator
+    builds nothing longer than a chunk, and carries its sums from one chunk
+    to the next, so the bounds and verdicts have the bits of one pass over
+    every row. ``s`` and ``f_best`` are built after the loop; the other
+    columns of the trace are the record's rows, not a copy. The best
+    iterate is kept by reference and copied once. Each iteration checks a finite
     oracle value, a subgradient of the right shape with a finite norm, a
     positive finite step and a finite x_s - eta_s g_s (proven by
     eta_s ||g_s|| < 2^960 alone when it holds); x_s is then finite by
@@ -230,9 +238,9 @@ def run(problem: ProblemInstance, config: SolverConfig):
     check_step = x_star is not None and f_star is not None
     per_step = True
 
-    gap_certs = policy.certificates(ks, L) if check_gap else []
+    evaluator = bnd.Evaluator(policy, ks, problem.radius_R, L, check_gap)
     n = problem.dimension
-    sum_minorants = f_star is None and bool(gap_certs)
+    sum_minorants = f_star is None and bool(evaluator.certs)
     block_len = block_rows(n, sum_minorants)
     # the points x_s of the last `rows` iterations, oldest first, not yet fed
     # to the averages or checked by the per-step inequality, and the
@@ -242,17 +250,28 @@ def run(problem: ProblemInstance, config: SolverConfig):
     sums = np.zeros((block_len + 1, n + 1)) if sum_minorants else None
     minorants = 0
 
-    # The run's record, the columns that the trace, the bounds and the
-    # certificates are computed from after the loop: the pending rows in short
-    # lists, and one float64 chunk per flushed block and column (one epoch
-    # per block). It holds the trace's columns but s, f_best and the bounds,
-    # which are derived after the loop.
+    # The run's record, the columns of the trace but s and f_best, which are
+    # derived after the loop: the pending rows in short lists, and one float64
+    # array per column that each block's rows, and the bounds of each chunk of
+    # blocks, are written into. The first block gives each array room for the
+    # budget, but at most 2^15 rows, so that no allocation grows with the
+    # budget and a run of up to 2^15 rows is never moved; a block that
+    # overflows the room doubles it. Only the pages written to are resident.
     etas: list[float] = []
     g_norms: list[float] = []
     big_Gs: list[Optional[float]] = []
     f_xs: list[float] = []
-    record = {name: [] for name in trace_columns(()) if name not in ("s", "f_best")}
-    done = 0  # rows already in the record
+    record = {name: np.empty(0) for name in trace_columns(evaluator.labels)
+              if name not in ("s", "f_best")}
+    done = fed = 0  # rows in the record, and rows of it fed to the evaluator
+
+    def certify():
+        """Feed the evaluator the recorded rows that it has not seen, as one chunk."""
+        nonlocal fed
+        chunk = {name: record[name][fed:done] for name in ("epoch", "eta", "g_norm", "f_x")}
+        for label, column in evaluator.feed(chunk).items():
+            record[f"bound_{label}"][fed:done] = column
+        fed = done
 
     def flush(x_after):
         """Run the block of pending rows, x_after following the last one, into the record.
@@ -291,14 +310,20 @@ def run(problem: ProblemInstance, config: SolverConfig):
                 averages.update(weights, points[:rows])
             except (NumericError, OverflowError):
                 raise _overflow(averages, ks, weights, points[:rows], done + 1) from None
+        if done + rows > len(record["eta"]):  # each column moves to its first room, or twice it
+            for name, column in record.items():
+                record[name] = np.empty(max(2 * len(column), min(config.max_iterations, 2 ** 15)))
+                record[name][:done] = column[:done]
         # None (a rule without G) becomes nan
-        for name, chunk in zip(record, (np.full(rows, float(epoch)), eta, g_norm,
-                                        np.array(big_Gs, dtype=np.float64), f_x)):
-            record[name].append(chunk)
+        for name, chunk in zip(record, (epoch, eta, g_norm, np.array(big_Gs, dtype=np.float64),
+                                        f_x)):
+            record[name][done:done + rows] = chunk
         for pending in (etas, g_norms, big_Gs, f_xs):
             pending.clear()
         done += rows
         rows = 0
+        if done - fed >= VALUE_BLOCK_CAP:
+            certify()
 
     epoch = 0
     s_local = 0
@@ -400,6 +425,7 @@ def run(problem: ProblemInstance, config: SolverConfig):
                 epoch += 1
 
     flush(x)
+    certify()
 
     averaged_points = {}
     averaged_values = {}
@@ -417,23 +443,16 @@ def run(problem: ProblemInstance, config: SolverConfig):
                      "count": minorants} if minorants else None
     bracket = bnd.bracket(problem, minorant_sums, best_value)
 
-    # each column joined once, its chunks dropped before the next is joined
-    columns = {}
-    for name, chunks in record.items():
-        columns[name] = np.concatenate(chunks or [np.empty(0)])
-        chunks.clear()
-    gap_bracket = (bracket or (-math.inf, math.inf)) if check_gap else None
-    bounds, verdicts, undecided = bnd.evaluate(policy, ks, problem.radius_R, L,
-                                               columns, gap_bracket)
+    columns = {name: column[:done] for name, column in record.items()}
+    verdicts, undecided = evaluator.verdicts(bracket or (-math.inf, math.inf))
     certs = {bnd.PER_STEP: per_step} if check_step else {}
     certs.update(verdicts)
     # the last row belongs to the last epoch that has rows
-    final_bounds = {label: float(col[-1]) for label, col in bounds.items()} if done else {}
-    # s and f_best are built after the bounds, which read neither
+    final_bounds = {label: float(columns[f"bound_{label}"][-1])
+                    for label in evaluator.labels} if done else {}
     columns.update(s=np.arange(1, done + 1, dtype=np.float64),
                    f_best=np.minimum.accumulate(columns["f_x"]))
-    columns.update((f"bound_{label}", column) for label, column in bounds.items())
-    trace = {name: columns[name] for name in trace_columns(bounds)}
+    trace = {name: columns[name] for name in trace_columns(evaluator.labels)}
 
     report = RunReport(
         problem=problem.name,

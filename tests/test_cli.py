@@ -1019,6 +1019,21 @@ class TestCheckCommand:
         assert caught == []
         assert capsys.readouterr().err == f"error: {bad}: expected rows of 11 columns\n"
 
+    @pytest.mark.parametrize("damage", ["text", "ragged", "short"])
+    def test_malformed_row_in_the_last_chunk_is_one_error_line(self, tmp_path, capsys, damage):
+        # 9,000 rows: psg check reads them in chunks of 4,096, 4,096 and 808
+        cfg = write_config(tmp_path / "c.json", dict(ABS_CONFIG, iterations=9000))
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        last = lines[-1].split(",")
+        lines[-1] = ",".join({"text": ["abc"] + last[1:], "ragged": last[:-1] + last[-1:] * 2,
+                              "short": last[:-1]}[damage])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["check", "--trace", str(bad), "--problem", cfg, "--strict"]) == 1
+        assert_one_error_line(capsys, f"error: {bad}: ")
+
     @pytest.mark.parametrize("damage", ["ragged", "headerless"])
     def test_malformed_trace_is_an_input_error(self, run_outputs, tmp_path, capsys, damage):
         trace, problem = run_outputs

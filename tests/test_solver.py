@@ -1462,7 +1462,7 @@ class TestBlockBookkeeping:
 
 
 class TestRecordMemory:
-    """The per-iteration record is float64 chunks, and nothing is sized by the budget."""
+    """The per-iteration record is float64 arrays, and no allocation grows with the budget."""
 
     @staticmethod
     def traced_peak(problem, config):
