@@ -173,8 +173,9 @@ def bracket(problem, sums: Optional[dict], high: float) -> Optional[tuple]:
     ``minorant_sums``), give low = (c_sum + min_linear(g_sum)) / count <= f*,
     the minimum of their mean over the feasible set; `high` is a value the
     run attained, so f* <= high. Without sums there is no bracket. The run
-    (high: its best value) and ``psg check`` (high: the trace's final
-    ``f_best``) both form it here, so their low ends agree bit for bit.
+    and ``psg check`` both form it here, from the same sums and the same
+    high, the trace's final ``f_best`` (a run without rows has no trace and
+    takes its best value), so their brackets agree bit for bit.
     """
     f_star = problem.known_optimum_value
     if f_star is not None:
@@ -267,14 +268,13 @@ class Evaluator:
     certificate, its worst pair (:class:`_WorstPair`); and per monotone
     exponent, whether it has held. Every carried sum adds row after row, as
     one pass does, so the bounds and verdicts keep their bits whatever the
-    chunks. Certifying a run costs memory per chunk, not per row. Without
-    `gap` no gap certificate is decided.
+    chunks. Certifying a run costs memory per chunk, not per row.
     """
 
-    def __init__(self, policy, ks, R: float, L: Optional[float], gap: bool = True):
+    def __init__(self, policy, ks, R: float, L: Optional[float]):
         self.R, self.L, self.labels = R, L, policy.bound_labels(ks, L)
         self.weak = {weak_label(k): float(k) for k in ks}
-        self.certs = policy.certificates(ks, L) if gap else []
+        self.certs = policy.certificates(ks, L)
         self.worst = {cert.label: _WorstPair() for cert in self.certs}
         self.monotone = dict.fromkeys(policy.monotone_ks(ks), True)
         self.epoch, self.carried = math.nan, {}
@@ -330,10 +330,13 @@ class Evaluator:
         Each gap certificate is True iff :func:`gap_verdict` proves it, over
         every row, or over the last row if its epoch has exactly the
         certificate's horizon; `undecided` names those neither proven nor
-        refuted. ``monotone_k<k>`` is True iff every eta_s is positive and
-        finite and w_s / eta_s never decreases within an epoch.
+        refuted. Without a bracket (None) f* is unbounded, so a certificate
+        with a row to decide it on is undecided. ``monotone_k<k>`` is True
+        iff every eta_s is positive and finite and w_s / eta_s never
+        decreases within an epoch.
         """
-        verdicts = {label: worst.verdict(*bracket) for label, worst in self.worst.items()}
+        low, high = bracket or (-math.inf, math.inf)
+        verdicts = {label: worst.verdict(low, high) for label, worst in self.worst.items()}
         certificates = {label: verdict == PROVEN for label, verdict in verdicts.items()}
         certificates.update((monotone_label(k), held) for k, held in self.monotone.items())
         return certificates, [label for label, verdict in verdicts.items() if verdict == UNDECIDED]
@@ -347,16 +350,17 @@ def evaluate(policy, ks, R: float, L: Optional[float], columns: dict,
     ``f_x`` to one entry per iteration. Each epoch restarts the bounds and
     the means: t counts its rows and max||g|| runs over them. `bounds`
     holds one column per label of ``policy.bound_labels(ks, L)``, in its
-    order, and no other. Given ``bracket = (low, high)``, each
-    ``policy.certificates`` gap certificate is decided on the value mean
-    v_k of its exponent (:func:`value_mean`, with the weights of
-    :class:`~psg.averaging.WeightRule`), the quantity its bound is proven
-    for (:meth:`Evaluator.verdicts`). Since f(mean_k) <= v_k and
-    f_best <= v_k, a proven certificate also bounds the gap of the averaged
-    point and of the best one. :class:`Evaluator` gives the same bits fed
-    the rows a chunk at a time, as the solver and ``psg check`` feed them.
+    order, and no other. Each ``policy.certificates`` gap certificate is
+    decided against ``bracket = (low, high)``, or an unbounded f* without
+    one, on the value mean v_k of its exponent (:func:`value_mean`, with
+    the weights of :class:`~psg.averaging.WeightRule`), the quantity its
+    bound is proven for (:meth:`Evaluator.verdicts`). Since f(mean_k) <=
+    v_k and f_best <= v_k, a proven certificate also bounds the gap of the
+    averaged point and of the best one. :class:`Evaluator` gives the same
+    bits fed the rows a chunk at a time, as the solver and ``psg check``
+    feed them.
     """
-    evaluator = Evaluator(policy, ks, R, L, gap=bracket is not None)
+    evaluator = Evaluator(policy, ks, R, L)
     bounds = evaluator.feed(columns)
     return (bounds, *evaluator.verdicts(bracket))
 

@@ -73,7 +73,8 @@ directory, lie under a file, or be the config file or another of the
 run's outputs. ``psg check`` refuses, as an input error, a ``--problem``
 spec that is not the header's ``problem`` (and so a trace whose header has
 none). It checks the columns' structure
-(``s_counts_1_to_t``: ``s`` is 1..t bit for bit; ``G_nondecreasing``: ``G``
+(``s_counts_1_to_t``: ``s`` is 1..t bit for bit, t at most the header's
+``iterations``; ``G_nondecreasing``: ``G``
 is positive, finite and nondecreasing within each epoch when the header's
 policy tracks it, else all ``nan``; ``eta_positive``: every step is positive and finite;
 ``epoch_counts_restarts``: every epoch 0 when the header's
@@ -97,11 +98,8 @@ ignored. The gap certificates are decided against the bracket of
 :func:`psg.bounds.bracket`, which ``psg run`` forms too: [f*, f*] when the
 problem knows f*, else the low end that the header's ``minorant_sums``
 give and the trace's final ``f_best``; without the sums there is none, and
-no gap certificate is proven. Those sums and the ``f_x`` column are taken
-on trust. The run's high, its best value, is lower only when it stopped on
-a zero subgradient that its rule could not step from, an iteration with no
-row: check's bracket is then wider, and a verdict can only move from
-refuted to undecided, never to proven.
+every gap certificate that has a row to decide it on is undecided, as in
+the run. Those sums and the ``f_x`` column are taken on trust.
 """
 
 from __future__ import annotations
@@ -552,26 +550,28 @@ def _trace_chunks(path):
                          for i in starts)])
 
 
-def check_trace(meta: dict, cols, problem: ProblemInstance) -> list:
+def check_trace(meta: dict, chunks, problem: ProblemInstance) -> list:
     """Re-validate a trace; returns (name, passed, detail) triples.
 
-    `meta` and `cols` are as :func:`read_trace` returns them, or `cols` is
-    an iterable of such dicts, each the next rows of every column, as
-    ``psg check`` reads a trace a chunk at a time; a dict is one chunk.
-    Every check runs per chunk and carries the last row's epoch, G and
-    running minimum of ``f_x`` and the row count across chunk edges, and
-    the bounds and certificates come from one :class:`psg.bounds.Evaluator`
-    fed the chunks, as ``psg run`` computes them, so no verdict depends on
-    the chunks. The certificates are decided against the bracket that
+    `meta` is the header object that :func:`read_trace` returns, and
+    `chunks` an iterable of dicts like its columns, each the next rows of
+    every column, as ``psg check`` reads a trace a chunk at a time
+    (``[columns]`` is the whole trace as one chunk). Every check runs per
+    chunk and carries the last row's epoch, G and running minimum of
+    ``f_x`` and the row count across chunk edges, and the bounds and
+    certificates come from one :class:`psg.bounds.Evaluator` fed the
+    chunks, as ``psg run`` computes them, so no verdict depends on the
+    chunks. The certificates are decided against the bracket that
     :func:`psg.bounds.bracket` forms from the header's ``minorant_sums`` and
-    the final ``f_best`` (see the module docstring for what is taken on
-    trust). A header field that check reads and that is missing or
-    malformed, or a column set that lacks a column its run writes, raises
-    :class:`ConfigError` or :class:`InvalidParameterError`, as does a chunk
-    that the reader refuses; a header key or a column that no run writes,
-    such as an older trace's ``optimum_bracket`` or its ``f_avg_k<k>``
-    columns, is not read. The header's ``problem`` is not read: ``psg
-    check`` compares it with the spec that `problem` is built from.
+    the final ``f_best``, the arguments ``psg run`` forms its bracket from
+    (see the module docstring for what is taken on trust). A header field
+    that check reads and that is missing or malformed, or a column set that
+    lacks a column its run writes, raises :class:`ConfigError` or
+    :class:`InvalidParameterError`, as does a chunk that the reader refuses;
+    a header key or a column that no run writes, such as an older trace's
+    ``optimum_bracket`` or its ``f_avg_k<k>`` columns, is not read. The
+    header's ``problem`` is not read: ``psg check`` compares it with the
+    spec that `problem` is built from.
     """
     spec = _spec(POLICY_KINDS, meta.get("policy"), "header.policy")
     iterations, restart_factor = _run_length(meta, "header.")
@@ -592,7 +592,7 @@ def check_trace(meta: dict, cols, problem: ProblemInstance) -> list:
     # the last row's epoch, G and running minimum of f_x; before the first
     # row, an epoch 0 that any G follows
     rows, last = 0, (0.0, -math.inf, math.inf)
-    for chunk in [cols] if isinstance(cols, dict) else cols:
+    for chunk in chunks:
         missing = [name for name in trace_columns(evaluator.labels) if name not in chunk]
         if missing:
             raise InvalidParameterError(f"trace has no column {', '.join(missing)}")
@@ -602,7 +602,8 @@ def check_trace(meta: dict, cols, problem: ProblemInstance) -> list:
         np.minimum.accumulate(f_min, out=f_min)
         step, eta = np.diff(epoch), chunk["eta"]
         with np.errstate(invalid="ignore"):  # an inf G after an inf G fails, unwarned
-            ok = [np.array_equal(chunk["s"], np.arange(rows + 1.0, rows + len(eta) + 1)),
+            ok = [np.array_equal(chunk["s"], np.arange(rows + 1.0, rows + len(eta) + 1))
+                  and rows + len(eta) <= iterations,
                   np.all((eta > 0) & (eta < math.inf)),
                   (rows or epoch[1] == 0) and np.all(np.isin(step, steps)),
                   # positive and finite at every row, as the rule's step divides by it
@@ -614,10 +615,7 @@ def check_trace(meta: dict, cols, problem: ProblemInstance) -> list:
         passed = {name: was and bool(now) for (name, was), now in zip(passed.items(), ok)}
         rows, last, f_best = rows + len(eta), (epoch[-1], G[-1], f_min[-1]), chunk["f_best"][-1]
 
-    # the final f_best, which the run's best value undercuts only at a final
-    # zero subgradient that has no row: a wider bracket, never a looser verdict
-    bracket = bnd.bracket(problem, sums, f_best) or (-math.inf, math.inf)
-    verdicts, undecided = evaluator.verdicts(bracket)
+    verdicts, undecided = evaluator.verdicts(bnd.bracket(problem, sums, f_best))
     detail = {"G_nondecreasing": "within each epoch" if policy.tracks_G else "not tracked"}
     results = [(name, ok, detail.get(name, "")) for name, ok in passed.items()]
     for label, ok in verdicts.items():

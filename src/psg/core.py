@@ -141,10 +141,6 @@ class SubgradientResult(NamedTuple):
     value: float
     subgradient: Optional[np.ndarray]
 
-    @property
-    def is_empty(self) -> bool:
-        return self.subgradient is None
-
 
 Oracle = Callable[[np.ndarray], SubgradientResult]
 

@@ -150,12 +150,16 @@ def run(problem: ProblemInstance, config: SolverConfig):
     oracle's answer at each iterate gives the minorant
     f(z) >= f(x_s) + <g_s, z - x_s>, one per iteration, and the
     minimum of their uniform mean over the feasible set is f_low <= f*
-    (summed across restarts), while f* <= f_best, the run's best value;
-    :func:`bounds.bracket` forms the bracket, as ``psg check`` does from a
-    trace. The minorants are summed only when f* is unknown. Each gap
-    certificate is proven, refuted or undecided (:func:`bounds.gap_verdict`);
-    ``certificates`` holds True only for proven ones, ``undecided`` names
-    the undecided ones, and ``optimum_bracket`` is the bracket used.
+    (summed across restarts), while f* <= f_best, the trace's final
+    ``f_best`` (the best value of a run that recorded no row);
+    :func:`bounds.bracket` forms the bracket from the same arguments as
+    ``psg check`` does from the trace and its header. The minorants are
+    summed only when f* is unknown, the projector has ``min_linear`` and
+    the policy declares a gap certificate. Each gap certificate is proven,
+    refuted or undecided (:func:`bounds.gap_verdict`); without a bracket,
+    one with a row to decide it on is undecided. ``certificates`` holds True
+    only for proven ones, ``undecided`` names the undecided ones, and
+    ``optimum_bracket`` is the bracket used, or None.
 
     The oracle is called at most once per iteration, and not at all for an
     iterate equal to the last point evaluated: a one-entry memo keeps the
@@ -233,14 +237,12 @@ def run(problem: ProblemInstance, config: SolverConfig):
     if problem.known_optimum_point is not None:
         x_star = ensure_vector(problem.known_optimum_point, problem.dimension, "optimum")
 
-    min_linear = getattr(projector, "min_linear", None)
-    check_gap = f_star is not None or min_linear is not None
     check_step = x_star is not None and f_star is not None
     per_step = True
 
-    evaluator = bnd.Evaluator(policy, ks, problem.radius_R, L, check_gap)
+    evaluator = bnd.Evaluator(policy, ks, problem.radius_R, L)
     n = problem.dimension
-    sum_minorants = f_star is None and bool(evaluator.certs)
+    sum_minorants = f_star is None and hasattr(projector, "min_linear") and bool(evaluator.certs)
     block_len = block_rows(n, sum_minorants)
     # the points x_s of the last `rows` iterations, oldest first, not yet fed
     # to the averages or checked by the per-step inequality, and the
@@ -438,21 +440,23 @@ def run(problem: ProblemInstance, config: SolverConfig):
                 oracle_calls += 1
             averaged_values[label] = f_x
 
-    # minorants are summed only when f* is unknown
+    columns = {name: column[:done] for name, column in record.items()}
+    columns.update(s=np.arange(1, done + 1, dtype=np.float64),
+                   f_best=np.minimum.accumulate(columns["f_x"]))
+    trace = {name: columns[name] for name in trace_columns(evaluator.labels)}
+
+    # minorants are summed only when f* is unknown; the bracket's high end is
+    # the trace's final f_best, as psg check reads it
     minorant_sums = {"g_sum": sums[0, :n].tolist(), "c_sum": float(sums[0, n]),
                      "count": minorants} if minorants else None
-    bracket = bnd.bracket(problem, minorant_sums, best_value)
-
-    columns = {name: column[:done] for name, column in record.items()}
-    verdicts, undecided = evaluator.verdicts(bracket or (-math.inf, math.inf))
+    bracket = bnd.bracket(problem, minorant_sums,
+                          float(trace["f_best"][-1]) if done else best_value)
+    verdicts, undecided = evaluator.verdicts(bracket)
     certs = {bnd.PER_STEP: per_step} if check_step else {}
     certs.update(verdicts)
     # the last row belongs to the last epoch that has rows
     final_bounds = {label: float(columns[f"bound_{label}"][-1])
                     for label in evaluator.labels} if done else {}
-    columns.update(s=np.arange(1, done + 1, dtype=np.float64),
-                   f_best=np.minimum.accumulate(columns["f_x"]))
-    trace = {name: columns[name] for name in trace_columns(evaluator.labels)}
 
     report = RunReport(
         problem=problem.name,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from psg import Ball, Box, ProblemInstance, SubgradientResult, project
+from psg import Ball, Box, ProblemInstance, SubgradientResult, make_abs_problem, project
 
 
 def sample_feasible(projector, rng, count=1):
@@ -114,6 +114,21 @@ def make_resisting_problem(k: int, R: float, L: float) -> ProblemInstance:
         known_optimum_value=-L * R / (2.0 * (1.0 + root)),
         known_optimum_point=np.full(k, -gamma / (mu * k)),
     )
+
+
+class ProjectOnly:
+    """A feasible set that projects but has no ``min_linear``: no run can bracket f* on it."""
+
+    def __init__(self, projector):
+        self.dimension = projector.dimension
+        self.project = projector.project
+
+
+def make_project_only_problem():
+    """||x||_1 on [-1, 1]^2 with f* hidden and a projector without ``min_linear``."""
+    base = make_abs_problem(2)
+    return ProblemInstance(name="anon", dimension=2, oracle=base.oracle,
+                           projector=ProjectOnly(base.projector), radius_R=base.radius_R)
 
 
 @pytest.fixture

@@ -59,7 +59,7 @@ WEAK_TERMS = {
 def family_columns(R, ks, g_norm):
     """evaluate's family and weak columns over t = 1..len(g_norm) in one epoch."""
     t = len(g_norm)
-    columns = {"epoch": np.zeros(t), "eta": np.ones(t), "g_norm": g_norm}
+    columns = {"epoch": np.zeros(t), "eta": np.ones(t), "g_norm": g_norm, "f_x": np.zeros(t)}
     bounds, _, _ = evaluate(FamilyPolicy(R=R), ks, R, None, columns)
     return bounds
 
@@ -310,7 +310,8 @@ class TestEvaluate:
         # call (see test_scalar_is_its_column_entry)
         R, L, ks, t = 1.7, 3.0, (-1.0, 0.0, 0.5, 2.0, 5.0), 20_000
         g_norm = np.random.default_rng(0).uniform(0.5, 2.0, size=t)
-        columns = {"epoch": np.zeros(t), "eta": np.ones(t), "g_norm": g_norm}
+        columns = {"epoch": np.zeros(t), "eta": np.ones(t), "g_norm": g_norm,
+                   "f_x": np.zeros(t)}
         max_g = np.maximum.accumulate(g_norm).tolist()
         u = range(1, t + 1)
         for policy, fn in self.rules_with_L(R, L):
@@ -336,16 +337,17 @@ class TestEvaluate:
         # w_s / eta_s has no value there; no division is attempted
         columns = self.columns(eta=(1.0, 0.9, step, 0.7, 0.6, 0.5))
         _, verdicts, _ = evaluate(FamilyPolicy(R=1.0), (-1.0, 0.0, 2.0), 1.0, None, columns)
-        assert verdicts == {"monotone_k-1": False, "monotone_k0": False, "monotone_k2": False}
+        monotone = {label: ok for label, ok in verdicts.items() if label.startswith("monotone_")}
+        assert monotone == {"monotone_k-1": False, "monotone_k0": False, "monotone_k2": False}
 
     def test_gap_verdicts_need_a_bracket(self):
+        # without a bracket f* is unbounded: every gap certificate is declared
+        # and undecided, as against (-inf, inf)
         policy = FamilyPolicy(R=1.0)
-        _, verdicts, undecided = evaluate(policy, (0.0,), 1.0, None, self.columns())
-        assert list(verdicts) == ["monotone_k0"] and undecided == []
-        _, verdicts, undecided = evaluate(policy, (0.0,), 1.0, None, self.columns(),
-                                          (-math.inf, math.inf))
-        assert verdicts == {"family": False, "weak_k0": False, "monotone_k0": True}
-        assert undecided == ["family", "weak_k0"]
+        for bracket in (None, (-math.inf, math.inf)):
+            _, verdicts, undecided = evaluate(policy, (0.0,), 1.0, None, self.columns(), bracket)
+            assert verdicts == {"family": False, "weak_k0": False, "monotone_k0": True}
+            assert undecided == ["family", "weak_k0"]
 
     @pytest.mark.parametrize("horizon,f_star,proven", [(1, 7.5, False), (1, 8.5, True),
                                                       (2, 7.5, True)])

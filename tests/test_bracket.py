@@ -4,7 +4,8 @@ A run without a known optimum brackets f* by [f_low, f_best], where f_low
 minimizes the uniform mean of the oracle's minorants over the feasible set.
 The property tests draw problems with an exactly known optimum, hide it
 from the solver, and check that the bracket contains f*, that no
-certificate a policy declares is refuted and that ``psg check`` agrees. One
+certificate a policy declares is refuted and that ``psg check`` decides
+every certificate as the run did, on the same bracket. One
 draws maxima of affine functions, on which the value at each averaged point
 must also stay below the value mean that the verdicts read (Jensen).
 """
@@ -32,9 +33,11 @@ from psg import (
     run,
 )
 from psg.averaging import WeightRule
-from psg.bounds import PROVEN, REFUTED, UNDECIDED, gap_verdict, value_mean
+from psg.bounds import PROVEN, REFUTED, UNDECIDED, bracket, gap_verdict, value_mean
 from psg.cli import check_trace, emit_trace_csv, read_trace_csv
 from psg.core import leq_with_tol
+
+from conftest import make_project_only_problem
 
 
 class TestGapWatch:
@@ -198,8 +201,18 @@ def drawn_runs(draw, problems=_known_optimum_problem):
     return problem, f_star, config, spec
 
 
+# the checks of psg check that are not certificates, besides bound_<label>_recomputed
+STRUCTURE = {"s_counts_1_to_t", "eta_positive", "epoch_counts_restarts", "G_nondecreasing",
+             "f_best_running_min"}
+
+
 def check_agrees(problem, config, spec, report, trace, path):
-    """`psg check` on the run's trace decides every certificate as the run did."""
+    """`psg check` on the run's trace decides every certificate as the run did.
+
+    Its certificates, their verdicts and its undecided ones equal the run's,
+    ``per_step`` aside (it needs the iterates), and the header's minorant
+    sums with the trace's final ``f_best`` give the run's bracket.
+    """
     emit_trace_csv(trace, path, {
         "policy": spec, "iterations": config.max_iterations,
         "weight_ks": list(config.weight_ks), "restart_factor": config.restart_factor,
@@ -207,11 +220,15 @@ def check_agrees(problem, config, spec, report, trace, path):
     meta, columns = read_trace_csv(path)
     assert columns.keys() == trace.keys()
     assert all(np.array_equal(columns[name], col, equal_nan=True) for name, col in trace.items())
-    checked = {name: ok for name, ok, _ in check_trace(meta, columns, problem)}
-    run_labels = set(report.certificates) - {"per_step"}  # needs the iterates
-    assert run_labels <= set(checked)
-    for name, ok in checked.items():
-        assert ok == report.certificates.get(name, True), (name, report)
+    results = check_trace(meta, [columns], problem)
+    checks = [ok for name, ok, _ in results if name in STRUCTURE or name.startswith("bound_")]
+    assert all(checks), results
+    certificates = [(name, ok) for name, ok, _ in results[len(checks):]]
+    assert certificates == [(name, ok) for name, ok in report.certificates.items()
+                            if name != "per_step"], (results, report)
+    assert [name for name, _, detail in results if detail == "undecided"] == report.undecided
+    assert (bracket(problem, meta.get("minorant_sums"), columns["f_best"][-1])
+            == report.optimum_bracket)
 
 
 def assert_sound(problem, f_star, config, spec, path):
@@ -227,7 +244,8 @@ def assert_sound(problem, f_star, config, spec, path):
         assert report.optimum_bracket is None
         return report, trace
     low, high = report.optimum_bracket
-    assert leq_with_tol(low, f_star) and f_star <= high == report.best_value
+    final = trace["f_best"][-1] if report.iterations_run else report.best_value
+    assert leq_with_tol(low, f_star) and f_star <= high == final
     for cert in declared:
         assert cert.label in report.certificates
         refuted = not report.certificates[cert.label] and cert.label not in report.undecided
@@ -335,13 +353,26 @@ def test_per_step_refutes_an_excess_at_a_large_offset(offset, excess):
 
 def test_check_agrees_after_a_final_zero_subgradient(tmp_path):
     # the nesterov step lands on x* = 0, where it has no step: that iteration
-    # has no trace row, yet its value is the run's f_best and bracket high;
-    # check brackets f* up to the final f_best, 0.5, and still agrees
+    # has no trace row, so its value is the run's best value but not its
+    # bracket's high end; run and check both bracket f* up to the final
+    # f_best, 0.5, and agree
     problem = dataclasses.replace(make_abs_problem(1), known_optimum_value=None,
                                   known_optimum_point=None)
     config = SolverConfig(max_iterations=5, initial_point=np.array([0.5]),
                           policy=NesterovPolicy(R=0.5), weight_ks=(-1.0,))
     report, trace = run(problem, config)
-    assert list(trace["f_best"]) == [0.5]
-    assert report.optimum_bracket[1] == report.best_value == 0.0
+    assert list(trace["f_best"]) == [0.5] and report.best_value == 0.0
+    assert report.optimum_bracket[1] == 0.5
     check_agrees(problem, config, {"kind": "nesterov"}, report, trace, tmp_path / "t.csv")
+
+
+def test_check_agrees_without_a_bracket(tmp_path):
+    # a projector without min_linear cannot bracket f*: run and check declare
+    # the same gap certificates and leave them undecided
+    problem = make_project_only_problem()
+    config = SolverConfig(max_iterations=30, initial_point=np.array([0.7, -0.4]),
+                          policy=FamilyPolicy(R=problem.radius_R), weight_ks=(-1.0, 0.0, 2.0))
+    report, trace = run(problem, config)
+    assert report.optimum_bracket is None
+    assert report.undecided == ["family", "weak_k-1", "weak_k0", "weak_k2"]
+    check_agrees(problem, config, {"kind": "family"}, report, trace, tmp_path / "t.csv")

@@ -897,6 +897,25 @@ class TestCheckCommand:
         assert self.check_forged(trace, problem, tmp_path, capsys, forge) == (
             3, ["FAIL s_counts_1_to_t"])
 
+    @pytest.mark.parametrize("policy", [{"kind": "family", "a": 1.0}, {"kind": "constant"}])
+    def test_rows_past_the_header_iterations_fail_strict(self, tmp_path, capsys, policy):
+        # a run of `iterations` writes at most that many rows; under the
+        # constant rule, tuned to that horizon, the extra rows would also
+        # leave its certificate with no row to decide it on
+        cfg = write_config(tmp_path / "c.json", dict(ABS_CONFIG, policy=policy))
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path), "--strict"]) == 0
+        trace = tmp_path / "trace.csv"
+        rows = len(read_trace_csv(trace)[1]["s"])
+        assert rows >= 2
+        assert self.check_forged(trace, cfg, tmp_path, capsys, lambda meta, columns: None) == (
+            0, [])
+
+        def forge(meta, columns):
+            meta["iterations"] = rows - 1
+
+        assert self.check_forged(trace, cfg, tmp_path, capsys, forge) == (
+            3, ["FAIL s_counts_1_to_t"])
+
     def test_untracked_G_of_a_family_trace_fails_strict(self, run_outputs, tmp_path, capsys):
         trace, problem = run_outputs
 

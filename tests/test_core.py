@@ -41,7 +41,7 @@ def test_oracles_pass_1000_random_pairs(problem, rng):
     points = sample_feasible(problem.projector, rng, 2000)
     for i in range(1000):
         x, z = points[2 * i], points[2 * i + 1]
-        if problem.oracle(x).is_empty:
+        if problem.oracle(x).subgradient is None:
             continue
         assert subgradient_inequality_holds(problem.oracle, x, z)
 
@@ -105,8 +105,8 @@ class TestSubgradientResult:
         g = np.ones(2)
         res = SubgradientResult(1.5, g)
         assert res == (1.5, g)
-        assert not res.is_empty
-        assert SubgradientResult(value=0.0, subgradient=None).is_empty
+        assert res.subgradient is g
+        assert SubgradientResult(value=0.0, subgradient=None).subgradient is None
 
     def test_immutable_with_copies_by_replace(self):
         res = SubgradientResult(1.0, np.zeros(1))

@@ -105,7 +105,7 @@ def reference_evaluate(policy, ks, R, L, columns, bracket=None):
             bounds[label] = lipschitz[label](R, L, t)
 
     certificates, undecided = {}, []
-    certs = policy.certificates(ks, L) if bracket is not None else ()
+    certs = policy.certificates(ks, L)
     means = {k: reference_value_mean(WeightRule(k)(t, eta), columns["f_x"], epochs)
              for k in {cert.k for cert in certs}}
     for cert in certs:
@@ -113,7 +113,7 @@ def reference_evaluate(policy, ks, R, L, columns, bracket=None):
         if cert.horizon is not None:
             decided = len(t) and t[-1] == cert.horizon
             avg, bound = (avg[-1:], bound[-1:]) if decided else ((), ())
-        verdict = reference_gap_verdict(avg, bound, *bracket)
+        verdict = reference_gap_verdict(avg, bound, *(bracket or (-math.inf, math.inf)))
         certificates[cert.label] = verdict == PROVEN
         if verdict == UNDECIDED:
             undecided.append(cert.label)
@@ -187,7 +187,7 @@ def random_cuts(rng, rows):
 
 
 def chunked_evaluate(policy, ks, R, L, columns, bracket, cuts):
-    evaluator = Evaluator(policy, ks, R, L, gap=bracket is not None)
+    evaluator = Evaluator(policy, ks, R, L)
     edges = [0, *cuts, len(columns["eta"])]
     pieces = [evaluator.feed({name: col[a:b] for name, col in columns.items()})
               for a, b in zip(edges, edges[1:])]
@@ -270,7 +270,7 @@ def test_check_in_chunks_is_check_of_whole_columns(tmp_path, suffix):
     trace, _ = nonlip_trace(tmp_path, 9000, suffix)
     meta, cols = read_trace(trace)
     assert cols["epoch"][-1] >= 4
-    whole = check_trace(meta, cols, make_sqrt_example())
+    whole = check_trace(meta, [cols], make_sqrt_example())
     assert all(ok for _, ok, _ in whole), whole
     rng = np.random.default_rng(5)
     for cuts in ([VALUE_BLOCK_CAP, 2 * VALUE_BLOCK_CAP], sorted(rng.integers(1, 9000, 40)),

@@ -39,7 +39,7 @@ class TestSqrtExample:
 
     def test_empty_subdifferential_at_zero(self):
         res = make_sqrt_example().oracle(np.array([0.0]))
-        assert res.is_empty
+        assert res.subgradient is None
         assert res.value == 0.0
 
     def test_declares_no_lipschitz_bound(self):
