@@ -567,7 +567,8 @@ def check_trace(meta: dict, chunks, problem: ProblemInstance) -> list:
     (see the module docstring for what is taken on trust). A header field
     that check reads and that is missing or malformed, or a column set that
     lacks a column its run writes, raises :class:`ConfigError` or
-    :class:`InvalidParameterError`, as does a chunk that the reader refuses;
+    :class:`InvalidParameterError`, as do no chunks, a chunk with no rows
+    and a chunk that the reader refuses;
     a header key or a column that no run writes, such as an older trace's
     ``optimum_bracket`` or its ``f_avg_k<k>`` columns, is not read. The
     header's ``problem`` is not read: ``psg check`` compares it with the
@@ -601,6 +602,8 @@ def check_trace(meta: dict, chunks, problem: ProblemInstance) -> list:
                            for prev, name in zip(last, ("epoch", "G", "f_x")))
         np.minimum.accumulate(f_min, out=f_min)
         step, eta = np.diff(epoch), chunk["eta"]
+        if not len(eta):
+            raise InvalidParameterError("trace has no rows")
         with np.errstate(invalid="ignore"):  # an inf G after an inf G fails, unwarned
             ok = [np.array_equal(chunk["s"], np.arange(rows + 1.0, rows + len(eta) + 1))
                   and rows + len(eta) <= iterations,
@@ -614,7 +617,8 @@ def check_trace(meta: dict, chunks, problem: ProblemInstance) -> list:
                     for label, column in evaluator.feed(chunk).items())]
         passed = {name: was and bool(now) for (name, was), now in zip(passed.items(), ok)}
         rows, last, f_best = rows + len(eta), (epoch[-1], G[-1], f_min[-1]), chunk["f_best"][-1]
-
+    if not rows:
+        raise InvalidParameterError("trace has no rows")
     verdicts, undecided = evaluator.verdicts(bnd.bracket(problem, sums, f_best))
     detail = {"G_nondecreasing": "within each epoch" if policy.tracks_G else "not tracked"}
     results = [(name, ok, detail.get(name, "")) for name, ok in passed.items()]

@@ -172,22 +172,26 @@ def run(problem: ProblemInstance, config: SolverConfig):
 
     The bookkeeping runs a block at a time: each iteration only writes its
     point x_s and its g_s into buffers of :func:`block_rows` rows (64 to
-    4096 rows of at most 256 KiB of points and minorants). Each iteration
-    also appends eta_s, ||g_s||, G and f(x_s) to short lists, in blocks of
-    the same length also in a run that buffers no rows. Once per block of
-    iterations, before a restart and after the loop, one closure, ``flush``,
-    runs the whole block in order: it decides its per-step inequalities (the
-    bits of one check per iteration), sums its minorants in iteration order
-    (the bits of one sum per iteration), forms its weights, folds its points
-    into the averages with one :meth:`StreamingAverage.update`, and appends
-    the block to the record. The record holds one float64 array per trace
-    column but ``s`` and ``f_best``: ``epoch``, ``eta``, ``g_norm``, ``G``,
-    ``f_x`` and one bound per label, 8 bytes per iteration each. The first
-    block gives each array room for the budget, but at most 2^15 rows, and
-    a block that overflows the room doubles it; only the rows written are
-    resident. Whenever 4096 (``VALUE_BLOCK_CAP``) or more recorded rows
-    have no bounds yet, and after the loop, those rows go to the evaluator
-    as one chunk, and it writes their bounds into the record: the evaluator
+    4096 rows of at most 256 KiB of points and minorants), and stores
+    eta_s, ||g_s||, G (nan for a rule without G) and f(x_s) at its row of
+    the record, through one memoryview per column, in blocks of the same
+    length also in a run that buffers no rows. The record holds one float64
+    array per trace column but ``s`` and ``f_best``: ``epoch``, ``eta``,
+    ``g_norm``, ``G``, ``f_x`` and one bound per label, 8 bytes per
+    iteration each. Once per block of iterations, before a restart and
+    after the loop, one closure, ``flush``, runs the whole block in order,
+    reading its stored rows as views of the record: it decides its per-step
+    inequalities (the bits of one check per iteration), sums its minorants
+    in iteration order (the bits of one sum per iteration), forms its
+    weights, folds its points into the averages with one
+    :meth:`StreamingAverage.update`, and fills the block's epoch. Each array
+    has room for one block at first, or the budget if less; a flush that
+    leaves less room than the next block can need grows it to the budget,
+    but at most 2^15 rows, and then doubles it, so no allocation grows with
+    the budget; only the rows written are resident. Whenever 4096
+    (``VALUE_BLOCK_CAP``) or more recorded rows have no bounds yet, and
+    after the loop, those rows go to the evaluator as one chunk, and it
+    writes their bounds into the record: the evaluator
     builds nothing longer than a chunk, and carries its sums from one chunk
     to the next, so the bounds and verdicts have the bits of one pass over
     every row. ``s`` and ``f_best`` are built after the loop; the other
@@ -253,18 +257,18 @@ def run(problem: ProblemInstance, config: SolverConfig):
     minorants = 0
 
     # The run's record, the columns of the trace but s and f_best, which are
-    # derived after the loop: the pending rows in short lists, and one float64
-    # array per column that each block's rows, and the bounds of each chunk of
-    # blocks, are written into. The first block gives each array room for the
-    # budget, but at most 2^15 rows, so that no allocation grows with the
-    # budget and a run of up to 2^15 rows is never moved; a block that
-    # overflows the room doubles it. Only the pages written to are resident.
-    etas: list[float] = []
-    g_norms: list[float] = []
-    big_Gs: list[Optional[float]] = []
-    f_xs: list[float] = []
-    record = {name: np.empty(0) for name in trace_columns(evaluator.labels)
-              if name not in ("s", "f_best")}
+    # derived after the loop: one float64 array per column. Each iteration
+    # stores its eta, ||g||, G (nan for a rule without G) and f(x_s) at its
+    # row through one memoryview per column; each block fills its epoch, and
+    # each chunk of blocks its bounds. The first room is one block, or the
+    # budget if less; a flush that leaves less room than the next block can
+    # need grows each array to the budget, but at most 2^15 rows, then
+    # doubles it, so that no allocation grows with the budget. Only the pages
+    # written to are resident.
+    record = {name: np.empty(min(config.max_iterations, block_len))
+              for name in trace_columns(evaluator.labels) if name not in ("s", "f_best")}
+    stored = ("eta", "g_norm", "G", "f_x")
+    etas, g_norms, big_Gs, f_xs = (memoryview(record[name]) for name in stored)
     done = fed = 0  # rows in the record, and rows of it fed to the evaluator
 
     def certify():
@@ -276,15 +280,15 @@ def run(problem: ProblemInstance, config: SolverConfig):
         fed = done
 
     def flush(x_after):
-        """Run the block of pending rows, x_after following the last one, into the record.
+        """Run the block of stored rows, x_after following the last one, into the record.
 
         In order: the per-step inequality, the minorant sums, the weights and
-        averages, the record.
+        averages, the block's epoch, the record's room.
         """
-        nonlocal rows, minorants, done, per_step
+        nonlocal rows, minorants, done, per_step, etas, g_norms, big_Gs, f_xs
         if not rows:
             return
-        eta, g_norm, f_x = np.array(etas), np.array(g_norms), np.array(f_xs)
+        eta, g_norm, f_x = (record[name][done:done + rows] for name in ("eta", "g_norm", "f_x"))
         if check_step and per_step:
             # leq_with_tol elementwise, with the bits of one check per iteration:
             # + - * / round as on Python floats, and each squared distance is
@@ -312,24 +316,20 @@ def run(problem: ProblemInstance, config: SolverConfig):
                 averages.update(weights, points[:rows])
             except (NumericError, OverflowError):
                 raise _overflow(averages, ks, weights, points[:rows], done + 1) from None
-        if done + rows > len(record["eta"]):  # each column moves to its first room, or twice it
+        record["epoch"][done:done + rows] = epoch
+        done += rows
+        rows = 0
+        if len(record["eta"]) - done < min(block_len, config.max_iterations - done):
             for name, column in record.items():
                 record[name] = np.empty(max(2 * len(column), min(config.max_iterations, 2 ** 15)))
                 record[name][:done] = column[:done]
-        # None (a rule without G) becomes nan
-        for name, chunk in zip(record, (epoch, eta, g_norm, np.array(big_Gs, dtype=np.float64),
-                                        f_x)):
-            record[name][done:done + rows] = chunk
-        for pending in (etas, g_norms, big_Gs, f_xs):
-            pending.clear()
-        done += rows
-        rows = 0
+            etas, g_norms, big_Gs, f_xs = (memoryview(record[name]) for name in stored)
         if done - fed >= VALUE_BLOCK_CAP:
             certify()
 
     epoch = 0
     s_local = 0
-    inf = math.inf
+    inf, nan = math.inf, math.nan
     G_ref: Optional[float] = None
     stop = StopReason.BUDGET_EXHAUSTED
     restart_factor = config.restart_factor
@@ -404,10 +404,9 @@ def run(problem: ProblemInstance, config: SolverConfig):
         x = projector.project(y)
 
         G_now = policy.G
-        etas.append(eta)
-        g_norms.append(g_norm)
-        big_Gs.append(G_now)
-        f_xs.append(f_x)
+        i = done + rows
+        etas[i], g_norms[i], f_xs[i] = eta, g_norm, f_x
+        big_Gs[i] = nan if G_now is None else G_now
         rows += 1
         if rows == block_len:
             flush(x)

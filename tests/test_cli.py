@@ -28,6 +28,7 @@ from psg.cli import (
     ConfigError,
     build_policy,
     build_problem,
+    check_trace,
     config_to_dict,
     emit_trace,
     emit_trace_csv,
@@ -728,6 +729,20 @@ class TestCheckCommand:
         assert main(["check", "--trace", str(bad), "--problem", str(problem),
                      "--strict"]) == 3
         assert f"FAIL {column}_recomputed" in capsys.readouterr().out
+
+    def test_no_chunks_is_a_trace_without_rows(self, run_outputs):
+        meta, _ = read_trace(run_outputs[0])
+        with pytest.raises(InvalidParameterError, match="^trace has no rows$"):
+            check_trace(meta, [], make_abs_problem(1))
+
+    @pytest.mark.parametrize("rows_before", [0, 20])
+    def test_chunk_without_rows_is_a_trace_without_rows(self, run_outputs, rows_before):
+        meta, columns = read_trace(run_outputs[0])
+        # an empty chunk first, or after a chunk of rows
+        chunks = [{name: column[:rows] for name, column in columns.items()}
+                  for rows in (rows_before, 0)]
+        with pytest.raises(InvalidParameterError, match="^trace has no rows$"):
+            check_trace(meta, chunks, make_abs_problem(1))
 
     def test_restarted_trace_passes(self, restarted_outputs, capsys):
         trace, config = restarted_outputs

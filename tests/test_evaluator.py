@@ -303,6 +303,23 @@ def test_check_carries_each_structural_check_across_a_chunk_edge(tmp_path):
             assert results[name] is False, (name, cuts)
 
 
+# --- the run's record ------------------------------------------------------------
+
+def test_growing_the_record_keeps_every_row(tmp_path):
+    from psg.problems import make_sqrt_example
+
+    # 70,000 rows: the record grows past 2^15 rows twice
+    (tmp_path / "long").mkdir()
+    (tmp_path / "short").mkdir()
+    meta, cols = read_trace(nonlip_trace(tmp_path / "long", 70_000, "npz")[0])
+    _, head = read_trace(nonlip_trace(tmp_path / "short", 20_000, "npz")[0])
+    assert len(cols["s"]) == 70_000 and cols["epoch"][-1] >= 4
+    for name, column in head.items():
+        assert column.tobytes() == cols[name][:20_000].tobytes(), name
+    results = check_trace(meta, [cols], make_sqrt_example())
+    assert all(ok for _, ok, _ in results), results
+
+
 # --- memory --------------------------------------------------------------------
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
@@ -316,3 +333,7 @@ def test_run_and_check_memory_grows_with_the_trace_not_with_temporaries(tmp_path
     assert growth["run"]["exit"] == 0 and growth["check"]["exit"] == 0
     assert growth["run"]["growth_mb"] <= 11.0, growth
     assert growth["check"]["growth_mb"] <= 5.0, growth
+    # a .npz trace is written from the same record; its check reads the trace whole
+    growth = mem_growth.measure(100_000, "npz", str(tmp_path))
+    assert growth["run"]["exit"] == 0 and growth["check"]["exit"] == 0
+    assert growth["run"]["growth_mb"] <= 11.0, growth

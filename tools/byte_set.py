@@ -1,4 +1,4 @@
-"""Write the byte-comparison set of a refactor: every output of 26 `psg` runs.
+"""Write the byte-comparison set of a refactor: every output of 27 `psg` runs.
 
     python tools/byte_set.py OUT_DIR
 
@@ -10,7 +10,9 @@ stdout and stderr beside those outputs, in ``<command>.exit``,
 
 * the shipped ``configs/*.json``;
 * the ``nonlip`` benchmark workload at seeds 1 and 7
-  (``bench/workloads.make_config``);
+  (``bench/workloads.make_config``), and at seed 1 run for 70,000
+  iterations with a ``.npz`` trace, past the first 2^15 rows of the run's
+  record, so that the set covers the record's growth;
 * the ``NPZ_CONFIGS`` of ``tests/test_cli.py``, each with a ``.npz`` and a
   ``.csv`` trace path;
 * ROADMAP item 1's Lasso case, with both trace suffixes;
@@ -81,6 +83,8 @@ def cases() -> dict:
     from workloads import make_config
     for seed in (1, 7):
         runs[f"nonlip_seed{seed}"] = make_config("nonlip", seed, str(ROOT))
+    runs["nonlip_long_npz"] = dict(runs["nonlip_seed1"], iterations=70_000,
+                                   trace_path="nonlip_trace.npz")
     for name, config in sorted(npz_configs().items()) + [("item1", ITEM1)]:
         for suffix in ("npz", "csv"):
             runs[f"{name}_{suffix}"] = dict(config, trace_path=f"trace.{suffix}")
